@@ -32,7 +32,7 @@ from typing import List, Optional
 
 from . import __version__
 from .errors import ConfigError, QidentError
-from .identities import CASES, IdentityReport, run_case, sample_params
+from .identities import CASES, IdentityReport, error_report, run_case, sample_params
 from .partitions import format_partition, parse_partition
 from .policy import QPower
 
@@ -262,7 +262,13 @@ def run(configs: List[CaseConfig], parallelism: int = 1,
     def one(task):
         ci, si, cfg = task
         seed = cfg.seed + si
-        params = sample_params(cfg.case_id, seed)
+        try:
+            params = sample_params(cfg.case_id, seed)
+        except ConfigError:  # unknown case id: a usage error, not a sample's
+            raise
+        except QidentError as exc:  # e.g. the sampler found no admissible draw
+            tol = CASES[cfg.case_id].default_tol if cfg.tol is None else cfg.tol
+            return ci, si, seed, error_report(cfg.case_id, dict(cfg.params), tol, exc)
         params.update(cfg.params)
         if mode == "high":
             import mpmath

@@ -24,7 +24,6 @@ from .partitions import (
     nstat,
     normalize,
     part,
-    staircase,
     subpartitions,
     weight,
 )
@@ -37,6 +36,7 @@ from .qcore import (
     poch_int,
     poch_multi,
     poch_multi_inf,
+    theta,
 )
 from .series import SeriesSpec, eval_psi, eval_phi
 from .wfunc import WParams, poch_partition_multi, w_degree, w_multi, zw_multi_reg
@@ -117,7 +117,8 @@ def _make_report(case_id, params, lhs, rhs, tol, terms_used=1, message=""):
     )
 
 
-def _error_report(case_id, params, tol, exc):
+def error_report(case_id, params, tol, exc):
+    """Error-status report for a run that raised exc."""
     return IdentityReport(
         case_id=case_id,
         params={**params, "tol": tol},
@@ -270,6 +271,22 @@ def _ppm(avals, q, p, t, lam, nmin=0):
     return poch_partition_multi(avals, WParams(q, p, t, 0.0, 0.0), lam, nmin)
 
 
+def _vwp_delta(vec, n, c, B, q, p, t):
+    """The very-well-poised Delta factor of an index vector over 1 <= i < j <= n:
+    prod (c t^{j-i+1}; q,p)_{dm} (B t^{1-i-j}; q,p)_{sm}
+         / ((c t^{j-i}; q,p)_{dm} (B t^{-i-j}; q,p)_{sm}),
+    with dm = vec_i - vec_j and sm = vec_i + vec_j."""
+    r = 1.0 + 0j
+    for j in range(2, n + 1):
+        for i in range(1, j):
+            dm = part(vec, i) - part(vec, j)
+            sm = part(vec, i) + part(vec, j)
+            r = r * epoch(c * t ** (j - i + 1), q, p, dm) \
+                * epoch(B * t ** (1 - i - j), q, p, sm) \
+                / (epoch(c * t ** (j - i), q, p, dm) * epoch(B * t ** (-i - j), q, p, sm))
+    return r
+
+
 def simplified_jackson_lhs(x, lam, n, q, p, t, a, b, s):
     return _ppm([s / x, a * s * x], q, p, t, lam) / _ppm(
         [q * b * x, q * b / (a * x)], q, p, t, lam)
@@ -288,27 +305,14 @@ def simplified_jackson_rhs(x, lam, n, q, p, t, a, b, s):
         for i in range(1, n + 1):
             mi = part(mu, i)
             if mi:
-                term = term * _theta(b * t ** (2 - 2 * i) * q ** (2 * mi), p) \
-                    / _theta(b * t ** (2 - 2 * i), p)
-        for j in range(2, n + 1):
-            for i in range(1, j):
-                dm = part(mu, i) - part(mu, j)
-                sm = part(mu, i) + part(mu, j)
-                term = term * epoch(q * t ** (j - i), q, p, dm) \
-                    * epoch(b * t ** (3 - i - j), q, p, sm) \
-                    / (epoch(q * t ** (j - i - 1), q, p, dm)
-                       * epoch(b * t ** (2 - i - j), q, p, sm))
+                term = term * theta(b * t ** (2 - 2 * i) * q ** (2 * mi), p) \
+                    / theta(b * t ** (2 - 2 * i), p)
+        term = term * _vwp_delta(mu, n, q / t, b * t**2, q, p, t)
         term = term * w_multi(xl, mu, (), wp, memo)
         term = term * _ppm([1 / x, a * x], q, p, t, mu) \
             / _ppm([q * b * x, q * b / (a * x)], q, p, t, mu)
         total += term
     return total
-
-
-def _theta(x, p):
-    from .qcore import theta as _t
-
-    return _t(x, p)
 
 
 def multiple_jackson_lhs(zvars, lam, n, q, p, t, a, b):
@@ -319,14 +323,7 @@ def multiple_jackson_lhs(zvars, lam, n, q, p, t, a, b):
 def multiple_jackson_rhs(zvars, lam, n, q, p, t, a, b, s):
     pref = _ppm([s, a / (s * t ** (n + 1))], q, p, t, lam) \
         / _ppm([q * b / (s * t), q * b * t**n * s / a], q, p, t, lam)
-    for j in range(2, n + 1):
-        for i in range(1, j):
-            dm = part(lam, i) - part(lam, j)
-            sm = part(lam, i) + part(lam, j)
-            pref = pref * epoch(t ** (j - i + 1), q, p, dm) \
-                * epoch(q * b * t ** (-i - j + 1), q, p, sm) \
-                / (epoch(t ** (j - i), q, p, dm)
-                   * epoch(q * b * t ** (-i - j), q, p, sm))
+    pref = pref * _vwp_delta(lam, n, 1, q * b, q, p, t)
     xl = [q ** part(lam, i) * t ** (n - i) for i in range(1, n + 1)]
     zs = [zi * s for zi in zvars]
     wp1 = WParams(q, p, t, b * t ** (1 - 2 * n), b / (s * t**n))
@@ -339,21 +336,11 @@ def multiple_jackson_rhs(zvars, lam, n, q, p, t, a, b, s):
         for i in range(1, n + 1):
             mi = part(mu, i)
             if mi:
-                term = term * _theta(b / s * t ** (1 - 2 * i) * q ** (2 * mi), p) \
-                    / _theta(b / s * t ** (1 - 2 * i), p)
+                term = term * theta(b / s * t ** (1 - 2 * i) * q ** (2 * mi), p) \
+                    / theta(b / s * t ** (1 - 2 * i), p)
             term = term * (q * t ** (2 * i - 2)) ** mi
-        for j in range(2, n + 1):
-            for i in range(1, j):
-                dm = part(mu, i) - part(mu, j)
-                sm = part(mu, i) + part(mu, j)
-                term = term * epoch(t ** (j - i), q, p, dm) \
-                    * epoch(q * t ** (j - i), q, p, dm) \
-                    / (epoch(q * t ** (j - i - 1), q, p, dm)
-                       * epoch(t ** (j - i + 1), q, p, dm))
-                term = term * epoch(b / s * q * t ** (-i - j), q, p, sm) \
-                    * epoch(b / s * t ** (-i - j + 2), q, p, sm) \
-                    / (epoch(b / s * t ** (-i - j + 1), q, p, sm)
-                       * epoch(q * b / s * t ** (-i - j + 1), q, p, sm))
+        term = term * _vwp_delta(mu, n, q / t, b * t / s, q, p, t) \
+            / _vwp_delta(mu, n, 1, q * b / s, q, p, t)
         term = term * w_multi(xl, mu, (), wp1, memo1)
         term = term * w_multi(zs, mu, (), wp2, memo2)
         total += term
@@ -369,15 +356,7 @@ def duality_side(lam, nu, n, q, t, a, aprime, b):
     r = w_multi(xv, lam, (), wp, memo={})
     r = r * _ppm([q * b * t ** (n - 1), q * b / a], q, 0.0, t, lam) \
         / _ppm([k, k * a * t ** (n - 1)], q, 0.0, t, lam)
-    for j in range(2, n + 1):
-        for i in range(1, j):
-            dm = part(lam, i) - part(lam, j)
-            sm = part(lam, i) + part(lam, j)
-            r = r * epoch(t ** (j - i), q, 0.0, dm) \
-                * epoch(q * aprime * t ** (2 * n - i - j - 1), q, 0.0, sm) \
-                / (epoch(t ** (j - i + 1), q, 0.0, dm)
-                   * epoch(q * aprime * t ** (2 * n - i - j), q, 0.0, sm))
-    return r
+    return r / _vwp_delta(lam, n, 1, q * aprime * t ** (2 * n - 1), q, 0.0, t)
 
 
 def flip_sides(xvars, lam, q, p, t, a, b):
@@ -1289,6 +1268,6 @@ def run_case(case_id: str, params: dict, tol: Optional[float] = None,
     try:
         return case.runner(params, use_tol, policy)
     except QidentError as exc:
-        return _error_report(case_id, params, use_tol, exc)
+        return error_report(case_id, params, use_tol, exc)
     except ZeroDivisionError as exc:
-        return _error_report(case_id, params, use_tol, exc)
+        return error_report(case_id, params, use_tol, exc)

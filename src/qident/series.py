@@ -53,8 +53,7 @@ class SeriesSpec:
     denominator: Sequence[object]
     argument: object
     q: object
-    p: object = 0.0
-    kind: str = "unilateral"  # unilateral | bilateral | elliptic-omega
+    kind: str = "unilateral"  # unilateral | bilateral
 
 
 @dataclass(frozen=True)

@@ -1,24 +1,27 @@
-"""Partition-indexed Pochhammer symbols and the skew W functions.
+"""Partition-indexed Pochhammer symbols and the W functions.
 
 Provides
   * partition Pochhammer symbols (a;q,p,t)_lam,
-  * the H factor and the explicit single-variable skew W_{lam/mu}(x),
-  * the multivariable W via its branching recursion,
-  * the same machinery literally extended to integer-vector indices
-    (negative entries enter through negative-order Pochhammers), and
+  * one W kernel on integer-vector indices of fixed length: the
+    single-variable skew W_{lam/mu}(x) for lam in Z^n and mu in Z^{n-1}
+    (zw_skew_single), whose H factor and remaining Pochhammer products are
+    collected as one ledger of numerator/denominator theta arguments
+    (negative orders enter through negative-order Pochhammers), and the
+    multivariable W via its branching recursion (zw_multi),
+  * partition entry points (w_skew_single, w_multi) that pad the partitions
+    with zeros to fixed length and call the same kernel, and
   * the closed "degree formula" for W at its principal specialization.
 
 Every evaluation uses only finite products, so the functions remain valid at
 |q| > 1 (needed by the flip identity).
 
 Pole handling: at the t = q specialization individual skew-W values can have
-simple poles in b that cancel only across the branching sum.  Products of
-theta factors are therefore assembled as numerator/denominator argument lists
-and evaluated by :func:`theta_quotient`, which cancels coincident arguments
-structurally; a genuinely uncancelled denominator zero raises
-PoleCancellationError, and the regularized entry points respond by evaluating
-at b(1 +/- h) and Richardson-extrapolating the even function of h back to
-h = 0.
+simple poles in b that cancel only across the branching sum.  The kernel's
+ledger is therefore evaluated by :func:`theta_quotient`, which cancels
+coincident arguments structurally; a genuinely uncancelled denominator zero
+raises PoleCancellationError, and the regularized entry point responds by
+evaluating at b(1 +/- h) and Richardson-extrapolating the even function of h
+back to h = 0.
 """
 
 from __future__ import annotations
@@ -26,13 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PoleCancellationError
-from .partitions import (
-    horizontal_strip_predecessors,
-    interlacing_vectors,
-    is_horizontal_strip,
-    normalize,
-    part,
-)
+from .partitions import interlacing_vectors, is_horizontal_strip, normalize, part
 from .policy import DEFAULT_POLICY
 from .qcore import epoch, theta
 
@@ -111,176 +108,8 @@ def theta_quotient(num_args, den_args, p, policy=DEFAULT_POLICY):
     return r
 
 
-def _theta_ratio(anum, aden, q, p, m, policy=DEFAULT_POLICY):
-    """prod_{k=0..m-1} theta(anum q^k)/theta(aden q^k); equal bases give 1."""
-    if abs(anum - aden) <= SNAP_TOL * max(abs(anum), abs(aden), 1.0):
-        return 1.0 + 0j
-    if m == 0:
-        return 1.0 + 0j
-    if m < 0:
-        return 1.0 / _theta_ratio(anum * q**m, aden * q**m, q, p, -m, policy)
-    r = 1.0 + 0j
-    for k in range(m):
-        num = theta(anum * q**k, p, policy)
-        den = theta(aden * q**k, p, policy)
-        if abs(den) < POLE_TOL:
-            raise PoleCancellationError("theta ratio denominator vanishes")
-        r = r * num / den
-    return r
-
-
-def _hfactor_rows(lam, mu, params: WParams, jrange):
-    q, p, t, b = params.q, params.p, params.t, params.b
-    r = 1.0 + 0j
-    for j in jrange:
-        for i in range(1, j):
-            m = part(mu, j - 1) - part(lam, j)
-            li, lj = part(lam, i), part(lam, j)
-            mi, mj1 = part(mu, i), part(mu, j - 1)
-            r = r * _theta_ratio(
-                q ** (mi - mj1) * t ** (j - i), q ** (mi - mj1 + 1) * t ** (j - i - 1), q, p, m
-            )
-            r = r * _theta_ratio(
-                q ** (li + lj) * t ** (3 - j - i) * b,
-                q ** (li + lj + 1) * t ** (2 - j - i) * b,
-                q, p, m,
-            )
-            r = r * _theta_ratio(
-                q ** (li - mj1 + 1) * t ** (j - i - 1), q ** (li - mj1) * t ** (j - i), q, p, m
-            )
-    for j in jrange:
-        for i in range(1, j - 1):
-            m = part(mu, j - 1) - part(lam, j)
-            mi, lj = part(mu, i), part(lam, j)
-            r = r * _theta_ratio(
-                q ** (mi + lj + 1) * t ** (1 - j - i) * b,
-                q ** (mi + lj) * t ** (2 - j - i) * b,
-                q, p, m,
-            )
-    return r
-
-
-def hfactor(lam, mu, params: WParams):
-    """The H factor H_{lam/mu}(q,p,t,b): two double products of finite
-    elliptic Pochhammer ratios over 1 <= i < j <= n and 1 <= i < j-1 <= n,
-    where n = max(len(lam), len(mu)) is the ambient rank."""
-    lam, mu = normalize(lam), normalize(mu)
-    n = max(len(lam), len(mu))
-    return _hfactor_rows(lam, mu, params, range(2, n + 1))
-
-
-def _hfactor_boundary(lam, mu, params: WParams):
-    """The j = n+1 boundary row of the same products; the single-variable
-    skew W needs it because its bottom strip row mu_n - lam_{n+1} = mu_n is
-    nonempty even when the displayed index range 1 <= i < j <= n has ended."""
-    lam, mu = normalize(lam), normalize(mu)
-    n = max(len(lam), len(mu))
-    return _hfactor_rows(lam, mu, params, (n + 1,))
-
-
-def w_skew_single(x, lam, mu, params: WParams):
-    """Single-variable skew W_{lam/mu}(x; q, p, t, a, b).
-
-    Vanishes structurally (exact 0) unless lam/mu is a horizontal strip.
-    """
-    q, p, t, a, b = params.q, params.p, params.t, params.a, params.b
-    lam, mu = normalize(lam), normalize(mu)
-    if not is_horizontal_strip(lam, mu):
-        return 0.0 + 0j
-    r = hfactor(lam, mu, params) * _hfactor_boundary(lam, mu, params)
-    # (x^-1, a x)_lam / (x^-1, a x)_mu as finite strip-difference products.
-    for i in range(1, len(lam) + 1):
-        m = part(lam, i) - part(mu, i)
-        r = r * epoch(t ** (1 - i) / x * q ** part(mu, i), q, p, m)
-        r = r * epoch(a * x * t ** (1 - i) * q ** part(mu, i), q, p, m)
-    # (q b x / t, q b / (a x t))_mu / (q b x, q b / (a x))_lam.
-    for i in range(1, len(lam) + 1):
-        mi, li = part(mu, i), part(lam, i)
-        r = r * _theta_ratio(q * b * x * t ** (-i), q * b * x * t ** (1 - i), q, p, mi)
-        r = r / epoch(q * b * x * t ** (1 - i) * q**mi, q, p, li - mi)
-        r = r * _theta_ratio(
-            q * b / (a * x) * t ** (-i), q * b / (a * x) * t ** (1 - i), q, p, mi
-        )
-        r = r / epoch(q * b / (a * x) * t ** (1 - i) * q**mi, q, p, li - mi)
-    # Final theta-quotient block, assembled as argument lists so that
-    # factors forced coincident by degenerate specializations cancel
-    # structurally instead of producing 0/0.
-    n = max(len(lam), len(mu), 1)
-    num_args, den_args = [], []
-    for i in range(1, n + 1):
-        mi, li1 = part(mu, i), part(lam, i + 1)
-        if mi == 0 and li1 == 0:
-            continue
-        base_n = b * t ** (1 - 2 * i)
-        base_d = b * q * t ** (-2 * i)
-        if mi != 0:
-            num_args.append(base_n * q ** (2 * mi))
-            den_args.append(base_n)
-        for k in range(mi + li1):
-            num_args.append(base_n * q**k)
-            den_args.append(base_d * q**k)
-        r = r * t ** (i * (mi - li1))
-    return r * theta_quotient(num_args, den_args, p)
-
-
-def w_multi(xvars, lam, mu, params: WParams, memo=None):
-    """Multivariable skew W via the branching recursion.
-
-    W over the variables (y, z_1..z_l) is the sum over interlacing nu of
-    W_{lam/nu}(y t^{-l}; q, p, t, a t^{2l}, b t^l) * W_{nu/mu}(z_1..z_l).
-    A memo dict (keyed by variables and indices) may be shared across calls
-    within one identity evaluation.
-    """
-    lam, mu = normalize(lam), normalize(mu)
-    xvars = tuple(xvars)
-    if len(xvars) == 1:
-        return w_skew_single(xvars[0], lam, mu, params)
-    key = None
-    if memo is not None:
-        key = (xvars, lam, mu)
-        if key in memo:
-            return memo[key]
-    y, zs = xvars[0], xvars[1:]
-    l = len(zs)
-    shifted = WParams(params.q, params.p, params.t, params.a * params.t ** (2 * l),
-                      params.b * params.t**l)
-    total = 0.0 + 0j
-    for nu in horizontal_strip_predecessors(lam):
-        w1 = w_skew_single(y * params.t ** (-l), lam, nu, shifted)
-        if w1 == 0:
-            continue
-        total += w1 * w_multi(zs, nu, mu, params, memo)
-    if memo is not None:
-        memo[key] = total
-    return total
-
-
-def _richardson_in_b(evaluate, params: WParams, eta: float = REG_ETA):
-    """Evaluate a W expression with b replaced by b(1 +/- h) and Richardson-
-    extrapolate h -> 0.  The symmetrized value g(h) deviates from the true
-    value by O(h^2)-even terms only, so (4 g(h/2) - g(h)) / 3 removes the
-    leading error, leaving O(h^4) truncation."""
-
-    def g(h):
-        up = evaluate(WParams(params.q, params.p, params.t, params.a, params.b * (1 + h)))
-        dn = evaluate(WParams(params.q, params.p, params.t, params.a, params.b * (1 - h)))
-        return (up + dn) / 2
-
-    return (4 * g(eta / 2) - g(eta)) / 3
-
-
-def w_multi_reg(xvars, lam, mu, params: WParams, eta: float = REG_ETA):
-    """w_multi with automatic regularization of cancelling b-poles."""
-    try:
-        return w_multi(xvars, lam, mu, params, memo={})
-    except (PoleCancellationError, ZeroDivisionError):
-        return _richardson_in_b(
-            lambda pp: w_multi(xvars, lam, mu, pp, memo={}), params, eta
-        )
-
-
 # ---------------------------------------------------------------------------
-# Integer-vector-indexed W functions (fixed length, entries in Z).
+# The W kernel: integer-vector indices of fixed length, entries in Z.
 # ---------------------------------------------------------------------------
 
 def zw_skew_single(x, lam, mu, params: WParams):
@@ -357,9 +186,14 @@ def zw_skew_single(x, lam, mu, params: WParams):
     return tpow * theta_quotient(num, den, p)
 
 
-def zw_multi(xvars, lam, params: WParams):
+def zw_multi(xvars, lam, params: WParams, memo=None):
     """W for an index vector lam in Z^n via the branching recursion over
-    interlacing integer vectors.  Vanishes for non-dominant lam."""
+    interlacing integer vectors.  Vanishes for non-dominant lam.
+
+    A memo dict (keyed by variables and index) may be shared across calls
+    with the same params, e.g. across the subpartitions of one identity
+    evaluation.
+    """
     xvars = tuple(xvars)
     lam = tuple(lam)
     n = len(xvars)
@@ -369,6 +203,10 @@ def zw_multi(xvars, lam, params: WParams):
         return 0.0 + 0j
     if n == 1:
         return zw_skew_single(xvars[0], lam, (), params)
+    if memo is not None:
+        key = (xvars, lam)
+        if key in memo:
+            return memo[key]
     y, zs = xvars[0], xvars[1:]
     l = n - 1
     shifted = WParams(params.q, params.p, params.t, params.a * params.t ** (2 * l),
@@ -378,8 +216,24 @@ def zw_multi(xvars, lam, params: WParams):
         w1 = zw_skew_single(y * params.t ** (-l), lam, nu, shifted)
         if w1 == 0:
             continue
-        total += w1 * zw_multi(zs, nu, params)
+        total += w1 * zw_multi(zs, nu, params, memo)
+    if memo is not None:
+        memo[key] = total
     return total
+
+
+def _richardson_in_b(evaluate, params: WParams, eta: float = REG_ETA):
+    """Evaluate a W expression with b replaced by b(1 +/- h) and Richardson-
+    extrapolate h -> 0.  The symmetrized value g(h) deviates from the true
+    value by O(h^2)-even terms only, so (4 g(h/2) - g(h)) / 3 removes the
+    leading error, leaving O(h^4) truncation."""
+
+    def g(h):
+        up = evaluate(WParams(params.q, params.p, params.t, params.a, params.b * (1 + h)))
+        dn = evaluate(WParams(params.q, params.p, params.t, params.a, params.b * (1 - h)))
+        return (up + dn) / 2
+
+    return (4 * g(eta / 2) - g(eta)) / 3
 
 
 def zw_multi_reg(xvars, lam, params: WParams, eta: float = REG_ETA):
@@ -388,6 +242,45 @@ def zw_multi_reg(xvars, lam, params: WParams, eta: float = REG_ETA):
         return zw_multi(xvars, lam, params)
     except (PoleCancellationError, ZeroDivisionError):
         return _richardson_in_b(lambda pp: zw_multi(xvars, lam, pp), params, eta)
+
+
+# ---------------------------------------------------------------------------
+# Partition entry points: zero-padded indices, evaluated by the kernel.
+# ---------------------------------------------------------------------------
+
+def _padded(lam, n):
+    return lam + (0,) * (n - len(lam))
+
+
+def w_skew_single(x, lam, mu, params: WParams):
+    """Single-variable skew W_{lam/mu}(x; q, p, t, a, b) for partitions.
+
+    Vanishes structurally (exact 0) unless lam/mu is a horizontal strip.
+    Otherwise lam and mu are padded with zeros to lengths n and n - 1,
+    n = max(len(lam), len(mu)) + 1, so that the kernel's last H row j = n
+    carries the bottom strip row mu_{n-1} - lam_n = mu_{n-1}.
+    """
+    lam, mu = normalize(lam), normalize(mu)
+    if not is_horizontal_strip(lam, mu):
+        return 0.0 + 0j
+    n = max(len(lam), len(mu)) + 1
+    return zw_skew_single(x, _padded(lam, n), _padded(mu, n - 1), params)
+
+
+def w_multi(xvars, lam, mu, params: WParams, memo=None):
+    """Multivariable W_lam(x_1..x_n) for a partition lam: lam is padded with
+    zeros to the variable count n and evaluated by zw_multi, which also
+    takes the memo.  W vanishes (exact 0) when lam has more than n parts.
+
+    mu must be empty: no skew multivariable W is evaluated.
+    """
+    lam, mu = normalize(lam), normalize(mu)
+    if mu:
+        raise ValueError("w_multi evaluates W_lam only; mu must be empty")
+    xvars = tuple(xvars)
+    if len(lam) > len(xvars):
+        return 0.0 + 0j
+    return zw_multi(xvars, _padded(lam, len(xvars)), params, memo)
 
 
 # ---------------------------------------------------------------------------

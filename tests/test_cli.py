@@ -208,6 +208,19 @@ def test_main_failing_tolerance_exits_1(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_main_sampler_failure_is_an_error_report(tmp_path, capsys):
+    # the sampler finds no admissible draw at this seed; the batch must still
+    # finish and report the sample as an error
+    out_p = tmp_path / "rep.json"
+    rc = main(["run", "--case", "3psi3delta0", "--seed", "56", "--out", str(out_p)])
+    assert rc == 1
+    doc = json.loads(out_p.read_text())
+    assert doc["summary"] == {"pass": 0, "fail": 0, "error": 1}
+    (run_d,) = doc["runs"]
+    assert run_d["status"] == "error" and "DomainError" in run_d["message"]
+    capsys.readouterr()
+
+
 def test_precision_high_backend(tmp_path, monkeypatch):
     monkeypatch.setenv("QIDENT_PRECISION", "high")
     out_p = tmp_path / "rep.json"

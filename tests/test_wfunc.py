@@ -3,11 +3,12 @@
 import itertools
 import random
 
+import pytest
+
 from qident.partitions import is_horizontal_strip, normalize, part, weight
 from qident.qcore import poch_int
 from qident.wfunc import (
     WParams,
-    hfactor,
     poch_partition,
     poch_partition_multi,
     w_degree,
@@ -68,20 +69,24 @@ def test_poch_partition_multi_examples():
 
 
 # ---------------------------------------------------------------------------
-# H-factor
+# skew W against an independent p = 0 transcription
 # ---------------------------------------------------------------------------
 
-def _hfactor_oracle_p0(lam, mu, q, t, b):
-    """Independent direct transcription of the branching H-factor at p = 0.
+def _w_skew_oracle_p0(x, lam, mu, q, t, a, b):
+    """Independent direct transcription of the single-variable skew W at p = 0.
 
-    Written against the displayed double products, using plain poch_int; this
-    is a separate code path from qident.wfunc.hfactor.
+    Written against the displayed products for partitions of ambient rank
+    n = max(len(lam), len(mu)), using plain poch_int (theta(y; 0) = 1 - y);
+    the H factor runs over the rows j = 2..n+1, the last one being the
+    boundary row of the bottom strip row mu_n.  This is a separate code
+    path from the kernel in qident.wfunc.
     """
     n = max(len(lam), len(mu), 1)
     lamf = lambda i: part(lam, i)
     muf = lambda i: part(mu, i)
     val = 1.0 + 0j
-    for j in range(2, n + 1):
+    # H factor.
+    for j in range(2, n + 2):
         for i in range(1, j):
             m = muf(j - 1) - lamf(j)
             val *= poch_int(q ** (muf(i) - muf(j - 1)) * t ** (j - i), q, m)
@@ -90,40 +95,55 @@ def _hfactor_oracle_p0(lam, mu, q, t, b):
             val /= poch_int(q ** (lamf(i) + lamf(j) + 1) * t ** (2 - j - i) * b, q, m)
             val *= poch_int(q ** (lamf(i) - muf(j - 1) + 1) * t ** (j - i - 1), q, m)
             val /= poch_int(q ** (lamf(i) - muf(j - 1)) * t ** (j - i), q, m)
-    for j in range(2, n + 1):
+    for j in range(2, n + 2):
         for i in range(1, j - 1):
             m = muf(j - 1) - lamf(j)
             val *= poch_int(q ** (muf(i) + lamf(j) + 1) * t ** (1 - j - i) * b, q, m)
             val /= poch_int(q ** (muf(i) + lamf(j)) * t ** (2 - j - i) * b, q, m)
+    for i in range(1, n + 1):
+        li, mi, li1 = lamf(i), muf(i), lamf(i + 1)
+        # (x^-1, a x)_lam / (x^-1, a x)_mu
+        val *= poch_int(q ** mi * t ** (1 - i) / x, q, li - mi)
+        val *= poch_int(q ** mi * t ** (1 - i) * a * x, q, li - mi)
+        # (q b x / t, q b / (a x t))_mu / (q b x, q b / (a x))_lam
+        for y in (q * b * x, q * b / (a * x)):
+            val *= poch_int(y * t ** (-i), q, mi)
+            val /= poch_int(y * t ** (1 - i), q, li)
+        # the b-block of row i
+        val *= (1 - b * t ** (1 - 2 * i) * q ** (2 * mi)) / (1 - b * t ** (1 - 2 * i))
+        val *= poch_int(b * t ** (1 - 2 * i), q, mi + li1)
+        val /= poch_int(b * q * t ** (-2 * i), q, mi + li1)
+        val *= t ** (i * (mi - li1))
     return val
 
 
-def test_hfactor_rank1_trivial():
-    wp = WParams(0.3, 0.0, 0.45, 0.8, 0.6 + 0.2j)
-    for k in range(4):
-        for m in range(k + 1):
-            assert hfactor((k,), (m,), wp) == 1
-
-
-def test_hfactor_equal_partitions():
-    wp = WParams(0.3, 0.1, 0.45, 0.8, 0.6 + 0.2j)
-    assert abs(hfactor((1, 1), (1, 1), wp) - 1) < 1e-14
-
-
-def test_hfactor_against_independent_transcription():
-    rng = random.Random(17)
+def _check_against_oracle(pairs, seed):
+    rng = random.Random(seed)
     for _ in range(30):
         q = rng.uniform(0.15, 0.5)
         t = rng.uniform(0.2, 0.7)
-        b = cscalar(rng)
-        wp = WParams(q, 0.0, t, 0.0, b)
-        for (lam, mu) in [((2, 1), (2,)), ((3, 1), (2, 1)), ((2, 2), (2, 1)),
-                          ((3, 2, 1), (3, 2)), ((2, 1, 1), (2, 1))]:
-            if not is_horizontal_strip(lam, mu):
-                continue
-            got = hfactor(lam, mu, wp)
-            want = _hfactor_oracle_p0(lam, mu, q, t, b)
-            assert rel(got, want) < 1e-12
+        a, b, x = cscalar(rng), cscalar(rng), cscalar(rng, 0.5, 1.5)
+        wp = WParams(q, 0.0, t, a, b)
+        for (lam, mu) in pairs:
+            assert is_horizontal_strip(lam, mu)
+            got = w_skew_single(x, lam, mu, wp)
+            want = _w_skew_oracle_p0(x, lam, mu, q, t, a, b)
+            assert rel(got, want) < 1e-12, (lam, mu)
+
+
+def test_w_skew_single_rank1_against_transcription():
+    _check_against_oracle([((k,), (m,)) for k in range(4) for m in range(k + 1)], 11)
+
+
+def test_w_skew_single_equal_partitions_against_transcription():
+    _check_against_oracle([((1,), (1,)), ((1, 1), (1, 1)), ((2, 1), (2, 1)),
+                           ((3, 2, 1), (3, 2, 1))], 13)
+
+
+def test_w_skew_single_against_independent_transcription():
+    _check_against_oracle([((2, 1), (2,)), ((3, 1), (2, 1)), ((2, 2), (2, 1)),
+                           ((3, 2, 1), (3, 2)), ((2, 1, 1), (2, 1)), ((2, 1), (1,)),
+                           ((3, 1), (1,)), ((3, 3, 1), (3, 1))], 17)
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +218,31 @@ def test_w_multi_three_variable_symmetry():
         ref = w_multi(tuple(zs), (2, 1), (), wp, memo={})
         for perm in itertools.permutations(zs):
             assert rel(w_multi(tuple(perm), (2, 1), (), wp, memo={}), ref) < 1e-10
+
+
+def test_w_multi_vanishes_for_more_parts_than_variables():
+    wp = WParams(0.3, 0.0, 0.45, 0.8 + 0.1j, 0.6 - 0.2j)
+    assert w_multi((1.2, 0.8), (2, 1, 1), (), wp) == 0
+    assert w_multi((1.2,), (1, 1), (), wp, memo={}) == 0
+
+
+def test_w_multi_rejects_skew_index():
+    wp = WParams(0.3, 0.0, 0.45, 0.8 + 0.1j, 0.6 - 0.2j)
+    with pytest.raises(ValueError):
+        w_multi((1.2, 0.8), (2, 1), (1,), wp)
+
+
+def test_w_multi_shared_memo_is_bit_identical():
+    rng = random.Random(43)
+    for p in (0.0, 0.1):
+        q = rng.uniform(0.15, 0.5)
+        t = rng.uniform(0.2, 0.7)
+        wp = WParams(q, p, t, cscalar(rng), cscalar(rng))
+        zs = tuple(cscalar(rng, 0.4, 1.2) for _ in range(3))
+        memo = {}
+        for lam in box_partitions(3, 3):
+            assert w_multi(zs, lam, (), wp, memo) == w_multi(zs, lam, (), wp)
+        assert memo
 
 
 # ---------------------------------------------------------------------------
