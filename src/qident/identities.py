@@ -13,12 +13,13 @@ regularized W evaluation stay well-conditioned.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
-from .errors import DomainError, NoConvergence, QidentError
+from .errors import DivisionByVanishingFactor, DomainError, NoConvergence, QidentError
 from .partitions import (
     lattice_window,
     nstat,
@@ -29,6 +30,9 @@ from .partitions import (
 )
 from .policy import DEFAULT_POLICY, QPower, TruncationPolicy, scalar_value
 from .qcore import (
+    PAIR_DENOMINATOR_VANISHES,
+    PAIR_RECIPROCAL_VANISHES,
+    VANISH_TOL,
     csqrt,
     epoch,
     pair_poch_ratio,
@@ -390,21 +394,30 @@ def mlat_norm(n, delta, q):
     return r
 
 
+def _mlat_pairs(i, n, delta, q, s, a, x):
+    """The (anum, aden) arguments of coordinate i's three paired-ratio
+    Pochhammers in the multilateral summands, at shift q^{1-i}."""
+    big = q ** (delta + 2 * n - 1)
+    shift = q ** (1 - i)
+    return ((big / (a * s) * shift, a * s * shift),
+            (shift / x, big * x * shift),
+            (a * x * shift, big / (a * x) * shift))
+
+
 def _mlat_pair_factors(mu, n, delta, q, s, a, x):
     """Common paired-ratio Pochhammer part of the multilateral summands."""
-    big = q ** (delta + 2 * n - 1)
     r = 1.0 + 0j
     for i in range(1, n + 1):
-        shift = q ** (1 - i)
-        mi = part(mu, i)
-        r = r * pair_poch_ratio(big / (a * s) * shift, a * s * shift, q, mi)
-        r = r * pair_poch_ratio(shift / x, big * x * shift, q, mi)
-        r = r * pair_poch_ratio(a * x * shift, big / (a * x) * shift, q, mi)
+        for anum, aden in _mlat_pairs(i, n, delta, q, s, a, x):
+            r = r * pair_poch_ratio(anum, aden, q, part(mu, i))
     return r
 
 
-def mlat_finite_summand(mu, lam, n, delta, q, s, a, x):
-    """Summand of the finite multilateral identity at mu in Z^n."""
+def mlat_finite_summand(mu, lam, n, delta, q, s, a, x, memo=None):
+    """Summand of the finite multilateral identity at mu in Z^n.
+
+    memo is passed to zw_multi_reg; its W arguments depend on mu only through
+    the index, so one memo may serve every mu of a window."""
     mu = tuple(mu)
     if any(mu[i] < mu[i + 1] for i in range(n - 1)):
         return 0.0 + 0j
@@ -423,7 +436,7 @@ def mlat_finite_summand(mu, lam, n, delta, q, s, a, x):
         return term
     xl = [q ** (part(lam, i) + n - i) for i in range(1, n + 1)]
     wp = WParams(q, 0.0, q, s * q**delta, q ** (delta + n - 1))
-    return term * zw_multi_reg(xl, mu, wp)
+    return term * zw_multi_reg(xl, mu, wp, memo=memo)
 
 
 def mlat_3psi3_summand(mu, n, delta, q, s, a, x):
@@ -474,9 +487,165 @@ def _mlat_product_side(n, delta, q, s, a, x, policy):
     return prod / mlat_norm(n, delta, q)
 
 
+class _CoordinateFactor:
+    """The per-coordinate factor of the multilateral 3psi3 summand,
+        g(m) = c^m prod_pairs (anum;q)_m / (aden;q)_m,
+    tabulated outward from g(0) = 1 by its term ratio (Gasper-Rahman, sec. 1.2):
+        g(m+1) = g(m) c prod (1 - anum q^m) / (1 - aden q^m)          (m >= 0),
+        g(m-1) = g(m) / c prod (1 - aden q^{m-1}) / (1 - anum q^{m-1})  (m <= 0).
+
+    The factors and their vanishing tests are those of qcore.pair_poch_ratio.
+    A vanishing factor to divide by stops the table in its direction: from
+    there outward pair_poch_ratio raises for every m, so a summand that reads
+    such an entry raises (see failure), and the entries are 0 placeholders."""
+
+    def __init__(self, c, pairs, q):
+        self.c, self.pairs, self.q = c, pairs, q
+        self.up, self.down = [1.0 + 0j], []  # g(0), g(1), ... and g(-1), g(-2), ...
+        self.bad_up = self.bad_down = None  # least m > 0 / greatest m < 0 that raise
+
+    def grow(self, m):
+        """Tabulate g on [-m, m] and return the table: g(k) at index k, negative
+        k counting from the end."""
+        q, c, up, down = self.q, self.c, self.up, self.down
+        while len(up) <= m:
+            k = len(up) - 1
+            g = 0.0
+            if self.bad_up is None:
+                qk = q**k
+                g = up[-1] * c
+                for anum, aden in self.pairs:
+                    fd = 1 - aden * qk
+                    if abs(fd) < VANISH_TOL:
+                        self.bad_up, g = k + 1, 0.0
+                        break
+                    g = g * (1 - anum * qk) / fd
+            up.append(g)
+        while len(down) < m:
+            k = -len(down) - 1
+            g = 0.0
+            if self.bad_down is None:
+                qk = q**k
+                g = (down[-1] if down else up[0]) / c
+                for anum, aden in self.pairs:
+                    fn = 1 - anum * qk
+                    if abs(fn) < VANISH_TOL:
+                        self.bad_down, g = k, 0.0
+                        break
+                    g = g * (1 - aden * qk) / fn
+            down.append(g)
+        return up + down[::-1]
+
+    def failure(self, v):
+        """pair_poch_ratio's error message for a summand with this coordinate
+        at v, or None when it evaluates."""
+        if self.bad_up is not None and v >= self.bad_up:
+            return PAIR_DENOMINATOR_VANISHES
+        if self.bad_down is not None and v <= self.bad_down:
+            return PAIR_RECIPROCAL_VANISHES
+        return None
+
+
+class _DeltaSquare:
+    """((1 - q^{e0+d}) / (1 - q^{e0}))^2 for d in [-M, M], cached as the window
+    grows: one Delta^2 factor of the multilateral summands."""
+
+    def __init__(self, q, e0):
+        self.q, self.e0 = q, e0
+        self.up, self.down = [], []  # d = 0, 1, ... and d = -1, -2, ...
+
+    def _value(self, d):
+        q, e0 = self.q, self.e0
+        try:
+            r = (1 - q ** (e0 + d)) / (1 - q**e0)
+        except OverflowError:
+            return math.inf
+        return r * r
+
+    def grow(self, m):
+        """Tabulate d in [-m, m]; d at index d, negative d counting from the end."""
+        while len(self.up) <= m:
+            self.up.append(self._value(len(self.up)))
+        while len(self.down) < m:
+            self.down.append(self._value(-len(self.down) - 1))
+        return self.up + self.down[::-1]
+
+
+def _dominant_shell(n, m, covered):
+    """The dominant mu (mu_1 >= ... >= mu_n) of [-m, m]^n with max |mu_i| >
+    covered, i.e. the dominant points a shell adds to the cube [-covered,
+    covered]^n (all of them when covered < 0)."""
+    if covered < 0:
+        yield from itertools.combinations_with_replacement(range(m, -m - 1, -1), n)
+        return
+    for top in range(m, covered, -1):  # mu_1 > covered
+        for tail in itertools.combinations_with_replacement(range(top, -m - 1, -1),
+                                                            n - 1):
+            yield (top,) + tail
+    for low in range(-covered - 1, -m - 1, -1):  # mu_1 <= covered, mu_n < -covered
+        for head in itertools.combinations_with_replacement(range(covered, low - 1, -1),
+                                                            n - 1):
+            yield head + (low,)
+
+
+def _shell_rank(mu, m, covered):
+    """Index of mu among the points of [-m, m]^n outside [-covered, covered]^n
+    in the order of itertools.product(range(-m, m + 1), repeat=n)."""
+    n = len(mu)
+    side, inner = 2 * m + 1, 2 * covered + 1
+    rank = 0
+    inside = covered >= 0  # mu_1..mu_{i-1} lie in [-covered, covered]
+    for i, v in enumerate(mu):
+        rank += (v + m) * side ** (n - 1 - i)
+        if inside:
+            rank -= min(max(v + covered, 0), inner) * inner ** (n - 1 - i)
+            inside = -covered <= v <= covered
+    return rank
+
+
+def _shell_failure(factors, m, covered, budget):
+    """Raise what a product-order sweep of the shell, evaluating every dominant
+    summand and counting every point, would raise first: pair_poch_ratio's
+    error at a dominant point, or the lattice budget after `budget` points
+    (None: not exhausted in this shell).  Returns if neither happens."""
+    first = None
+    for mu in _dominant_shell(len(factors), m, covered):
+        for f, v in zip(factors, mu):
+            msg = f.failure(v)
+            if msg is not None:
+                rank = _shell_rank(mu, m, covered)
+                if first is None or rank < first[0]:
+                    first = (rank, msg)
+                break
+    if first is not None and (budget is None or first[0] <= budget):
+        raise DivisionByVanishingFactor(first[1])
+    if budget is not None:
+        raise NoConvergence("multilateral sum: lattice budget exhausted")
+
+
 def _mlat_3psi3_sum(n, delta, q, s, a, x, policy):
-    """Lattice sum over Z^n by expanding hypercube shells with a tail test."""
-    import itertools
+    """Lattice sum of mlat_3psi3_summand over Z^n by expanding hypercube shells
+    [-m, m]^n with a tail test.
+
+    A dominant mu's summand is prod_i g_i(mu_i) times the Delta^2 factor over
+    i < j; g_i(m) is (s q^{1-n} q^{2(i-1)})^m times the three pair ratios at
+    shift q^{1-i}.  Each g_i and each Delta^2 factor is tabulated once per call
+    and grown with the window (_CoordinateFactor, _DeltaSquare), so a point
+    costs O(n^2) lookups.  Each shell enumerates only its new dominant points;
+    the other summands vanish.  terms_used counts every point of the window,
+    (2m + 1)^n, and the lattice budget and the pair_poch_ratio errors are
+    raised as by a sweep over all of them (_shell_failure)."""
+    factors = [_CoordinateFactor(s * q ** (1 - n + 2 * (i - 1)),
+                                 _mlat_pairs(i, n, delta, q, s, a, x), q)
+               for i in range(1, n + 1)]
+    squares = {}  # one _DeltaSquare per exponent e0
+    cross = []
+    for j in range(2, n + 1):
+        for i in range(1, j):
+            for e0 in (j - i, delta + 2 * n - i - j):
+                if e0 not in squares:
+                    squares[e0] = _DeltaSquare(q, e0)
+            cross.append((i - 1, j - 1, squares[j - i], squares[delta + 2 * n - i - j]))
 
     total = 0.0 + 0j
     nterms = 0
@@ -484,16 +653,23 @@ def _mlat_3psi3_sum(n, delta, q, s, a, x, policy):
     m = max(policy.window_step, 4)
     below = 0
     while True:
+        tables = [f.grow(m) for f in factors]
+        deltas = [(i, j, dsq.grow(2 * m), ssq.grow(2 * m)) for i, j, dsq, ssq in cross]
+        count = (2 * m + 1) ** n - ((2 * covered + 1) ** n if covered >= 0 else 0)
+        budget = MAX_LATTICE_TERMS - nterms if nterms + count > MAX_LATTICE_TERMS else None
+        if budget is not None or any(f.failure(m) or f.failure(-m) for f in factors):
+            _shell_failure(factors, m, covered, budget)
         new = 0.0 + 0j
-        for mu in itertools.product(range(-m, m + 1), repeat=n):
-            if max(abs(c) for c in mu) <= covered:
+        for mu in _dominant_shell(n, m, covered):
+            v = 1.0 + 0j
+            for g, k in zip(tables, mu):
+                v = v * g[k]
+            if v == 0:
                 continue
-            v = mlat_3psi3_summand(mu, n, delta, q, s, a, x)
-            if v != 0:
-                new += v
-            nterms += 1
-            if nterms > MAX_LATTICE_TERMS:
-                raise NoConvergence("multilateral sum: lattice budget exhausted")
+            for i, j, dsq, ssq in deltas:
+                v = v * dsq[mu[i] - mu[j]] * ssq[mu[i] + mu[j]]
+            new += v
+        nterms += count
         total += new
         if abs(new) <= policy.series_tol * max(abs(total), 1e-300):
             below += 1
@@ -713,8 +889,9 @@ def verify_multilateral_finite(lam, n, x, s, a, q, delta, tol=1e-7,
     upper, lower = mlat_finite_window(lam, n, delta)
     total = 0.0 + 0j
     nterms = 0
+    memo = {}
     for mu in lattice_window(upper, lower):
-        total += mlat_finite_summand(mu, lam, n, delta, q, s, a, x)
+        total += mlat_finite_summand(mu, lam, n, delta, q, s, a, x, memo)
         nterms += 1
     rhs = mlat_norm(n, delta, q) * total
     # Out-of-window vanishing check at five dominant exterior lattice points.
@@ -722,7 +899,7 @@ def verify_multilateral_finite(lam, n, x, s, a, q, delta, tol=1e-7,
     floor = min(lower)
     exterior += [tuple(floor - 1 - j for _ in range(n)) for j in range(2)]
     for pt in exterior:
-        v = mlat_finite_summand(pt, lam, n, delta, q, s, a, x)
+        v = mlat_finite_summand(pt, lam, n, delta, q, s, a, x, memo)
         if abs(v) >= 1e-12:
             rep = _make_report("multilateralfinite", params, lhs, rhs, tol, nterms)
             rep.status = "error"

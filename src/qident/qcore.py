@@ -24,6 +24,10 @@ from .policy import DEFAULT_POLICY, TruncationPolicy
 #: Absolute threshold below which a product factor counts as vanishing.
 VANISH_TOL = 1e-14
 
+#: Messages of pair_poch_ratio's vanishing-factor errors.
+PAIR_DENOMINATOR_VANISHES = "pair_poch_ratio: denominator vanishes"
+PAIR_RECIPROCAL_VANISHES = "pair_poch_ratio: reciprocal vanishes"
+
 
 def csqrt(x):
     """Principal square root, dispatching on the scalar backend."""
@@ -170,12 +174,12 @@ def pair_poch_ratio(anum, aden, q, m: int):
         for k in range(m):
             fd = 1 - aden * q**k
             if abs(fd) < VANISH_TOL:
-                raise DivisionByVanishingFactor("pair_poch_ratio: denominator vanishes")
+                raise DivisionByVanishingFactor(PAIR_DENOMINATOR_VANISHES)
             r = r * (1 - anum * q**k) / fd
         return r
     for k in range(m, 0):
         fn = 1 - anum * q**k
         if abs(fn) < VANISH_TOL:
-            raise DivisionByVanishingFactor("pair_poch_ratio: reciprocal vanishes")
+            raise DivisionByVanishingFactor(PAIR_RECIPROCAL_VANISHES)
         r = r * (1 - aden * q**k) / fn
     return r

@@ -4,16 +4,21 @@ consistency."""
 
 import itertools
 import random
+import time
 
 import pytest
 
-from qident.errors import DomainError
+import qident.identities as identities
+from qident.errors import DomainError, QidentError
 from qident.identities import (
     CASES,
     _f_bilateral,
+    _mlat_3psi3_sum,
     bilateral_finite_spec,
     flipped_summand_structured,
     jackson_delta_product,
+    mlat_3psi3_summand,
+    mlat_finite_summand,
     mlat_norm,
     multiple_jackson_rhs,
     run_case,
@@ -37,7 +42,8 @@ from qident.identities import (
     verify_weyl_degree,
     vwp_jackson_term,
 )
-from qident.policy import QPower, scalar_value
+from qident.partitions import lattice_window
+from qident.policy import DEFAULT_POLICY, QPower, scalar_value
 from qident.qcore import poch_int
 
 from conftest import rel
@@ -416,6 +422,33 @@ def test_multilateral_finite_seeded_rank2():
         assert r.rel_residual <= 1e-7
 
 
+def _memoless(monkeypatch, fn, *args):
+    """fn(*args) with every mlat_finite_summand call made without a memo."""
+    original = identities.mlat_finite_summand
+    with monkeypatch.context() as mp:
+        mp.setattr(identities, "mlat_finite_summand", lambda *a: original(*a[:8]))
+        return fn(*args)
+
+
+def test_multilateral_finite_shared_memo_is_bit_identical(monkeypatch):
+    draws = [sample_params("multilateralfinite", seed) for seed in range(16)]
+    draws += [dict(lam=(2, 1), n=2, x=1.37 + 0.2j, s=0.45 + 0.1j, a=0.7 - 0.2j,
+                   q=0.3, delta=delta) for delta in (0, 1)]
+    for p in draws:
+        shared = run_case("multilateralfinite", p)
+        alone = _memoless(monkeypatch, run_case, "multilateralfinite", p)
+        assert (repr(shared.lhs), repr(shared.rhs)) == (repr(alone.lhs), repr(alone.rhs))
+        assert shared.status == alone.status and shared.message == alone.message
+    # The per-point sum, written out with no memo at all:
+    p = draws[-1]
+    args = (p["n"], p["delta"], p["q"], p["s"], p["a"], p["x"])
+    upper, lower = identities.mlat_finite_window(p["lam"], p["n"], p["delta"])
+    total = 0.0 + 0j
+    for mu in lattice_window(upper, lower):
+        total += mlat_finite_summand(mu, p["lam"], *args)
+    assert repr(mlat_norm(p["n"], p["delta"], p["q"]) * total) == repr(shared.rhs)
+
+
 # ---------------------------------------------------------------------------
 # multilateral 3psi3 analogue
 # ---------------------------------------------------------------------------
@@ -444,6 +477,146 @@ def test_multilateral_3psi3_seeded_rank2():
 def test_multilateral_3psi3_convergence_gate():
     with pytest.raises(DomainError):
         verify_multilateral_3psi3(2, 0, 1.7, 0.8, 0.6, 0.3)
+
+
+def _mlat_sweep(n, delta, q, s, a, x, policy=DEFAULT_POLICY):
+    """Brute-force lattice sum: every point of each hypercube shell in
+    product order, each dominant summand rebuilt by mlat_3psi3_summand (the
+    others are 0), with the shell tail test, the lattice budget and the window
+    cap of _mlat_3psi3_sum."""
+    total, nterms, covered, below = 0.0 + 0j, 0, -1, 0
+    m = max(policy.window_step, 4)
+    while True:
+        new = 0.0 + 0j
+        for mu in itertools.product(range(-m, m + 1), repeat=n):
+            if max(abs(c) for c in mu) <= covered:
+                continue
+            if all(mu[i] >= mu[i + 1] for i in range(n - 1)):
+                new += mlat_3psi3_summand(mu, n, delta, q, s, a, x)
+            nterms += 1
+            if nterms > identities.MAX_LATTICE_TERMS:
+                raise identities.NoConvergence("multilateral sum: lattice budget exhausted")
+        total += new
+        if abs(new) <= policy.series_tol * max(abs(total), 1e-300):
+            below += 1
+            if below >= 2:
+                return total, nterms, (-m, m)
+        else:
+            below = 0
+        covered = m
+        m += policy.window_step
+        if m > 200:
+            raise identities.NoConvergence("multilateral sum: window cap reached")
+
+
+def _sum_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except QidentError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("n, s", [(1, 0.45 + 0.1j), (2, 0.1 - 0.05j), (3, 1e-4 + 5e-5j)])
+@pytest.mark.parametrize("delta", [0, 1])
+def test_multilateral_3psi3_sum_against_brute_force(n, s, delta):
+    q, a, x = 0.3, 0.7 - 0.2j, 1.37 + 0.2j
+    total, nterms, window = _mlat_3psi3_sum(n, delta, q, s, a, x, DEFAULT_POLICY)
+    m = window[1]
+    assert window == (-m, m) and nterms == (2 * m + 1) ** n
+    brute, ref_terms, ref_window = _mlat_sweep(n, delta, q, s, a, x)
+    assert (nterms, window) == (ref_terms, ref_window)
+    assert rel(total, brute) <= 1e-13
+
+
+def test_dominant_shells_and_ranks_follow_the_sweep():
+    for n in (1, 2, 3):
+        covered = -1
+        for m in (4, 8, 10):
+            sweep = [mu for mu in itertools.product(range(-m, m + 1), repeat=n)
+                     if max(abs(c) for c in mu) > covered]
+            dominant = [mu for mu in sweep
+                        if all(mu[i] >= mu[i + 1] for i in range(n - 1))]
+            shell = list(identities._dominant_shell(n, m, covered))
+            assert sorted(shell) == dominant
+            for k, mu in enumerate(sweep):
+                assert identities._shell_rank(mu, m, covered) == k
+            covered = m
+
+
+# Draws whose pair ratios meet a vanishing reciprocal factor, with budgets
+# around the point where the sweep meets it.  q = 1/2; a s = q^{-k} makes
+# coordinate i's pair_poch_ratio denominator vanish from mu_i = k + i on, and
+# x = q^k its reciprocal from mu_i = k + 1 - i down.
+_A = 0.7 - 0.2j
+_DEN = "DivisionByVanishingFactor: pair_poch_ratio: denominator vanishes"
+_RECIP = "DivisionByVanishingFactor: pair_poch_ratio: reciprocal vanishes"
+_BUDGET = "NoConvergence: multilateral sum: lattice budget exhausted"
+_VANISHING = {
+    # shell m = 8, first failing point (7, -8), 174 points into the shell
+    "denominator": ((2, 1, 0.5, 64 / _A, _A, 0.75 + 0.25j), range(75, 300, 6),
+                    {_DEN, _BUDGET}),
+    # shell m = 4, first failing point (-4, -4), the first point of the sweep
+    "reciprocal": ((2, 1, 0.5, 0.1 + 0.05j, 0.75 - 0.5j, 4.0), (0, 1, 80, 81, 10**5),
+                   {_RECIP}),
+    # shell m = 4, first failing point (4, -4, -4), 648 points into the shell
+    "rank3": ((3, 1, 0.5, 8 / _A, _A, 0.75 + 0.25j), range(600, 740, 8),
+              {_DEN, _BUDGET}),
+}
+
+
+@pytest.mark.parametrize("draw", sorted(_VANISHING))
+def test_multilateral_3psi3_sum_vanishing_factor_as_sweep(draw, monkeypatch):
+    # The sweep meets the failing summand, or the lattice budget, first; the
+    # tabulated sum must raise the same error at every budget.
+    args, budgets, expected = _VANISHING[draw]
+    args = args + (DEFAULT_POLICY,)
+    outcomes = set()
+    for budget in budgets:
+        monkeypatch.setattr(identities, "MAX_LATTICE_TERMS", budget)
+        got = _sum_outcome(_mlat_3psi3_sum, *args)
+        assert got == _sum_outcome(_mlat_sweep, *args), budget
+        outcomes.add(got)
+    assert outcomes == expected
+
+
+def test_multilateral_3psi3_vanishing_factor_is_an_error_report():
+    # x = q^{-2}: coordinate 1's reciprocal factor vanishes from mu_1 = -2
+    # down, while the product side stays finite
+    params = dict(n=2, delta=1, x=4.0, s=0.1 + 0.05j, a=0.75 - 0.5j, q=0.5)
+    rep = run_case("multilateral3psi3", params)
+    assert rep.status == "error"
+    assert rep.message == _RECIP
+
+
+def test_multilateral_3psi3_budget_exhausted_as_sweep(monkeypatch):
+    # A rank-3 draw that exhausts the real budget (at m = 32), and smaller
+    # budgets that end in the first and second shells.
+    args = (3, 1, 0.3, 0.03, 0.6 - 0.2j, 1.37 + 0.2j, DEFAULT_POLICY)
+    assert _sum_outcome(_mlat_3psi3_sum, *args) == _BUDGET
+    for budget in (100, 729, 730, 4000):
+        monkeypatch.setattr(identities, "MAX_LATTICE_TERMS", budget)
+        assert _sum_outcome(_mlat_3psi3_sum, *args) == _sum_outcome(_mlat_sweep, *args)
+
+
+def test_multilateral_3psi3_small_q_draw_passes():
+    # In the gate (|s| < 0.9 q); the window reaches 192.  Rebuilding each
+    # summand from its separate factors overflowed q^{sm} in the Delta factor
+    # and escaped run_case as an OverflowError.
+    params = dict(n=2, delta=0, x=0.5, s=0.085, a=0.5, q=0.1)
+    rep = run_case("multilateral3psi3", params)
+    assert rep.status == "pass", rep.message
+    assert rep.message == "window=(-192, 192)"
+
+
+def test_multilateral_3psi3_slow_in_gate_draw_reports_quickly():
+    # In the gate (|s| < 0.9 q), but the series tolerance needs a window past
+    # the cap of 200: the partial sum there is within ~1.6e-11 of the product.
+    params = dict(n=2, delta=0, x=0.5, s=0.265, a=0.5, q=0.3)
+    t0 = time.perf_counter()
+    rep = run_case("multilateral3psi3", params)
+    assert time.perf_counter() - t0 < 5.0
+    assert rep.status == "error"
+    assert rep.message == "NoConvergence: multilateral sum: window cap reached"
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,25 @@
 """Partition-indexed Pochhammer and W-function tests."""
 
+import cmath
 import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qident.wfunc as wfunc
+from qident.errors import PoleCancellationError, QidentError
 from qident.partitions import is_horizontal_strip, normalize, part, weight
-from qident.qcore import poch_int
+from qident.qcore import poch_int, theta
 from qident.wfunc import (
+    POLE_TOL,
+    SNAP_TOL,
     WParams,
     poch_partition,
     poch_partition_multi,
+    theta_quotient,
     w_degree,
     w_multi,
     w_skew_single,
@@ -243,6 +252,128 @@ def test_w_multi_shared_memo_is_bit_identical():
         for lam in box_partitions(3, 3):
             assert w_multi(zs, lam, (), wp, memo) == w_multi(zs, lam, (), wp)
         assert memo
+
+
+def test_zw_multi_reg_regularizes_without_memo(monkeypatch):
+    # The unperturbed evaluation gets the caller's memo; the Richardson
+    # evaluations at perturbed b must not, since the memo holds values at b.
+    wp = WParams(0.3, 0.0, 0.3, 0.2 + 0.1j, 0.09)
+    original = wfunc.zw_multi
+    calls = []
+
+    def spy(xvars, lam, params, memo=None):
+        calls.append((params.b, memo))
+        if params.b == wp.b:
+            raise PoleCancellationError("forced")
+        return original(xvars, lam, params, memo)
+
+    monkeypatch.setattr(wfunc, "zw_multi", spy)
+    memo = {}
+    value = zw_multi_reg((0.027, 0.09), (1, 0), wp, memo=memo)
+    assert calls[0] == (wp.b, memo)
+    assert len(calls) > 1
+    assert all(m is None for b, m in calls[1:])
+    assert {b for b, _ in calls[1:]} == {wp.b * (1 + h) for h in
+                                         (wfunc.REG_ETA / 2, -wfunc.REG_ETA / 2,
+                                          wfunc.REG_ETA, -wfunc.REG_ETA)}
+    assert not memo
+    monkeypatch.undo()
+    assert rel(value, zw_multi_reg((0.027, 0.09), (1, 0), wp)) < 1e-7
+
+
+# ---------------------------------------------------------------------------
+# theta quotient: the bisected cancellation against the plain scan
+# ---------------------------------------------------------------------------
+
+def _theta_quotient_scan(num_args, den_args, p):
+    """O(N M) reference: each numerator argument cancels the first remaining
+    denominator argument within SNAP_TOL of it."""
+    den = list(den_args)
+    rest = []
+    for x in num_args:
+        for j, y in enumerate(den):
+            if abs(x - y) <= SNAP_TOL * max(abs(x), abs(y), 1.0):
+                den.pop(j)
+                break
+        else:
+            rest.append(x)
+    r = 1.0 + 0j
+    for x in rest:
+        r = r * theta(x, p)
+    for y in den:
+        ty = theta(y, p)
+        if abs(ty) < POLE_TOL:
+            raise PoleCancellationError("uncancelled denominator theta vanishes")
+        r = r / ty
+    return r
+
+
+def _outcome(fn, num, den, p):
+    try:
+        return repr(fn(num, den, p))
+    except QidentError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+_bases = st.builds(
+    lambda lg, phase: 10.0**lg * cmath.exp(1j * phase),
+    st.floats(-6, 6), st.floats(0, 2 * math.pi))
+# (pool index, offset in units of SNAP_TOL max(|x|, 1), offset phase)
+_picks = st.tuples(st.integers(0, 5), st.sampled_from([0.0, 0.0, 0.5, 2.0]),
+                   st.floats(0, 2 * math.pi))
+
+
+def _build(pool, picks):
+    out = []
+    for k, d, phase in picks:
+        x = pool[k % len(pool)]
+        out.append(x + d * SNAP_TOL * max(abs(x), 1.0) * cmath.exp(1j * phase))
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(pool=st.lists(_bases, min_size=1, max_size=6),
+       num=st.lists(_picks, max_size=12), den=st.lists(_picks, max_size=12),
+       p=st.sampled_from([0.0, 0.1]))
+def test_theta_quotient_matches_scan(pool, num, den, p):
+    num, den = _build(pool, num), _build(pool, den)
+    assert _outcome(theta_quotient, num, den, p) == \
+        _outcome(_theta_quotient_scan, num, den, p)
+
+
+def test_theta_quotient_edge_cases_match_scan():
+    big, small = 3.7e5 + 1.2e5j, 2.5e-4 - 1e-4j
+    cases = [
+        ([], []),
+        ([0.4], []),
+        ([], [0.4]),
+        ([0.4, 0.4, 0.4], [0.4, 0.4]),  # exact duplicates
+        ([big * (1 + 0.5 * SNAP_TOL)], [big]),  # within SNAP_TOL, relative
+        ([big * (1 + 2 * SNAP_TOL)], [big]),  # outside
+        ([small + 0.5 * SNAP_TOL], [small]),  # within, absolute below |x| = 1
+        ([small + 2 * SNAP_TOL], [small, big, -big]),
+        ([small, big], [big, small, big * (1 + 0.5 * SNAP_TOL)]),
+        # |x - y| = inf <= SNAP_TOL inf: an infinite argument matches any finite
+        # one, wherever its real part sorts; nan matches nothing
+        ([0.3, 0.5], [0.5, math.inf, 0.3]),
+        ([0.2, 0.7], [complex(1.0, math.inf), 0.2]),
+        ([0.3, math.inf, 0.5], [0.5, math.inf, complex(math.nan, 0.0), 0.3]),
+        ([complex(math.nan, 1.0), 0.2], [0.2, complex(1.0, math.inf)]),
+    ]
+    for num, den in cases:
+        for p in (0.0, 0.1):
+            assert _outcome(theta_quotient, num, den, p) == \
+                _outcome(_theta_quotient_scan, num, den, p), (num, den, p)
+
+
+def test_theta_quotient_cancellation_and_pole():
+    # Coinciding arguments cancel; theta(1; 0) = 0 is then harmless ...
+    assert theta_quotient([0.5, 1.0], [1.0 + 0.5 * SNAP_TOL], 0.0) == 0.5
+    # ... but an uncancelled vanishing denominator is a pole.
+    with pytest.raises(PoleCancellationError):
+        theta_quotient([0.5, 1.0 + 2 * SNAP_TOL], [1.0], 0.0)
+    with pytest.raises(PoleCancellationError):
+        theta_quotient([], [1.0], 0.0)
 
 
 # ---------------------------------------------------------------------------
