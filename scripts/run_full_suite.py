@@ -3,14 +3,42 @@
 
 Usage:
   python3 scripts/run_full_suite.py [--seed S] [--samples K]
-      [--parallelism N] [--out FILE] [--csv FILE]
+      [--parallelism N] [--out FILE] [--csv FILE] [--compare BASE.json]
+
+With --compare, the new JSON report is compared with BASE.json (an earlier
+report of this script), meta.timestamp aside: every run entry
+(case_id, sample_index) that differs, or is on one side only, is printed, and
+the exit code is 1 if anything differs and 0 if nothing does.  Without it the
+exit code is that of `qident run` (1 if any run fails or errors).
 """
 
 import argparse
+import json
 import sys
 
 from qident import cli
 from qident.identities import CASES
+
+
+def report_differences(doc, base):
+    """Labels of what differs between two report documents, ignoring
+    meta.timestamp: "meta.<key>", "summary", and "<case_id> <sample_index>"
+    for each run entry, in the base report's order."""
+    out = []
+    meta, base_meta = dict(doc["meta"]), dict(base["meta"])
+    for m in (meta, base_meta):
+        m.pop("timestamp", None)
+    for key in sorted(set(meta) | set(base_meta)):
+        if meta.get(key) != base_meta.get(key):
+            out.append(f"meta.{key}")
+    if doc["summary"] != base["summary"]:
+        out.append("summary")
+    runs = {(r["case_id"], r["sample_index"]): r for r in doc["runs"]}
+    base_runs = {(r["case_id"], r["sample_index"]): r for r in base["runs"]}
+    for key in list(base_runs) + [k for k in runs if k not in base_runs]:
+        if runs.get(key) != base_runs.get(key):
+            out.append(f"{key[0]} {key[1]}")
+    return out
 
 
 def main(argv=None):
@@ -20,18 +48,29 @@ def main(argv=None):
     ap.add_argument("--parallelism", type=int, default=4)
     ap.add_argument("--out", default="full_suite_report.json")
     ap.add_argument("--csv", default="full_suite_report.csv")
+    ap.add_argument("--compare", metavar="BASE.json",
+                    help="compare the JSON report with this earlier one")
     args = ap.parse_args(argv)
 
     configs = [cli.CaseConfig(case_id=cid, seed=args.seed, samples=args.samples)
                for cid in CASES]
     rset = cli.run(configs, parallelism=args.parallelism)
+    text = cli.report_json(rset)
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(cli.report_json(rset) + "\n")
+        fh.write(text + "\n")
     cli.write_csv(rset, args.csv)
     s = rset.summary
     print(f"wrote {args.out} and {args.csv}: "
           f"pass={s['pass']} fail={s['fail']} error={s['error']}")
-    return cli.exit_code(rset)
+    if args.compare is None:
+        return cli.exit_code(rset)
+    with open(args.compare, encoding="utf-8") as fh:
+        base = json.load(fh)
+    diffs = report_differences(json.loads(text), base)
+    for label in diffs:
+        print(f"differs: {label}")
+    print(f"{len(diffs)} differences from {args.compare}")
+    return 1 if diffs else 0
 
 
 if __name__ == "__main__":

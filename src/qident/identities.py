@@ -802,7 +802,7 @@ def verify_bilateral_finite(sigma, rho, gamma, q, n, delta, tol=1e-9,
             v1, v2 = vals[k1], vals[k2]
             worst = max(worst, abs(v1 - v2) / max(abs(v1), abs(v2), 1e-300))
     rep = _make_report("bilateralfinite", params, bil, prod, tol, sv.terms_used,
-                       message=f"unilateral={uni:.12g} window={sv.window}")
+                       message=f"unilateral={complex(uni):.12g} window={sv.window}")
     rep.rel_residual = worst
     rep.status = "pass" if worst <= tol else "fail"
     return rep
@@ -882,11 +882,15 @@ def verify_multilateral_finite(lam, n, x, s, a, q, delta, tol=1e-7,
                                policy=DEFAULT_POLICY):
     lam = normalize(lam)
     params = dict(lam=lam, n=n, x=x, s=s, a=a, q=q, delta=delta)
+    upper, lower = mlat_finite_window(lam, n, delta)
+    points = math.prod(max(hi - lo + 1, 0) for lo, hi in zip(lower, upper))
+    if points > MAX_LATTICE_TERMS:
+        raise NoConvergence(f"multilateral finite window: {points} points "
+                            f"exceed the lattice budget {MAX_LATTICE_TERMS}")
     big = q ** (delta + 2 * n - 1)
     lhs = _ppm([s / x, a * s * x], q, 0.0, q, lam) / _ppm([s, a * s], q, 0.0, q, lam) \
         * _ppm([big, big / a], q, 0.0, q, lam) \
         / _ppm([big * x, big / (a * x)], q, 0.0, q, lam)
-    upper, lower = mlat_finite_window(lam, n, delta)
     total = 0.0 + 0j
     nterms = 0
     memo = {}
@@ -1435,7 +1439,8 @@ def sample_params(case_id: str, seed: int) -> dict:
 def run_case(case_id: str, params: dict, tol: Optional[float] = None,
              policy: TruncationPolicy = DEFAULT_POLICY) -> IdentityReport:
     """Run one registry case on explicit parameters, capturing library errors
-    into an error-status report."""
+    and arithmetic errors (overflow, division by zero) into an error-status
+    report."""
     if case_id not in CASES:
         from .errors import ConfigError
 
@@ -1444,7 +1449,5 @@ def run_case(case_id: str, params: dict, tol: Optional[float] = None,
     use_tol = case.default_tol if tol is None else tol
     try:
         return case.runner(params, use_tol, policy)
-    except QidentError as exc:
-        return error_report(case_id, params, use_tol, exc)
-    except ZeroDivisionError as exc:
+    except (QidentError, ArithmeticError) as exc:
         return error_report(case_id, params, use_tol, exc)

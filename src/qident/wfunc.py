@@ -22,6 +22,15 @@ coincident arguments structurally; a genuinely uncancelled denominator zero
 raises PoleCancellationError, and the regularized entry point responds by
 evaluating at b(1 +/- h) and Richardson-extrapolating the even function of h
 back to h = 0.
+
+Zero tails: the branching sum of zw_multi takes, for each interlacing nu, the
+tail W_nu(x_2..x_n) first (memoized when a memo is given) and builds the skew
+factor's ledger only when that tail is nonzero.  The terms added, and their order, are those of the
+skew-factor-first loop, and an error of a tail is raised only when its skew
+factor is nonzero, as before.  The one difference: a skew factor whose tail is
+exactly 0 is never evaluated, so a pole (or another arithmetic error, or a
+non-finite value) in that skew factor alone no longer reaches the sum, and
+no longer sends zw_multi_reg to the Richardson fallback.
 """
 
 from __future__ import annotations
@@ -222,6 +231,16 @@ def zw_multi(xvars, lam, params: WParams, memo=None):
     """W for an index vector lam in Z^n via the branching recursion over
     interlacing integer vectors.  Vanishes for non-dominant lam.
 
+    W_lam(y, zs) = sum over interlacing nu of W_{lam/nu}(y t^{-l}) W_nu(zs)
+    with shifted (a, b).  Each nu takes its tail W_nu(zs) first and is skipped
+    when the tail is exactly 0; only then is the skew factor W_{lam/nu}
+    evaluated, and skipped when it is exactly 0.  So the sum has the
+    skew-factor-first loop's terms in its order, bit for bit.  A tail that
+    raises PoleCancellationError or an ArithmeticError is deferred: it is
+    evaluated again, and so raises, only when its skew factor is nonzero.  A
+    skew factor under a zero tail is not evaluated at all, so a pole in it
+    alone raises nothing (see "Zero tails" in the module docstring).
+
     A memo dict (keyed by variables and index) may be shared across calls
     with the same params, e.g. across the subpartitions of one identity
     evaluation.
@@ -244,12 +263,22 @@ def zw_multi(xvars, lam, params: WParams, memo=None):
         l = n - 1
         shifted = WParams(params.q, params.p, params.t, params.a * params.t ** (2 * l),
                           params.b * params.t**l)
+        x1 = y * params.t ** (-l)
         total = 0.0 + 0j
         for nu in interlacing_vectors(lam):
-            w1 = zw_skew_single(y * params.t ** (-l), lam, nu, shifted)
+            # Tail first: it is memoized, and a zero tail spares the ledger.
+            try:
+                w2 = zw_multi(zs, nu, params, memo)
+            except (PoleCancellationError, ArithmeticError):
+                w2 = None  # deferred: raised again below only if w1 != 0
+            if w2 == 0:
+                continue
+            w1 = zw_skew_single(x1, lam, nu, shifted)
             if w1 == 0:
                 continue
-            total += w1 * zw_multi(zs, nu, params, memo)
+            if w2 is None:
+                w2 = zw_multi(zs, nu, params, memo)
+            total += w1 * w2
     if memo is not None:
         memo[key] = total
     return total

@@ -4,6 +4,9 @@ independence, report formats, precision backend, and exit codes."""
 import csv
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -232,7 +235,46 @@ def test_precision_high_backend(tmp_path, monkeypatch):
     assert doc["summary"]["pass"] == 2
 
 
+def test_precision_high_bilateral_finite_reports():
+    # The unilateral sum is an mpmath mpc in high precision; its message
+    # formatting raised TypeError and aborted the batch.
+    rset = run([CaseConfig(case_id="bilateralfinite", seed=0, samples=2)],
+               precision="high")
+    assert [r.status for r in rset.runs] == ["pass", "pass"]
+    double = run([CaseConfig(case_id="bilateralfinite", seed=0, samples=2)],
+                 precision="double")
+    assert [r.message for r in rset.runs] == [r.message for r in double.runs]
+
+
 def test_precision_invalid_value(monkeypatch, capsys):
     monkeypatch.setenv("QIDENT_PRECISION", "quadruple")
     assert main(["run", "--case", "c1macdonald"]) == 2
     capsys.readouterr()
+
+
+def test_full_suite_compare(tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+
+    def suite(name, *extra):
+        cmd = [sys.executable, str(root / "scripts" / "run_full_suite.py"),
+               "--samples", "1", "--parallelism", "1",
+               "--out", str(tmp_path / f"{name}.json"),
+               "--csv", str(tmp_path / f"{name}.csv"), *extra]
+        return subprocess.run(cmd, env=env, capture_output=True, text=True)
+
+    suite("base")
+    base = tmp_path / "base.json"
+    same = suite("same", "--compare", str(base))
+    assert same.returncode == 0, same.stdout + same.stderr
+    assert "0 differences" in same.stdout
+    doc = json.loads(base.read_text())
+    doc["meta"]["timestamp"] = "1970-01-01T00:00:00Z"  # ignored
+    entry = doc["runs"][3]
+    entry["message"] += " (doctored)"
+    doctored = tmp_path / "doctored.json"
+    doctored.write_text(json.dumps(doc))
+    diff = suite("diff", "--compare", str(doctored))
+    assert diff.returncode == 1
+    assert diff.stdout.count("differs:") == 1
+    assert f"differs: {entry['case_id']} {entry['sample_index']}" in diff.stdout

@@ -422,6 +422,18 @@ def test_multilateral_finite_seeded_rank2():
         assert r.rel_residual <= 1e-7
 
 
+def test_multilateral_finite_window_over_budget_is_an_error_report():
+    # lam = (60, 60, 60), n = 3 is schema-valid and has a 2,196,480-point
+    # window; it is refused before any summand is evaluated.
+    p = dict(sample_params("multilateralfinite", 0), lam=(60, 60, 60), n=3)
+    t0 = time.perf_counter()
+    rep = run_case("multilateralfinite", p)
+    assert time.perf_counter() - t0 < 1.0
+    assert rep.status == "error"
+    assert rep.message == ("NoConvergence: multilateral finite window: 2196480 "
+                           "points exceed the lattice budget 200000")
+
+
 def _memoless(monkeypatch, fn, *args):
     """fn(*args) with every mlat_finite_summand call made without a memo."""
     original = identities.mlat_finite_summand
@@ -634,6 +646,15 @@ def test_summand_invariance_seeded_examples():
     assert r.status == "pass" and r.rel_residual <= 1e-9
     r = verify_summand_invariance(0.4 + 0.1j, 0.7 - 0.2j, 0.3, 0.35, 5, 1, 2, -1)
     assert r.status == "pass" and r.rel_residual <= 1e-9
+
+
+def test_summand_invariance_overflow_is_an_error_report():
+    # q^k overflows at these k; the OverflowError escaped run_case.
+    for k in (300, 400, -400):
+        rep = run_case("summandinvariance",
+                       dict(sample_params("summandinvariance", 1), k=k))
+        assert rep.status == "error"
+        assert rep.message.startswith("OverflowError")
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,15 @@ from hypothesis import strategies as st
 
 import qident.wfunc as wfunc
 from qident.errors import PoleCancellationError, QidentError
-from qident.partitions import is_horizontal_strip, normalize, part, weight
+from qident.identities import mlat_finite_window, verify_multilateral_finite
+from qident.partitions import (
+    interlacing_vectors,
+    is_horizontal_strip,
+    lattice_window,
+    normalize,
+    part,
+    weight,
+)
 from qident.qcore import poch_int, theta
 from qident.wfunc import (
     POLE_TOL,
@@ -23,6 +31,7 @@ from qident.wfunc import (
     w_degree,
     w_multi,
     w_skew_single,
+    zw_multi,
     zw_multi_reg,
 )
 
@@ -279,6 +288,154 @@ def test_zw_multi_reg_regularizes_without_memo(monkeypatch):
     assert not memo
     monkeypatch.undo()
     assert rel(value, zw_multi_reg((0.027, 0.09), (1, 0), wp)) < 1e-7
+
+
+# ---------------------------------------------------------------------------
+# branching order: tail first, skew factor only under a nonzero tail
+# ---------------------------------------------------------------------------
+
+def _zw_multi_w1_first(xvars, lam, params, memo=None):
+    """zw_multi with the skew-factor-first loop: every skew factor is
+    evaluated, and its tail only when the skew factor is nonzero."""
+    xvars, lam = tuple(xvars), tuple(lam)
+    n = len(xvars)
+    if any(lam[i] < lam[i + 1] for i in range(n - 1)):
+        return 0.0 + 0j
+    if memo is not None and (xvars, lam) in memo:
+        return memo[(xvars, lam)]
+    if n == 1:
+        total = wfunc.zw_skew_single(xvars[0], lam, (), params)
+    else:
+        l = n - 1
+        shifted = WParams(params.q, params.p, params.t, params.a * params.t ** (2 * l),
+                          params.b * params.t**l)
+        total = 0.0 + 0j
+        for nu in interlacing_vectors(lam):
+            w1 = wfunc.zw_skew_single(xvars[0] * params.t ** (-l), lam, nu, shifted)
+            if w1 == 0:
+                continue
+            total += w1 * _zw_multi_w1_first(xvars[1:], nu, params, memo)
+    if memo is not None:
+        memo[(xvars, lam)] = total
+    return total
+
+
+def _w_outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except (QidentError, ArithmeticError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _branching_draws():
+    """(xvars, index vectors, params): generic and principal x, at t = q and
+    t != q, with the negative-entry indices of a multilateralfinite window."""
+    rng = random.Random(47)
+    for n in (1, 2, 3):
+        for p in (0.0, 0.1):
+            q = rng.uniform(0.15, 0.45)
+            t = rng.uniform(0.2, 0.7)
+            lam = (2, 1, 0)[:n]
+            upper, lower = mlat_finite_window(lam, n, 1)
+            window = [mu for mu in lattice_window(upper, lower)
+                      if all(mu[i] >= mu[i + 1] for i in range(n - 1))]
+            window = window[::(1, 3, 80)[n - 1]]  # 8 of 8, 22 of 64, 7 of 528
+            indices = box_partitions(n, 3) + window
+            indices = [tuple(part(mu, i) for i in range(1, n + 1)) for mu in indices]
+            generic = tuple(cscalar(rng, 0.4, 1.2) for _ in range(n))
+            yield generic, indices, WParams(q, p, t, cscalar(rng), cscalar(rng))
+            # The multilateralfinite point: x_i = q^{lam_i + n - i}, t = q.
+            s, delta = cscalar(rng), 1
+            xq = tuple(q ** (part(lam, i) + n - i) for i in range(1, n + 1))
+            yield xq, indices, WParams(q, p, q, s * q**delta, q ** (delta + n - 1))
+            # The principal point at t != q: x_i = q^{lam_i} t^{n-i}.
+            xt = tuple(q ** part(lam, i) * t ** (n - i) for i in range(1, n + 1))
+            yield xt, indices, WParams(q, p, t, cscalar(rng), cscalar(rng))
+
+
+def test_zw_multi_matches_w1_first_order():
+    zeros = 0
+    for xvars, indices, wp in _branching_draws():
+        memo, memo_ref = {}, {}
+        for mu in indices:
+            got = _w_outcome(zw_multi, xvars, mu, wp, memo)
+            assert got == _w_outcome(_zw_multi_w1_first, xvars, mu, wp, memo_ref), \
+                (xvars, mu, wp)
+            if len(xvars) < 3:
+                assert got == _w_outcome(zw_multi, xvars, mu, wp)  # no memo
+            zeros += got == repr(0j)
+    assert zeros  # the principal points have vanishing W
+
+
+def _scripted_branching(monkeypatch, tails, skews):
+    """zw_multi at n = 2, lam = (2, 0), whose nu = (0,), (1,), (2,) get the
+    tail and skew values (or exceptions) scripted in tails and skews; returns
+    the outcome and the nu whose skew factor was evaluated."""
+    original = wfunc.zw_multi
+    evaluated = []
+
+    def tail(xvars, lam, params, memo=None):
+        if len(xvars) == 2:
+            return original(xvars, lam, params, memo)
+        v = tails[lam]
+        if isinstance(v, Exception):
+            raise v
+        return v
+
+    def skew(x, lam, nu, params):
+        evaluated.append(nu)
+        if isinstance(skews[nu], Exception):
+            raise skews[nu]
+        return skews[nu]
+
+    monkeypatch.setattr(wfunc, "zw_multi", tail)
+    monkeypatch.setattr(wfunc, "zw_skew_single", skew)
+    wp = WParams(0.3, 0.0, 0.45, 0.8 + 0.1j, 0.6 - 0.2j)
+    out = _w_outcome(wfunc.zw_multi, (1.2, 0.8), (2, 0), wp, {})
+    monkeypatch.undo()
+    return out, evaluated
+
+
+def test_zw_multi_defers_tail_errors_and_skips_zero_tails(monkeypatch):
+    for error in (PoleCancellationError("tail pole"), ZeroDivisionError("tail")):
+        tails = {(0,): error, (1,): 0.0 + 0j, (2,): 3.0 + 0j}
+        # A raising tail under a zero skew factor is skipped, as before; the
+        # skew factor under the zero tail is never evaluated.
+        out, evaluated = _scripted_branching(
+            monkeypatch, tails, {(0,): 0.0 + 0j, (2,): 2.0 + 0j})
+        assert out == repr(6.0 + 0j)
+        assert evaluated == [(0,), (2,)]
+        # Under a nonzero skew factor the tail's error is raised.
+        out, evaluated = _scripted_branching(
+            monkeypatch, tails, {(0,): 5.0 + 0j, (2,): 2.0 + 0j})
+        assert out == f"{type(error).__name__}: {error}"
+        assert evaluated == [(0,)]
+    # A pole in a skew factor alone no longer reaches the sum when its tail
+    # is exactly 0 (the one difference from the skew-factor-first loop).
+    pole = PoleCancellationError("skew pole")
+    out, evaluated = _scripted_branching(
+        monkeypatch, {(0,): 0.0 + 0j, (1,): 1.0 + 0j, (2,): 0.0 + 0j},
+        {(0,): pole, (1,): 4.0 + 0j, (2,): pole})
+    assert out == repr(4.0 + 0j)
+    assert evaluated == [(1,)]
+
+
+def test_zw_multi_skips_skew_factors_of_zero_tails(monkeypatch):
+    # Every zw_skew_single call of one rank-2 multilateralfinite window
+    # (121 lattice points and five exterior checks); the skew-factor-first
+    # loop makes 372.
+    original = wfunc.zw_skew_single
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(wfunc, "zw_skew_single", counted)
+    r = verify_multilateral_finite((2, 1), 2, 1.37 + 0.2j, 0.45 + 0.1j,
+                                   0.7 - 0.2j, 0.3, 0)
+    assert r.status == "pass" and r.terms_used == 121
+    assert len(calls) == 135
 
 
 # ---------------------------------------------------------------------------
