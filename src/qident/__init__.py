@@ -11,12 +11,11 @@ from .errors import (
     EmptyWindow,
     NoConvergence,
     NotAPartition,
-    NotTerminating,
     QidentError,
 )
 from .identities import CASES, IdentityReport, run_case, sample_params
 from .policy import DEFAULT_POLICY, QPower, TruncationPolicy
-from .series import SeriesSpec, SeriesValue, eval_omega, eval_phi, eval_psi
+from .series import SeriesSpec, SeriesValue, eval_phi, eval_psi
 from .wfunc import WParams, poch_partition, w_multi, w_skew_single
 
 __all__ = [
@@ -29,14 +28,12 @@ __all__ = [
     "IdentityReport",
     "NoConvergence",
     "NotAPartition",
-    "NotTerminating",
     "QPower",
     "QidentError",
     "SeriesSpec",
     "SeriesValue",
     "TruncationPolicy",
     "WParams",
-    "eval_omega",
     "eval_phi",
     "eval_psi",
     "poch_partition",

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import math
 import os
@@ -31,9 +30,9 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from . import __version__
-from .errors import ConfigError, QidentError
+from .errors import ConfigError, NotAPartition, QidentError
 from .identities import CASES, IdentityReport, error_report, run_case, sample_params
-from .partitions import format_partition, parse_partition
+from .partitions import parse_partition
 from .policy import QPower
 
 
@@ -67,11 +66,14 @@ def _decode_value(kind, raw):
             raise ConfigError(f"expected integer, got {raw!r}")
         return raw
     if kind == "partition":
-        if isinstance(raw, str):
-            return parse_partition(raw)
         if isinstance(raw, (list, tuple)):
-            return parse_partition("[" + ",".join(str(x) for x in raw) + "]")
-        raise ConfigError(f"expected partition, got {raw!r}")
+            raw = "[" + ",".join(str(x) for x in raw) + "]"
+        if not isinstance(raw, str):
+            raise ConfigError(f"expected partition, got {raw!r}")
+        try:
+            return parse_partition(raw)
+        except NotAPartition as exc:
+            raise ConfigError(f"bad partition: {exc}") from None
     if kind == "scalar":
         return _decode_scalar(raw)
     if kind == "vector":
@@ -164,13 +166,14 @@ def _validate_config(entry: dict) -> CaseConfig:
             raise ConfigError(f"{case_id}: unknown parameter {name!r}")
         params[name] = _decode_value(schema[name], raw)
     tol = entry.get("tol")
-    if tol is not None and not (isinstance(tol, (int, float)) and tol > 0):
+    if tol is not None and (isinstance(tol, bool) or not isinstance(tol, (int, float))
+                            or not tol > 0):
         raise ConfigError("tol must be a positive number")
     seed = entry.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0 or seed >= 2**64:
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0 or seed >= 2**64:
         raise ConfigError("seed must be a 64-bit unsigned integer")
     samples = entry.get("samples", 1)
-    if not isinstance(samples, int) or samples < 1:
+    if isinstance(samples, bool) or not isinstance(samples, int) or samples < 1:
         raise ConfigError("samples must be a positive integer")
     return CaseConfig(case_id=case_id, params=params,
                       tol=None if tol is None else float(tol),

@@ -23,11 +23,6 @@ class NoConvergence(QidentError):
     dropped below the requested tolerance."""
 
 
-class NotTerminating(QidentError):
-    """A series that is only summed in terminating form has no parameter
-    that is an exact non-positive power of q."""
-
-
 class EmptyWindow(QidentError):
     """A lattice window has some lower bound above the matching upper bound."""
 

@@ -3,7 +3,7 @@ verified by computing its two sides through disjoint code paths and reporting
 the residual.
 
 Each case is registered under a stable string id with a one-line description,
-a parameter schema, a deterministic seeded sampler, and a runner.  Samplers
+a parameter schema, a deterministic seeded sampler, and a verifier.  Samplers
 draw free complex parameters with log-uniform moduli in [0.1, 0.9] and
 uniform phases, rejecting draws that land within 1e-8 of a pole of either
 side; bases (q, t, p) are drawn real positive so that convergence gates and
@@ -16,7 +16,7 @@ import cmath
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 from .errors import DivisionByVanishingFactor, DomainError, NoConvergence, QidentError
@@ -69,35 +69,6 @@ class IdentityReport:
     terms_used: int
     status: str  # pass | fail | error
     message: str = ""
-
-
-@dataclass(frozen=True)
-class Rank1Params:
-    """Parameters of the rank-1 bilateralization pipeline."""
-
-    sigma: complex
-    rho: complex
-    gamma: complex
-    q: complex
-    n: int
-    delta: int
-    z: complex = 0.0
-
-
-@dataclass(frozen=True)
-class MultiParams:
-    """Parameters of the rank-n identities."""
-
-    n: int
-    lam: tuple
-    x: complex
-    s: complex
-    a: complex
-    b: complex
-    t: complex
-    q: complex
-    p: complex
-    delta: int
 
 
 def _make_report(case_id, params, lhs, rhs, tol, terms_used=1, message=""):
@@ -271,10 +242,6 @@ def _f_bilateral(delta, q):
 # Rank-n building blocks.
 # ---------------------------------------------------------------------------
 
-def _ppm(avals, q, p, t, lam, nmin=0):
-    return poch_partition_multi(avals, WParams(q, p, t, 0.0, 0.0), lam, nmin)
-
-
 def _vwp_delta(vec, n, c, B, q, p, t):
     """The very-well-poised Delta factor of an index vector over 1 <= i < j <= n:
     prod (c t^{j-i+1}; q,p)_{dm} (B t^{1-i-j}; q,p)_{sm}
@@ -292,20 +259,22 @@ def _vwp_delta(vec, n, c, B, q, p, t):
 
 
 def simplified_jackson_lhs(x, lam, n, q, p, t, a, b, s):
-    return _ppm([s / x, a * s * x], q, p, t, lam) / _ppm(
-        [q * b * x, q * b / (a * x)], q, p, t, lam)
+    return poch_partition_multi([s / x, a * s * x], q, p, t, lam) \
+        / poch_partition_multi([q * b * x, q * b / (a * x)], q, p, t, lam)
 
 
 def simplified_jackson_rhs(x, lam, n, q, p, t, a, b, s):
     total = 0.0 + 0j
-    pref = _ppm([s, a * s], q, p, t, lam) / _ppm([q * b, q * b / a], q, p, t, lam)
+    pref = poch_partition_multi([s, a * s], q, p, t, lam) \
+        / poch_partition_multi([q * b, q * b / a], q, p, t, lam)
     xl = [q ** part(lam, i) * t ** (n - i) for i in range(1, n + 1)]
     wp = WParams(q, p, t, b * s * t ** (2 - 2 * n), b * t ** (1 - n))
     memo = {}
     for mu in subpartitions(lam):
         term = pref * q ** weight(mu) * t ** (2 * nstat(mu))
-        term = term * _ppm([b * t ** (1 - n), q * b / (a * s)], q, p, t, mu) \
-            / _ppm([q * t ** (n - 1), a * s], q, p, t, mu)
+        term = term \
+            * poch_partition_multi([b * t ** (1 - n), q * b / (a * s)], q, p, t, mu) \
+            / poch_partition_multi([q * t ** (n - 1), a * s], q, p, t, mu)
         for i in range(1, n + 1):
             mi = part(mu, i)
             if mi:
@@ -313,8 +282,8 @@ def simplified_jackson_rhs(x, lam, n, q, p, t, a, b, s):
                     / theta(b * t ** (2 - 2 * i), p)
         term = term * _vwp_delta(mu, n, q / t, b * t**2, q, p, t)
         term = term * w_multi(xl, mu, (), wp, memo)
-        term = term * _ppm([1 / x, a * x], q, p, t, mu) \
-            / _ppm([q * b * x, q * b / (a * x)], q, p, t, mu)
+        term = term * poch_partition_multi([1 / x, a * x], q, p, t, mu) \
+            / poch_partition_multi([q * b * x, q * b / (a * x)], q, p, t, mu)
         total += term
     return total
 
@@ -325,8 +294,8 @@ def multiple_jackson_lhs(zvars, lam, n, q, p, t, a, b):
 
 
 def multiple_jackson_rhs(zvars, lam, n, q, p, t, a, b, s):
-    pref = _ppm([s, a / (s * t ** (n + 1))], q, p, t, lam) \
-        / _ppm([q * b / (s * t), q * b * t**n * s / a], q, p, t, lam)
+    pref = poch_partition_multi([s, a / (s * t ** (n + 1))], q, p, t, lam) \
+        / poch_partition_multi([q * b / (s * t), q * b * t**n * s / a], q, p, t, lam)
     pref = pref * _vwp_delta(lam, n, 1, q * b, q, p, t)
     xl = [q ** part(lam, i) * t ** (n - i) for i in range(1, n + 1)]
     zs = [zi * s for zi in zvars]
@@ -335,8 +304,9 @@ def multiple_jackson_rhs(zvars, lam, n, q, p, t, a, b, s):
     memo1, memo2 = {}, {}
     total = 0.0 + 0j
     for mu in subpartitions(lam):
-        term = _ppm([b / (s * t**n), q * b * t**n / a], q, p, t, mu) \
-            / _ppm([q * t ** (n - 1), a / (s * t ** (n + 1))], q, p, t, mu)
+        term = poch_partition_multi([b / (s * t**n), q * b * t**n / a], q, p, t, mu) \
+            / poch_partition_multi([q * t ** (n - 1), a / (s * t ** (n + 1))],
+                                   q, p, t, mu)
         for i in range(1, n + 1):
             mi = part(mu, i)
             if mi:
@@ -358,8 +328,8 @@ def duality_side(lam, nu, n, q, t, a, aprime, b):
     xv = [q ** part(nu, i) * t ** (n - i) / k for i in range(1, n + 1)]
     wp = WParams(q, 0.0, t, k * k * a, k * b)
     r = w_multi(xv, lam, (), wp, memo={})
-    r = r * _ppm([q * b * t ** (n - 1), q * b / a], q, 0.0, t, lam) \
-        / _ppm([k, k * a * t ** (n - 1)], q, 0.0, t, lam)
+    r = r * poch_partition_multi([q * b * t ** (n - 1), q * b / a], q, 0.0, t, lam) \
+        / poch_partition_multi([k, k * a * t ** (n - 1)], q, 0.0, t, lam)
     return r / _vwp_delta(lam, n, 1, q * aprime * t ** (2 * n - 1), q, 0.0, t)
 
 
@@ -888,9 +858,10 @@ def verify_multilateral_finite(lam, n, x, s, a, q, delta, tol=1e-7,
         raise NoConvergence(f"multilateral finite window: {points} points "
                             f"exceed the lattice budget {MAX_LATTICE_TERMS}")
     big = q ** (delta + 2 * n - 1)
-    lhs = _ppm([s / x, a * s * x], q, 0.0, q, lam) / _ppm([s, a * s], q, 0.0, q, lam) \
-        * _ppm([big, big / a], q, 0.0, q, lam) \
-        / _ppm([big * x, big / (a * x)], q, 0.0, q, lam)
+    lhs = poch_partition_multi([s / x, a * s * x], q, 0.0, q, lam) \
+        / poch_partition_multi([s, a * s], q, 0.0, q, lam) \
+        * poch_partition_multi([big, big / a], q, 0.0, q, lam) \
+        / poch_partition_multi([big * x, big / (a * x)], q, 0.0, q, lam)
     total = 0.0 + 0j
     nterms = 0
     memo = {}
@@ -1301,129 +1272,111 @@ class CaseDef:
     schema: Dict[str, str]  # parameter name -> kind (int|scalar|partition|vector)
     default_tol: float
     sampler: Callable
-    runner: Callable
-
-
-def _runner(fn, keys):
-    def run(params, tol, policy):
-        kwargs = {k: params[k] for k in keys}
-        return fn(**kwargs, tol=tol, policy=policy)
-
-    return run
+    verifier: Callable  # called with the schema's parameters, tol and policy
 
 
 CASES: Dict[str, CaseDef] = {}
 
 
-def _register(case_id, description, schema, default_tol, sampler, fn, keys):
+def _register(case_id, description, schema, default_tol, sampler, verifier):
     CASES[case_id] = CaseDef(case_id, description, schema, default_tol, sampler,
-                             _runner(fn, keys))
+                             verifier)
 
 
 _register(
     "jackson8phi7",
     "Terminating very-well-poised 8phi7 summation (Jackson / q-Dougall)",
     dict(a="scalar", b="scalar", c="scalar", d="scalar", n="int", q="scalar"),
-    1e-9, _sample_jackson, verify_jackson_8phi7, ["a", "b", "c", "d", "n", "q"])
+    1e-9, _sample_jackson, verify_jackson_8phi7)
 _register(
     "bailey10phi9",
     "Bailey's terminating 10phi9 transformation",
     dict(a="scalar", b="scalar", c="scalar", d="scalar", e="scalar", f="scalar",
          n="int", q="scalar"),
-    1e-9, _sample_bailey10, verify_bailey_10phi9,
-    ["a", "b", "c", "d", "e", "f", "n", "q"])
+    1e-9, _sample_bailey10, verify_bailey_10phi9)
 _register(
     "bailey6psi6",
     "Bailey's very-well-poised 6psi6 bilateral summation",
     dict(a="scalar", b="scalar", c="scalar", d="scalar", e="scalar", q="scalar"),
-    1e-8, _sample_bailey6, verify_bailey_6psi6, ["a", "b", "c", "d", "e", "q"])
+    1e-8, _sample_bailey6, verify_bailey_6psi6)
 _register(
     "ramanujan1psi1",
     "Ramanujan's 1psi1 bilateral summation",
     dict(a="scalar", b="scalar", x="scalar", q="scalar"),
-    1e-8, _sample_1psi1, verify_ramanujan_1psi1, ["a", "b", "x", "q"])
+    1e-8, _sample_1psi1, verify_ramanujan_1psi1)
 _register(
     "c1macdonald",
     "Rank-1 C-type polynomial identity 1 = 1/(1-x^2) + 1/(1-x^-2)",
     dict(x="scalar"),
-    1e-12, _sample_c1, verify_c1_macdonald, ["x"])
+    1e-12, _sample_c1, verify_c1_macdonald)
 _register(
     "flippedsummand",
     "Terminating summand equals its flipped infinite-product form (b = q^{2z})",
     dict(sigma="scalar", rho="scalar", gamma="scalar", q="scalar", n="int",
          delta="int", z="scalar", k="int"),
-    1e-8, _sample_flipped, verify_flipped_summand,
-    ["sigma", "rho", "gamma", "q", "n", "delta", "z", "k"])
+    1e-8, _sample_flipped, verify_flipped_summand)
 _register(
     "bilateralfinite",
     "Three-way check: one-sided sum = finite bilateral sum = closed product",
     dict(sigma="scalar", rho="scalar", gamma="scalar", q="scalar", n="int",
          delta="int"),
-    1e-9, _sample_bilfinite, verify_bilateral_finite,
-    ["sigma", "rho", "gamma", "q", "n", "delta"])
+    1e-9, _sample_bilfinite, verify_bilateral_finite)
 _register(
     "3psi3delta0",
     "Bilateral 3psi3 summation, delta = 0 (Bailey)",
     dict(sigma="scalar", rho="scalar", gamma="scalar", q="scalar", delta="int"),
-    1e-8, _sample_3psi3(0), verify_3psi3, ["sigma", "rho", "gamma", "q", "delta"])
+    1e-8, _sample_3psi3(0), verify_3psi3)
 _register(
     "3psi3delta1",
     "Bilateral 3psi3 summation, delta = 1 (shifted-base companion)",
     dict(sigma="scalar", rho="scalar", gamma="scalar", q="scalar", delta="int"),
-    1e-8, _sample_3psi3(1), verify_3psi3, ["sigma", "rho", "gamma", "q", "delta"])
+    1e-8, _sample_3psi3(1), verify_3psi3)
 _register(
     "multijackson",
     "Multiple elliptic Jackson summation for W functions",
     dict(lam="partition", n="int", z="vector", q="scalar", p="scalar", t="scalar",
          a="scalar", b="scalar", s="scalar"),
-    1e-7, _sample_multijackson, verify_multiple_jackson,
-    ["lam", "n", "z", "q", "p", "t", "a", "b", "s"])
+    1e-7, _sample_multijackson, verify_multiple_jackson)
 _register(
     "simplifiedjackson",
-    "Multiple Jackson summation at the principal argument z = x t^{staircase}",
+    "Multiple Jackson summation at the principal argument z_i = x t^{n-i}",
     dict(lam="partition", n="int", x="scalar", q="scalar", p="scalar", t="scalar",
          a="scalar", b="scalar", s="scalar"),
-    1e-7, _sample_simplified, verify_simplified_jackson,
-    ["lam", "n", "x", "q", "p", "t", "a", "b", "s"])
+    1e-7, _sample_simplified, verify_simplified_jackson)
 _register(
     "duality",
     "Duality relation exchanging the index partition and spectral parameters",
     dict(lam="partition", nu="partition", n="int", a="scalar", aprime="scalar",
          b="scalar", q="scalar", t="scalar"),
-    1e-9, _sample_duality, verify_duality,
-    ["lam", "nu", "n", "a", "aprime", "b", "q", "t"])
+    1e-9, _sample_duality, verify_duality)
 _register(
     "flip",
     "Inversion (flip) identity for W under (q,t,a,b,x) -> reciprocals",
     dict(lam="partition", xs="vector", q="scalar", p="scalar", t="scalar",
          a="scalar", b="scalar"),
-    1e-9, _sample_flip, verify_flip, ["lam", "xs", "q", "p", "t", "a", "b"])
+    1e-9, _sample_flip, verify_flip)
 _register(
     "weyldegree",
     "Closed degree formula vs recursive W evaluation at the principal point",
     dict(mu="partition", N="int", n="int", s="scalar", delta="int", q="scalar"),
-    1e-9, _sample_weyldegree, verify_weyl_degree,
-    ["mu", "N", "n", "s", "delta", "q"])
+    1e-9, _sample_weyldegree, verify_weyl_degree)
 _register(
     "multilateralfinite",
     "Finite multilateral summation over Z^n at t = q",
     dict(lam="partition", n="int", x="scalar", s="scalar", a="scalar",
          q="scalar", delta="int"),
-    1e-7, _sample_mlatfinite, verify_multilateral_finite,
-    ["lam", "n", "x", "s", "a", "q", "delta"])
+    1e-7, _sample_mlatfinite, verify_multilateral_finite)
 _register(
     "multilateral3psi3",
     "Multilateral analogue of the bilateral 3psi3 summation",
     dict(n="int", delta="int", x="scalar", s="scalar", a="scalar", q="scalar"),
-    1e-6, _sample_mlat3psi3, verify_multilateral_3psi3,
-    ["n", "delta", "x", "s", "a", "q"])
+    1e-6, _sample_mlat3psi3, verify_multilateral_3psi3)
 _register(
     "summandinvariance",
     "Hyperoctahedral rank-1 invariance of the flipped summand at z = delta/2",
     dict(sigma="scalar", rho="scalar", gamma="scalar", q="scalar", n="int",
          delta="int", k="int", sign="int"),
-    1e-9, _sample_invariance, verify_summand_invariance,
-    ["sigma", "rho", "gamma", "q", "n", "delta", "k", "sign"])
+    1e-9, _sample_invariance, verify_summand_invariance)
 
 
 def sample_params(case_id: str, seed: int) -> dict:
@@ -1448,6 +1401,7 @@ def run_case(case_id: str, params: dict, tol: Optional[float] = None,
     case = CASES[case_id]
     use_tol = case.default_tol if tol is None else tol
     try:
-        return case.runner(params, use_tol, policy)
+        kwargs = {k: params[k] for k in case.schema}
+        return case.verifier(**kwargs, tol=use_tol, policy=policy)
     except (QidentError, ArithmeticError) as exc:
         return error_report(case_id, params, use_tol, exc)

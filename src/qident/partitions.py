@@ -95,13 +95,6 @@ def subpartitions(lam):
     return sorted(out, key=_enumeration_key)
 
 
-def staircase(n: int) -> tuple:
-    """The staircase exponent vector (n-1, n-2, ..., 1, 0)."""
-    if n < 1:
-        raise ValueError("staircase requires n >= 1")
-    return tuple(range(n - 1, -1, -1))
-
-
 def lattice_window(upper, lower):
     """Iterate all integer vectors mu with lower_i <= mu_i <= upper_i.
 

@@ -1,5 +1,5 @@
-"""Scalar q-arithmetic: Pochhammer symbols, infinite products, theta
-functions, and elliptic Pochhammer symbols.
+"""Scalar q-arithmetic: integer-order and infinite Pochhammer symbols, theta
+functions, elliptic Pochhammer symbols, and paired Pochhammer quotients.
 
 All functions are pure and duck-typed over the scalar backend: they accept
 either Python complex numbers or mpmath complex values (for high-precision
@@ -92,21 +92,6 @@ def poch_multi_inf(avals, q, policy: TruncationPolicy = DEFAULT_POLICY):
     return r
 
 
-def poch_general(a, q, alpha, policy: TruncationPolicy = DEFAULT_POLICY):
-    """General-order q-Pochhammer symbol (a;q)_alpha = (a;q)_inf/(a q^alpha;q)_inf.
-
-    alpha = 0 is handled structurally (value 1) before any ratio is formed.
-    Complex q**alpha uses the principal branch.
-    """
-    if alpha == 0:
-        return 1.0 + 0j
-    num = poch_inf(a, q, policy)
-    den = poch_inf(a * q**alpha, q, policy)
-    if abs(den) < VANISH_TOL:
-        raise DivisionByVanishingFactor("poch_general: denominator product vanishes")
-    return num / den
-
-
 def theta(x, p, policy: TruncationPolicy = DEFAULT_POLICY):
     """Normalized theta function theta(x;p) = (x;p)_inf (p/x;p)_inf."""
     if x == 0:
@@ -140,19 +125,6 @@ def epoch(a, q, p, n: int, policy: TruncationPolicy = DEFAULT_POLICY):
             )
         r = r * f
     return 1.0 / r
-
-
-def epoch_multi(avals, q, p, n: int, policy: TruncationPolicy = DEFAULT_POLICY):
-    """Product of epoch over a list of parameters."""
-    r = 1.0 + 0j
-    for a in avals:
-        r = r * epoch(a, q, p, n, policy)
-    return r
-
-
-def limit_rule(x, q, k: int):
-    """Closed form of lim_{a->0} a^k (x/a;q)_k = (-1)^k x^k q^{k(k-1)/2}."""
-    return (-1) ** k * x**k * q ** (k * (k - 1) // 2)
 
 
 def pair_poch_ratio(anum, aden, q, m: int):

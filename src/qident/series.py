@@ -1,5 +1,4 @@
-"""Generic series evaluators: unilateral r-phi-s, bilateral r-psi-s, and the
-terminating balanced very-well-poised elliptic omega series.
+"""Generic series evaluators: unilateral r-phi-s and bilateral r-psi-s.
 
 Parameter entries in a :class:`SeriesSpec` may be plain scalars or
 :class:`~qident.policy.QPower` tags.  Tags drive *structural* termination:
@@ -30,14 +29,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from .errors import (
-    DivisionByVanishingFactor,
-    DomainError,
-    NoConvergence,
-    NotTerminating,
-)
+from .errors import DivisionByVanishingFactor, DomainError, NoConvergence
 from .policy import DEFAULT_POLICY, TruncationPolicy, qpow_exponent, scalar_value
-from .qcore import VANISH_TOL, epoch, epoch_multi, theta
+from .qcore import VANISH_TOL
 
 # Once a bilateral tail term drops below this magnitude the remaining tail can
 # never contribute at double precision; stopping there also keeps the factor
@@ -296,38 +290,3 @@ def eval_psi(
             raise NoConvergence("eval_psi: max_terms reached before tail threshold")
         m += policy.window_step
 
-
-def eval_omega(a1, rest, q, p, policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesValue:
-    """Evaluate the terminating balanced very-well-poised elliptic series
-    omega(a1; a4..a_{r+1}; q, p).
-
-    Requires some entry of `rest` to carry a non-positive QPower tag (the
-    series is only summed in terminating form) and checks the balancing
-    condition (a4...a_{r+1})^2 = a1^{r-3} q^{r-5} to 1e-10 relative.
-    """
-    vals = [(scalar_value(v, q), qpow_exponent(v)) for v in rest]
-    r_index = len(rest) + 2  # the series has r+1 upper entries, a2/a3 implicit
-    prod = 1.0 + 0j
-    for v, _ in vals:
-        prod = prod * v
-    balance = a1 ** (r_index - 3) * q ** (r_index - 5)
-    if abs(prod * prod - balance) > 1e-10 * max(abs(balance), 1e-300):
-        raise DomainError("omega series: balancing condition violated")
-    n = None
-    for _, tag in vals:
-        if tag is not None and tag <= 0:
-            n = -tag if n is None else min(n, -tag)
-    if n is None:
-        raise NotTerminating("omega series: no exact non-positive q-power parameter")
-    theta_a1 = theta(a1, p, policy)
-    total = 0.0 + 0j
-    for k in range(n + 1):
-        term = theta(a1 * q ** (2 * k), p, policy) / theta_a1
-        term = term * epoch(a1, q, p, k, policy) * q**k
-        for v, _ in vals:
-            term = term * epoch(v, q, p, k, policy)
-        den = epoch_multi([q] + [a1 * q / v for v, _ in vals], q, p, k, policy)
-        if abs(den) < VANISH_TOL:
-            raise DivisionByVanishingFactor("omega series: denominator vanishes")
-        total = total + term / den
-    return SeriesValue(total, n + 1, True)

@@ -68,25 +68,23 @@ class WParams:
     b: complex
 
 
-def poch_partition(a, params: WParams, lam, nmin: int = 0):
+def poch_partition(a, q, p, t, lam):
     """Partition Pochhammer symbol (a;q,p,t)_lam = prod_i (a t^{1-i};q,p)_{lam_i}.
 
     lam may be any integer vector; negative entries use the negative-order
-    elliptic Pochhammer.  nmin pads the index range (extra factors are
-    order 0 for partitions but matter for integer vectors of fixed length).
+    elliptic Pochhammer.
     """
-    q, p, t = params.q, params.p, params.t
     r = 1.0 + 0j
-    for i in range(1, max(len(lam), nmin) + 1):
+    for i in range(1, len(lam) + 1):
         r = r * epoch(a * t ** (1 - i), q, p, part(lam, i))
     return r
 
 
-def poch_partition_multi(avals, params: WParams, lam, nmin: int = 0):
+def poch_partition_multi(avals, q, p, t, lam):
     """Product of poch_partition over a list of parameters."""
     r = 1.0 + 0j
     for a in avals:
-        r = r * poch_partition(a, params, lam, nmin)
+        r = r * poch_partition(a, q, p, t, lam)
     return r
 
 
@@ -284,7 +282,7 @@ def zw_multi(xvars, lam, params: WParams, memo=None):
     return total
 
 
-def _richardson_in_b(evaluate, params: WParams, eta: float = REG_ETA):
+def _richardson_in_b(evaluate, params: WParams):
     """Evaluate a W expression with b replaced by b(1 +/- h) and Richardson-
     extrapolate h -> 0.  The symmetrized value g(h) deviates from the true
     value by O(h^2)-even terms only, so (4 g(h/2) - g(h)) / 3 removes the
@@ -295,10 +293,10 @@ def _richardson_in_b(evaluate, params: WParams, eta: float = REG_ETA):
         dn = evaluate(WParams(params.q, params.p, params.t, params.a, params.b * (1 - h)))
         return (up + dn) / 2
 
-    return (4 * g(eta / 2) - g(eta)) / 3
+    return (4 * g(REG_ETA / 2) - g(REG_ETA)) / 3
 
 
-def zw_multi_reg(xvars, lam, params: WParams, eta: float = REG_ETA, memo=None):
+def zw_multi_reg(xvars, lam, params: WParams, memo=None):
     """zw_multi with automatic regularization of cancelling b-poles.
 
     memo is zw_multi's memo for params; the regularized evaluation perturbs b,
@@ -306,7 +304,7 @@ def zw_multi_reg(xvars, lam, params: WParams, eta: float = REG_ETA, memo=None):
     try:
         return zw_multi(xvars, lam, params, memo)
     except (PoleCancellationError, ZeroDivisionError):
-        return _richardson_in_b(lambda pp: zw_multi(xvars, lam, pp), params, eta)
+        return _richardson_in_b(lambda pp: zw_multi(xvars, lam, pp), params)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +351,7 @@ def w_multi(xvars, lam, mu, params: WParams, memo=None):
 # ---------------------------------------------------------------------------
 
 def w_degree(mu, N: int, n: int, s, delta: int, q):
-    """Closed form for W_mu(q^{N + staircase(n)}; q, q, s q^delta, q^{delta+n-1}).
+    """Closed form for W_mu(x; q, q, s q^delta, q^{delta+n-1}) at x_i = q^{N+n-i}.
 
     Valid literally for mu in Z^n (weakly decreasing; other vectors return 0,
     matching the recursive evaluation).  Every linear factor has the shape

@@ -109,6 +109,36 @@ def test_validate_config_errors():
         _validate_config({"case_id": "jackson8phi7", "params": {"zz": 1}})
 
 
+def test_validate_config_rejects_booleans():
+    # JSON true/false decode to bool, a subclass of int: never a seed, a
+    # sample count or a tolerance.
+    for name in ("seed", "samples", "tol"):
+        for value in (True, False):
+            with pytest.raises(ConfigError):
+                _validate_config({"case_id": "c1macdonald", name: value})
+
+
+def test_main_boolean_config_values_exit_2(tmp_path, capsys):
+    path = tmp_path / "bools.json"
+    path.write_text('[{"case_id": "c1macdonald", "seed": true, "samples": true, '
+                    '"tol": true}]')
+    assert main(["run", "--config", str(path)]) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
+def test_main_bad_partition_exits_2(tmp_path, capsys):
+    # A partition that is not weakly decreasing, or has a part that is not an
+    # integer, is a configuration error on both input paths.
+    for text in ("[1,2]", "[1.5]"):
+        assert main(["run", "--case", "weyldegree", "--param", f"mu={text}"]) == 2
+        assert "config error:" in capsys.readouterr().err
+    for raw in ("[1,2]", [1, 2], "[1.5]", [1.5]):
+        path = tmp_path / "partition.json"
+        path.write_text(json.dumps([{"case_id": "weyldegree", "params": {"mu": raw}}]))
+        assert main(["run", "--config", str(path)]) == 2
+        assert "config error:" in capsys.readouterr().err
+
+
 def test_validate_config_decodes_values():
     cfg = _validate_config({
         "case_id": "multijackson",

@@ -9,7 +9,7 @@ import time
 import pytest
 
 import qident.identities as identities
-from qident.errors import DomainError, QidentError
+from qident.errors import DomainError, PoleCancellationError, QidentError
 from qident.identities import (
     CASES,
     _f_bilateral,
@@ -45,6 +45,7 @@ from qident.identities import (
 from qident.partitions import lattice_window
 from qident.policy import DEFAULT_POLICY, QPower, scalar_value
 from qident.qcore import poch_int
+from qident.wfunc import WParams, _richardson_in_b, zw_multi
 
 from conftest import rel
 
@@ -331,7 +332,7 @@ def test_simplified_jackson_seeded_p0():
 
 def test_simplified_vs_multiple_cross_case_oracle():
     # The two summation displays are linked by the parameter dictionary
-    # a' = a s^2 t^{n+1}, b' = b s t, s' = s with argument (x/s) t^{staircase}.
+    # a' = a s^2 t^{n+1}, b' = b s t, s' = s with argument z_i = (x/s) t^{n-i}.
     # Under it the ratio of the two right-hand sides is a constant in x (the
     # principal-specialization constant), which is the substantive cross-case
     # content; the constant itself depends on the index partition.
@@ -387,6 +388,20 @@ def test_weyl_degree_examples():
     assert r.status == "pass" and abs(r.lhs - 1) < 1e-12
     r = verify_weyl_degree((1,), 2, 2, 0.3, 0, 0.4)
     assert r.status == "pass" and r.rel_residual <= 1e-9
+
+
+def test_weyl_degree_pole_draw_takes_the_richardson_fallback():
+    # At s = 1 (n = 2, N = 1, delta = 0, mu = (1,), q = 0.3) the recursive W
+    # meets a b-pole that cancels only across the branching sum: zw_multi
+    # raises, and the right-hand side is zw_multi_reg's Richardson value in b.
+    q = 0.3
+    xv = [q**2, q]
+    wp = WParams(q, 0.0, q, 1.0, q)
+    with pytest.raises(PoleCancellationError):
+        zw_multi(xv, (1, 0), wp)
+    r = run_case("weyldegree", dict(mu=(1,), N=1, n=2, s=1.0, delta=0, q=q))
+    assert r.status == "pass" and r.rel_residual < 1e-10
+    assert r.rhs == _richardson_in_b(lambda pp: zw_multi(xv, (1, 0), pp), wp)
 
 
 # ---------------------------------------------------------------------------

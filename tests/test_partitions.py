@@ -16,7 +16,6 @@ from qident.partitions import (
     nstat,
     normalize,
     parse_partition,
-    staircase,
     subpartitions,
     weight,
 )
@@ -132,14 +131,8 @@ def test_subpartition_count_matches_box_filter_exhaustive():
 
 
 # ---------------------------------------------------------------------------
-# staircase / lattice windows
+# lattice windows
 # ---------------------------------------------------------------------------
-
-def test_staircase_examples():
-    assert staircase(1) == (0,)
-    assert staircase(2) == (1, 0)
-    assert staircase(3) == (2, 1, 0)
-
 
 def test_lattice_window_examples():
     assert list(lattice_window((0,), (0,))) == [(0,)]

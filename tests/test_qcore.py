@@ -12,9 +12,7 @@ from qident.errors import DivisionByVanishingFactor, DomainError
 from qident.policy import DEFAULT_POLICY, TruncationPolicy
 from qident.qcore import (
     epoch,
-    limit_rule,
     pair_poch_ratio,
-    poch_general,
     poch_inf,
     poch_int,
     poch_multi,
@@ -63,6 +61,23 @@ def test_poch_int_splitting_property():
         assert rel(lhs, rhs) < 1e-13
 
 
+def test_poch_int_small_a_limit():
+    # a^k (x/a; q)_k -> (-1)^k x^k q^{k(k-1)/2} as a -> 0
+    rng = random.Random(9)
+    for _ in range(20):
+        x = complex(rng.uniform(0.4, 1), rng.uniform(-0.5, 0.5))
+        q = rng.uniform(0.4, 0.6)
+        k = rng.randint(1, 3)
+        a = 1e-8
+        approx = a**k * poch_int(x / a, q, k)
+        assert rel(approx, (-1) ** k * x**k * q ** (k * (k - 1) // 2)) < 1e-6
+
+
+def test_poch_int_single_factor_small_a():
+    a = 1e-10
+    assert rel(a * poch_int(0.3 / a, 0.5, 1), -0.3) < 1e-6
+
+
 # ---------------------------------------------------------------------------
 # poch_inf
 # ---------------------------------------------------------------------------
@@ -102,41 +117,6 @@ def test_poch_inf_max_factors_stability():
         q = rng.uniform(0.1, 0.6)
         assert abs(poch_inf(a, q, base) - poch_inf(a, q, doubled)) \
             < base.product_tol * 10
-
-
-# ---------------------------------------------------------------------------
-# poch_general
-# ---------------------------------------------------------------------------
-
-def test_poch_general_matches_poch_int():
-    assert rel(poch_general(0.5, 0.25, 2), 0.4375) < 1e-12
-
-
-def test_poch_general_alpha_zero():
-    assert poch_general(0.7, 0.3, 0) == 1
-
-
-def test_poch_general_vanishing_numerator():
-    assert abs(poch_general(1.0, 0.3, 0.5)) < 1e-14
-
-
-def test_poch_general_agrees_with_poch_int_on_integers():
-    rng = random.Random(7)
-    checked = 0
-    while checked < 200:
-        a = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        q = rng.uniform(0.05, 0.6)
-        k = rng.randint(-6, 6)
-        # both paths need non-vanishing denominators; skip near-singular draws
-        try:
-            direct = poch_int(a, q, k)
-            ratio = poch_general(a, q, k)
-        except DivisionByVanishingFactor:
-            continue
-        if abs(direct) < 1e-8:
-            continue
-        assert rel(ratio, direct) < 1e-12
-        checked += 1
 
 
 # ---------------------------------------------------------------------------
@@ -214,39 +194,6 @@ def test_epoch_p0_property():
         q = rng.uniform(0.05, 0.6)
         n = rng.randint(0, 6)
         assert rel(epoch(a, q, 0.0, n), poch_int(a, q, n)) < 1e-13
-
-
-# ---------------------------------------------------------------------------
-# limit_rule
-# ---------------------------------------------------------------------------
-
-def test_limit_rule_k_zero():
-    assert limit_rule(0.77 + 0.1j, 0.9, 0) == 1
-
-
-def test_limit_rule_closed_form():
-    assert abs(limit_rule(0.5, 0.25, 2) - 0.0625) < 1e-15
-
-
-def test_limit_rule_single_factor():
-    assert abs(limit_rule(0.3, 0.5, 1) - (-0.3)) < 1e-15
-
-
-def test_limit_rule_small_a_crosscheck():
-    # a^k (x/a; q)_k -> limit_rule(x, q, k) as a -> 0
-    rng = random.Random(9)
-    for _ in range(20):
-        x = complex(rng.uniform(0.4, 1), rng.uniform(-0.5, 0.5))
-        q = rng.uniform(0.4, 0.6)
-        k = rng.randint(1, 3)
-        a = 1e-8
-        approx = a**k * poch_int(x / a, q, k)
-        assert rel(approx, limit_rule(x, q, k)) < 1e-6
-
-
-def test_limit_rule_single_factor_small_a():
-    a = 1e-10
-    assert rel(a * poch_int(0.3 / a, 0.5, 1), -0.3) < 1e-6
 
 
 # ---------------------------------------------------------------------------

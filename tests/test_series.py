@@ -1,13 +1,13 @@
-"""Series evaluator tests: unilateral, bilateral, and terminating elliptic."""
+"""Series evaluator tests: unilateral and bilateral."""
 
 import random
 
 import pytest
 
-from qident.errors import DomainError, NotTerminating
+from qident.errors import DomainError
 from qident.policy import DEFAULT_POLICY, QPower, TruncationPolicy
-from qident.qcore import csqrt, poch_inf, poch_int, poch_multi_inf, theta
-from qident.series import SeriesSpec, SeriesValue, eval_omega, eval_phi, eval_psi
+from qident.qcore import csqrt, poch_inf, poch_int, poch_multi_inf
+from qident.series import SeriesSpec, SeriesValue, eval_phi, eval_psi
 
 from conftest import rel
 
@@ -164,66 +164,3 @@ def test_psi_6psi6_within_term_budget():
         sv = eval_psi(spec, policy)
         assert sv.terms_used <= 400
 
-
-# ---------------------------------------------------------------------------
-# eval_omega
-# ---------------------------------------------------------------------------
-
-def _omega_rest_for_jackson(a, b, c, d, n, q):
-    """Numerator parameters a4..a8 of the terminating very-well-poised sum
-    with the balancing constraint solved for e."""
-    e = q ** (1 + n) * a * a / (b * c * d)
-    return [b, c, d, e, QPower(-n)], e
-
-
-def test_omega_n0_single_term():
-    q = 0.3
-    rest, _ = _omega_rest_for_jackson(0.5, 0.3, 0.7, 0.2, 0, q)
-    sv = eval_omega(0.5, rest, q, 0.0)
-    assert sv.terminated and sv.terms_used == 1
-    assert abs(sv.value - 1) < 1e-14
-
-
-def test_omega_n1_two_term_oracle():
-    a, b, c, d, n, q, p = 0.5, 0.3, 0.7, 0.2, 1, 0.3, 0.0
-    rest, e = _omega_rest_for_jackson(a, b, c, d, n, q)
-    sv = eval_omega(a, rest, q, p)
-    # explicit k = 1 term of the very-well-poised sum at p = 0
-    k1 = (theta(a * q**2, p) / theta(a, p)) * (1 - a) * q
-    for v in (b, c, d, e, q**-n):
-        k1 *= (1 - v)
-    for v in (q, a * q / b, a * q / c, a * q / d, a * q / e, a * q ** (1 + n)):
-        k1 /= (1 - v)
-    assert sv.terms_used == 2
-    assert rel(sv.value, 1 + k1) < 1e-12
-
-
-def test_omega_matches_8phi7_at_p0():
-    a, b, c, d, n, q = 0.5 + 0.1j, 0.3 - 0.2j, 0.7, 0.2 + 0.05j, 3, 0.35
-    rest, e = _omega_rest_for_jackson(a, b, c, d, n, q)
-    sv_o = eval_omega(a, rest, q, 0.0)
-    sa = csqrt(a)
-    spec = SeriesSpec(
-        numerator=[a, q * sa, -q * sa, b, c, d, e, QPower(-n)],
-        denominator=[sa, -sa, a * q / b, a * q / c, a * q / d, a * q / e,
-                     a * q ** (n + 1)],
-        argument=q, q=q, kind="unilateral")
-    sv_p = eval_phi(spec)
-    assert rel(sv_o.value, sv_p.value) < 1e-12
-
-
-def test_omega_requires_termination():
-    # balanced parameters (so the balance gate passes) but no exact
-    # negative-q-power tag
-    a1, q = 0.5, 0.3
-    b, c, d, e = 0.3, 0.7, 0.2, 0.4
-    balance = a1 ** 4 * q ** 2
-    f = csqrt(balance) / (b * c * d * e)
-    with pytest.raises(NotTerminating):
-        eval_omega(a1, [b, c, d, e, f], q, 0.0)
-
-
-def test_omega_balancing_enforced():
-    q = 0.3
-    with pytest.raises(DomainError):
-        eval_omega(0.5, [0.3, 0.7, 0.2, 0.9, QPower(-2)], q, 0.0)

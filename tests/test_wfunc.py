@@ -61,29 +61,26 @@ def cscalar(rng, lo=0.2, hi=0.9):
 # ---------------------------------------------------------------------------
 
 def test_poch_partition_empty():
-    wp = WParams(0.3, 0.0, 0.5, 0.0, 0.0)
-    assert poch_partition(0.7 + 0.2j, wp, ()) == 1
+    assert poch_partition(0.7 + 0.2j, 0.3, 0.0, 0.5, ()) == 1
 
 
 def test_poch_partition_vanishing_row():
-    wp = WParams(0.25, 0.0, 0.5, 0.0, 0.0)
     # (a)_1 * (a/t)_1 = (1-0.5)(1-1.0) = 0
-    assert abs(poch_partition(0.5, wp, (1, 1))) < 1e-14
+    assert abs(poch_partition(0.5, 0.25, 0.0, 0.5, (1, 1))) < 1e-14
 
 
 def test_poch_partition_single_row_matches_poch_int():
-    wp = WParams(0.25, 0.0, 0.3, 0.0, 0.0)
-    val = poch_partition(0.5, wp, (2,))
+    val = poch_partition(0.5, 0.25, 0.0, 0.3, (2,))
     assert rel(val, poch_int(0.5, 0.25, 2)) < 1e-14
     assert abs(val - 0.4375) < 1e-14
 
 
 def test_poch_partition_multi_examples():
-    wp = WParams(0.25, 0.0, 0.3, 0.0, 0.0)
-    assert poch_partition_multi([], wp, (2, 1)) == 1
-    assert rel(poch_partition_multi([0.6 + 0.1j], wp, (2, 1)),
-               poch_partition(0.6 + 0.1j, wp, (2, 1))) < 1e-15
-    assert abs(poch_partition_multi([0.5, 0.2], wp, (1,)) - 0.4) < 1e-14
+    q, p, t = 0.25, 0.0, 0.3
+    assert poch_partition_multi([], q, p, t, (2, 1)) == 1
+    assert rel(poch_partition_multi([0.6 + 0.1j], q, p, t, (2, 1)),
+               poch_partition(0.6 + 0.1j, q, p, t, (2, 1))) < 1e-15
+    assert abs(poch_partition_multi([0.5, 0.2], q, p, t, (1,)) - 0.4) < 1e-14
 
 
 # ---------------------------------------------------------------------------
