@@ -165,14 +165,18 @@ def _validate_config(entry: dict) -> CaseConfig:
         if name not in schema:
             raise ConfigError(f"{case_id}: unknown parameter {name!r}")
         params[name] = _decode_value(schema[name], raw)
-    tol = entry.get("tol")
+    return _case_config(case_id, params, entry.get("tol"), entry.get("seed", 0),
+                        entry.get("samples", 1))
+
+
+def _case_config(case_id, params, tol, seed, samples) -> CaseConfig:
+    """CaseConfig of decoded params after the checks that config entries and
+    `run --case` share."""
     if tol is not None and (isinstance(tol, bool) or not isinstance(tol, (int, float))
-                            or not tol > 0):
-        raise ConfigError("tol must be a positive number")
-    seed = entry.get("seed", 0)
+                            or not 0 < tol < math.inf):
+        raise ConfigError("tol must be a positive finite number")
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0 or seed >= 2**64:
         raise ConfigError("seed must be a 64-bit unsigned integer")
-    samples = entry.get("samples", 1)
     if isinstance(samples, bool) or not isinstance(samples, int) or samples < 1:
         raise ConfigError("samples must be a positive integer")
     return CaseConfig(case_id=case_id, params=params,
@@ -398,8 +402,8 @@ def main(argv=None) -> int:
             if args.case not in CASES:
                 raise ConfigError(f"unknown case id: {args.case!r}")
             params = dict(_parse_param_option(args.case, p) for p in args.param)
-            configs = [CaseConfig(case_id=args.case, params=params, tol=args.tol,
-                                  seed=args.seed, samples=args.samples)]
+            configs = [_case_config(args.case, params, args.tol, args.seed,
+                                    args.samples)]
         else:
             raise ConfigError("run requires --config or --case")
         rset = run(configs, parallelism=args.parallelism)

@@ -13,13 +13,20 @@ regularized W evaluation stay well-conditioned.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
-from .errors import DivisionByVanishingFactor, DomainError, NoConvergence, QidentError
+from .errors import (
+    ConfigError,
+    DivisionByVanishingFactor,
+    DomainError,
+    NoConvergence,
+    QidentError,
+)
 from .partitions import (
     lattice_window,
     nstat,
@@ -43,7 +50,15 @@ from .qcore import (
     theta,
 )
 from .series import SeriesSpec, eval_psi, eval_phi
-from .wfunc import WParams, poch_partition_multi, w_degree, w_multi, zw_multi_reg
+from .wfunc import (
+    S_KEY,
+    Keyed,
+    WParams,
+    poch_partition_multi,
+    w_degree,
+    w_multi,
+    zw_multi_reg,
+)
 
 #: Below this magnitude both sides count as zero and the absolute residual
 #: decides pass/fail.
@@ -383,6 +398,39 @@ def _mlat_pair_factors(mu, n, delta, q, s, a, x):
     return r
 
 
+@functools.lru_cache(maxsize=64)
+def _keyable(s, q, tol=POLE_REJECT):
+    """Whether W parameters in s and q may carry monomial keys: s and s^2 lie
+    farther than tol (relative) from every integer power of q.  Within tol of
+    q^e, log|z| / log|q| is within tol / |log|q|| of e, so e is its rounding
+    unless |q| lies within 2 tol of 1 (refused).  Cached, since every summand
+    of a window asks."""
+    try:
+        lq = math.log(abs(q))
+        if s == 0 or abs(lq) <= 2 * tol:
+            return False
+        return all(abs(z / q ** round(math.log(abs(z)) / lq) - 1) > tol
+                   for z in (s, s * s))
+    except (ArithmeticError, ValueError):
+        return False
+
+
+def _principal_w(n, delta, q, s, exps):
+    """W parameters p = 0, t = q, a = s q^delta, b = q^{delta+n-1} and the
+    variables x_i = q^{exps_i} of the multilateral and degree identities.
+
+    They carry monomial keys in (s, q) (wfunc's "Keyed ledgers"), unless s or
+    s^2 lies within POLE_REJECT of a power of q: a ledger argument is
+    s^alpha q^e with |alpha| <= 1, so only then can an argument of nonzero
+    key reach 1, or two arguments of distinct keys coincide."""
+    a, b = s * q**delta, q ** (delta + n - 1)
+    xs = [q**e for e in exps]
+    if not _keyable(s, q):
+        return WParams(q, 0.0, q, a, b), xs
+    return (WParams(q, 0.0, q, a, b, (S_KEY + delta, delta + n - 1)),
+            [Keyed(x, e) for x, e in zip(xs, exps)])
+
+
 def mlat_finite_summand(mu, lam, n, delta, q, s, a, x, memo=None):
     """Summand of the finite multilateral identity at mu in Z^n.
 
@@ -404,8 +452,7 @@ def mlat_finite_summand(mu, lam, n, delta, q, s, a, x, memo=None):
                 / (1 - q ** (delta + 2 * n - i - j))
     if term == 0:
         return term
-    xl = [q ** (part(lam, i) + n - i) for i in range(1, n + 1)]
-    wp = WParams(q, 0.0, q, s * q**delta, q ** (delta + n - 1))
+    wp, xl = _principal_w(n, delta, q, s, [part(lam, i) + n - i for i in range(1, n + 1)])
     return term * zw_multi_reg(xl, mu, wp, memo=memo)
 
 
@@ -657,7 +704,18 @@ def _mlat_3psi3_sum(n, delta, q, s, a, x, policy):
 # Verifiers.
 # ---------------------------------------------------------------------------
 
+def _require_rank(case_id, n, vec=()):
+    """DomainError unless the rank n is at least 1 and the partition vec has
+    at most n parts."""
+    if n < 1:
+        raise DomainError(f"{case_id} requires n >= 1, got n = {n}")
+    if len(vec) > n:
+        raise DomainError(f"{case_id} requires at most n = {n} parts, got {vec}")
+
+
 def verify_jackson_8phi7(a, b, c, d, n, q, tol=1e-9, policy=DEFAULT_POLICY):
+    if n < 0:
+        raise DomainError("terminating 8phi7 requires n >= 0")
     e = q ** (1 + n) * a * a / (b * c * d)
     params = dict(a=a, b=b, c=c, d=d, e=e, n=n, q=q)
     sa = csqrt(a)
@@ -675,6 +733,8 @@ def verify_jackson_8phi7(a, b, c, d, n, q, tol=1e-9, policy=DEFAULT_POLICY):
 def verify_bailey_10phi9(a, b, c, d, e, f, n, q, tol=1e-9, policy=DEFAULT_POLICY):
     import mpmath
 
+    if n < 0:
+        raise DomainError("terminating 10phi9 requires n >= 0")
     params = dict(a=a, b=b, c=c, d=d, e=e, f=f, n=n, q=q)
     with mpmath.workdps(40):
         a, b, c, d, e, f = (mpmath.mpmathify(complex(v)) for v in (a, b, c, d, e, f))
@@ -804,6 +864,9 @@ def verify_multiple_jackson(lam, n, z, q, p, t, a, b, s, tol=1e-7,
                             policy=DEFAULT_POLICY):
     lam = normalize(lam)
     zvars = tuple(z)
+    _require_rank("multijackson", n, lam)
+    if len(zvars) != n:
+        raise DomainError(f"multijackson requires n = {n} variables z, got {len(zvars)}")
     params = dict(lam=lam, n=n, z=zvars, q=q, p=p, t=t, a=a, b=b, s=s)
     lhs = multiple_jackson_lhs(zvars, lam, n, q, p, t, a, b)
     rhs = multiple_jackson_rhs(zvars, lam, n, q, p, t, a, b, s)
@@ -814,6 +877,7 @@ def verify_multiple_jackson(lam, n, z, q, p, t, a, b, s, tol=1e-7,
 def verify_simplified_jackson(lam, n, x, q, p, t, a, b, s, tol=1e-7,
                               policy=DEFAULT_POLICY):
     lam = normalize(lam)
+    _require_rank("simplifiedjackson", n, lam)
     params = dict(lam=lam, n=n, x=x, q=q, p=p, t=t, a=a, b=b, s=s)
     lhs = simplified_jackson_lhs(x, lam, n, q, p, t, a, b, s)
     rhs = simplified_jackson_rhs(x, lam, n, q, p, t, a, b, s)
@@ -824,6 +888,8 @@ def verify_simplified_jackson(lam, n, x, q, p, t, a, b, s, tol=1e-7,
 def verify_duality(lam, nu, n, a, aprime, b, q, t, tol=1e-9,
                    policy=DEFAULT_POLICY):
     lam, nu = normalize(lam), normalize(nu)
+    _require_rank("duality", n, lam)
+    _require_rank("duality", n, nu)
     params = dict(lam=lam, nu=nu, n=n, a=a, aprime=aprime, b=b, q=q, t=t)
     lhs = duality_side(lam, nu, n, q, t, a, aprime, b)
     rhs = duality_side(nu, lam, n, q, t, aprime, a, b)
@@ -839,11 +905,11 @@ def verify_flip(lam, xs, q, p, t, a, b, tol=1e-9, policy=DEFAULT_POLICY):
 
 def verify_weyl_degree(mu, N, n, s, delta, q, tol=1e-9, policy=DEFAULT_POLICY):
     mu = normalize(mu)
+    _require_rank("weyldegree", n, mu)
     params = dict(mu=mu, N=N, n=n, s=s, delta=delta, q=q)
     muv = tuple(part(mu, i) for i in range(1, n + 1))
     lhs = w_degree(muv, N, n, s, delta, q)
-    xv = [q ** (N + n - 1 - i) for i in range(n)]
-    wp = WParams(q, 0.0, q, s * q**delta, q ** (delta + n - 1))
+    wp, xv = _principal_w(n, delta, q, s, [N + n - 1 - i for i in range(n)])
     rhs = zw_multi_reg(xv, muv, wp)
     return _make_report("weyldegree", params, lhs, rhs, tol)
 
@@ -851,6 +917,7 @@ def verify_weyl_degree(mu, N, n, s, delta, q, tol=1e-9, policy=DEFAULT_POLICY):
 def verify_multilateral_finite(lam, n, x, s, a, q, delta, tol=1e-7,
                                policy=DEFAULT_POLICY):
     lam = normalize(lam)
+    _require_rank("multilateralfinite", n, lam)
     params = dict(lam=lam, n=n, x=x, s=s, a=a, q=q, delta=delta)
     upper, lower = mlat_finite_window(lam, n, delta)
     points = math.prod(max(hi - lo + 1, 0) for lo, hi in zip(lower, upper))
@@ -886,6 +953,7 @@ def verify_multilateral_finite(lam, n, x, s, a, q, delta, tol=1e-7,
 
 def verify_multilateral_3psi3(n, delta, x, s, a, q, tol=1e-6,
                               policy=DEFAULT_POLICY):
+    _require_rank("multilateral3psi3", n)
     params = dict(n=n, delta=delta, x=x, s=s, a=a, q=q)
     gate = 0.9 if n == 1 else 0.9 * abs(q) ** (n - 1)
     if abs(s) >= gate:
@@ -1382,8 +1450,6 @@ _register(
 def sample_params(case_id: str, seed: int) -> dict:
     """Deterministic parameter draw for a registry case."""
     if case_id not in CASES:
-        from .errors import ConfigError
-
         raise ConfigError(f"unknown case id: {case_id}")
     rng = random.Random(seed)
     return CASES[case_id].sampler(rng)
@@ -1393,12 +1459,13 @@ def run_case(case_id: str, params: dict, tol: Optional[float] = None,
              policy: TruncationPolicy = DEFAULT_POLICY) -> IdentityReport:
     """Run one registry case on explicit parameters, capturing library errors
     and arithmetic errors (overflow, division by zero) into an error-status
-    report."""
+    report.  Parameters missing from the case's schema are a ConfigError."""
     if case_id not in CASES:
-        from .errors import ConfigError
-
         raise ConfigError(f"unknown case id: {case_id}")
     case = CASES[case_id]
+    missing = [k for k in case.schema if k not in params]
+    if missing:
+        raise ConfigError(f"{case_id}: missing parameters {missing}")
     use_tol = case.default_tol if tol is None else tol
     try:
         kwargs = {k: params[k] for k in case.schema}

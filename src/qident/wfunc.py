@@ -23,6 +23,29 @@ raises PoleCancellationError, and the regularized entry point responds by
 evaluating at b(1 +/- h) and Richardson-extrapolating the even function of h
 back to h = 0.
 
+Keyed ledgers: at p = 0 and t = q, a WParams may carry integer monomial keys
+for (a, b), and the W variables are then Keyed(value, key) pairs.  A key
+alpha * S_KEY + e asserts that the value is s^alpha q^e for the base q and
+one free parameter s, up to the rounding of the expression that computed it,
+with s generic: no monomial of nonzero key in the ledger equals 1, and two of
+distinct keys never coincide.  The caller vouches for that.
+identities._principal_w keys the principal specialization a = s q^delta,
+b = q^{delta+n-1}, x_i = q^{integer} of mlat_finite_summand (so of
+verify_multilateral_finite) and of verify_weyl_degree's right side, and only
+when s and s^2 lie clear of every power of q.  zw_multi shifts the keys with a t^{2l}, b t^l and
+x t^{-l}.  zw_skew_single transcribes its ledger once; keyed, it records
+runs of arguments base * q^k whose keys step by 1.  Such a ledger is settled
+by key: theta(y; 0) = 1 - y vanishes exactly at key 0, and key-0 arguments
+cancel only among themselves, so a net key-0 numerator gives exact 0 and a
+net key-0 denominator raises PoleCancellationError, before any theta product.
+Otherwise arguments cancel by key equality under theta_quotient's
+lowest-index rule, and only the survivors get values, from the same
+expressions, for theta_product.  So while equal keys are exactly the
+arguments that coincide within SNAP_TOL, a nonzero keyed ledger keeps the
+untagged value bit for bit, and a zero one is exact 0 where the float path
+left round-off.  Untagged ledgers (every other caller, and the Richardson
+fallback, whose b(1 +/- h) is no monomial) take theta_quotient as before.
+
 Zero tails: the branching sum of zw_multi takes, for each interlacing nu, the
 tail W_nu(x_2..x_n) first (memoized when a memo is given) and builds the skew
 factor's ledger only when that tail is nonzero.  The terms added, and their order, are those of the
@@ -38,6 +61,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from typing import NamedTuple, Optional, Tuple
 
 from .errors import PoleCancellationError
 from .partitions import interlacing_vectors, is_horizontal_strip, normalize, part
@@ -57,15 +81,36 @@ POLE_TOL = 1e-10
 REG_ETA = 1e-4
 
 
+#: Key of the free parameter s: the key alpha * S_KEY + e stands for the
+#: monomial s**alpha * q**e (|e| < S_KEY / 2).
+S_KEY = 1 << 32
+
+
 @dataclass(frozen=True)
 class WParams:
-    """Parameter bundle (q, p, t, a, b) for W-function evaluation."""
+    """Parameter bundle (q, p, t, a, b) for W-function evaluation.
+
+    keys, when given, are the monomial keys of (a, b) (see S_KEY and
+    "Keyed ledgers" in the module docstring); they need p = 0 and t = q."""
 
     q: complex
     p: complex
     t: complex
     a: complex
     b: complex
+    keys: Optional[Tuple[int, int]] = None
+
+    def __post_init__(self):
+        if self.keys is not None and (self.p != 0 or self.t != self.q):
+            raise ValueError("keyed W parameters need p = 0 and t = q")
+
+
+class Keyed(NamedTuple):
+    """A W variable with its monomial key: value is s**alpha * q**e for the
+    key alpha * S_KEY + e."""
+
+    value: complex
+    key: int
 
 
 def poch_partition(a, q, p, t, lam):
@@ -134,12 +179,19 @@ def theta_quotient(num_args, den_args, p, policy=DEFAULT_POLICY):
             rest.append(x)
         else:
             used[hit] = True
+    return theta_product(rest, [y for y, u in zip(den, used) if not u], p, policy)
+
+
+def theta_product(num_args, den_args, p, policy=DEFAULT_POLICY):
+    """prod theta(x;p) over num_args divided by the same over den_args, in
+    order and without cancellation: the numeric end of every ledger.
+
+    Raises PoleCancellationError when a denominator theta is numerically
+    zero."""
     r = 1.0 + 0j
-    for x in rest:
+    for x in num_args:
         r = r * theta(x, p, policy)
-    for y, u in zip(den, used):
-        if u:
-            continue
+    for y in den_args:
         ty = theta(y, p, policy)
         if abs(ty) < POLE_TOL:
             raise PoleCancellationError("uncancelled denominator theta vanishes")
@@ -158,6 +210,9 @@ def zw_skew_single(x, lam, mu, params: WParams):
     Pochhammers; the missing part mu_n is padded with 0 and enters only
     through order-zero factors.  The value is 0 unless
     lam_i >= mu_i >= lam_{i+1} for i = 1..n-1.
+
+    x is a Keyed variable exactly when params carries keys; the ledger is
+    then settled by key (see "Keyed ledgers" in the module docstring).
     """
     q, p, t, a, b = params.q, params.p, params.t, params.a, params.b
     lam, mu = tuple(lam), tuple(mu)
@@ -165,49 +220,92 @@ def zw_skew_single(x, lam, mu, params: WParams):
     for i in range(1, n):
         if not (part(lam, i) >= part(mu, i) >= part(lam, i + 1)):
             return 0.0 + 0j
-    num, den = [], []
+    # The ledger goes to one of two sinks.  Untagged, add_poch and add_arg
+    # append argument values to num and den; keyed, they record runs
+    # (denominator?, base, base key, lo, hi), the arguments base * q**k of
+    # key base key + k for k in range(lo, hi), or (lo None) the single
+    # argument base.
+    keys = params.keys
+    if keys is None:
+        ak = bk = xk = 0  # the keys below are computed and not read
+        num, den = [], []
 
-    def add_poch(numl, denl, base, m):
-        # theta-Pochhammer (base;q,p)_m appended as signed argument lists.
-        if m >= 0:
-            for k in range(m):
-                numl.append(base * q**k)
-        else:
-            for k in range(-m):
-                denl.append(base * q ** (m + k))
+        def add_poch(on_den, base, key, m):
+            # theta-Pochhammer (base;q,p)_m: m numerator arguments, or -m
+            # arguments base * q**k, k = m..-1, on the other side.
+            if m > 0:
+                side = den if on_den else num
+                for k in range(m):
+                    side.append(base * q**k)
+            elif m < 0:
+                side = num if on_den else den
+                for k in range(m, 0):
+                    side.append(base * q**k)
 
-    # H factor.
+        def add_arg(on_den, value, key):
+            (den if on_den else num).append(value)
+    else:
+        (ak, bk), (x, xk) = keys, x
+        runs = []
+
+        def add_poch(on_den, base, key, m):
+            if m > 0:
+                runs.append((on_den, base, key, 0, m))
+            elif m < 0:
+                runs.append((not on_den, base, key, m, 0))
+
+        def add_arg(on_den, value, key):
+            runs.append((on_den, value, key, None, None))
+
+    # H factor; a row of order m = 0 adds no argument.
     for j in range(2, n + 1):
+        m = part(mu, j - 1) - part(lam, j)
+        if m == 0:
+            continue
         for i in range(1, j):
-            m = part(mu, j - 1) - part(lam, j)
             li, lj = part(lam, i), part(lam, j)
             mi, mj1 = part(mu, i), part(mu, j - 1)
-            add_poch(num, den, q ** (mi - mj1) * t ** (j - i), m)
-            add_poch(den, num, q ** (mi - mj1 + 1) * t ** (j - i - 1), m)
-            add_poch(num, den, q ** (li + lj) * t ** (3 - j - i) * b, m)
-            add_poch(den, num, q ** (li + lj + 1) * t ** (2 - j - i) * b, m)
-            add_poch(num, den, q ** (li - mj1 + 1) * t ** (j - i - 1), m)
-            add_poch(den, num, q ** (li - mj1) * t ** (j - i), m)
+            add_poch(False, q ** (mi - mj1) * t ** (j - i), mi - mj1 + j - i, m)
+            add_poch(True, q ** (mi - mj1 + 1) * t ** (j - i - 1),
+                     mi - mj1 + j - i, m)
+            add_poch(False, q ** (li + lj) * t ** (3 - j - i) * b,
+                     li + lj + 3 - j - i + bk, m)
+            add_poch(True, q ** (li + lj + 1) * t ** (2 - j - i) * b,
+                     li + lj + 3 - j - i + bk, m)
+            add_poch(False, q ** (li - mj1 + 1) * t ** (j - i - 1),
+                     li - mj1 + j - i, m)
+            add_poch(True, q ** (li - mj1) * t ** (j - i), li - mj1 + j - i, m)
     for j in range(2, n + 1):
+        m = part(mu, j - 1) - part(lam, j)
+        if m == 0:
+            continue
         for i in range(1, j - 1):
-            m = part(mu, j - 1) - part(lam, j)
             mi, lj = part(mu, i), part(lam, j)
-            add_poch(num, den, q ** (mi + lj + 1) * t ** (1 - j - i) * b, m)
-            add_poch(den, num, q ** (mi + lj) * t ** (2 - j - i) * b, m)
+            add_poch(False, q ** (mi + lj + 1) * t ** (1 - j - i) * b,
+                     mi + lj + 2 - j - i + bk, m)
+            add_poch(True, q ** (mi + lj) * t ** (2 - j - i) * b,
+                     mi + lj + 2 - j - i + bk, m)
     # (x^-1, a x)_lam / (x^-1, a x)_mu as strip-difference products.
     for i in range(1, n + 1):
-        m = part(lam, i) - part(mu, i)
-        add_poch(num, den, t ** (1 - i) / x * q ** part(mu, i), m)
-        add_poch(num, den, a * x * t ** (1 - i) * q ** part(mu, i), m)
+        mi = part(mu, i)
+        m = part(lam, i) - mi
+        if m == 0:
+            continue
+        add_poch(False, t ** (1 - i) / x * q**mi, 1 - i - xk + mi, m)
+        add_poch(False, a * x * t ** (1 - i) * q**mi, ak + xk + 1 - i + mi, m)
     # (q b x / t, q b / (a x t))_mu / (q b x, q b / (a x))_lam.
+    kx, kax = 1 + bk + xk, 1 + bk - ak - xk
     for i in range(1, n + 1):
         mi, li = part(mu, i), part(lam, i)
-        add_poch(num, den, q * b * x * t ** (-i), mi)
-        add_poch(den, num, q * b * x * t ** (1 - i), mi)
-        add_poch(den, num, q * b * x * t ** (1 - i) * q**mi, li - mi)
-        add_poch(num, den, q * b / (a * x) * t ** (-i), mi)
-        add_poch(den, num, q * b / (a * x) * t ** (1 - i), mi)
-        add_poch(den, num, q * b / (a * x) * t ** (1 - i) * q**mi, li - mi)
+        if mi == 0 and li == 0:
+            continue
+        add_poch(False, q * b * x * t ** (-i), kx - i, mi)
+        add_poch(True, q * b * x * t ** (1 - i), kx + 1 - i, mi)
+        add_poch(True, q * b * x * t ** (1 - i) * q**mi, kx + 1 - i + mi, li - mi)
+        add_poch(False, q * b / (a * x) * t ** (-i), kax - i, mi)
+        add_poch(True, q * b / (a * x) * t ** (1 - i), kax + 1 - i, mi)
+        add_poch(True, q * b / (a * x) * t ** (1 - i) * q**mi,
+                 kax + 1 - i + mi, li - mi)
     # Final block.
     tpow = 1.0 + 0j
     for i in range(1, n + 1):
@@ -216,13 +314,62 @@ def zw_skew_single(x, lam, mu, params: WParams):
             continue
         base_n = b * t ** (1 - 2 * i)
         base_d = b * q * t ** (-2 * i)
+        k = bk + 1 - 2 * i  # the key of base_n and of base_d
         if mi != 0:
-            num.append(base_n * q ** (2 * mi))
-            den.append(base_n)
-        add_poch(num, den, base_n, mi + li1)
-        add_poch(den, num, base_d, mi + li1)
+            add_arg(False, base_n * q ** (2 * mi), k + 2 * mi)
+            add_arg(True, base_n, k)
+        add_poch(False, base_n, k, mi + li1)
+        add_poch(True, base_d, k, mi + li1)
         tpow = tpow * t ** (i * (mi - li1))
-    return tpow * theta_quotient(num, den, p)
+    if keys is None:
+        return tpow * theta_quotient(num, den, p)
+    return _keyed_quotient(runs, q, p, tpow)
+
+
+def _keyed_quotient(runs, q, p, tpow):
+    """tpow times the theta quotient of a keyed ledger (p = 0).
+
+    Arguments cancel by key equality, each numerator argument in order taking
+    the lowest-index unused denominator argument of its key: the pairing of
+    theta_quotient's SNAP_TOL rule when equal keys are exactly the coincident
+    values.  Key-0 arguments (value 1, theta 0) cancel only among themselves,
+    so their net count decides the ledger before any pairing: more in the
+    denominator raises PoleCancellationError, more in the numerator gives
+    exact 0.  Otherwise only the surviving arguments get values, from the
+    expressions of the untagged ledger, and theta_product multiplies them:
+    distinct keys are distinct values, so there is nothing left to snap."""
+    order = 0
+    for on_den, _, key, lo, hi in runs:
+        if (key == 0) if lo is None else (lo <= -key < hi):
+            order += -1 if on_den else 1
+    if order < 0:
+        raise PoleCancellationError("uncancelled denominator theta vanishes")
+    if order > 0:
+        return 0.0 + 0j
+    free = {}  # key -> the unused denominator arguments (index, base, k)
+    j = 0
+    for on_den, base, key, lo, hi in runs:
+        if on_den:
+            for k in (None,) if lo is None else range(lo, hi):
+                arg = (j, base, k)
+                j += 1
+                kk = key if k is None else key + k
+                if kk in free:
+                    free[kk].append(arg)
+                else:
+                    free[kk] = [arg]
+    rest = []
+    for on_den, base, key, lo, hi in runs:
+        if not on_den:
+            for k in (None,) if lo is None else range(lo, hi):
+                js = free.get(key if k is None else key + k)
+                if js:
+                    del js[0]  # the lowest-index one of this key
+                else:
+                    rest.append(base if k is None else base * q**k)
+    den_rest = [base if k is None else base * q**k
+                for _, base, k in sorted(arg for args in free.values() for arg in args)]
+    return tpow * theta_product(rest, den_rest, p)
 
 
 def zw_multi(xvars, lam, params: WParams, memo=None):
@@ -259,9 +406,14 @@ def zw_multi(xvars, lam, params: WParams, memo=None):
     else:
         y, zs = xvars[0], xvars[1:]
         l = n - 1
+        keys = params.keys
+        if keys is None:
+            x1 = y * params.t ** (-l)
+        else:  # t = q: a t^{2l}, b t^l and y t^{-l} shift the keys
+            keys = (keys[0] + 2 * l, keys[1] + l)
+            x1 = Keyed(y.value * params.t ** (-l), y.key - l)
         shifted = WParams(params.q, params.p, params.t, params.a * params.t ** (2 * l),
-                          params.b * params.t**l)
-        x1 = y * params.t ** (-l)
+                          params.b * params.t**l, keys)
         total = 0.0 + 0j
         for nu in interlacing_vectors(lam):
             # Tail first: it is memoized, and a zero tail spares the ledger.
@@ -300,11 +452,13 @@ def zw_multi_reg(xvars, lam, params: WParams, memo=None):
     """zw_multi with automatic regularization of cancelling b-poles.
 
     memo is zw_multi's memo for params; the regularized evaluation perturbs b,
-    so it never sees the memo."""
+    so it never sees the memo, and it drops the keys: b(1 +/- h) is no
+    monomial, so its ledgers are untagged."""
     try:
         return zw_multi(xvars, lam, params, memo)
     except (PoleCancellationError, ZeroDivisionError):
-        return _richardson_in_b(lambda pp: zw_multi(xvars, lam, pp), params)
+        plain = xvars if params.keys is None else tuple(v.value for v in xvars)
+        return _richardson_in_b(lambda pp: zw_multi(plain, lam, pp), params)
 
 
 # ---------------------------------------------------------------------------

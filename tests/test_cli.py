@@ -10,7 +10,6 @@ from pathlib import Path
 
 import pytest
 
-from qident import cli
 from qident.cli import (
     CaseConfig,
     _parse_param_option,
@@ -21,10 +20,9 @@ from qident.cli import (
     main,
     report_json,
     run,
-    write_csv,
 )
 from qident.errors import ConfigError
-from qident.identities import CASES, run_case, sample_params
+from qident.identities import run_case, sample_params
 from qident.policy import QPower
 
 
@@ -136,6 +134,22 @@ def test_main_bad_partition_exits_2(tmp_path, capsys):
         path = tmp_path / "partition.json"
         path.write_text(json.dumps([{"case_id": "weyldegree", "params": {"mu": raw}}]))
         assert main(["run", "--config", str(path)]) == 2
+        assert "config error:" in capsys.readouterr().err
+
+
+def test_main_rejects_nonfinite_tol_in_both_paths(tmp_path, capsys):
+    assert main(["run", "--case", "c1macdonald", "--tol", "inf"]) == 2
+    assert "config error:" in capsys.readouterr().err
+    path = tmp_path / "inf.json"
+    path.write_text('[{"case_id": "c1macdonald", "tol": Infinity}]')
+    assert main(["run", "--config", str(path)]) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
+def test_main_case_path_checks_samples_tol_and_seed(capsys):
+    # run --case goes through the checks of a config entry.
+    for flags in (["--samples", "0"], ["--tol", "-1"], ["--seed", "-3"]):
+        assert main(["run", "--case", "c1macdonald", *flags]) == 2, flags
         assert "config error:" in capsys.readouterr().err
 
 

@@ -9,14 +9,13 @@ import time
 import pytest
 
 import qident.identities as identities
-from qident.errors import DomainError, PoleCancellationError, QidentError
+from qident.errors import ConfigError, DomainError, PoleCancellationError, QidentError
 from qident.identities import (
     CASES,
     _f_bilateral,
     _mlat_3psi3_sum,
     bilateral_finite_spec,
     flipped_summand_structured,
-    jackson_delta_product,
     mlat_3psi3_summand,
     mlat_finite_summand,
     mlat_norm,
@@ -388,6 +387,32 @@ def test_weyl_degree_examples():
     assert r.status == "pass" and abs(r.lhs - 1) < 1e-12
     r = verify_weyl_degree((1,), 2, 2, 0.3, 0, 0.4)
     assert r.status == "pass" and r.rel_residual <= 1e-9
+
+
+def test_run_case_missing_parameters_is_a_config_error():
+    with pytest.raises(ConfigError, match=r"missing parameters \['N', 'n', 's', 'delta', 'q'\]"):
+        run_case("weyldegree", {"mu": (1,)})
+
+
+@pytest.mark.parametrize("case_id, change, message", [
+    ("jackson8phi7", dict(n=-3), "requires n >= 0"),
+    ("bailey10phi9", dict(n=-3), "requires n >= 0"),
+    ("multijackson", dict(n=2, z=(0.5, 0.6, 0.7)), "requires n = 2 variables z, got 3"),
+    ("weyldegree", dict(n=1, mu=(1, 1)), "requires at most n = 1 parts"),
+    ("multilateralfinite", dict(n=1, lam=(2, 1)), "requires at most n = 1 parts"),
+    ("simplifiedjackson", dict(n=0), "requires n >= 1"),
+    ("multijackson", dict(n=1, z=(0.5,), lam=(2, 1)), "requires at most n = 1 parts"),
+    ("simplifiedjackson", dict(n=1, lam=(2, 1)), "requires at most n = 1 parts"),
+    ("duality", dict(n=1, lam=(2, 1)), "requires at most n = 1 parts"),
+    ("duality", dict(n=2, nu=(1, 1, 1)), "requires at most n = 2 parts"),
+    ("multilateral3psi3", dict(n=0), "requires n >= 1"),
+])
+def test_out_of_domain_parameters_are_error_reports(case_id, change, message):
+    # Each of these used to be a fail with an empty message, a pass on a
+    # truncated partition, or an uncaught IndexError/ValueError.
+    r = run_case(case_id, {**sample_params(case_id, 0), **change})
+    assert r.status == "error"
+    assert r.message.startswith("DomainError: ") and message in r.message
 
 
 def test_weyl_degree_pole_draw_takes_the_richardson_fallback():

@@ -1,7 +1,5 @@
 """Scalar q-Pochhammer / theta kernel tests."""
 
-import cmath
-import math
 import random
 
 import pytest
@@ -9,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qident.errors import DivisionByVanishingFactor, DomainError
-from qident.policy import DEFAULT_POLICY, TruncationPolicy
+from qident.policy import TruncationPolicy
 from qident.qcore import (
     epoch,
     pair_poch_ratio,

@@ -7,7 +7,7 @@ import pytest
 from qident.errors import DomainError
 from qident.policy import DEFAULT_POLICY, QPower, TruncationPolicy
 from qident.qcore import csqrt, poch_inf, poch_int, poch_multi_inf
-from qident.series import SeriesSpec, SeriesValue, eval_phi, eval_psi
+from qident.series import SeriesSpec, eval_phi, eval_psi
 
 from conftest import rel
 

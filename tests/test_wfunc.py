@@ -11,20 +11,27 @@ from hypothesis import strategies as st
 
 import qident.wfunc as wfunc
 from qident.errors import PoleCancellationError, QidentError
-from qident.identities import mlat_finite_window, verify_multilateral_finite
+from qident.identities import (
+    _principal_w,
+    mlat_finite_window,
+    run_case,
+    sample_params,
+    verify_multilateral_finite,
+)
 from qident.partitions import (
     interlacing_vectors,
     is_horizontal_strip,
     lattice_window,
     normalize,
     part,
-    weight,
 )
 from qident.qcore import poch_int, theta
 from qident.wfunc import (
     POLE_TOL,
     SNAP_TOL,
+    Keyed,
     WParams,
+    _keyed_quotient,
     poch_partition,
     poch_partition_multi,
     theta_quotient,
@@ -528,6 +535,115 @@ def test_theta_quotient_cancellation_and_pole():
         theta_quotient([0.5, 1.0 + 2 * SNAP_TOL], [1.0], 0.0)
     with pytest.raises(PoleCancellationError):
         theta_quotient([], [1.0], 0.0)
+
+
+# ---------------------------------------------------------------------------
+# keyed ledgers: cancellation by monomial key, exact zeros and poles
+# ---------------------------------------------------------------------------
+
+def test_keyed_quotient_zero_pole_and_survivors():
+    q = 0.3
+    # Numerator run q^-2, q^-1, q^0: its key-0 argument is an exact zero ...
+    assert _keyed_quotient([(False, q**-2, -2, 0, 3)], q, 0.0, 2.0) == 0
+    # ... and a pole in the denominator, also under a numerator zero.
+    for runs in ([(True, q**-2, -2, 0, 3)],
+                 [(False, q**-1, -1, 0, 2), (True, q**-1, -1, 0, 2),
+                  (True, q, 1, -1, 0)]):
+        with pytest.raises(PoleCancellationError):
+            _keyed_quotient(runs, q, 0.0, 1.0)
+    # Equal keys cancel, whatever the float values: the survivors are the
+    # numerator's q^-2, q^-1 (key-0 q^0 against the bare denominator 1.0) and
+    # the denominator's q^2.
+    runs = [(False, q**-2, -2, 0, 3), (True, 1.0, 0, None, None), (True, q, 1, 1, 2)]
+    assert _keyed_quotient(runs, q, 0.0, 2.0) == \
+        2.0 * theta_quotient([q**-2, q**-2 * q], [q * q], 0.0)
+
+
+def test_keyed_skew_factors_match_untagged_ledgers(monkeypatch):
+    # Every skew factor of the multilateralfinite windows of seeds 0-63 and
+    # of the rank-2 window lam = (2, 1), delta = 0 is keyed; evaluated
+    # untagged, it has the same repr or raises the same error, or else its
+    # keyed value is exact 0 and its float value round-off below 1e-11.
+    original = wfunc.zw_skew_single
+    calls = []
+
+    def recorded(x, lam, mu, params):
+        calls.append((x, lam, mu, params))
+        return original(x, lam, mu, params)
+
+    monkeypatch.setattr(wfunc, "zw_skew_single", recorded)
+    for seed in range(64):
+        run_case("multilateralfinite", sample_params("multilateralfinite", seed))
+    verify_multilateral_finite((2, 1), 2, 1.37 + 0.2j, 0.45 + 0.1j, 0.7 - 0.2j, 0.3, 0)
+    monkeypatch.undo()
+    same = zeros = 0
+    for x, lam, mu, wp in calls:
+        assert isinstance(x, Keyed) and wp.keys is not None
+        keyed = _w_outcome(original, x, lam, mu, wp)
+        plain = WParams(wp.q, wp.p, wp.t, wp.a, wp.b)
+        untagged = _w_outcome(original, x.value, lam, mu, plain)
+        if keyed == untagged:
+            same += 1
+        else:
+            assert keyed == repr(0j), (x, lam, mu, wp)
+            assert abs(original(x.value, lam, mu, plain)) < 1e-11
+            zeros += 1
+    assert (same, zeros) == (1704, 2112)
+
+
+def test_rank2_window_evaluates_fewer_numeric_ledgers(monkeypatch):
+    # Before keys, each of the rank-2 window's 135 skew ledgers was
+    # multiplied out by theta_quotient (8,550 arguments).  Keyed, 97 are
+    # settled by their key-0 count, and theta_product multiplies the 374
+    # surviving arguments of the other 38; theta_quotient is not called.
+    calls = []
+    for name in ("theta_quotient", "theta_product"):
+        def counted(num, den, p, original=getattr(wfunc, name), name=name):
+            calls.append((name, len(num) + len(den)))
+            return original(num, den, p)
+
+        monkeypatch.setattr(wfunc, name, counted)
+    r = verify_multilateral_finite((2, 1), 2, 1.37 + 0.2j, 0.45 + 0.1j,
+                                   0.7 - 0.2j, 0.3, 0)
+    assert r.status == "pass" and r.terms_used == 121
+    assert {name for name, _ in calls} == {"theta_product"}
+    assert (len(calls), sum(k for _, k in calls)) == (38, 374)
+
+
+def test_richardson_fallback_drops_the_keys(monkeypatch):
+    q = 0.3
+    wp, xv = _principal_w(2, 0, q, 0.4 + 0.3j, [2, 1])
+    assert wp.keys is not None and all(isinstance(v, Keyed) for v in xv)
+    original = wfunc.zw_multi
+    calls = []
+
+    def spy(xvars, lam, params, memo=None):
+        calls.append((xvars, params))
+        if params.b == wp.b:
+            raise PoleCancellationError("forced")
+        return original(xvars, lam, params, memo)
+
+    monkeypatch.setattr(wfunc, "zw_multi", spy)
+    value = zw_multi_reg(xv, (1, 0), wp)
+    monkeypatch.undo()
+    assert len(calls) > 1 and calls[0][1].keys is not None
+    for xvars, params in calls[1:]:
+        assert params.keys is None
+        assert xvars == (q**2, q)[-len(xvars):]  # plain values, tails included
+    assert value == wfunc._richardson_in_b(lambda pp: zw_multi((q**2, q), (1, 0), pp), wp)
+
+
+def test_principal_w_keys_only_generic_s():
+    q = 0.3
+    for s in (1.0, q**3, q**-2, q**0.5, -(q**1.5), q * (1 + 1e-9)):
+        wp, xv = _principal_w(2, 1, q, s, [3, 1])
+        assert wp.keys is None and xv == [q**3, q]
+    wp, xv = _principal_w(2, 1, q, 0.4 + 0.2j, [3, 1])
+    assert wp.keys == (wfunc.S_KEY + 1, 2)
+    assert xv == [Keyed(q**3, 3), Keyed(q, 1)]
+    for p, t in ((0.1, q), (0.0, 0.4)):
+        with pytest.raises(ValueError):
+            WParams(q, p, t, 0.4, 0.5, (0, 0))
 
 
 # ---------------------------------------------------------------------------
