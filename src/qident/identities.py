@@ -13,7 +13,6 @@ regularized W evaluation stay well-conditioned.
 from __future__ import annotations
 
 import cmath
-import functools
 import itertools
 import math
 import random
@@ -398,18 +397,17 @@ def _mlat_pair_factors(mu, n, delta, q, s, a, x):
     return r
 
 
-@functools.lru_cache(maxsize=64)
-def _keyable(s, q, tol=POLE_REJECT):
+def _keyable(s, q):
     """Whether W parameters in s and q may carry monomial keys: s and s^2 lie
-    farther than tol (relative) from every integer power of q.  Within tol of
-    q^e, log|z| / log|q| is within tol / |log|q|| of e, so e is its rounding
-    unless |q| lies within 2 tol of 1 (refused).  Cached, since every summand
-    of a window asks."""
+    farther than POLE_REJECT (relative) from every integer power of q.  Within
+    that distance of q^e, log|z| / log|q| is within POLE_REJECT / |log|q|| of
+    e, so e is its rounding unless |q| lies within 2 POLE_REJECT of 1
+    (refused)."""
     try:
         lq = math.log(abs(q))
-        if s == 0 or abs(lq) <= 2 * tol:
+        if s == 0 or abs(lq) <= 2 * POLE_REJECT:
             return False
-        return all(abs(z / q ** round(math.log(abs(z)) / lq) - 1) > tol
+        return all(abs(z / q ** round(math.log(abs(z)) / lq) - 1) > POLE_REJECT
                    for z in (s, s * s))
     except (ArithmeticError, ValueError):
         return False
