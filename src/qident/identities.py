@@ -38,6 +38,7 @@ from .policy import DEFAULT_POLICY, QPower, TruncationPolicy, scalar_value
 from .qcore import (
     PAIR_DENOMINATOR_VANISHES,
     PAIR_RECIPROCAL_VANISHES,
+    THETA_MEMO,
     VANISH_TOL,
     csqrt,
     epoch,
@@ -702,18 +703,17 @@ def _mlat_3psi3_sum(n, delta, q, s, a, x, policy):
 # Verifiers.
 # ---------------------------------------------------------------------------
 
-def _require_rank(case_id, n, vec=()):
-    """DomainError unless the rank n is at least 1 and the partition vec has
-    at most n parts."""
-    if n < 1:
-        raise DomainError(f"{case_id} requires n >= 1, got n = {n}")
+def _require_rank(case_id, n, vec=(), least=1):
+    """DomainError unless n >= least (n a rank, or with least = 0 the order
+    of a terminating sum) and the partition vec has at most n parts."""
+    if n < least:
+        raise DomainError(f"{case_id} requires n >= {least}, got n = {n}")
     if len(vec) > n:
         raise DomainError(f"{case_id} requires at most n = {n} parts, got {vec}")
 
 
 def verify_jackson_8phi7(a, b, c, d, n, q, tol=1e-9, policy=DEFAULT_POLICY):
-    if n < 0:
-        raise DomainError("terminating 8phi7 requires n >= 0")
+    _require_rank("jackson8phi7", n, least=0)
     e = q ** (1 + n) * a * a / (b * c * d)
     params = dict(a=a, b=b, c=c, d=d, e=e, n=n, q=q)
     sa = csqrt(a)
@@ -731,10 +731,9 @@ def verify_jackson_8phi7(a, b, c, d, n, q, tol=1e-9, policy=DEFAULT_POLICY):
 def verify_bailey_10phi9(a, b, c, d, e, f, n, q, tol=1e-9, policy=DEFAULT_POLICY):
     import mpmath
 
-    if n < 0:
-        raise DomainError("terminating 10phi9 requires n >= 0")
+    _require_rank("bailey10phi9", n, least=0)
     params = dict(a=a, b=b, c=c, d=d, e=e, f=f, n=n, q=q)
-    with mpmath.workdps(40):
+    with mpmath.workdps(max(40, mpmath.mp.dps)):
         a, b, c, d, e, f = (mpmath.mpmathify(complex(v)) for v in (a, b, c, d, e, f))
         q = mpmath.mpmathify(complex(q))
         lam = q * a * a / (b * c * d)
@@ -896,6 +895,7 @@ def verify_duality(lam, nu, n, a, aprime, b, q, t, tol=1e-9,
 
 def verify_flip(lam, xs, q, p, t, a, b, tol=1e-9, policy=DEFAULT_POLICY):
     lam = normalize(lam)
+    _require_rank("flip", len(xs), lam)
     params = dict(lam=lam, xs=tuple(xs), q=q, p=p, t=t, a=a, b=b)
     lhs, rhs = flip_sides(tuple(xs), lam, q, p, t, a, b)
     return _make_report("flip", params, lhs, rhs, tol)
@@ -966,6 +966,7 @@ def verify_summand_invariance(sigma, rho, gamma, q, n, delta, k, sign, tol=1e-9,
                               policy=DEFAULT_POLICY):
     params = dict(sigma=sigma, rho=rho, gamma=gamma, q=q, n=n, delta=delta,
                   k=k, sign=sign)
+    _require_rank("summandinvariance", n, least=0)
     if sign not in (1, -1):
         raise DomainError("sign must be +1 or -1")
     z = delta / 2.0
@@ -1457,7 +1458,10 @@ def run_case(case_id: str, params: dict, tol: Optional[float] = None,
              policy: TruncationPolicy = DEFAULT_POLICY) -> IdentityReport:
     """Run one registry case on explicit parameters, capturing library errors
     and arithmetic errors (overflow, division by zero) into an error-status
-    report.  Parameters missing from the case's schema are a ConfigError."""
+    report.  Parameters missing from the case's schema are a ConfigError.
+
+    The evaluation gets its own theta memo (qcore.THETA_MEMO), dropped on
+    return: a second call recomputes every theta."""
     if case_id not in CASES:
         raise ConfigError(f"unknown case id: {case_id}")
     case = CASES[case_id]
@@ -1465,8 +1469,11 @@ def run_case(case_id: str, params: dict, tol: Optional[float] = None,
     if missing:
         raise ConfigError(f"{case_id}: missing parameters {missing}")
     use_tol = case.default_tol if tol is None else tol
+    token = THETA_MEMO.set({})
     try:
         kwargs = {k: params[k] for k in case.schema}
         return case.verifier(**kwargs, tol=use_tol, policy=policy)
     except (QidentError, ArithmeticError) as exc:
         return error_report(case_id, params, use_tol, exc)
+    finally:
+        THETA_MEMO.reset(token)

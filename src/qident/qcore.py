@@ -1,10 +1,18 @@
 """Scalar q-arithmetic: integer-order and infinite Pochhammer symbols, theta
 functions, elliptic Pochhammer symbols, and paired Pochhammer quotients.
 
-All functions are pure and duck-typed over the scalar backend: they accept
-either Python complex numbers or mpmath complex values (for high-precision
-runs) and return results in the same arithmetic.  Complex powers use the
-principal branch throughout.
+All functions are deterministic functions of their arguments and policy, and
+duck-typed over the scalar backend: they accept either Python complex numbers
+or mpmath complex values (for high-precision runs) and return results in the
+same arithmetic.  Complex powers use the principal branch throughout.
+
+The one state is THETA_MEMO: while ``identities.run_case`` evaluates,
+theta(x;p) at p != 0 is computed once per argument and policy and then read
+back.  A memo value is the kernel's value bit for bit, so the memo changes no
+result, and both sides of an identity may share it: they call the same theta
+kernel either way.  It is a context variable, so threads do not share it, and
+run_case drops it on return, so no value outlives one evaluation.  Outside
+run_case theta computes afresh.
 
 Conventions:
   (a;q)_k        finite product prod_{i=1..k} (1 - a q^{i-1}); for k < 0 it is
@@ -17,6 +25,7 @@ Conventions:
 from __future__ import annotations
 
 import cmath
+from contextvars import ContextVar
 
 from .errors import DivisionByVanishingFactor, DomainError, NoConvergence
 from .policy import DEFAULT_POLICY, TruncationPolicy
@@ -27,6 +36,10 @@ VANISH_TOL = 1e-14
 #: Messages of pair_poch_ratio's vanishing-factor errors.
 PAIR_DENOMINATOR_VANISHES = "pair_poch_ratio: denominator vanishes"
 PAIR_RECIPROCAL_VANISHES = "pair_poch_ratio: reciprocal vanishes"
+
+#: The theta memo of the current evaluation, or None outside any: a dict that
+#: identities.run_case sets on entry and resets on exit.
+THETA_MEMO: ContextVar = ContextVar("theta_memo", default=None)
 
 
 def csqrt(x):
@@ -93,14 +106,25 @@ def poch_multi_inf(avals, q, policy: TruncationPolicy = DEFAULT_POLICY):
 
 
 def theta(x, p, policy: TruncationPolicy = DEFAULT_POLICY):
-    """Normalized theta function theta(x;p) = (x;p)_inf (p/x;p)_inf."""
+    """Normalized theta function theta(x;p) = (x;p)_inf (p/x;p)_inf.
+
+    At p != 0 under a THETA_MEMO dict the value is memoized, keyed by x and p
+    with their types (a double and an mpmath argument of equal value compute
+    differently) and by the policy's product_tol and max_factors."""
     if x == 0:
         raise DomainError("theta requires x != 0")
     if p == 0:
         return 1 - x
     if abs(p) >= 1:
         raise DomainError("theta requires |p| < 1")
-    return poch_inf(x, p, policy) * poch_inf(p / x, p, policy)
+    memo = THETA_MEMO.get()
+    if memo is None:
+        return poch_inf(x, p, policy) * poch_inf(p / x, p, policy)
+    key = (x, p, type(x), type(p), policy.product_tol, policy.max_factors)
+    v = memo.get(key)
+    if v is None:
+        v = memo[key] = poch_inf(x, p, policy) * poch_inf(p / x, p, policy)
+    return v
 
 
 def epoch(a, q, p, n: int, policy: TruncationPolicy = DEFAULT_POLICY):

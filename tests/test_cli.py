@@ -78,6 +78,15 @@ def test_run_parallelism_invariance():
     configs = [CaseConfig(case_id=cid, seed=3, samples=2)
                for cid in ("jackson8phi7", "c1macdonald", "ramanujan1psi1",
                            "bilateralfinite", "flippedsummand")]
+    # Elliptic W draws (p = 0.1, nonempty partition at these seeds): each
+    # worker thread's run_case has its own theta memo.
+    configs += [CaseConfig(case_id=cid, seed=seed, samples=2)
+                for cid, seed in (("multijackson", 56), ("simplifiedjackson", 56),
+                                  ("flip", 52))]
+    for c in configs[5:]:
+        for seed in (c.seed, c.seed + 1):
+            assert sample_params(c.case_id, seed)["p"] != 0
+            assert sample_params(c.case_id, seed)["lam"]
     r1 = run(configs, parallelism=1)
     r8 = run(configs, parallelism=8)
     assert _strip_timing(report_json(r1)) == _strip_timing(report_json(r8))
@@ -288,6 +297,28 @@ def test_precision_high_bilateral_finite_reports():
     double = run([CaseConfig(case_id="bilateralfinite", seed=0, samples=2)],
                  precision="double")
     assert [r.message for r in rset.runs] == [r.message for r in double.runs]
+
+
+def test_precision_high_reaches_bailey_10phi9_series(monkeypatch):
+    # verify_bailey_10phi9 works at no fewer than 40 digits, and at the 50 of
+    # high mode when it runs under them.
+    import mpmath
+
+    from qident import identities
+
+    seen = []
+    original = identities.eval_phi
+
+    def spy(spec, policy):
+        seen.append(mpmath.mp.dps)
+        return original(spec, policy)
+
+    monkeypatch.setattr(identities, "eval_phi", spy)
+    run([CaseConfig(case_id="bailey10phi9", seed=0, samples=1)], precision="high")
+    assert seen == [50, 50]
+    seen.clear()
+    run([CaseConfig(case_id="bailey10phi9", seed=0, samples=1)], precision="double")
+    assert seen == [40, 40]
 
 
 def test_precision_invalid_value(monkeypatch, capsys):

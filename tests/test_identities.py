@@ -9,6 +9,7 @@ import time
 import pytest
 
 import qident.identities as identities
+import qident.qcore as qcore
 from qident.errors import ConfigError, DomainError, PoleCancellationError, QidentError
 from qident.identities import (
     CASES,
@@ -389,6 +390,52 @@ def test_weyl_degree_examples():
     assert r.status == "pass" and r.rel_residual <= 1e-9
 
 
+class _NoThetaMemo:
+    """Stands in for qcore.THETA_MEMO in identities: run_case sets no memo."""
+
+    def set(self, value):
+        return None
+
+    def reset(self, token):
+        pass
+
+
+def test_run_case_theta_memo_is_per_call_and_changes_no_value(monkeypatch):
+    calls = []
+    original = qcore.poch_inf
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(qcore, "poch_inf", counting)
+    params = sample_params("multijackson", 5)
+    assert params["p"] != 0 and params["lam"] == (3, 3)
+    counts = []
+    for _ in range(2):
+        del calls[:]
+        run_case("multijackson", params)
+        counts.append(len(calls))
+    # The second call recomputes every theta: no memo outlives a run_case.
+    assert counts[0] == counts[1] > 0
+    assert qcore.THETA_MEMO.get() is None
+    with monkeypatch.context() as m:
+        m.setattr(identities, "THETA_MEMO", _NoThetaMemo())
+        del calls[:]
+        run_case("multijackson", params)
+        assert len(calls) > counts[0]
+    monkeypatch.undo()
+    for case_id in ("multijackson", "simplifiedjackson", "duality", "flip",
+                    "weyldegree"):
+        for seed in range(100):
+            params = sample_params(case_id, seed)
+            scoped = run_case(case_id, params)
+            with monkeypatch.context() as m:
+                m.setattr(identities, "THETA_MEMO", _NoThetaMemo())
+                unscoped = run_case(case_id, params)
+            assert repr(scoped) == repr(unscoped)
+
+
 def test_run_case_missing_parameters_is_a_config_error():
     with pytest.raises(ConfigError, match=r"missing parameters \['N', 'n', 's', 'delta', 'q'\]"):
         run_case("weyldegree", {"mu": (1,)})
@@ -406,10 +453,14 @@ def test_run_case_missing_parameters_is_a_config_error():
     ("duality", dict(n=1, lam=(2, 1)), "requires at most n = 1 parts"),
     ("duality", dict(n=2, nu=(1, 1, 1)), "requires at most n = 2 parts"),
     ("multilateral3psi3", dict(n=0), "requires n >= 1"),
+    ("summandinvariance", dict(n=-1), "requires n >= 0"),
+    ("flip", dict(xs=()), "requires n >= 1"),
+    ("flip", dict(xs=(0.5, 0.6), lam=(2, 1, 1)), "requires at most n = 2 parts"),
 ])
 def test_out_of_domain_parameters_are_error_reports(case_id, change, message):
     # Each of these used to be a fail with an empty message, a pass on a
-    # truncated partition, or an uncaught IndexError/ValueError.
+    # truncated partition or with 0 = 0 on both sides, or an uncaught
+    # IndexError/ValueError.
     r = run_case(case_id, {**sample_params(case_id, 0), **change})
     assert r.status == "error"
     assert r.message.startswith("DomainError: ") and message in r.message

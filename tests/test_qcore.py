@@ -2,13 +2,16 @@
 
 import random
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qident.qcore as qcore
 from qident.errors import DivisionByVanishingFactor, DomainError
 from qident.policy import TruncationPolicy
 from qident.qcore import (
+    THETA_MEMO,
     epoch,
     pair_poch_ratio,
     poch_inf,
@@ -166,6 +169,35 @@ def test_theta_inversion_property(re, im, p):
     if abs(x) < 1e-3:
         return
     assert rel(theta(x, p), theta(p / x, p)) < 1e-12
+
+
+def test_theta_memo_returns_the_kernel_value_once_per_key(monkeypatch):
+    calls = []
+
+    def counting(a, q, policy):
+        calls.append(a)
+        return poch_inf(a, q, policy)
+
+    monkeypatch.setattr(qcore, "poch_inf", counting)
+    x, p = 0.4 + 0.3j, 0.1
+    fresh = theta(x, p)
+    assert len(calls) == 2 and THETA_MEMO.get() is None
+    token = THETA_MEMO.set({})
+    try:
+        assert repr(theta(x, p)) == repr(fresh) and len(calls) == 4
+        assert repr(theta(x, p)) == repr(fresh) and len(calls) == 4
+        # Another policy, or an mpmath argument of equal value, is another key.
+        theta(x, p, TruncationPolicy(product_tol=1e-12))
+        theta(mpmath.mpc(x), p)
+        assert len(calls) == 8
+        # p = 0 never reaches the memo.
+        assert theta(x, 0.0) == 1 - x
+        assert len(THETA_MEMO.get()) == 3
+    finally:
+        THETA_MEMO.reset(token)
+    assert THETA_MEMO.get() is None
+    theta(x, p)
+    assert len(calls) == 10
 
 
 # ---------------------------------------------------------------------------
