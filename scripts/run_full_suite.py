@@ -7,9 +7,11 @@ Usage:
 
 With --compare, the new JSON report is compared with BASE.json (an earlier
 report of this script), meta.timestamp aside: every run entry
-(case_id, sample_index) that differs, or is on one side only, is printed, and
-the exit code is 1 if anything differs and 0 if nothing does.  Without it the
-exit code is that of `qident run` (1 if any run fails or errors).
+(case_id, sample_index) that differs, or is on one side only, is printed with
+its status in BASE.json and now and the relative change of its lhs and of its
+rhs, and the exit code is 1 if anything differs and 0 if nothing does.
+Without it the exit code is that of `qident run` (1 if any run fails or
+errors).
 """
 
 import argparse
@@ -20,10 +22,32 @@ from qident import cli
 from qident.identities import CASES
 
 
+def relative_change(new, old):
+    """|new - old| / max(|new|, |old|) of two encoded report values
+    ([re, im], or None for NaN), formatted; "n/a" when only one is None."""
+    if new is None or old is None:
+        return "0" if new is old else "n/a"
+    a, b = complex(*new), complex(*old)
+    return f"{abs(a - b) / max(abs(a), abs(b), 1e-300):.3g}"
+
+
+def run_difference(run, base_run):
+    """Status pair and lhs/rhs relative changes of a differing run entry;
+    a side without the entry shows status "absent"."""
+    status = f"{(base_run or {}).get('status', 'absent')} -> " \
+             f"{(run or {}).get('status', 'absent')}"
+    if run is None or base_run is None:
+        return f"status {status}"
+    return (f"status {status}, relative change"
+            f" lhs {relative_change(run['lhs'], base_run['lhs'])}"
+            f" rhs {relative_change(run['rhs'], base_run['rhs'])}")
+
+
 def report_differences(doc, base):
     """Labels of what differs between two report documents, ignoring
-    meta.timestamp: "meta.<key>", "summary", and "<case_id> <sample_index>"
-    for each run entry, in the base report's order."""
+    meta.timestamp: "meta.<key>", "summary", and
+    "<case_id> <sample_index>: <run_difference>" for each run entry, in the
+    base report's order."""
     out = []
     meta, base_meta = dict(doc["meta"]), dict(base["meta"])
     for m in (meta, base_meta):
@@ -36,8 +60,9 @@ def report_differences(doc, base):
     runs = {(r["case_id"], r["sample_index"]): r for r in doc["runs"]}
     base_runs = {(r["case_id"], r["sample_index"]): r for r in base["runs"]}
     for key in list(base_runs) + [k for k in runs if k not in base_runs]:
-        if runs.get(key) != base_runs.get(key):
-            out.append(f"{key[0]} {key[1]}")
+        run, base_run = runs.get(key), base_runs.get(key)
+        if run != base_run:
+            out.append(f"{key[0]} {key[1]}: {run_difference(run, base_run)}")
     return out
 
 

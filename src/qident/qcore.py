@@ -168,14 +168,16 @@ def pair_poch_ratio(anum, aden, q, m: int):
     r = 1.0 + 0j
     if m > 0:
         for k in range(m):
-            fd = 1 - aden * q**k
+            qk = q**k
+            fd = 1 - aden * qk
             if abs(fd) < VANISH_TOL:
                 raise DivisionByVanishingFactor(PAIR_DENOMINATOR_VANISHES)
-            r = r * (1 - anum * q**k) / fd
+            r = r * (1 - anum * qk) / fd
         return r
     for k in range(m, 0):
-        fn = 1 - anum * q**k
+        qk = q**k
+        fn = 1 - anum * qk
         if abs(fn) < VANISH_TOL:
             raise DivisionByVanishingFactor(PAIR_RECIPROCAL_VANISHES)
-        r = r * (1 - aden * q**k) / fn
+        r = r * (1 - aden * qk) / fn
     return r

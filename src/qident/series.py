@@ -15,6 +15,10 @@ Conventions:
     ((-1)^k q^{k(k-1)/2})^{1 + s - r} with s = len(denominator).
   * eval_psi has no implicit (q;q)_k; the sign factor exponent is s - r.
 
+eval_phi also reports the condition number of the sum it returns
+(SeriesValue.condition), so a caller can bound the effect of rounding on the
+value and choose its working precision from that measurement.
+
 Bilateral sums run over symmetric windows [-M, M] grown by
 policy.window_step until two consecutive expansions contribute relative mass
 below policy.series_tol; both term sequences are produced by consecutive-term
@@ -52,12 +56,24 @@ class SeriesSpec:
 
 @dataclass(frozen=True)
 class SeriesValue:
-    """Result of a series evaluation."""
+    """Result of a series evaluation.
+
+    condition is the sum's condition number sum_k |t_k| / |sum_k t_k| over
+    the terms summed (inf for an exactly zero sum), as a float in either
+    arithmetic: a rounding error of relative size u in each term moves the
+    value by at most u * condition relative.  eval_phi measures it; eval_psi
+    leaves it None.
+    """
 
     value: complex
     terms_used: int
     terminated: bool
     window: Optional[Tuple[int, int]] = None
+    condition: Optional[float] = None
+
+
+def _condition(mass, total):
+    return float(mass / abs(total)) if total else math.inf
 
 
 def _resolved(entries, q):
@@ -88,32 +104,38 @@ def eval_phi(spec: SeriesSpec, policy: TruncationPolicy = DEFAULT_POLICY) -> Ser
         raise DomainError("non-terminating series requires |argument| < 1")
 
     total = 0.0 + 0j
+    mass = 0.0  # sum of |t_k|
     term = 1.0 + 0j
     below = 0
     k = 0
+    qk = q**0
     while True:
         total = total + term
+        mass = mass + abs(term)
         if cut is not None and k >= cut:
-            return SeriesValue(total, k + 1, True)
+            return SeriesValue(total, k + 1, True, condition=_condition(mass, total))
         if k + 1 > policy.max_terms:
             raise NoConvergence("eval_phi: max_terms reached")
         num_f = 1.0 + 0j
         for v, _ in nums:
-            num_f = num_f * (1 - v * q**k)
-        den_f = 1 - q ** (k + 1)  # implicit (q;q)_k ratio factor
+            num_f = num_f * (1 - v * qk)
+        qk_next = q ** (k + 1)
+        den_f = 1 - qk_next  # implicit (q;q)_k ratio factor
         for v, _ in dens:
-            den_f = den_f * (1 - v * q**k)
+            den_f = den_f * (1 - v * qk)
         if abs(den_f) < VANISH_TOL:
             raise DivisionByVanishingFactor("eval_phi: denominator factor vanishes")
         term = term * x * num_f / den_f
         if sign_exp:
-            term = term * ((-1) * q**k) ** sign_exp
+            term = term * ((-1) * qk) ** sign_exp
         k += 1
+        qk = qk_next
         if cut is None:
             if abs(term) < policy.series_tol * max(abs(total), 1e-300):
                 below += 1
                 if below >= 3:
-                    return SeriesValue(total, k, False)
+                    return SeriesValue(total, k, False,
+                                       condition=_condition(mass, total))
             else:
                 below = 0
 
@@ -134,13 +156,13 @@ class _BilateralTerms:
         self.dn_struct = False  # exhausted by a vanishing denominator factor
 
     def _factors(self, k):
-        q = self.q
+        qk = self.q**k
         fn = 1.0 + 0j
         for v, _ in self.nums:
-            fn = fn * (1 - v * q**k)
+            fn = fn * (1 - v * qk)
         fd = 1.0 + 0j
         for v, _ in self.dens:
-            fd = fd * (1 - v * q**k)
+            fd = fd * (1 - v * qk)
         return fn, fd
 
     def next_up(self):

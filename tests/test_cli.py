@@ -300,8 +300,10 @@ def test_precision_high_bilateral_finite_reports():
 
 
 def test_precision_high_reaches_bailey_10phi9_series(monkeypatch):
-    # verify_bailey_10phi9 works at no fewer than 40 digits, and at the 50 of
-    # high mode when it runs under them.
+    # verify_bailey_10phi9 works at the 50 digits of high mode when it runs
+    # under them.  In double mode a well-conditioned draw (seed 3) evaluates
+    # in double only, and an ill-conditioned one (seed 12) is evaluated again
+    # at 40 digits.
     import mpmath
 
     from qident import identities
@@ -317,8 +319,11 @@ def test_precision_high_reaches_bailey_10phi9_series(monkeypatch):
     run([CaseConfig(case_id="bailey10phi9", seed=0, samples=1)], precision="high")
     assert seen == [50, 50]
     seen.clear()
-    run([CaseConfig(case_id="bailey10phi9", seed=0, samples=1)], precision="double")
-    assert seen == [40, 40]
+    run([CaseConfig(case_id="bailey10phi9", seed=3, samples=1)], precision="double")
+    assert seen == [15, 15]
+    seen.clear()
+    run([CaseConfig(case_id="bailey10phi9", seed=12, samples=1)], precision="double")
+    assert seen == [15, 15, 40, 40]
 
 
 def test_precision_invalid_value(monkeypatch, capsys):
@@ -347,9 +352,21 @@ def test_full_suite_compare(tmp_path):
     doc["meta"]["timestamp"] = "1970-01-01T00:00:00Z"  # ignored
     entry = doc["runs"][3]
     entry["message"] += " (doctored)"
+    moved = doc["runs"][0]  # lhs moved by 1e-6 relative, status flipped
+    moved_status = moved["status"]
+    moved["status"] = "fail" if moved_status != "fail" else "pass"
+    moved["lhs"] = [v * (1 + 1e-6) for v in moved["lhs"]]
+    dropped = doc["runs"].pop(5)
     doctored = tmp_path / "doctored.json"
     doctored.write_text(json.dumps(doc))
     diff = suite("diff", "--compare", str(doctored))
     assert diff.returncode == 1
-    assert diff.stdout.count("differs:") == 1
-    assert f"differs: {entry['case_id']} {entry['sample_index']}" in diff.stdout
+    assert diff.stdout.count("differs:") == 3
+    assert (f"differs: {entry['case_id']} {entry['sample_index']}: status "
+            f"{entry['status']} -> {entry['status']}, relative change lhs 0 rhs 0"
+            in diff.stdout)
+    assert (f"differs: {moved['case_id']} {moved['sample_index']}: status "
+            f"{moved['status']} -> {moved_status}, relative change lhs 1e-06 rhs 0"
+            in diff.stdout)
+    assert (f"differs: {dropped['case_id']} {dropped['sample_index']}: status "
+            f"absent -> {dropped['status']}\n" in diff.stdout)

@@ -2,10 +2,12 @@
 and seeded examples, cross-case reduction oracles, and term-level pipeline
 consistency."""
 
+import dataclasses
 import itertools
 import random
 import time
 
+import mpmath
 import pytest
 
 import qident.identities as identities
@@ -106,6 +108,41 @@ def test_bailey10_identity_map_when_bcd_equals_qa():
     r = verify_bailey_10phi9(a, b, c, d, 0.61 + 0.1j, 0.43 - 0.2j, n, q)
     assert r.status == "pass"
     assert r.rel_residual < 1e-12
+
+
+def test_bailey10_ill_conditioned_draw_escalates_to_40_digits():
+    # Seed 12 (n = 4) sums with condition ~1e5: a double evaluation is off by
+    # ~3e-11, so the report must be the 40-digit one, bit for bit.  mpmath
+    # arguments always take the 40-digit path.
+    p = sample_params("bailey10phi9", 12)
+    rep = run_case("bailey10phi9", p)
+    direct = run_case("bailey10phi9", {
+        k: mpmath.mpmathify(v) if k in "abcdefq" else v for k, v in p.items()})
+    assert repr(rep) == repr(dataclasses.replace(direct, params=rep.params))
+    assert rep.status == "pass"
+    assert rep.rel_residual <= identities.DOUBLE_GATE * rep.params["tol"]
+
+
+def test_bailey10_draws_pass_a_thousand_times_below_tol(monkeypatch):
+    # The double path is reported only where its rounding bound is at most
+    # DOUBLE_GATE * tol, so no draw may report a larger residual; most draws
+    # must be evaluated in double only (eval_phi never sees an mpmath q).
+    seen = []
+    original = identities.eval_phi
+
+    def spy(spec, policy):
+        seen.append(isinstance(spec.q, float))
+        return original(spec, policy)
+
+    monkeypatch.setattr(identities, "eval_phi", spy)
+    doubles = 0
+    for seed in range(200):
+        seen.clear()
+        rep = run_case("bailey10phi9", sample_params("bailey10phi9", seed))
+        assert rep.status == "pass", seed
+        assert rep.rel_residual <= identities.DOUBLE_GATE * rep.params["tol"], seed
+        doubles += seen == [True, True]
+    assert doubles >= 140
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import random
 
+import mpmath
 import pytest
 
 from qident.errors import DomainError
@@ -70,6 +71,28 @@ def test_phi_balanced_sign_factor_free_brute_force():
                 term /= poch_int(v, q, k)
             brute += term
         assert rel(sv.value, brute) < 1e-12
+
+
+def test_phi_condition_of_terminating_q_vandermonde():
+    # q-Chu-Vandermonde 2phi1(q^-n, b; c; q, q) = (c/b;q)_n b^n / (c;q)_n,
+    # summed by hand term by term for sum |t_k| / |sum t_k|.
+    q, n, b, c = 0.6, 3, 0.5 + 0.3j, 0.2 - 0.6j
+    spec = SeriesSpec(numerator=[QPower(-n), b], denominator=[c], argument=q,
+                      q=q, kind="unilateral")
+    sv = eval_phi(spec)
+    terms = [poch_int(q**-n, q, k) * poch_int(b, q, k) * q**k
+             / (poch_int(q, q, k) * poch_int(c, q, k)) for k in range(n + 1)]
+    assert rel(sv.value, poch_int(c / b, q, n) * b**n / poch_int(c, q, n)) < 1e-12
+    hand = sum(abs(t) for t in terms) / abs(sum(terms))
+    assert hand > 2
+    assert abs(sv.condition - hand) < 1e-12 * hand
+    with mpmath.workdps(30):
+        mq, mb, mc = mpmath.mpf(q), mpmath.mpc(b), mpmath.mpc(c)
+        mspec = SeriesSpec(numerator=[QPower(-n), mb], denominator=[mc],
+                           argument=mq, q=mq, kind="unilateral")
+        msv = eval_phi(mspec)
+    assert type(msv.condition) is float
+    assert abs(msv.condition - hand) < 1e-12 * hand
 
 
 def test_phi_nonterminating_divergent_argument_rejected():
