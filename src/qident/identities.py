@@ -150,34 +150,6 @@ def jackson_delta_product(b, sig, rho, gam, n, q):
     return num / den
 
 
-def flipped_summand_product(u, z, sig, rho, gam, n, q, policy=DEFAULT_POLICY):
-    """Infinite-product form of the b = q^{2z} summand, as a function of the
-    reflected index u (the direct summand corresponds to u = z + k).
-
-    Manifestly invariant under u -> -u up to the displayed grouping; all
-    powers of q use the principal branch."""
-    srg = sig * rho * gam
-
-    def pinf(vals):
-        return poch_multi_inf(vals, q, policy)
-
-    val = q ** (-z * z) / (poch_inf(q ** (-2 * z), q, policy)
-                           * poch_inf(q ** (2 * z), q, policy))
-    val = val * pinf([sig, rho, sig * q ** (-2 * z), rho * q ** (-2 * z)]) \
-        / pinf([q ** (1 - 2 * z), q ** (1 + n), q, q ** (1 + n + 2 * z)])
-    val = val * pinf([gam, q ** (4 * z + 1 + n) / srg, gam * q ** (-2 * z),
-                      q ** (1 + n + 2 * z) / srg])
-    val = val * pinf([q ** (1 - z - u), q ** (1 + n + z - u),
-                      q ** (1 - z + u), q ** (1 + n + z + u)]) \
-        / pinf([sig * q ** (-z + u), rho * q ** (-z + u),
-                sig * q ** (-z - u), rho * q ** (-z - u)])
-    val = val * q ** (u * u) * poch_inf(q ** (-2 * u), q, policy) \
-        * poch_inf(q ** (2 * u), q, policy) \
-        / pinf([gam * q ** (-z + u), q ** (3 * z + 1 + n + u) / srg,
-                gam * q ** (-z - u), q ** (3 * z + 1 + n - u) / srg])
-    return val
-
-
 #: Threshold below which a product factor counts as a structural zero in the
 #: factored evaluation of the flipped summand at the lattice point z = delta/2.
 STRUCT_ZERO_TOL = 1e-10
@@ -202,7 +174,10 @@ def _poch_inf_split(a, q, policy):
 
 
 def flipped_summand_structured(u, z, sig, rho, gam, n, q, policy=DEFAULT_POLICY):
-    """The flipped summand as (net_zero_count, regular_value).
+    """Infinite-product form of the b = q^{2z} summand, as a function of the
+    reflected index u (the direct summand corresponds to u = z + k), returned
+    as (net_zero_count, regular_value); all powers of q use the principal
+    branch.
 
     At the weight-lattice point z = delta/2 individual infinite products in
     the expression vanish or diverge; those exact-zero factors are counted
@@ -246,7 +221,6 @@ def bilateral_finite_spec(sig, rho, gam, n, delta, q):
                      srg * q ** (-delta - n)],
         argument=q,
         q=q,
-        kind="bilateral",
     )
 
 
@@ -722,7 +696,7 @@ def verify_jackson_8phi7(a, b, c, d, n, q, tol=1e-9, policy=DEFAULT_POLICY):
         numerator=[a, q * sa, -q * sa, b, c, d, e, QPower(-n)],
         denominator=[sa, -sa, a * q / b, a * q / c, a * q / d, a * q / e,
                      a * q ** (n + 1)],
-        argument=q, q=q, kind="unilateral")
+        argument=q, q=q)
     sv = eval_phi(spec, policy)
     rhs = poch_multi([a * q, a * q / (b * c), a * q / (b * d), a * q / (c * d)], q, n) \
         / poch_multi([a * q / b, a * q / c, a * q / d, a * q / (b * c * d)], q, n)
@@ -740,13 +714,13 @@ def _bailey_10phi9_sides(a, b, c, d, e, f, n, q, policy):
                    lam * a * q ** (n + 1) / (e * f), QPower(-n)],
         denominator=[sa, -sa, a * q / b, a * q / c, a * q / d, a * q / e,
                      a * q / f, e * f * q ** (-n) / lam, a * q ** (n + 1)],
-        argument=q, q=q, kind="unilateral")
+        argument=q, q=q)
     right = SeriesSpec(
         numerator=[lam, q * sl, -q * sl, lam * b / a, lam * c / a, lam * d / a,
                    e, f, lam * a * q ** (n + 1) / (e * f), QPower(-n)],
         denominator=[sl, -sl, a * q / b, a * q / c, a * q / d, lam * q / e,
                      lam * q / f, e * f * q ** (-n) / a, lam * q ** (n + 1)],
-        argument=q, q=q, kind="unilateral")
+        argument=q, q=q)
     sv_l = eval_phi(left, policy)
     pref = poch_multi([a * q, a * q / (e * f), lam * q / e, lam * q / f], q, n) \
         / poch_multi([a * q / e, a * q / f, lam * q, lam * q / (e * f)], q, n)
@@ -816,7 +790,7 @@ def verify_bailey_6psi6(a, b, c, d, e, q, tol=1e-8, policy=DEFAULT_POLICY):
     spec = SeriesSpec(
         numerator=[q * sa, -q * sa, b, c, d, e],
         denominator=[sa, -sa, av * q / bv, av * q / cv, av * q / dv, av * q / ev],
-        argument=x, q=q, kind="bilateral")
+        argument=x, q=q)
     sv = eval_psi(spec, policy)
     aq = av * q
     rhs = poch_multi_inf(
@@ -834,8 +808,7 @@ def verify_ramanujan_1psi1(a, b, x, q, tol=1e-8, policy=DEFAULT_POLICY):
     av, bv = scalar_value(a, q), scalar_value(b, q)
     if not (abs(bv / av) < abs(x) < 1):
         raise DomainError("1psi1 requires |b/a| < |x| < 1")
-    spec = SeriesSpec(numerator=[a], denominator=[b], argument=x, q=q,
-                      kind="bilateral")
+    spec = SeriesSpec(numerator=[a], denominator=[b], argument=x, q=q)
     sv = eval_psi(spec, policy)
     rhs = poch_multi_inf([q, bv / av, av * x, q / (av * x)], q, policy) \
         / poch_multi_inf([bv, q / av, x, bv / (av * x)], q, policy)
@@ -857,7 +830,15 @@ def verify_flipped_summand(sigma, rho, gamma, q, n, delta, z, k, tol=1e-8,
                   z=z, k=k)
     b = q ** (2 * z)
     lhs = vwp_jackson_term(k, b, sigma, rho, gamma, n, q)
-    rhs = flipped_summand_product(z + k, z, sigma, rho, gamma, n, q, policy)
+    zeros, rhs = flipped_summand_structured(z + k, z, sigma, rho, gamma, n, q,
+                                            policy)
+    # A pole of the product form is one of the term too, and the term is
+    # evaluated first; the count is still never dropped silently.
+    if zeros < 0:
+        raise DivisionByVanishingFactor("flipped summand: net zero count "
+                                        f"{zeros} in the product form")
+    if zeros > 0:
+        rhs = 0.0 + 0j
     return _make_report("flippedsummand", params, lhs, rhs, tol)
 
 
@@ -892,7 +873,7 @@ def verify_3psi3(sigma, rho, gamma, q, delta, tol=1e-8, policy=DEFAULT_POLICY):
         numerator=[sigma, rho, gamma],
         denominator=[q ** (1 + delta) / sigma, q ** (1 + delta) / rho,
                      q ** (1 + delta) / gamma],
-        argument=x, q=q, kind="bilateral")
+        argument=x, q=q)
     sv = eval_psi(spec, policy)
     lhs = _f_bilateral(delta, q) * sv.value
     qd = q ** (1 + delta)
@@ -1041,10 +1022,6 @@ def _cscalar(rng, lo=0.1, hi=0.9):
     return _mod(rng, lo, hi) * cmath.exp(1j * rng.uniform(0.0, 2 * math.pi))
 
 
-def _rpos(rng, lo=0.1, hi=0.9):
-    return _mod(rng, lo, hi)
-
-
 def _away(bases, q, kmax=12, tol=POLE_REJECT):
     for u in bases:
         for k in range(kmax + 1):
@@ -1068,7 +1045,7 @@ def _random_partition(rng, max_len, max_part):
 
 
 def _sample_jackson(rng):
-    q = _rpos(rng, 0.1, 0.6)
+    q = _mod(rng, 0.1, 0.6)
     n = rng.randint(0, 6)
 
     def draw():
@@ -1101,7 +1078,7 @@ def _sample_jackson(rng):
 
 
 def _sample_bailey10(rng):
-    q = _rpos(rng, 0.1, 0.6)
+    q = _mod(rng, 0.1, 0.6)
     n = rng.randint(0, 4)
 
     def draw():
@@ -1121,7 +1098,7 @@ def _sample_bailey10(rng):
 
 
 def _sample_bailey6(rng):
-    q = _rpos(rng, 0.1, 0.5)
+    q = _mod(rng, 0.1, 0.5)
 
     def draw():
         return dict(a=_cscalar(rng, 0.5, 0.9), b=_cscalar(rng, 0.5, 0.9),
@@ -1141,7 +1118,7 @@ def _sample_bailey6(rng):
 
 
 def _sample_1psi1(rng):
-    q = _rpos(rng, 0.1, 0.6)
+    q = _mod(rng, 0.1, 0.6)
 
     def draw():
         x = _cscalar(rng, 0.3, 0.9)
@@ -1163,7 +1140,7 @@ def _sample_c1(rng):
 
 
 def _sample_flipped(rng):
-    q = _rpos(rng, 0.15, 0.6)
+    q = _mod(rng, 0.15, 0.6)
     n = rng.randint(1, 5)
     z = rng.uniform(0.05, 0.45)
     k = rng.randint(0, n)
@@ -1183,7 +1160,7 @@ def _sample_flipped(rng):
 
 
 def _sample_bilfinite(rng):
-    q = _rpos(rng, 0.1, 0.6)
+    q = _mod(rng, 0.1, 0.6)
     n = rng.randint(0, 5)
     delta = rng.randint(0, 1)
 
@@ -1203,7 +1180,7 @@ def _sample_bilfinite(rng):
 
 def _sample_3psi3(delta):
     def sampler(rng):
-        q = _rpos(rng, 0.1, 0.5)
+        q = _mod(rng, 0.1, 0.5)
 
         def draw():
             return dict(sigma=_cscalar(rng, 0.5, 0.9), rho=_cscalar(rng, 0.5, 0.9),
@@ -1226,8 +1203,8 @@ def _sample_multijackson(rng):
     n = rng.choice([2, 2, 2, 3])
     p = 0.0 if n == 3 else rng.choice([0.0, 0.1])
     max_part = 2 if n == 3 else 3
-    q = _rpos(rng, 0.15, 0.5)
-    t = _rpos(rng, 0.2, 0.7)
+    q = _mod(rng, 0.15, 0.5)
+    t = _mod(rng, 0.2, 0.7)
 
     def draw():
         return dict(lam=_random_partition(rng, n, max_part), n=n,
@@ -1250,8 +1227,8 @@ def _sample_simplified(rng):
     n = rng.choice([2, 2, 2, 3])
     p = 0.0 if n == 3 else rng.choice([0.0, 0.1])
     max_part = 2 if n == 3 else 3
-    q = _rpos(rng, 0.15, 0.5)
-    t = _rpos(rng, 0.2, 0.7)
+    q = _mod(rng, 0.15, 0.5)
+    t = _mod(rng, 0.2, 0.7)
 
     def draw():
         return dict(lam=_random_partition(rng, n, max_part), n=n,
@@ -1269,8 +1246,8 @@ def _sample_simplified(rng):
 
 def _sample_duality(rng):
     n = 2
-    q = _rpos(rng, 0.15, 0.5)
-    t = _rpos(rng, 0.2, 0.7)
+    q = _mod(rng, 0.15, 0.5)
+    t = _mod(rng, 0.2, 0.7)
 
     def draw():
         return dict(lam=_random_partition(rng, n, 2), nu=_random_partition(rng, n, 2),
@@ -1290,8 +1267,8 @@ def _sample_duality(rng):
 
 def _sample_flip(rng):
     nvar = rng.randint(1, 2)
-    q = _rpos(rng, 0.15, 0.5)
-    t = _rpos(rng, 0.2, 0.7)
+    q = _mod(rng, 0.15, 0.5)
+    t = _mod(rng, 0.2, 0.7)
     p = rng.choice([0.0, 0.1])
 
     def draw():
@@ -1312,7 +1289,7 @@ def _sample_flip(rng):
 def _sample_weyldegree(rng):
     n = rng.randint(1, 3)
     N = rng.randint(1, 3)
-    q = _rpos(rng, 0.15, 0.5)
+    q = _mod(rng, 0.15, 0.5)
     delta = rng.randint(0, 1)
     mu = _random_partition(rng, n, N)
 
@@ -1329,7 +1306,7 @@ def _sample_weyldegree(rng):
 
 def _sample_mlatfinite(rng):
     n = rng.choice([1, 2, 2])
-    q = _rpos(rng, 0.15, 0.45)
+    q = _mod(rng, 0.15, 0.45)
     delta = rng.randint(0, 1)
 
     def draw():
@@ -1348,7 +1325,7 @@ def _sample_mlatfinite(rng):
 
 def _sample_mlat3psi3(rng):
     n = rng.choice([1, 2, 2])
-    q = _rpos(rng, 0.25, 0.45)
+    q = _mod(rng, 0.25, 0.45)
     delta = rng.randint(0, 1)
     smax = 0.8 if n == 1 else 0.5 * q ** (n - 1)
 
@@ -1367,7 +1344,7 @@ def _sample_mlat3psi3(rng):
 
 
 def _sample_invariance(rng):
-    q = _rpos(rng, 0.15, 0.6)
+    q = _mod(rng, 0.15, 0.6)
     n = rng.randint(2, 6)
     delta = rng.randint(0, 1)
     k = rng.randint(-4, 4)

@@ -48,13 +48,6 @@ def nstat(lam) -> int:
     return sum(i * x for i, x in enumerate(lam))
 
 
-def contains(lam, mu) -> bool:
-    """True iff mu_i <= lam_i for all i (both must be partitions)."""
-    lam, mu = check_partition(lam), check_partition(mu)
-    n = max(len(lam), len(mu))
-    return all(part(mu, i) <= part(lam, i) for i in range(1, n + 1))
-
-
 def is_horizontal_strip(lam, mu) -> bool:
     """True iff lam_1 >= mu_1 >= lam_2 >= mu_2 >= ... (interlacing)."""
     lam, mu = normalize(lam), normalize(mu)
@@ -122,13 +115,9 @@ def interlacing_vectors(lam):
     return [tuple(v) for v in itertools.product(*ranges)]
 
 
-def format_partition(lam) -> str:
-    """Bracketed text form used by the CLI, e.g. "[3,1]"; "[]" is empty."""
-    return "[" + ",".join(str(x) for x in normalize(lam)) + "]"
-
-
 def parse_partition(text: str) -> tuple:
-    """Inverse of format_partition; raises NotAPartition on malformed input."""
+    """Partition from its bracketed text form, e.g. "[3,1]" ("[]" is the
+    empty partition); raises NotAPartition on malformed input."""
     text = text.strip()
     if not (text.startswith("[") and text.endswith("]")):
         raise NotAPartition(f"malformed partition text: {text!r}")

@@ -51,7 +51,6 @@ class SeriesSpec:
     denominator: Sequence[object]
     argument: object
     q: object
-    kind: str = "unilateral"  # unilateral | bilateral
 
 
 @dataclass(frozen=True)
@@ -87,8 +86,6 @@ def eval_phi(spec: SeriesSpec, policy: TruncationPolicy = DEFAULT_POLICY) -> Ser
     otherwise sums until three consecutive terms fall below the relative tail
     threshold.  Non-terminating series with r = s + 1 require |argument| < 1.
     """
-    if spec.kind != "unilateral":
-        raise DomainError("eval_phi requires kind='unilateral'")
     q = spec.q
     x = scalar_value(spec.argument, q)
     nums = _resolved(spec.numerator, q)
@@ -230,17 +227,13 @@ class _BilateralTerms:
 def eval_psi(
     spec: SeriesSpec,
     policy: TruncationPolicy = DEFAULT_POLICY,
-    window: Optional[Tuple[int, int]] = None,
 ) -> SeriesValue:
     """Evaluate a bilateral basic hypergeometric series.
 
-    Structural cuts from QPower tags are honored on both sides.  With an
-    explicit window=(lo, hi) the sum runs exactly over that index range
-    (intersected with structural cuts); otherwise symmetric windows grow by
-    policy.window_step until two consecutive expansions are below tolerance.
+    Structural cuts from QPower tags are honored on both sides.  Symmetric
+    windows grow by policy.window_step until two consecutive expansions are
+    below tolerance.
     """
-    if spec.kind != "bilateral":
-        raise DomainError("eval_psi requires kind='bilateral'")
     q = spec.q
     x = scalar_value(spec.argument, q)
     nums = _resolved(spec.numerator, q)
@@ -265,21 +258,6 @@ def eval_psi(
 
     def lo_target(m):
         return m if lo_cut is None else max(m, lo_cut)
-
-    if window is not None:
-        lo, hi = window
-        lo, hi = lo_target(lo), hi_target(hi)
-        while gen.k_up < hi:
-            t = gen.next_up()
-            if t is None:
-                break
-            total, nterms = total + t, nterms + 1
-        while gen.k_dn > lo:
-            t = gen.next_dn()
-            if t is None:
-                break
-            total, nterms = total + t, nterms + 1
-        return SeriesValue(total, nterms, True, (gen.k_dn, gen.k_up))
 
     below = 0
     m = policy.window_step

@@ -33,8 +33,8 @@ identities._principal_w keys the principal specialization a = s q^delta,
 b = q^{delta+n-1}, x_i = q^{integer} of mlat_finite_summand (so of
 verify_multilateral_finite) and of verify_weyl_degree's right side, and only
 when s and s^2 lie clear of every power of q.  zw_multi shifts the keys with a t^{2l}, b t^l and
-x t^{-l}.  zw_skew_single transcribes its ledger once; keyed, it records
-runs of arguments base * q^k whose keys step by 1.  Such a ledger is settled
+x t^{-l}.  zw_skew_single transcribes its ledger once, keyed or not, as
+runs of arguments base * q^k whose keys step by 1.  A keyed ledger is settled
 by key: theta(y; 0) = 1 - y vanishes exactly at key 0, and key-0 arguments
 cancel only among themselves, so a net key-0 numerator gives exact 0 and a
 net key-0 denominator raises PoleCancellationError, before any theta product.
@@ -44,7 +44,9 @@ expressions, for theta_product.  So while equal keys are exactly the
 arguments that coincide within SNAP_TOL, a nonzero keyed ledger keeps the
 untagged value bit for bit, and a zero one is exact 0 where the float path
 left round-off.  Untagged ledgers (every other caller, and the Richardson
-fallback, whose b(1 +/- h) is no monomial) take theta_quotient as before.
+fallback, whose b(1 +/- h) is no monomial) leave their keys unread: their
+runs are expanded, in order, into the values base * q^k that theta_quotient
+cancels by SNAP_TOL matching.
 
 Zero tails: the branching sum of zw_multi takes, for each interlacing nu, the
 tail W_nu(x_2..x_n) first (memoized when a memo is given) and builds the skew
@@ -220,42 +222,29 @@ def zw_skew_single(x, lam, mu, params: WParams):
     for i in range(1, n):
         if not (part(lam, i) >= part(mu, i) >= part(lam, i + 1)):
             return 0.0 + 0j
-    # The ledger goes to one of two sinks.  Untagged, add_poch and add_arg
-    # append argument values to num and den; keyed, they record runs
-    # (denominator?, base, base key, lo, hi), the arguments base * q**k of
-    # key base key + k for k in range(lo, hi), or (lo None) the single
-    # argument base.
+    # add_poch and add_arg record the ledger once, as runs
+    # (denominator?, base, base key, lo, hi): the arguments base * q**k of key
+    # base key + k for k in range(lo, hi), or (lo None) the single argument
+    # base.  Keyed, the runs go to _keyed_quotient; untagged, their keys
+    # (computed from ak = bk = xk = 0) are not read and the runs are expanded
+    # into theta_quotient's argument lists.
     keys = params.keys
     if keys is None:
-        ak = bk = xk = 0  # the keys below are computed and not read
-        num, den = [], []
-
-        def add_poch(on_den, base, key, m):
-            # theta-Pochhammer (base;q,p)_m: m numerator arguments, or -m
-            # arguments base * q**k, k = m..-1, on the other side.
-            if m > 0:
-                side = den if on_den else num
-                for k in range(m):
-                    side.append(base * q**k)
-            elif m < 0:
-                side = num if on_den else den
-                for k in range(m, 0):
-                    side.append(base * q**k)
-
-        def add_arg(on_den, value, key):
-            (den if on_den else num).append(value)
+        ak = bk = xk = 0
     else:
         (ak, bk), (x, xk) = keys, x
-        runs = []
+    runs = []
 
-        def add_poch(on_den, base, key, m):
-            if m > 0:
-                runs.append((on_den, base, key, 0, m))
-            elif m < 0:
-                runs.append((not on_den, base, key, m, 0))
+    def add_poch(on_den, base, key, m):
+        # theta-Pochhammer (base;q,p)_m: m numerator arguments, or -m
+        # arguments base * q**k, k = m..-1, on the other side.
+        if m > 0:
+            runs.append((on_den, base, key, 0, m))
+        elif m < 0:
+            runs.append((not on_den, base, key, m, 0))
 
-        def add_arg(on_den, value, key):
-            runs.append((on_den, value, key, None, None))
+    def add_arg(on_den, value, key):
+        runs.append((on_den, value, key, None, None))
 
     # H factor; a row of order m = 0 adds no argument.
     for j in range(2, n + 1):
@@ -321,9 +310,17 @@ def zw_skew_single(x, lam, mu, params: WParams):
         add_poch(False, base_n, k, mi + li1)
         add_poch(True, base_d, k, mi + li1)
         tpow = tpow * t ** (i * (mi - li1))
-    if keys is None:
-        return tpow * theta_quotient(num, den, p)
-    return _keyed_quotient(runs, q, p, tpow)
+    if keys is not None:
+        return _keyed_quotient(runs, q, p, tpow)
+    num, den = [], []
+    for on_den, base, _, lo, hi in runs:
+        side = den if on_den else num
+        if lo is None:
+            side.append(base)
+        else:
+            for k in range(lo, hi):
+                side.append(base * q**k)
+    return tpow * theta_quotient(num, den, p)
 
 
 def _keyed_quotient(runs, q, p, tpow):

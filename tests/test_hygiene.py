@@ -1,6 +1,6 @@
 """Source hygiene: no module of the package or of the tests imports a name
-that it never uses, and no module of the package keeps a process-lifetime
-cache."""
+that it never uses, no module of the package keeps a process-lifetime cache,
+and no function or class of the package is there only for the tests."""
 
 import ast
 from pathlib import Path
@@ -10,9 +10,15 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src" / "qident").glob("*.py"))
 FILES = sorted([*SRC, *(ROOT / "tests").glob("*.py")])
+#: The code that may read a definition of the package: the package itself, the
+#: benchmark harness and the scripts, but not the tests.
+READERS = sorted([*SRC, *(ROOT / "bench").glob("*.py"), *(ROOT / "scripts").glob("*.py")])
 
 #: functools decorators whose cache lives as long as the process.
 PROCESS_CACHES = {"lru_cache", "cache", "cached_property"}
+
+#: Statements that define a function or a class.
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def unused_imports(text):
@@ -99,3 +105,59 @@ def test_process_cache_scan_finds_each_form():
 @pytest.mark.parametrize("path", SRC, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_process_lifetime_caches(path):
     assert process_caches(path.read_text(encoding="utf-8")) == []
+
+
+def top_level_definitions(text):
+    """Names of the top-level functions and classes of a module source text."""
+    return [node.name for node in ast.parse(text).body if isinstance(node, DEFINITIONS)]
+
+
+def names_read(text):
+    """Every name that a module source text reads: as a name, as an attribute,
+    or as a string constant equal to it (bench/tracing.py names the functions
+    it wraps in strings).  A function or class reading its own name inside its
+    own definition does not count."""
+    read = set()
+    for stmt in ast.parse(text).body:
+        own = stmt.name if isinstance(stmt, DEFINITIONS) else None
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                name = node.attr
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                name = node.value
+            else:
+                continue
+            if name != own:
+                read.add(name)
+    return read
+
+
+def test_unread_definition_scan_finds_and_skips():
+    text = ("import mod\n"
+            "def walk(n):\n"
+            "    return walk(n - 1) if n else 0\n"
+            "class Box:\n"
+            "    def get(self) -> 'Box':\n"
+            "        return helper()\n"
+            "def helper():\n"
+            "    return mod.traced\n"
+            "def traced():\n"
+            "    pass\n"
+            "def named():\n"
+            "    pass\n"
+            "TIMED = ['named']\n"
+            "unused = None\n")
+    read = names_read(text)
+    assert [name for name in top_level_definitions(text) if name not in read] \
+        == ["walk", "Box"]
+
+
+def test_no_test_only_definitions():
+    read = set().union(*(names_read(path.read_text(encoding="utf-8"))
+                         for path in READERS))
+    unread = [f"{path.name}:{name}" for path in SRC
+              for name in top_level_definitions(path.read_text(encoding="utf-8"))
+              if name not in read]
+    assert unread == []

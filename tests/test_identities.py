@@ -240,6 +240,20 @@ def test_flipped_summand_seeded_example():
     assert r.rel_residual <= 1e-8
 
 
+def test_flipped_summand_positive_zero_count_is_exact_zero():
+    # sigma = 1 puts the factor 1 - sigma into (sigma;q)_k for k >= 1, and
+    # into the product form's numerator, whose net zero count is then positive
+    p = {**sample_params("flippedsummand", 0), "sigma": 1.0}
+    for k in range(1, p["n"] + 1):
+        u, z = p["z"] + k, p["z"]
+        zeros, _ = flipped_summand_structured(u, z, 1.0, p["rho"], p["gamma"],
+                                              p["n"], p["q"])
+        assert zeros > 0
+        r = run_case("flippedsummand", {**p, "k": k})
+        assert r.status == "pass"
+        assert r.lhs == 0 and r.rhs == 0
+
+
 def test_flipped_summand_sign_reflection_invariance():
     # replacing (z+k) by -(z+k) leaves the product form unchanged at the
     # weight-lattice point z = delta/2

@@ -19,7 +19,7 @@ from conftest import rel
 
 def test_phi_zero_argument():
     spec = SeriesSpec(numerator=[0.5, 0.3], denominator=[0.7], argument=0.0,
-                      q=0.4, kind="unilateral")
+                      q=0.4)
     sv = eval_phi(spec)
     assert sv.value == 1
 
@@ -27,8 +27,7 @@ def test_phi_zero_argument():
 def test_phi_q_binomial_theorem():
     # 1phi0(a; -; q, x) = (a x)_inf / (x)_inf
     a, x, q = 0.5, 0.3, 0.4
-    spec = SeriesSpec(numerator=[a], denominator=[], argument=x, q=q,
-                      kind="unilateral")
+    spec = SeriesSpec(numerator=[a], denominator=[], argument=x, q=q)
     sv = eval_phi(spec)
     assert rel(sv.value, poch_inf(a * x, q) / poch_inf(x, q)) < 1e-12
     assert not sv.terminated
@@ -37,8 +36,7 @@ def test_phi_q_binomial_theorem():
 def test_phi_structural_termination_three_terms():
     q = 0.35
     a, b = QPower(-2), 0.6 + 0.2j
-    spec = SeriesSpec(numerator=[a, 0.4], denominator=[b], argument=0.7, q=q,
-                      kind="unilateral")
+    spec = SeriesSpec(numerator=[a, 0.4], denominator=[b], argument=0.7, q=q)
     sv = eval_phi(spec)
     assert sv.terminated and sv.terms_used == 3
     # brute-force 3-term oracle with the (r=2, s=1) sign convention (exponent 0)
@@ -59,8 +57,7 @@ def test_phi_balanced_sign_factor_free_brute_force():
         dens = [complex(rng.uniform(0.3, 0.9), rng.uniform(-0.3, 0.3))
                 for _ in range(2)]
         x = rng.uniform(0.1, 0.6)
-        spec = SeriesSpec(numerator=nums, denominator=dens, argument=x, q=q,
-                          kind="unilateral")
+        spec = SeriesSpec(numerator=nums, denominator=dens, argument=x, q=q)
         sv = eval_phi(spec)
         brute = 0.0 + 0j
         for k in range(80):
@@ -78,7 +75,7 @@ def test_phi_condition_of_terminating_q_vandermonde():
     # summed by hand term by term for sum |t_k| / |sum t_k|.
     q, n, b, c = 0.6, 3, 0.5 + 0.3j, 0.2 - 0.6j
     spec = SeriesSpec(numerator=[QPower(-n), b], denominator=[c], argument=q,
-                      q=q, kind="unilateral")
+                      q=q)
     sv = eval_phi(spec)
     terms = [poch_int(q**-n, q, k) * poch_int(b, q, k) * q**k
              / (poch_int(q, q, k) * poch_int(c, q, k)) for k in range(n + 1)]
@@ -89,22 +86,14 @@ def test_phi_condition_of_terminating_q_vandermonde():
     with mpmath.workdps(30):
         mq, mb, mc = mpmath.mpf(q), mpmath.mpc(b), mpmath.mpc(c)
         mspec = SeriesSpec(numerator=[QPower(-n), mb], denominator=[mc],
-                           argument=mq, q=mq, kind="unilateral")
+                           argument=mq, q=mq)
         msv = eval_phi(mspec)
     assert type(msv.condition) is float
     assert abs(msv.condition - hand) < 1e-12 * hand
 
 
 def test_phi_nonterminating_divergent_argument_rejected():
-    spec = SeriesSpec(numerator=[0.5], denominator=[], argument=1.2, q=0.4,
-                      kind="unilateral")
-    with pytest.raises(DomainError):
-        eval_phi(spec)
-
-
-def test_phi_rejects_bilateral_spec():
-    spec = SeriesSpec(numerator=[0.5], denominator=[0.2], argument=0.3, q=0.4,
-                      kind="bilateral")
+    spec = SeriesSpec(numerator=[0.5], denominator=[], argument=1.2, q=0.4)
     with pytest.raises(DomainError):
         eval_phi(spec)
 
@@ -116,10 +105,8 @@ def test_phi_rejects_bilateral_spec():
 def test_psi_lower_termination_reduces_to_phi():
     # 1psi1 with b = q: all n < 0 terms vanish, equal to 1phi0(a; q, x).
     a, x, q = 0.6, 0.3, 0.4
-    bil = SeriesSpec(numerator=[a], denominator=[QPower(1)], argument=x, q=q,
-                     kind="bilateral")
-    uni = SeriesSpec(numerator=[a], denominator=[], argument=x, q=q,
-                     kind="unilateral")
+    bil = SeriesSpec(numerator=[a], denominator=[QPower(1)], argument=x, q=q)
+    uni = SeriesSpec(numerator=[a], denominator=[], argument=x, q=q)
     sv_b, sv_u = eval_psi(bil), eval_phi(uni)
     assert rel(sv_b.value, sv_u.value) < 1e-12
     assert sv_b.window is not None and sv_b.window[0] == 0
@@ -127,8 +114,7 @@ def test_psi_lower_termination_reduces_to_phi():
 
 def test_psi_ramanujan_closed_form():
     a, b, x, q = 0.9, 0.2, 0.5, 0.3
-    spec = SeriesSpec(numerator=[a], denominator=[b], argument=x, q=q,
-                      kind="bilateral")
+    spec = SeriesSpec(numerator=[a], denominator=[b], argument=x, q=q)
     sv = eval_psi(spec)
     closed = poch_multi_inf([q, b / a, a * x, q / (a * x)], q) \
         / poch_multi_inf([b, q / a, x, b / (a * x)], q)
@@ -140,31 +126,22 @@ def test_psi_structural_two_sided_window():
     # at 1 - 3 = -2: support exactly [-2, 2].
     q = 0.35
     spec = SeriesSpec(numerator=[QPower(-2), 0.4], denominator=[QPower(3), 0.7],
-                      argument=0.5, q=q, kind="bilateral")
+                      argument=0.5, q=q)
     sv = eval_psi(spec)
     assert sv.terminated is True
     assert sv.window == (-2, 2)
     assert sv.terms_used == 5
 
 
-def test_psi_explicit_window_matches_structural():
-    q = 0.35
-    spec = SeriesSpec(numerator=[QPower(-2), 0.4], denominator=[QPower(3), 0.7],
-                      argument=0.5, q=q, kind="bilateral")
-    auto = eval_psi(spec)
-    boxed = eval_psi(spec, window=(-10, 10))
-    assert rel(auto.value, boxed.value) < 1e-14
-
-
 def test_psi_window_stability():
-    # doubling the converged window changes the value by < 10 * series_tol
+    # a tighter series_tol converges on a wider window, and the value it adds
+    # is < 10 * series_tol relative
     a, b, x, q = 0.9, 0.2, 0.5, 0.3
-    spec = SeriesSpec(numerator=[a], denominator=[b], argument=x, q=q,
-                      kind="bilateral")
+    spec = SeriesSpec(numerator=[a], denominator=[b], argument=x, q=q)
     sv = eval_psi(spec)
-    lo, hi = sv.window
-    doubled = eval_psi(spec, window=(2 * lo, 2 * hi))
-    assert rel(sv.value, doubled.value) < 10 * DEFAULT_POLICY.series_tol
+    wide = eval_psi(spec, TruncationPolicy(series_tol=1e-3 * DEFAULT_POLICY.series_tol))
+    assert wide.window[0] < sv.window[0] and wide.window[1] > sv.window[1]
+    assert rel(sv.value, wide.value) < 10 * DEFAULT_POLICY.series_tol
 
 
 def test_psi_6psi6_within_term_budget():
@@ -183,7 +160,7 @@ def test_psi_6psi6_within_term_budget():
         spec = SeriesSpec(
             numerator=[q * sa, -q * sa, b, c, d, e],
             denominator=[sa, -sa, a * q / b, a * q / c, a * q / d, a * q / e],
-            argument=x, q=q, kind="bilateral")
+            argument=x, q=q)
         sv = eval_psi(spec, policy)
         assert sv.terms_used <= 400
 
