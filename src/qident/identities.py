@@ -157,7 +157,19 @@ STRUCT_ZERO_TOL = 1e-10
 
 def _poch_inf_split(a, q, policy):
     """(zeros, value): the infinite product (a;q)_inf with exact-zero factors
-    counted separately from the regular part."""
+    counted separately from the regular part.  Under qcore.THETA_MEMO the
+    pair is memoized, keyed as theta is plus a "split" tag."""
+    memo = THETA_MEMO.get()
+    if memo is None:
+        return _poch_inf_split_product(a, q, policy)
+    key = ("split", a, q, type(a), type(q), policy.product_tol, policy.max_factors)
+    v = memo.get(key)
+    if v is None:
+        v = memo[key] = _poch_inf_split_product(a, q, policy)
+    return v
+
+
+def _poch_inf_split_product(a, q, policy):
     zeros = 0
     r = 1.0 + 0j
     x = a
@@ -703,29 +715,37 @@ def verify_jackson_8phi7(a, b, c, d, n, q, tol=1e-9, policy=DEFAULT_POLICY):
     return _make_report("jackson8phi7", params, sv.value, rhs, tol, sv.terms_used)
 
 
-def _bailey_10phi9_sides(a, b, c, d, e, f, n, q, policy):
-    """Both sides of Bailey's 10phi9 transformation, in the arithmetic its
-    arguments carry: the left series, the right prefactor and the right
-    series, as (SeriesValue, prefactor, SeriesValue)."""
+def _bailey_10phi9_left(a, b, c, d, e, f, n, q, policy):
+    """The left side of Bailey's 10phi9 transformation, in the arithmetic its
+    arguments carry, as (value, SeriesValue of its series)."""
     lam = q * a * a / (b * c * d)
-    sa, sl = csqrt(a), csqrt(lam)
+    sa = csqrt(a)
     left = SeriesSpec(
         numerator=[a, q * sa, -q * sa, b, c, d, e, f,
                    lam * a * q ** (n + 1) / (e * f), QPower(-n)],
         denominator=[sa, -sa, a * q / b, a * q / c, a * q / d, a * q / e,
                      a * q / f, e * f * q ** (-n) / lam, a * q ** (n + 1)],
         argument=q, q=q)
+    sv = eval_phi(left, policy)
+    return sv.value, sv
+
+
+def _bailey_10phi9_right(a, b, c, d, e, f, n, q, policy):
+    """The right side of Bailey's 10phi9 transformation, the prefactor times
+    its series, in the arithmetic its arguments carry, as
+    (value, SeriesValue of its series)."""
+    lam = q * a * a / (b * c * d)
+    sl = csqrt(lam)
     right = SeriesSpec(
         numerator=[lam, q * sl, -q * sl, lam * b / a, lam * c / a, lam * d / a,
                    e, f, lam * a * q ** (n + 1) / (e * f), QPower(-n)],
         denominator=[sl, -sl, a * q / b, a * q / c, a * q / d, lam * q / e,
                      lam * q / f, e * f * q ** (-n) / a, lam * q ** (n + 1)],
         argument=q, q=q)
-    sv_l = eval_phi(left, policy)
     pref = poch_multi([a * q, a * q / (e * f), lam * q / e, lam * q / f], q, n) \
         / poch_multi([a * q / e, a * q / f, lam * q, lam * q / (e * f)], q, n)
-    sv_r = eval_phi(right, policy)
-    return sv_l, pref, sv_r
+    sv = eval_phi(right, policy)
+    return pref * sv.value, sv
 
 
 def phi_rounding_bound(terms, r, s, condition):
@@ -742,41 +762,68 @@ def phi_rounding_bound(terms, r, s, condition):
     return m * u / (1 - m * u) * condition
 
 
-#: A double 10phi9 evaluation is reported only when its rounding bound is at
+#: A double 10phi9 series is reported only when its own rounding bound is at
 #: most this fraction of the tolerance, so its pass/fail verdict and its
-#: residual's leading digits are those of the 40-digit evaluation.  The bound
-#: covers the two sums, not the rounding of the derived parameters (a q / b,
-#: ...) or of the prefactor; over sampler seeds 0-3999 the double sides
-#: differed from the 40-digit ones by at most 0.07 of the bound.
+#: residual's leading digits are those of the 40-digit evaluation.  Each of
+#: the two series is gated on its own; the right one's prefactor goes with
+#: it.  The bound covers the sum, not the rounding of the derived parameters
+#: (a q / b, ...) or of the prefactor; over sampler seeds 0-3999 the double
+#: sides differed from the 40-digit ones by at most 0.07 of the bound.
 DOUBLE_GATE = 1e-3
+
+#: The 40-digit mpmath context that a 10phi9 side of double arguments is
+#: evaluated again in, made on first use (see _mp40).
+_MP40 = None
+
+
+def _mp40():
+    """The 40-digit mpmath context, made on the first call so that importing
+    qident does not import mpmath.  Its precision is set before it is shared
+    and never changed after, so cli.run's worker threads may all compute in
+    it, and the process-global mpmath.mp is left alone."""
+    global _MP40
+    if _MP40 is None:
+        import mpmath
+
+        ctx = mpmath.MPContext()
+        ctx.dps = 40
+        _MP40 = ctx
+    return _MP40
 
 
 def verify_bailey_10phi9(a, b, c, d, e, f, n, q, tol=1e-9, policy=DEFAULT_POLICY):
-    """Bailey's 10phi9 transformation, evaluated in double when the measured
-    conditioning of both series vouches for it and at no fewer than 40 digits
-    otherwise.  mpmath arguments always take the 40-digit path."""
-    import mpmath
-
+    """Bailey's 10phi9 transformation.  With double arguments each side is
+    evaluated in double first and kept when the rounding bound of its own
+    series is at most DOUBLE_GATE * tol; a side that fails its gate, or
+    raises, is evaluated again at exactly 40 digits (in _mp40's context),
+    the right series together with its prefactor.  mpmath arguments evaluate
+    both sides at max(40, mpmath.mp.dps) digits."""
     _require_rank("bailey10phi9", n, least=0)
     params = dict(a=a, b=b, c=c, d=d, e=e, f=f, n=n, q=q)
+    sides = (_bailey_10phi9_left, _bailey_10phi9_right)
     if all(isinstance(v, (int, float, complex)) for v in (a, b, c, d, e, f, q)):
-        try:
-            sv_l, pref, sv_r = _bailey_10phi9_sides(a, b, c, d, e, f, n, q, policy)
-        except (QidentError, ArithmeticError):
-            pass  # the 40-digit path decides
-        else:
-            bound = phi_rounding_bound(max(sv_l.terms_used, sv_r.terms_used), 10, 9,
-                                       max(sv_l.condition, sv_r.condition))
-            if bound <= DOUBLE_GATE * tol:
-                return _make_report("bailey10phi9", params, sv_l.value,
-                                    pref * sv_r.value, tol,
-                                    sv_l.terms_used + sv_r.terms_used)
+        values, terms = [], 0
+        for side in sides:
+            try:
+                value, sv = side(a, b, c, d, e, f, n, q, policy)
+                kept = phi_rounding_bound(sv.terms_used, 10, 9, sv.condition) \
+                    <= DOUBLE_GATE * tol
+            except (QidentError, ArithmeticError):
+                kept = False  # the 40-digit evaluation decides
+            if not kept:
+                ctx = _mp40()
+                va, vb, vc, vd, ve, vf, vq = (ctx.mpmathify(complex(v))
+                                              for v in (a, b, c, d, e, f, q))
+                value, sv = side(va, vb, vc, vd, ve, vf, n, vq, policy)
+            values.append(value)
+            terms += sv.terms_used
+        return _make_report("bailey10phi9", params, *values, tol, terms)
+    import mpmath
+
     with mpmath.workdps(max(40, mpmath.mp.dps)):
-        a, b, c, d, e, f = (mpmath.mpmathify(complex(v)) for v in (a, b, c, d, e, f))
-        q = mpmath.mpmathify(complex(q))
-        sv_l, pref, sv_r = _bailey_10phi9_sides(a, b, c, d, e, f, n, q, policy)
-        lhs, rhs = sv_l.value, pref * sv_r.value
-    return _make_report("bailey10phi9", params, complex(lhs), complex(rhs), tol,
+        a, b, c, d, e, f, q = (mpmath.mpmathify(complex(v)) for v in (a, b, c, d, e, f, q))
+        (lhs, sv_l), (rhs, sv_r) = (side(a, b, c, d, e, f, n, q, policy) for side in sides)
+    return _make_report("bailey10phi9", params, lhs, rhs, tol,
                         sv_l.terms_used + sv_r.terms_used)
 
 

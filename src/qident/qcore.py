@@ -7,12 +7,13 @@ or mpmath complex values (for high-precision runs) and return results in the
 same arithmetic.  Complex powers use the principal branch throughout.
 
 The one state is THETA_MEMO: while ``identities.run_case`` evaluates,
-theta(x;p) at p != 0 is computed once per argument and policy and then read
+theta(x;p) at p != 0, and identities' split infinite products (under keys
+tagged "split"), are computed once per argument and policy and then read
 back.  A memo value is the kernel's value bit for bit, so the memo changes no
-result, and both sides of an identity may share it: they call the same theta
+result, and both sides of an identity may share it: they call the same
 kernel either way.  It is a context variable, so threads do not share it, and
 run_case drops it on return, so no value outlives one evaluation.  Outside
-run_case theta computes afresh.
+run_case both compute afresh.
 
 Conventions:
   (a;q)_k        finite product prod_{i=1..k} (1 - a q^{i-1}); for k < 0 it is
@@ -37,18 +38,17 @@ VANISH_TOL = 1e-14
 PAIR_DENOMINATOR_VANISHES = "pair_poch_ratio: denominator vanishes"
 PAIR_RECIPROCAL_VANISHES = "pair_poch_ratio: reciprocal vanishes"
 
-#: The theta memo of the current evaluation, or None outside any: a dict that
+#: The memo of the current evaluation, or None outside any: a dict that
 #: identities.run_case sets on entry and resets on exit.
 THETA_MEMO: ContextVar = ContextVar("theta_memo", default=None)
 
 
 def csqrt(x):
-    """Principal square root, dispatching on the scalar backend."""
+    """Principal square root, dispatching on the scalar backend: an mpmath
+    value's root is taken in its own context, at that context's precision."""
     if isinstance(x, (int, float, complex)):
         return cmath.sqrt(x)
-    import mpmath
-
-    return mpmath.sqrt(x)
+    return x.context.sqrt(x)
 
 
 def poch_int(a, q, k: int):

@@ -143,6 +143,7 @@ class _BilateralTerms:
     def __init__(self, nums, dens, x, q, sign_exp):
         self.nums, self.dens = nums, dens
         self.x, self.q, self.sign_exp = x, q, sign_exp
+        self.log_inv_q = None  # log10(1/|q|), computed at the first lower term
         self.t_up = 1.0 + 0j  # term at index k_up
         self.k_up = 0
         self.t_dn = 1.0 + 0j  # term at index k_dn
@@ -191,7 +192,9 @@ class _BilateralTerms:
         # as (1 - v q^k) = q^k (q^{-k} - v); the q^{Nk}/q^{Dk} scale factors
         # cancel exactly against the sign/power factor (whose exponent is
         # D - N), leaving only the bounded mantissas and a sign.
-        if k < 0 and (-k) * math.log10(1.0 / abs(self.q)) > 100:
+        if self.log_inv_q is None:
+            self.log_inv_q = math.log10(1.0 / abs(self.q))
+        if (-k) * self.log_inv_q > 100:  # k < 0 here
             qmk = self.q ** (-k)  # tiny, may underflow to exactly 0
             fn_m = 1.0 + 0j
             for v, _ in self.nums:

@@ -302,8 +302,9 @@ def test_precision_high_bilateral_finite_reports():
 def test_precision_high_reaches_bailey_10phi9_series(monkeypatch):
     # verify_bailey_10phi9 works at the 50 digits of high mode when it runs
     # under them.  In double mode a well-conditioned draw (seed 3) evaluates
-    # in double only, and an ill-conditioned one (seed 12) is evaluated again
-    # at 40 digits.
+    # in double only, and in an ill-conditioned one (seed 12) only the left
+    # series, whose own gate fails, is evaluated again at 40 digits.  Each
+    # series' working precision is that of the context of its arguments.
     import mpmath
 
     from qident import identities
@@ -312,7 +313,7 @@ def test_precision_high_reaches_bailey_10phi9_series(monkeypatch):
     original = identities.eval_phi
 
     def spy(spec, policy):
-        seen.append(mpmath.mp.dps)
+        seen.append(spec.q.context.dps if hasattr(spec.q, "context") else "double")
         return original(spec, policy)
 
     monkeypatch.setattr(identities, "eval_phi", spy)
@@ -320,10 +321,40 @@ def test_precision_high_reaches_bailey_10phi9_series(monkeypatch):
     assert seen == [50, 50]
     seen.clear()
     run([CaseConfig(case_id="bailey10phi9", seed=3, samples=1)], precision="double")
-    assert seen == [15, 15]
+    assert seen == ["double", "double"]
     seen.clear()
     run([CaseConfig(case_id="bailey10phi9", seed=12, samples=1)], precision="double")
-    assert seen == [15, 15, 40, 40]
+    assert seen == ["double", 40, "double"]
+
+
+def test_double_mode_escalation_leaves_global_mpmath_precision_alone(monkeypatch):
+    # Double arguments escalate in a 40-digit context of their own, never by
+    # setting the process-global mpmath.mp.dps, which cli.run's worker
+    # threads would share.  The batch makes that context afresh, with more
+    # workers than a small host has cores and a short switch interval, and
+    # must match the serial batch.
+    import mpmath
+
+    from qident import identities
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("double mode changed the global mpmath precision")
+
+    dps = mpmath.mp.dps
+    monkeypatch.setattr(mpmath, "workdps", refuse)
+    rep = run_case("bailey10phi9", sample_params("bailey10phi9", 12))
+    assert rep.status == "pass" and rep.lhs != 0
+    configs = [CaseConfig(case_id="bailey10phi9", seed=0, samples=60)]
+    monkeypatch.setattr(identities, "_MP40", None)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        parallel = run(configs, parallelism=4, precision="double")
+    finally:
+        sys.setswitchinterval(interval)
+    assert mpmath.mp.dps == dps
+    serial = run(configs, parallelism=1, precision="double")
+    assert _strip_timing(report_json(parallel)) == _strip_timing(report_json(serial))
 
 
 def test_precision_invalid_value(monkeypatch, capsys):

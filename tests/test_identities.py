@@ -110,23 +110,69 @@ def test_bailey10_identity_map_when_bcd_equals_qa():
     assert r.rel_residual < 1e-12
 
 
-def test_bailey10_ill_conditioned_draw_escalates_to_40_digits():
-    # Seed 12 (n = 4) sums with condition ~1e5: a double evaluation is off by
-    # ~3e-11, so the report must be the 40-digit one, bit for bit.  mpmath
-    # arguments always take the 40-digit path.
-    p = sample_params("bailey10phi9", 12)
-    rep = run_case("bailey10phi9", p)
-    direct = run_case("bailey10phi9", {
+def _bailey10_side(side, p, dps=None):
+    """Value of one side of a sampled 10phi9 draw and whether its double
+    series passes its own gate: in double, or at dps digits under the global
+    mpmath precision (not the context the verifier escalates in)."""
+    args = [p[k] for k in "abcdef"]
+    if dps is None:
+        value, sv = side(*args, p["n"], p["q"], DEFAULT_POLICY)
+        bound = identities.phi_rounding_bound(sv.terms_used, 10, 9, sv.condition)
+        return complex(value), bound <= identities.DOUBLE_GATE * 1e-9
+    with mpmath.workdps(dps):
+        value, _ = side(*(mpmath.mpmathify(complex(v)) for v in args), p["n"],
+                        mpmath.mpmathify(complex(p["q"])), DEFAULT_POLICY)
+        return complex(value), None
+
+
+def _bailey10_mpmath_run(p):
+    return run_case("bailey10phi9", {
         k: mpmath.mpmathify(v) if k in "abcdefq" else v for k, v in p.items()})
-    assert repr(rep) == repr(dataclasses.replace(direct, params=rep.params))
+
+
+def _check_bailey10_escalation(seed, left_escalates, right_escalates):
+    # Each side is gated on its own: a side whose double series passes its
+    # gate is reported as the double value, bit for bit, and a side that
+    # fails it as the 40-digit value, bit for bit.
+    p = sample_params("bailey10phi9", seed)
+    rep = run_case("bailey10phi9", p)
+    sides = ((identities._bailey_10phi9_left, left_escalates, rep.lhs),
+             (identities._bailey_10phi9_right, right_escalates, rep.rhs))
+    for side, escalates, reported in sides:
+        double, kept = _bailey10_side(side, p)
+        assert kept is not escalates
+        assert reported == (_bailey10_side(side, p, 40)[0] if escalates else double)
     assert rep.status == "pass"
     assert rep.rel_residual <= identities.DOUBLE_GATE * rep.params["tol"]
+    return p, rep
+
+
+def test_bailey10_ill_conditioned_draw_escalates_to_40_digits():
+    # Seed 12 (n = 4): the left series sums with condition ~1e5, so its double
+    # value is off by ~3e-11 and is evaluated again at 40 digits; the right
+    # series passes its gate and keeps its double value.  mpmath arguments
+    # evaluate both sides at 40 digits, so their left side is the same.
+    p, rep = _check_bailey10_escalation(12, True, False)
+    direct = _bailey10_mpmath_run(p)
+    assert rep.lhs == direct.lhs and rep.rhs != direct.rhs
+
+
+@pytest.mark.parametrize("seed, left, right", [(40, False, True), (0, True, True)])
+def test_bailey10_escalates_only_the_side_that_fails_its_gate(seed, left, right):
+    # Seed 40 fails only the right gate (the prefactor goes with the right
+    # series), seed 0 fails both; a draw failing both reports what mpmath
+    # arguments report.
+    p, rep = _check_bailey10_escalation(seed, left, right)
+    if left and right:
+        direct = _bailey10_mpmath_run(p)
+        assert repr(rep) == repr(dataclasses.replace(direct, params=rep.params))
 
 
 def test_bailey10_draws_pass_a_thousand_times_below_tol(monkeypatch):
-    # The double path is reported only where its rounding bound is at most
+    # A double series is reported only where its rounding bound is at most
     # DOUBLE_GATE * tol, so no draw may report a larger residual; most draws
-    # must be evaluated in double only (eval_phi never sees an mpmath q).
+    # must be evaluated in double only (eval_phi never sees an mpmath q), and
+    # only a series that fails its own gate is evaluated again at 40 digits.
     seen = []
     original = identities.eval_phi
 
@@ -135,14 +181,16 @@ def test_bailey10_draws_pass_a_thousand_times_below_tol(monkeypatch):
         return original(spec, policy)
 
     monkeypatch.setattr(identities, "eval_phi", spy)
-    doubles = 0
+    doubles = escalated = 0
     for seed in range(200):
         seen.clear()
         rep = run_case("bailey10phi9", sample_params("bailey10phi9", seed))
         assert rep.status == "pass", seed
         assert rep.rel_residual <= identities.DOUBLE_GATE * rep.params["tol"], seed
         doubles += seen == [True, True]
+        escalated += seen.count(False)
     assert doubles >= 140
+    assert escalated == 57
 
 
 # ---------------------------------------------------------------------------
@@ -788,6 +836,28 @@ def test_summand_invariance_seeded_examples():
     assert r.status == "pass" and r.rel_residual <= 1e-9
     r = verify_summand_invariance(0.4 + 0.1j, 0.7 - 0.2j, 0.3, 0.35, 5, 1, 2, -1)
     assert r.status == "pass" and r.rel_residual <= 1e-9
+
+
+def test_summand_invariance_split_products_once_per_evaluation(monkeypatch):
+    # Under run_case's memo each split product is computed once and read back
+    # as the same value; the sign = 1 evaluation repeats all 28 of them.
+    # Outside run_case every call computes afresh.
+    calls = []
+    original = identities._poch_inf_split_product
+
+    def counting(a, q, policy):
+        calls.append(a)
+        return original(a, q, policy)
+
+    monkeypatch.setattr(identities, "_poch_inf_split_product", counting)
+    args = (0.4 + 0.1j, 0.7 - 0.2j, 0.3, 0.35, 4, 0, 2)
+    fresh = verify_summand_invariance(*args, 1)
+    assert len(calls) == 56
+    calls.clear()
+    memo = run_case("summandinvariance", dict(zip(
+        ("sigma", "rho", "gamma", "q", "n", "delta", "k", "sign"), (*args, 1))))
+    assert len(calls) == len(set(calls)) <= 28
+    assert repr(memo) == repr(fresh)
 
 
 def test_summand_invariance_overflow_is_an_error_report():
