@@ -28,6 +28,7 @@ from .errors import (
     QidentError,
 )
 from .partitions import (
+    check_partition,
     lattice_window,
     nstat,
     normalize,
@@ -699,6 +700,15 @@ def _require_rank(case_id, n, vec=(), least=1):
         raise DomainError(f"{case_id} requires at most n = {n} parts, got {vec}")
 
 
+def _require_delta(case_id, delta, allowed=(0, 1)):
+    """DomainError unless delta is one of allowed: the bilateral and
+    multilateral normalizations (_f_bilateral, mlat_norm) hold at delta = 0
+    and delta = 1 only."""
+    if delta not in allowed:
+        raise DomainError(f"{case_id} requires delta = "
+                          f"{' or '.join(map(str, allowed))}, got delta = {delta}")
+
+
 def verify_jackson_8phi7(a, b, c, d, n, q, tol=1e-9, policy=DEFAULT_POLICY):
     _require_rank("jackson8phi7", n, least=0)
     e = q ** (1 + n) * a * a / (b * c * d)
@@ -875,6 +885,8 @@ def verify_flipped_summand(sigma, rho, gamma, q, n, delta, z, k, tol=1e-8,
                            policy=DEFAULT_POLICY):
     params = dict(sigma=sigma, rho=rho, gamma=gamma, q=q, n=n, delta=delta,
                   z=z, k=k)
+    if k < 0:
+        raise DomainError(f"flippedsummand requires k >= 0, got k = {k}")
     b = q ** (2 * z)
     lhs = vwp_jackson_term(k, b, sigma, rho, gamma, n, q)
     zeros, rhs = flipped_summand_structured(z + k, z, sigma, rho, gamma, n, q,
@@ -892,6 +904,8 @@ def verify_flipped_summand(sigma, rho, gamma, q, n, delta, z, k, tol=1e-8,
 def verify_bilateral_finite(sigma, rho, gamma, q, n, delta, tol=1e-9,
                             policy=DEFAULT_POLICY):
     params = dict(sigma=sigma, rho=rho, gamma=gamma, q=q, n=n, delta=delta)
+    _require_rank("bilateralfinite", n, least=0)
+    _require_delta("bilateralfinite", delta)
     b = q**delta
     uni = sum(vwp_jackson_term(k, b, sigma, rho, gamma, n, q) for k in range(n + 1))
     sv = eval_psi(bilateral_finite_spec(sigma, rho, gamma, n, delta, q), policy)
@@ -912,6 +926,7 @@ def verify_bilateral_finite(sigma, rho, gamma, q, n, delta, tol=1e-9,
 
 def verify_3psi3(sigma, rho, gamma, q, delta, tol=1e-8, policy=DEFAULT_POLICY):
     params = dict(sigma=sigma, rho=rho, gamma=gamma, q=q, delta=delta)
+    _require_delta("3psi3", delta)
     srg = sigma * rho * gamma
     x = q ** (delta + 1) / srg
     if abs(x) >= 0.9:
@@ -930,6 +945,16 @@ def verify_3psi3(sigma, rho, gamma, q, delta, tol=1e-8, policy=DEFAULT_POLICY):
     case = "3psi3delta1" if delta == 1 else "3psi3delta0"
     return _make_report(case, params, lhs, rhs, tol, sv.terms_used,
                         message=f"window={sv.window}")
+
+
+def _verify_3psi3_case(case_delta):
+    """verify_3psi3 as the registry case 3psi3delta<case_delta>, which
+    covers that delta only."""
+    def verifier(sigma, rho, gamma, q, delta, tol, policy):
+        _require_delta(f"3psi3delta{case_delta}", delta, (case_delta,))
+        return verify_3psi3(sigma, rho, gamma, q, delta, tol, policy)
+
+    return verifier
 
 
 def verify_multiple_jackson(lam, n, z, q, p, t, a, b, s, tol=1e-7,
@@ -991,6 +1016,7 @@ def verify_multilateral_finite(lam, n, x, s, a, q, delta, tol=1e-7,
                                policy=DEFAULT_POLICY):
     lam = normalize(lam)
     _require_rank("multilateralfinite", n, lam)
+    _require_delta("multilateralfinite", delta)
     params = dict(lam=lam, n=n, x=x, s=s, a=a, q=q, delta=delta)
     upper, lower = mlat_finite_window(lam, n, delta)
     points = math.prod(max(hi - lo + 1, 0) for lo, hi in zip(lower, upper))
@@ -1027,6 +1053,7 @@ def verify_multilateral_finite(lam, n, x, s, a, q, delta, tol=1e-7,
 def verify_multilateral_3psi3(n, delta, x, s, a, q, tol=1e-6,
                               policy=DEFAULT_POLICY):
     _require_rank("multilateral3psi3", n)
+    _require_delta("multilateral3psi3", delta)
     params = dict(n=n, delta=delta, x=x, s=s, a=a, q=q)
     gate = 0.9 if n == 1 else 0.9 * abs(q) ** (n - 1)
     if abs(s) >= gate:
@@ -1463,12 +1490,12 @@ _register(
     "3psi3delta0",
     "Bilateral 3psi3 summation, delta = 0 (Bailey)",
     dict(sigma="scalar", rho="scalar", gamma="scalar", q="scalar", delta="int"),
-    1e-8, _sample_3psi3(0), verify_3psi3)
+    1e-8, _sample_3psi3(0), _verify_3psi3_case(0))
 _register(
     "3psi3delta1",
     "Bilateral 3psi3 summation, delta = 1 (shifted-base companion)",
     dict(sigma="scalar", rho="scalar", gamma="scalar", q="scalar", delta="int"),
-    1e-8, _sample_3psi3(1), verify_3psi3)
+    1e-8, _sample_3psi3(1), _verify_3psi3_case(1))
 _register(
     "multijackson",
     "Multiple elliptic Jackson summation for W functions",
@@ -1529,7 +1556,9 @@ def run_case(case_id: str, params: dict, tol: Optional[float] = None,
              policy: TruncationPolicy = DEFAULT_POLICY) -> IdentityReport:
     """Run one registry case on explicit parameters, capturing library errors
     and arithmetic errors (overflow, division by zero) into an error-status
-    report.  Parameters missing from the case's schema are a ConfigError.
+    report.  Parameters missing from the case's schema are a ConfigError; a
+    "partition"-kind parameter that is not a partition is a NotAPartition
+    error report.
 
     The evaluation gets its own theta memo (qcore.THETA_MEMO), dropped on
     return: a second call recomputes every theta."""
@@ -1542,7 +1571,8 @@ def run_case(case_id: str, params: dict, tol: Optional[float] = None,
     use_tol = case.default_tol if tol is None else tol
     token = THETA_MEMO.set({})
     try:
-        kwargs = {k: params[k] for k in case.schema}
+        kwargs = {k: check_partition(params[k]) if kind == "partition" else params[k]
+                  for k, kind in case.schema.items()}
         return case.verifier(**kwargs, tol=use_tol, policy=policy)
     except (QidentError, ArithmeticError) as exc:
         return error_report(case_id, params, use_tol, exc)

@@ -20,7 +20,7 @@ Conventions:
                  1 / (a q^k; q)_{-k}.
   (a;q)_inf      prod_{i>=0} (1 - a q^i), truncated by policy.
   theta(x;p)     (x;p)_inf (p/x;p)_inf; theta(x;0) = 1 - x.
-  (a;q,p)_n      prod_{k=0..n-1} theta(a q^k; p), negative n via reciprocal.
+  (a;q,p)_n      prod_{k=0..n-1} theta(a q^k; p), for n >= 0 only.
 """
 
 from __future__ import annotations
@@ -128,27 +128,16 @@ def theta(x, p, policy: TruncationPolicy = DEFAULT_POLICY):
 
 
 def epoch(a, q, p, n: int, policy: TruncationPolicy = DEFAULT_POLICY):
-    """Elliptic q-Pochhammer symbol (a;q,p)_n = prod_{k=0..n-1} theta(a q^k;p).
-
-    Negative n is the reciprocal 1/(a q^n; q,p)_{-n}.  At p = 0 this agrees
-    with poch_int.
+    """Elliptic q-Pochhammer symbol (a;q,p)_n = prod_{k=0..n-1} theta(a q^k;p)
+    for n >= 0; a negative n raises DomainError.  At p = 0 this agrees with
+    poch_int.
     """
-    if n == 0:
-        return 1.0 + 0j
-    if n > 0:
-        r = 1.0 + 0j
-        for k in range(n):
-            r = r * theta(a * q**k, p, policy)
-        return r
+    if n < 0:
+        raise DomainError(f"(a;q,p)_n requires n >= 0, got n = {n}")
     r = 1.0 + 0j
-    for k in range(-n):
-        f = theta(a * q ** (n + k), p, policy)
-        if abs(f) < VANISH_TOL:
-            raise DivisionByVanishingFactor(
-                f"(a;q,p)_{n}: theta factor at shift {n + k} vanishes"
-            )
-        r = r * f
-    return 1.0 / r
+    for k in range(n):
+        r = r * theta(a * q**k, p, policy)
+    return r
 
 
 def pair_poch_ratio(anum, aden, q, m: int):

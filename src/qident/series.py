@@ -1,5 +1,10 @@
 """Generic series evaluators: unilateral r-phi-s and bilateral r-psi-s.
 
+Every series evaluated here is balanced: an r-phi-s has r = s + 1 and an
+r-psi-s has r = s, so the sign factor ((-1)^k q^{k(k-1)/2})^{1 + s - r} of
+the general series (Gasper-Rahman (1.2.22), (5.1.1)) is identically 1 and is
+not evaluated.  A spec of another shape raises DomainError.
+
 Parameter entries in a :class:`SeriesSpec` may be plain scalars or
 :class:`~qident.policy.QPower` tags.  Tags drive *structural* termination:
 
@@ -8,12 +13,11 @@ Parameter entries in a :class:`SeriesSpec` may be plain scalars or
     every term with index <= -m, because the negative-order Pochhammer in the
     denominator diverges there.
 
-Conventions:
-  * eval_phi follows the classical r-phi-s normalization: the denominator
-    list holds the b-parameters only, and the implicit (q;q)_k factor is
-    supplied by the evaluator.  The extra sign factor is
-    ((-1)^k q^{k(k-1)/2})^{1 + s - r} with s = len(denominator).
-  * eval_psi has no implicit (q;q)_k; the sign factor exponent is s - r.
+eval_phi sums terminating series only: its spec must carry a numerator tag
+q^{-n}, n >= 0, and it sums the n + 1 terms k = 0..n.  It follows the
+classical r-phi-s normalization: the denominator list holds the b-parameters
+only, and the implicit (q;q)_k factor is supplied by the evaluator.  eval_psi
+has no implicit (q;q)_k.
 
 eval_phi also reports the condition number of the sum it returns
 (SeriesValue.condition), so a caller can bound the effect of rounding on the
@@ -80,39 +84,30 @@ def _resolved(entries, q):
 
 
 def eval_phi(spec: SeriesSpec, policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesValue:
-    """Evaluate a unilateral basic hypergeometric series.
+    """Evaluate a balanced terminating unilateral basic hypergeometric series.
 
-    Terminates structurally at the smallest n with a numerator tag q^{-n};
-    otherwise sums until three consecutive terms fall below the relative tail
-    threshold.  Non-terminating series with r = s + 1 require |argument| < 1.
+    The spec must have r = s + 1 and a numerator tag q^{-n}, n >= 0; the sum
+    stops structurally at the smallest such n.  Any other spec raises
+    DomainError.
     """
     q = spec.q
     x = scalar_value(spec.argument, q)
     nums = _resolved(spec.numerator, q)
     dens = _resolved(spec.denominator, q)
-    r_count, s_count = len(nums), len(dens)
-    sign_exp = 1 + s_count - r_count
+    if len(nums) != len(dens) + 1:
+        raise DomainError("eval_phi requires a balanced series, r = s + 1")
+    cuts = [-tag for _, tag in nums if tag is not None and tag <= 0]
+    if not cuts:
+        raise DomainError("eval_phi requires a numerator tag q^{-n} with n >= 0")
+    cut = min(cuts)
+    if cut > policy.max_terms:
+        raise NoConvergence("eval_phi: max_terms reached")
 
-    cut = None
-    for _, tag in nums:
-        if tag is not None and tag <= 0:
-            cut = -tag if cut is None else min(cut, -tag)
-    if cut is None and r_count == s_count + 1 and abs(x) >= 1:
-        raise DomainError("non-terminating series requires |argument| < 1")
-
-    total = 0.0 + 0j
-    mass = 0.0  # sum of |t_k|
+    total = 1.0 + 0j  # the k = 0 term
+    mass = 1.0  # sum of |t_k|
     term = 1.0 + 0j
-    below = 0
-    k = 0
     qk = q**0
-    while True:
-        total = total + term
-        mass = mass + abs(term)
-        if cut is not None and k >= cut:
-            return SeriesValue(total, k + 1, True, condition=_condition(mass, total))
-        if k + 1 > policy.max_terms:
-            raise NoConvergence("eval_phi: max_terms reached")
+    for k in range(cut):
         num_f = 1.0 + 0j
         for v, _ in nums:
             num_f = num_f * (1 - v * qk)
@@ -123,26 +118,18 @@ def eval_phi(spec: SeriesSpec, policy: TruncationPolicy = DEFAULT_POLICY) -> Ser
         if abs(den_f) < VANISH_TOL:
             raise DivisionByVanishingFactor("eval_phi: denominator factor vanishes")
         term = term * x * num_f / den_f
-        if sign_exp:
-            term = term * ((-1) * qk) ** sign_exp
-        k += 1
+        total = total + term
+        mass = mass + abs(term)
         qk = qk_next
-        if cut is None:
-            if abs(term) < policy.series_tol * max(abs(total), 1e-300):
-                below += 1
-                if below >= 3:
-                    return SeriesValue(total, k, False,
-                                       condition=_condition(mass, total))
-            else:
-                below = 0
+    return SeriesValue(total, cut + 1, True, condition=_condition(mass, total))
 
 
 class _BilateralTerms:
     """Term generator for a bilateral series via ratio recurrences from k=0."""
 
-    def __init__(self, nums, dens, x, q, sign_exp):
+    def __init__(self, nums, dens, x, q):
         self.nums, self.dens = nums, dens
-        self.x, self.q, self.sign_exp = x, q, sign_exp
+        self.x, self.q = x, q
         self.log_inv_q = None  # log10(1/|q|), computed at the first lower term
         self.t_up = 1.0 + 0j  # term at index k_up
         self.k_up = 0
@@ -176,8 +163,6 @@ class _BilateralTerms:
         if abs(fd) < VANISH_TOL:
             raise DivisionByVanishingFactor("bilateral series: denominator vanishes")
         t = self.t_up * self.x * fn / fd
-        if self.sign_exp:
-            t = t * ((-1) * self.q**k) ** self.sign_exp
         self.t_up, self.k_up = t, self.k_up + 1
         if abs(t) < NEGLIGIBLE:  # tail below any representable contribution
             self.up_done = True
@@ -189,9 +174,9 @@ class _BilateralTerms:
             return None
         k = self.k_dn - 1
         # Deep in the lower tail |q^k| overflows a float.  Write each factor
-        # as (1 - v q^k) = q^k (q^{-k} - v); the q^{Nk}/q^{Dk} scale factors
-        # cancel exactly against the sign/power factor (whose exponent is
-        # D - N), leaving only the bounded mantissas and a sign.
+        # as (1 - v q^k) = q^k (q^{-k} - v); the series is balanced, so the
+        # q^{rk} scale factors of numerator and denominator cancel exactly,
+        # leaving only the bounded mantissas.
         if self.log_inv_q is None:
             self.log_inv_q = math.log10(1.0 / abs(self.q))
         if (-k) * self.log_inv_q > 100:  # k < 0 here
@@ -205,8 +190,6 @@ class _BilateralTerms:
             if abs(fn_m) < VANISH_TOL:
                 raise DivisionByVanishingFactor("bilateral series: numerator pole")
             t = self.t_dn * fd_m / (self.x * fn_m)
-            if self.sign_exp % 2:
-                t = -t
             self.t_dn, self.k_dn = t, self.k_dn - 1
             if abs(t) < NEGLIGIBLE:
                 self.dn_done = True
@@ -219,8 +202,6 @@ class _BilateralTerms:
         if abs(fn) < VANISH_TOL:
             raise DivisionByVanishingFactor("bilateral series: numerator pole")
         t = self.t_dn * fd / (self.x * fn)
-        if self.sign_exp:
-            t = t / ((-1) * self.q**k) ** self.sign_exp
         self.t_dn, self.k_dn = t, self.k_dn - 1
         if abs(t) < NEGLIGIBLE:  # tail below any representable contribution
             self.dn_done = True
@@ -231,7 +212,8 @@ def eval_psi(
     spec: SeriesSpec,
     policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> SeriesValue:
-    """Evaluate a bilateral basic hypergeometric series.
+    """Evaluate a balanced bilateral basic hypergeometric series: r = s, or
+    DomainError.
 
     Structural cuts from QPower tags are honored on both sides.  Symmetric
     windows grow by policy.window_step until two consecutive expansions are
@@ -241,7 +223,8 @@ def eval_psi(
     x = scalar_value(spec.argument, q)
     nums = _resolved(spec.numerator, q)
     dens = _resolved(spec.denominator, q)
-    sign_exp = len(dens) - len(nums)
+    if len(nums) != len(dens):
+        raise DomainError("eval_psi requires a balanced series, r = s")
 
     hi_cut = None
     for _, tag in nums:
@@ -252,7 +235,7 @@ def eval_psi(
         if tag is not None and tag >= 1:
             lo_cut = 1 - tag if lo_cut is None else max(lo_cut, 1 - tag)
 
-    gen = _BilateralTerms(nums, dens, x, q, sign_exp)
+    gen = _BilateralTerms(nums, dens, x, q)
     total = 1.0 + 0j  # k = 0 term
     nterms = 1
 

@@ -65,7 +65,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Tuple
 
-from .errors import PoleCancellationError
+from .errors import DivisionByVanishingFactor, PoleCancellationError
 from .partitions import interlacing_vectors, is_horizontal_strip, normalize, part
 from .policy import DEFAULT_POLICY
 from .qcore import epoch, theta
@@ -118,8 +118,8 @@ class Keyed(NamedTuple):
 def poch_partition(a, q, p, t, lam):
     """Partition Pochhammer symbol (a;q,p,t)_lam = prod_i (a t^{1-i};q,p)_{lam_i}.
 
-    lam may be any integer vector; negative entries use the negative-order
-    elliptic Pochhammer.
+    lam is a vector of non-negative integers, a partition at every caller; a
+    negative entry raises DomainError (qcore.epoch).
     """
     r = 1.0 + 0j
     for i in range(1, len(lam) + 1):
@@ -507,12 +507,11 @@ def w_degree(mu, N: int, n: int, s, delta: int, q):
     Valid literally for mu in Z^n (weakly decreasing; other vectors return 0,
     matching the recursive evaluation).  Every linear factor has the shape
     1 - c q^e with c in {1, s, 1/s}; factors with c = 1, e = 0 vanish exactly
-    and are counted on each side: an excess numerator zero gives 0, an excess
-    denominator zero is a genuine pole (DivisionByVanishingFactor via the
-    raised ZeroDivisionError contract is avoided by explicit counting).
+    and are counted on each side: an excess numerator zero gives 0, and an
+    excess denominator zero is a genuine pole, which raises
+    DivisionByVanishingFactor.  The vanishing factors are counted, never
+    evaluated, so no division by zero takes place.
     """
-    from .errors import DivisionByVanishingFactor
-
     mu = tuple(mu)
     if any(mu[i] < mu[i + 1] for i in range(len(mu) - 1)):
         return 0.0 + 0j

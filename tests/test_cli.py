@@ -401,3 +401,16 @@ def test_full_suite_compare(tmp_path):
             in diff.stdout)
     assert (f"differs: {dropped['case_id']} {dropped['sample_index']}: status "
             f"absent -> {dropped['status']}\n" in diff.stdout)
+
+
+def test_reachability_script_prints_a_row_per_module():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    cmd = [sys.executable, str(root / "scripts" / "reachability.py"),
+           "--samples", "1", "--high-samples", "0"]
+    done = subprocess.run(cmd, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout + done.stderr
+    rows = {line.split()[0]: line.split()[1:3] for line in done.stdout.splitlines()[2:]}
+    for module in ("qcore", "series", "wfunc", "identities", "partitions"):
+        statements, unreached = map(int, rows[module])
+        assert 0 <= unreached < statements

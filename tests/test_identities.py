@@ -555,14 +555,41 @@ def test_run_case_missing_parameters_is_a_config_error():
     ("summandinvariance", dict(n=-1), "requires n >= 0"),
     ("flip", dict(xs=()), "requires n >= 1"),
     ("flip", dict(xs=(0.5, 0.6), lam=(2, 1, 1)), "requires at most n = 2 parts"),
+    ("bilateralfinite", dict(delta=2), "requires delta = 0 or 1, got delta = 2"),
+    ("multilateral3psi3", dict(delta=2), "requires delta = 0 or 1, got delta = 2"),
+    ("multilateralfinite", dict(delta=2), "requires delta = 0 or 1, got delta = 2"),
+    ("multilateralfinite", dict(delta=-1), "requires delta = 0 or 1, got delta = -1"),
+    ("bilateralfinite", dict(n=-1), "requires n >= 0, got n = -1"),
+    ("3psi3delta0", dict(delta=2), "3psi3delta0 requires delta = 0, got delta = 2"),
+    ("3psi3delta0", dict(delta=1), "3psi3delta0 requires delta = 0, got delta = 1"),
+    ("3psi3delta1", dict(delta=0), "3psi3delta1 requires delta = 1, got delta = 0"),
+    ("flippedsummand", dict(k=-1), "requires k >= 0, got k = -1"),
 ])
 def test_out_of_domain_parameters_are_error_reports(case_id, change, message):
-    # Each of these used to be a fail with an empty message, a pass on a
-    # truncated partition or with 0 = 0 on both sides, or an uncaught
+    # Each of these used to be a fail with an empty message (or, at a delta
+    # that _f_bilateral and mlat_norm do not cover, with rel 0.2-1.1), a pass
+    # on a truncated partition, with 0 = 0 on both sides or under the other
+    # 3psi3 case id, a vanishing-factor error, or an uncaught
     # IndexError/ValueError.
     r = run_case(case_id, {**sample_params(case_id, 0), **change})
-    assert r.status == "error"
+    assert (r.case_id, r.status) == (case_id, "error")
     assert r.message.startswith("DomainError: ") and message in r.message
+
+
+@pytest.mark.parametrize("case_id, change", [
+    ("duality", dict(lam=(1, 2))),
+    ("duality", dict(nu=(0, 1))),
+    ("flip", dict(lam=(1, 2), xs=(0.5, 0.6))),
+    ("multilateralfinite", dict(lam=(1, 2), n=2)),
+    ("weyldegree", dict(mu=(-1,))),
+])
+def test_non_partition_parameters_are_error_reports(case_id, change):
+    # Checked in run_case for every "partition"-kind parameter: duality used
+    # to fail on these, flip to pass with 0 = 0, multilateralfinite to stop
+    # at its out-of-window check, and weyldegree to pass.
+    r = run_case(case_id, {**sample_params(case_id, 0), **change})
+    assert r.status == "error"
+    assert r.message.startswith("NotAPartition: ")
 
 
 def test_weyl_degree_pole_draw_takes_the_richardson_fallback():

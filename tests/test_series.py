@@ -18,19 +18,21 @@ from conftest import rel
 # ---------------------------------------------------------------------------
 
 def test_phi_zero_argument():
-    spec = SeriesSpec(numerator=[0.5, 0.3], denominator=[0.7], argument=0.0,
-                      q=0.4)
+    spec = SeriesSpec(numerator=[QPower(-3), 0.5, 0.3], denominator=[0.7, 0.2],
+                      argument=0.0, q=0.4)
     sv = eval_phi(spec)
     assert sv.value == 1
+    assert sv.terminated and sv.terms_used == 4
 
 
 def test_phi_q_binomial_theorem():
-    # 1phi0(a; -; q, x) = (a x)_inf / (x)_inf
-    a, x, q = 0.5, 0.3, 0.4
-    spec = SeriesSpec(numerator=[a], denominator=[], argument=x, q=q)
-    sv = eval_phi(spec)
-    assert rel(sv.value, poch_inf(a * x, q) / poch_inf(x, q)) < 1e-12
-    assert not sv.terminated
+    # terminating q-binomial theorem: 1phi0(q^-n; -; q, x) = (x q^-n; q)_n
+    x, q = 0.3 + 0.2j, 0.4
+    for n in range(6):
+        spec = SeriesSpec(numerator=[QPower(-n)], denominator=[], argument=x, q=q)
+        sv = eval_phi(spec)
+        assert rel(sv.value, poch_int(x * q**-n, q, n)) < 1e-12
+        assert sv.terminated and sv.terms_used == n + 1
 
 
 def test_phi_structural_termination_three_terms():
@@ -52,16 +54,18 @@ def test_phi_balanced_sign_factor_free_brute_force():
     rng = random.Random(13)
     for _ in range(10):
         q = rng.uniform(0.1, 0.5)
+        n = rng.randint(0, 8)
         nums = [complex(rng.uniform(-0.8, 0.8), rng.uniform(-0.4, 0.4))
                 for _ in range(3)]
         dens = [complex(rng.uniform(0.3, 0.9), rng.uniform(-0.3, 0.3))
-                for _ in range(2)]
+                for _ in range(3)]
         x = rng.uniform(0.1, 0.6)
-        spec = SeriesSpec(numerator=nums, denominator=dens, argument=x, q=q)
+        spec = SeriesSpec(numerator=[QPower(-n), *nums], denominator=dens,
+                          argument=x, q=q)
         sv = eval_phi(spec)
         brute = 0.0 + 0j
-        for k in range(80):
-            term = x**k / poch_int(q, q, k)
+        for k in range(n + 1):
+            term = x**k * poch_int(q**-n, q, k) / poch_int(q, q, k)
             for v in nums:
                 term *= poch_int(v, q, k)
             for v in dens:
@@ -92,9 +96,26 @@ def test_phi_condition_of_terminating_q_vandermonde():
     assert abs(msv.condition - hand) < 1e-12 * hand
 
 
-def test_phi_nonterminating_divergent_argument_rejected():
-    spec = SeriesSpec(numerator=[0.5], denominator=[], argument=1.2, q=0.4)
-    with pytest.raises(DomainError):
+def test_phi_untagged_spec_rejected():
+    # Without a numerator tag q^{-n}, n >= 0, the series does not terminate;
+    # it is rejected whether or not it would converge.
+    for numerator in ([0.5], [QPower(2)]):
+        for argument in (0.3, 1.2):
+            spec = SeriesSpec(numerator=numerator, denominator=[],
+                              argument=argument, q=0.4)
+            with pytest.raises(DomainError, match="numerator tag"):
+                eval_phi(spec)
+
+
+@pytest.mark.parametrize("numerator, denominator", [
+    ([QPower(-2)], [0.7]),
+    ([QPower(-2), 0.5, 0.3], [0.7]),
+    ([QPower(-2), 0.5], []),
+])
+def test_phi_unbalanced_spec_rejected(numerator, denominator):
+    spec = SeriesSpec(numerator=numerator, denominator=denominator, argument=0.3,
+                      q=0.4)
+    with pytest.raises(DomainError, match=r"r = s \+ 1"):
         eval_phi(spec)
 
 
@@ -103,13 +124,25 @@ def test_phi_nonterminating_divergent_argument_rejected():
 # ---------------------------------------------------------------------------
 
 def test_psi_lower_termination_reduces_to_phi():
-    # 1psi1 with b = q: all n < 0 terms vanish, equal to 1phi0(a; q, x).
+    # 1psi1 with b = q: all n < 0 terms vanish, leaving 1phi0(a; -; q, x),
+    # which the q-binomial theorem sums to (a x)_inf / (x)_inf.
     a, x, q = 0.6, 0.3, 0.4
     bil = SeriesSpec(numerator=[a], denominator=[QPower(1)], argument=x, q=q)
-    uni = SeriesSpec(numerator=[a], denominator=[], argument=x, q=q)
-    sv_b, sv_u = eval_psi(bil), eval_phi(uni)
-    assert rel(sv_b.value, sv_u.value) < 1e-12
+    sv_b = eval_psi(bil)
+    assert rel(sv_b.value, poch_inf(a * x, q) / poch_inf(x, q)) < 1e-12
     assert sv_b.window is not None and sv_b.window[0] == 0
+
+
+@pytest.mark.parametrize("numerator, denominator", [
+    ([0.5, 0.4], [0.7]),
+    ([0.5], [0.7, 0.2]),
+    ([0.5], []),
+])
+def test_psi_unbalanced_spec_rejected(numerator, denominator):
+    spec = SeriesSpec(numerator=numerator, denominator=denominator, argument=0.3,
+                      q=0.4)
+    with pytest.raises(DomainError, match="r = s"):
+        eval_psi(spec)
 
 
 def test_psi_ramanujan_closed_form():
