@@ -70,7 +70,7 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--samples", type=int, default=5)
-    ap.add_argument("--parallelism", type=int, default=4)
+    ap.add_argument("--parallelism", type=int, default=1)
     ap.add_argument("--out", default="full_suite_report.json")
     ap.add_argument("--csv", default="full_suite_report.csv")
     ap.add_argument("--compare", metavar="BASE.json",

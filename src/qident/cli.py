@@ -10,10 +10,14 @@ Exit codes: 0 all pass, 1 any fail or error, 2 configuration/usage error.
 
 Config files are JSON: either a list of case configs or {"cases": [...]};
 each case config is {"case_id": str, "seed": int, "samples": int,
-"tol": float, "params": {...}}.  Complex values are written as [re, im]
-pairs, partitions as bracketed strings like "[3,1]", exact q-power tags as
-{"qpow": m}.  Reports are emitted as JSON (source of truth) and optionally
-flattened to CSV; NaN never appears in reports (error runs carry null sides).
+"tol": float, "params": {...}}.  A parameter's schema kind (`qident list`
+names the parameters) is an integer kind -- int, order (>= 0), rank (>= 1),
+delta (0 or 1) or sign (+1 or -1) -- or scalar, partition (at most rank
+parts) or vector (rank entries); a value outside its kind's domain ends as an
+error run.  Complex values are written as [re, im] pairs, partitions as
+bracketed strings like "[3,1]", exact q-power tags as {"qpow": m}.  Reports
+are emitted as JSON (source of truth) and optionally flattened to CSV; NaN
+never appears in reports (error runs carry null sides).
 """
 
 from __future__ import annotations
@@ -31,7 +35,8 @@ from typing import List, Optional
 
 from . import __version__
 from .errors import ConfigError, NotAPartition, QidentError
-from .identities import CASES, IdentityReport, error_report, run_case, sample_params
+from .identities import (CASES, INT_KINDS, IdentityReport, error_report, run_case,
+                         sample_params)
 from .partitions import parse_partition
 from .policy import QPower
 
@@ -61,7 +66,7 @@ class ReportSet:
 # ---------------------------------------------------------------------------
 
 def _decode_value(kind, raw):
-    if kind == "int":
+    if kind in INT_KINDS:
         if isinstance(raw, bool) or not isinstance(raw, int):
             raise ConfigError(f"expected integer, got {raw!r}")
         return raw

@@ -13,6 +13,7 @@ regularized W evaluation stay well-conditioned.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 import random
@@ -237,10 +238,6 @@ def bilateral_finite_spec(sig, rho, gam, n, delta, q):
     )
 
 
-def _f_bilateral(delta, q):
-    return 1.0 + 0j if delta == 0 else 1.0 / (1 - q)
-
-
 # ---------------------------------------------------------------------------
 # Rank-n building blocks.
 # ---------------------------------------------------------------------------
@@ -356,7 +353,8 @@ def flip_sides(xvars, lam, q, p, t, a, b):
 def mlat_norm(n, delta, q):
     """Normalization constant of the multilateral bilateralization: the
     ratio (one-sided sum)/(full lattice sum), fixed by the rank-1 reduction
-    and verified against the finite one-sided identity."""
+    and verified against the finite one-sided identity.  At n = 1 it is the
+    normalization of the bilateral sums (bilateralfinite, 3psi3delta*)."""
     r = 1.0 + 0j
     if delta == 0:
         for i in range(1, n):
@@ -592,41 +590,6 @@ def _dominant_shell(n, m, covered):
             yield head + (low,)
 
 
-def _shell_rank(mu, m, covered):
-    """Index of mu among the points of [-m, m]^n outside [-covered, covered]^n
-    in the order of itertools.product(range(-m, m + 1), repeat=n)."""
-    n = len(mu)
-    side, inner = 2 * m + 1, 2 * covered + 1
-    rank = 0
-    inside = covered >= 0  # mu_1..mu_{i-1} lie in [-covered, covered]
-    for i, v in enumerate(mu):
-        rank += (v + m) * side ** (n - 1 - i)
-        if inside:
-            rank -= min(max(v + covered, 0), inner) * inner ** (n - 1 - i)
-            inside = -covered <= v <= covered
-    return rank
-
-
-def _shell_failure(factors, m, covered, budget):
-    """Raise what a product-order sweep of the shell, evaluating every dominant
-    summand and counting every point, would raise first: pair_poch_ratio's
-    error at a dominant point, or the lattice budget after `budget` points
-    (None: not exhausted in this shell).  Returns if neither happens."""
-    first = None
-    for mu in _dominant_shell(len(factors), m, covered):
-        for f, v in zip(factors, mu):
-            msg = f.failure(v)
-            if msg is not None:
-                rank = _shell_rank(mu, m, covered)
-                if first is None or rank < first[0]:
-                    first = (rank, msg)
-                break
-    if first is not None and (budget is None or first[0] <= budget):
-        raise DivisionByVanishingFactor(first[1])
-    if budget is not None:
-        raise NoConvergence("multilateral sum: lattice budget exhausted")
-
-
 def _mlat_3psi3_sum(n, delta, q, s, a, x, policy):
     """Lattice sum of mlat_3psi3_summand over Z^n by expanding hypercube shells
     [-m, m]^n with a tail test.
@@ -637,8 +600,9 @@ def _mlat_3psi3_sum(n, delta, q, s, a, x, policy):
     and grown with the window (_CoordinateFactor, _DeltaSquare), so a point
     costs O(n^2) lookups.  Each shell enumerates only its new dominant points;
     the other summands vanish.  terms_used counts every point of the window,
-    (2m + 1)^n, and the lattice budget and the pair_poch_ratio errors are
-    raised as by a sweep over all of them (_shell_failure)."""
+    (2m + 1)^n.  A shell whose tables reach a vanishing factor (read by a
+    dominant point such as (v, ..., v)) raises the first coordinate's
+    pair_poch_ratio error, denominator before reciprocal, before its budget."""
     factors = [_CoordinateFactor(s * q ** (1 - n + 2 * (i - 1)),
                                  _mlat_pairs(i, n, delta, q, s, a, x), q)
                for i in range(1, n + 1)]
@@ -659,10 +623,13 @@ def _mlat_3psi3_sum(n, delta, q, s, a, x, policy):
     while True:
         tables = [f.grow(m) for f in factors]
         deltas = [(i, j, dsq.grow(2 * m), ssq.grow(2 * m)) for i, j, dsq, ssq in cross]
+        for f in factors:
+            msg = f.failure(m) or f.failure(-m)
+            if msg is not None:
+                raise DivisionByVanishingFactor(msg)
         count = (2 * m + 1) ** n - ((2 * covered + 1) ** n if covered >= 0 else 0)
-        budget = MAX_LATTICE_TERMS - nterms if nterms + count > MAX_LATTICE_TERMS else None
-        if budget is not None or any(f.failure(m) or f.failure(-m) for f in factors):
-            _shell_failure(factors, m, covered, budget)
+        if nterms + count > MAX_LATTICE_TERMS:
+            raise NoConvergence("multilateral sum: lattice budget exhausted")
         new = 0.0 + 0j
         for mu in _dominant_shell(n, m, covered):
             v = 1.0 + 0j
@@ -691,26 +658,7 @@ def _mlat_3psi3_sum(n, delta, q, s, a, x, policy):
 # Verifiers.
 # ---------------------------------------------------------------------------
 
-def _require_rank(case_id, n, vec=(), least=1):
-    """DomainError unless n >= least (n a rank, or with least = 0 the order
-    of a terminating sum) and the partition vec has at most n parts."""
-    if n < least:
-        raise DomainError(f"{case_id} requires n >= {least}, got n = {n}")
-    if len(vec) > n:
-        raise DomainError(f"{case_id} requires at most n = {n} parts, got {vec}")
-
-
-def _require_delta(case_id, delta, allowed=(0, 1)):
-    """DomainError unless delta is one of allowed: the bilateral and
-    multilateral normalizations (_f_bilateral, mlat_norm) hold at delta = 0
-    and delta = 1 only."""
-    if delta not in allowed:
-        raise DomainError(f"{case_id} requires delta = "
-                          f"{' or '.join(map(str, allowed))}, got delta = {delta}")
-
-
 def verify_jackson_8phi7(a, b, c, d, n, q, tol=1e-9, policy=DEFAULT_POLICY):
-    _require_rank("jackson8phi7", n, least=0)
     e = q ** (1 + n) * a * a / (b * c * d)
     params = dict(a=a, b=b, c=c, d=d, e=e, n=n, q=q)
     sa = csqrt(a)
@@ -808,7 +756,6 @@ def verify_bailey_10phi9(a, b, c, d, e, f, n, q, tol=1e-9, policy=DEFAULT_POLICY
     raises, is evaluated again at exactly 40 digits (in _mp40's context),
     the right series together with its prefactor.  mpmath arguments evaluate
     both sides at max(40, mpmath.mp.dps) digits."""
-    _require_rank("bailey10phi9", n, least=0)
     params = dict(a=a, b=b, c=c, d=d, e=e, f=f, n=n, q=q)
     sides = (_bailey_10phi9_left, _bailey_10phi9_right)
     if all(isinstance(v, (int, float, complex)) for v in (a, b, c, d, e, f, q)):
@@ -885,8 +832,6 @@ def verify_flipped_summand(sigma, rho, gamma, q, n, delta, z, k, tol=1e-8,
                            policy=DEFAULT_POLICY):
     params = dict(sigma=sigma, rho=rho, gamma=gamma, q=q, n=n, delta=delta,
                   z=z, k=k)
-    if k < 0:
-        raise DomainError(f"flippedsummand requires k >= 0, got k = {k}")
     b = q ** (2 * z)
     lhs = vwp_jackson_term(k, b, sigma, rho, gamma, n, q)
     zeros, rhs = flipped_summand_structured(z + k, z, sigma, rho, gamma, n, q,
@@ -904,12 +849,10 @@ def verify_flipped_summand(sigma, rho, gamma, q, n, delta, z, k, tol=1e-8,
 def verify_bilateral_finite(sigma, rho, gamma, q, n, delta, tol=1e-9,
                             policy=DEFAULT_POLICY):
     params = dict(sigma=sigma, rho=rho, gamma=gamma, q=q, n=n, delta=delta)
-    _require_rank("bilateralfinite", n, least=0)
-    _require_delta("bilateralfinite", delta)
     b = q**delta
     uni = sum(vwp_jackson_term(k, b, sigma, rho, gamma, n, q) for k in range(n + 1))
     sv = eval_psi(bilateral_finite_spec(sigma, rho, gamma, n, delta, q), policy)
-    bil = _f_bilateral(delta, q) * sv.value
+    bil = mlat_norm(1, delta, q) * sv.value
     prod = jackson_delta_product(b, sigma, rho, gamma, n, q)
     vals = {"unilateral": uni, "bilateral": bil, "product": prod}
     worst = 0.0
@@ -926,7 +869,6 @@ def verify_bilateral_finite(sigma, rho, gamma, q, n, delta, tol=1e-9,
 
 def verify_3psi3(sigma, rho, gamma, q, delta, tol=1e-8, policy=DEFAULT_POLICY):
     params = dict(sigma=sigma, rho=rho, gamma=gamma, q=q, delta=delta)
-    _require_delta("3psi3", delta)
     srg = sigma * rho * gamma
     x = q ** (delta + 1) / srg
     if abs(x) >= 0.9:
@@ -937,44 +879,26 @@ def verify_3psi3(sigma, rho, gamma, q, delta, tol=1e-8, policy=DEFAULT_POLICY):
                      q ** (1 + delta) / gamma],
         argument=x, q=q)
     sv = eval_psi(spec, policy)
-    lhs = _f_bilateral(delta, q) * sv.value
+    lhs = mlat_norm(1, delta, q) * sv.value
     qd = q ** (1 + delta)
     rhs = poch_multi_inf([qd, qd / (sigma * rho), qd / (sigma * gamma),
                           qd / (rho * gamma)], q, policy) \
         / poch_multi_inf([qd / sigma, qd / rho, qd / gamma, qd / srg], q, policy)
-    case = "3psi3delta1" if delta == 1 else "3psi3delta0"
-    return _make_report(case, params, lhs, rhs, tol, sv.terms_used,
+    return _make_report(f"3psi3delta{delta}", params, lhs, rhs, tol, sv.terms_used,
                         message=f"window={sv.window}")
-
-
-def _verify_3psi3_case(case_delta):
-    """verify_3psi3 as the registry case 3psi3delta<case_delta>, which
-    covers that delta only."""
-    def verifier(sigma, rho, gamma, q, delta, tol, policy):
-        _require_delta(f"3psi3delta{case_delta}", delta, (case_delta,))
-        return verify_3psi3(sigma, rho, gamma, q, delta, tol, policy)
-
-    return verifier
 
 
 def verify_multiple_jackson(lam, n, z, q, p, t, a, b, s, tol=1e-7,
                             policy=DEFAULT_POLICY):
-    lam = normalize(lam)
-    zvars = tuple(z)
-    _require_rank("multijackson", n, lam)
-    if len(zvars) != n:
-        raise DomainError(f"multijackson requires n = {n} variables z, got {len(zvars)}")
-    params = dict(lam=lam, n=n, z=zvars, q=q, p=p, t=t, a=a, b=b, s=s)
-    lhs = multiple_jackson_lhs(zvars, lam, n, q, p, t, a, b)
-    rhs = multiple_jackson_rhs(zvars, lam, n, q, p, t, a, b, s)
+    params = dict(lam=lam, n=n, z=z, q=q, p=p, t=t, a=a, b=b, s=s)
+    lhs = multiple_jackson_lhs(z, lam, n, q, p, t, a, b)
+    rhs = multiple_jackson_rhs(z, lam, n, q, p, t, a, b, s)
     return _make_report("multijackson", params, lhs, rhs, tol,
                         len(subpartitions(lam)))
 
 
 def verify_simplified_jackson(lam, n, x, q, p, t, a, b, s, tol=1e-7,
                               policy=DEFAULT_POLICY):
-    lam = normalize(lam)
-    _require_rank("simplifiedjackson", n, lam)
     params = dict(lam=lam, n=n, x=x, q=q, p=p, t=t, a=a, b=b, s=s)
     lhs = simplified_jackson_lhs(x, lam, n, q, p, t, a, b, s)
     rhs = simplified_jackson_rhs(x, lam, n, q, p, t, a, b, s)
@@ -984,9 +908,6 @@ def verify_simplified_jackson(lam, n, x, q, p, t, a, b, s, tol=1e-7,
 
 def verify_duality(lam, nu, n, a, aprime, b, q, t, tol=1e-9,
                    policy=DEFAULT_POLICY):
-    lam, nu = normalize(lam), normalize(nu)
-    _require_rank("duality", n, lam)
-    _require_rank("duality", n, nu)
     params = dict(lam=lam, nu=nu, n=n, a=a, aprime=aprime, b=b, q=q, t=t)
     lhs = duality_side(lam, nu, n, q, t, a, aprime, b)
     rhs = duality_side(nu, lam, n, q, t, aprime, a, b)
@@ -994,16 +915,12 @@ def verify_duality(lam, nu, n, a, aprime, b, q, t, tol=1e-9,
 
 
 def verify_flip(lam, xs, q, p, t, a, b, tol=1e-9, policy=DEFAULT_POLICY):
-    lam = normalize(lam)
-    _require_rank("flip", len(xs), lam)
-    params = dict(lam=lam, xs=tuple(xs), q=q, p=p, t=t, a=a, b=b)
-    lhs, rhs = flip_sides(tuple(xs), lam, q, p, t, a, b)
+    params = dict(lam=lam, xs=xs, q=q, p=p, t=t, a=a, b=b)
+    lhs, rhs = flip_sides(xs, lam, q, p, t, a, b)
     return _make_report("flip", params, lhs, rhs, tol)
 
 
 def verify_weyl_degree(mu, N, n, s, delta, q, tol=1e-9, policy=DEFAULT_POLICY):
-    mu = normalize(mu)
-    _require_rank("weyldegree", n, mu)
     params = dict(mu=mu, N=N, n=n, s=s, delta=delta, q=q)
     muv = tuple(part(mu, i) for i in range(1, n + 1))
     lhs = w_degree(muv, N, n, s, delta, q)
@@ -1014,9 +931,6 @@ def verify_weyl_degree(mu, N, n, s, delta, q, tol=1e-9, policy=DEFAULT_POLICY):
 
 def verify_multilateral_finite(lam, n, x, s, a, q, delta, tol=1e-7,
                                policy=DEFAULT_POLICY):
-    lam = normalize(lam)
-    _require_rank("multilateralfinite", n, lam)
-    _require_delta("multilateralfinite", delta)
     params = dict(lam=lam, n=n, x=x, s=s, a=a, q=q, delta=delta)
     upper, lower = mlat_finite_window(lam, n, delta)
     points = math.prod(max(hi - lo + 1, 0) for lo, hi in zip(lower, upper))
@@ -1052,8 +966,6 @@ def verify_multilateral_finite(lam, n, x, s, a, q, delta, tol=1e-7,
 
 def verify_multilateral_3psi3(n, delta, x, s, a, q, tol=1e-6,
                               policy=DEFAULT_POLICY):
-    _require_rank("multilateral3psi3", n)
-    _require_delta("multilateral3psi3", delta)
     params = dict(n=n, delta=delta, x=x, s=s, a=a, q=q)
     gate = 0.9 if n == 1 else 0.9 * abs(q) ** (n - 1)
     if abs(s) >= gate:
@@ -1068,9 +980,6 @@ def verify_summand_invariance(sigma, rho, gamma, q, n, delta, k, sign, tol=1e-9,
                               policy=DEFAULT_POLICY):
     params = dict(sigma=sigma, rho=rho, gamma=gamma, q=q, n=n, delta=delta,
                   k=k, sign=sign)
-    _require_rank("summandinvariance", n, least=0)
-    if sign not in (1, -1):
-        raise DomainError("sign must be +1 or -1")
     z = delta / 2.0
     u = z + k
     lz, lv = flipped_summand_structured(u, z, sigma, rho, gamma, n, q, policy)
@@ -1258,7 +1167,7 @@ def _sample_3psi3(delta):
 
         def draw():
             return dict(sigma=_cscalar(rng, 0.5, 0.9), rho=_cscalar(rng, 0.5, 0.9),
-                        gamma=_cscalar(rng, 0.5, 0.9), q=q, delta=delta)
+                        gamma=_cscalar(rng, 0.5, 0.9), q=q)
 
         def ok(p):
             sig, rho, gam = p["sigma"], p["rho"], p["gamma"]
@@ -1434,13 +1343,20 @@ def _sample_invariance(rng):
 class CaseDef:
     case_id: str
     description: str
-    schema: Dict[str, str]  # parameter name -> kind (int|scalar|partition|vector)
+    # parameter name -> kind: an integer kind of INT_KINDS, "scalar",
+    # "partition" (at most rank parts) or "vector" (exactly rank entries)
+    schema: Dict[str, str]
     default_tol: float
     sampler: Callable
     verifier: Callable  # called with the schema's parameters, tol and policy
 
 
 CASES: Dict[str, CaseDef] = {}
+
+#: The integer kinds of a schema and their domains: "order" (a terminating
+#: order) and "rank" (the n of a BC_n sum) admit the integers from a least
+#: value on, "delta" and "sign" the listed values, and "int" every integer.
+INT_KINDS = {"int": None, "order": 0, "rank": 1, "delta": (0, 1), "sign": (1, -1)}
 
 
 def _register(case_id, description, schema, default_tol, sampler, verifier):
@@ -1451,13 +1367,13 @@ def _register(case_id, description, schema, default_tol, sampler, verifier):
 _register(
     "jackson8phi7",
     "Terminating very-well-poised 8phi7 summation (Jackson / q-Dougall)",
-    dict(a="scalar", b="scalar", c="scalar", d="scalar", n="int", q="scalar"),
+    dict(a="scalar", b="scalar", c="scalar", d="scalar", n="order", q="scalar"),
     1e-9, _sample_jackson, verify_jackson_8phi7)
 _register(
     "bailey10phi9",
     "Bailey's terminating 10phi9 transformation",
     dict(a="scalar", b="scalar", c="scalar", d="scalar", e="scalar", f="scalar",
-         n="int", q="scalar"),
+         n="order", q="scalar"),
     1e-9, _sample_bailey10, verify_bailey_10phi9)
 _register(
     "bailey6psi6",
@@ -1478,40 +1394,40 @@ _register(
     "flippedsummand",
     "Terminating summand equals its flipped infinite-product form (b = q^{2z})",
     dict(sigma="scalar", rho="scalar", gamma="scalar", q="scalar", n="int",
-         delta="int", z="scalar", k="int"),
+         delta="int", z="scalar", k="order"),
     1e-8, _sample_flipped, verify_flipped_summand)
 _register(
     "bilateralfinite",
     "Three-way check: one-sided sum = finite bilateral sum = closed product",
-    dict(sigma="scalar", rho="scalar", gamma="scalar", q="scalar", n="int",
-         delta="int"),
+    dict(sigma="scalar", rho="scalar", gamma="scalar", q="scalar", n="order",
+         delta="delta"),
     1e-9, _sample_bilfinite, verify_bilateral_finite)
 _register(
     "3psi3delta0",
     "Bilateral 3psi3 summation, delta = 0 (Bailey)",
-    dict(sigma="scalar", rho="scalar", gamma="scalar", q="scalar", delta="int"),
-    1e-8, _sample_3psi3(0), _verify_3psi3_case(0))
+    dict(sigma="scalar", rho="scalar", gamma="scalar", q="scalar"),
+    1e-8, _sample_3psi3(0), functools.partial(verify_3psi3, delta=0))
 _register(
     "3psi3delta1",
     "Bilateral 3psi3 summation, delta = 1 (shifted-base companion)",
-    dict(sigma="scalar", rho="scalar", gamma="scalar", q="scalar", delta="int"),
-    1e-8, _sample_3psi3(1), _verify_3psi3_case(1))
+    dict(sigma="scalar", rho="scalar", gamma="scalar", q="scalar"),
+    1e-8, _sample_3psi3(1), functools.partial(verify_3psi3, delta=1))
 _register(
     "multijackson",
     "Multiple elliptic Jackson summation for W functions",
-    dict(lam="partition", n="int", z="vector", q="scalar", p="scalar", t="scalar",
+    dict(lam="partition", n="rank", z="vector", q="scalar", p="scalar", t="scalar",
          a="scalar", b="scalar", s="scalar"),
     1e-7, _sample_multijackson, verify_multiple_jackson)
 _register(
     "simplifiedjackson",
     "Multiple Jackson summation at the principal argument z_i = x t^{n-i}",
-    dict(lam="partition", n="int", x="scalar", q="scalar", p="scalar", t="scalar",
+    dict(lam="partition", n="rank", x="scalar", q="scalar", p="scalar", t="scalar",
          a="scalar", b="scalar", s="scalar"),
     1e-7, _sample_simplified, verify_simplified_jackson)
 _register(
     "duality",
     "Duality relation exchanging the index partition and spectral parameters",
-    dict(lam="partition", nu="partition", n="int", a="scalar", aprime="scalar",
+    dict(lam="partition", nu="partition", n="rank", a="scalar", aprime="scalar",
          b="scalar", q="scalar", t="scalar"),
     1e-9, _sample_duality, verify_duality)
 _register(
@@ -1523,24 +1439,24 @@ _register(
 _register(
     "weyldegree",
     "Closed degree formula vs recursive W evaluation at the principal point",
-    dict(mu="partition", N="int", n="int", s="scalar", delta="int", q="scalar"),
+    dict(mu="partition", N="int", n="rank", s="scalar", delta="int", q="scalar"),
     1e-9, _sample_weyldegree, verify_weyl_degree)
 _register(
     "multilateralfinite",
     "Finite multilateral summation over Z^n at t = q",
-    dict(lam="partition", n="int", x="scalar", s="scalar", a="scalar",
-         q="scalar", delta="int"),
+    dict(lam="partition", n="rank", x="scalar", s="scalar", a="scalar",
+         q="scalar", delta="delta"),
     1e-7, _sample_mlatfinite, verify_multilateral_finite)
 _register(
     "multilateral3psi3",
     "Multilateral analogue of the bilateral 3psi3 summation",
-    dict(n="int", delta="int", x="scalar", s="scalar", a="scalar", q="scalar"),
+    dict(n="rank", delta="delta", x="scalar", s="scalar", a="scalar", q="scalar"),
     1e-6, _sample_mlat3psi3, verify_multilateral_3psi3)
 _register(
     "summandinvariance",
     "Hyperoctahedral rank-1 invariance of the flipped summand at z = delta/2",
-    dict(sigma="scalar", rho="scalar", gamma="scalar", q="scalar", n="int",
-         delta="int", k="int", sign="int"),
+    dict(sigma="scalar", rho="scalar", gamma="scalar", q="scalar", n="order",
+         delta="int", k="int", sign="sign"),
     1e-9, _sample_invariance, verify_summand_invariance)
 
 
@@ -1552,13 +1468,57 @@ def sample_params(case_id: str, seed: int) -> dict:
     return CASES[case_id].sampler(rng)
 
 
+def _check_int(case_id, name, kind, v):
+    """DomainError unless the integer v lies in the domain of its kind."""
+    domain = INT_KINDS[kind]
+    if isinstance(domain, tuple):
+        if v not in domain:
+            raise DomainError(f"{case_id} requires {name} = "
+                              f"{' or '.join(map(str, domain))}, got {name} = {v}")
+    elif domain is not None and v < domain:
+        raise DomainError(f"{case_id} requires {name} >= {domain}, got {name} = {v}")
+
+
+def _verifier_args(case_id, schema, params):
+    """The schema's parameters, each checked against the domain of its kind.
+
+    The rank n is the "rank" parameter or, in a case without one (flip), the
+    length of the vector; it is checked first, the others in schema order.  A
+    partition is normalized and has at most n parts, a vector becomes a tuple
+    of exactly n entries."""
+    kinds = {kind: name for name, kind in schema.items()}
+    n = params[kinds["rank"]] if "rank" in kinds else \
+        len(params[kinds["vector"]]) if "vector" in kinds else None
+    if n is not None:
+        _check_int(case_id, "n", "rank", n)
+    kwargs = {}
+    for name, kind in schema.items():
+        v = params[name]
+        if kind == "partition":
+            v = check_partition(v)
+            if len(v) > n:
+                raise DomainError(f"{case_id} requires at most n = {n} parts, got {v}")
+        elif kind == "vector":
+            v = tuple(v)
+            if len(v) != n:
+                raise DomainError(f"{case_id} requires n = {n} variables {name}, "
+                                  f"got {len(v)}")
+        elif kind in INT_KINDS:
+            _check_int(case_id, name, kind, v)
+        kwargs[name] = v
+    return kwargs
+
+
 def run_case(case_id: str, params: dict, tol: Optional[float] = None,
              policy: TruncationPolicy = DEFAULT_POLICY) -> IdentityReport:
     """Run one registry case on explicit parameters, capturing library errors
     and arithmetic errors (overflow, division by zero) into an error-status
-    report.  Parameters missing from the case's schema are a ConfigError; a
-    "partition"-kind parameter that is not a partition is a NotAPartition
-    error report.
+    report.  Parameters missing from the case's schema are a ConfigError.
+
+    This is the one place that checks parameter domains (_verifier_args): a
+    parameter outside the domain of its schema kind is a DomainError report,
+    a "partition"-kind parameter that is not a partition a NotAPartition
+    report.  The verifiers trust their arguments.
 
     The evaluation gets its own theta memo (qcore.THETA_MEMO), dropped on
     return: a second call recomputes every theta."""
@@ -1571,8 +1531,7 @@ def run_case(case_id: str, params: dict, tol: Optional[float] = None,
     use_tol = case.default_tol if tol is None else tol
     token = THETA_MEMO.set({})
     try:
-        kwargs = {k: check_partition(params[k]) if kind == "partition" else params[k]
-                  for k, kind in case.schema.items()}
+        kwargs = _verifier_args(case_id, case.schema, params)
         return case.verifier(**kwargs, tol=use_tol, policy=policy)
     except (QidentError, ArithmeticError) as exc:
         return error_report(case_id, params, use_tol, exc)

@@ -504,17 +504,13 @@ def w_multi(xvars, lam, mu, params: WParams, memo=None):
 def w_degree(mu, N: int, n: int, s, delta: int, q):
     """Closed form for W_mu(x; q, q, s q^delta, q^{delta+n-1}) at x_i = q^{N+n-i}.
 
-    Valid literally for mu in Z^n (weakly decreasing; other vectors return 0,
-    matching the recursive evaluation).  Every linear factor has the shape
-    1 - c q^e with c in {1, s, 1/s}; factors with c = 1, e = 0 vanish exactly
-    and are counted on each side: an excess numerator zero gives 0, and an
-    excess denominator zero is a genuine pole, which raises
-    DivisionByVanishingFactor.  The vanishing factors are counted, never
-    evaluated, so no division by zero takes place.
+    Callers pass a partition mu padded with zeros to n parts.  Every linear
+    factor has the shape 1 - c q^e with c in {1, s, 1/s}; factors with c = 1,
+    e = 0 vanish exactly and are counted on each side: an excess numerator
+    zero gives 0, and an excess denominator zero is a genuine pole, which
+    raises DivisionByVanishingFactor.  The vanishing factors are counted,
+    never evaluated, so no division by zero takes place.
     """
-    mu = tuple(mu)
-    if any(mu[i] < mu[i + 1] for i in range(len(mu) - 1)):
-        return 0.0 + 0j
     num, den = [], []
 
     def add(numl, denl, c, e0, m):

@@ -162,6 +162,25 @@ def test_main_case_path_checks_samples_tol_and_seed(capsys):
         assert "config error:" in capsys.readouterr().err
 
 
+def test_integer_kinds_decode_as_int_and_reject_booleans():
+    # order, rank, delta and sign decode as int does; a domain is checked in
+    # run_case, not here.
+    for case_id, name in (("jackson8phi7", "n"), ("multilateral3psi3", "n"),
+                          ("multilateral3psi3", "delta"), ("summandinvariance", "sign")):
+        cfg = _validate_config({"case_id": case_id, "params": {name: 3}})
+        assert cfg.params[name] == 3
+        for raw in (True, 1.0, "1"):
+            with pytest.raises(ConfigError, match="expected integer"):
+                _validate_config({"case_id": case_id, "params": {name: raw}})
+
+
+def test_3psi3_delta_is_fixed_by_the_case_id(capsys):
+    assert main(["run", "--case", "3psi3delta0", "--param", "delta=1"]) == 2
+    assert "config error: 3psi3delta0: unknown parameter 'delta'" in capsys.readouterr().err
+    rep = run_case("3psi3delta1", sample_params("3psi3delta1", 0))
+    assert rep.status == "pass" and rep.params["delta"] == 1
+
+
 def test_validate_config_decodes_values():
     cfg = _validate_config({
         "case_id": "multijackson",

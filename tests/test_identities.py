@@ -15,7 +15,6 @@ import qident.qcore as qcore
 from qident.errors import ConfigError, DomainError, PoleCancellationError, QidentError
 from qident.identities import (
     CASES,
-    _f_bilateral,
     _mlat_3psi3_sum,
     bilateral_finite_spec,
     flipped_summand_structured,
@@ -360,7 +359,7 @@ def test_pipeline_term_level_regrouping():
                     val /= poch_int(v, q, k)
                 return val
 
-            f = _f_bilateral(delta, q)
+            f = mlat_norm(1, delta, q)
             b = q**delta
             for k in range(n + 1):
                 uni = vwp_jackson_term(k, b, sig, rho, gam, n, q)
@@ -560,17 +559,20 @@ def test_run_case_missing_parameters_is_a_config_error():
     ("multilateralfinite", dict(delta=2), "requires delta = 0 or 1, got delta = 2"),
     ("multilateralfinite", dict(delta=-1), "requires delta = 0 or 1, got delta = -1"),
     ("bilateralfinite", dict(n=-1), "requires n >= 0, got n = -1"),
-    ("3psi3delta0", dict(delta=2), "3psi3delta0 requires delta = 0, got delta = 2"),
-    ("3psi3delta0", dict(delta=1), "3psi3delta0 requires delta = 0, got delta = 1"),
-    ("3psi3delta1", dict(delta=0), "3psi3delta1 requires delta = 1, got delta = 0"),
+    ("summandinvariance", dict(sign=0), "requires sign = 1 or -1, got sign = 0"),
+    ("weyldegree", dict(n=0), "weyldegree requires n >= 1, got n = 0"),
+    ("duality", dict(n=0), "duality requires n >= 1, got n = 0"),
     ("flippedsummand", dict(k=-1), "requires k >= 0, got k = -1"),
+    ("summandinvariance", dict(sign=2), "requires sign = 1 or -1, got sign = 2"),
+    ("multijackson", dict(n=0), "multijackson requires n >= 1, got n = 0"),
+    ("multilateralfinite", dict(n=0), "multilateralfinite requires n >= 1, got n = 0"),
 ])
 def test_out_of_domain_parameters_are_error_reports(case_id, change, message):
-    # Each of these used to be a fail with an empty message (or, at a delta
-    # that _f_bilateral and mlat_norm do not cover, with rel 0.2-1.1), a pass
-    # on a truncated partition, with 0 = 0 on both sides or under the other
-    # 3psi3 case id, a vanishing-factor error, or an uncaught
-    # IndexError/ValueError.
+    # Each parameter is checked in run_case against the domain of its schema
+    # kind.  Unchecked, these used to be a fail with an empty message (or, at a
+    # delta that mlat_norm does not cover, with rel 0.2-1.1), a pass on a
+    # truncated partition or with 0 = 0 on both sides, a vanishing-factor
+    # error, or an uncaught IndexError/ValueError.
     r = run_case(case_id, {**sample_params(case_id, 0), **change})
     assert (r.case_id, r.status) == (case_id, "error")
     assert r.message.startswith("DomainError: ") and message in r.message
@@ -767,13 +769,11 @@ def test_dominant_shells_and_ranks_follow_the_sweep():
                         if all(mu[i] >= mu[i + 1] for i in range(n - 1))]
             shell = list(identities._dominant_shell(n, m, covered))
             assert sorted(shell) == dominant
-            for k, mu in enumerate(sweep):
-                assert identities._shell_rank(mu, m, covered) == k
             covered = m
 
 
-# Draws whose pair ratios meet a vanishing reciprocal factor, with budgets
-# around the point where the sweep meets it.  q = 1/2; a s = q^{-k} makes
+# Draws whose pair ratios meet a vanishing factor, with budgets that end in
+# an earlier shell or in the shell that meets it.  q = 1/2; a s = q^{-k} makes
 # coordinate i's pair_poch_ratio denominator vanish from mu_i = k + i on, and
 # x = q^k its reciprocal from mu_i = k + 1 - i down.
 _A = 0.7 - 0.2j
@@ -781,31 +781,31 @@ _DEN = "DivisionByVanishingFactor: pair_poch_ratio: denominator vanishes"
 _RECIP = "DivisionByVanishingFactor: pair_poch_ratio: reciprocal vanishes"
 _BUDGET = "NoConvergence: multilateral sum: lattice budget exhausted"
 _VANISHING = {
-    # shell m = 8, first failing point (7, -8), 174 points into the shell
+    # (args, budgets, error, points before the shell that meets it)
+    # shell m = 8, after the 81 points of shell 4
     "denominator": ((2, 1, 0.5, 64 / _A, _A, 0.75 + 0.25j), range(75, 300, 6),
-                    {_DEN, _BUDGET}),
-    # shell m = 4, first failing point (-4, -4), the first point of the sweep
+                    _DEN, 81),
+    # shell m = 4
     "reciprocal": ((2, 1, 0.5, 0.1 + 0.05j, 0.75 - 0.5j, 4.0), (0, 1, 80, 81, 10**5),
-                   {_RECIP}),
-    # shell m = 4, first failing point (4, -4, -4), 648 points into the shell
-    "rank3": ((3, 1, 0.5, 8 / _A, _A, 0.75 + 0.25j), range(600, 740, 8),
-              {_DEN, _BUDGET}),
+                   _RECIP, 0),
+    # shell m = 4
+    "rank3": ((3, 1, 0.5, 8 / _A, _A, 0.75 + 0.25j), range(600, 740, 8), _DEN, 0),
 }
 
 
 @pytest.mark.parametrize("draw", sorted(_VANISHING))
 def test_multilateral_3psi3_sum_vanishing_factor_as_sweep(draw, monkeypatch):
-    # The sweep meets the failing summand, or the lattice budget, first; the
-    # tabulated sum must raise the same error at every budget.
-    args, budgets, expected = _VANISHING[draw]
+    # The shell that meets a vanishing factor raises its error before the
+    # shell's budget; a budget that ends in an earlier shell is exhausted.
+    # At the real budget the error is the one a product-order sweep meets.
+    args, budgets, error, before = _VANISHING[draw]
     args = args + (DEFAULT_POLICY,)
-    outcomes = set()
     for budget in budgets:
         monkeypatch.setattr(identities, "MAX_LATTICE_TERMS", budget)
         got = _sum_outcome(_mlat_3psi3_sum, *args)
-        assert got == _sum_outcome(_mlat_sweep, *args), budget
-        outcomes.add(got)
-    assert outcomes == expected
+        assert got == (_BUDGET if budget < before else error), budget
+    monkeypatch.undo()
+    assert _sum_outcome(_mlat_3psi3_sum, *args) == _sum_outcome(_mlat_sweep, *args) == error
 
 
 def test_multilateral_3psi3_vanishing_factor_is_an_error_report():
@@ -905,6 +905,22 @@ def test_registry_has_all_cases():
     for case_id, case in CASES.items():
         assert case.case_id == case_id
         assert case.schema and case.default_tol > 0
+
+
+def test_sampled_draws_match_their_schema_and_its_domains():
+    # Every draw has the schema's parameters and passes run_case's domain
+    # check; only two 3psi3delta0 seeds find no admissible draw.
+    refused = []
+    for case_id, case in CASES.items():
+        for seed in range(200):
+            try:
+                params = sample_params(case_id, seed)
+            except DomainError:
+                refused.append((case_id, seed))
+                continue
+            assert list(params) == list(case.schema), (case_id, seed)
+            identities._verifier_args(case_id, case.schema, params)
+    assert refused == [("3psi3delta0", 56), ("3psi3delta0", 104)]
 
 
 def test_every_case_passes_on_sampled_draws():
