@@ -81,8 +81,7 @@ def main(argv=None):
                for cid in CASES]
     rset = cli.run(configs, parallelism=args.parallelism)
     text = cli.report_json(rset)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+    cli.write_text(args.out, text + "\n")
     cli.write_csv(rset, args.csv)
     s = rset.summary
     print(f"wrote {args.out} and {args.csv}: "

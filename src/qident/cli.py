@@ -17,16 +17,21 @@ parts) or vector (rank entries); a value outside its kind's domain ends as an
 error run.  Complex values are written as [re, im] pairs, partitions as
 bracketed strings like "[3,1]", exact q-power tags as {"qpow": m}.  Reports
 are emitted as JSON (source of truth) and optionally flattened to CSV; NaN
-never appears in reports (error runs carry null sides).
+never appears in reports (error runs carry null sides).  Report files are
+overwritten in place, with no truncate to zero first (write_text): on ext4
+that truncate makes close start writeback, which cost more than writing a
+small report.  The write is not atomic, and open(path, "w") was not either.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
+import stat
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -335,27 +340,43 @@ _CSV_FIELDS = ["case_id", "sample_index", "seed", "status", "lhs_re", "lhs_im",
                "terms_used", "message", "params"]
 
 
+def write_text(path: str, text: str) -> None:
+    """Write text (UTF-8, newlines as given) to path, overwriting the file in
+    place: open it without O_TRUNC, write, then truncate at the written
+    length.  Truncating a non-empty ext4 file to zero and rewriting it makes
+    ext4 start writeback at close (its auto_da_alloc heuristic).  Only a
+    regular file is truncated: a tty, a pipe or /dev/null cannot be, and
+    O_TRUNC did nothing on them.  Neither this nor open(path, "w") is
+    atomic: a reader can see a partly written file."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            fh.truncate()
+
+
 def write_csv(rset: ReportSet, path: str) -> None:
     """Flatten one report per row (JSON remains the source of truth)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=_CSV_FIELDS)
-        w.writeheader()
-        for rd in rset.run_dicts:
-            lhs = rd["lhs"] or [None, None]
-            rhs = rd["rhs"] or [None, None]
-            w.writerow({
-                "case_id": rd["case_id"],
-                "sample_index": rd["sample_index"],
-                "seed": rd["seed"],
-                "status": rd["status"],
-                "lhs_re": lhs[0], "lhs_im": lhs[1],
-                "rhs_re": rhs[0], "rhs_im": rhs[1],
-                "abs_residual": rd["abs_residual"],
-                "rel_residual": rd["rel_residual"],
-                "terms_used": rd["terms_used"],
-                "message": rd["message"],
-                "params": json.dumps(rd["params"], allow_nan=False),
-            })
+    buf = io.StringIO(newline="")
+    w = csv.DictWriter(buf, fieldnames=_CSV_FIELDS)
+    w.writeheader()
+    for rd in rset.run_dicts:
+        lhs = rd["lhs"] or [None, None]
+        rhs = rd["rhs"] or [None, None]
+        w.writerow({
+            "case_id": rd["case_id"],
+            "sample_index": rd["sample_index"],
+            "seed": rd["seed"],
+            "status": rd["status"],
+            "lhs_re": lhs[0], "lhs_im": lhs[1],
+            "rhs_re": rhs[0], "rhs_im": rhs[1],
+            "abs_residual": rd["abs_residual"],
+            "rel_residual": rd["rel_residual"],
+            "terms_used": rd["terms_used"],
+            "message": rd["message"],
+            "params": json.dumps(rd["params"], allow_nan=False),
+        })
+    write_text(path, buf.getvalue())
 
 
 def list_cases():
@@ -417,8 +438,7 @@ def main(argv=None) -> int:
         return 2
     text = report_json(rset)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        write_text(args.out, text + "\n")
     else:
         print(text)
     if args.csv:

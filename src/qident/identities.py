@@ -1013,7 +1013,7 @@ def _away(bases, q, kmax=12, tol=POLE_REJECT):
     return True
 
 
-def _retry(rng, draw, ok, tries=500):
+def _retry(rng, draw, ok, tries=5000):
     for _ in range(tries):
         cand = draw()
         if ok(cand):
@@ -1513,7 +1513,8 @@ def run_case(case_id: str, params: dict, tol: Optional[float] = None,
              policy: TruncationPolicy = DEFAULT_POLICY) -> IdentityReport:
     """Run one registry case on explicit parameters, capturing library errors
     and arithmetic errors (overflow, division by zero) into an error-status
-    report.  Parameters missing from the case's schema are a ConfigError.
+    report.  Parameters missing from the case's schema, or not in it, are a
+    ConfigError.
 
     This is the one place that checks parameter domains (_verifier_args): a
     parameter outside the domain of its schema kind is a DomainError report,
@@ -1528,6 +1529,9 @@ def run_case(case_id: str, params: dict, tol: Optional[float] = None,
     missing = [k for k in case.schema if k not in params]
     if missing:
         raise ConfigError(f"{case_id}: missing parameters {missing}")
+    unknown = sorted(k for k in params if k not in case.schema)
+    if unknown:
+        raise ConfigError(f"{case_id}: unknown parameters {unknown}")
     use_tol = case.default_tol if tol is None else tol
     token = THETA_MEMO.set({})
     try:

@@ -2,14 +2,18 @@
 independence, report formats, precision backend, and exit codes."""
 
 import csv
+import functools
 import json
 import os
+import stat
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+import qident.identities as identities
 from qident.cli import (
     CaseConfig,
     _parse_param_option,
@@ -20,6 +24,8 @@ from qident.cli import (
     main,
     report_json,
     run,
+    write_csv,
+    write_text,
 )
 from qident.errors import ConfigError
 from qident.identities import run_case, sample_params
@@ -283,9 +289,11 @@ def test_main_failing_tolerance_exits_1(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_main_sampler_failure_is_an_error_report(tmp_path, capsys):
-    # the sampler finds no admissible draw at this seed; the batch must still
-    # finish and report the sample as an error
+def test_main_sampler_failure_is_an_error_report(tmp_path, capsys, monkeypatch):
+    # with a budget of 500 draws the sampler finds no admissible draw at this
+    # seed (its first is draw 643); the batch must still finish and report the
+    # sample as an error
+    monkeypatch.setattr(identities, "_retry", functools.partial(identities._retry, tries=500))
     out_p = tmp_path / "rep.json"
     rc = main(["run", "--case", "3psi3delta0", "--seed", "56", "--out", str(out_p)])
     assert rc == 1
@@ -294,6 +302,48 @@ def test_main_sampler_failure_is_an_error_report(tmp_path, capsys):
     (run_d,) = doc["runs"]
     assert run_d["status"] == "error" and "DomainError" in run_d["message"]
     capsys.readouterr()
+
+
+def test_writers_overwrite_a_longer_file_to_the_bytes_of_a_fresh_write(tmp_path):
+    # Report files are rewritten in place, then truncated at the written
+    # length: a shorter report over a longer one leaves no stale tail.
+    long_set = run([CaseConfig(case_id="c1macdonald", seed=0, samples=6)])
+    short_set = run([CaseConfig(case_id="c1macdonald", seed=0, samples=1)])
+    reused, fresh = tmp_path / "reused.csv", tmp_path / "fresh.csv"
+    write_csv(long_set, str(reused))
+    long_size = reused.stat().st_size
+    write_csv(short_set, str(reused))
+    write_csv(short_set, str(fresh))
+    assert reused.read_bytes() == fresh.read_bytes()
+    assert 0 < reused.stat().st_size < long_size
+
+
+def test_main_out_overwrites_a_longer_report_to_the_bytes_of_a_fresh_write(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(time, "strftime", lambda fmt, t=None: "2000-01-01T00:00:00Z")
+    reused, fresh = tmp_path / "reused.json", tmp_path / "fresh.json"
+    for samples, path in (("5", reused), ("1", reused), ("1", fresh)):
+        assert main(["run", "--case", "c1macdonald", "--samples", samples,
+                     "--out", str(path)]) == 0
+    assert reused.read_bytes() == fresh.read_bytes()
+    assert len(json.loads(reused.read_text())["runs"]) == 1
+    capsys.readouterr()
+
+
+def test_write_text_creates_a_new_file_as_open_w_did(tmp_path):
+    text = "case,\u03c8\r\nrow,1\n"
+    new, old = tmp_path / "new.txt", tmp_path / "old.txt"
+    write_text(str(new), text)
+    with open(old, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    assert new.read_bytes() == old.read_bytes() == text.encode("utf-8")
+    assert stat.S_IMODE(new.stat().st_mode) == stat.S_IMODE(old.stat().st_mode)
+
+
+def test_writers_accept_a_file_that_cannot_be_truncated():
+    # /dev/null is not a regular file: it is written but not truncated.
+    write_text(os.devnull, "x" * 100)
+    write_csv(run([CaseConfig(case_id="c1macdonald")]), os.devnull)
 
 
 def test_precision_high_backend(tmp_path, monkeypatch):

@@ -1,6 +1,8 @@
 """Source hygiene: no module of the package or of the tests imports a name
 that it never uses, no module of the package keeps a process-lifetime cache,
-and no function or class of the package is there only for the tests."""
+no function or class of the package is there only for the tests, and no
+module of the package or of the scripts opens a file by path in a "w"
+mode."""
 
 import ast
 from pathlib import Path
@@ -13,6 +15,8 @@ FILES = sorted([*SRC, *(ROOT / "tests").glob("*.py")])
 #: The code that may read a definition of the package: the package itself, the
 #: benchmark harness and the scripts, but not the tests.
 READERS = sorted([*SRC, *(ROOT / "bench").glob("*.py"), *(ROOT / "scripts").glob("*.py")])
+#: The code that writes reports: the package and the scripts.
+WRITERS = sorted([*SRC, *(ROOT / "scripts").glob("*.py")])
 
 #: functools decorators whose cache lives as long as the process.
 PROCESS_CACHES = {"lru_cache", "cache", "cached_property"}
@@ -161,3 +165,54 @@ def test_no_test_only_definitions():
               for name in top_level_definitions(path.read_text(encoding="utf-8"))
               if name not in read]
     assert unread == []
+
+
+def truncating_opens(text):
+    """Line of each open(...) call in the module source text with a constant
+    mode that contains "w", unless its file is a name bound to os.open(...)
+    in the module.  open(path, "w") truncates the file to zero before writing
+    it, and on ext4 rewriting a truncated file starts writeback at close;
+    reports are written in place through cli.write_text, which opens with
+    os.open and wraps the descriptor."""
+    nodes = list(ast.walk(ast.parse(text)))
+
+    def os_open(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "open" and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "os")
+
+    descriptors = {t.id for node in nodes if isinstance(node, ast.Assign) and os_open(node.value)
+                   for t in node.targets if isinstance(t, ast.Name)}
+    found = []
+    for node in nodes:
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "open" and node.args):
+            continue
+        mode = node.args[1] if len(node.args) > 1 else next(
+            (k.value for k in node.keywords if k.arg == "mode"), None)
+        if (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and "w" in mode.value
+                and not (isinstance(node.args[0], ast.Name)
+                         and node.args[0].id in descriptors)):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_truncating_open_scan_finds_and_skips():
+    text = ("import os\n"
+            "open(path, 'w')\n"
+            "open(path)\n"
+            "open(path, mode='wb')\n"
+            "open(path, 'r', encoding='utf-8')\n"
+            "with open(path, 'a') as fh, open(other, 'w+') as gh:\n"
+            "    pass\n"
+            "fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)\n"
+            "open(fd, 'w', encoding='utf-8')\n"
+            "open(fd2, 'w')\n"
+            "open(path, 'x')\n")
+    assert truncating_opens(text) == [2, 4, 6, 10]
+
+
+@pytest.mark.parametrize("path", WRITERS, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_truncating_opens(path):
+    assert truncating_opens(path.read_text(encoding="utf-8")) == []

@@ -539,6 +539,15 @@ def test_run_case_missing_parameters_is_a_config_error():
         run_case("weyldegree", {"mu": (1,)})
 
 
+def test_run_case_unknown_parameters_is_a_config_error():
+    params = {**sample_params("jackson8phi7", 0), "bogus": 1, "another": 2}
+    with pytest.raises(ConfigError, match=r"unknown parameters \['another', 'bogus'\]"):
+        run_case("jackson8phi7", params)
+    # 3psi3delta0 has no delta: it is fixed by the case id
+    with pytest.raises(ConfigError, match=r"unknown parameters \['delta'\]"):
+        run_case("3psi3delta0", {**sample_params("3psi3delta0", 0), "delta": 1})
+
+
 @pytest.mark.parametrize("case_id, change, message", [
     ("jackson8phi7", dict(n=-3), "requires n >= 0"),
     ("bailey10phi9", dict(n=-3), "requires n >= 0"),
@@ -909,7 +918,7 @@ def test_registry_has_all_cases():
 
 def test_sampled_draws_match_their_schema_and_its_domains():
     # Every draw has the schema's parameters and passes run_case's domain
-    # check; only two 3psi3delta0 seeds find no admissible draw.
+    # check, and every seed finds an admissible draw.
     refused = []
     for case_id, case in CASES.items():
         for seed in range(200):
@@ -920,7 +929,16 @@ def test_sampled_draws_match_their_schema_and_its_domains():
                 continue
             assert list(params) == list(case.schema), (case_id, seed)
             identities._verifier_args(case_id, case.schema, params)
-    assert refused == [("3psi3delta0", 56), ("3psi3delta0", 104)]
+    assert refused == []
+
+
+@pytest.mark.parametrize("seed", [56, 104, 272, 478])
+def test_3psi3_delta0_sampler_finds_its_rare_admissible_draws(seed):
+    # At these seeds q is about 0.47-0.48 and only about 0.4% of the
+    # (sigma, rho, gamma) draws pass the gate: the first admissible one comes
+    # at draw 533-1414, beyond the old budget of 500.
+    rep = run_case("3psi3delta0", sample_params("3psi3delta0", seed))
+    assert rep.status == "pass", rep.message
 
 
 def test_every_case_passes_on_sampled_draws():
