@@ -26,6 +26,7 @@ small report.  The write is not atomic, and open(path, "w") was not either.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -288,20 +289,24 @@ def run(configs: List[CaseConfig], parallelism: int = 1,
             return ci, si, seed, error_report(cfg.case_id, dict(cfg.params), tol, exc)
         params.update(cfg.params)
         if mode == "high":
-            import mpmath
+            params = _promote_params(params, CASES[cfg.case_id].schema)
+        return ci, si, seed, run_case(cfg.case_id, params, cfg.tol)
 
-            with mpmath.workdps(50):
-                params = _promote_params(params, CASES[cfg.case_id].schema)
-                rep = run_case(cfg.case_id, params, cfg.tol)
-        else:
-            rep = run_case(cfg.case_id, params, cfg.tol)
-        return ci, si, seed, rep
+    # mpmath's working precision is process-global: it is set once, around
+    # the whole batch, so that no worker thread's exit restores it while
+    # another still computes.
+    if mode == "high":
+        import mpmath
 
-    if parallelism == 1 or len(tasks) <= 1:
-        results = [one(t) for t in tasks]
+        precision_scope = mpmath.workdps(50)
     else:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            results = list(pool.map(one, tasks))
+        precision_scope = contextlib.nullcontext()
+    with precision_scope:
+        if parallelism == 1 or len(tasks) <= 1:
+            results = [one(t) for t in tasks]
+        else:
+            with ThreadPoolExecutor(max_workers=parallelism) as pool:
+                results = list(pool.map(one, tasks))
     results.sort(key=lambda r: (r[0], r[1]))
 
     runs = []

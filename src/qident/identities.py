@@ -89,7 +89,11 @@ class IdentityReport:
     message: str = ""
 
 
-def _make_report(case_id, params, lhs, rhs, tol, terms_used=1, message=""):
+def _make_report(lhs, rhs, tol, terms_used=1, message="", **extras):
+    """A verifier's judgement of its two sides against tol.  The report has no
+    case id yet, and its params are only the report-only extras (a derived
+    parameter, or one fixed by the case id): run_case names the report and
+    adds the checked arguments and tol."""
     lhs_c, rhs_c = complex(lhs), complex(rhs)
     absr = abs(lhs_c - rhs_c)
     relr = absr / max(abs(lhs_c), abs(rhs_c), 1e-300)
@@ -98,8 +102,8 @@ def _make_report(case_id, params, lhs, rhs, tol, terms_used=1, message=""):
     else:
         ok = relr <= tol
     return IdentityReport(
-        case_id=case_id,
-        params={**params, "tol": tol},
+        case_id="",
+        params=extras,
         lhs=lhs_c,
         rhs=rhs_c,
         abs_residual=absr,
@@ -658,9 +662,8 @@ def _mlat_3psi3_sum(n, delta, q, s, a, x, policy):
 # Verifiers.
 # ---------------------------------------------------------------------------
 
-def verify_jackson_8phi7(a, b, c, d, n, q, tol=1e-9, policy=DEFAULT_POLICY):
+def verify_jackson_8phi7(a, b, c, d, n, q, tol, policy):
     e = q ** (1 + n) * a * a / (b * c * d)
-    params = dict(a=a, b=b, c=c, d=d, e=e, n=n, q=q)
     sa = csqrt(a)
     spec = SeriesSpec(
         numerator=[a, q * sa, -q * sa, b, c, d, e, QPower(-n)],
@@ -668,9 +671,8 @@ def verify_jackson_8phi7(a, b, c, d, n, q, tol=1e-9, policy=DEFAULT_POLICY):
                      a * q ** (n + 1)],
         argument=q, q=q)
     sv = eval_phi(spec, policy)
-    rhs = poch_multi([a * q, a * q / (b * c), a * q / (b * d), a * q / (c * d)], q, n) \
-        / poch_multi([a * q / b, a * q / c, a * q / d, a * q / (b * c * d)], q, n)
-    return _make_report("jackson8phi7", params, sv.value, rhs, tol, sv.terms_used)
+    rhs = jackson_delta_product(a, b, c, d, n, q)
+    return _make_report(sv.value, rhs, tol, sv.terms_used, e=e)
 
 
 def _bailey_10phi9_left(a, b, c, d, e, f, n, q, policy):
@@ -749,14 +751,13 @@ def _mp40():
     return _MP40
 
 
-def verify_bailey_10phi9(a, b, c, d, e, f, n, q, tol=1e-9, policy=DEFAULT_POLICY):
+def verify_bailey_10phi9(a, b, c, d, e, f, n, q, tol, policy):
     """Bailey's 10phi9 transformation.  With double arguments each side is
     evaluated in double first and kept when the rounding bound of its own
     series is at most DOUBLE_GATE * tol; a side that fails its gate, or
     raises, is evaluated again at exactly 40 digits (in _mp40's context),
     the right series together with its prefactor.  mpmath arguments evaluate
     both sides at max(40, mpmath.mp.dps) digits."""
-    params = dict(a=a, b=b, c=c, d=d, e=e, f=f, n=n, q=q)
     sides = (_bailey_10phi9_left, _bailey_10phi9_right)
     if all(isinstance(v, (int, float, complex)) for v in (a, b, c, d, e, f, q)):
         values, terms = [], 0
@@ -774,18 +775,16 @@ def verify_bailey_10phi9(a, b, c, d, e, f, n, q, tol=1e-9, policy=DEFAULT_POLICY
                 value, sv = side(va, vb, vc, vd, ve, vf, n, vq, policy)
             values.append(value)
             terms += sv.terms_used
-        return _make_report("bailey10phi9", params, *values, tol, terms)
+        return _make_report(*values, tol, terms)
     import mpmath
 
     with mpmath.workdps(max(40, mpmath.mp.dps)):
         a, b, c, d, e, f, q = (mpmath.mpmathify(complex(v)) for v in (a, b, c, d, e, f, q))
         (lhs, sv_l), (rhs, sv_r) = (side(a, b, c, d, e, f, n, q, policy) for side in sides)
-    return _make_report("bailey10phi9", params, lhs, rhs, tol,
-                        sv_l.terms_used + sv_r.terms_used)
+    return _make_report(lhs, rhs, tol, sv_l.terms_used + sv_r.terms_used)
 
 
-def verify_bailey_6psi6(a, b, c, d, e, q, tol=1e-8, policy=DEFAULT_POLICY):
-    params = dict(a=a, b=b, c=c, d=d, e=e, q=q)
+def verify_bailey_6psi6(a, b, c, d, e, q, tol, policy):
     av, bv, cv, dv, ev = (scalar_value(v, q) for v in (a, b, c, d, e))
     x = q * av * av / (bv * cv * dv * ev)
     if abs(x) > 0.5:
@@ -803,12 +802,11 @@ def verify_bailey_6psi6(a, b, c, d, e, q, tol=1e-8, policy=DEFAULT_POLICY):
         / poch_multi_inf(
             [aq / bv, aq / cv, aq / dv, aq / ev, q / bv, q / cv, q / dv, q / ev, x],
             q, policy)
-    return _make_report("bailey6psi6", params, sv.value, rhs, tol, sv.terms_used,
+    return _make_report(sv.value, rhs, tol, sv.terms_used,
                         message=f"terminated={sv.terminated} window={sv.window}")
 
 
-def verify_ramanujan_1psi1(a, b, x, q, tol=1e-8, policy=DEFAULT_POLICY):
-    params = dict(a=a, b=b, x=x, q=q)
+def verify_ramanujan_1psi1(a, b, x, q, tol, policy):
     av, bv = scalar_value(a, q), scalar_value(b, q)
     if not (abs(bv / av) < abs(x) < 1):
         raise DomainError("1psi1 requires |b/a| < |x| < 1")
@@ -816,22 +814,18 @@ def verify_ramanujan_1psi1(a, b, x, q, tol=1e-8, policy=DEFAULT_POLICY):
     sv = eval_psi(spec, policy)
     rhs = poch_multi_inf([q, bv / av, av * x, q / (av * x)], q, policy) \
         / poch_multi_inf([bv, q / av, x, bv / (av * x)], q, policy)
-    return _make_report("ramanujan1psi1", params, sv.value, rhs, tol, sv.terms_used,
+    return _make_report(sv.value, rhs, tol, sv.terms_used,
                         message=f"terminated={sv.terminated} window={sv.window}")
 
 
-def verify_c1_macdonald(x, tol=1e-12, policy=DEFAULT_POLICY):
-    params = dict(x=x)
+def verify_c1_macdonald(x, tol, policy):
     if abs(1 - x * x) < POLE_REJECT:
         raise DomainError("x^2 = 1 is a pole of the C1 identity")
     rhs = 1 / (1 - x * x) + 1 / (1 - x ** (-2))
-    return _make_report("c1macdonald", params, 1.0 + 0j, rhs, tol)
+    return _make_report(1.0 + 0j, rhs, tol)
 
 
-def verify_flipped_summand(sigma, rho, gamma, q, n, delta, z, k, tol=1e-8,
-                           policy=DEFAULT_POLICY):
-    params = dict(sigma=sigma, rho=rho, gamma=gamma, q=q, n=n, delta=delta,
-                  z=z, k=k)
+def verify_flipped_summand(sigma, rho, gamma, q, n, delta, z, k, tol, policy):
     b = q ** (2 * z)
     lhs = vwp_jackson_term(k, b, sigma, rho, gamma, n, q)
     zeros, rhs = flipped_summand_structured(z + k, z, sigma, rho, gamma, n, q,
@@ -843,12 +837,10 @@ def verify_flipped_summand(sigma, rho, gamma, q, n, delta, z, k, tol=1e-8,
                                         f"{zeros} in the product form")
     if zeros > 0:
         rhs = 0.0 + 0j
-    return _make_report("flippedsummand", params, lhs, rhs, tol)
+    return _make_report(lhs, rhs, tol)
 
 
-def verify_bilateral_finite(sigma, rho, gamma, q, n, delta, tol=1e-9,
-                            policy=DEFAULT_POLICY):
-    params = dict(sigma=sigma, rho=rho, gamma=gamma, q=q, n=n, delta=delta)
+def verify_bilateral_finite(sigma, rho, gamma, q, n, delta, tol, policy):
     b = q**delta
     uni = sum(vwp_jackson_term(k, b, sigma, rho, gamma, n, q) for k in range(n + 1))
     sv = eval_psi(bilateral_finite_spec(sigma, rho, gamma, n, delta, q), policy)
@@ -860,15 +852,14 @@ def verify_bilateral_finite(sigma, rho, gamma, q, n, delta, tol=1e-9,
         for k2 in vals:
             v1, v2 = vals[k1], vals[k2]
             worst = max(worst, abs(v1 - v2) / max(abs(v1), abs(v2), 1e-300))
-    rep = _make_report("bilateralfinite", params, bil, prod, tol, sv.terms_used,
+    rep = _make_report(bil, prod, tol, sv.terms_used,
                        message=f"unilateral={complex(uni):.12g} window={sv.window}")
     rep.rel_residual = worst
     rep.status = "pass" if worst <= tol else "fail"
     return rep
 
 
-def verify_3psi3(sigma, rho, gamma, q, delta, tol=1e-8, policy=DEFAULT_POLICY):
-    params = dict(sigma=sigma, rho=rho, gamma=gamma, q=q, delta=delta)
+def verify_3psi3(sigma, rho, gamma, q, delta, tol, policy):
     srg = sigma * rho * gamma
     x = q ** (delta + 1) / srg
     if abs(x) >= 0.9:
@@ -884,54 +875,42 @@ def verify_3psi3(sigma, rho, gamma, q, delta, tol=1e-8, policy=DEFAULT_POLICY):
     rhs = poch_multi_inf([qd, qd / (sigma * rho), qd / (sigma * gamma),
                           qd / (rho * gamma)], q, policy) \
         / poch_multi_inf([qd / sigma, qd / rho, qd / gamma, qd / srg], q, policy)
-    return _make_report(f"3psi3delta{delta}", params, lhs, rhs, tol, sv.terms_used,
-                        message=f"window={sv.window}")
+    return _make_report(lhs, rhs, tol, sv.terms_used, message=f"window={sv.window}",
+                        delta=delta)
 
 
-def verify_multiple_jackson(lam, n, z, q, p, t, a, b, s, tol=1e-7,
-                            policy=DEFAULT_POLICY):
-    params = dict(lam=lam, n=n, z=z, q=q, p=p, t=t, a=a, b=b, s=s)
+def verify_multiple_jackson(lam, n, z, q, p, t, a, b, s, tol, policy):
     lhs = multiple_jackson_lhs(z, lam, n, q, p, t, a, b)
     rhs = multiple_jackson_rhs(z, lam, n, q, p, t, a, b, s)
-    return _make_report("multijackson", params, lhs, rhs, tol,
-                        len(subpartitions(lam)))
+    return _make_report(lhs, rhs, tol, len(subpartitions(lam)))
 
 
-def verify_simplified_jackson(lam, n, x, q, p, t, a, b, s, tol=1e-7,
-                              policy=DEFAULT_POLICY):
-    params = dict(lam=lam, n=n, x=x, q=q, p=p, t=t, a=a, b=b, s=s)
+def verify_simplified_jackson(lam, n, x, q, p, t, a, b, s, tol, policy):
     lhs = simplified_jackson_lhs(x, lam, n, q, p, t, a, b, s)
     rhs = simplified_jackson_rhs(x, lam, n, q, p, t, a, b, s)
-    return _make_report("simplifiedjackson", params, lhs, rhs, tol,
-                        len(subpartitions(lam)))
+    return _make_report(lhs, rhs, tol, len(subpartitions(lam)))
 
 
-def verify_duality(lam, nu, n, a, aprime, b, q, t, tol=1e-9,
-                   policy=DEFAULT_POLICY):
-    params = dict(lam=lam, nu=nu, n=n, a=a, aprime=aprime, b=b, q=q, t=t)
+def verify_duality(lam, nu, n, a, aprime, b, q, t, tol, policy):
     lhs = duality_side(lam, nu, n, q, t, a, aprime, b)
     rhs = duality_side(nu, lam, n, q, t, aprime, a, b)
-    return _make_report("duality", params, lhs, rhs, tol)
+    return _make_report(lhs, rhs, tol)
 
 
-def verify_flip(lam, xs, q, p, t, a, b, tol=1e-9, policy=DEFAULT_POLICY):
-    params = dict(lam=lam, xs=xs, q=q, p=p, t=t, a=a, b=b)
+def verify_flip(lam, xs, q, p, t, a, b, tol, policy):
     lhs, rhs = flip_sides(xs, lam, q, p, t, a, b)
-    return _make_report("flip", params, lhs, rhs, tol)
+    return _make_report(lhs, rhs, tol)
 
 
-def verify_weyl_degree(mu, N, n, s, delta, q, tol=1e-9, policy=DEFAULT_POLICY):
-    params = dict(mu=mu, N=N, n=n, s=s, delta=delta, q=q)
+def verify_weyl_degree(mu, N, n, s, delta, q, tol, policy):
     muv = tuple(part(mu, i) for i in range(1, n + 1))
     lhs = w_degree(muv, N, n, s, delta, q)
     wp, xv = _principal_w(n, delta, q, s, [N + n - 1 - i for i in range(n)])
     rhs = zw_multi_reg(xv, muv, wp)
-    return _make_report("weyldegree", params, lhs, rhs, tol)
+    return _make_report(lhs, rhs, tol)
 
 
-def verify_multilateral_finite(lam, n, x, s, a, q, delta, tol=1e-7,
-                               policy=DEFAULT_POLICY):
-    params = dict(lam=lam, n=n, x=x, s=s, a=a, q=q, delta=delta)
+def verify_multilateral_finite(lam, n, x, s, a, q, delta, tol, policy):
     upper, lower = mlat_finite_window(lam, n, delta)
     points = math.prod(max(hi - lo + 1, 0) for lo, hi in zip(lower, upper))
     if points > MAX_LATTICE_TERMS:
@@ -956,37 +935,30 @@ def verify_multilateral_finite(lam, n, x, s, a, q, delta, tol=1e-7,
     for pt in exterior:
         v = mlat_finite_summand(pt, lam, n, delta, q, s, a, x, memo)
         if abs(v) >= 1e-12:
-            rep = _make_report("multilateralfinite", params, lhs, rhs, tol, nterms)
+            rep = _make_report(lhs, rhs, tol, nterms)
             rep.status = "error"
             rep.message = f"nonvanishing summand outside window at {pt}: |{abs(v)}|"
             return rep
-    return _make_report("multilateralfinite", params, lhs, rhs, tol, nterms,
+    return _make_report(lhs, rhs, tol, nterms,
                         message=f"window upper={upper} lower={lower}")
 
 
-def verify_multilateral_3psi3(n, delta, x, s, a, q, tol=1e-6,
-                              policy=DEFAULT_POLICY):
-    params = dict(n=n, delta=delta, x=x, s=s, a=a, q=q)
+def verify_multilateral_3psi3(n, delta, x, s, a, q, tol, policy):
     gate = 0.9 if n == 1 else 0.9 * abs(q) ** (n - 1)
     if abs(s) >= gate:
         raise DomainError("multilateral 3psi3 requires |s| < 0.9 |q|^{n-1}")
     lhs = _mlat_product_side(n, delta, q, s, a, x, policy)
     rhs, nterms, window = _mlat_3psi3_sum(n, delta, q, s, a, x, policy)
-    return _make_report("multilateral3psi3", params, lhs, rhs, tol, nterms,
-                        message=f"window={window}")
+    return _make_report(lhs, rhs, tol, nterms, message=f"window={window}")
 
 
-def verify_summand_invariance(sigma, rho, gamma, q, n, delta, k, sign, tol=1e-9,
-                              policy=DEFAULT_POLICY):
-    params = dict(sigma=sigma, rho=rho, gamma=gamma, q=q, n=n, delta=delta,
-                  k=k, sign=sign)
+def verify_summand_invariance(sigma, rho, gamma, q, n, delta, k, sign, tol, policy):
     z = delta / 2.0
     u = z + k
     lz, lv = flipped_summand_structured(u, z, sigma, rho, gamma, n, q, policy)
     rz, rv = flipped_summand_structured(sign * u, z, sigma, rho, gamma, n, q,
                                         policy)
-    rep = _make_report("summandinvariance", params, lv, rv, tol,
-                       message=f"structural zero multiplicity {lz} vs {rz}")
+    rep = _make_report(lv, rv, tol, message=f"structural zero multiplicity {lz} vs {rz}")
     if lz != rz:
         rep.status = "fail"
         rep.message += " (mismatch)"
@@ -1521,6 +1493,10 @@ def run_case(case_id: str, params: dict, tol: Optional[float] = None,
     a "partition"-kind parameter that is not a partition a NotAPartition
     report.  The verifiers trust their arguments.
 
+    It is also the one place that names a report: case_id is the registry
+    key, and params are the checked arguments, the verifier's report-only
+    extras and tol.  A verifier only computes and judges its two sides.
+
     The evaluation gets its own theta memo (qcore.THETA_MEMO), dropped on
     return: a second call recomputes every theta."""
     if case_id not in CASES:
@@ -1536,8 +1512,11 @@ def run_case(case_id: str, params: dict, tol: Optional[float] = None,
     token = THETA_MEMO.set({})
     try:
         kwargs = _verifier_args(case_id, case.schema, params)
-        return case.verifier(**kwargs, tol=use_tol, policy=policy)
+        rep = case.verifier(**kwargs, tol=use_tol, policy=policy)
     except (QidentError, ArithmeticError) as exc:
         return error_report(case_id, params, use_tol, exc)
     finally:
         THETA_MEMO.reset(token)
+    rep.case_id = case_id
+    rep.params = {**kwargs, **rep.params, "tol": use_tol}
+    return rep

@@ -64,16 +64,11 @@ def _enumeration_key(p):
 
 def horizontal_strip_predecessors(lam):
     """All partitions nu such that lam/nu is a horizontal strip, each exactly
-    once, ordered by (length, lexicographic)."""
+    once, ordered by (length, lexicographic): the interlacing vectors of lam
+    padded with one zero, normalized."""
     lam = check_partition(lam)
-    if not lam:
-        return [()]
-    ranges = [range(part(lam, i + 1), part(lam, i) + 1) for i in range(1, len(lam) + 1)]
-    out = set()
-    for nu in itertools.product(*ranges):
-        if all(nu[i] >= nu[i + 1] for i in range(len(nu) - 1)):
-            out.add(normalize(nu))
-    return sorted(out, key=_enumeration_key)
+    return sorted((normalize(nu) for nu in interlacing_vectors(lam + (0,))),
+                  key=_enumeration_key)
 
 
 def subpartitions(lam):

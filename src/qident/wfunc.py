@@ -15,6 +15,11 @@ Provides
 Every evaluation uses only finite products, so the functions remain valid at
 |q| > 1 (needed by the flip identity).
 
+Index preconditions: the kernel does not re-check the indices its callers
+build.  zw_skew_single takes a mu that interlaces lam, zw_multi an index
+with one entry per variable, and w_degree a partition padded to n parts;
+each docstring names the callers that guarantee it.
+
 Pole handling: at the t = q specialization individual skew-W values can have
 simple poles in b that cancel only across the branching sum.  The kernel's
 ledger is therefore evaluated by :func:`theta_quotient`, which cancels
@@ -210,18 +215,18 @@ def zw_skew_single(x, lam, mu, params: WParams):
 
     The defining products are evaluated verbatim with negative-order
     Pochhammers; the missing part mu_n is padded with 0 and enters only
-    through order-zero factors.  The value is 0 unless
-    lam_i >= mu_i >= lam_{i+1} for i = 1..n-1.
+    through order-zero factors.
+
+    Precondition, not checked: mu interlaces lam, lam_i >= mu_i >= lam_{i+1}
+    for i = 1..n-1 (the skew W is 0 otherwise).  zw_multi passes entries of
+    interlacing_vectors(lam), and w_skew_single tests is_horizontal_strip
+    first.
 
     x is a Keyed variable exactly when params carries keys; the ledger is
     then settled by key (see "Keyed ledgers" in the module docstring).
     """
     q, p, t, a, b = params.q, params.p, params.t, params.a, params.b
-    lam, mu = tuple(lam), tuple(mu)
     n = len(lam)
-    for i in range(1, n):
-        if not (part(lam, i) >= part(mu, i) >= part(lam, i + 1)):
-            return 0.0 + 0j
     # add_poch and add_arg record the ledger once, as runs
     # (denominator?, base, base key, lo, hi): the arguments base * q**k of key
     # base key + k for k in range(lo, hi), or (lo None) the single argument
@@ -371,7 +376,12 @@ def _keyed_quotient(runs, q, p, tpow):
 
 def zw_multi(xvars, lam, params: WParams, memo=None):
     """W for an index vector lam in Z^n via the branching recursion over
-    interlacing integer vectors.  Vanishes for non-dominant lam.
+    interlacing integer vectors.
+
+    Precondition, not checked: lam has one entry per variable (len(lam) ==
+    len(xvars)).  A non-dominant lam (lam_i < lam_{i+1} for some i) needs no
+    test: it has no interlacing vector, so the branching sum is the empty
+    sum, exact 0 (at n = 1 every lam is dominant).
 
     W_lam(y, zs) = sum over interlacing nu of W_{lam/nu}(y t^{-l}) W_nu(zs)
     with shifted (a, b).  Each nu takes its tail W_nu(zs) first and is skipped
@@ -390,10 +400,6 @@ def zw_multi(xvars, lam, params: WParams, memo=None):
     xvars = tuple(xvars)
     lam = tuple(lam)
     n = len(xvars)
-    if len(lam) != n:
-        raise ValueError("index vector length must match variable count")
-    if any(lam[i] < lam[i + 1] for i in range(n - 1)):
-        return 0.0 + 0j
     if memo is not None:
         key = (xvars, lam)
         if key in memo:
@@ -504,40 +510,41 @@ def w_multi(xvars, lam, mu, params: WParams, memo=None):
 def w_degree(mu, N: int, n: int, s, delta: int, q):
     """Closed form for W_mu(x; q, q, s q^delta, q^{delta+n-1}) at x_i = q^{N+n-i}.
 
-    Callers pass a partition mu padded with zeros to n parts.  Every linear
-    factor has the shape 1 - c q^e with c in {1, s, 1/s}; factors with c = 1,
-    e = 0 vanish exactly and are counted on each side: an excess numerator
-    zero gives 0, and an excess denominator zero is a genuine pole, which
-    raises DivisionByVanishingFactor.  The vanishing factors are counted,
-    never evaluated, so no division by zero takes place.
+    Precondition, not checked: mu is a partition padded with zeros to n
+    parts (run_case checks it), so every Pochhammer order below (a part
+    mu_i, a difference mu_i - mu_j or a sum mu_i + mu_j, i < j) is
+    non-negative.
+
+    Every linear factor has the shape 1 - c q^e with c in {1, s, 1/s};
+    factors with c = 1, e = 0 vanish exactly and are counted on each side:
+    an excess numerator zero gives 0, and an excess denominator zero is a
+    genuine pole, which raises DivisionByVanishingFactor.  The vanishing
+    factors are counted, never evaluated, so no division by zero takes
+    place.
     """
     num, den = [], []
 
-    def add(numl, denl, c, e0, m):
-        if m >= 0:
-            for k in range(m):
-                numl.append((c, e0 + k))
-        else:
-            for k in range(-m):
-                denl.append((c, e0 + m + k))
+    def add(factors, c, e0, m):
+        # (c q^{e0}; q)_m, m >= 0.
+        factors.extend((c, e0 + k) for k in range(m))
 
-    def add_ppoch(numl, denl, c, e0, vec):
+    def add_ppoch(factors, c, e0, vec):
         # (c q^{e0}; q, q)_vec = prod_i (c q^{e0+1-i}; q)_{vec_i}.
         for i in range(1, n + 1):
-            add(numl, denl, c, e0 + 1 - i, part(vec, i))
+            add(factors, c, e0 + 1 - i, part(vec, i))
 
-    add_ppoch(num, den, "1", -N, mu)
-    add_ppoch(num, den, "s", delta + N + n - 1, mu)
-    add_ppoch(den, num, "1", N + delta + 2 * n - 1, mu)
-    add_ppoch(den, num, "1/s", n - N, mu)
+    add_ppoch(num, "1", -N, mu)
+    add_ppoch(num, "s", delta + N + n - 1, mu)
+    add_ppoch(den, "1", N + delta + 2 * n - 1, mu)
+    add_ppoch(den, "1/s", n - N, mu)
     for j in range(2, n + 1):
         for i in range(1, j):
             dm = part(mu, i) - part(mu, j)
             sm = part(mu, i) + part(mu, j)
-            add(num, den, "1", j - i + 1, dm)
-            add(num, den, "1", delta + 2 * n - i - j + 1, sm)
-            add(den, num, "1", j - i, dm)
-            add(den, num, "1", delta + 2 * n - i - j, sm)
+            add(num, "1", j - i + 1, dm)
+            add(num, "1", delta + 2 * n - i - j + 1, sm)
+            add(den, "1", j - i, dm)
+            add(den, "1", delta + 2 * n - i - j, sm)
 
     zero_num = num.count(("1", 0))
     zero_den = den.count(("1", 0))

@@ -7,7 +7,7 @@ import random
 import time
 
 from qident import cli
-from qident.identities import CASES, run_case, sample_params, verify_3psi3
+from qident.identities import CASES, run_case, sample_params
 from qident.partitions import is_horizontal_strip, normalize
 from qident.wfunc import WParams, w_multi, w_skew_single
 
@@ -185,7 +185,8 @@ def test_multilateral_3psi3():
         r1 = run_case("multilateral3psi3", p)
         assert r1.status == "pass"
         sig = p["q"] ** (p["delta"] + 1) / (p["a"] * p["s"])
-        r2 = verify_3psi3(sig, 1 / p["x"], p["a"] * p["x"], p["q"], p["delta"])
+        r2 = run_case(f"3psi3delta{p['delta']}",
+                      dict(sigma=sig, rho=1 / p["x"], gamma=p["a"] * p["x"], q=p["q"]))
         # both sides scale by the same rank-1 normalization constant
         worst_red = max(worst_red, rel(r1.lhs / r1.rhs, r2.lhs / r2.rhs))
     # n = 2, both deltas

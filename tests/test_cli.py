@@ -426,6 +426,49 @@ def test_double_mode_escalation_leaves_global_mpmath_precision_alone(monkeypatch
     assert _strip_timing(report_json(parallel)) == _strip_timing(report_json(serial))
 
 
+def test_high_mode_overlapping_tasks_keep_50_digits(monkeypatch):
+    # mpmath's working precision is process-global.  Two high-mode tasks are
+    # made to overlap on the thread pool; the one that started first returns
+    # first, and the other waits up to 0.2 s for mpmath.mp.dps to change.
+    # With a workdps(50) per task, the first task's exit restored the
+    # caller's precision while the second still computed.
+    import threading
+
+    import mpmath
+
+    from qident import cli
+
+    dps = mpmath.mp.dps
+    started, seen = [], []
+    lock = threading.Lock()
+    barrier = threading.Barrier(2, timeout=10)
+    promote, run_one = cli._promote_params, cli.run_case
+
+    def promote_in_order(params, schema):
+        with lock:
+            started.append(threading.get_ident())
+        return promote(params, schema)
+
+    def overlapping(case_id, params, tol):
+        barrier.wait()
+        if threading.get_ident() != started[0]:
+            deadline = time.monotonic() + 0.2
+            while mpmath.mp.dps == 50 and time.monotonic() < deadline:
+                time.sleep(0.001)
+        seen.append(mpmath.mp.dps)
+        rep = run_one(case_id, params, tol)
+        seen.append(mpmath.mp.dps)
+        return rep
+
+    monkeypatch.setattr(cli, "_promote_params", promote_in_order)
+    monkeypatch.setattr(cli, "run_case", overlapping)
+    rset = run([CaseConfig(case_id="c1macdonald", seed=0, samples=2)],
+               parallelism=2, precision="high")
+    assert len(started) == 2 and rset.summary["pass"] == 2
+    assert seen == [50] * 4
+    assert mpmath.mp.dps == dps
+
+
 def test_precision_invalid_value(monkeypatch, capsys):
     monkeypatch.setenv("QIDENT_PRECISION", "quadruple")
     assert main(["run", "--case", "c1macdonald"]) == 2

@@ -3,6 +3,7 @@ and seeded examples, cross-case reduction oracles, and term-level pipeline
 consistency."""
 
 import dataclasses
+import inspect
 import itertools
 import random
 import time
@@ -25,22 +26,7 @@ from qident.identities import (
     run_case,
     sample_params,
     simplified_jackson_rhs,
-    verify_3psi3,
-    verify_bailey_6psi6,
-    verify_bailey_10phi9,
-    verify_bilateral_finite,
-    verify_c1_macdonald,
-    verify_duality,
-    verify_flip,
-    verify_flipped_summand,
-    verify_jackson_8phi7,
-    verify_multilateral_3psi3,
-    verify_multilateral_finite,
-    verify_multiple_jackson,
-    verify_ramanujan_1psi1,
-    verify_simplified_jackson,
     verify_summand_invariance,
-    verify_weyl_degree,
     vwp_jackson_term,
 )
 from qident.partitions import lattice_window
@@ -56,13 +42,13 @@ from conftest import rel
 # ---------------------------------------------------------------------------
 
 def test_jackson_n0_trivial():
-    r = verify_jackson_8phi7(0.5 + 0.1j, 0.3, 0.7, 0.2, 0, 0.4)
+    r = run_case("jackson8phi7", dict(a=0.5 + 0.1j, b=0.3, c=0.7, d=0.2, n=0, q=0.4))
     assert r.status == "pass"
     assert abs(r.lhs - 1) < 1e-14 and abs(r.rhs - 1) < 1e-14
 
 
 def test_jackson_seeded_example():
-    r = verify_jackson_8phi7(0.5, 0.3, 0.7, 0.6, 3, 0.4)
+    r = run_case("jackson8phi7", dict(a=0.5, b=0.3, c=0.7, d=0.6, n=3, q=0.4))
     assert r.status == "pass"
     assert r.rel_residual <= 1e-10
 
@@ -70,14 +56,14 @@ def test_jackson_seeded_example():
 def test_jackson_rhs_symmetric_in_bcd():
     a, q, n = 0.5 + 0.1j, 0.35, 3
     b, c, d = 0.31 + 0.05j, 0.72 - 0.1j, 0.23 + 0.18j
-    base = verify_jackson_8phi7(a, b, c, d, n, q).rhs
+    base = run_case("jackson8phi7", dict(a=a, b=b, c=c, d=d, n=n, q=q)).rhs
     for perm in itertools.permutations((b, c, d)):
-        r = verify_jackson_8phi7(a, *perm, n, q)
+        r = run_case("jackson8phi7", dict(zip("bcd", perm), a=a, n=n, q=q))
         assert rel(r.rhs, base) < 1e-12
 
 
 def test_report_tolerance_recorded_and_consistent():
-    r = verify_jackson_8phi7(0.5, 0.3, 0.7, 0.6, 3, 0.4, tol=1e-10)
+    r = run_case("jackson8phi7", dict(a=0.5, b=0.3, c=0.7, d=0.6, n=3, q=0.4), tol=1e-10)
     assert r.params["tol"] == 1e-10
     assert (r.status == "pass") == (r.rel_residual <= 1e-10)
 
@@ -87,7 +73,8 @@ def test_report_tolerance_recorded_and_consistent():
 # ---------------------------------------------------------------------------
 
 def test_bailey10_n0_trivial():
-    r = verify_bailey_10phi9(0.5, 0.3, 0.7, 0.2, 0.6, 0.4, 0, 0.3)
+    r = run_case("bailey10phi9",
+                 dict(a=0.5, b=0.3, c=0.7, d=0.2, e=0.6, f=0.4, n=0, q=0.3))
     assert r.status == "pass"
     assert abs(r.lhs - 1) < 1e-12 and abs(r.rhs - 1) < 1e-12
 
@@ -104,7 +91,8 @@ def test_bailey10_identity_map_when_bcd_equals_qa():
     # lambda = q a^2 / (bcd) = a, making the transformation the identity map
     a, b, c, q, n = 0.5 + 0.1j, 0.3 - 0.05j, 0.7 + 0.1j, 0.3, 3
     d = q * a / (b * c)
-    r = verify_bailey_10phi9(a, b, c, d, 0.61 + 0.1j, 0.43 - 0.2j, n, q)
+    r = run_case("bailey10phi9",
+                 dict(a=a, b=b, c=c, d=d, e=0.61 + 0.1j, f=0.43 - 0.2j, n=n, q=q))
     assert r.status == "pass"
     assert r.rel_residual < 1e-12
 
@@ -197,7 +185,7 @@ def test_bailey10_draws_pass_a_thousand_times_below_tol(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_bailey6_seeded_example():
-    r = verify_bailey_6psi6(0.81, 0.9, 0.8, 0.7, 0.6, 0.2)
+    r = run_case("bailey6psi6", dict(a=0.81, b=0.9, c=0.8, d=0.7, e=0.6, q=0.2))
     assert r.status == "pass"
     assert r.rel_residual <= 1e-8
 
@@ -206,7 +194,7 @@ def test_bailey6_structural_termination_tag():
     # the tagged numerator parameter q^{-2} cuts the upper half of the
     # bilateral sum structurally at index 2 (the lower half still converges
     # numerically, so the sum as a whole is not marked terminated)
-    r = verify_bailey_6psi6(0.81, QPower(-2), 0.8, 0.7, 0.6, 0.2)
+    r = run_case("bailey6psi6", dict(a=0.81, b=QPower(-2), c=0.8, d=0.7, e=0.6, q=0.2))
     assert r.status == "pass"
     assert "window=" in r.message and r.message.rstrip().endswith("2)")
 
@@ -214,9 +202,10 @@ def test_bailey6_structural_termination_tag():
 def test_bailey6_rhs_symmetric_in_bcde():
     a, q = 0.81, 0.2
     vals = (0.9, 0.8, 0.7, 0.6)
-    base = verify_bailey_6psi6(a, *vals, q).rhs
+    base = run_case("bailey6psi6", dict(zip("bcde", vals), a=a, q=q)).rhs
     for perm in itertools.permutations(vals):
-        assert rel(verify_bailey_6psi6(a, *perm, q).rhs, base) < 1e-12
+        r = run_case("bailey6psi6", dict(zip("bcde", perm), a=a, q=q))
+        assert rel(r.rhs, base) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -224,13 +213,13 @@ def test_bailey6_rhs_symmetric_in_bcde():
 # ---------------------------------------------------------------------------
 
 def test_1psi1_b_equals_q_reduces_to_q_binomial():
-    r = verify_ramanujan_1psi1(0.6, QPower(1), 0.7, 0.3, tol=1e-10)
+    r = run_case("ramanujan1psi1", dict(a=0.6, b=QPower(1), x=0.7, q=0.3), tol=1e-10)
     assert r.status == "pass"
     assert r.rel_residual <= 1e-10
 
 
 def test_1psi1_seeded_example():
-    r = verify_ramanujan_1psi1(0.9, 0.2, 0.5, 0.3)
+    r = run_case("ramanujan1psi1", dict(a=0.9, b=0.2, x=0.5, q=0.3))
     assert r.status == "pass"
     assert r.rel_residual <= 1e-8
 
@@ -248,13 +237,13 @@ def test_1psi1_convergence_gate():
 # ---------------------------------------------------------------------------
 
 def test_c1_exact_algebra():
-    r = verify_c1_macdonald(0.5)
+    r = run_case("c1macdonald", dict(x=0.5))
     assert r.status == "pass"
     assert abs(r.rhs - 1) < 1e-15  # 4/3 - 1/3 = 1
 
 
 def test_c1_complex_point():
-    r = verify_c1_macdonald(2 + 1j)
+    r = run_case("c1macdonald", dict(x=2 + 1j))
     assert r.status == "pass"
     assert r.abs_residual <= 1e-14
 
@@ -282,7 +271,8 @@ def test_flipped_summand_k0_at_weight_point():
 
 def test_flipped_summand_seeded_example():
     # z is a free parameter of the two-sided check; any generic value works
-    r = verify_flipped_summand(0.3, 0.7, 0.2, 0.35, 4, 0, 0.3, 2)
+    r = run_case("flippedsummand", dict(sigma=0.3, rho=0.7, gamma=0.2, q=0.35, n=4,
+                                        delta=0, z=0.3, k=2))
     assert r.status == "pass"
     assert r.rel_residual <= 1e-8
 
@@ -324,7 +314,8 @@ def test_flipped_summand_sign_reflection_invariance():
 # ---------------------------------------------------------------------------
 
 def test_bilateral_finite_n0_trivial():
-    r = verify_bilateral_finite(0.4 + 0.1j, 0.6 - 0.2j, 0.3, 0.3, 0, 0)
+    r = run_case("bilateralfinite", dict(sigma=0.4 + 0.1j, rho=0.6 - 0.2j, gamma=0.3,
+                                         q=0.3, n=0, delta=0))
     assert r.status == "pass"
     assert abs(r.lhs - 1) < 1e-12 and abs(r.rhs - 1) < 1e-12
 
@@ -332,7 +323,8 @@ def test_bilateral_finite_n0_trivial():
 def test_bilateral_finite_seeded_both_deltas():
     sig, rho, gam, q = 0.37 + 0.21j, 0.81 - 0.13j, 0.29 + 0.4j, 0.3
     for delta in (0, 1):
-        r = verify_bilateral_finite(sig, rho, gam, q, 3, delta)
+        r = run_case("bilateralfinite",
+                     dict(sigma=sig, rho=rho, gamma=gam, q=q, n=3, delta=delta))
         assert r.status == "pass"
         assert r.rel_residual <= 1e-9  # max pairwise residual of all three
 
@@ -376,15 +368,15 @@ def test_pipeline_term_level_regrouping():
 
 def test_3psi3_seeded_both_deltas():
     for delta in (0, 1):
-        r = verify_3psi3(0.9, 0.8, 0.7, 0.2, delta)
+        r = run_case(f"3psi3delta{delta}", dict(sigma=0.9, rho=0.8, gamma=0.7, q=0.2))
         assert r.status == "pass"
         assert r.rel_residual <= 1e-8
 
 
 def test_3psi3_sigma_rho_swap_invariance():
     for delta in (0, 1):
-        r1 = verify_3psi3(0.9, 0.8, 0.7, 0.2, delta)
-        r2 = verify_3psi3(0.8, 0.9, 0.7, 0.2, delta)
+        r1 = run_case(f"3psi3delta{delta}", dict(sigma=0.9, rho=0.8, gamma=0.7, q=0.2))
+        r2 = run_case(f"3psi3delta{delta}", dict(sigma=0.8, rho=0.9, gamma=0.7, q=0.2))
         assert rel(r1.lhs, r2.lhs) < 1e-12
         assert rel(r1.rhs, r2.rhs) < 1e-12
 
@@ -393,37 +385,37 @@ def test_3psi3_sigma_rho_swap_invariance():
 # multiple Jackson summation and its principal-argument form
 # ---------------------------------------------------------------------------
 
+_JACKSON_W = dict(n=2, q=0.3, p=0.0, t=0.45, a=0.7 + 0.1j, b=0.5 - 0.2j, s=1.1)
+_MULTIJACKSON = dict(_JACKSON_W, z=(1.2 + 0.3j, 0.8 - 0.2j))
+_SIMPLIFIED = dict(_JACKSON_W, x=1.4 + 0.2j)
+
+
 def test_multijackson_empty_partition():
-    r = verify_multiple_jackson((), 2, (1.2 + 0.3j, 0.8 - 0.2j), 0.3, 0.0,
-                                0.45, 0.7 + 0.1j, 0.5 - 0.2j, 1.1)
+    r = run_case("multijackson", dict(_MULTIJACKSON, lam=()))
     assert r.status == "pass"
     assert abs(r.lhs - 1) < 1e-12 and abs(r.rhs - 1) < 1e-12
 
 
 def test_multijackson_seeded_p0():
-    r = verify_multiple_jackson((2, 1), 2, (1.2 + 0.3j, 0.8 - 0.2j), 0.3, 0.0,
-                                0.45, 0.7 + 0.1j, 0.5 - 0.2j, 1.1)
+    r = run_case("multijackson", dict(_MULTIJACKSON, lam=(2, 1)))
     assert r.status == "pass"
     assert r.rel_residual <= 1e-8
 
 
 def test_multijackson_seeded_elliptic():
-    r = verify_multiple_jackson((1, 1), 2, (1.2 + 0.3j, 0.8 - 0.2j), 0.3, 0.1,
-                                0.45, 0.7 + 0.1j, 0.5 - 0.2j, 1.1)
+    r = run_case("multijackson", dict(_MULTIJACKSON, lam=(1, 1), p=0.1))
     assert r.status == "pass"
     assert r.rel_residual <= 1e-7
 
 
 def test_simplified_jackson_empty_partition():
-    r = verify_simplified_jackson((), 2, 1.4 + 0.2j, 0.3, 0.0, 0.45,
-                                  0.7 + 0.1j, 0.5 - 0.2j, 1.1)
+    r = run_case("simplifiedjackson", dict(_SIMPLIFIED, lam=()))
     assert r.status == "pass"
     assert abs(r.lhs - 1) < 1e-12 and abs(r.rhs - 1) < 1e-12
 
 
 def test_simplified_jackson_seeded_p0():
-    r = verify_simplified_jackson((2, 1), 2, 1.4 + 0.2j, 0.3, 0.0, 0.45,
-                                  0.7 + 0.1j, 0.5 - 0.2j, 1.1)
+    r = run_case("simplifiedjackson", dict(_SIMPLIFIED, lam=(2, 1)))
     assert r.status == "pass"
     assert r.rel_residual <= 1e-8
 
@@ -453,38 +445,42 @@ def test_simplified_vs_multiple_cross_case_oracle():
 # ---------------------------------------------------------------------------
 
 def test_duality_empty():
-    r = verify_duality((), (), 2, 0.7 + 0.1j, 0.6 - 0.2j, 0.5, 0.3, 0.45)
+    r = run_case("duality", dict(lam=(), nu=(), n=2,
+                                 a=0.7 + 0.1j, aprime=0.6 - 0.2j, b=0.5, q=0.3, t=0.45))
     assert r.status == "pass"
     assert abs(r.lhs - 1) < 1e-12
 
 
 def test_duality_symmetric_point():
-    r = verify_duality((1,), (1,), 2, 0.7 + 0.1j, 0.7 + 0.1j, 0.5, 0.3, 0.45)
+    r = run_case("duality", dict(lam=(1,), nu=(1,), n=2,
+                                 a=0.7 + 0.1j, aprime=0.7 + 0.1j, b=0.5, q=0.3, t=0.45))
     assert r.status == "pass"
     assert r.abs_residual <= 1e-13
 
 
 def test_duality_seeded_example():
-    r = verify_duality((1,), (2,), 2, 0.7 + 0.1j, 0.6 - 0.2j, 0.5 + 0.05j,
-                       0.3, 0.45)
+    r = run_case("duality", dict(lam=(1,), nu=(2,), n=2, a=0.7 + 0.1j,
+                                 aprime=0.6 - 0.2j, b=0.5 + 0.05j, q=0.3, t=0.45))
     assert r.status == "pass"
     assert r.rel_residual <= 1e-9
 
 
 def test_flip_examples():
-    r = verify_flip((), (1.2,), 0.3, 0.0, 0.45, 0.7 + 0.1j, 0.5 - 0.2j)
+    r = run_case("flip", dict(lam=(), xs=(1.2,),
+                              q=0.3, p=0.0, t=0.45, a=0.7 + 0.1j, b=0.5 - 0.2j))
     assert r.status == "pass" and abs(r.lhs - 1) < 1e-12
-    r = verify_flip((2,), (1.2 + 0.3j,), 0.3, 0.0, 0.45, 0.7 + 0.1j, 0.5 - 0.2j)
+    r = run_case("flip", dict(lam=(2,), xs=(1.2 + 0.3j,),
+                              q=0.3, p=0.0, t=0.45, a=0.7 + 0.1j, b=0.5 - 0.2j))
     assert r.status == "pass" and r.rel_residual <= 1e-9
-    r = verify_flip((2, 1), (1.2 + 0.3j, 0.8 - 0.2j), 0.3, 0.0, 0.45,
-                    0.7 + 0.1j, 0.5 - 0.2j)
+    r = run_case("flip", dict(lam=(2, 1), xs=(1.2 + 0.3j, 0.8 - 0.2j),
+                              q=0.3, p=0.0, t=0.45, a=0.7 + 0.1j, b=0.5 - 0.2j))
     assert r.status == "pass" and r.rel_residual <= 1e-9
 
 
 def test_weyl_degree_examples():
-    r = verify_weyl_degree((), 2, 2, 0.3 + 0.1j, 0, 0.4)
+    r = run_case("weyldegree", dict(mu=(), N=2, n=2, s=0.3 + 0.1j, delta=0, q=0.4))
     assert r.status == "pass" and abs(r.lhs - 1) < 1e-12
-    r = verify_weyl_degree((1,), 2, 2, 0.3, 0, 0.4)
+    r = run_case("weyldegree", dict(mu=(1,), N=2, n=2, s=0.3, delta=0, q=0.4))
     assert r.status == "pass" and r.rel_residual <= 1e-9
 
 
@@ -621,9 +617,12 @@ def test_weyl_degree_pole_draw_takes_the_richardson_fallback():
 # multilateral finite identity
 # ---------------------------------------------------------------------------
 
+_MLAT_FINITE_RANK2 = dict(lam=(2, 1), n=2, x=1.37 + 0.2j, s=0.45 + 0.1j, a=0.7 - 0.2j,
+                          q=0.3, delta=0)
+
+
 def test_multilateral_finite_empty_partition():
-    r = verify_multilateral_finite((), 2, 1.37 + 0.2j, 0.45 + 0.1j,
-                                   0.7 - 0.2j, 0.3, 0)
+    r = run_case("multilateralfinite", dict(_MLAT_FINITE_RANK2, lam=()))
     assert r.status == "pass"
     assert r.rel_residual <= 1e-7
 
@@ -635,17 +634,18 @@ def test_multilateral_finite_rank1_reduction():
     for delta in (0, 1):
         for m in (0, 1, 2, 3):
             lam = (m,) if m else ()
-            r_ml = verify_multilateral_finite(lam, 1, x, s, a, q, delta)
+            r_ml = run_case("multilateralfinite",
+                            dict(lam=lam, n=1, x=x, s=s, a=a, q=q, delta=delta))
             sig, rho, gam = q ** (delta + 1) / (a * s), 1 / x, a * x
-            r_bf = verify_bilateral_finite(sig, rho, gam, q, m, delta)
+            r_bf = run_case("bilateralfinite",
+                            dict(sigma=sig, rho=rho, gamma=gam, q=q, n=m, delta=delta))
             assert r_ml.status == "pass" and r_bf.status == "pass"
             assert rel(r_ml.lhs, r_bf.rhs) < 1e-9
 
 
 def test_multilateral_finite_seeded_rank2():
     for delta in (0, 1):
-        r = verify_multilateral_finite((2, 1), 2, 1.37 + 0.2j, 0.45 + 0.1j,
-                                       0.7 - 0.2j, 0.3, delta)
+        r = run_case("multilateralfinite", dict(_MLAT_FINITE_RANK2, delta=delta))
         assert r.status == "pass"
         assert r.rel_residual <= 1e-7
 
@@ -672,8 +672,7 @@ def _memoless(monkeypatch, fn, *args):
 
 def test_multilateral_finite_shared_memo_is_bit_identical(monkeypatch):
     draws = [sample_params("multilateralfinite", seed) for seed in range(16)]
-    draws += [dict(lam=(2, 1), n=2, x=1.37 + 0.2j, s=0.45 + 0.1j, a=0.7 - 0.2j,
-                   q=0.3, delta=delta) for delta in (0, 1)]
+    draws += [dict(_MLAT_FINITE_RANK2, delta=delta) for delta in (0, 1)]
     for p in draws:
         shared = run_case("multilateralfinite", p)
         alone = _memoless(monkeypatch, run_case, "multilateralfinite", p)
@@ -698,9 +697,9 @@ def test_multilateral_3psi3_rank1_reduction():
     # rank-1 case carries an extra normalization f(delta)
     q, x, s, a = 0.3, 1.37 + 0.2j, 0.45 + 0.1j, 0.7 - 0.2j
     for delta in (0, 1):
-        r1 = verify_multilateral_3psi3(1, delta, x, s, a, q)
+        r1 = run_case("multilateral3psi3", dict(n=1, delta=delta, x=x, s=s, a=a, q=q))
         sig, rho, gam = q ** (delta + 1) / (a * s), 1 / x, a * x
-        r2 = verify_3psi3(sig, rho, gam, q, delta)
+        r2 = run_case(f"3psi3delta{delta}", dict(sigma=sig, rho=rho, gamma=gam, q=q))
         assert r1.status == "pass" and r2.status == "pass"
         norm = mlat_norm(1, delta, q)
         assert rel(r1.lhs, r2.lhs / norm) < 1e-8
@@ -709,14 +708,16 @@ def test_multilateral_3psi3_rank1_reduction():
 
 def test_multilateral_3psi3_seeded_rank2():
     for delta in (0, 1):
-        r = verify_multilateral_3psi3(2, delta, 1.7, 0.25, 0.6, 0.3)
+        r = run_case("multilateral3psi3",
+                     dict(n=2, delta=delta, x=1.7, s=0.25, a=0.6, q=0.3))
         assert r.status == "pass"
         assert r.rel_residual <= 1e-6
 
 
 def test_multilateral_3psi3_convergence_gate():
-    with pytest.raises(DomainError):
-        verify_multilateral_3psi3(2, 0, 1.7, 0.8, 0.6, 0.3)
+    r = run_case("multilateral3psi3", dict(n=2, delta=0, x=1.7, s=0.8, a=0.6, q=0.3))
+    assert r.status == "error"
+    assert r.message == "DomainError: multilateral 3psi3 requires |s| < 0.9 |q|^{n-1}"
 
 
 def _mlat_sweep(n, delta, q, s, a, x, policy=DEFAULT_POLICY):
@@ -861,23 +862,27 @@ def test_multilateral_3psi3_slow_in_gate_draw_reports_quickly():
 # summand invariance at the weight-lattice point
 # ---------------------------------------------------------------------------
 
+_INVARIANCE = dict(sigma=0.4 + 0.1j, rho=0.7 - 0.2j, gamma=0.3, q=0.35)
+
+
 def test_summand_invariance_identity_map_exact():
-    r = verify_summand_invariance(0.4 + 0.1j, 0.7 - 0.2j, 0.3, 0.35, 4, 0, 2, 1)
+    r = run_case("summandinvariance", dict(_INVARIANCE, n=4, delta=0, k=2, sign=1))
     assert r.status == "pass"
     assert r.abs_residual == 0.0
 
 
 def test_summand_invariance_seeded_examples():
-    r = verify_summand_invariance(0.4 + 0.1j, 0.7 - 0.2j, 0.3, 0.35, 5, 0, 3, -1)
+    r = run_case("summandinvariance", dict(_INVARIANCE, n=5, delta=0, k=3, sign=-1))
     assert r.status == "pass" and r.rel_residual <= 1e-9
-    r = verify_summand_invariance(0.4 + 0.1j, 0.7 - 0.2j, 0.3, 0.35, 5, 1, 2, -1)
+    r = run_case("summandinvariance", dict(_INVARIANCE, n=5, delta=1, k=2, sign=-1))
     assert r.status == "pass" and r.rel_residual <= 1e-9
 
 
 def test_summand_invariance_split_products_once_per_evaluation(monkeypatch):
     # Under run_case's memo each split product is computed once and read back
     # as the same value; the sign = 1 evaluation repeats all 28 of them.
-    # Outside run_case every call computes afresh.
+    # Outside run_case (the verifier called directly) every call computes
+    # afresh.
     calls = []
     original = identities._poch_inf_split_product
 
@@ -886,14 +891,14 @@ def test_summand_invariance_split_products_once_per_evaluation(monkeypatch):
         return original(a, q, policy)
 
     monkeypatch.setattr(identities, "_poch_inf_split_product", counting)
-    args = (0.4 + 0.1j, 0.7 - 0.2j, 0.3, 0.35, 4, 0, 2)
-    fresh = verify_summand_invariance(*args, 1)
+    params = dict(_INVARIANCE, n=4, delta=0, k=2, sign=1)
+    fresh = verify_summand_invariance(**params, tol=1e-9, policy=DEFAULT_POLICY)
     assert len(calls) == 56
     calls.clear()
-    memo = run_case("summandinvariance", dict(zip(
-        ("sigma", "rho", "gamma", "q", "n", "delta", "k", "sign"), (*args, 1))))
+    memo = run_case("summandinvariance", params)
     assert len(calls) == len(set(calls)) <= 28
-    assert repr(memo) == repr(fresh)
+    assert repr(memo) == repr(dataclasses.replace(
+        fresh, case_id="summandinvariance", params=dict(params, tol=1e-9)))
 
 
 def test_summand_invariance_overflow_is_an_error_report():
@@ -914,6 +919,28 @@ def test_registry_has_all_cases():
     for case_id, case in CASES.items():
         assert case.case_id == case_id
         assert case.schema and case.default_tol > 0
+
+
+def test_run_case_names_every_report():
+    # run_case is the one place that gives a report its identity: case_id is
+    # the registry key, and params are the checked arguments, tol and a
+    # verifier's report-only extras (jackson8phi7's derived e, the delta a
+    # 3psi3 case id fixes).  No verifier repeats the tol of its registration
+    # or the policy run_case passes.
+    extras = {"jackson8phi7": {"e"}, "3psi3delta0": {"delta"}, "3psi3delta1": {"delta"}}
+    for case_id, case in CASES.items():
+        signature = inspect.signature(case.verifier)
+        for name in ("tol", "policy"):
+            assert signature.parameters[name].default is inspect.Parameter.empty, \
+                (case_id, name)
+        for seed in range(5):
+            rep = run_case(case_id, sample_params(case_id, seed))
+            assert rep.case_id == case_id
+            assert set(rep.params) == set(case.schema) | {"tol"} | extras.get(case_id, set())
+            assert rep.params["tol"] == case.default_tol
+    for delta in (0, 1):
+        case_id = f"3psi3delta{delta}"
+        assert run_case(case_id, sample_params(case_id, 0)).params["delta"] == delta
 
 
 def test_sampled_draws_match_their_schema_and_its_domains():

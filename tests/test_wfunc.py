@@ -16,7 +16,6 @@ from qident.identities import (
     mlat_finite_window,
     run_case,
     sample_params,
-    verify_multilateral_finite,
 )
 from qident.partitions import (
     interlacing_vectors,
@@ -43,6 +42,11 @@ from qident.wfunc import (
 )
 
 from conftest import rel
+
+#: The rank-2 multilateralfinite draw whose window (121 lattice points and
+#: five exterior checks) the ledger-count tests count on.
+_MLAT_FINITE_RANK2 = dict(lam=(2, 1), n=2, x=1.37 + 0.2j, s=0.45 + 0.1j, a=0.7 - 0.2j,
+                          q=0.3, delta=0)
 
 
 def box_partitions(max_len, max_part):
@@ -436,8 +440,7 @@ def test_zw_multi_skips_skew_factors_of_zero_tails(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(wfunc, "zw_skew_single", counted)
-    r = verify_multilateral_finite((2, 1), 2, 1.37 + 0.2j, 0.45 + 0.1j,
-                                   0.7 - 0.2j, 0.3, 0)
+    r = run_case("multilateralfinite", _MLAT_FINITE_RANK2)
     assert r.status == "pass" and r.terms_used == 121
     assert len(calls) == 135
 
@@ -574,7 +577,7 @@ def test_keyed_skew_factors_match_untagged_ledgers(monkeypatch):
     monkeypatch.setattr(wfunc, "zw_skew_single", recorded)
     for seed in range(64):
         run_case("multilateralfinite", sample_params("multilateralfinite", seed))
-    verify_multilateral_finite((2, 1), 2, 1.37 + 0.2j, 0.45 + 0.1j, 0.7 - 0.2j, 0.3, 0)
+    run_case("multilateralfinite", _MLAT_FINITE_RANK2)
     monkeypatch.undo()
     same = zeros = 0
     for x, lam, mu, wp in calls:
@@ -603,8 +606,7 @@ def test_rank2_window_evaluates_fewer_numeric_ledgers(monkeypatch):
             return original(num, den, p)
 
         monkeypatch.setattr(wfunc, name, counted)
-    r = verify_multilateral_finite((2, 1), 2, 1.37 + 0.2j, 0.45 + 0.1j,
-                                   0.7 - 0.2j, 0.3, 0)
+    r = run_case("multilateralfinite", _MLAT_FINITE_RANK2)
     assert r.status == "pass" and r.terms_used == 121
     assert {name for name, _ in calls} == {"theta_product"}
     assert (len(calls), sum(k for _, k in calls)) == (38, 374)
