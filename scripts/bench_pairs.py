@@ -1,0 +1,101 @@
+"""Alternating benchmark pairs of two source trees.
+
+    python3 scripts/bench_pairs.py PARENT CHANGE --workload registry-serial --pairs 10
+
+Runs PARENT/bench/run.py and CHANGE/bench/run.py in turn, the parent first in
+odd pairs and the change first in even ones; both runs of pair k use seed
+FIRST_SEED + k - 1 and the same --seconds.  It then prints, for each
+end-to-end metric of CHANGE/BENCHMARK.json (or --benchmark), each side's
+median and quartiles, the relative move of the median, and in how many pairs
+the change was better in the metric's direction; then each side's `failed`
+counts and whether every run was `correct`.
+
+Standard library only.  The script writes nothing; each bench/run.py writes
+its own bench/out/ in its tree.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def bench_line(tree, workload, seed, seconds):
+    """The result line (the last line of standard output) of one run of
+    tree/bench/run.py."""
+    cmd = [sys.executable, str(Path(tree) / "bench" / "run.py"), "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds)]
+    done = subprocess.run(cmd, capture_output=True, text=True)
+    if done.returncode != 0 or not done.stdout.strip():
+        raise SystemExit(f"{' '.join(cmd)} exited {done.returncode}:\n{done.stderr}")
+    return done.stdout.strip().splitlines()[-1]
+
+
+def _quartiles(values):
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q1, q3
+
+
+def summarize(parent_lines, change_lines, end_to_end):
+    """Summary lines of paired result lines (pair k is parent_lines[k] and
+    change_lines[k]), for the end-to-end metric entries of BENCHMARK.json."""
+    parent = [json.loads(line) for line in parent_lines]
+    change = [json.loads(line) for line in change_lines]
+    if len(parent) != len(change) or not parent:
+        raise ValueError("need the same positive number of parent and change results")
+    out = [f"{len(parent)} pairs; medians [quartiles]; won = pairs where the change "
+           "is better"]
+    for metric in end_to_end:
+        name, better = metric["name"], metric["better"]
+        pv = [r["metrics"][name]["value"] for r in parent]
+        cv = [r["metrics"][name]["value"] for r in change]
+        wins = sum((c < p) if better == "lower" else (c > p) for p, c in zip(pv, cv))
+        pm, cm = statistics.median(pv), statistics.median(cv)
+        (p1, p3), (c1, c3) = _quartiles(pv), _quartiles(cv)
+        move = (cm - pm) / abs(pm) if pm else float("nan")
+        out.append(f"{name} ({better} is better): parent {pm:.4g} [{p1:.4g}, {p3:.4g}]"
+                   f" -> change {cm:.4g} [{c1:.4g}, {c3:.4g}], {move:+.1%};"
+                   f" won {wins}/{len(pv)}; |median difference| {abs(cm - pm):.4g}"
+                   f" vs parent quartile distance {p3 - p1:.4g}")
+        out.append("  pairs: " + ", ".join(f"{p:.4g}->{c:.4g}" for p, c in zip(pv, cv)))
+    for side, runs in (("parent", parent), ("change", change)):
+        out.append(f"{side}: failed {[r['failed'] for r in runs]} of "
+                   f"{[r['attempted'] for r in runs]}, correct "
+                   f"{all(r['correct'] for r in runs)}")
+    return out
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent", help="source tree of the parent")
+    ap.add_argument("change", help="source tree of the change")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--first-seed", type=int, default=1)
+    ap.add_argument("--seconds", type=float, default=25.0)
+    ap.add_argument("--benchmark", help="BENCHMARK.json (default: the change's)")
+    args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error("--pairs must be >= 1")
+    spec = json.loads(Path(args.benchmark or Path(args.change) / "BENCHMARK.json")
+                      .read_text())["end_to_end"]
+    parent_lines, change_lines = [], []
+    for k in range(1, args.pairs + 1):
+        seed = args.first_seed + k - 1
+        order = [("parent", args.parent), ("change", args.change)]
+        for side, tree in order if k % 2 else order[::-1]:
+            line = bench_line(tree, args.workload, seed, args.seconds)
+            (parent_lines if side == "parent" else change_lines).append(line)
+            print(f"pair {k} {side} seed {seed}: {line}", flush=True)
+    print("\n".join(summarize(parent_lines, change_lines, spec)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -17,7 +17,8 @@ parts) or vector (rank entries); a value outside its kind's domain ends as an
 error run.  Complex values are written as [re, im] pairs, partitions as
 bracketed strings like "[3,1]", exact q-power tags as {"qpow": m}.  Reports
 are emitted as JSON (source of truth) and optionally flattened to CSV; NaN
-never appears in reports (error runs carry null sides).  Report files are
+and infinities never appear in reports (they are null: error runs carry
+null sides).  A scalar parameter must be finite.  Report files are
 overwritten in place, with no truncate to zero first (write_text): on ext4
 that truncate makes close start writeback, which cost more than writing a
 small report.  The write is not atomic, and open(path, "w") was not either.
@@ -26,6 +27,7 @@ small report.  The write is not atomic, and open(path, "w") was not either.
 from __future__ import annotations
 
 import argparse
+import cmath
 import contextlib
 import csv
 import io
@@ -119,13 +121,9 @@ def _encode_value(v):
     if isinstance(v, int):
         return v
     if isinstance(v, float):
-        if math.isnan(v):
-            return None
-        return v
+        return v if math.isfinite(v) else None
     if isinstance(v, complex):
-        if math.isnan(v.real) or math.isnan(v.imag):
-            return None
-        return [v.real, v.imag]
+        return [v.real, v.imag] if cmath.isfinite(v) else None
     if isinstance(v, (list, tuple)):
         return [_encode_value(x) for x in v]
     if isinstance(v, dict):
@@ -285,8 +283,8 @@ def run(configs: List[CaseConfig], parallelism: int = 1,
         except ConfigError:  # unknown case id: a usage error, not a sample's
             raise
         except QidentError as exc:  # e.g. the sampler found no admissible draw
-            tol = CASES[cfg.case_id].default_tol if cfg.tol is None else cfg.tol
-            return ci, si, seed, error_report(cfg.case_id, dict(cfg.params), tol, exc)
+            return ci, si, seed, error_report(cfg.case_id, dict(cfg.params), cfg.tol,
+                                              exc)
         params.update(cfg.params)
         if mode == "high":
             params = _promote_params(params, CASES[cfg.case_id].schema)

@@ -114,11 +114,18 @@ def _make_report(lhs, rhs, tol, terms_used=1, message="", **extras):
     )
 
 
+def _case_tol(case_id, tol):
+    """The tolerance of a run of case_id: tol, or the case's default when tol
+    is None."""
+    return CASES[case_id].default_tol if tol is None else tol
+
+
 def error_report(case_id, params, tol, exc):
-    """Error-status report for a run that raised exc."""
+    """Error-status report for a run of case_id that raised exc (tol as in
+    run_case: None is the case's default)."""
     return IdentityReport(
         case_id=case_id,
-        params={**params, "tol": tol},
+        params={**params, "tol": _case_tol(case_id, tol)},
         lhs=complex("nan"),
         rhs=complex("nan"),
         abs_residual=float("nan"),
@@ -511,8 +518,7 @@ class _CoordinateFactor:
         self.bad_up = self.bad_down = None  # least m > 0 / greatest m < 0 that raise
 
     def grow(self, m):
-        """Tabulate g on [-m, m] and return the table: g(k) at index k, negative
-        k counting from the end."""
+        """Tabulate g on [-m, m] and return the table: g(k) at index m - k."""
         q, c, up, down = self.q, self.c, self.up, self.down
         while len(up) <= m:
             k = len(up) - 1
@@ -540,7 +546,7 @@ class _CoordinateFactor:
                         break
                     g = g * (1 - aden * qk) / fn
             down.append(g)
-        return up + down[::-1]
+        return up[m::-1] + down[:m]
 
     def failure(self, v):
         """pair_poch_ratio's error message for a summand with this coordinate
@@ -569,29 +575,40 @@ class _DeltaSquare:
         return r * r
 
     def grow(self, m):
-        """Tabulate d in [-m, m]; d at index d, negative d counting from the end."""
+        """Tabulate d in [-m, m] and return the table: d at index m - d."""
         while len(self.up) <= m:
             self.up.append(self._value(len(self.up)))
         while len(self.down) < m:
             self.down.append(self._value(-len(self.down) - 1))
-        return self.up + self.down[::-1]
+        return self.up[m::-1] + self.down[:m]
 
 
-def _dominant_shell(n, m, covered):
+def _dominant_runs(n, m, covered):
     """The dominant mu (mu_1 >= ... >= mu_n) of [-m, m]^n with max |mu_i| >
     covered, i.e. the dominant points a shell adds to the cube [-covered,
-    covered]^n (all of them when covered < 0)."""
+    covered]^n (all of them when covered < 0), as runs (head, hi, lo, tail):
+    the points head + (k,) + tail for k = hi, hi - 1, ..., lo.
+
+    The runs list the points in the order the shell sums add them:
+    lexicographically descending when covered < 0.  Otherwise first the
+    points with mu_1 > covered in that order, in runs along mu_n; then, by
+    descending mu_n < -covered, the points with mu_1 <= covered,
+    lexicographically descending, in runs along mu_{n-1} (along mu_1 = mu_n
+    at n = 1, whose head is empty)."""
+    cwr = itertools.combinations_with_replacement
+    rim = covered if covered >= 0 else -m - 1  # mu_1 > rim
+    for head in cwr(range(m, -m - 1, -1), n - 1):
+        if head and head[0] <= rim:
+            break
+        yield (head, head[-1], -m, ()) if head else ((), m, rim + 1, ())
     if covered < 0:
-        yield from itertools.combinations_with_replacement(range(m, -m - 1, -1), n)
         return
-    for top in range(m, covered, -1):  # mu_1 > covered
-        for tail in itertools.combinations_with_replacement(range(top, -m - 1, -1),
-                                                            n - 1):
-            yield (top,) + tail
-    for low in range(-covered - 1, -m - 1, -1):  # mu_1 <= covered, mu_n < -covered
-        for head in itertools.combinations_with_replacement(range(covered, low - 1, -1),
-                                                            n - 1):
-            yield head + (low,)
+    if n == 1:
+        yield (), -covered - 1, -m, ()
+        return
+    for low in range(-covered - 1, -m - 1, -1):
+        for head in cwr(range(covered, low - 1, -1), n - 2):
+            yield head, head[-1] if head else covered, low, (low,)
 
 
 def _mlat_3psi3_sum(n, delta, q, s, a, x, policy):
@@ -601,12 +618,22 @@ def _mlat_3psi3_sum(n, delta, q, s, a, x, policy):
     A dominant mu's summand is prod_i g_i(mu_i) times the Delta^2 factor over
     i < j; g_i(m) is (s q^{1-n} q^{2(i-1)})^m times the three pair ratios at
     shift q^{1-i}.  Each g_i and each Delta^2 factor is tabulated once per call
-    and grown with the window (_CoordinateFactor, _DeltaSquare), so a point
-    costs O(n^2) lookups.  Each shell enumerates only its new dominant points;
-    the other summands vanish.  terms_used counts every point of the window,
-    (2m + 1)^n.  A shell whose tables reach a vanishing factor (read by a
-    dominant point such as (v, ..., v)) raises the first coordinate's
-    pair_poch_ratio error, denominator before reciprocal, before its budget."""
+    and grown with the window (_CoordinateFactor, _DeltaSquare).  Each shell
+    enumerates only its new dominant points (the other summands vanish), as
+    runs of points that differ in one coordinate (_dominant_runs), and one
+    walk serves every rank.  A run carries the product (1.0+0j) g_1 ... g_{p-1}
+    of the coordinates before its varying one p.  A point's product is that
+    times its g_p, times the g of the fixed coordinates after p; it is
+    skipped when 0, and otherwise multiplied by the Delta^2 factors of the
+    pairs i < j (j outermost), each a constant or a slice of its table along
+    the run.  That is mlat_3psi3_summand's factor order, and the runs keep
+    the shell's point order, so the sum is bit for bit that of a walk that
+    multiplies each point's tabulated factors in turn.
+
+    terms_used counts every point of the window, (2m + 1)^n.  A shell whose
+    tables reach a vanishing factor (read by a dominant point such as (v,
+    ..., v)) raises the first coordinate's pair_poch_ratio error, denominator
+    before reciprocal, before its budget."""
     factors = [_CoordinateFactor(s * q ** (1 - n + 2 * (i - 1)),
                                  _mlat_pairs(i, n, delta, q, s, a, x), q)
                for i in range(1, n + 1)]
@@ -617,7 +644,7 @@ def _mlat_3psi3_sum(n, delta, q, s, a, x, policy):
             for e0 in (j - i, delta + 2 * n - i - j):
                 if e0 not in squares:
                     squares[e0] = _DeltaSquare(q, e0)
-            cross.append((i - 1, j - 1, squares[j - i], squares[delta + 2 * n - i - j]))
+            cross.append((i - 1, j - 1, j - i, delta + 2 * n - i - j))
 
     total = 0.0 + 0j
     nterms = 0
@@ -625,8 +652,11 @@ def _mlat_3psi3_sum(n, delta, q, s, a, x, policy):
     m = max(policy.window_step, 4)
     below = 0
     while True:
-        tables = [f.grow(m) for f in factors]
-        deltas = [(i, j, dsq.grow(2 * m), ssq.grow(2 * m)) for i, j, dsq, ssq in cross]
+        tables = [f.grow(m) for f in factors]  # g_i(k) at index m - k
+        M = 2 * m
+        grown = {e0: sq.grow(M) for e0, sq in squares.items()}  # d at index M - d
+        deltas = [(i, j, grown[e_dif], grown[e_dif][::-1], grown[e_sum])
+                  for i, j, e_dif, e_sum in cross]
         for f in factors:
             msg = f.failure(m) or f.failure(-m)
             if msg is not None:
@@ -635,15 +665,29 @@ def _mlat_3psi3_sum(n, delta, q, s, a, x, policy):
         if nterms + count > MAX_LATTICE_TERMS:
             raise NoConvergence("multilateral sum: lattice budget exhausted")
         new = 0.0 + 0j
-        for mu in _dominant_shell(n, m, covered):
-            v = 1.0 + 0j
-            for g, k in zip(tables, mu):
-                v = v * g[k]
-            if v == 0:
-                continue
-            for i, j, dsq, ssq in deltas:
-                v = v * dsq[mu[i] - mu[j]] * ssq[mu[i] + mu[j]]
-            new += v
+        for head, hi, lo, tail in _dominant_runs(n, m, covered):
+            p = len(head)  # the varying coordinate
+            mu = head + (None,) + tail
+            v0 = 1.0 + 0j
+            for g, k in zip(tables, head):
+                v0 = v0 * g[m - k]
+            run = [v0 * g for g in tables[p][m - hi:m - lo + 1]]
+            for g, k in zip(tables[p + 1:], tail):
+                c = g[m - k]
+                run = [v * c for v in run]
+            nonzero = run
+            for i, j, dd, da, sd in deltas:  # d = mu_i - mu_j, s = mu_i + mu_j
+                if p in (i, j):  # d ascends along the run when p = j
+                    h = mu[i + j - p]
+                    dcol = (da if p == j else dd)[M + h - hi:M + h - lo + 1]
+                    run = [v * d * e for v, d, e in zip(run, dcol,
+                                                        sd[M - h - hi:M - h - lo + 1])]
+                else:
+                    d, e = dd[M - mu[i] + mu[j]], sd[M - mu[i] - mu[j]]
+                    run = [v * d * e for v in run]
+            for v, z in zip(run, nonzero):
+                if z:
+                    new += v
         nterms += count
         total += new
         if abs(new) <= policy.series_tol * max(abs(total), 1e-300):
@@ -911,6 +955,19 @@ def verify_weyl_degree(mu, N, n, s, delta, q, tol, policy):
 
 
 def verify_multilateral_finite(lam, n, x, s, a, q, delta, tol, policy):
+    """The finite multilateral identity: partition Pochhammers on the left,
+    mlat_norm times the sum of mlat_finite_summand over mlat_finite_window on
+    the right (refused beyond MAX_LATTICE_TERMS points).
+
+    The window sum builds each dominant point's summand as
+    mlat_finite_summand does, factor by factor in the same order, but what
+    does not depend on the point is made once per sum: the principal W
+    parameters (_principal_w), the Delta denominators and, per coordinate i
+    and order mu_i, the three pair ratios, each entry filled when a point
+    first reads it (so a ratio that raises does so at the point where
+    mlat_finite_summand would).  The W values share one memo.  Every summand,
+    and so the sum, is bit for bit mlat_finite_summand's.  Five exterior
+    points are checked with mlat_finite_summand itself."""
     upper, lower = mlat_finite_window(lam, n, delta)
     points = math.prod(max(hi - lo + 1, 0) for lo, hi in zip(lower, upper))
     if points > MAX_LATTICE_TERMS:
@@ -921,12 +978,33 @@ def verify_multilateral_finite(lam, n, x, s, a, q, delta, tol, policy):
         / poch_partition_multi([s, a * s], q, 0.0, q, lam) \
         * poch_partition_multi([big, big / a], q, 0.0, q, lam) \
         / poch_partition_multi([big * x, big / (a * x)], q, 0.0, q, lam)
+    wp, xl = _principal_w(n, delta, q, s, [part(lam, i) + n - i for i in range(1, n + 1)])
+    pairs = [_mlat_pairs(i, n, delta, q, s, a, x) for i in range(1, n + 1)]
+    ratios = [{} for _ in pairs]  # per coordinate: order -> its three pair ratios
+    cross = [(i - 1, j - 1, j - i, 1 - q ** (j - i), delta + 2 * n - i - j,
+              1 - q ** (delta + 2 * n - i - j))
+             for j in range(2, n + 1) for i in range(1, j)]
     total = 0.0 + 0j
-    nterms = 0
     memo = {}
     for mu in lattice_window(upper, lower):
-        total += mlat_finite_summand(mu, lam, n, delta, q, s, a, x, memo)
-        nterms += 1
+        if any(mu[i] < mu[i + 1] for i in range(n - 1)):
+            continue
+        term = q ** (weight(mu) + 2 * nstat(mu))
+        r = 1.0 + 0j
+        for pr, table, k in zip(pairs, ratios, mu):
+            row = table.get(k)
+            if row is None:
+                row = table[k] = [pair_poch_ratio(anum, aden, q, k) for anum, aden in pr]
+            for f in row:
+                r = r * f
+        term = term * r
+        if term == 0:
+            continue
+        for i, j, e, de, f, df in cross:
+            term = term * (1 - q ** (e + mu[i] - mu[j])) / de
+            term = term * (1 - q ** (f + mu[i] + mu[j])) / df
+        if term != 0:
+            total += term * zw_multi_reg(xl, mu, wp, memo=memo)
     rhs = mlat_norm(n, delta, q) * total
     # Out-of-window vanishing check at five dominant exterior lattice points.
     exterior = [tuple(part(lam, 1) + 1 + j for _ in range(n)) for j in range(3)]
@@ -935,11 +1013,11 @@ def verify_multilateral_finite(lam, n, x, s, a, q, delta, tol, policy):
     for pt in exterior:
         v = mlat_finite_summand(pt, lam, n, delta, q, s, a, x, memo)
         if abs(v) >= 1e-12:
-            rep = _make_report(lhs, rhs, tol, nterms)
+            rep = _make_report(lhs, rhs, tol, points)
             rep.status = "error"
             rep.message = f"nonvanishing summand outside window at {pt}: |{abs(v)}|"
             return rep
-    return _make_report(lhs, rhs, tol, nterms,
+    return _make_report(lhs, rhs, tol, points,
                         message=f"window upper={upper} lower={lower}")
 
 
@@ -1451,13 +1529,28 @@ def _check_int(case_id, name, kind, v):
         raise DomainError(f"{case_id} requires {name} >= {domain}, got {name} = {v}")
 
 
+def _check_scalar(case_id, name, v):
+    """DomainError unless v is a QPower tag or a finite number (mpmath
+    numbers included): a string, NaN or an infinity reaches no verifier.
+    For a number, v - v is exactly 0 when v is finite and NaN otherwise; for
+    a string it raises TypeError."""
+    try:
+        if v - v == 0:
+            return
+    except TypeError:
+        if isinstance(v, QPower):
+            return
+    raise DomainError(f"{case_id} requires {name} to be a finite number, got {v!r}")
+
+
 def _verifier_args(case_id, schema, params):
     """The schema's parameters, each checked against the domain of its kind.
 
     The rank n is the "rank" parameter or, in a case without one (flip), the
     length of the vector; it is checked first, the others in schema order.  A
     partition is normalized and has at most n parts, a vector becomes a tuple
-    of exactly n entries."""
+    of exactly n entries, and a scalar and each vector entry is a QPower tag
+    or a finite number."""
     kinds = {kind: name for name, kind in schema.items()}
     n = params[kinds["rank"]] if "rank" in kinds else \
         len(params[kinds["vector"]]) if "vector" in kinds else None
@@ -1466,7 +1559,9 @@ def _verifier_args(case_id, schema, params):
     kwargs = {}
     for name, kind in schema.items():
         v = params[name]
-        if kind == "partition":
+        if kind == "scalar":
+            _check_scalar(case_id, name, v)
+        elif kind == "partition":
             v = check_partition(v)
             if len(v) > n:
                 raise DomainError(f"{case_id} requires at most n = {n} parts, got {v}")
@@ -1475,6 +1570,8 @@ def _verifier_args(case_id, schema, params):
             if len(v) != n:
                 raise DomainError(f"{case_id} requires n = {n} variables {name}, "
                                   f"got {len(v)}")
+            for entry in v:
+                _check_scalar(case_id, name, entry)
         elif kind in INT_KINDS:
             _check_int(case_id, name, kind, v)
         kwargs[name] = v
@@ -1508,7 +1605,7 @@ def run_case(case_id: str, params: dict, tol: Optional[float] = None,
     unknown = sorted(k for k in params if k not in case.schema)
     if unknown:
         raise ConfigError(f"{case_id}: unknown parameters {unknown}")
-    use_tol = case.default_tol if tol is None else tol
+    use_tol = _case_tol(case_id, tol)
     token = THETA_MEMO.set({})
     try:
         kwargs = _verifier_args(case_id, case.schema, params)

@@ -3,6 +3,7 @@ independence, report formats, precision backend, and exit codes."""
 
 import csv
 import functools
+import importlib.util
 import json
 import os
 import stat
@@ -301,7 +302,35 @@ def test_main_sampler_failure_is_an_error_report(tmp_path, capsys, monkeypatch):
     assert doc["summary"] == {"pass": 0, "fail": 0, "error": 1}
     (run_d,) = doc["runs"]
     assert run_d["status"] == "error" and "DomainError" in run_d["message"]
+    # The report is named as run_case names one: the case id, and tol by the
+    # same default rule.
+    assert run_d["case_id"] == "3psi3delta0"
+    assert run_d["params"] == {"tol": identities.CASES["3psi3delta0"].default_tol}
+    rc = main(["run", "--case", "3psi3delta0", "--seed", "56", "--tol", "0.001",
+               "--out", str(out_p)])
+    assert json.loads(out_p.read_text())["runs"][0]["params"] == {"tol": 0.001}
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("case_id, param", [
+    ("bilateralfinite", "sigma=NaN"),
+    ("ramanujan1psi1", "q=Infinity"),
+    ("bailey6psi6", "q=-Infinity"),
+    ("multilateral3psi3", "x=[0.5, Infinity]"),
+])
+def test_main_non_finite_scalar_is_an_error_run(case_id, param, capsys):
+    # json.loads accepts NaN and Infinity.  Unchecked, the first passed with
+    # NaN sides and the second ended in a ValueError traceback; a report
+    # holding an infinity could not be written (null now, as NaN was).
+    assert main(["run", "--case", case_id, "--seed", "0", "--param", param]) == 1
+    out, err = capsys.readouterr()
+    (run_d,) = json.loads(out)["runs"]
+    name = param.split("=")[0]
+    assert run_d["status"] == "error"
+    assert run_d["message"].startswith(f"DomainError: {case_id} requires {name} to be "
+                                       "a finite number, got ")
+    assert run_d["params"][name] is None
+    assert err == "pass=0 fail=0 error=1\n"
 
 
 def test_writers_overwrite_a_longer_file_to_the_bytes_of_a_fresh_write(tmp_path):
@@ -513,6 +542,37 @@ def test_full_suite_compare(tmp_path):
             in diff.stdout)
     assert (f"differs: {dropped['case_id']} {dropped['sample_index']}: status "
             f"absent -> {dropped['status']}\n" in diff.stdout)
+
+
+def _result_line(tail_ms, samples_per_s, failed=0, correct=True):
+    return json.dumps({"correct": correct, "attempted": 100, "failed": failed,
+                       "metrics": {"op_tail_ms": {"value": tail_ms, "unit": "ms"},
+                                   "samples_per_s": {"value": samples_per_s,
+                                                     "unit": "1/s"}}})
+
+
+def test_bench_pairs_summary_counts_wins_in_each_metric_direction():
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("bench_pairs",
+                                                  root / "scripts" / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    parent = [_result_line(t, s) for t, s in [(6.0, 900), (6.4, 950), (6.2, 1000)]]
+    change = [_result_line(5.0, 950), _result_line(6.5, 940, failed=2),
+              _result_line(4.8, 1100, correct=False)]
+    end_to_end = [{"name": "op_tail_ms", "better": "lower"},
+                  {"name": "samples_per_s", "better": "higher"}]
+    lines = bench_pairs.summarize(parent, change, end_to_end)
+    assert lines[0].startswith("3 pairs;")
+    assert lines[1].startswith("op_tail_ms (lower is better): parent 6.2 ")
+    assert "-> change 5 " in lines[1] and "-19.4%" in lines[1] and "won 2/3" in lines[1]
+    assert lines[2] == "  pairs: 6->5, 6.4->6.5, 6.2->4.8"
+    assert lines[3].startswith("samples_per_s (higher is better): parent 950 ")
+    assert "won 2/3" in lines[3]
+    assert lines[5:] == ["parent: failed [0, 0, 0] of [100, 100, 100], correct True",
+                         "change: failed [0, 2, 0] of [100, 100, 100], correct False"]
+    with pytest.raises(ValueError):
+        bench_pairs.summarize(parent, change[:2], end_to_end)
 
 
 def test_reachability_script_prints_a_row_per_module():

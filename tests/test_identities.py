@@ -583,6 +583,32 @@ def test_out_of_domain_parameters_are_error_reports(case_id, change, message):
     assert r.message.startswith("DomainError: ") and message in r.message
 
 
+#: Values that no scalar parameter or vector entry admits: NaN, infinities
+#: and a string (one that complex() would parse).
+_NOT_FINITE = [float("nan"), float("inf"), float("-inf"), complex(0.5, float("inf")),
+               mpmath.mpf("nan"), "0.5"]
+
+
+@pytest.mark.parametrize("case_id", sorted(CASES))
+def test_non_finite_scalars_are_error_reports(case_id):
+    # Each in turn for every scalar and every vector entry of the case.
+    # Unchecked, sigma = NaN passed bilateralfinite with NaN sides, and q = inf
+    # escaped run_case as a ValueError from ramanujan1psi1's series.
+    base = sample_params(case_id, 0)
+    slots = [(name, None) for name, kind in CASES[case_id].schema.items()
+             if kind == "scalar"]
+    slots += [(name, i) for name, kind in CASES[case_id].schema.items()
+              if kind == "vector" for i in range(len(base[name]))]
+    assert slots
+    for name, i in slots:
+        for bad in _NOT_FINITE:
+            value = bad if i is None else base[name][:i] + (bad,) + base[name][i + 1:]
+            r = run_case(case_id, {**base, name: value})
+            assert (r.case_id, r.status) == (case_id, "error")
+            assert r.message == (f"DomainError: {case_id} requires {name} to be a "
+                                 f"finite number, got {bad!r}")
+
+
 @pytest.mark.parametrize("case_id, change", [
     ("duality", dict(lam=(1, 2))),
     ("duality", dict(nu=(0, 1))),
@@ -662,30 +688,70 @@ def test_multilateral_finite_window_over_budget_is_an_error_report():
                            "points exceed the lattice budget 200000")
 
 
-def _memoless(monkeypatch, fn, *args):
-    """fn(*args) with every mlat_finite_summand call made without a memo."""
-    original = identities.mlat_finite_summand
-    with monkeypatch.context() as mp:
-        mp.setattr(identities, "mlat_finite_summand", lambda *a: original(*a[:8]))
-        return fn(*args)
-
-
-def test_multilateral_finite_shared_memo_is_bit_identical(monkeypatch):
+def test_multilateral_finite_shared_memo_is_bit_identical():
+    # The window sum (per-sum W parameters and pair-ratio tables, one shared W
+    # memo) against mlat_finite_summand point by point, with no memo at all.
     draws = [sample_params("multilateralfinite", seed) for seed in range(16)]
     draws += [dict(_MLAT_FINITE_RANK2, delta=delta) for delta in (0, 1)]
     for p in draws:
-        shared = run_case("multilateralfinite", p)
-        alone = _memoless(monkeypatch, run_case, "multilateralfinite", p)
-        assert (repr(shared.lhs), repr(shared.rhs)) == (repr(alone.lhs), repr(alone.rhs))
-        assert shared.status == alone.status and shared.message == alone.message
-    # The per-point sum, written out with no memo at all:
-    p = draws[-1]
-    args = (p["n"], p["delta"], p["q"], p["s"], p["a"], p["x"])
-    upper, lower = identities.mlat_finite_window(p["lam"], p["n"], p["delta"])
-    total = 0.0 + 0j
-    for mu in lattice_window(upper, lower):
-        total += mlat_finite_summand(mu, p["lam"], *args)
-    assert repr(mlat_norm(p["n"], p["delta"], p["q"]) * total) == repr(shared.rhs)
+        rep = run_case("multilateralfinite", p)
+        assert rep.status == "pass", rep.message
+        args = (p["n"], p["delta"], p["q"], p["s"], p["a"], p["x"])
+        upper, lower = identities.mlat_finite_window(p["lam"], p["n"], p["delta"])
+        total = 0.0 + 0j
+        for mu in lattice_window(upper, lower):
+            total += mlat_finite_summand(mu, p["lam"], *args)
+        assert repr(mlat_norm(p["n"], p["delta"], p["q"]) * total) == repr(rep.rhs)
+
+
+def test_multilateral_finite_tabulates_once_per_sum(monkeypatch):
+    # _principal_w runs once for the window (the exterior check's summands
+    # call it again), and pair_poch_ratio at most once per coordinate, order
+    # and pair: the exterior points' orders lie outside every coordinate's
+    # window, so no call repeats.
+    calls, inside = {"pairs": [], "principal": 0}, []
+    pair_poch_ratio, principal_w = identities.pair_poch_ratio, identities._principal_w
+    summand = identities.mlat_finite_summand
+
+    def counted_pairs(*args):
+        calls["pairs"].append(args)
+        return pair_poch_ratio(*args)
+
+    def counted_principal(*args):
+        calls["principal"] += not inside
+        return principal_w(*args)
+
+    def exterior(*args):
+        inside.append(1)
+        try:
+            return summand(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(identities, "pair_poch_ratio", counted_pairs)
+    monkeypatch.setattr(identities, "_principal_w", counted_principal)
+    monkeypatch.setattr(identities, "mlat_finite_summand", exterior)
+    for p in [dict(_MLAT_FINITE_RANK2, delta=0), sample_params("multilateralfinite", 3)]:
+        calls["pairs"].clear()
+        calls["principal"] = 0
+        assert run_case("multilateralfinite", p).status == "pass"
+        assert calls["principal"] == 1
+        assert len(calls["pairs"]) == len(set(calls["pairs"])) > 0
+
+
+@pytest.mark.parametrize("delta", [0, 1])
+def test_multilateral_finite_vanishing_pair_factor_is_an_error_report(delta):
+    # x = q^{lower_2 - 1}: coordinate 2's reciprocal factor (q^{-1} / x;
+    # q)_{mu_2} vanishes at the window's least mu_2 only, so the first
+    # dominant point raises after coordinate 1's ratios are tabulated.  The
+    # lhs does not see the factor and stays finite.
+    lam, q = (2, 1), 0.5
+    lower2 = -lam[1] - 8 + delta
+    p = dict(lam=lam, n=2, x=q ** (lower2 - 1), s=0.3 + 0.1j, a=0.6 - 0.2j, q=q,
+             delta=delta)
+    rep = run_case("multilateralfinite", p)
+    assert rep.status == "error"
+    assert rep.message == "DivisionByVanishingFactor: pair_poch_ratio: reciprocal vanishes"
 
 
 # ---------------------------------------------------------------------------
@@ -769,17 +835,83 @@ def test_multilateral_3psi3_sum_against_brute_force(n, s, delta):
     assert rel(total, brute) <= 1e-13
 
 
+def _shell_points(n, m, covered):
+    """The dominant points that shell m adds to the cube [-covered, covered]^n
+    (all of them when covered < 0), in the order the shell sum adds them:
+    lexicographically descending when covered < 0; otherwise those with
+    mu_1 > covered in that order, then by descending mu_n < -covered the
+    others, lexicographically descending."""
+    cwr = itertools.combinations_with_replacement
+    if covered < 0:
+        return list(cwr(range(m, -m - 1, -1), n))
+    return ([(top,) + tail for top in range(m, covered, -1)
+             for tail in cwr(range(top, -m - 1, -1), n - 1)]
+            + [head + (low,) for low in range(-covered - 1, -m - 1, -1)
+               for head in cwr(range(covered, low - 1, -1), n - 1)])
+
+
 def test_dominant_shells_and_ranks_follow_the_sweep():
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         covered = -1
-        for m in (4, 8, 10):
+        for m in (4, 8, 10) if n < 4 else (4, 6):
             sweep = [mu for mu in itertools.product(range(-m, m + 1), repeat=n)
                      if max(abs(c) for c in mu) > covered]
             dominant = [mu for mu in sweep
                         if all(mu[i] >= mu[i + 1] for i in range(n - 1))]
-            shell = list(identities._dominant_shell(n, m, covered))
-            assert sorted(shell) == dominant
+            points = [head + (k,) + tail
+                      for head, hi, lo, tail in identities._dominant_runs(n, m, covered)
+                      for k in range(hi, lo - 1, -1)]
+            assert points == _shell_points(n, m, covered)
+            assert sorted(points) == dominant
             covered = m
+
+
+def _mlat_pointwise(n, delta, q, s, a, x, policy=DEFAULT_POLICY):
+    """_mlat_3psi3_sum's shells summed point by point, for draws that converge:
+    each dominant point's summand is (1.0+0j) g_1(mu_1) ... g_n(mu_n) from the
+    same tables, skipped when 0, times the Delta^2 factors over i < j (j
+    outermost), added in _shell_points order."""
+    factors = [identities._CoordinateFactor(s * q ** (1 - n + 2 * (i - 1)),
+                                            identities._mlat_pairs(i, n, delta, q, s, a, x),
+                                            q)
+               for i in range(1, n + 1)]
+    cross = [(i - 1, j - 1, identities._DeltaSquare(q, j - i),
+              identities._DeltaSquare(q, delta + 2 * n - i - j))
+             for j in range(2, n + 1) for i in range(1, j)]
+    total, nterms, covered, below = 0.0 + 0j, 0, -1, 0
+    m = max(policy.window_step, 4)
+    while True:
+        g = [f.grow(m) for f in factors]  # g_i(k) at index m - k
+        deltas = [(i, j, dsq.grow(2 * m), ssq.grow(2 * m)) for i, j, dsq, ssq in cross]
+        new = 0.0 + 0j
+        for mu in _shell_points(n, m, covered):
+            v = 1.0 + 0j
+            for table, k in zip(g, mu):
+                v = v * table[m - k]
+            if v == 0:
+                continue
+            for i, j, dsq, ssq in deltas:  # index 2m - d
+                v = v * dsq[2 * m - mu[i] + mu[j]] * ssq[2 * m - mu[i] - mu[j]]
+            new += v
+        nterms += (2 * m + 1) ** n - ((2 * covered + 1) ** n if covered >= 0 else 0)
+        total += new
+        below = below + 1 if abs(new) <= policy.series_tol * max(abs(total), 1e-300) else 0
+        if below >= 2:
+            return total, nterms, (-m, m)
+        covered = m
+        m += policy.window_step
+
+
+@pytest.mark.parametrize("n, s, q", [(1, 0.45 + 0.1j, 0.3), (2, 0.1 - 0.05j, 0.3),
+                                     (2, 0.12 + 0.01j, 0.45), (3, 1e-4 + 5e-5j, 0.3),
+                                     (3, 0.02 + 0.01j, 0.35)])
+@pytest.mark.parametrize("delta", [0, 1])
+def test_multilateral_3psi3_runs_are_bit_identical_to_the_pointwise_walk(n, s, q, delta):
+    a, x = 0.7 - 0.2j, 1.37 + 0.2j
+    total, nterms, window = _mlat_3psi3_sum(n, delta, q, s, a, x, DEFAULT_POLICY)
+    assert window[1] > 8  # shells with covered >= 0 were summed
+    ref_total, ref_terms, ref_window = _mlat_pointwise(n, delta, q, s, a, x)
+    assert (repr(total), nterms, window) == (repr(ref_total), ref_terms, ref_window)
 
 
 # Draws whose pair ratios meet a vanishing factor, with budgets that end in
