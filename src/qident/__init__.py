@@ -10,6 +10,7 @@ from .errors import (
     DomainError,
     EmptyWindow,
     NoConvergence,
+    NonFiniteSide,
     NotAPartition,
     QidentError,
 )
@@ -27,6 +28,7 @@ __all__ = [
     "EmptyWindow",
     "IdentityReport",
     "NoConvergence",
+    "NonFiniteSide",
     "NotAPartition",
     "QPower",
     "QidentError",

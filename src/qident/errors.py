@@ -23,6 +23,10 @@ class NoConvergence(QidentError):
     dropped below the requested tolerance."""
 
 
+class NonFiniteSide(QidentError):
+    """A side of an identity evaluated to NaN or an infinity (an overflow)."""
+
+
 class EmptyWindow(QidentError):
     """A lattice window has some lower bound above the matching upper bound."""
 

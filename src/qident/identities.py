@@ -26,6 +26,7 @@ from .errors import (
     DivisionByVanishingFactor,
     DomainError,
     NoConvergence,
+    NonFiniteSide,
     QidentError,
 )
 from .partitions import (
@@ -89,29 +90,34 @@ class IdentityReport:
     message: str = ""
 
 
-def _make_report(lhs, rhs, tol, terms_used=1, message="", **extras):
-    """A verifier's judgement of its two sides against tol.  The report has no
-    case id yet, and its params are only the report-only extras (a derived
-    parameter, or one fixed by the case id): run_case names the report and
-    adds the checked arguments and tol."""
-    lhs_c, rhs_c = complex(lhs), complex(rhs)
-    absr = abs(lhs_c - rhs_c)
-    relr = absr / max(abs(lhs_c), abs(rhs_c), 1e-300)
-    if max(abs(lhs_c), abs(rhs_c)) < BOTH_ZERO_EPS:
-        ok = absr <= tol
-    else:
-        ok = relr <= tol
-    return IdentityReport(
-        case_id="",
-        params=extras,
-        lhs=lhs_c,
-        rhs=rhs_c,
-        abs_residual=absr,
-        rel_residual=relr,
-        terms_used=terms_used,
-        status="pass" if ok else "fail",
-        message=message,
-    )
+def judge(sides, tol, terms_used=1, message="", **extras):
+    """The verdict on two or more sides against tol: the only code that
+    computes residuals or sets a pass/fail status.  A side is a number, or a
+    (zero count, value) pair (a number has count 0); unequal counts fail.
+    Values are rounded with complex(), and a non-finite one is a
+    NonFiniteSide error.  lhs and rhs are the first two sides, abs_residual
+    their difference, rel_residual the worst pairwise relative residual; when
+    every side lies below BOTH_ZERO_EPS the worst pairwise absolute residual
+    decides.  params holds only the report-only extras: run_case names it."""
+    values, counts = [], set()
+    for side in sides:
+        count, v = side if isinstance(side, tuple) else (0, side)
+        v = complex(v)
+        if not cmath.isfinite(v):
+            raise NonFiniteSide(f"side {len(values) + 1} of {len(sides)} is {v}")
+        values.append(v)
+        counts.add(count)
+    absr, relr = [], 0.0
+    for i, u in enumerate(values):
+        for v in values[:i]:
+            absr.append(abs(v - u))
+            relr = max(relr, absr[-1] / max(abs(v), abs(u), 1e-300))
+    ok = (max(absr) if max(map(abs, values)) < BOTH_ZERO_EPS else relr) <= tol
+    if len(counts) > 1:
+        ok, message = False, message + " (mismatch)"
+    return IdentityReport(case_id="", params=extras, lhs=values[0], rhs=values[1],
+                          abs_residual=absr[0], rel_residual=relr, terms_used=terms_used,
+                          status="pass" if ok else "fail", message=message)
 
 
 def _case_tol(case_id, tol):
@@ -716,7 +722,7 @@ def verify_jackson_8phi7(a, b, c, d, n, q, tol, policy):
         argument=q, q=q)
     sv = eval_phi(spec, policy)
     rhs = jackson_delta_product(a, b, c, d, n, q)
-    return _make_report(sv.value, rhs, tol, sv.terms_used, e=e)
+    return judge((sv.value, rhs), tol, sv.terms_used, e=e)
 
 
 def _bailey_10phi9_left(a, b, c, d, e, f, n, q, policy):
@@ -819,13 +825,13 @@ def verify_bailey_10phi9(a, b, c, d, e, f, n, q, tol, policy):
                 value, sv = side(va, vb, vc, vd, ve, vf, n, vq, policy)
             values.append(value)
             terms += sv.terms_used
-        return _make_report(*values, tol, terms)
+        return judge(values, tol, terms)
     import mpmath
 
     with mpmath.workdps(max(40, mpmath.mp.dps)):
         a, b, c, d, e, f, q = (mpmath.mpmathify(complex(v)) for v in (a, b, c, d, e, f, q))
         (lhs, sv_l), (rhs, sv_r) = (side(a, b, c, d, e, f, n, q, policy) for side in sides)
-    return _make_report(lhs, rhs, tol, sv_l.terms_used + sv_r.terms_used)
+    return judge((lhs, rhs), tol, sv_l.terms_used + sv_r.terms_used)
 
 
 def verify_bailey_6psi6(a, b, c, d, e, q, tol, policy):
@@ -846,8 +852,8 @@ def verify_bailey_6psi6(a, b, c, d, e, q, tol, policy):
         / poch_multi_inf(
             [aq / bv, aq / cv, aq / dv, aq / ev, q / bv, q / cv, q / dv, q / ev, x],
             q, policy)
-    return _make_report(sv.value, rhs, tol, sv.terms_used,
-                        message=f"terminated={sv.terminated} window={sv.window}")
+    return judge((sv.value, rhs), tol, sv.terms_used,
+                 message=f"terminated={sv.terminated} window={sv.window}")
 
 
 def verify_ramanujan_1psi1(a, b, x, q, tol, policy):
@@ -858,15 +864,15 @@ def verify_ramanujan_1psi1(a, b, x, q, tol, policy):
     sv = eval_psi(spec, policy)
     rhs = poch_multi_inf([q, bv / av, av * x, q / (av * x)], q, policy) \
         / poch_multi_inf([bv, q / av, x, bv / (av * x)], q, policy)
-    return _make_report(sv.value, rhs, tol, sv.terms_used,
-                        message=f"terminated={sv.terminated} window={sv.window}")
+    return judge((sv.value, rhs), tol, sv.terms_used,
+                 message=f"terminated={sv.terminated} window={sv.window}")
 
 
 def verify_c1_macdonald(x, tol, policy):
     if abs(1 - x * x) < POLE_REJECT:
         raise DomainError("x^2 = 1 is a pole of the C1 identity")
     rhs = 1 / (1 - x * x) + 1 / (1 - x ** (-2))
-    return _make_report(1.0 + 0j, rhs, tol)
+    return judge((1.0 + 0j, rhs), tol)
 
 
 def verify_flipped_summand(sigma, rho, gamma, q, n, delta, z, k, tol, policy):
@@ -881,7 +887,7 @@ def verify_flipped_summand(sigma, rho, gamma, q, n, delta, z, k, tol, policy):
                                         f"{zeros} in the product form")
     if zeros > 0:
         rhs = 0.0 + 0j
-    return _make_report(lhs, rhs, tol)
+    return judge((lhs, rhs), tol)
 
 
 def verify_bilateral_finite(sigma, rho, gamma, q, n, delta, tol, policy):
@@ -890,17 +896,8 @@ def verify_bilateral_finite(sigma, rho, gamma, q, n, delta, tol, policy):
     sv = eval_psi(bilateral_finite_spec(sigma, rho, gamma, n, delta, q), policy)
     bil = mlat_norm(1, delta, q) * sv.value
     prod = jackson_delta_product(b, sigma, rho, gamma, n, q)
-    vals = {"unilateral": uni, "bilateral": bil, "product": prod}
-    worst = 0.0
-    for k1 in vals:
-        for k2 in vals:
-            v1, v2 = vals[k1], vals[k2]
-            worst = max(worst, abs(v1 - v2) / max(abs(v1), abs(v2), 1e-300))
-    rep = _make_report(bil, prod, tol, sv.terms_used,
-                       message=f"unilateral={complex(uni):.12g} window={sv.window}")
-    rep.rel_residual = worst
-    rep.status = "pass" if worst <= tol else "fail"
-    return rep
+    return judge((bil, prod, uni), tol, sv.terms_used,
+                 message=f"unilateral={complex(uni):.12g} window={sv.window}")
 
 
 def verify_3psi3(sigma, rho, gamma, q, delta, tol, policy):
@@ -919,31 +916,31 @@ def verify_3psi3(sigma, rho, gamma, q, delta, tol, policy):
     rhs = poch_multi_inf([qd, qd / (sigma * rho), qd / (sigma * gamma),
                           qd / (rho * gamma)], q, policy) \
         / poch_multi_inf([qd / sigma, qd / rho, qd / gamma, qd / srg], q, policy)
-    return _make_report(lhs, rhs, tol, sv.terms_used, message=f"window={sv.window}",
-                        delta=delta)
+    return judge((lhs, rhs), tol, sv.terms_used, message=f"window={sv.window}",
+                 delta=delta)
 
 
 def verify_multiple_jackson(lam, n, z, q, p, t, a, b, s, tol, policy):
     lhs = multiple_jackson_lhs(z, lam, n, q, p, t, a, b)
     rhs = multiple_jackson_rhs(z, lam, n, q, p, t, a, b, s)
-    return _make_report(lhs, rhs, tol, len(subpartitions(lam)))
+    return judge((lhs, rhs), tol, len(subpartitions(lam)))
 
 
 def verify_simplified_jackson(lam, n, x, q, p, t, a, b, s, tol, policy):
     lhs = simplified_jackson_lhs(x, lam, n, q, p, t, a, b, s)
     rhs = simplified_jackson_rhs(x, lam, n, q, p, t, a, b, s)
-    return _make_report(lhs, rhs, tol, len(subpartitions(lam)))
+    return judge((lhs, rhs), tol, len(subpartitions(lam)))
 
 
 def verify_duality(lam, nu, n, a, aprime, b, q, t, tol, policy):
     lhs = duality_side(lam, nu, n, q, t, a, aprime, b)
     rhs = duality_side(nu, lam, n, q, t, aprime, a, b)
-    return _make_report(lhs, rhs, tol)
+    return judge((lhs, rhs), tol)
 
 
 def verify_flip(lam, xs, q, p, t, a, b, tol, policy):
     lhs, rhs = flip_sides(xs, lam, q, p, t, a, b)
-    return _make_report(lhs, rhs, tol)
+    return judge((lhs, rhs), tol)
 
 
 def verify_weyl_degree(mu, N, n, s, delta, q, tol, policy):
@@ -951,7 +948,7 @@ def verify_weyl_degree(mu, N, n, s, delta, q, tol, policy):
     lhs = w_degree(muv, N, n, s, delta, q)
     wp, xv = _principal_w(n, delta, q, s, [N + n - 1 - i for i in range(n)])
     rhs = zw_multi_reg(xv, muv, wp)
-    return _make_report(lhs, rhs, tol)
+    return judge((lhs, rhs), tol)
 
 
 def verify_multilateral_finite(lam, n, x, s, a, q, delta, tol, policy):
@@ -967,7 +964,8 @@ def verify_multilateral_finite(lam, n, x, s, a, q, delta, tol, policy):
     first reads it (so a ratio that raises does so at the point where
     mlat_finite_summand would).  The W values share one memo.  Every summand,
     and so the sum, is bit for bit mlat_finite_summand's.  Five exterior
-    points are checked with mlat_finite_summand itself."""
+    points are checked with mlat_finite_summand itself: one that does not
+    vanish is a NoConvergence error."""
     upper, lower = mlat_finite_window(lam, n, delta)
     points = math.prod(max(hi - lo + 1, 0) for lo, hi in zip(lower, upper))
     if points > MAX_LATTICE_TERMS:
@@ -1012,13 +1010,10 @@ def verify_multilateral_finite(lam, n, x, s, a, q, delta, tol, policy):
     exterior += [tuple(floor - 1 - j for _ in range(n)) for j in range(2)]
     for pt in exterior:
         v = mlat_finite_summand(pt, lam, n, delta, q, s, a, x, memo)
-        if abs(v) >= 1e-12:
-            rep = _make_report(lhs, rhs, tol, points)
-            rep.status = "error"
-            rep.message = f"nonvanishing summand outside window at {pt}: |{abs(v)}|"
-            return rep
-    return _make_report(lhs, rhs, tol, points,
-                        message=f"window upper={upper} lower={lower}")
+        if not abs(v) < 1e-12:  # a NaN summand is not shown to vanish
+            raise NoConvergence(f"nonvanishing summand outside window at {pt}: |{abs(v)}|")
+    return judge((lhs, rhs), tol, points,
+                 message=f"window upper={upper} lower={lower}")
 
 
 def verify_multilateral_3psi3(n, delta, x, s, a, q, tol, policy):
@@ -1027,20 +1022,16 @@ def verify_multilateral_3psi3(n, delta, x, s, a, q, tol, policy):
         raise DomainError("multilateral 3psi3 requires |s| < 0.9 |q|^{n-1}")
     lhs = _mlat_product_side(n, delta, q, s, a, x, policy)
     rhs, nterms, window = _mlat_3psi3_sum(n, delta, q, s, a, x, policy)
-    return _make_report(lhs, rhs, tol, nterms, message=f"window={window}")
+    return judge((lhs, rhs), tol, nterms, message=f"window={window}")
 
 
 def verify_summand_invariance(sigma, rho, gamma, q, n, delta, k, sign, tol, policy):
     z = delta / 2.0
     u = z + k
-    lz, lv = flipped_summand_structured(u, z, sigma, rho, gamma, n, q, policy)
-    rz, rv = flipped_summand_structured(sign * u, z, sigma, rho, gamma, n, q,
-                                        policy)
-    rep = _make_report(lv, rv, tol, message=f"structural zero multiplicity {lz} vs {rz}")
-    if lz != rz:
-        rep.status = "fail"
-        rep.message += " (mismatch)"
-    return rep
+    left = flipped_summand_structured(u, z, sigma, rho, gamma, n, q, policy)
+    right = flipped_summand_structured(sign * u, z, sigma, rho, gamma, n, q, policy)
+    return judge((left, right), tol,
+                 message=f"structural zero multiplicity {left[0]} vs {right[0]}")
 
 
 # ---------------------------------------------------------------------------
@@ -1592,7 +1583,7 @@ def run_case(case_id: str, params: dict, tol: Optional[float] = None,
 
     It is also the one place that names a report: case_id is the registry
     key, and params are the checked arguments, the verifier's report-only
-    extras and tol.  A verifier only computes and judges its two sides.
+    extras and tol.  A verifier computes its sides; judge gives the verdict.
 
     The evaluation gets its own theta memo (qcore.THETA_MEMO), dropped on
     return: a second call recomputes every theta."""

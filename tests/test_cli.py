@@ -333,6 +333,20 @@ def test_main_non_finite_scalar_is_an_error_run(case_id, param, capsys):
     assert err == "pass=0 fail=0 error=1\n"
 
 
+def test_main_non_finite_side_is_an_error_run(capsys):
+    # sigma = 1e-300 is finite, but the product side overflows to NaN.  The
+    # three-way check took its worst residual with max(), and max(0.0, nan)
+    # is 0.0: the run passed with a null rhs and exit 0.
+    assert main(["run", "--case", "bilateralfinite", "--seed", "0",
+                 "--param", "sigma=1e-300"]) == 1
+    out, err = capsys.readouterr()
+    (run_d,) = json.loads(out)["runs"]
+    assert run_d["status"] == "error"
+    assert run_d["message"].startswith("NonFiniteSide: ")
+    assert run_d["lhs"] is None and run_d["rhs"] is None
+    assert err == "pass=0 fail=0 error=1\n"
+
+
 def test_writers_overwrite_a_longer_file_to_the_bytes_of_a_fresh_write(tmp_path):
     # Report files are rewritten in place, then truncated at the written
     # length: a shorter report over a longer one leaves no stale tail.

@@ -2,7 +2,8 @@
 that it never uses, no module of the package keeps a process-lifetime cache,
 no function or class of the package is there only for the tests, and no
 module of the package or of the scripts opens a file by path in a "w"
-mode."""
+mode, and no code of the package but identities.judge and
+identities.error_report builds a report or sets its verdict."""
 
 import ast
 from pathlib import Path
@@ -20,6 +21,11 @@ WRITERS = sorted([*SRC, *(ROOT / "scripts").glob("*.py")])
 
 #: functools decorators whose cache lives as long as the process.
 PROCESS_CACHES = {"lru_cache", "cache", "cached_property"}
+
+#: The top-level functions of the package that may build an IdentityReport.
+REPORT_BUILDERS = {"judge", "error_report"}
+#: The report fields that hold the verdict.
+VERDICT_FIELDS = {"status", "abs_residual", "rel_residual"}
 
 #: Statements that define a function or a class.
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -216,3 +222,63 @@ def test_truncating_open_scan_finds_and_skips():
 @pytest.mark.parametrize("path", WRITERS, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_truncating_opens(path):
     assert truncating_opens(path.read_text(encoding="utf-8")) == []
+
+
+def verdict_writes(text):
+    """(line, name) of each place in the module source text that builds an
+    IdentityReport outside the top-level functions in REPORT_BUILDERS (a call
+    of IdentityReport, by name or attribute), or that sets a verdict field:
+    an assignment of any form to an attribute in VERDICT_FIELDS, a setattr
+    with such a constant name, or a replace(...) with such a keyword.  One
+    rule, identities.judge, turns sides into residuals and a status."""
+    found = []
+    for stmt in ast.parse(text).body:
+        own = stmt.name if isinstance(stmt, DEFINITIONS) else None
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store) \
+                    and node.attr in VERDICT_FIELDS:
+                found.append((node.lineno, node.attr))
+            if not isinstance(node, ast.Call):
+                continue
+            func = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if func == "IdentityReport" and own not in REPORT_BUILDERS:
+                found.append((node.lineno, func))
+            elif func == "setattr" and len(node.args) > 1 \
+                    and isinstance(node.args[1], ast.Constant) \
+                    and node.args[1].value in VERDICT_FIELDS:
+                found.append((node.lineno, node.args[1].value))
+            elif func == "replace":
+                found += [(node.lineno, k.arg) for k in node.keywords
+                          if k.arg in VERDICT_FIELDS]
+    return sorted(found)
+
+
+def test_verdict_write_scan_finds_and_skips():
+    text = ("from dataclasses import replace\n"
+            "def judge(sides):\n"
+            "    return IdentityReport(status='pass')\n"
+            "def error_report(exc):\n"
+            "    return mod.IdentityReport(status='error')\n"
+            "def verify(x):\n"
+            "    rep = judge(x)\n"
+            "    rep.status = 'fail'\n"
+            "    rep.rel_residual += 1\n"
+            "    rep.message, rep.case_id = 'm', 'c'\n"
+            "    rep.case_id, rep.abs_residual = 'c', 0.0\n"
+            "    setattr(rep, 'status', 'error')\n"
+            "    counts[rep.status] += 1\n"
+            "    return replace(rep, status='pass', message='m')\n"
+            "class Other:\n"
+            "    status: str\n"
+            "    def make(self):\n"
+            "        return IdentityReport()\n"
+            "rep = IdentityReport()\n")
+    assert verdict_writes(text) == [(8, "status"), (9, "rel_residual"),
+                                    (11, "abs_residual"), (12, "status"),
+                                    (14, "status"), (18, "IdentityReport"),
+                                    (19, "IdentityReport")]
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: str(p.relative_to(ROOT)))
+def test_only_judge_and_error_report_write_verdicts(path):
+    assert verdict_writes(path.read_text(encoding="utf-8")) == []

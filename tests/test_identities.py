@@ -2,9 +2,11 @@
 and seeded examples, cross-case reduction oracles, and term-level pipeline
 consistency."""
 
+import cmath
 import dataclasses
 import inspect
 import itertools
+import math
 import random
 import time
 
@@ -13,7 +15,8 @@ import pytest
 
 import qident.identities as identities
 import qident.qcore as qcore
-from qident.errors import ConfigError, DomainError, PoleCancellationError, QidentError
+from qident.errors import (ConfigError, DomainError, NonFiniteSide,
+                           PoleCancellationError, QidentError)
 from qident.identities import (
     CASES,
     _mlat_3psi3_sum,
@@ -589,11 +592,10 @@ _NOT_FINITE = [float("nan"), float("inf"), float("-inf"), complex(0.5, float("in
                mpmath.mpf("nan"), "0.5"]
 
 
-@pytest.mark.parametrize("case_id", sorted(CASES))
-def test_non_finite_scalars_are_error_reports(case_id):
-    # Each in turn for every scalar and every vector entry of the case.
-    # Unchecked, sigma = NaN passed bilateralfinite with NaN sides, and q = inf
-    # escaped run_case as a ValueError from ramanujan1psi1's series.
+def _substitutions(case_id, values):
+    """(name, value, params) for each of values put in turn in every scalar
+    and every vector entry of case_id's seed-0 draw: value is the one put in,
+    params the draw with it."""
     base = sample_params(case_id, 0)
     slots = [(name, None) for name, kind in CASES[case_id].schema.items()
              if kind == "scalar"]
@@ -601,12 +603,98 @@ def test_non_finite_scalars_are_error_reports(case_id):
               if kind == "vector" for i in range(len(base[name]))]
     assert slots
     for name, i in slots:
-        for bad in _NOT_FINITE:
-            value = bad if i is None else base[name][:i] + (bad,) + base[name][i + 1:]
-            r = run_case(case_id, {**base, name: value})
-            assert (r.case_id, r.status) == (case_id, "error")
-            assert r.message == (f"DomainError: {case_id} requires {name} to be a "
-                                 f"finite number, got {bad!r}")
+        for v in values:
+            put = v if i is None else base[name][:i] + (v,) + base[name][i + 1:]
+            yield name, v, {**base, name: put}
+
+
+@pytest.mark.parametrize("case_id", sorted(CASES))
+def test_non_finite_scalars_are_error_reports(case_id):
+    # Each in turn for every scalar and every vector entry of the case.
+    # Unchecked, sigma = NaN passed bilateralfinite with NaN sides, and q = inf
+    # escaped run_case as a ValueError from ramanujan1psi1's series.
+    for name, bad, params in _substitutions(case_id, _NOT_FINITE):
+        r = run_case(case_id, params)
+        assert (r.case_id, r.status) == (case_id, "error")
+        assert r.message == (f"DomainError: {case_id} requires {name} to be a "
+                             f"finite number, got {bad!r}")
+
+
+def test_finite_edge_values_never_judge_a_non_finite_side():
+    # Finite inputs that overflow or underflow a side: judge refuses a NaN or
+    # an infinity (NonFiniteSide).  Without that, 6 bilateralfinite draws
+    # passed on a NaN side (unilateral NaN at sigma = 1e300, product NaN at
+    # 1e-300) and 47 reports of other cases failed on a NaN side, e.g.
+    # jackson8phi7 a = 1e300 and multijackson z = 1e-300.
+    start = time.perf_counter()
+    judged = errors = 0
+    for case_id in sorted(CASES):
+        for name, v, params in _substitutions(case_id, [1e-300, 1e300, 1.5, 1j, -1.0]):
+            r = run_case(case_id, params)
+            assert isinstance(r, identities.IdentityReport), (case_id, name, v)
+            if r.status == "error":
+                errors += 1
+                continue
+            judged += 1
+            assert cmath.isfinite(r.lhs) and cmath.isfinite(r.rhs), (case_id, name, v)
+            assert math.isfinite(r.rel_residual), (case_id, name, v)
+    assert judged and errors
+    assert time.perf_counter() - start < 2.0
+
+
+def test_judge_takes_the_worst_pair_of_three_sides():
+    rep = identities.judge((1.0, 1.0, 1.5), 1e-9, 7, message="m", e=2)
+    assert (rep.lhs, rep.rhs, rep.abs_residual) == (1, 1, 0.0)
+    assert rep.rel_residual == 0.5 / 1.5 and rep.status == "fail"
+    assert (rep.terms_used, rep.message, rep.params) == (7, "m", {"e": 2})
+    # Below BOTH_ZERO_EPS on every side the worst absolute difference decides.
+    tiny = identities.BOTH_ZERO_EPS / 10
+    assert identities.judge((tiny, 0.0), 1e-9).status == "pass"
+    assert identities.judge((tiny, 0.0, 1.0), 1e-9).status == "fail"
+    for bad in (float("nan"), complex(1, float("inf")), mpmath.mpf("inf")):
+        with pytest.raises(NonFiniteSide, match="side 3 of 3 is "):
+            identities.judge((1.0, 1.0, bad), 1e-9)
+    # A zero count goes with a value: equal values with unequal counts fail.
+    rep = identities.judge(((1, 2.0), (1, 2.0)), 1e-9)
+    assert (rep.lhs, rep.status) == (2, "pass")
+    rep = identities.judge(((1, 2.0), (0, 2.0)), 1e-9, message="m")
+    assert (rep.rel_residual, rep.status, rep.message) == (0.0, "fail", "m (mismatch)")
+
+
+def test_bilateral_finite_nan_side_is_an_error_report():
+    # The unilateral sum overflows to NaN at sigma = 1e300 while the bilateral
+    # and product sides agree; the three-way max() check passed it.
+    p = {**sample_params("bilateralfinite", 0), "sigma": 1e300}
+    r = run_case("bilateralfinite", p)
+    assert r.status == "error" and r.message.startswith("NonFiniteSide: side 3 of 3 is ")
+
+
+def test_multilateral_finite_exterior_check_is_a_no_convergence_error():
+    # At q = i the summand at (2, 2), outside the finite window, is 1, not 0:
+    # the window sum is not the identity's sum.  The error report has null
+    # sides (NaN), not the finite sides that the check once kept.
+    p = {**sample_params("multilateralfinite", 0), "q": 1j}
+    r = run_case("multilateralfinite", p)
+    assert r.status == "error"
+    assert r.message.startswith("NoConvergence: nonvanishing summand outside window "
+                                "at (2, 2): ")
+    assert cmath.isnan(r.lhs) and cmath.isnan(r.rhs) and math.isnan(r.rel_residual)
+    # At s = 1e-300 three exterior summands are NaN, which `>= 1e-12` let
+    # through: the run failed on finite sides that the check had not vouched for.
+    r = run_case("multilateralfinite", {**sample_params("multilateralfinite", 0), "s": 1e-300})
+    assert r.status == "error"
+    assert r.message == "NoConvergence: nonvanishing summand outside window at (1, 1): |nan|"
+
+
+def test_summand_invariance_zero_count_mismatch_fails(monkeypatch):
+    # Equal regular values with unequal structural zero counts are not the
+    # same summand: judge fails the pair.
+    calls = iter([(1, 0.5 + 0j), (0, 0.5 + 0j)])
+    monkeypatch.setattr(identities, "flipped_summand_structured",
+                        lambda *args, **kwargs: next(calls))
+    r = run_case("summandinvariance", sample_params("summandinvariance", 0))
+    assert (r.status, r.rel_residual) == ("fail", 0.0)
+    assert r.message == "structural zero multiplicity 1 vs 0 (mismatch)"
 
 
 @pytest.mark.parametrize("case_id, change", [
