@@ -2,8 +2,7 @@
 """Count the statements of the qident package that a registry run never runs.
 
 Usage:
-  PYTHONPATH=src python3 scripts/reachability.py [--seed S] [--samples K]
-      [--high-samples H]
+  python3 scripts/reachability.py [--seed S] [--samples K] [--high-samples H]
 
 Every registry case runs through `cli.run`, serially, with K samples per case
 (default 200) in double precision and then H samples per case (default 10)
@@ -16,16 +15,19 @@ those.  A statement counts as run when the tracer saw a line event anywhere
 in its line span; docstrings, `global` and `nonlocal` statements (which run
 no code) are not counted.  Module-level statements are not counted either.
 
-Only the standard library is used.  Rows name modules only.
+Only the standard library is used.  Rows name modules only.  The package is
+imported from the `src/` of this script's tree, not from an installed copy.
 """
 
 import argparse
 import ast
-import importlib.util
 import sys
 from pathlib import Path
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+#: The src/ directory of this script's tree.
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _compiles_to_nothing(stmt):
@@ -73,7 +75,9 @@ def main(argv=None):
     ap.add_argument("--high-samples", type=int, default=10)
     args = ap.parse_args(argv)
 
-    package = Path(importlib.util.find_spec("qident").origin).parent
+    if sys.path[0] != str(SRC):
+        sys.path.insert(0, str(SRC))
+    package = SRC / "qident"
     modules = {str(path): path.stem for path in sorted(package.glob("*.py"))}
     hits = {path: set() for path in modules}
 

@@ -11,15 +11,21 @@ report of this script), meta.timestamp aside: every run entry
 its status in BASE.json and now and the relative change of its lhs and of its
 rhs, and the exit code is 1 if anything differs and 0 if nothing does.
 Without it the exit code is that of `qident run` (1 if any run fails or
-errors).
+errors).  The package is imported from the `src/` of this script's tree, not
+from an installed copy.
 """
 
 import argparse
 import json
 import sys
+from pathlib import Path
 
-from qident import cli
-from qident.identities import CASES
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+if sys.path[0] != SRC:
+    sys.path.insert(0, SRC)
+
+from qident import cli  # noqa: E402
+from qident.identities import CASES  # noqa: E402
 
 
 def relative_change(new, old):

@@ -12,23 +12,23 @@ Config files are JSON: either a list of case configs or {"cases": [...]};
 each case config is {"case_id": str, "seed": int, "samples": int,
 "tol": float, "params": {...}}.  A parameter's schema kind (`qident list`
 names the parameters) is an integer kind -- int, order (>= 0), rank (>= 1),
-delta (0 or 1) or sign (+1 or -1) -- or scalar, partition (at most rank
-parts) or vector (rank entries); a value outside its kind's domain ends as an
-error run.  Complex values are written as [re, im] pairs, partitions as
-bracketed strings like "[3,1]", exact q-power tags as {"qpow": m}.  Reports
-are emitted as JSON (source of truth) and optionally flattened to CSV; NaN
-and infinities never appear in reports (they are null: error runs carry
-null sides).  A scalar parameter must be finite.  Report files are
-overwritten in place, with no truncate to zero first (write_text): on ext4
-that truncate makes close start writeback, which cost more than writing a
-small report.  The write is not atomic, and open(path, "w") was not either.
+delta (0 or 1) or sign (+1 or -1) -- or scalar, tagged (a scalar or an exact
+q-power tag), partition (at most rank parts) or vector (rank scalar entries);
+a value outside its kind's domain ends as an error run.  Complex values are
+written as [re, im] pairs, partitions as bracketed strings like "[3,1]", exact
+q-power tags as {"qpow": m}.  Reports are emitted as JSON (source of truth)
+and optionally flattened to CSV; NaN and infinities never appear in reports
+(they are null: error runs carry null sides).  A scalar parameter must be
+finite.  Report files are overwritten in place, with no truncate to zero
+first (write_text): on ext4 that truncate makes close start writeback, which
+cost more than writing a small report.  The write is not atomic, and
+open(path, "w") was not either.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
-import contextlib
 import csv
 import io
 import json
@@ -43,8 +43,8 @@ from typing import List, Optional
 
 from . import __version__
 from .errors import ConfigError, NotAPartition, QidentError
-from .identities import (CASES, INT_KINDS, IdentityReport, error_report, run_case,
-                         sample_params)
+from .identities import (CASES, HIGH_DPS, INT_KINDS, IdentityReport, error_report,
+                         mp_context, run_case, sample_params)
 from .partitions import parse_partition
 from .policy import QPower
 
@@ -87,7 +87,7 @@ def _decode_value(kind, raw):
             return parse_partition(raw)
         except NotAPartition as exc:
             raise ConfigError(f"bad partition: {exc}") from None
-    if kind == "scalar":
+    if kind in ("scalar", "tagged"):
         return _decode_scalar(raw)
     if kind == "vector":
         if not isinstance(raw, (list, tuple)):
@@ -239,19 +239,21 @@ def _precision_mode() -> str:
 
 
 def _promote_params(params: dict, schema: dict):
-    """Promote the scalar-valued parameters to mpmath arbitrary precision."""
-    import mpmath
+    """Promote the scalar-valued parameters to HIGH_DPS-digit mpmath values.
+    Each carries mp_context(HIGH_DPS), so the evaluation runs at HIGH_DPS
+    digits without touching mpmath's process-global precision."""
+    ctx = mp_context(HIGH_DPS)
 
     def up(v):
         if isinstance(v, QPower):
             return v
-        return mpmath.mpmathify(complex(v))
+        return ctx.mpmathify(complex(v))
 
     out = dict(params)
     for name, kind in schema.items():
         if name not in out:
             continue
-        if kind == "scalar":
+        if kind in ("scalar", "tagged"):
             out[name] = up(out[name])
         elif kind == "vector":
             out[name] = tuple(up(v) for v in out[name])
@@ -290,21 +292,11 @@ def run(configs: List[CaseConfig], parallelism: int = 1,
             params = _promote_params(params, CASES[cfg.case_id].schema)
         return ci, si, seed, run_case(cfg.case_id, params, cfg.tol)
 
-    # mpmath's working precision is process-global: it is set once, around
-    # the whole batch, so that no worker thread's exit restores it while
-    # another still computes.
-    if mode == "high":
-        import mpmath
-
-        precision_scope = mpmath.workdps(50)
+    if parallelism == 1 or len(tasks) <= 1:
+        results = [one(t) for t in tasks]
     else:
-        precision_scope = contextlib.nullcontext()
-    with precision_scope:
-        if parallelism == 1 or len(tasks) <= 1:
-            results = [one(t) for t in tasks]
-        else:
-            with ThreadPoolExecutor(max_workers=parallelism) as pool:
-                results = list(pool.map(one, tasks))
+        with ThreadPoolExecutor(max_workers=parallelism) as pool:
+            results = list(pool.map(one, tasks))
     results.sort(key=lambda r: (r[0], r[1]))
 
     runs = []

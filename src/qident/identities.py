@@ -781,57 +781,57 @@ def phi_rounding_bound(terms, r, s, condition):
 #: sides differed from the 40-digit ones by at most 0.07 of the bound.
 DOUBLE_GATE = 1e-3
 
-#: The 40-digit mpmath context that a 10phi9 side of double arguments is
-#: evaluated again in, made on first use (see _mp40).
-_MP40 = None
+#: The digits of high-precision runs: cli promotes their parameters into
+#: mp_context(HIGH_DPS).
+HIGH_DPS = 50
+
+#: The contexts of mp_context, by digits.
+_CONTEXTS = {}
 
 
-def _mp40():
-    """The 40-digit mpmath context, made on the first call so that importing
-    qident does not import mpmath.  Its precision is set before it is shared
-    and never changed after, so cli.run's worker threads may all compute in
-    it, and the process-global mpmath.mp is left alone."""
-    global _MP40
-    if _MP40 is None:
+def mp_context(dps):
+    """The mpmath context of dps digits, made on the first call for dps so
+    that importing qident does not import mpmath.  Its precision is set
+    before it is shared and never changed after, so cli.run's worker threads
+    may all compute in it.  A value made in it (ctx.mpmathify) carries it:
+    every operation on that value runs at dps digits, and the process-global
+    mpmath.mp is left alone."""
+    ctx = _CONTEXTS.get(dps)
+    if ctx is None:
         import mpmath
 
         ctx = mpmath.MPContext()
-        ctx.dps = 40
-        _MP40 = ctx
-    return _MP40
+        ctx.dps = dps
+        ctx = _CONTEXTS.setdefault(dps, ctx)  # one context per dps, also in a race
+    return ctx
 
 
 def verify_bailey_10phi9(a, b, c, d, e, f, n, q, tol, policy):
     """Bailey's 10phi9 transformation.  With double arguments each side is
     evaluated in double first and kept when the rounding bound of its own
     series is at most DOUBLE_GATE * tol; a side that fails its gate, or
-    raises, is evaluated again at exactly 40 digits (in _mp40's context),
-    the right series together with its prefactor.  mpmath arguments evaluate
-    both sides at max(40, mpmath.mp.dps) digits."""
-    sides = (_bailey_10phi9_left, _bailey_10phi9_right)
-    if all(isinstance(v, (int, float, complex)) for v in (a, b, c, d, e, f, q)):
-        values, terms = [], 0
-        for side in sides:
+    raises, is evaluated again in the 40-digit context, the right series
+    together with its prefactor.  mpmath arguments evaluate both sides in the
+    context of max(40, the digits of the arguments' contexts)."""
+    args = (a, b, c, d, e, f, q)
+    digits = [v.context.dps for v in args if not isinstance(v, (int, float, complex))]
+    values, terms = [], 0
+    for side in (_bailey_10phi9_left, _bailey_10phi9_right):
+        kept = False
+        if not digits:
             try:
                 value, sv = side(a, b, c, d, e, f, n, q, policy)
                 kept = phi_rounding_bound(sv.terms_used, 10, 9, sv.condition) \
                     <= DOUBLE_GATE * tol
             except (QidentError, ArithmeticError):
-                kept = False  # the 40-digit evaluation decides
-            if not kept:
-                ctx = _mp40()
-                va, vb, vc, vd, ve, vf, vq = (ctx.mpmathify(complex(v))
-                                              for v in (a, b, c, d, e, f, q))
-                value, sv = side(va, vb, vc, vd, ve, vf, n, vq, policy)
-            values.append(value)
-            terms += sv.terms_used
-        return judge(values, tol, terms)
-    import mpmath
-
-    with mpmath.workdps(max(40, mpmath.mp.dps)):
-        a, b, c, d, e, f, q = (mpmath.mpmathify(complex(v)) for v in (a, b, c, d, e, f, q))
-        (lhs, sv_l), (rhs, sv_r) = (side(a, b, c, d, e, f, n, q, policy) for side in sides)
-    return judge((lhs, rhs), tol, sv_l.terms_used + sv_r.terms_used)
+                pass  # the high-precision evaluation decides
+        if not kept:
+            high = mp_context(max([40] + digits))
+            va, vb, vc, vd, ve, vf, vq = (high.mpmathify(complex(v)) for v in args)
+            value, sv = side(va, vb, vc, vd, ve, vf, n, vq, policy)
+        values.append(value)
+        terms += sv.terms_used
+    return judge(values, tol, terms)
 
 
 def verify_bailey_6psi6(a, b, c, d, e, q, tol, policy):
@@ -1384,8 +1384,10 @@ def _sample_invariance(rng):
 class CaseDef:
     case_id: str
     description: str
-    # parameter name -> kind: an integer kind of INT_KINDS, "scalar",
-    # "partition" (at most rank parts) or "vector" (exactly rank entries)
+    # parameter name -> kind: an integer kind of INT_KINDS, "scalar" (a
+    # finite number), "tagged" (a scalar or a QPower tag, which the verifier
+    # resolves), "partition" (at most rank parts) or "vector" (exactly rank
+    # scalar entries)
     schema: Dict[str, str]
     default_tol: float
     sampler: Callable
@@ -1419,12 +1421,12 @@ _register(
 _register(
     "bailey6psi6",
     "Bailey's very-well-poised 6psi6 bilateral summation",
-    dict(a="scalar", b="scalar", c="scalar", d="scalar", e="scalar", q="scalar"),
+    dict(a="tagged", b="tagged", c="tagged", d="tagged", e="tagged", q="scalar"),
     1e-8, _sample_bailey6, verify_bailey_6psi6)
 _register(
     "ramanujan1psi1",
     "Ramanujan's 1psi1 bilateral summation",
-    dict(a="scalar", b="scalar", x="scalar", q="scalar"),
+    dict(a="tagged", b="tagged", x="scalar", q="scalar"),
     1e-8, _sample_1psi1, verify_ramanujan_1psi1)
 _register(
     "c1macdonald",
@@ -1520,16 +1522,17 @@ def _check_int(case_id, name, kind, v):
         raise DomainError(f"{case_id} requires {name} >= {domain}, got {name} = {v}")
 
 
-def _check_scalar(case_id, name, v):
-    """DomainError unless v is a QPower tag or a finite number (mpmath
-    numbers included): a string, NaN or an infinity reaches no verifier.
-    For a number, v - v is exactly 0 when v is finite and NaN otherwise; for
-    a string it raises TypeError."""
+def _check_scalar(case_id, name, v, tagged=False):
+    """DomainError unless v is a finite number (mpmath numbers included) or,
+    when tagged, a QPower tag: a string, NaN, an infinity, or a tag where the
+    verifier resolves none, reaches no verifier.  For a number, v - v is
+    exactly 0 when v is finite and NaN otherwise; for a string or a tag it
+    raises TypeError."""
     try:
         if v - v == 0:
             return
     except TypeError:
-        if isinstance(v, QPower):
+        if tagged and isinstance(v, QPower):
             return
     raise DomainError(f"{case_id} requires {name} to be a finite number, got {v!r}")
 
@@ -1540,8 +1543,8 @@ def _verifier_args(case_id, schema, params):
     The rank n is the "rank" parameter or, in a case without one (flip), the
     length of the vector; it is checked first, the others in schema order.  A
     partition is normalized and has at most n parts, a vector becomes a tuple
-    of exactly n entries, and a scalar and each vector entry is a QPower tag
-    or a finite number."""
+    of exactly n entries, a scalar and each vector entry is a finite number,
+    and a tagged parameter a finite number or a QPower tag."""
     kinds = {kind: name for name, kind in schema.items()}
     n = params[kinds["rank"]] if "rank" in kinds else \
         len(params[kinds["vector"]]) if "vector" in kinds else None
@@ -1550,8 +1553,8 @@ def _verifier_args(case_id, schema, params):
     kwargs = {}
     for name, kind in schema.items():
         v = params[name]
-        if kind == "scalar":
-            _check_scalar(case_id, name, v)
+        if kind in ("scalar", "tagged"):
+            _check_scalar(case_id, name, v, kind == "tagged")
         elif kind == "partition":
             v = check_partition(v)
             if len(v) > n:

@@ -83,6 +83,14 @@ def _resolved(entries, q):
     return [(scalar_value(v, q), qpow_exponent(v)) for v in entries]
 
 
+def _product(entries, qk, start=1.0 + 0j):
+    """start times the factors (1 - v q^k) of the resolved entries, multiplied
+    in entry order."""
+    for v, _ in entries:
+        start = start * (1 - v * qk)
+    return start
+
+
 def eval_phi(spec: SeriesSpec, policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesValue:
     """Evaluate a balanced terminating unilateral basic hypergeometric series.
 
@@ -108,13 +116,9 @@ def eval_phi(spec: SeriesSpec, policy: TruncationPolicy = DEFAULT_POLICY) -> Ser
     term = 1.0 + 0j
     qk = q**0
     for k in range(cut):
-        num_f = 1.0 + 0j
-        for v, _ in nums:
-            num_f = num_f * (1 - v * qk)
+        num_f = _product(nums, qk)
         qk_next = q ** (k + 1)
-        den_f = 1 - qk_next  # implicit (q;q)_k ratio factor
-        for v, _ in dens:
-            den_f = den_f * (1 - v * qk)
+        den_f = _product(dens, qk, 1 - qk_next)  # implicit (q;q)_k ratio factor
         if abs(den_f) < VANISH_TOL:
             raise DivisionByVanishingFactor("eval_phi: denominator factor vanishes")
         term = term * x * num_f / den_f
@@ -122,90 +126,6 @@ def eval_phi(spec: SeriesSpec, policy: TruncationPolicy = DEFAULT_POLICY) -> Ser
         mass = mass + abs(term)
         qk = qk_next
     return SeriesValue(total, cut + 1, True, condition=_condition(mass, total))
-
-
-class _BilateralTerms:
-    """Term generator for a bilateral series via ratio recurrences from k=0."""
-
-    def __init__(self, nums, dens, x, q):
-        self.nums, self.dens = nums, dens
-        self.x, self.q = x, q
-        self.log_inv_q = None  # log10(1/|q|), computed at the first lower term
-        self.t_up = 1.0 + 0j  # term at index k_up
-        self.k_up = 0
-        self.t_dn = 1.0 + 0j  # term at index k_dn
-        self.k_dn = 0
-        self.up_done = False
-        self.dn_done = False
-        self.up_struct = False  # exhausted by a vanishing numerator factor
-        self.dn_struct = False  # exhausted by a vanishing denominator factor
-
-    def _factors(self, k):
-        qk = self.q**k
-        fn = 1.0 + 0j
-        for v, _ in self.nums:
-            fn = fn * (1 - v * qk)
-        fd = 1.0 + 0j
-        for v, _ in self.dens:
-            fd = fd * (1 - v * qk)
-        return fn, fd
-
-    def next_up(self):
-        """Term at index k_up + 1, or None once the upper side is exhausted."""
-        if self.up_done:
-            return None
-        k = self.k_up  # ratio uses exponent k = (k_up+1) - 1
-        fn, fd = self._factors(k)
-        if abs(fn) < VANISH_TOL:
-            self.up_done = True
-            self.up_struct = True
-            return None
-        if abs(fd) < VANISH_TOL:
-            raise DivisionByVanishingFactor("bilateral series: denominator vanishes")
-        t = self.t_up * self.x * fn / fd
-        self.t_up, self.k_up = t, self.k_up + 1
-        if abs(t) < NEGLIGIBLE:  # tail below any representable contribution
-            self.up_done = True
-        return t
-
-    def next_dn(self):
-        """Term at index k_dn - 1, or None once the lower side is exhausted."""
-        if self.dn_done:
-            return None
-        k = self.k_dn - 1
-        # Deep in the lower tail |q^k| overflows a float.  Write each factor
-        # as (1 - v q^k) = q^k (q^{-k} - v); the series is balanced, so the
-        # q^{rk} scale factors of numerator and denominator cancel exactly,
-        # leaving only the bounded mantissas.
-        if self.log_inv_q is None:
-            self.log_inv_q = math.log10(1.0 / abs(self.q))
-        if (-k) * self.log_inv_q > 100:  # k < 0 here
-            qmk = self.q ** (-k)  # tiny, may underflow to exactly 0
-            fn_m = 1.0 + 0j
-            for v, _ in self.nums:
-                fn_m = fn_m * (qmk - v)
-            fd_m = 1.0 + 0j
-            for v, _ in self.dens:
-                fd_m = fd_m * (qmk - v)
-            if abs(fn_m) < VANISH_TOL:
-                raise DivisionByVanishingFactor("bilateral series: numerator pole")
-            t = self.t_dn * fd_m / (self.x * fn_m)
-            self.t_dn, self.k_dn = t, self.k_dn - 1
-            if abs(t) < NEGLIGIBLE:
-                self.dn_done = True
-            return t
-        fn, fd = self._factors(k)
-        if abs(fd) < VANISH_TOL:
-            self.dn_done = True
-            self.dn_struct = True
-            return None
-        if abs(fn) < VANISH_TOL:
-            raise DivisionByVanishingFactor("bilateral series: numerator pole")
-        t = self.t_dn * fd / (self.x * fn)
-        self.t_dn, self.k_dn = t, self.k_dn - 1
-        if abs(t) < NEGLIGIBLE:  # tail below any representable contribution
-            self.dn_done = True
-        return t
 
 
 def eval_psi(
@@ -226,53 +146,71 @@ def eval_psi(
     if len(nums) != len(dens):
         raise DomainError("eval_psi requires a balanced series, r = s")
 
-    hi_cut = None
-    for _, tag in nums:
-        if tag is not None and tag <= 0:
-            hi_cut = -tag if hi_cut is None else min(hi_cut, -tag)
-    lo_cut = None
-    for _, tag in dens:
-        if tag is not None and tag >= 1:
-            lo_cut = 1 - tag if lo_cut is None else max(lo_cut, 1 - tag)
+    hi_cut = min((-tag for _, tag in nums if tag is not None and tag <= 0), default=None)
+    lo_cut = max((1 - tag for _, tag in dens if tag is not None and tag >= 1), default=None)
 
-    gen = _BilateralTerms(nums, dens, x, q)
+    # Both sides run by ratio recurrences from the k = 0 term: t_up is the
+    # term at k_up >= 0, t_dn the term at k_dn <= 0.  A side is done once a
+    # term falls below NEGLIGIBLE or a factor cuts it off; a cut-off is
+    # structural (up_struct, dn_struct).
     total = 1.0 + 0j  # k = 0 term
     nterms = 1
-
-    def hi_target(m):
-        return m if hi_cut is None else min(m, hi_cut)
-
-    def lo_target(m):
-        return m if lo_cut is None else max(m, lo_cut)
-
+    t_up = t_dn = 1.0 + 0j
+    k_up = k_dn = 0
+    up_done = dn_done = up_struct = dn_struct = False
+    log_inv_q = None  # log10(1/|q|), computed at the first lower term
     below = 0
     m = policy.window_step
     while True:
         new = 0.0 + 0j
-        while not gen.up_done and gen.k_up < hi_target(m):
-            t = gen.next_up()
-            if t is None:
+        hi = m if hi_cut is None else min(m, hi_cut)
+        while not up_done and k_up < hi:
+            qk = q**k_up
+            fn, fd = _product(nums, qk), _product(dens, qk)
+            if abs(fn) < VANISH_TOL:  # a numerator q^{-n} ends the upper side
+                up_done = up_struct = True
                 break
-            new, nterms = new + t, nterms + 1
-        while not gen.dn_done and gen.k_dn > lo_target(-m):
-            t = gen.next_dn()
-            if t is None:
-                break
-            new, nterms = new + t, nterms + 1
+            if abs(fd) < VANISH_TOL:
+                raise DivisionByVanishingFactor("bilateral series: denominator vanishes")
+            t_up, k_up = t_up * x * fn / fd, k_up + 1
+            up_done = abs(t_up) < NEGLIGIBLE  # tail below any representable contribution
+            new, nterms = new + t_up, nterms + 1
+        lo = -m if lo_cut is None else max(-m, lo_cut)
+        while not dn_done and k_dn > lo:
+            k = k_dn - 1
+            if log_inv_q is None:
+                log_inv_q = math.log10(1.0 / abs(q))
+            if (-k) * log_inv_q > 100:
+                # Deep in the lower tail |q^k| overflows a float.  Write each
+                # factor as (1 - v q^k) = q^k (q^{-k} - v); the series is
+                # balanced, so the q^{rk} scale factors of numerator and
+                # denominator cancel exactly, leaving only the bounded
+                # mantissas.
+                qmk = q ** (-k)  # tiny, may underflow to exactly 0
+                fn = fd = 1.0 + 0j
+                for v, _ in nums:
+                    fn = fn * (qmk - v)
+                for v, _ in dens:
+                    fd = fd * (qmk - v)
+            else:
+                qk = q**k
+                fn, fd = _product(nums, qk), _product(dens, qk)
+                if abs(fd) < VANISH_TOL:  # a denominator q^m ends the lower side
+                    dn_done = dn_struct = True
+                    break
+            if abs(fn) < VANISH_TOL:
+                raise DivisionByVanishingFactor("bilateral series: numerator pole")
+            t_dn, k_dn = t_dn * fd / (x * fn), k
+            dn_done = abs(t_dn) < NEGLIGIBLE  # tail below any representable contribution
+            new, nterms = new + t_dn, nterms + 1
         total = total + new
-        up_exhausted = gen.up_done or (hi_cut is not None and gen.k_up >= hi_cut)
-        dn_exhausted = gen.dn_done or (lo_cut is not None and gen.k_dn <= lo_cut)
-        if up_exhausted and dn_exhausted:
-            struct = ((gen.up_struct or (hi_cut is not None and gen.k_up >= hi_cut))
-                      and (gen.dn_struct or (lo_cut is not None and gen.k_dn <= lo_cut)))
-            return SeriesValue(total, nterms, struct, (gen.k_dn, gen.k_up))
-        if abs(new) <= policy.series_tol * max(abs(total), 1e-300):
-            below += 1
-            if below >= 2:
-                return SeriesValue(total, nterms, False, (gen.k_dn, gen.k_up))
-        else:
-            below = 0
+        up_end = up_struct or (hi_cut is not None and k_up >= hi_cut)
+        dn_end = dn_struct or (lo_cut is not None and k_dn <= lo_cut)
+        if (up_done or up_end) and (dn_done or dn_end):
+            return SeriesValue(total, nterms, up_end and dn_end, (k_dn, k_up))
+        below = below + 1 if abs(new) <= policy.series_tol * max(abs(total), 1e-300) else 0
+        if below >= 2:
+            return SeriesValue(total, nterms, False, (k_dn, k_up))
         if nterms > policy.max_terms:
             raise NoConvergence("eval_psi: max_terms reached before tail threshold")
         m += policy.window_step
-

@@ -457,7 +457,7 @@ def test_double_mode_escalation_leaves_global_mpmath_precision_alone(monkeypatch
     rep = run_case("bailey10phi9", sample_params("bailey10phi9", 12))
     assert rep.status == "pass" and rep.lhs != 0
     configs = [CaseConfig(case_id="bailey10phi9", seed=0, samples=60)]
-    monkeypatch.setattr(identities, "_MP40", None)
+    monkeypatch.setattr(identities, "_CONTEXTS", {})
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -470,11 +470,13 @@ def test_double_mode_escalation_leaves_global_mpmath_precision_alone(monkeypatch
 
 
 def test_high_mode_overlapping_tasks_keep_50_digits(monkeypatch):
-    # mpmath's working precision is process-global.  Two high-mode tasks are
-    # made to overlap on the thread pool; the one that started first returns
-    # first, and the other waits up to 0.2 s for mpmath.mp.dps to change.
-    # With a workdps(50) per task, the first task's exit restored the
-    # caller's precision while the second still computed.
+    # High-mode parameters carry a 50-digit mpmath context of their own.  Two
+    # high-mode tasks are made to overlap on the thread pool; the one that
+    # started first returns first, and the other waits up to 0.2 s for it.
+    # Each task's parameters hold 50 digits before and after its run, and
+    # mpmath's process-global precision is never changed: with a
+    # workdps(50) per task, the first task's exit restored the caller's
+    # precision while the second still computed.
     import threading
 
     import mpmath
@@ -485,6 +487,7 @@ def test_high_mode_overlapping_tasks_keep_50_digits(monkeypatch):
     started, seen = [], []
     lock = threading.Lock()
     barrier = threading.Barrier(2, timeout=10)
+    first_done = threading.Event()
     promote, run_one = cli._promote_params, cli.run_case
 
     def promote_in_order(params, schema):
@@ -494,13 +497,14 @@ def test_high_mode_overlapping_tasks_keep_50_digits(monkeypatch):
 
     def overlapping(case_id, params, tol):
         barrier.wait()
-        if threading.get_ident() != started[0]:
-            deadline = time.monotonic() + 0.2
-            while mpmath.mp.dps == 50 and time.monotonic() < deadline:
-                time.sleep(0.001)
-        seen.append(mpmath.mp.dps)
+        first = threading.get_ident() == started[0]
+        if not first:
+            first_done.wait(0.2)
+        seen.append((params["x"].context.dps, mpmath.mp.dps))
         rep = run_one(case_id, params, tol)
-        seen.append(mpmath.mp.dps)
+        seen.append((params["x"].context.dps, mpmath.mp.dps))
+        if first:
+            first_done.set()
         return rep
 
     monkeypatch.setattr(cli, "_promote_params", promote_in_order)
@@ -508,7 +512,8 @@ def test_high_mode_overlapping_tasks_keep_50_digits(monkeypatch):
     rset = run([CaseConfig(case_id="c1macdonald", seed=0, samples=2)],
                parallelism=2, precision="high")
     assert len(started) == 2 and rset.summary["pass"] == 2
-    assert seen == [50] * 4
+    assert first_done.is_set()
+    assert seen == [(50, dps)] * 4
     assert mpmath.mp.dps == dps
 
 
@@ -520,7 +525,8 @@ def test_precision_invalid_value(monkeypatch, capsys):
 
 def test_full_suite_compare(tmp_path):
     root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    # No PYTHONPATH: the script imports the package from its own tree.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
 
     def suite(name, *extra):
         cmd = [sys.executable, str(root / "scripts" / "run_full_suite.py"),
@@ -591,7 +597,8 @@ def test_bench_pairs_summary_counts_wins_in_each_metric_direction():
 
 def test_reachability_script_prints_a_row_per_module():
     root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    # No PYTHONPATH: the script imports the package from its own tree.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     cmd = [sys.executable, str(root / "scripts" / "reachability.py"),
            "--samples", "1", "--high-samples", "0"]
     done = subprocess.run(cmd, env=env, capture_output=True, text=True)

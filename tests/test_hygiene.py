@@ -2,8 +2,9 @@
 that it never uses, no module of the package keeps a process-lifetime cache,
 no function or class of the package is there only for the tests, and no
 module of the package or of the scripts opens a file by path in a "w"
-mode, and no code of the package but identities.judge and
-identities.error_report builds a report or sets its verdict."""
+mode, no code of the package but identities.judge and
+identities.error_report builds a report or sets its verdict, and no module
+of the package uses mpmath's process-global precision."""
 
 import ast
 from pathlib import Path
@@ -26,6 +27,9 @@ PROCESS_CACHES = {"lru_cache", "cache", "cached_property"}
 REPORT_BUILDERS = {"judge", "error_report"}
 #: The report fields that hold the verdict.
 VERDICT_FIELDS = {"status", "abs_residual", "rel_residual"}
+
+#: mpmath's precision scopes: each sets a context's precision for a block.
+PRECISION_SCOPES = {"workdps", "workprec", "extradps", "extraprec"}
 
 #: Statements that define a function or a class.
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -282,3 +286,54 @@ def test_verdict_write_scan_finds_and_skips():
 @pytest.mark.parametrize("path", SRC, ids=lambda p: str(p.relative_to(ROOT)))
 def test_only_judge_and_error_report_write_verdicts(path):
     assert verdict_writes(path.read_text(encoding="utf-8")) == []
+
+
+def global_precision_uses(text):
+    """(line, name) of each use of mpmath's process-global state in the
+    module source text: an attribute of the mpmath module (imported under any
+    alias) or a name imported from it, other than MPContext; a precision
+    scope of PRECISION_SCOPES, as a name or an attribute of anything; and an
+    assignment of any form to mp.dps or mp.prec.  A high-precision value
+    carries a context of its own (identities.mp_context), so no code sets a
+    precision that cli.run's worker threads would share."""
+    nodes = list(ast.walk(ast.parse(text)))
+    modules = {a.asname or a.name for node in nodes if isinstance(node, ast.Import)
+               for a in node.names if a.name == "mpmath"}
+    found = []
+    for node in nodes:
+        if isinstance(node, ast.ImportFrom) and node.module == "mpmath":
+            found += [(node.lineno, a.name) for a in node.names if a.name != "MPContext"]
+        elif isinstance(node, ast.Attribute):
+            base = node.value.id if isinstance(node.value, ast.Name) else None
+            if (base in modules and node.attr != "MPContext") \
+                    or node.attr in PRECISION_SCOPES \
+                    or (base == "mp" and node.attr in ("dps", "prec")
+                        and isinstance(node.ctx, ast.Store)):
+                found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Name) and node.id in PRECISION_SCOPES:
+            found.append((node.lineno, node.id))
+    return sorted(found)
+
+
+def test_global_precision_scan_finds_and_skips():
+    text = ("import mpmath\n"
+            "import mpmath as mm\n"
+            "from mpmath import MPContext, mp, workdps\n"
+            "ctx = mpmath.MPContext()\n"
+            "ctx.dps = 40\n"
+            "x = mm.mpf(1)\n"
+            "with workdps(50):\n"
+            "    pass\n"
+            "mp.dps = 30\n"
+            "mp.prec += 10\n"
+            "with ctx.extradps(10):\n"
+            "    y = ctx.mpmathify(x)\n"
+            "z = x.context.dps + mp.dps\n")
+    assert global_precision_uses(text) == [(3, "mp"), (3, "workdps"), (6, "mpf"),
+                                           (7, "workdps"), (9, "dps"), (10, "prec"),
+                                           (11, "extradps")]
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_global_mpmath_precision(path):
+    assert global_precision_uses(path.read_text(encoding="utf-8")) == []

@@ -593,12 +593,12 @@ _NOT_FINITE = [float("nan"), float("inf"), float("-inf"), complex(0.5, float("in
 
 
 def _substitutions(case_id, values):
-    """(name, value, params) for each of values put in turn in every scalar
-    and every vector entry of case_id's seed-0 draw: value is the one put in,
-    params the draw with it."""
+    """(name, value, params) for each of values put in turn in every scalar,
+    every tagged parameter and every vector entry of case_id's seed-0 draw:
+    value is the one put in, params the draw with it."""
     base = sample_params(case_id, 0)
     slots = [(name, None) for name, kind in CASES[case_id].schema.items()
-             if kind == "scalar"]
+             if kind in ("scalar", "tagged")]
     slots += [(name, i) for name, kind in CASES[case_id].schema.items()
               if kind == "vector" for i in range(len(base[name]))]
     assert slots
@@ -618,6 +618,25 @@ def test_non_finite_scalars_are_error_reports(case_id):
         assert (r.case_id, r.status) == (case_id, "error")
         assert r.message == (f"DomainError: {case_id} requires {name} to be a "
                              f"finite number, got {bad!r}")
+
+
+def test_q_power_tags_outside_tagged_parameters_are_error_reports():
+    # Only the tagged parameters (bailey6psi6's a-e, ramanujan1psi1's a, b)
+    # resolve a q-power tag.  Unchecked, a tag anywhere else escaped run_case
+    # as a TypeError, e.g. bailey10phi9 with q = {"qpow": 1}.
+    tagged = 0
+    for case_id in sorted(CASES):
+        schema = CASES[case_id].schema
+        for name, tag, params in _substitutions(case_id, [QPower(1)]):
+            r = run_case(case_id, params)
+            assert r.case_id == case_id, (case_id, name)
+            if schema[name] == "tagged":
+                tagged += 1
+                continue
+            assert r.status == "error", (case_id, name)
+            assert r.message == (f"DomainError: {case_id} requires {name} to be a "
+                                 f"finite number, got {tag!r}")
+    assert tagged == 7
 
 
 def test_finite_edge_values_never_judge_a_non_finite_side():

@@ -1,5 +1,6 @@
 """Series evaluator tests: unilateral and bilateral."""
 
+import math
 import random
 
 import mpmath
@@ -149,6 +150,19 @@ def test_psi_ramanujan_closed_form():
     a, b, x, q = 0.9, 0.2, 0.5, 0.3
     spec = SeriesSpec(numerator=[a], denominator=[b], argument=x, q=q)
     sv = eval_psi(spec)
+    closed = poch_multi_inf([q, b / a, a * x, q / (a * x)], q) \
+        / poch_multi_inf([b, q / a, x, b / (a * x)], q)
+    assert rel(sv.value, closed) < 1e-10
+
+
+def test_psi_deep_lower_tail_matches_closed_form():
+    # Small q and a lower-side term ratio b / (a x) = 0.9 near 1: the lower
+    # window runs past k = -77, where (-k) log10(1/q) > 100 and the factors
+    # take their deep-tail form q^{-k} - v.
+    a, b, x, q = 0.9, 0.729, 0.9, 0.05
+    spec = SeriesSpec(numerator=[a], denominator=[b], argument=x, q=q)
+    sv = eval_psi(spec)
+    assert -sv.window[0] * math.log10(1 / q) > 100
     closed = poch_multi_inf([q, b / a, a * x, q / (a * x)], q) \
         / poch_multi_inf([b, q / a, x, b / (a * x)], q)
     assert rel(sv.value, closed) < 1e-10
