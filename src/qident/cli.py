@@ -15,8 +15,10 @@ names the parameters) is an integer kind -- int, order (>= 0), rank (>= 1),
 delta (0 or 1) or sign (+1 or -1) -- or scalar, tagged (a scalar or an exact
 q-power tag), partition (at most rank parts) or vector (rank scalar entries);
 a value outside its kind's domain ends as an error run.  Complex values are
-written as [re, im] pairs, partitions as bracketed strings like "[3,1]", exact
-q-power tags as {"qpow": m}.  Reports are emitted as JSON (source of truth)
+written as [re, im] pairs, partitions as lists [3,1] or bracketed strings
+"[3,1]", exact q-power tags as {"qpow": m}.  `run --case` builds a config
+entry from its options, each --param value written as JSON, and validates it
+as a file entry is validated.  Reports are emitted as JSON (source of truth)
 and optionally flattened to CSV; NaN and infinities never appear in reports
 (they are null: error runs carry null sides).  A scalar parameter must be
 finite.  Report files are overwritten in place, with no truncate to zero
@@ -67,6 +69,7 @@ class ReportSet:
     runs: List[IdentityReport]
     summary: dict
     meta: dict
+    run_dicts: List[dict]  # the serialized runs, in report order
 
 
 # ---------------------------------------------------------------------------
@@ -174,13 +177,7 @@ def _validate_config(entry: dict) -> CaseConfig:
         if name not in schema:
             raise ConfigError(f"{case_id}: unknown parameter {name!r}")
         params[name] = _decode_value(schema[name], raw)
-    return _case_config(case_id, params, entry.get("tol"), entry.get("seed", 0),
-                        entry.get("samples", 1))
-
-
-def _case_config(case_id, params, tol, seed, samples) -> CaseConfig:
-    """CaseConfig of decoded params after the checks that config entries and
-    `run --case` share."""
+    tol, seed, samples = entry.get("tol"), entry.get("seed", 0), entry.get("samples", 1)
     if tol is not None and (isinstance(tol, bool) or not isinstance(tol, (int, float))
                             or not 0 < tol < math.inf):
         raise ConfigError("tol must be a positive finite number")
@@ -210,21 +207,17 @@ def load_configs(path: str) -> List[CaseConfig]:
     return [_validate_config(entry) for entry in doc]
 
 
-def _parse_param_option(case_id: str, text: str):
+def _parse_param_option(text: str):
+    """(name, JSON-decoded value) of a `--param name=value` option; the value
+    is checked against the schema with the rest of the entry
+    (_validate_config)."""
     if "=" not in text:
         raise ConfigError(f"--param needs name=value, got {text!r}")
     name, raw = text.split("=", 1)
-    schema = CASES[case_id].schema
-    if name not in schema:
-        raise ConfigError(f"{case_id}: unknown parameter {name!r}")
-    kind = schema[name]
-    if kind == "partition":
-        return name, _decode_value(kind, raw)
     try:
-        value = json.loads(raw)
+        return name, json.loads(raw)
     except json.JSONDecodeError:
         raise ConfigError(f"cannot parse value for {name!r}: {raw!r}")
-    return name, _decode_value(kind, value)
 
 
 # ---------------------------------------------------------------------------
@@ -313,9 +306,7 @@ def run(configs: List[CaseConfig], parallelism: int = 1,
         "precision": mode,
         "seeds": [cfg.seed for cfg in configs],
     }
-    rset = ReportSet(runs=runs, summary=counts, meta=meta)
-    rset.run_dicts = run_dicts  # serialized form, kept alongside
-    return rset
+    return ReportSet(runs=runs, summary=counts, meta=meta, run_dicts=run_dicts)
 
 
 def exit_code(rset: ReportSet) -> int:
@@ -420,11 +411,10 @@ def main(argv=None) -> int:
         if args.config:
             configs = load_configs(args.config)
         elif args.case:
-            if args.case not in CASES:
-                raise ConfigError(f"unknown case id: {args.case!r}")
-            params = dict(_parse_param_option(args.case, p) for p in args.param)
-            configs = [_case_config(args.case, params, args.tol, args.seed,
-                                    args.samples)]
+            params = dict(_parse_param_option(p) for p in args.param)
+            configs = [_validate_config({"case_id": args.case, "seed": args.seed,
+                                         "samples": args.samples, "tol": args.tol,
+                                         "params": params})]
         else:
             raise ConfigError("run requires --config or --case")
         rset = run(configs, parallelism=args.parallelism)

@@ -42,6 +42,6 @@ class ConfigError(QidentError):
 
 
 class PoleCancellationError(QidentError):
-    """Internal signal: a theta-quotient evaluation met an uncancelled
-    denominator zero.  Regularized W evaluation catches this and retries with
-    a perturbed parameter; it is not part of the public error contract."""
+    """A theta-quotient evaluation of a W function met an uncancelled
+    denominator zero: a pole of W at the given parameters (e.g. a principal
+    specialization whose s is a power of q).  Reports carry it as an error."""

@@ -7,7 +7,7 @@ a parameter schema, a deterministic seeded sampler, and a verifier.  Samplers
 draw free complex parameters with log-uniform moduli in [0.1, 0.9] and
 uniform phases, rejecting draws that land within 1e-8 of a pole of either
 side; bases (q, t, p) are drawn real positive so that convergence gates and
-regularized W evaluation stay well-conditioned.
+W evaluation stay well-conditioned.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from .wfunc import (
     poch_partition_multi,
     w_degree,
     w_multi,
-    zw_multi_reg,
+    zw_multi,
 )
 
 #: Below this magnitude both sides count as zero and the absolute residual
@@ -436,7 +436,7 @@ def _principal_w(n, delta, q, s, exps):
 def mlat_finite_summand(mu, lam, n, delta, q, s, a, x, memo=None):
     """Summand of the finite multilateral identity at mu in Z^n.
 
-    memo is passed to zw_multi_reg; its W arguments depend on mu only through
+    memo is passed to zw_multi; its W arguments depend on mu only through
     the index, so one memo may serve every mu of a window."""
     mu = tuple(mu)
     if any(mu[i] < mu[i + 1] for i in range(n - 1)):
@@ -455,7 +455,7 @@ def mlat_finite_summand(mu, lam, n, delta, q, s, a, x, memo=None):
     if term == 0:
         return term
     wp, xl = _principal_w(n, delta, q, s, [part(lam, i) + n - i for i in range(1, n + 1)])
-    return term * zw_multi_reg(xl, mu, wp, memo=memo)
+    return term * zw_multi(xl, mu, wp, memo=memo)
 
 
 def mlat_3psi3_summand(mu, n, delta, q, s, a, x):
@@ -875,7 +875,7 @@ def verify_c1_macdonald(x, tol, policy):
     return judge((1.0 + 0j, rhs), tol)
 
 
-def verify_flipped_summand(sigma, rho, gamma, q, n, delta, z, k, tol, policy):
+def verify_flipped_summand(sigma, rho, gamma, q, n, z, k, tol, policy):
     b = q ** (2 * z)
     lhs = vwp_jackson_term(k, b, sigma, rho, gamma, n, q)
     zeros, rhs = flipped_summand_structured(z + k, z, sigma, rho, gamma, n, q,
@@ -947,7 +947,7 @@ def verify_weyl_degree(mu, N, n, s, delta, q, tol, policy):
     muv = tuple(part(mu, i) for i in range(1, n + 1))
     lhs = w_degree(muv, N, n, s, delta, q)
     wp, xv = _principal_w(n, delta, q, s, [N + n - 1 - i for i in range(n)])
-    rhs = zw_multi_reg(xv, muv, wp)
+    rhs = zw_multi(xv, muv, wp)
     return judge((lhs, rhs), tol)
 
 
@@ -1002,7 +1002,7 @@ def verify_multilateral_finite(lam, n, x, s, a, q, delta, tol, policy):
             term = term * (1 - q ** (e + mu[i] - mu[j])) / de
             term = term * (1 - q ** (f + mu[i] + mu[j])) / df
         if term != 0:
-            total += term * zw_multi_reg(xl, mu, wp, memo=memo)
+            total += term * zw_multi(xl, mu, wp, memo=memo)
     rhs = mlat_norm(n, delta, q) * total
     # Out-of-window vanishing check at five dominant exterior lattice points.
     exterior = [tuple(part(lam, 1) + 1 + j for _ in range(n)) for j in range(3)]
@@ -1170,8 +1170,10 @@ def _sample_flipped(rng):
     k = rng.randint(0, n)
 
     def draw():
-        return dict(sigma=_cscalar(rng), rho=_cscalar(rng), gamma=_cscalar(rng),
-                    q=q, n=n, delta=rng.randint(0, 1), z=z, k=k)
+        p = dict(sigma=_cscalar(rng), rho=_cscalar(rng), gamma=_cscalar(rng),
+                 q=q, n=n, z=z, k=k)
+        rng.randint(0, 1)  # discarded: it keeps every later draw of the stream in place
+        return p
 
     def ok(p):
         sig, rho, gam = p["sigma"], p["rho"], p["gamma"]
@@ -1437,7 +1439,7 @@ _register(
     "flippedsummand",
     "Terminating summand equals its flipped infinite-product form (b = q^{2z})",
     dict(sigma="scalar", rho="scalar", gamma="scalar", q="scalar", n="int",
-         delta="int", z="scalar", k="order"),
+         z="scalar", k="order"),
     1e-8, _sample_flipped, verify_flipped_summand)
 _register(
     "bilateralfinite",

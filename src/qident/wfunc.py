@@ -24,9 +24,8 @@ Pole handling: at the t = q specialization individual skew-W values can have
 simple poles in b that cancel only across the branching sum.  The kernel's
 ledger is therefore evaluated by :func:`theta_quotient`, which cancels
 coincident arguments structurally; a genuinely uncancelled denominator zero
-raises PoleCancellationError, and the regularized entry point responds by
-evaluating at b(1 +/- h) and Richardson-extrapolating the even function of h
-back to h = 0.
+raises PoleCancellationError, which reaches the caller (run_case makes it an
+error report).
 
 Keyed ledgers: at p = 0 and t = q, a WParams may carry integer monomial keys
 for (a, b), and the W variables are then Keyed(value, key) pairs.  A key
@@ -48,10 +47,9 @@ lowest-index rule, and only the survivors get values, from the same
 expressions, for theta_product.  So while equal keys are exactly the
 arguments that coincide within SNAP_TOL, a nonzero keyed ledger keeps the
 untagged value bit for bit, and a zero one is exact 0 where the float path
-left round-off.  Untagged ledgers (every other caller, and the Richardson
-fallback, whose b(1 +/- h) is no monomial) leave their keys unread: their
-runs are expanded, in order, into the values base * q^k that theta_quotient
-cancels by SNAP_TOL matching.
+left round-off.  Untagged ledgers (every other caller) leave their keys
+unread: their runs are expanded, in order, into the values base * q^k that
+theta_quotient cancels by SNAP_TOL matching.
 
 Zero tails: the branching sum of zw_multi takes, for each interlacing nu, the
 tail W_nu(x_2..x_n) first (memoized when a memo is given) and builds the skew
@@ -59,8 +57,8 @@ factor's ledger only when that tail is nonzero.  The terms added, and their orde
 skew-factor-first loop, and an error of a tail is raised only when its skew
 factor is nonzero, as before.  The one difference: a skew factor whose tail is
 exactly 0 is never evaluated, so a pole (or another arithmetic error, or a
-non-finite value) in that skew factor alone no longer reaches the sum, and
-no longer sends zw_multi_reg to the Richardson fallback.
+non-finite value) in that skew factor alone does not reach the sum and
+raises nothing.
 """
 
 from __future__ import annotations
@@ -83,10 +81,6 @@ SNAP_TOL = 1e-12
 
 #: Residual denominator theta values below this modulus count as poles.
 POLE_TOL = 1e-10
-
-#: Relative b-perturbation for regularized evaluation near cancelling poles.
-REG_ETA = 1e-4
-
 
 #: Key of the free parameter s: the key alpha * S_KEY + e stands for the
 #: monomial s**alpha * q**e (|e| < S_KEY / 2).
@@ -437,31 +431,11 @@ def zw_multi(xvars, lam, params: WParams, memo=None):
     return total
 
 
-def _richardson_in_b(evaluate, params: WParams):
-    """Evaluate a W expression with b replaced by b(1 +/- h) and Richardson-
-    extrapolate h -> 0.  The symmetrized value g(h) deviates from the true
-    value by O(h^2)-even terms only, so (4 g(h/2) - g(h)) / 3 removes the
-    leading error, leaving O(h^4) truncation."""
-
-    def g(h):
-        up = evaluate(WParams(params.q, params.p, params.t, params.a, params.b * (1 + h)))
-        dn = evaluate(WParams(params.q, params.p, params.t, params.a, params.b * (1 - h)))
-        return (up + dn) / 2
-
-    return (4 * g(REG_ETA / 2) - g(REG_ETA)) / 3
-
-
 def zw_multi_reg(xvars, lam, params: WParams, memo=None):
-    """zw_multi with automatic regularization of cancelling b-poles.
-
-    memo is zw_multi's memo for params; the regularized evaluation perturbs b,
-    so it never sees the memo, and it drops the keys: b(1 +/- h) is no
-    monomial, so its ledgers are untagged."""
-    try:
-        return zw_multi(xvars, lam, params, memo)
-    except (PoleCancellationError, ZeroDivisionError):
-        plain = xvars if params.keys is None else tuple(v.value for v in xvars)
-        return _richardson_in_b(lambda pp: zw_multi(plain, lam, pp), params)
+    """zw_multi itself; no code of the package calls it.  The name stays only
+    because bench/tracing.py wraps it and tests/test_bench_contract.py pins
+    it; ROADMAP item 8 (the tracer reads counters) deletes it."""
+    return zw_multi(xvars, lam, params, memo)
 
 
 # ---------------------------------------------------------------------------

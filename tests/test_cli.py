@@ -198,6 +198,8 @@ def test_validate_config_decodes_values():
     assert cfg.params["a"] == complex(0.7, 0.1)
     assert cfg.params["q"] == 0.3
     assert cfg.tol == 1e-8 and cfg.seed == 5 and cfg.samples == 2
+    cfg = _validate_config({"case_id": "bailey6psi6", "params": {"b": {"qpow": -2}}})
+    assert cfg.params["b"] == QPower(-2)
 
 
 def test_load_configs_forms(tmp_path):
@@ -217,21 +219,46 @@ def test_load_configs_forms(tmp_path):
         load_configs(str(p))
 
 
+def test_example_config_runs_and_passes():
+    # The example config of the README: a schema change that breaks it
+    # fails here, not only in the documentation.
+    path = Path(__file__).resolve().parent.parent / "scripts" / "example_config.json"
+    rset = run(load_configs(str(path)), parallelism=1)
+    assert len(rset.runs) == 28
+    assert rset.summary == {"pass": 28, "fail": 0, "error": 0}
+
+
 def test_parse_param_option():
-    name, val = _parse_param_option("jackson8phi7", "a=0.5")
-    assert name == "a" and val == 0.5
-    name, val = _parse_param_option("jackson8phi7", "a=[0.5, 0.1]")
-    assert val == complex(0.5, 0.1)
-    name, val = _parse_param_option("bailey6psi6", 'b={"qpow": -2}')
-    assert val == QPower(-2)
-    name, val = _parse_param_option("multijackson", "lam=[2,1]")
-    assert val == (2, 1)
+    # --param only splits name=value and decodes the value as JSON; the
+    # schema check is _validate_config's, as for a config file entry.
+    assert _parse_param_option("a=0.5") == ("a", 0.5)
+    assert _parse_param_option("a=[0.5, 0.1]") == ("a", [0.5, 0.1])
+    assert _parse_param_option('b={"qpow": -2}') == ("b", {"qpow": -2})
+    assert _parse_param_option("lam=[2,1]") == ("lam", [2, 1])
+    assert _parse_param_option('lam="[2,1]"') == ("lam", "[2,1]")
+    assert _parse_param_option("zz=1") == ("zz", 1)
     with pytest.raises(ConfigError):
-        _parse_param_option("jackson8phi7", "a")
+        _parse_param_option("a")
     with pytest.raises(ConfigError):
-        _parse_param_option("jackson8phi7", "zz=1")
-    with pytest.raises(ConfigError):
-        _parse_param_option("jackson8phi7", "a=not-json")
+        _parse_param_option("a=not-json")
+
+
+def test_main_case_options_are_validated_as_a_config_entry(tmp_path, capsys):
+    # Both partition spellings decode; an unknown case, an unknown parameter
+    # and flippedsummand's dropped delta are config errors, as in a file.
+    for text in ("[2,1]", '"[2,1]"'):
+        out_p = tmp_path / "r.json"
+        assert main(["run", "--case", "multijackson", "--param", f"lam={text}",
+                     "--out", str(out_p)]) == 0
+        assert json.loads(out_p.read_text())["runs"][0]["params"]["lam"] == [2, 1]
+    for argv, msg in ((["--case", "nosuchcase"], "unknown case id: 'nosuchcase'"),
+                      (["--case", "jackson8phi7", "--param", "zz=1"],
+                       "jackson8phi7: unknown parameter 'zz'"),
+                      (["--case", "flippedsummand", "--param", "delta=0"],
+                       "flippedsummand: unknown parameter 'delta'")):
+        capsys.readouterr()
+        assert main(["run", *argv]) == 2
+        assert f"config error: {msg}" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

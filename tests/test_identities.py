@@ -3,6 +3,7 @@ and seeded examples, cross-case reduction oracles, and term-level pipeline
 consistency."""
 
 import cmath
+import collections
 import dataclasses
 import inspect
 import itertools
@@ -35,7 +36,7 @@ from qident.identities import (
 from qident.partitions import lattice_window
 from qident.policy import DEFAULT_POLICY, QPower, scalar_value
 from qident.qcore import poch_int
-from qident.wfunc import WParams, _richardson_in_b, zw_multi
+from qident.wfunc import WParams, zw_multi
 
 from conftest import rel
 
@@ -275,7 +276,7 @@ def test_flipped_summand_k0_at_weight_point():
 def test_flipped_summand_seeded_example():
     # z is a free parameter of the two-sided check; any generic value works
     r = run_case("flippedsummand", dict(sigma=0.3, rho=0.7, gamma=0.2, q=0.35, n=4,
-                                        delta=0, z=0.3, k=2))
+                                        z=0.3, k=2))
     assert r.status == "pass"
     assert r.rel_residual <= 1e-8
 
@@ -732,18 +733,34 @@ def test_non_partition_parameters_are_error_reports(case_id, change):
     assert r.message.startswith("NotAPartition: ")
 
 
-def test_weyl_degree_pole_draw_takes_the_richardson_fallback():
+def test_weyl_degree_pole_draw_is_a_pole_cancellation_error():
     # At s = 1 (n = 2, N = 1, delta = 0, mu = (1,), q = 0.3) the recursive W
     # meets a b-pole that cancels only across the branching sum: zw_multi
-    # raises, and the right-hand side is zw_multi_reg's Richardson value in b.
+    # raises, and the report carries that error, not a value at a perturbed b.
     q = 0.3
-    xv = [q**2, q]
     wp = WParams(q, 0.0, q, 1.0, q)
     with pytest.raises(PoleCancellationError):
-        zw_multi(xv, (1, 0), wp)
+        zw_multi([q**2, q], (1, 0), wp)
     r = run_case("weyldegree", dict(mu=(1,), N=1, n=2, s=1.0, delta=0, q=q))
-    assert r.status == "pass" and r.rel_residual < 1e-10
-    assert r.rhs == _richardson_in_b(lambda pp: zw_multi(xv, (1, 0), pp), wp)
+    assert r.status == "error" and cmath.isnan(r.rhs)
+    assert r.message.startswith("PoleCancellationError: ")
+
+
+def test_weyl_degree_at_s_a_power_of_q_never_fails():
+    # s in {1, q, q^2, 1/q, q^-2} puts poles into one side or both, and W's
+    # ledgers go untagged (_keyable refuses keys).  Each draw passes or ends
+    # as an error report (PoleCancellationError from W, ZeroDivisionError
+    # from the closed form); none turns a pole into a finite value that the
+    # verdict then blames on the identity.
+    statuses = collections.Counter()
+    for seed in range(40):
+        p = sample_params("weyldegree", seed)
+        q = p["q"]
+        for s in (1.0, q, q**2, 1 / q, q**-2):
+            r = run_case("weyldegree", {**p, "s": s})
+            assert r.status != "fail", (seed, s, r.rel_residual)
+            statuses[r.message.split(":")[0] if r.status == "error" else r.status] += 1
+    assert set(statuses) == {"pass", "PoleCancellationError", "ZeroDivisionError"}
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,6 @@ from qident.wfunc import (
     w_multi,
     w_skew_single,
     zw_multi,
-    zw_multi_reg,
 )
 
 from conftest import rel
@@ -270,37 +269,6 @@ def test_w_multi_shared_memo_is_bit_identical():
             assert w_multi(zs, lam, (), wp, memo) == w_multi(zs, lam, (), wp)
         assert memo
 
-
-def test_zw_multi_reg_regularizes_without_memo(monkeypatch):
-    # The unperturbed evaluation gets the caller's memo; the Richardson
-    # evaluations at perturbed b must not, since the memo holds values at b.
-    wp = WParams(0.3, 0.0, 0.3, 0.2 + 0.1j, 0.09)
-    original = wfunc.zw_multi
-    calls = []
-
-    def spy(xvars, lam, params, memo=None):
-        calls.append((params.b, memo))
-        if params.b == wp.b:
-            raise PoleCancellationError("forced")
-        return original(xvars, lam, params, memo)
-
-    monkeypatch.setattr(wfunc, "zw_multi", spy)
-    memo = {}
-    value = zw_multi_reg((0.027, 0.09), (1, 0), wp, memo=memo)
-    assert calls[0] == (wp.b, memo)
-    assert len(calls) > 1
-    assert all(m is None for b, m in calls[1:])
-    assert {b for b, _ in calls[1:]} == {wp.b * (1 + h) for h in
-                                         (wfunc.REG_ETA / 2, -wfunc.REG_ETA / 2,
-                                          wfunc.REG_ETA, -wfunc.REG_ETA)}
-    assert not memo
-    monkeypatch.undo()
-    assert rel(value, zw_multi_reg((0.027, 0.09), (1, 0), wp)) < 1e-7
-
-
-# ---------------------------------------------------------------------------
-# branching order: tail first, skew factor only under a nonzero tail
-# ---------------------------------------------------------------------------
 
 def _zw_multi_w1_first(xvars, lam, params, memo=None):
     """zw_multi with the skew-factor-first loop: every skew factor is
@@ -612,29 +580,6 @@ def test_rank2_window_evaluates_fewer_numeric_ledgers(monkeypatch):
     assert (len(calls), sum(k for _, k in calls)) == (38, 374)
 
 
-def test_richardson_fallback_drops_the_keys(monkeypatch):
-    q = 0.3
-    wp, xv = _principal_w(2, 0, q, 0.4 + 0.3j, [2, 1])
-    assert wp.keys is not None and all(isinstance(v, Keyed) for v in xv)
-    original = wfunc.zw_multi
-    calls = []
-
-    def spy(xvars, lam, params, memo=None):
-        calls.append((xvars, params))
-        if params.b == wp.b:
-            raise PoleCancellationError("forced")
-        return original(xvars, lam, params, memo)
-
-    monkeypatch.setattr(wfunc, "zw_multi", spy)
-    value = zw_multi_reg(xv, (1, 0), wp)
-    monkeypatch.undo()
-    assert len(calls) > 1 and calls[0][1].keys is not None
-    for xvars, params in calls[1:]:
-        assert params.keys is None
-        assert xvars == (q**2, q)[-len(xvars):]  # plain values, tails included
-    assert value == wfunc._richardson_in_b(lambda pp: zw_multi((q**2, q), (1, 0), pp), wp)
-
-
 def test_principal_w_keys_only_generic_s():
     q = 0.3
     for s in (1.0, q**3, q**-2, q**0.5, -(q**1.5), q * (1 + 1e-9)):
@@ -666,7 +611,7 @@ def test_w_degree_matches_recursion_example():
     lhs = w_degree((part(mu, 1), part(mu, 2)), N, n, s, delta, q)
     xv = [q ** (N + 1), q**N]
     wp = WParams(q, 0.0, q, s * q**delta, q ** (delta + n - 1))
-    rhs = zw_multi_reg(xv, (part(mu, 1), part(mu, 2)), wp)
+    rhs = zw_multi(xv, (part(mu, 1), part(mu, 2)), wp)
     assert rel(lhs, rhs) < 1e-9
 
 
@@ -682,7 +627,7 @@ def test_w_degree_matches_recursion_sweep():
                     lhs = w_degree(muv, N, n, s, delta, q)
                     xv = [q ** (N + n - 1 - i) for i in range(n)]
                     wp = WParams(q, 0.0, q, s * q**delta, q ** (delta + n - 1))
-                    rhs = zw_multi_reg(xv, muv, wp)
+                    rhs = zw_multi(xv, muv, wp)
                     if abs(lhs) < 1e-12 and abs(rhs) < 1e-12:
                         continue
                     assert rel(lhs, rhs) < 1e-9, (n, N, delta, mu)
