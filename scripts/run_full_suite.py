@@ -8,8 +8,8 @@ Usage:
 With --compare, the new JSON report is compared with BASE.json (an earlier
 report of this script), meta.timestamp aside: every run entry
 (case_id, sample_index) that differs, or is on one side only, is printed with
-its status in BASE.json and now and the relative change of its lhs and of its
-rhs, and the exit code is 1 if anything differs and 0 if nothing does.
+its status in BASE.json and now, the relative change of its lhs and of its
+rhs, and its rel_residual in BASE.json and now, and the exit code is 1 if anything differs and 0 if nothing does.
 Without it the exit code is that of `qident run` (1 if any run fails or
 errors).  The package is imported from the `src/` of this script's tree, not
 from an installed copy.
@@ -37,16 +37,23 @@ def relative_change(new, old):
     return f"{abs(a - b) / max(abs(a), abs(b), 1e-300):.3g}"
 
 
+def residual(run):
+    """A run entry's rel_residual, formatted (null for NaN)."""
+    r = run["rel_residual"]
+    return "null" if r is None else f"{r:.3g}"
+
+
 def run_difference(run, base_run):
-    """Status pair and lhs/rhs relative changes of a differing run entry;
-    a side without the entry shows status "absent"."""
+    """Status pair, lhs/rhs relative changes and rel_residual pair of a
+    differing run entry; a side without the entry shows status "absent"."""
     status = f"{(base_run or {}).get('status', 'absent')} -> " \
              f"{(run or {}).get('status', 'absent')}"
     if run is None or base_run is None:
         return f"status {status}"
     return (f"status {status}, relative change"
             f" lhs {relative_change(run['lhs'], base_run['lhs'])}"
-            f" rhs {relative_change(run['rhs'], base_run['rhs'])}")
+            f" rhs {relative_change(run['rhs'], base_run['rhs'])},"
+            f" rel_residual {residual(base_run)} -> {residual(run)}")
 
 
 def report_differences(doc, base):

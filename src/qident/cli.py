@@ -99,11 +99,20 @@ def _decode_value(kind, raw):
     raise ConfigError(f"unknown schema kind {kind!r}")
 
 
+def _float(v):
+    """float(v) of a JSON number; an integer too large for a float becomes
+    the infinity of its sign, as json decodes 1e400."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
+
+
 def _decode_scalar(raw):
     if isinstance(raw, bool):
         raise ConfigError(f"expected scalar, got {raw!r}")
     if isinstance(raw, (int, float)):
-        return float(raw)
+        return _float(raw)
     if isinstance(raw, complex):
         return raw
     if isinstance(raw, dict) and set(raw) == {"qpow"}:
@@ -112,7 +121,7 @@ def _decode_scalar(raw):
         return QPower(raw["qpow"])
     if isinstance(raw, (list, tuple)) and len(raw) == 2 \
             and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw):
-        return complex(raw[0], raw[1])
+        return complex(_float(raw[0]), _float(raw[1]))
     raise ConfigError(f"cannot interpret scalar value {raw!r}")
 
 
@@ -179,7 +188,7 @@ def _validate_config(entry: dict) -> CaseConfig:
         params[name] = _decode_value(schema[name], raw)
     tol, seed, samples = entry.get("tol"), entry.get("seed", 0), entry.get("samples", 1)
     if tol is not None and (isinstance(tol, bool) or not isinstance(tol, (int, float))
-                            or not 0 < tol < math.inf):
+                            or not 0 < _float(tol) < math.inf):
         raise ConfigError("tol must be a positive finite number")
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0 or seed >= 2**64:
         raise ConfigError("seed must be a 64-bit unsigned integer")

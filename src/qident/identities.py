@@ -55,7 +55,11 @@ from .qcore import (
 )
 from .series import SeriesSpec, eval_psi, eval_phi
 from .wfunc import (
-    S_KEY,
+    A_KEY,
+    B_KEY,
+    KEY_RADIX,
+    T_KEY,
+    X_KEY,
     Keyed,
     WParams,
     poch_partition_multi,
@@ -73,6 +77,10 @@ POLE_REJECT = 1e-8
 
 #: Hard cap on lattice points for multilateral sums.
 MAX_LATTICE_TERMS = 200_000
+
+#: Monomial keys of the generators s and aprime, past wfunc's t, a, b and x
+#: (see "Keyed ledgers" in wfunc).
+S_KEY, APRIME_KEY = KEY_RADIX**5, KEY_RADIX**6
 
 
 @dataclass
@@ -275,6 +283,12 @@ def _vwp_delta(vec, n, c, B, q, p, t):
     return r
 
 
+def _jackson_point(lam, n, q, t):
+    """The keyed variables x_i = q^{lam_i} t^{n-i} of the Jackson right sides."""
+    return [Keyed(q ** part(lam, i) * t ** (n - i), part(lam, i) + (n - i) * T_KEY)
+            for i in range(1, n + 1)]
+
+
 def simplified_jackson_lhs(x, lam, n, q, p, t, a, b, s):
     return poch_partition_multi([s / x, a * s * x], q, p, t, lam) \
         / poch_partition_multi([q * b * x, q * b / (a * x)], q, p, t, lam)
@@ -284,8 +298,9 @@ def simplified_jackson_rhs(x, lam, n, q, p, t, a, b, s):
     total = 0.0 + 0j
     pref = poch_partition_multi([s, a * s], q, p, t, lam) \
         / poch_partition_multi([q * b, q * b / a], q, p, t, lam)
-    xl = [q ** part(lam, i) * t ** (n - i) for i in range(1, n + 1)]
-    wp = WParams(q, p, t, b * s * t ** (2 - 2 * n), b * t ** (1 - n))
+    xl = _jackson_point(lam, n, q, t)
+    wp = WParams(q, p, t, b * s * t ** (2 - 2 * n), b * t ** (1 - n),
+                 (T_KEY, B_KEY + S_KEY + (2 - 2 * n) * T_KEY, B_KEY + (1 - n) * T_KEY))
     memo = {}
     for mu in subpartitions(lam):
         term = pref * q ** weight(mu) * t ** (2 * nstat(mu))
@@ -314,10 +329,13 @@ def multiple_jackson_rhs(zvars, lam, n, q, p, t, a, b, s):
     pref = poch_partition_multi([s, a / (s * t ** (n + 1))], q, p, t, lam) \
         / poch_partition_multi([q * b / (s * t), q * b * t**n * s / a], q, p, t, lam)
     pref = pref * _vwp_delta(lam, n, 1, q * b, q, p, t)
-    xl = [q ** part(lam, i) * t ** (n - i) for i in range(1, n + 1)]
-    zs = [zi * s for zi in zvars]
-    wp1 = WParams(q, p, t, b * t ** (1 - 2 * n), b / (s * t**n))
-    wp2 = WParams(q, p, t, a / (s * s * t ** (2 * n)), b / (s * t**n))
+    xl = _jackson_point(lam, n, q, t)
+    zs = [Keyed(zi * s, X_KEY + S_KEY) for zi in zvars]
+    bk = B_KEY - S_KEY - n * T_KEY  # the key of b / (s t^n)
+    wp1 = WParams(q, p, t, b * t ** (1 - 2 * n), b / (s * t**n),
+                  (T_KEY, B_KEY + (1 - 2 * n) * T_KEY, bk))
+    wp2 = WParams(q, p, t, a / (s * s * t ** (2 * n)), b / (s * t**n),
+                  (T_KEY, A_KEY - 2 * S_KEY - 2 * n * T_KEY, bk))
     memo1, memo2 = {}, {}
     total = 0.0 + 0j
     for mu in subpartitions(lam):
@@ -342,8 +360,10 @@ def duality_side(lam, nu, n, q, t, a, aprime, b):
     """One side of the duality relation; the other side is the same function
     with (lam, a) and (nu, aprime) exchanged."""
     k = aprime * t ** (n - 1) / b
-    xv = [q ** part(nu, i) * t ** (n - i) / k for i in range(1, n + 1)]
-    wp = WParams(q, 0.0, t, k * k * a, k * b)
+    kk = APRIME_KEY + (n - 1) * T_KEY - B_KEY  # the key of k
+    xv = [Keyed(q ** part(nu, i) * t ** (n - i) / k, part(nu, i) + (n - i) * T_KEY - kk)
+          for i in range(1, n + 1)]
+    wp = WParams(q, 0.0, t, k * k * a, k * b, (T_KEY, 2 * kk + A_KEY, kk + B_KEY))
     r = w_multi(xv, lam, (), wp, memo={})
     r = r * poch_partition_multi([q * b * t ** (n - 1), q * b / a], q, 0.0, t, lam) \
         / poch_partition_multi([k, k * a * t ** (n - 1)], q, 0.0, t, lam)
@@ -401,36 +421,18 @@ def _mlat_pair_factors(mu, n, delta, q, s, a, x):
     return r
 
 
-def _keyable(s, q):
-    """Whether W parameters in s and q may carry monomial keys: s and s^2 lie
-    farther than POLE_REJECT (relative) from every integer power of q.  Within
-    that distance of q^e, log|z| / log|q| is within POLE_REJECT / |log|q|| of
-    e, so e is its rounding unless |q| lies within 2 POLE_REJECT of 1
-    (refused)."""
-    try:
-        lq = math.log(abs(q))
-        if s == 0 or abs(lq) <= 2 * POLE_REJECT:
-            return False
-        return all(abs(z / q ** round(math.log(abs(z)) / lq) - 1) > POLE_REJECT
-                   for z in (s, s * s))
-    except (ArithmeticError, ValueError):
-        return False
-
-
 def _principal_w(n, delta, q, s, exps):
     """W parameters p = 0, t = q, a = s q^delta, b = q^{delta+n-1} and the
-    variables x_i = q^{exps_i} of the multilateral and degree identities.
+    variables x_i = q^{exps_i} of the multilateral and degree identities,
+    with monomial keys in (s, q) (wfunc's "Keyed ledgers"), at any s.
 
-    They carry monomial keys in (s, q) (wfunc's "Keyed ledgers"), unless s or
-    s^2 lies within POLE_REJECT of a power of q: a ledger argument is
-    s^alpha q^e with |alpha| <= 1, so only then can an argument of nonzero
-    key reach 1, or two arguments of distinct keys coincide."""
+    Refused with DomainError when |q| lies within 2 POLE_REJECT of 1: there
+    a power q^k with k != 0 can be 1, and keys in q would be wrong."""
+    if abs(abs(q) - 1) <= 2 * POLE_REJECT:
+        raise DomainError(f"principal W point needs |q| clear of 1, got q = {q!r}")
     a, b = s * q**delta, q ** (delta + n - 1)
-    xs = [q**e for e in exps]
-    if not _keyable(s, q):
-        return WParams(q, 0.0, q, a, b), xs
-    return (WParams(q, 0.0, q, a, b, (S_KEY + delta, delta + n - 1)),
-            [Keyed(x, e) for x, e in zip(xs, exps)])
+    return (WParams(q, 0.0, q, a, b, (1, S_KEY + delta, delta + n - 1)),
+            [Keyed(q**e, e) for e in exps])
 
 
 def mlat_finite_summand(mu, lam, n, delta, q, s, a, x, memo=None):

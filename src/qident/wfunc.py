@@ -22,34 +22,32 @@ each docstring names the callers that guarantee it.
 
 Pole handling: at the t = q specialization individual skew-W values can have
 simple poles in b that cancel only across the branching sum.  The kernel's
-ledger is therefore evaluated by :func:`theta_quotient`, which cancels
-coincident arguments structurally; a genuinely uncancelled denominator zero
-raises PoleCancellationError, which reaches the caller (run_case makes it an
-error report).
+ledger is therefore settled by :func:`theta_quotient`, which cancels
+arguments by monomial key; a denominator zero that no key cancels raises
+PoleCancellationError, which reaches the caller (run_case makes it an error
+report).
 
-Keyed ledgers: at p = 0 and t = q, a WParams may carry integer monomial keys
-for (a, b), and the W variables are then Keyed(value, key) pairs.  A key
-alpha * S_KEY + e asserts that the value is s^alpha q^e for the base q and
-one free parameter s, up to the rounding of the expression that computed it,
-with s generic: no monomial of nonzero key in the ledger equals 1, and two of
-distinct keys never coincide.  The caller vouches for that.
-identities._principal_w keys the principal specialization a = s q^delta,
-b = q^{delta+n-1}, x_i = q^{integer} of mlat_finite_summand (so of
-verify_multilateral_finite) and of verify_weyl_degree's right side, and only
-when s and s^2 lie clear of every power of q.  zw_multi shifts the keys with a t^{2l}, b t^l and
-x t^{-l}.  zw_skew_single transcribes its ledger once, keyed or not, as
-runs of arguments base * q^k whose keys step by 1.  A keyed ledger is settled
-by key: theta(y; 0) = 1 - y vanishes exactly at key 0, and key-0 arguments
-cancel only among themselves, so a net key-0 numerator gives exact 0 and a
-net key-0 denominator raises PoleCancellationError, before any theta product.
-Otherwise arguments cancel by key equality under theta_quotient's
-lowest-index rule, and only the survivors get values, from the same
-expressions, for theta_product.  So while equal keys are exactly the
-arguments that coincide within SNAP_TOL, a nonzero keyed ledger keeps the
-untagged value bit for bit, and a zero one is exact 0 where the float path
-left round-off.  Untagged ledgers (every other caller) leave their keys
-unread: their runs are expanded, in order, into the values base * q^k that
-theta_quotient cancels by SNAP_TOL matching.
+Keyed ledgers: every ledger argument is a monomial in q, t, a, b and the one
+variable x, and it carries an integer key over the generators it is built
+from.  The key of q^e0 g_1^e1 g_2^e2 ... is e0 + e1 R + e2 R^2 + ... with
+R = KEY_RADIX (every |e_g| < R / 2), so q has key 1 and a run of arguments
+base * q^k steps its key by one.  WParams carries the keys of (t, a, b), and
+a W variable is a Keyed(value, key) pair.  Plain input gets independent
+generators: T_KEY, A_KEY and B_KEY for t, a and b, and X_KEY for every plain
+variable (a ledger reads one variable, so they need not differ).  A caller
+that builds a special point keys it by how it built it: identities keys the
+principal point p = 0, t = q, a = s q^delta, b = q^{delta+n-1}, x_i = q^e in
+(s, q) (_principal_w), the Jackson right sides' x_i = q^{lam_i} t^{n-i}, their
+shifted a and b and z_i s, and duality's k-scaled variables and parameters.
+zw_multi shifts the keys with a t^{2l}, b t^l and x t^{-l}.  Two arguments
+of equal key are the same monomial, so they cancel; theta(y; p) vanishes at
+the key-0 argument y = 1, and key-0 arguments cancel only among themselves,
+so a net key-0 numerator gives exact 0 and a net key-0 denominator raises
+PoleCancellationError, before any theta product.  Only the survivors get
+values, for theta_product.  Two arguments of distinct keys are never
+cancelled: where the values coincide (q a root of unity, or a caller that
+did not key a specialization), they give a numerical zero of the expression
+or a PoleCancellationError, never a silent 0/0 read as 1.
 
 Zero tails: the branching sum of zw_multi takes, for each interlacing nu, the
 tail W_nu(x_2..x_n) first (memoized when a memo is given) and builds the skew
@@ -63,52 +61,38 @@ raises nothing.
 
 from __future__ import annotations
 
-import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple, Tuple
 
 from .errors import DivisionByVanishingFactor, PoleCancellationError
 from .partitions import interlacing_vectors, is_horizontal_strip, normalize, part
 from .policy import DEFAULT_POLICY
 from .qcore import epoch, theta
 
-#: Relative snap tolerance for structural cancellation of coincident theta
-#: arguments.  Sampled parameters keep distinct arguments at least ~1e-8
-#: apart (pole rejection), while arguments forced equal by a degenerate
-#: specialization coincide to ~1e-16, so 1e-12 separates the two regimes.
-SNAP_TOL = 1e-12
-
 #: Residual denominator theta values below this modulus count as poles.
 POLE_TOL = 1e-10
 
-#: Key of the free parameter s: the key alpha * S_KEY + e stands for the
-#: monomial s**alpha * q**e (|e| < S_KEY / 2).
-S_KEY = 1 << 32
+#: Radix of the monomial keys (see "Keyed ledgers" in the module docstring),
+#: and the generator keys of plain input: t, a, b and the variables.
+KEY_RADIX = 1 << 32
+T_KEY, A_KEY, B_KEY, X_KEY = (KEY_RADIX**g for g in range(1, 5))
 
 
 @dataclass(frozen=True)
 class WParams:
-    """Parameter bundle (q, p, t, a, b) for W-function evaluation.
-
-    keys, when given, are the monomial keys of (a, b) (see S_KEY and
-    "Keyed ledgers" in the module docstring); they need p = 0 and t = q."""
+    """Parameter bundle (q, p, t, a, b) for W-function evaluation, with the
+    monomial keys of (t, a, b); by default independent generators."""
 
     q: complex
     p: complex
     t: complex
     a: complex
     b: complex
-    keys: Optional[Tuple[int, int]] = None
-
-    def __post_init__(self):
-        if self.keys is not None and (self.p != 0 or self.t != self.q):
-            raise ValueError("keyed W parameters need p = 0 and t = q")
+    keys: Tuple[int, int, int] = (T_KEY, A_KEY, B_KEY)
 
 
 class Keyed(NamedTuple):
-    """A W variable with its monomial key: value is s**alpha * q**e for the
-    key alpha * S_KEY + e."""
+    """A W variable with its monomial key; a plain variable has key X_KEY."""
 
     value: complex
     key: int
@@ -134,53 +118,49 @@ def poch_partition_multi(avals, q, p, t, lam):
     return r
 
 
-def theta_quotient(num_args, den_args, p, policy=DEFAULT_POLICY):
-    """prod theta(x;p) over num_args divided by the same over den_args,
-    cancelling numerator/denominator arguments that coincide within SNAP_TOL.
+def theta_quotient(num, den, q, p):
+    """prod theta(y; p) over the numerator runs num divided by the same over
+    the denominator runs den, settled by monomial key.
 
-    Each numerator argument, in order, cancels the lowest-index unused
-    denominator argument within SNAP_TOL of it.  Candidates come from a bisect
-    window on the denominator arguments sorted by real part, which contains
-    every match, so the cost is O((N + M) log M) instead of O(N M) and the
-    result is that of the plain scan.  Arguments of infinite or nan modulus
-    (which match differently) are scanned in full.
-
-    Raises PoleCancellationError when an uncancelled denominator theta is
-    numerically zero."""
-    den = list(den_args)
-    used = [False] * len(den)
-    by_real, odd = [], []  # (real part, index) of finite arguments; (None, index)
-    for j, y in enumerate(den):
-        if abs(y) < math.inf:
-            by_real.append((y.real, j))
-        else:
-            odd.append((None, j))
-    by_real.sort()
-    reals = [re for re, _ in by_real]
+    A run (base, key, lo, hi) stands for the arguments base * q**k of key
+    key + k, k in range(lo, hi), or (lo None) for the single argument base
+    of key key.  Key-0 arguments (value 1, theta 0) cancel only among
+    themselves, so their net count decides first: more in the denominator
+    raises PoleCancellationError, more in the numerator gives exact 0.
+    Otherwise each numerator argument, in order, cancels the lowest-index
+    unused denominator argument of its key, and only the survivors get
+    values, for theta_product, in ledger order."""
+    order = 0
+    for runs, step in ((num, 1), (den, -1)):
+        for _, key, lo, hi in runs:
+            if (key == 0) if lo is None else (lo <= -key < hi):
+                order += step
+    if order < 0:
+        raise PoleCancellationError("uncancelled denominator theta vanishes")
+    if order > 0:
+        return 0.0 + 0j
+    free = {}  # key -> the unused denominator arguments (index, base, k)
+    j = 0
+    for base, key, lo, hi in den:
+        for k in (None,) if lo is None else range(lo, hi):
+            arg = (j, base, k)
+            j += 1
+            kk = key if k is None else key + k
+            if kk in free:
+                free[kk].append(arg)
+            else:
+                free[kk] = [arg]
     rest = []
-    for x in num_args:
-        ax = abs(x)
-        if ax < math.inf:
-            # A match has |y| <= ax + |x - y|, hence |x - y| < 2 SNAP_TOL max(ax, 1).
-            w = 2 * SNAP_TOL * (ax if ax > 1.0 else 1.0)
-            xr = x.real
-            lo = bisect_left(reals, xr - w)
-            cands = by_real[lo:bisect_right(reals, xr + w, lo)]
-            if odd:
-                cands += odd
-        else:
-            cands = [(None, j) for j in range(len(den))]
-        hit = None
-        for _, j in cands:
-            if not used[j] and (hit is None or j < hit):
-                y = den[j]
-                if abs(x - y) <= SNAP_TOL * max(ax, abs(y), 1.0):
-                    hit = j
-        if hit is None:
-            rest.append(x)
-        else:
-            used[hit] = True
-    return theta_product(rest, [y for y, u in zip(den, used) if not u], p, policy)
+    for base, key, lo, hi in num:
+        for k in (None,) if lo is None else range(lo, hi):
+            js = free.get(key if k is None else key + k)
+            if js:
+                del js[0]  # the lowest-index one of this key
+            else:
+                rest.append(base if k is None else base * q**k)
+    den_rest = [base if k is None else base * q**k
+                for _, base, k in sorted(arg for args in free.values() for arg in args)]
+    return theta_product(rest, den_rest, p)
 
 
 def theta_product(num_args, den_args, p, policy=DEFAULT_POLICY):
@@ -216,34 +196,24 @@ def zw_skew_single(x, lam, mu, params: WParams):
     interlacing_vectors(lam), and w_skew_single tests is_horizontal_strip
     first.
 
-    x is a Keyed variable exactly when params carries keys; the ledger is
-    then settled by key (see "Keyed ledgers" in the module docstring).
+    x is a Keyed variable or a plain one (key X_KEY); the ledger is settled
+    by key (see "Keyed ledgers" in the module docstring).
     """
     q, p, t, a, b = params.q, params.p, params.t, params.a, params.b
+    tk, ak, bk = params.keys
+    x, xk = x if isinstance(x, Keyed) else (x, X_KEY)
     n = len(lam)
-    # add_poch and add_arg record the ledger once, as runs
-    # (denominator?, base, base key, lo, hi): the arguments base * q**k of key
-    # base key + k for k in range(lo, hi), or (lo None) the single argument
-    # base.  Keyed, the runs go to _keyed_quotient; untagged, their keys
-    # (computed from ak = bk = xk = 0) are not read and the runs are expanded
-    # into theta_quotient's argument lists.
-    keys = params.keys
-    if keys is None:
-        ak = bk = xk = 0
-    else:
-        (ak, bk), (x, xk) = keys, x
-    runs = []
+    # The ledger is recorded once, as runs (base, base key, lo, hi) in num
+    # or den (see theta_quotient).
+    num, den = [], []
 
     def add_poch(on_den, base, key, m):
         # theta-Pochhammer (base;q,p)_m: m numerator arguments, or -m
         # arguments base * q**k, k = m..-1, on the other side.
         if m > 0:
-            runs.append((on_den, base, key, 0, m))
+            (den if on_den else num).append((base, key, 0, m))
         elif m < 0:
-            runs.append((not on_den, base, key, m, 0))
-
-    def add_arg(on_den, value, key):
-        runs.append((on_den, value, key, None, None))
+            (num if on_den else den).append((base, key, m, 0))
 
     # H factor; a row of order m = 0 adds no argument.
     for j in range(2, n + 1):
@@ -253,16 +223,16 @@ def zw_skew_single(x, lam, mu, params: WParams):
         for i in range(1, j):
             li, lj = part(lam, i), part(lam, j)
             mi, mj1 = part(mu, i), part(mu, j - 1)
-            add_poch(False, q ** (mi - mj1) * t ** (j - i), mi - mj1 + j - i, m)
+            add_poch(False, q ** (mi - mj1) * t ** (j - i), mi - mj1 + (j - i) * tk, m)
             add_poch(True, q ** (mi - mj1 + 1) * t ** (j - i - 1),
-                     mi - mj1 + j - i, m)
+                     mi - mj1 + 1 + (j - i - 1) * tk, m)
             add_poch(False, q ** (li + lj) * t ** (3 - j - i) * b,
-                     li + lj + 3 - j - i + bk, m)
+                     li + lj + (3 - j - i) * tk + bk, m)
             add_poch(True, q ** (li + lj + 1) * t ** (2 - j - i) * b,
-                     li + lj + 3 - j - i + bk, m)
+                     li + lj + 1 + (2 - j - i) * tk + bk, m)
             add_poch(False, q ** (li - mj1 + 1) * t ** (j - i - 1),
-                     li - mj1 + j - i, m)
-            add_poch(True, q ** (li - mj1) * t ** (j - i), li - mj1 + j - i, m)
+                     li - mj1 + 1 + (j - i - 1) * tk, m)
+            add_poch(True, q ** (li - mj1) * t ** (j - i), li - mj1 + (j - i) * tk, m)
     for j in range(2, n + 1):
         m = part(mu, j - 1) - part(lam, j)
         if m == 0:
@@ -270,30 +240,30 @@ def zw_skew_single(x, lam, mu, params: WParams):
         for i in range(1, j - 1):
             mi, lj = part(mu, i), part(lam, j)
             add_poch(False, q ** (mi + lj + 1) * t ** (1 - j - i) * b,
-                     mi + lj + 2 - j - i + bk, m)
+                     mi + lj + 1 + (1 - j - i) * tk + bk, m)
             add_poch(True, q ** (mi + lj) * t ** (2 - j - i) * b,
-                     mi + lj + 2 - j - i + bk, m)
+                     mi + lj + (2 - j - i) * tk + bk, m)
     # (x^-1, a x)_lam / (x^-1, a x)_mu as strip-difference products.
     for i in range(1, n + 1):
         mi = part(mu, i)
         m = part(lam, i) - mi
         if m == 0:
             continue
-        add_poch(False, t ** (1 - i) / x * q**mi, 1 - i - xk + mi, m)
-        add_poch(False, a * x * t ** (1 - i) * q**mi, ak + xk + 1 - i + mi, m)
+        add_poch(False, t ** (1 - i) / x * q**mi, (1 - i) * tk - xk + mi, m)
+        add_poch(False, a * x * t ** (1 - i) * q**mi, ak + xk + (1 - i) * tk + mi, m)
     # (q b x / t, q b / (a x t))_mu / (q b x, q b / (a x))_lam.
     kx, kax = 1 + bk + xk, 1 + bk - ak - xk
     for i in range(1, n + 1):
         mi, li = part(mu, i), part(lam, i)
         if mi == 0 and li == 0:
             continue
-        add_poch(False, q * b * x * t ** (-i), kx - i, mi)
-        add_poch(True, q * b * x * t ** (1 - i), kx + 1 - i, mi)
-        add_poch(True, q * b * x * t ** (1 - i) * q**mi, kx + 1 - i + mi, li - mi)
-        add_poch(False, q * b / (a * x) * t ** (-i), kax - i, mi)
-        add_poch(True, q * b / (a * x) * t ** (1 - i), kax + 1 - i, mi)
+        add_poch(False, q * b * x * t ** (-i), kx - i * tk, mi)
+        add_poch(True, q * b * x * t ** (1 - i), kx + (1 - i) * tk, mi)
+        add_poch(True, q * b * x * t ** (1 - i) * q**mi, kx + (1 - i) * tk + mi, li - mi)
+        add_poch(False, q * b / (a * x) * t ** (-i), kax - i * tk, mi)
+        add_poch(True, q * b / (a * x) * t ** (1 - i), kax + (1 - i) * tk, mi)
         add_poch(True, q * b / (a * x) * t ** (1 - i) * q**mi,
-                 kax + 1 - i + mi, li - mi)
+                 kax + (1 - i) * tk + mi, li - mi)
     # Final block.
     tpow = 1.0 + 0j
     for i in range(1, n + 1):
@@ -302,70 +272,14 @@ def zw_skew_single(x, lam, mu, params: WParams):
             continue
         base_n = b * t ** (1 - 2 * i)
         base_d = b * q * t ** (-2 * i)
-        k = bk + 1 - 2 * i  # the key of base_n and of base_d
+        kn = bk + (1 - 2 * i) * tk  # the key of base_n
         if mi != 0:
-            add_arg(False, base_n * q ** (2 * mi), k + 2 * mi)
-            add_arg(True, base_n, k)
-        add_poch(False, base_n, k, mi + li1)
-        add_poch(True, base_d, k, mi + li1)
+            num.append((base_n * q ** (2 * mi), kn + 2 * mi, None, None))
+            den.append((base_n, kn, None, None))
+        add_poch(False, base_n, kn, mi + li1)
+        add_poch(True, base_d, kn + 1 - tk, mi + li1)
         tpow = tpow * t ** (i * (mi - li1))
-    if keys is not None:
-        return _keyed_quotient(runs, q, p, tpow)
-    num, den = [], []
-    for on_den, base, _, lo, hi in runs:
-        side = den if on_den else num
-        if lo is None:
-            side.append(base)
-        else:
-            for k in range(lo, hi):
-                side.append(base * q**k)
-    return tpow * theta_quotient(num, den, p)
-
-
-def _keyed_quotient(runs, q, p, tpow):
-    """tpow times the theta quotient of a keyed ledger (p = 0).
-
-    Arguments cancel by key equality, each numerator argument in order taking
-    the lowest-index unused denominator argument of its key: the pairing of
-    theta_quotient's SNAP_TOL rule when equal keys are exactly the coincident
-    values.  Key-0 arguments (value 1, theta 0) cancel only among themselves,
-    so their net count decides the ledger before any pairing: more in the
-    denominator raises PoleCancellationError, more in the numerator gives
-    exact 0.  Otherwise only the surviving arguments get values, from the
-    expressions of the untagged ledger, and theta_product multiplies them:
-    distinct keys are distinct values, so there is nothing left to snap."""
-    order = 0
-    for on_den, _, key, lo, hi in runs:
-        if (key == 0) if lo is None else (lo <= -key < hi):
-            order += -1 if on_den else 1
-    if order < 0:
-        raise PoleCancellationError("uncancelled denominator theta vanishes")
-    if order > 0:
-        return 0.0 + 0j
-    free = {}  # key -> the unused denominator arguments (index, base, k)
-    j = 0
-    for on_den, base, key, lo, hi in runs:
-        if on_den:
-            for k in (None,) if lo is None else range(lo, hi):
-                arg = (j, base, k)
-                j += 1
-                kk = key if k is None else key + k
-                if kk in free:
-                    free[kk].append(arg)
-                else:
-                    free[kk] = [arg]
-    rest = []
-    for on_den, base, key, lo, hi in runs:
-        if not on_den:
-            for k in (None,) if lo is None else range(lo, hi):
-                js = free.get(key if k is None else key + k)
-                if js:
-                    del js[0]  # the lowest-index one of this key
-                else:
-                    rest.append(base if k is None else base * q**k)
-    den_rest = [base if k is None else base * q**k
-                for _, base, k in sorted(arg for args in free.values() for arg in args)]
-    return tpow * theta_product(rest, den_rest, p)
+    return tpow * theta_quotient(num, den, q, p)
 
 
 def zw_multi(xvars, lam, params: WParams, memo=None):
@@ -403,14 +317,11 @@ def zw_multi(xvars, lam, params: WParams, memo=None):
     else:
         y, zs = xvars[0], xvars[1:]
         l = n - 1
-        keys = params.keys
-        if keys is None:
-            x1 = y * params.t ** (-l)
-        else:  # t = q: a t^{2l}, b t^l and y t^{-l} shift the keys
-            keys = (keys[0] + 2 * l, keys[1] + l)
-            x1 = Keyed(y.value * params.t ** (-l), y.key - l)
+        tk, ak, bk = params.keys
+        y, yk = y if isinstance(y, Keyed) else (y, X_KEY)
+        x1 = Keyed(y * params.t ** (-l), yk - l * tk)
         shifted = WParams(params.q, params.p, params.t, params.a * params.t ** (2 * l),
-                          params.b * params.t**l, keys)
+                          params.b * params.t**l, (tk, ak + 2 * l * tk, bk + l * tk))
         total = 0.0 + 0j
         for nu in interlacing_vectors(lam):
             # Tail first: it is memoized, and a zero tail spares the ledger.

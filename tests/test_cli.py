@@ -157,9 +157,15 @@ def test_main_rejects_nonfinite_tol_in_both_paths(tmp_path, capsys):
     assert main(["run", "--case", "c1macdonald", "--tol", "inf"]) == 2
     assert "config error:" in capsys.readouterr().err
     path = tmp_path / "inf.json"
-    path.write_text('[{"case_id": "c1macdonald", "tol": Infinity}]')
-    assert main(["run", "--config", str(path)]) == 2
-    assert "config error:" in capsys.readouterr().err
+    # An integer too large for a float is an infinity, as 1e400 is; it
+    # crashed with OverflowError.
+    for tol in ("Infinity", "1" + "0" * 400, "1e400"):
+        path.write_text('[{"case_id": "c1macdonald", "tol": %s}]' % tol)
+        assert main(["run", "--config", str(path)]) == 2
+        assert "config error: tol must be a positive finite number" \
+            in capsys.readouterr().err
+    assert main(["run", "--case", "c1macdonald", "--tol", "1" + "0" * 400]) == 2
+    assert "config error: tol must be a positive finite number" in capsys.readouterr().err
 
 
 def test_main_case_path_checks_samples_tol_and_seed(capsys):
@@ -344,11 +350,19 @@ def test_main_sampler_failure_is_an_error_report(tmp_path, capsys, monkeypatch):
     ("ramanujan1psi1", "q=Infinity"),
     ("bailey6psi6", "q=-Infinity"),
     ("multilateral3psi3", "x=[0.5, Infinity]"),
+    pytest.param("c1macdonald", "x=1" + "0" * 400, id="c1macdonald-x=10**400"),
+    pytest.param("c1macdonald", "x=-1" + "0" * 400, id="c1macdonald-x=-10**400"),
+    pytest.param("ramanujan1psi1", "x=[0.5, 1" + "0" * 400 + "]",
+                 id="ramanujan1psi1-x=[0.5, 10**400]"),
+    pytest.param("multijackson", "z=[0.5, 0.6, 1" + "0" * 400 + "]",
+                 id="multijackson-z=[0.5, 0.6, 10**400]"),
 ])
 def test_main_non_finite_scalar_is_an_error_run(case_id, param, capsys):
     # json.loads accepts NaN and Infinity.  Unchecked, the first passed with
     # NaN sides and the second ended in a ValueError traceback; a report
-    # holding an infinity could not be written (null now, as NaN was).
+    # holding an infinity could not be written (null now, as NaN was).  An
+    # integer too large for a float (in a scalar, an [re, im] pair or a
+    # vector entry) is decoded as 1e400 is; it crashed with OverflowError.
     assert main(["run", "--case", case_id, "--seed", "0", "--param", param]) == 1
     out, err = capsys.readouterr()
     (run_d,) = json.loads(out)["runs"]
@@ -356,7 +370,10 @@ def test_main_non_finite_scalar_is_an_error_run(case_id, param, capsys):
     assert run_d["status"] == "error"
     assert run_d["message"].startswith(f"DomainError: {case_id} requires {name} to be "
                                        "a finite number, got ")
-    assert run_d["params"][name] is None
+    stored = run_d["params"][name]
+    if case_id == "multijackson":  # a vector: its last entry is the bad one
+        stored = stored[-1]
+    assert stored is None
     assert err == "pass=0 fail=0 error=1\n"
 
 
@@ -575,18 +592,25 @@ def test_full_suite_compare(tmp_path):
     moved_status = moved["status"]
     moved["status"] = "fail" if moved_status != "fail" else "pass"
     moved["lhs"] = [v * (1 + 1e-6) for v in moved["lhs"]]
+    moved_residual, moved["rel_residual"] = moved["rel_residual"], 0.5
+    none = doc["runs"][7]  # a NaN residual is written as null
+    none["rel_residual"] = None
     dropped = doc["runs"].pop(5)
     doctored = tmp_path / "doctored.json"
     doctored.write_text(json.dumps(doc))
     diff = suite("diff", "--compare", str(doctored))
     assert diff.returncode == 1
-    assert diff.stdout.count("differs:") == 3
+    assert diff.stdout.count("differs:") == 4
+    assert (f"differs: {none['case_id']} {none['sample_index']}: status "
+            f"{none['status']} -> {none['status']}, relative change lhs 0 rhs 0, "
+            f"rel_residual null -> " in diff.stdout)
+    residual = f"{entry['rel_residual']:.3g}"
     assert (f"differs: {entry['case_id']} {entry['sample_index']}: status "
-            f"{entry['status']} -> {entry['status']}, relative change lhs 0 rhs 0"
-            in diff.stdout)
+            f"{entry['status']} -> {entry['status']}, relative change lhs 0 rhs 0, "
+            f"rel_residual {residual} -> {residual}\n" in diff.stdout)
     assert (f"differs: {moved['case_id']} {moved['sample_index']}: status "
-            f"{moved['status']} -> {moved_status}, relative change lhs 1e-06 rhs 0"
-            in diff.stdout)
+            f"{moved['status']} -> {moved_status}, relative change lhs 1e-06 rhs 0, "
+            f"rel_residual 0.5 -> {moved_residual:.3g}\n" in diff.stdout)
     assert (f"differs: {dropped['case_id']} {dropped['sample_index']}: status "
             f"absent -> {dropped['status']}\n" in diff.stdout)
 

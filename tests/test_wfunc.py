@@ -1,6 +1,7 @@
 """Partition-indexed Pochhammer and W-function tests."""
 
 import cmath
+import collections
 import itertools
 import math
 import random
@@ -10,8 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qident.wfunc as wfunc
-from qident.errors import PoleCancellationError, QidentError
+from qident.errors import (
+    DivisionByVanishingFactor,
+    DomainError,
+    PoleCancellationError,
+    QidentError,
+)
 from qident.identities import (
+    S_KEY,
     _principal_w,
     mlat_finite_window,
     run_case,
@@ -27,12 +34,13 @@ from qident.partitions import (
 from qident.qcore import poch_int, theta
 from qident.wfunc import (
     POLE_TOL,
-    SNAP_TOL,
+    T_KEY,
+    X_KEY,
     Keyed,
     WParams,
-    _keyed_quotient,
     poch_partition,
     poch_partition_multi,
+    theta_product,
     theta_quotient,
     w_degree,
     w_multi,
@@ -283,11 +291,14 @@ def _zw_multi_w1_first(xvars, lam, params, memo=None):
         total = wfunc.zw_skew_single(xvars[0], lam, (), params)
     else:
         l = n - 1
+        tk, ak, bk = params.keys
         shifted = WParams(params.q, params.p, params.t, params.a * params.t ** (2 * l),
-                          params.b * params.t**l)
+                          params.b * params.t**l, (tk, ak + 2 * l * tk, bk + l * tk))
+        y, yk = xvars[0] if isinstance(xvars[0], Keyed) else (xvars[0], X_KEY)
         total = 0.0 + 0j
         for nu in interlacing_vectors(lam):
-            w1 = wfunc.zw_skew_single(xvars[0] * params.t ** (-l), lam, nu, shifted)
+            w1 = wfunc.zw_skew_single(Keyed(y * params.t ** (-l), yk - l * tk), lam, nu,
+                                      shifted)
             if w1 == 0:
                 continue
             total += w1 * _zw_multi_w1_first(xvars[1:], nu, params, memo)
@@ -305,7 +316,8 @@ def _w_outcome(fn, *args):
 
 def _branching_draws():
     """(xvars, index vectors, params): generic and principal x, at t = q and
-    t != q, with the negative-entry indices of a multilateralfinite window."""
+    t != q, with the negative-entry indices of a multilateralfinite window.
+    The principal points are keyed as their callers in identities key them."""
     rng = random.Random(47)
     for n in (1, 2, 3):
         for p in (0.0, 0.1):
@@ -322,10 +334,12 @@ def _branching_draws():
             yield generic, indices, WParams(q, p, t, cscalar(rng), cscalar(rng))
             # The multilateralfinite point: x_i = q^{lam_i + n - i}, t = q.
             s, delta = cscalar(rng), 1
-            xq = tuple(q ** (part(lam, i) + n - i) for i in range(1, n + 1))
-            yield xq, indices, WParams(q, p, q, s * q**delta, q ** (delta + n - 1))
+            xq = tuple(Keyed(q**e, e) for e in (part(lam, i) + n - i for i in range(1, n + 1)))
+            yield xq, indices, WParams(q, p, q, s * q**delta, q ** (delta + n - 1),
+                                       (1, S_KEY + delta, delta + n - 1))
             # The principal point at t != q: x_i = q^{lam_i} t^{n-i}.
-            xt = tuple(q ** part(lam, i) * t ** (n - i) for i in range(1, n + 1))
+            xt = tuple(Keyed(q ** part(lam, i) * t ** (n - i), part(lam, i) + (n - i) * T_KEY)
+                       for i in range(1, n + 1))
             yield xt, indices, WParams(q, p, t, cscalar(rng), cscalar(rng))
 
 
@@ -414,25 +428,37 @@ def test_zw_multi_skips_skew_factors_of_zero_tails(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# theta quotient: the bisected cancellation against the plain scan
+# theta quotient: settlement by key against a plain scan
 # ---------------------------------------------------------------------------
 
-def _theta_quotient_scan(num_args, den_args, p):
+def _expand(runs, q):
+    """(value, key) of every argument of a ledger's runs, in order."""
+    return [(base, key) if lo is None else (base * q**k, key + k)
+            for base, key, lo, hi in runs
+            for k in ((None,) if lo is None else range(lo, hi))]
+
+
+def _theta_quotient_scan(num, den, q, p):
     """O(N M) reference: each numerator argument cancels the first remaining
-    denominator argument within SNAP_TOL of it."""
-    den = list(den_args)
+    denominator argument of its key; a surviving key-0 argument is exact 0 in
+    the numerator and a pole in the denominator."""
+    den = _expand(den, q)
     rest = []
-    for x in num_args:
-        for j, y in enumerate(den):
-            if abs(x - y) <= SNAP_TOL * max(abs(x), abs(y), 1.0):
+    for x, kx in _expand(num, q):
+        for j, (_, ky) in enumerate(den):
+            if ky == kx:
                 den.pop(j)
                 break
         else:
-            rest.append(x)
+            rest.append((x, kx))
+    if any(k == 0 for _, k in den):
+        raise PoleCancellationError("uncancelled denominator theta vanishes")
+    if any(k == 0 for _, k in rest):
+        return 0.0 + 0j
     r = 1.0 + 0j
-    for x in rest:
+    for x, _ in rest:
         r = r * theta(x, p)
-    for y in den:
+    for y, _ in den:
         ty = theta(y, p)
         if abs(ty) < POLE_TOL:
             raise PoleCancellationError("uncancelled denominator theta vanishes")
@@ -440,9 +466,9 @@ def _theta_quotient_scan(num_args, den_args, p):
     return r
 
 
-def _outcome(fn, num, den, p):
+def _outcome(fn, num, den, q, p):
     try:
-        return repr(fn(num, den, p))
+        return repr(fn(num, den, q, p))
     except QidentError as exc:
         return f"{type(exc).__name__}: {exc}"
 
@@ -450,62 +476,67 @@ def _outcome(fn, num, den, p):
 _bases = st.builds(
     lambda lg, phase: 10.0**lg * cmath.exp(1j * phase),
     st.floats(-6, 6), st.floats(0, 2 * math.pi))
-# (pool index, offset in units of SNAP_TOL max(|x|, 1), offset phase)
-_picks = st.tuples(st.integers(0, 5), st.sampled_from([0.0, 0.0, 0.5, 2.0]),
-                   st.floats(0, 2 * math.pi))
+# (pool index, run start or None for a single argument, run length); a
+# pool entry's key is its index shifted by -2, so keys 0 and -k < 0 recur.
+_picks = st.tuples(st.integers(0, 5), st.sampled_from([None, -2, -1, 0, 1]),
+                   st.integers(0, 3))
 
 
 def _build(pool, picks):
-    out = []
-    for k, d, phase in picks:
-        x = pool[k % len(pool)]
-        out.append(x + d * SNAP_TOL * max(abs(x), 1.0) * cmath.exp(1j * phase))
-    return out
+    return [(pool[i % len(pool)], i % len(pool) - 2, lo, None if lo is None else lo + m)
+            for i, lo, m in picks]
 
 
 @settings(max_examples=100, deadline=None)
 @given(pool=st.lists(_bases, min_size=1, max_size=6),
-       num=st.lists(_picks, max_size=12), den=st.lists(_picks, max_size=12),
-       p=st.sampled_from([0.0, 0.1]))
-def test_theta_quotient_matches_scan(pool, num, den, p):
+       num=st.lists(_picks, max_size=8), den=st.lists(_picks, max_size=8),
+       q=st.sampled_from([0.3, 2.5 - 1j]), p=st.sampled_from([0.0, 0.1]))
+def test_theta_quotient_matches_scan(pool, num, den, q, p):
     num, den = _build(pool, num), _build(pool, den)
-    assert _outcome(theta_quotient, num, den, p) == \
-        _outcome(_theta_quotient_scan, num, den, p)
+    assert _outcome(theta_quotient, num, den, q, p) == \
+        _outcome(_theta_quotient_scan, num, den, q, p)
 
 
 def test_theta_quotient_edge_cases_match_scan():
-    big, small = 3.7e5 + 1.2e5j, 2.5e-4 - 1e-4j
+    q, inf, nan = 0.3, math.inf, complex(math.nan, 1.0)
+    one = (1.0, 0, None, None)  # the key-0 argument
     cases = [
         ([], []),
-        ([0.4], []),
-        ([], [0.4]),
-        ([0.4, 0.4, 0.4], [0.4, 0.4]),  # exact duplicates
-        ([big * (1 + 0.5 * SNAP_TOL)], [big]),  # within SNAP_TOL, relative
-        ([big * (1 + 2 * SNAP_TOL)], [big]),  # outside
-        ([small + 0.5 * SNAP_TOL], [small]),  # within, absolute below |x| = 1
-        ([small + 2 * SNAP_TOL], [small, big, -big]),
-        ([small, big], [big, small, big * (1 + 0.5 * SNAP_TOL)]),
-        # |x - y| = inf <= SNAP_TOL inf: an infinite argument matches any finite
-        # one, wherever its real part sorts; nan matches nothing
-        ([0.3, 0.5], [0.5, math.inf, 0.3]),
-        ([0.2, 0.7], [complex(1.0, math.inf), 0.2]),
-        ([0.3, math.inf, 0.5], [0.5, math.inf, complex(math.nan, 0.0), 0.3]),
-        ([complex(math.nan, 1.0), 0.2], [0.2, complex(1.0, math.inf)]),
+        ([(0.4, 5, None, None)], []),
+        ([], [(0.4, 5, None, None)]),
+        ([(0.4, 5, 0, 3)], [(0.4, 5, 0, 2)]),  # a run against a shorter one
+        ([(0.4, 5, None, None)] * 3, [(0.4, 5, None, None)] * 2),  # duplicates
+        ([one, (0.4, 5, None, None)], [one]),  # key 0 cancels key 0
+        ([one, one], [one]),  # a net key-0 numerator
+        ([one], [one, (0.4, 5, None, None)] * 2),  # a net key-0 denominator
+        ([(q**-2, -2, 0, 3)], [(q**-1, -1, 1, 2)]),  # a run through key 0
+        # equal keys cancel whatever the values, infinite or nan ...
+        ([(inf, 3, None, None), (0.2, 1, None, None)], [(0.2, 1, None, None), (nan, 3, 0, 1)]),
+        # ... and distinct keys never do, though the values coincide
+        ([(1.0, 4, None, None), (0.5, 2, None, None)], [(1.0, 7, None, None)]),
+        ([(1.0, 4, None, None)], [(0.5, 7, None, None)]),
+        ([(0.5, 2, None, None)], [(0.5, 3, None, None), (0.5, 2, None, None)]),
     ]
     for num, den in cases:
         for p in (0.0, 0.1):
-            assert _outcome(theta_quotient, num, den, p) == \
-                _outcome(_theta_quotient_scan, num, den, p), (num, den, p)
+            assert _outcome(theta_quotient, num, den, q, p) == \
+                _outcome(_theta_quotient_scan, num, den, q, p), (num, den, p)
 
 
 def test_theta_quotient_cancellation_and_pole():
-    # Coinciding arguments cancel; theta(1; 0) = 0 is then harmless ...
-    assert theta_quotient([0.5, 1.0], [1.0 + 0.5 * SNAP_TOL], 0.0) == 0.5
-    # ... but an uncancelled vanishing denominator is a pole.
+    q = 0.3
+    # Equal keys cancel; theta(1; 0) = 0 is then harmless ...
+    assert theta_quotient([(0.5, 7, None, None), (1.0, 0, None, None)],
+                          [(1.0, 0, None, None)], q, 0.0) == 0.5
+    # ... but an uncancelled key-0 denominator is a pole, and so is a
+    # vanishing denominator theta whose value, not key, meets a numerator's.
     with pytest.raises(PoleCancellationError):
-        theta_quotient([0.5, 1.0 + 2 * SNAP_TOL], [1.0], 0.0)
+        theta_quotient([(0.5, 7, None, None)], [(1.0, 0, None, None)], q, 0.0)
     with pytest.raises(PoleCancellationError):
-        theta_quotient([], [1.0], 0.0)
+        theta_quotient([(0.5, 7, None, None), (1.0, 4, None, None)],
+                       [(1.0, 9, None, None)], q, 0.0)
+    # A value-1 numerator of nonzero key is a numerical zero, not a key's.
+    assert theta_quotient([(1.0, 4, None, None)], [(0.5, 9, None, None)], q, 0.0) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -515,26 +546,26 @@ def test_theta_quotient_cancellation_and_pole():
 def test_keyed_quotient_zero_pole_and_survivors():
     q = 0.3
     # Numerator run q^-2, q^-1, q^0: its key-0 argument is an exact zero ...
-    assert _keyed_quotient([(False, q**-2, -2, 0, 3)], q, 0.0, 2.0) == 0
+    assert theta_quotient([(q**-2, -2, 0, 3)], [], q, 0.0) == 0
     # ... and a pole in the denominator, also under a numerator zero.
-    for runs in ([(True, q**-2, -2, 0, 3)],
-                 [(False, q**-1, -1, 0, 2), (True, q**-1, -1, 0, 2),
-                  (True, q, 1, -1, 0)]):
+    for num, den in (([], [(q**-2, -2, 0, 3)]),
+                     ([(q**-1, -1, 0, 2)], [(q**-1, -1, 0, 2), (q, 1, -1, 0)])):
         with pytest.raises(PoleCancellationError):
-            _keyed_quotient(runs, q, 0.0, 1.0)
+            theta_quotient(num, den, q, 0.0)
     # Equal keys cancel, whatever the float values: the survivors are the
     # numerator's q^-2, q^-1 (key-0 q^0 against the bare denominator 1.0) and
     # the denominator's q^2.
-    runs = [(False, q**-2, -2, 0, 3), (True, 1.0, 0, None, None), (True, q, 1, 1, 2)]
-    assert _keyed_quotient(runs, q, 0.0, 2.0) == \
-        2.0 * theta_quotient([q**-2, q**-2 * q], [q * q], 0.0)
+    assert theta_quotient([(q**-2, -2, 0, 3)], [(1.0, 0, None, None), (q, 1, 1, 2)],
+                          q, 0.0) == theta_product([q**-2, q**-2 * q], [q * q], 0.0)
 
 
-def test_keyed_skew_factors_match_untagged_ledgers(monkeypatch):
+def test_keyed_skew_factors_match_the_p0_transcription(monkeypatch):
     # Every skew factor of the multilateralfinite windows of seeds 0-63 and
-    # of the rank-2 window lam = (2, 1), delta = 0 is keyed; evaluated
-    # untagged, it has the same repr or raises the same error, or else its
-    # keyed value is exact 0 and its float value round-off below 1e-11.
+    # of the rank-2 window lam = (2, 1), delta = 0 is keyed in (s, q).  Where
+    # the independent p = 0 transcription is defined at the same values (no
+    # factor of it vanishes), it agrees: with each nonzero keyed value, and
+    # with each exact 0 below 1e-11.  Each index pair (lam, mu) of them also
+    # agrees with it at a generic point, through plain keys.
     original = wfunc.zw_skew_single
     calls = []
 
@@ -547,50 +578,66 @@ def test_keyed_skew_factors_match_untagged_ledgers(monkeypatch):
         run_case("multilateralfinite", sample_params("multilateralfinite", seed))
     run_case("multilateralfinite", _MLAT_FINITE_RANK2)
     monkeypatch.undo()
-    same = zeros = 0
+    seen = collections.Counter()
     for x, lam, mu, wp in calls:
-        assert isinstance(x, Keyed) and wp.keys is not None
-        keyed = _w_outcome(original, x, lam, mu, wp)
-        plain = WParams(wp.q, wp.p, wp.t, wp.a, wp.b)
-        untagged = _w_outcome(original, x.value, lam, mu, plain)
-        if keyed == untagged:
-            same += 1
+        assert isinstance(x, Keyed) and wp.keys[0] == 1
+        keyed = original(x, lam, mu, wp)
+        try:
+            want = _w_skew_oracle_p0(x.value, lam, mu, wp.q, wp.t, wp.a, wp.b)
+        except (ArithmeticError, DivisionByVanishingFactor):  # a vanishing factor
+            seen["zero" if keyed == 0 else "nonzero", "undefined"] += 1
+            continue
+        if keyed == 0:
+            assert abs(want) < 1e-11, (x, lam, mu, wp)
+            seen["zero", "agrees"] += 1
         else:
-            assert keyed == repr(0j), (x, lam, mu, wp)
-            assert abs(original(x.value, lam, mu, plain)) < 1e-11
-            zeros += 1
-    assert (same, zeros) == (1704, 2112)
+            assert rel(keyed, want) < 1e-9, (x, lam, mu, wp)
+            seen["nonzero", "agrees"] += 1
+    assert seen == {("zero", "undefined"): 2742, ("zero", "agrees"): 141,
+                    ("nonzero", "undefined"): 622, ("nonzero", "agrees"): 311}
+    pairs = sorted({(lam, mu) for _, lam, mu, _ in calls})
+    assert len(pairs) == 262
+    rng = random.Random(53)
+    for lam, mu in pairs:
+        q, t = rng.uniform(0.15, 0.5), rng.uniform(0.2, 0.7)
+        a, b, x = cscalar(rng), cscalar(rng), cscalar(rng, 0.5, 1.5)
+        got = wfunc.zw_skew_single(x, lam, mu, WParams(q, 0.0, t, a, b))
+        assert rel(got, _w_skew_oracle_p0(x, lam, mu, q, t, a, b)) < 1e-12, (lam, mu)
 
 
 def test_rank2_window_evaluates_fewer_numeric_ledgers(monkeypatch):
     # Before keys, each of the rank-2 window's 135 skew ledgers was
-    # multiplied out by theta_quotient (8,550 arguments).  Keyed, 97 are
-    # settled by their key-0 count, and theta_product multiplies the 374
-    # surviving arguments of the other 38; theta_quotient is not called.
+    # multiplied out (8,550 arguments).  Keyed, theta_quotient settles all
+    # 135: 97 by their key-0 count, and theta_product multiplies the 374
+    # surviving arguments of the other 38.
     calls = []
     for name in ("theta_quotient", "theta_product"):
-        def counted(num, den, p, original=getattr(wfunc, name), name=name):
+        def counted(num, den, *args, original=getattr(wfunc, name), name=name):
             calls.append((name, len(num) + len(den)))
-            return original(num, den, p)
+            return original(num, den, *args)
 
         monkeypatch.setattr(wfunc, name, counted)
     r = run_case("multilateralfinite", _MLAT_FINITE_RANK2)
     assert r.status == "pass" and r.terms_used == 121
-    assert {name for name, _ in calls} == {"theta_product"}
-    assert (len(calls), sum(k for _, k in calls)) == (38, 374)
+    assert sum(name == "theta_quotient" for name, _ in calls) == 135
+    products = [k for name, k in calls if name == "theta_product"]
+    assert (len(products), sum(products)) == (38, 374)
 
 
-def test_principal_w_keys_only_generic_s():
+def test_principal_w_keys_every_s_and_refuses_unit_q():
+    # s at a power of q is keyed as any s is: a power of q that equals an
+    # argument of nonzero key is then a zero or a pole, never a cancellation.
     q = 0.3
-    for s in (1.0, q**3, q**-2, q**0.5, -(q**1.5), q * (1 + 1e-9)):
+    for s in (1.0, q**3, q**-2, q**0.5, -(q**1.5), q * (1 + 1e-9), 0.4 + 0.2j, 0.0):
         wp, xv = _principal_w(2, 1, q, s, [3, 1])
-        assert wp.keys is None and xv == [q**3, q]
-    wp, xv = _principal_w(2, 1, q, 0.4 + 0.2j, [3, 1])
-    assert wp.keys == (wfunc.S_KEY + 1, 2)
-    assert xv == [Keyed(q**3, 3), Keyed(q, 1)]
-    for p, t in ((0.1, q), (0.0, 0.4)):
-        with pytest.raises(ValueError):
-            WParams(q, p, t, 0.4, 0.5, (0, 0))
+        assert (wp.p, wp.t, wp.a, wp.b) == (0.0, q, s * q, q**2)
+        assert wp.keys == (1, S_KEY + 1, 2)
+        assert xv == [Keyed(q**3, 3), Keyed(q, 1)]
+    # Where |q| = 1, q^k can be 1 at k != 0, and keys in q would be wrong.
+    for q in (1.0, -1.0, 1j, cmath.exp(0.7j), 1 + 1e-8, 1 - 2e-8):
+        with pytest.raises(DomainError, match=r"needs \|q\| clear of 1"):
+            _principal_w(2, 1, q, 0.4 + 0.2j, [3, 1])
+    _principal_w(2, 1, 1 + 3e-8, 0.4 + 0.2j, [3, 1])
 
 
 # ---------------------------------------------------------------------------
