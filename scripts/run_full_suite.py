@@ -9,7 +9,10 @@ With --compare, the new JSON report is compared with BASE.json (an earlier
 report of this script), meta.timestamp aside: every run entry
 (case_id, sample_index) that differs, or is on one side only, is printed with
 its status in BASE.json and now, the relative change of its lhs and of its
-rhs, and its rel_residual in BASE.json and now, and the exit code is 1 if anything differs and 0 if nothing does.
+rhs, and its rel_residual in BASE.json and now.  Then one line per case
+gives its number of changed runs and of status changes, the largest relative
+change of lhs and of rhs, and the worst rel_residual in BASE.json and now.
+The exit code is 1 if anything differs and 0 if nothing does.
 Without it the exit code is that of `qident run` (1 if any run fails or
 errors).  The package is imported from the `src/` of this script's tree, not
 from an installed copy.
@@ -28,19 +31,35 @@ from qident import cli  # noqa: E402
 from qident.identities import CASES  # noqa: E402
 
 
-def relative_change(new, old):
+def change(new, old):
     """|new - old| / max(|new|, |old|) of two encoded report values
-    ([re, im], or None for NaN), formatted; "n/a" when only one is None."""
+    ([re, im], or None for NaN); 0 when both are None, None when one is."""
     if new is None or old is None:
-        return "0" if new is old else "n/a"
+        return 0.0 if new is old else None
     a, b = complex(*new), complex(*old)
-    return f"{abs(a - b) / max(abs(a), abs(b), 1e-300):.3g}"
+    return abs(a - b) / max(abs(a), abs(b), 1e-300)
+
+
+def relative_change(new, old):
+    """change(new, old), formatted; "n/a" when only one value is None."""
+    c = change(new, old)
+    return "n/a" if c is None else f"{c:.3g}"
+
+
+def _format(r):
+    return "null" if r is None else f"{r:.3g}"
 
 
 def residual(run):
     """A run entry's rel_residual, formatted (null for NaN)."""
-    r = run["rel_residual"]
-    return "null" if r is None else f"{r:.3g}"
+    return _format(run["rel_residual"])
+
+
+def worst_residual(runs):
+    """The largest rel_residual of some run entries, formatted; null when
+    none has one."""
+    values = [r["rel_residual"] for r in runs if r and r["rel_residual"] is not None]
+    return _format(max(values, default=None))
 
 
 def run_difference(run, base_run):
@@ -79,6 +98,35 @@ def report_differences(doc, base):
     return out
 
 
+def case_summaries(doc, base):
+    """One line per case (in the base report's order, then new cases): its
+    changed runs and status changes, the largest relative change of lhs and
+    of rhs over runs on both sides (n/a if one side alone is NaN), and its
+    worst rel_residual in base and in doc."""
+    cases = {}  # case_id -> sample_index -> [run in doc, run in base]
+    for index, d in ((1, base), (0, doc)):
+        for r in d["runs"]:
+            pair = cases.setdefault(r["case_id"], {}).setdefault(r["sample_index"],
+                                                                 [None, None])
+            pair[index] = r
+    out = []
+    for case_id, pairs in cases.items():
+        changed = [(run, b) for run, b in pairs.values() if run != b]
+        statuses = sum((run or {}).get("status") != (b or {}).get("status")
+                       for run, b in changed)
+        moves = {}
+        for side in ("lhs", "rhs"):
+            values = [change(run[side], b[side]) for run, b in changed if run and b]
+            moves[side] = ("n/a" if None in values
+                           else f"{max(values, default=0.0):.3g}")
+        out.append(f"case {case_id}: {len(changed)} of {len(pairs)} runs changed, "
+                   f"{statuses} status changes, largest relative change "
+                   f"lhs {moves['lhs']} rhs {moves['rhs']}, worst rel_residual "
+                   f"{worst_residual(b for _, b in pairs.values())} -> "
+                   f"{worst_residual(run for run, _ in pairs.values())}")
+    return out
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=0)
@@ -103,9 +151,12 @@ def main(argv=None):
         return cli.exit_code(rset)
     with open(args.compare, encoding="utf-8") as fh:
         base = json.load(fh)
-    diffs = report_differences(json.loads(text), base)
+    doc = json.loads(text)
+    diffs = report_differences(doc, base)
     for label in diffs:
         print(f"differs: {label}")
+    for line in case_summaries(doc, base):
+        print(line)
     print(f"{len(diffs)} differences from {args.compare}")
     return 1 if diffs else 0
 

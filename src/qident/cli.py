@@ -426,6 +426,11 @@ def main(argv=None) -> int:
                                          "params": params})]
         else:
             raise ConfigError("run requires --config or --case")
+        for option, path in (("--out", args.out), ("--csv", args.csv)):
+            folder = os.path.dirname(path or "") or "."
+            if path and (os.path.isdir(path) or not os.access(
+                    path if os.path.exists(path) else folder, os.W_OK)):
+                raise ConfigError(f"{option} {path}: not a writable file")
         rset = run(configs, parallelism=args.parallelism)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -48,9 +48,11 @@ from .qcore import (
     epoch,
     pair_poch_ratio,
     poch_inf,
+    poch_inf_tail,
     poch_int,
     poch_multi,
     poch_multi_inf,
+    tail_radius,
     theta,
 )
 from .series import SeriesSpec, eval_psi, eval_phi
@@ -183,12 +185,10 @@ STRUCT_ZERO_TOL = 1e-10
 
 
 def _poch_inf_split(a, q, policy):
-    """(zeros, value): the infinite product (a;q)_inf with exact-zero factors
-    counted separately from the regular part.  Under qcore.THETA_MEMO the
-    pair is memoized, keyed as theta is plus a "split" tag."""
-    memo = THETA_MEMO.get()
-    if memo is None:
-        return _poch_inf_split_product(a, q, policy)
+    """(zeros, value): (a;q)_inf with exact-zero factors counted apart from
+    the regular part, memoized as theta is plus a "split" tag.  A zero has
+    |a q^k| near 1 > tail_radius(q), so it lies before the Euler tail."""
+    memo = THETA_MEMO.get({})
     key = ("split", a, q, type(a), type(q), policy.product_tol, policy.max_factors)
     v = memo.get(key)
     if v is None:
@@ -197,12 +197,13 @@ def _poch_inf_split(a, q, policy):
 
 
 def _poch_inf_split_product(a, q, policy):
+    rho = tail_radius(q)
     zeros = 0
     r = 1.0 + 0j
     x = a
     for _ in range(policy.max_factors):
-        if abs(x) < policy.product_tol:
-            return zeros, r
+        if abs(x) <= rho:
+            return zeros, r * poch_inf_tail(x, q, policy)
         f = 1 - x
         if abs(f) < STRUCT_ZERO_TOL:
             zeros += 1

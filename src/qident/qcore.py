@@ -7,18 +7,18 @@ or mpmath complex values (for high-precision runs) and return results in the
 same arithmetic.  Complex powers use the principal branch throughout.
 
 The one state is THETA_MEMO: while ``identities.run_case`` evaluates,
-theta(x;p) at p != 0, and identities' split infinite products (under keys
-tagged "split"), are computed once per argument and policy and then read
-back.  A memo value is the kernel's value bit for bit, so the memo changes no
-result, and both sides of an identity may share it: they call the same
-kernel either way.  It is a context variable, so threads do not share it, and
-run_case drops it on return, so no value outlives one evaluation.  Outside
-run_case both compute afresh.
+theta(x;p) at p != 0, identities' split infinite products ("split" keys) and
+Euler's tail coefficients ("euler" keys) are computed once per argument and
+policy and read back.  A memo value is the kernel's value bit for bit, so the
+memo changes no result, and both sides of an identity may share it: they
+call the same kernel either way.  It is a context variable, so threads do
+not share it, and run_case drops it on return, so no value outlives one
+evaluation.  Outside run_case, get({}) yields a throwaway: all compute afresh.
 
 Conventions:
   (a;q)_k        finite product prod_{i=1..k} (1 - a q^{i-1}); for k < 0 it is
                  1 / (a q^k; q)_{-k}.
-  (a;q)_inf      prod_{i>=0} (1 - a q^i), truncated by policy.
+  (a;q)_inf      prod_{i>=0} (1 - a q^i), its tail summed by Euler (poch_inf).
   theta(x;p)     (x;p)_inf (p/x;p)_inf; theta(x;0) = 1 - x.
   (a;q,p)_n      prod_{k=0..n-1} theta(a q^k; p), for n >= 0 only.
 """
@@ -81,15 +81,51 @@ def poch_multi(avals, q, k: int):
     return r
 
 
+def tail_radius(q) -> float:
+    """rho(q) = min(1/4, (1 - |q|) ln 2 / 2), see poch_inf."""
+    return min(0.25, (1 - float(abs(q))) * 0.34657359027997264)
+
+
+def _euler_coefficients(q, policy):
+    """Euler's c_n (see poch_inf), highest first, in q's arithmetic."""
+    rho, coeffs, c = tail_radius(q), [], 1
+    for n in range(policy.max_factors):
+        if abs(c) * rho**n < policy.product_tol:
+            return coeffs[::-1]
+        coeffs.append(c)
+        c = -c * q**n / (1 - q ** (n + 1))
+    raise NoConvergence("poch_inf: max_factors reached before tail threshold")
+
+
+def poch_inf_tail(y, q, policy: TruncationPolicy = DEFAULT_POLICY):
+    """(y;q)_inf for |y| <= tail_radius(q): Horner on memoized Euler c_n."""
+    key = ("euler", q, type(q), policy.product_tol, policy.max_factors)
+    memo = THETA_MEMO.get({})
+    coeffs = memo.get(key)
+    if coeffs is None:
+        coeffs = memo[key] = _euler_coefficients(q, policy)
+    s = 0
+    for c in coeffs:
+        s = s * y + c
+    return s
+
+
 def poch_inf(a, q, policy: TruncationPolicy = DEFAULT_POLICY):
-    """Infinite q-Pochhammer symbol (a;q)_inf, truncated per policy."""
+    """Infinite q-Pochhammer symbol (a;q)_inf, truncated per policy.
+
+    Factors 1 - a q^k are multiplied out (an exact zero returns 0) while
+    |a q^k| > rho(q) = min(1/4, (1 - |q|) ln 2 / 2); the tail at y = a q^K is
+    Euler's sum_n c_n y^n, c_0 = 1, c_{n+1} = -c_n q^n / (1 - q^{n+1})
+    (Gasper-Rahman 1.3), cut at the first |c_n| rho^n < product_tol.  Its
+    condition bound (-rho;|q|)_inf / (rho;|q|)_inf stays near 2 (<= 2.02)."""
     if abs(q) >= 1:
         raise DomainError("poch_inf requires |q| < 1")
+    rho = tail_radius(q)
     r = 1.0 + 0j
     x = a
     for _ in range(policy.max_factors):
-        if abs(x) < policy.product_tol:
-            return r
+        if abs(x) <= rho:
+            return r * poch_inf_tail(x, q, policy)
         r = r * (1 - x)
         if r == 0:
             return r
@@ -117,9 +153,7 @@ def theta(x, p, policy: TruncationPolicy = DEFAULT_POLICY):
         return 1 - x
     if abs(p) >= 1:
         raise DomainError("theta requires |p| < 1")
-    memo = THETA_MEMO.get()
-    if memo is None:
-        return poch_inf(x, p, policy) * poch_inf(p / x, p, policy)
+    memo = THETA_MEMO.get({})
     key = (x, p, type(x), type(p), policy.product_tol, policy.max_factors)
     v = memo.get(key)
     if v is None:

@@ -168,6 +168,26 @@ def test_main_rejects_nonfinite_tol_in_both_paths(tmp_path, capsys):
     assert "config error: tol must be a positive finite number" in capsys.readouterr().err
 
 
+def test_main_unwritable_report_path_exits_2_before_the_batch(
+        tmp_path, capsys, monkeypatch):
+    # A missing directory or a directory path, for --out or for --csv, is a
+    # one-line usage error before any sample runs.
+    ran = []
+    monkeypatch.setattr("qident.cli.run", lambda *a, **k: ran.append(a))
+    for option in ("--out", "--csv"):
+        for path in (tmp_path / "missing" / "x.json", tmp_path):
+            assert main(["run", "--case", "c1macdonald", option, str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err == f"config error: {option} {path}: not a writable file\n"
+    assert ran == []
+
+
+def test_main_report_paths_to_dev_null_still_work(capsys):
+    assert main(["run", "--case", "c1macdonald", "--out", os.devnull,
+                 "--csv", os.devnull]) == 0
+    assert capsys.readouterr().err == "pass=1 fail=0 error=0\n"
+
+
 def test_main_case_path_checks_samples_tol_and_seed(capsys):
     # run --case goes through the checks of a config entry.
     for flags in (["--samples", "0"], ["--tol", "-1"], ["--seed", "-3"]):
@@ -584,6 +604,8 @@ def test_full_suite_compare(tmp_path):
     same = suite("same", "--compare", str(base))
     assert same.returncode == 0, same.stdout + same.stderr
     assert "0 differences" in same.stdout
+    assert same.stdout.count(" 0 of 1 runs changed, 0 status changes, largest "
+                             "relative change lhs 0 rhs 0, worst rel_residual") == 17
     doc = json.loads(base.read_text())
     doc["meta"]["timestamp"] = "1970-01-01T00:00:00Z"  # ignored
     entry = doc["runs"][3]
@@ -613,6 +635,24 @@ def test_full_suite_compare(tmp_path):
             f"rel_residual 0.5 -> {moved_residual:.3g}\n" in diff.stdout)
     assert (f"differs: {dropped['case_id']} {dropped['sample_index']}: status "
             f"absent -> {dropped['status']}\n" in diff.stdout)
+    # After the run lines, one line per case: a case without the sample in
+    # the base report comes last.
+    lines = diff.stdout.splitlines()
+    cases = [line for line in lines if line.startswith("case ")]
+    assert len(cases) == 17 and lines.index(cases[0]) > lines.index(
+        [line for line in lines if line.startswith("differs:")][-1])
+    assert cases[-1] == (
+        f"case {dropped['case_id']}: 1 of 1 runs changed, 1 status changes, "
+        f"largest relative change lhs 0 rhs 0, worst rel_residual null -> "
+        f"{dropped['rel_residual']:.3g}")
+    assert (f"case {moved['case_id']}: 1 of 1 runs changed, 1 status changes, "
+            f"largest relative change lhs 1e-06 rhs 0, worst rel_residual 0.5 -> "
+            f"{moved_residual:.3g}") in cases
+    assert (f"case {entry['case_id']}: 1 of 1 runs changed, 0 status changes, "
+            f"largest relative change lhs 0 rhs 0, worst rel_residual "
+            f"{residual} -> {residual}") in cases
+    assert sum(" 0 of 1 runs changed, 0 status changes," in line
+               for line in cases) == 13
 
 
 def _result_line(tail_ms, samples_per_s, failed=0, correct=True):

@@ -1188,6 +1188,40 @@ def test_summand_invariance_split_products_once_per_evaluation(monkeypatch):
         fresh, case_id="summandinvariance", params=dict(params, tol=1e-9)))
 
 
+def _split_multiplied_out(a, q, policy):
+    """(zeros, value) of the split product with every factor multiplied out
+    to |a q^k| < product_tol, the reference for the summed Euler tail."""
+    zeros, r, x = 0, 1.0 + 0j, a
+    while abs(x) >= policy.product_tol:
+        f = 1 - x
+        if abs(f) < identities.STRUCT_ZERO_TOL:
+            zeros += 1
+        else:
+            r = r * f
+        x = x * q
+    return zeros, r
+
+
+def test_split_product_zero_counts_unchanged_by_the_euler_tail(monkeypatch):
+    # Every split product of summandinvariance seeds 0-59 counts the zeros
+    # that the multiplied-out product counts, and its regular value agrees.
+    original = identities._poch_inf_split_product
+    counted = []
+
+    def checked(a, q, policy):
+        zeros, value = original(a, q, policy)
+        old_zeros, old_value = _split_multiplied_out(a, q, policy)
+        assert zeros == old_zeros and rel(value, old_value) < 1e-13
+        counted.append(zeros)
+        return zeros, value
+
+    monkeypatch.setattr(identities, "_poch_inf_split_product", checked)
+    for seed in range(60):
+        assert run_case("summandinvariance",
+                        sample_params("summandinvariance", seed)).status == "pass"
+    assert len(counted) > 1000 and sum(counted) > 100
+
+
 def test_summand_invariance_overflow_is_an_error_report():
     # q^k overflows at these k; the OverflowError escaped run_case.
     for k in (300, 400, -400):

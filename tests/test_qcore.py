@@ -1,5 +1,6 @@
 """Scalar q-Pochhammer / theta kernel tests."""
 
+import cmath
 import random
 import sys
 
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qident.qcore as qcore
-from qident.errors import DivisionByVanishingFactor, DomainError
+from qident.errors import DivisionByVanishingFactor, DomainError, NoConvergence
 from qident.policy import TruncationPolicy
 from qident.qcore import (
     THETA_MEMO,
@@ -18,6 +19,7 @@ from qident.qcore import (
     poch_inf,
     poch_int,
     poch_multi,
+    tail_radius,
     theta,
 )
 
@@ -101,8 +103,11 @@ def test_poch_inf_half_half():
 
 
 def test_poch_inf_vanishing_factor():
-    # second factor 1 - 2*0.5 = 0
+    # second factor 1 - 2*0.5 = 0; at a = 8 the fourth, 1 - 8*0.5^3.  Both lie
+    # above the Euler tail, which has no zero.
     assert poch_inf(2.0, 0.5) == 0
+    assert poch_inf(8.0, 0.5) == 0
+    assert poch_inf(8.0 + 0j, 0.5 + 0j) == 0
 
 
 def test_poch_inf_domain_error():
@@ -119,6 +124,82 @@ def test_poch_inf_max_factors_stability():
         q = rng.uniform(0.1, 0.6)
         assert abs(poch_inf(a, q, base) - poch_inf(a, q, doubled)) \
             < base.product_tol * 10
+
+
+def _multiplied_out(a, q, policy=TruncationPolicy()):
+    """(a;q)_inf with every factor multiplied out to |a q^k| < product_tol,
+    the reference for the summed Euler tail."""
+    r, x = 1.0 + 0j, a
+    while abs(x) >= policy.product_tol:
+        r, x = r * (1 - x), x * q
+        if r == 0:
+            break
+    return r
+
+
+# Per q, the number of a drawn: mpmath.qp takes about 0.1 s an argument at
+# q = 0.97, and 1e-3 s at q = 0.1.
+_TAIL_SWEEP = [(0.1, 64), (0.3, 64), (0.6, 64), (0.9, 32), (0.97, 16),
+               (0.5 * cmath.exp(1j), 64), (0.9 * cmath.exp(2j), 32)]
+
+
+@pytest.mark.parametrize("q, count", _TAIL_SWEEP)
+def test_poch_inf_euler_tail_against_mpmath(q, count):
+    # |a| in [0.01, 3], log-uniform, at any phase; errors relative to
+    # mpmath.qp at 30 digits.  The summed tail is no less accurate than the
+    # multiplied-out product, up to a factor 2.
+    rng = random.Random(17)
+    worst_tail = worst_product = 0.0
+    with mpmath.workdps(30):
+        for _ in range(count):
+            a = cmath.rect(10 ** rng.uniform(-2, 0.4772), rng.uniform(-3.1416, 3.1416))
+            ref = mpmath.qp(mpmath.mpc(a), mpmath.mpc(q))
+            worst_tail = max(worst_tail, float(abs(poch_inf(a, q) - ref) / abs(ref)))
+            worst_product = max(worst_product,
+                                float(abs(_multiplied_out(a, q) - ref) / abs(ref)))
+    assert worst_tail <= 2 * worst_product, (worst_tail, worst_product)
+
+
+def test_tail_radius_shrinks_with_one_minus_abs_q():
+    # A fixed radius 1/4 lost 4 digits at q = 0.97; the condition bound
+    # (-rho;|q|)_inf / (rho;|q|)_inf stays near 2 when rho ~ (1 - |q|) ln 2 / 2
+    # (2.02 at most, near |q| = 0.3).
+    assert tail_radius(0.1) == tail_radius(0.1j) == 0.25
+    assert tail_radius(0.97) < 0.02
+    for q in (0.1, 0.3, 0.5, 0.9, 0.97):
+        rho = tail_radius(q)
+        assert 1.7 < mpmath.qp(-rho, q) / mpmath.qp(rho, q) < 2.05
+
+
+def test_poch_inf_nan_argument_is_no_convergence():
+    for a, q in ((float("nan"), 0.5), (complex(0.1, float("nan")), 0.5),
+                 (0.3, complex(float("nan"), 0.1))):
+        with pytest.raises(NoConvergence):
+            poch_inf(a, q, TruncationPolicy(max_factors=50))
+
+
+def test_poch_inf_stays_in_mpmath_arithmetic():
+    a, q = mpmath.mpc(0.3, 0.2), mpmath.mpf(0.6)
+    v = poch_inf(a, q)
+    assert isinstance(v, mpmath.mpc)
+    with mpmath.workdps(30):
+        assert abs(v - mpmath.qp(a, q)) < 1e-16
+
+
+def test_poch_inf_memo_changes_no_value():
+    # Coefficients read back from the memo give the values computed afresh,
+    # bit for bit, in either arithmetic.
+    rng = random.Random(9)
+    args = [(cmath.rect(rng.uniform(0.01, 3), rng.uniform(-3, 3)), q)
+            for q in (0.2, 0.45 + 0.3j, 0.93) for _ in range(20)]
+    args += [(mpmath.mpc(a), mpmath.mpc(q)) for a, q in args[:5]]
+    fresh = [repr(poch_inf(a, q)) for a, q in args]
+    token = THETA_MEMO.set({})
+    try:
+        for _ in range(2):
+            assert [repr(poch_inf(a, q)) for a, q in args] == fresh
+    finally:
+        THETA_MEMO.reset(token)
 
 
 # ---------------------------------------------------------------------------
@@ -178,16 +259,23 @@ def test_theta_inversion_property(re, im, p):
 
 
 def test_theta_memo_returns_the_kernel_value_once_per_key(monkeypatch):
-    calls = []
+    calls, builds = [], []
+    build = qcore._euler_coefficients
 
     def counting(a, q, policy):
         calls.append(a)
         return poch_inf(a, q, policy)
 
+    def counting_build(q, policy):
+        builds.append((q, type(q), policy.product_tol))
+        return build(q, policy)
+
     monkeypatch.setattr(qcore, "poch_inf", counting)
+    monkeypatch.setattr(qcore, "_euler_coefficients", counting_build)
     x, p = 0.4 + 0.3j, 0.1
     fresh = theta(x, p)
     assert len(calls) == 2 and THETA_MEMO.get() is None
+    del builds[:]
     token = THETA_MEMO.set({})
     try:
         assert repr(theta(x, p)) == repr(fresh) and len(calls) == 4
@@ -198,12 +286,24 @@ def test_theta_memo_returns_the_kernel_value_once_per_key(monkeypatch):
         assert len(calls) == 8
         # p = 0 never reaches the memo.
         assert theta(x, 0.0) == 1 - x
-        assert len(THETA_MEMO.get()) == 3
+        mf = TruncationPolicy().max_factors
+        assert {k for k in THETA_MEMO.get() if k[0] != "euler"} == {
+            (x, p, complex, float, 1e-17, mf), (x, p, complex, float, 1e-12, mf),
+            (mpmath.mpc(x), p, mpmath.mpc, float, 1e-17, mf)}
+        # Euler's coefficients are built once per (q, type, product_tol): the
+        # mpmath x shares the double p's.  Outside the memo every product
+        # builds its own.
+        assert builds == [(p, float, 1e-17), (p, float, 1e-12)]
+        poch_inf(x, mpmath.mpf(p))
+        poch_inf(x / 2, mpmath.mpf(p))
+        assert builds[2:] == [(p, mpmath.mpf, 1e-17)]
+        assert len(THETA_MEMO.get()) == 6
     finally:
         THETA_MEMO.reset(token)
     assert THETA_MEMO.get() is None
+    del builds[:]
     theta(x, p)
-    assert len(calls) == 10
+    assert len(calls) == 10 and len(builds) == 2
 
 
 # ---------------------------------------------------------------------------
