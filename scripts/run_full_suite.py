@@ -13,6 +13,9 @@ rhs, and its rel_residual in BASE.json and now.  Then one line per case
 gives its number of changed runs and of status changes, the largest relative
 change of lhs and of rhs, and the worst rel_residual in BASE.json and now.
 The exit code is 1 if anything differs and 0 if nothing does.
+An --out or --csv path that cannot be written, and a --compare file that
+cannot be read or is not such a report, are one `config error:` line on
+stderr and exit code 2, before any sample runs.
 Without it the exit code is that of `qident run` (1 if any run fails or
 errors).  The package is imported from the `src/` of this script's tree, not
 from an installed copy.
@@ -28,6 +31,7 @@ if sys.path[0] != SRC:
     sys.path.insert(0, SRC)
 
 from qident import cli  # noqa: E402
+from qident.errors import ConfigError  # noqa: E402
 from qident.identities import CASES  # noqa: E402
 
 
@@ -127,6 +131,21 @@ def case_summaries(doc, base):
     return out
 
 
+def read_report(path):
+    """The report document in the JSON file path, for --compare; ConfigError
+    when the file cannot be read, is not JSON or is not a report."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"--compare {path}: cannot read: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"--compare {path}: malformed JSON: {exc}") from None
+    if not (isinstance(doc, dict) and {"meta", "summary", "runs"} <= doc.keys()):
+        raise ConfigError(f"--compare {path}: not a report of this script")
+    return doc
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=0)
@@ -137,6 +156,13 @@ def main(argv=None):
     ap.add_argument("--compare", metavar="BASE.json",
                     help="compare the JSON report with this earlier one")
     args = ap.parse_args(argv)
+    try:
+        for option, path in (("--out", args.out), ("--csv", args.csv)):
+            cli.check_writable(option, path)
+        base = None if args.compare is None else read_report(args.compare)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
 
     configs = [cli.CaseConfig(case_id=cid, seed=args.seed, samples=args.samples)
                for cid in CASES]
@@ -147,10 +173,8 @@ def main(argv=None):
     s = rset.summary
     print(f"wrote {args.out} and {args.csv}: "
           f"pass={s['pass']} fail={s['fail']} error={s['error']}")
-    if args.compare is None:
+    if base is None:
         return cli.exit_code(rset)
-    with open(args.compare, encoding="utf-8") as fh:
-        base = json.load(fh)
     doc = json.loads(text)
     diffs = report_differences(doc, base)
     for label in diffs:

@@ -350,6 +350,15 @@ def write_text(path: str, text: str) -> None:
             fh.truncate()
 
 
+def check_writable(option: str, path) -> None:
+    """Raise ConfigError unless path (None: no file), given to option, is a
+    writable file or can be made in a writable folder; checked before a batch."""
+    folder = os.path.dirname(path or "") or "."
+    if path and (os.path.isdir(path) or not os.access(
+            path if os.path.exists(path) else folder, os.W_OK)):
+        raise ConfigError(f"{option} {path}: not a writable file")
+
+
 def write_csv(rset: ReportSet, path: str) -> None:
     """Flatten one report per row (JSON remains the source of truth)."""
     buf = io.StringIO(newline="")
@@ -427,10 +436,7 @@ def main(argv=None) -> int:
         else:
             raise ConfigError("run requires --config or --case")
         for option, path in (("--out", args.out), ("--csv", args.csv)):
-            folder = os.path.dirname(path or "") or "."
-            if path and (os.path.isdir(path) or not os.access(
-                    path if os.path.exists(path) else folder, os.W_OK)):
-                raise ConfigError(f"{option} {path}: not a writable file")
+            check_writable(option, path)
         rset = run(configs, parallelism=args.parallelism)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -47,7 +47,6 @@ from .qcore import (
     csqrt,
     epoch,
     pair_poch_ratio,
-    poch_inf,
     poch_inf_tail,
     poch_int,
     poch_multi,
@@ -290,7 +289,7 @@ def _jackson_point(lam, n, q, t):
             for i in range(1, n + 1)]
 
 
-def simplified_jackson_lhs(x, lam, n, q, p, t, a, b, s):
+def simplified_jackson_lhs(x, lam, q, p, t, a, b, s):
     return poch_partition_multi([s / x, a * s * x], q, p, t, lam) \
         / poch_partition_multi([q * b * x, q * b / (a * x)], q, p, t, lam)
 
@@ -413,15 +412,6 @@ def _mlat_pairs(i, n, delta, q, s, a, x):
             (a * x * shift, big / (a * x) * shift))
 
 
-def _mlat_pair_factors(mu, n, delta, q, s, a, x):
-    """Common paired-ratio Pochhammer part of the multilateral summands."""
-    r = 1.0 + 0j
-    for i in range(1, n + 1):
-        for anum, aden in _mlat_pairs(i, n, delta, q, s, a, x):
-            r = r * pair_poch_ratio(anum, aden, q, part(mu, i))
-    return r
-
-
 def _principal_w(n, delta, q, s, exps):
     """W parameters p = 0, t = q, a = s q^delta, b = q^{delta+n-1} and the
     variables x_i = q^{exps_i} of the multilateral and degree identities,
@@ -437,27 +427,42 @@ def _principal_w(n, delta, q, s, exps):
 
 
 def mlat_finite_summand(mu, lam, n, delta, q, s, a, x, memo=None):
-    """Summand of the finite multilateral identity at mu in Z^n.
-
-    memo is passed to zw_multi; its W arguments depend on mu only through
-    the index, so one memo may serve every mu of a window."""
+    """Summand of the finite multilateral identity at mu in Z^n (0 unless mu
+    is dominant).  One memo serves every mu of one (lam, n, delta, q, s, a,
+    x) and holds what they share, made on first use: the principal W point,
+    the Delta denominators, per coordinate and order the pair ratios (filled
+    when a point first reads them, so a ratio that raises does so at the
+    point that reads it) and zw_multi's W values."""
     mu = tuple(mu)
     if any(mu[i] < mu[i + 1] for i in range(n - 1)):
         return 0.0 + 0j
+    if memo is None:
+        memo = {}
+    shared = memo.get("mlat")
+    if shared is None:
+        wp, xl = _principal_w(n, delta, q, s, [part(lam, i) + n - i for i in range(1, n + 1)])
+        pairs = [_mlat_pairs(i, n, delta, q, s, a, x) for i in range(1, n + 1)]
+        cross = [(i - 1, j - 1, j - i, 1 - q ** (j - i), delta + 2 * n - i - j,
+                  1 - q ** (delta + 2 * n - i - j))
+                 for j in range(2, n + 1) for i in range(1, j)]
+        shared = memo["mlat"] = (wp, xl, pairs, [{} for _ in pairs], cross)
+    wp, xl, pairs, ratios, cross = shared
     term = q ** (weight(mu) + 2 * nstat(mu))
-    term = term * _mlat_pair_factors(mu, n, delta, q, s, a, x)
+    r = 1.0 + 0j
+    for pr, table, k in zip(pairs, ratios, mu):
+        row = table.get(k)
+        if row is None:
+            row = table[k] = [pair_poch_ratio(anum, aden, q, k) for anum, aden in pr]
+        for f in row:
+            r = r * f
+    term = term * r
     if term == 0:
         return term
-    for j in range(2, n + 1):
-        for i in range(1, j):
-            dm = part(mu, i) - part(mu, j)
-            sm = part(mu, i) + part(mu, j)
-            term = term * (1 - q ** (j - i + dm)) / (1 - q ** (j - i))
-            term = term * (1 - q ** (delta + 2 * n - i - j + sm)) \
-                / (1 - q ** (delta + 2 * n - i - j))
+    for i, j, e, de, f, df in cross:
+        term = term * (1 - q ** (e + mu[i] - mu[j])) / de
+        term = term * (1 - q ** (f + mu[i] + mu[j])) / df
     if term == 0:
         return term
-    wp, xl = _principal_w(n, delta, q, s, [part(lam, i) + n - i for i in range(1, n + 1)])
     return term * zw_multi(xl, mu, wp, memo=memo)
 
 
@@ -471,7 +476,11 @@ def mlat_3psi3_summand(mu, n, delta, q, s, a, x):
         return 0.0 + 0j
     w = weight(mu)
     term = (s * q ** (1 - n)) ** w * q ** (2 * nstat(mu))
-    term = term * _mlat_pair_factors(mu, n, delta, q, s, a, x)
+    r = 1.0 + 0j
+    for i in range(1, n + 1):
+        for anum, aden in _mlat_pairs(i, n, delta, q, s, a, x):
+            r = r * pair_poch_ratio(anum, aden, q, part(mu, i))
+    term = term * r
     if term == 0:
         return term
     for j in range(2, n + 1):
@@ -499,10 +508,7 @@ def _mlat_product_side(n, delta, q, s, a, x, policy):
     big = q ** (delta + 2 * n - 1)
 
     def pn(c):
-        r = 1.0 + 0j
-        for i in range(1, n + 1):
-            r = r * poch_inf(c * q ** (1 - i), q, policy)
-        return r
+        return poch_multi_inf([c * q ** (1 - i) for i in range(1, n + 1)], q, policy)
 
     prod = pn(s / x) * pn(a * s * x) / (pn(s) * pn(a * s))
     prod = prod * pn(big) * pn(big / a) / (pn(big * x) * pn(big / (a * x)))
@@ -930,7 +936,7 @@ def verify_multiple_jackson(lam, n, z, q, p, t, a, b, s, tol, policy):
 
 
 def verify_simplified_jackson(lam, n, x, q, p, t, a, b, s, tol, policy):
-    lhs = simplified_jackson_lhs(x, lam, n, q, p, t, a, b, s)
+    lhs = simplified_jackson_lhs(x, lam, q, p, t, a, b, s)
     rhs = simplified_jackson_rhs(x, lam, n, q, p, t, a, b, s)
     return judge((lhs, rhs), tol, len(subpartitions(lam)))
 
@@ -957,18 +963,10 @@ def verify_weyl_degree(mu, N, n, s, delta, q, tol, policy):
 def verify_multilateral_finite(lam, n, x, s, a, q, delta, tol, policy):
     """The finite multilateral identity: partition Pochhammers on the left,
     mlat_norm times the sum of mlat_finite_summand over mlat_finite_window on
-    the right (refused beyond MAX_LATTICE_TERMS points).
-
-    The window sum builds each dominant point's summand as
-    mlat_finite_summand does, factor by factor in the same order, but what
-    does not depend on the point is made once per sum: the principal W
-    parameters (_principal_w), the Delta denominators and, per coordinate i
-    and order mu_i, the three pair ratios, each entry filled when a point
-    first reads it (so a ratio that raises does so at the point where
-    mlat_finite_summand would).  The W values share one memo.  Every summand,
-    and so the sum, is bit for bit mlat_finite_summand's.  Five exterior
-    points are checked with mlat_finite_summand itself: one that does not
-    vanish is a NoConvergence error."""
+    the right (refused beyond MAX_LATTICE_TERMS points).  Every point of the
+    window, in lattice_window's order, and then five dominant exterior points
+    are evaluated by mlat_finite_summand under one memo; an exterior summand
+    that does not vanish is a NoConvergence error."""
     upper, lower = mlat_finite_window(lam, n, delta)
     points = math.prod(max(hi - lo + 1, 0) for lo, hi in zip(lower, upper))
     if points > MAX_LATTICE_TERMS:
@@ -979,33 +977,9 @@ def verify_multilateral_finite(lam, n, x, s, a, q, delta, tol, policy):
         / poch_partition_multi([s, a * s], q, 0.0, q, lam) \
         * poch_partition_multi([big, big / a], q, 0.0, q, lam) \
         / poch_partition_multi([big * x, big / (a * x)], q, 0.0, q, lam)
-    wp, xl = _principal_w(n, delta, q, s, [part(lam, i) + n - i for i in range(1, n + 1)])
-    pairs = [_mlat_pairs(i, n, delta, q, s, a, x) for i in range(1, n + 1)]
-    ratios = [{} for _ in pairs]  # per coordinate: order -> its three pair ratios
-    cross = [(i - 1, j - 1, j - i, 1 - q ** (j - i), delta + 2 * n - i - j,
-              1 - q ** (delta + 2 * n - i - j))
-             for j in range(2, n + 1) for i in range(1, j)]
-    total = 0.0 + 0j
     memo = {}
-    for mu in lattice_window(upper, lower):
-        if any(mu[i] < mu[i + 1] for i in range(n - 1)):
-            continue
-        term = q ** (weight(mu) + 2 * nstat(mu))
-        r = 1.0 + 0j
-        for pr, table, k in zip(pairs, ratios, mu):
-            row = table.get(k)
-            if row is None:
-                row = table[k] = [pair_poch_ratio(anum, aden, q, k) for anum, aden in pr]
-            for f in row:
-                r = r * f
-        term = term * r
-        if term == 0:
-            continue
-        for i, j, e, de, f, df in cross:
-            term = term * (1 - q ** (e + mu[i] - mu[j])) / de
-            term = term * (1 - q ** (f + mu[i] + mu[j])) / df
-        if term != 0:
-            total += term * zw_multi(xl, mu, wp, memo=memo)
+    total = sum((mlat_finite_summand(mu, lam, n, delta, q, s, a, x, memo)
+                 for mu in lattice_window(upper, lower)), 0.0 + 0j)
     rhs = mlat_norm(n, delta, q) * total
     # Out-of-window vanishing check at five dominant exterior lattice points.
     exterior = [tuple(part(lam, 1) + 1 + j for _ in range(n)) for j in range(3)]
@@ -1057,7 +1031,7 @@ def _away(bases, q, kmax=12, tol=POLE_REJECT):
     return True
 
 
-def _retry(rng, draw, ok, tries=5000):
+def _retry(draw, ok, tries=5000):
     for _ in range(tries):
         cand = draw()
         if ok(cand):
@@ -1089,19 +1063,10 @@ def _sample_jackson(rng):
         # conditioning gate: the terminating sum must not be a near-complete
         # cancellation of much larger terms, or double precision cannot reach
         # the target residual on the draw
-        total, peak = 0.0 + 0j, 0.0
-        for k in range(n + 1):
-            t = (1 - a * q ** (2 * k)) / (1 - a) * q**k
-            for v in (a, b, c, d, e, q**-n):
-                t *= poch_int(v, q, k)
-            for v in (q, a * q / b, a * q / c, a * q / d, a * q / e,
-                      a * q ** (n + 1)):
-                t /= poch_int(v, q, k)
-            total += t
-            peak = max(peak, abs(t))
-        return abs(total) >= 1e-4 * peak
+        terms = [vwp_jackson_term(k, a, b, c, d, n, q) for k in range(n + 1)]
+        return abs(sum(terms)) >= 1e-4 * max(map(abs, terms))
 
-    return _retry(rng, draw, ok)
+    return _retry(draw, ok)
 
 
 def _sample_bailey10(rng):
@@ -1121,7 +1086,7 @@ def _sample_bailey10(rng):
                  lam * q ** (n + 1), a * q / (e * f)]
         return _away(bases, q, kmax=n + 2)
 
-    return _retry(rng, draw, ok)
+    return _retry(draw, ok)
 
 
 def _sample_bailey6(rng):
@@ -1141,7 +1106,7 @@ def _sample_bailey6(rng):
                  q / d, q / e, x, q / a]
         return _away(bases, q)
 
-    return _retry(rng, draw, ok)
+    return _retry(draw, ok)
 
 
 def _sample_1psi1(rng):
@@ -1159,7 +1124,7 @@ def _sample_1psi1(rng):
             return False
         return _away([b, q / a, x, b / (a * x)], q)
 
-    return _retry(rng, draw, ok)
+    return _retry(draw, ok)
 
 
 def _sample_c1(rng):
@@ -1185,7 +1150,7 @@ def _sample_flipped(rng):
                  sig * rho * gam * q ** (-n) / b, b * q ** (1 + n)]
         return _away(bases, q, kmax=n + 2)
 
-    return _retry(rng, draw, ok)
+    return _retry(draw, ok)
 
 
 def _sample_bilfinite(rng):
@@ -1204,7 +1169,7 @@ def _sample_bilfinite(rng):
                  sig * rho * gam * q ** (-n) / b]
         return _away(bases, q, kmax=n + 2)
 
-    return _retry(rng, draw, ok)
+    return _retry(draw, ok)
 
 
 def _sample_3psi3(delta):
@@ -1223,7 +1188,7 @@ def _sample_3psi3(delta):
             qd = q ** (1 + delta)
             return _away([qd / sig, qd / rho, qd / gam, qd / srg], q)
 
-        return _retry(rng, draw, ok)
+        return _retry(draw, ok)
 
     return sampler
 
@@ -1249,7 +1214,7 @@ def _sample_multijackson(rng):
             bases += [q * b * zi, q * b / (a * zi)]
         return _away(bases, q, kmax=8)
 
-    return _retry(rng, draw, ok)
+    return _retry(draw, ok)
 
 
 def _sample_simplified(rng):
@@ -1270,7 +1235,7 @@ def _sample_simplified(rng):
                  q * t ** (n - 1), a * s]
         return _away(bases, q, kmax=8)
 
-    return _retry(rng, draw, ok)
+    return _retry(draw, ok)
 
 
 def _sample_duality(rng):
@@ -1291,7 +1256,7 @@ def _sample_duality(rng):
                  q * ap * t ** (2 * n - 3), q * a * t ** (2 * n - 3)]
         return _away(bases, q, kmax=8)
 
-    return _retry(rng, draw, ok)
+    return _retry(draw, ok)
 
 
 def _sample_flip(rng):
@@ -1312,7 +1277,7 @@ def _sample_flip(rng):
             bases += [q * b * xi, q * b / (a * xi)]
         return _away(bases, q, kmax=8)
 
-    return _retry(rng, draw, ok)
+    return _retry(draw, ok)
 
 
 def _sample_weyldegree(rng):
@@ -1330,7 +1295,7 @@ def _sample_weyldegree(rng):
         bases = [s * q ** (delta + N + n - 1), q ** (n - N) / s]
         return _away(bases, q, kmax=2 * N + 2 * n + 2)
 
-    return _retry(rng, draw, ok)
+    return _retry(draw, ok)
 
 
 def _sample_mlatfinite(rng):
@@ -1349,7 +1314,7 @@ def _sample_mlatfinite(rng):
         bases = [a * s, big * x, big / (a * x), a * s * x, s / x]
         return _away(bases, q, kmax=12)
 
-    return _retry(rng, draw, ok)
+    return _retry(draw, ok)
 
 
 def _sample_mlat3psi3(rng):
@@ -1369,7 +1334,7 @@ def _sample_mlat3psi3(rng):
         bases = [a * s, big * x, big / (a * x)]
         return _away(bases, q, kmax=12)
 
-    return _retry(rng, draw, ok)
+    return _retry(draw, ok)
 
 
 def _sample_invariance(rng):

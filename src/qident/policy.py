@@ -20,9 +20,10 @@ from dataclasses import dataclass
 class TruncationPolicy:
     """Deterministic truncation controls for products and series.
 
-    product_tol: stop an infinite product once the current factor deviates
-        from 1 by less than this amount (|a q^i| < product_tol).
-    max_factors: hard cap on product length; exceeding it raises NoConvergence.
+    product_tol: cut Euler's series for an infinite product's tail
+        (qcore.poch_inf) at the first |c_n| rho^n < product_tol.
+    max_factors: hard cap on product factors and on Euler's series terms;
+        exceeding it raises NoConvergence.
     series_tol: relative tail threshold for series summation.
     max_terms: hard cap on summed terms; exceeding it raises NoConvergence.
     window_step: growth increment for bilateral summation windows.

@@ -655,6 +655,37 @@ def test_full_suite_compare(tmp_path):
                for line in cases) == 13
 
 
+def test_full_suite_bad_paths_exit_2_before_the_batch(tmp_path, capsys, monkeypatch):
+    # A report path that cannot be written, and a --compare file that cannot
+    # be read or parsed, are one config error line before any sample runs;
+    # they crashed with a traceback after the whole batch.
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("run_full_suite",
+                                                  root / "scripts" / "run_full_suite.py")
+    suite = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(suite)
+    ran = []
+    monkeypatch.setattr(suite.cli, "run", lambda *a, **k: ran.append(a))
+    ok = ["--out", str(tmp_path / "r.json"), "--csv", str(tmp_path / "r.csv")]
+    for option in ("--out", "--csv"):
+        for path in (tmp_path / "missing" / "x.json", tmp_path):
+            assert suite.main([*ok, option, str(path)]) == 2
+            assert capsys.readouterr().err == \
+                f"config error: {option} {path}: not a writable file\n"
+    missing = tmp_path / "missing.json"
+    assert suite.main([*ok, "--compare", str(missing)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: --compare {missing}: cannot read: ")
+    for text, reason in (("{", "malformed JSON: "), ("[]", "not a report of this script")):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert suite.main([*ok, "--compare", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: --compare {bad}: {reason}")
+        assert err.count("\n") == 1
+    assert ran == []
+
+
 def _result_line(tail_ms, samples_per_s, failed=0, correct=True):
     return json.dumps({"correct": correct, "attempted": 100, "failed": failed,
                        "metrics": {"op_tail_ms": {"value": tail_ms, "unit": "ms"},

@@ -3,8 +3,9 @@ that it never uses, no module of the package keeps a process-lifetime cache,
 no function or class of the package is there only for the tests, and no
 module of the package or of the scripts opens a file by path in a "w"
 mode, no code of the package but identities.judge and
-identities.error_report builds a report or sets its verdict, and no module
-of the package uses mpmath's process-global precision."""
+identities.error_report builds a report or sets its verdict, no module
+of the package uses mpmath's process-global precision, and no function of
+the package takes a parameter that it never reads."""
 
 import ast
 from pathlib import Path
@@ -30,6 +31,9 @@ VERDICT_FIELDS = {"status", "abs_residual", "rel_residual"}
 
 #: mpmath's precision scopes: each sets a context's precision for a block.
 PRECISION_SCOPES = {"workdps", "workprec", "extradps", "extraprec"}
+
+#: The parameters every verifier takes because run_case passes them to all.
+VERIFIER_PARAMETERS = {"tol", "policy"}
 
 #: Statements that define a function or a class.
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -337,3 +341,52 @@ def test_global_precision_scan_finds_and_skips():
 @pytest.mark.parametrize("path", SRC, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_global_mpmath_precision(path):
     assert global_precision_uses(path.read_text(encoding="utf-8")) == []
+
+
+def unread_parameters(text):
+    """(line, function, parameter) of each parameter of a function (or
+    lambda) in the module source text that its body never reads as a name,
+    nested functions included.  The tol and policy of a verify_* function are
+    skipped: run_case passes every verifier both (VERIFIER_PARAMETERS)."""
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        name = getattr(node, "name", "<lambda>")
+        a = node.args
+        params = [*a.posonlyargs, *a.args, *a.kwonlyargs,
+                  *(p for p in (a.vararg, a.kwarg) if p is not None)]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        found += [(node.lineno, name, p.arg) for p in params if p.arg not in read
+                  and not (name.startswith("verify_") and p.arg in VERIFIER_PARAMETERS)]
+    return sorted(found)
+
+
+def test_unread_parameter_scan_finds_and_skips():
+    text = ("def f(a, b, *args, c=1, **kw):\n"
+            "    b = 2\n"
+            "    return a\n"
+            "def outer(x, y):\n"
+            "    def inner(z):\n"
+            "        return x\n"
+            "    return inner\n"
+            "def verify_case(v, tol, policy, rng):\n"
+            "    return v\n"
+            "def retry(tol, policy):\n"
+            "    pass\n"
+            "class Box:\n"
+            "    def get(self, key):\n"
+            "        return self.items\n"
+            "g = lambda u, w: u\n")
+    assert unread_parameters(text) == [
+        (1, "f", "args"), (1, "f", "b"), (1, "f", "c"), (1, "f", "kw"),
+        (4, "outer", "y"), (5, "inner", "z"), (8, "verify_case", "rng"),
+        (10, "retry", "policy"), (10, "retry", "tol"), (13, "get", "key"),
+        (15, "<lambda>", "w")]
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unread_parameters(path):
+    assert unread_parameters(path.read_text(encoding="utf-8")) == []

@@ -66,6 +66,41 @@ def test_jackson_rhs_symmetric_in_bcd():
         assert rel(r.rhs, base) < 1e-12
 
 
+def _poch_int_jackson_draw(seed):
+    """sample_params("jackson8phi7", seed) as drawn by the sampler whose
+    conditioning gate rebuilt the 8phi7 terms from poch_int."""
+    rng = random.Random(seed)
+    q = identities._mod(rng, 0.1, 0.6)
+    n = rng.randint(0, 6)
+    for _ in range(5000):
+        a, b, c, d = (identities._cscalar(rng) for _ in range(4))
+        e = q ** (1 + n) * a * a / (b * c * d)
+        bases = [a * q / b, a * q / c, a * q / d, a * q / e, a * q ** (n + 1),
+                 a * q / (b * c * d), q]
+        if not identities._away(bases, q, kmax=n + 2):
+            continue
+        total, peak = 0.0 + 0j, 0.0
+        for k in range(n + 1):
+            t = (1 - a * q ** (2 * k)) / (1 - a) * q**k
+            for v in (a, b, c, d, e, q**-n):
+                t *= poch_int(v, q, k)
+            for v in (q, a * q / b, a * q / c, a * q / d, a * q / e,
+                      a * q ** (n + 1)):
+                t /= poch_int(v, q, k)
+            total += t
+            peak = max(peak, abs(t))
+        if abs(total) >= 1e-4 * peak:
+            return dict(a=a, b=b, c=c, d=d, n=n, q=q)
+    raise DomainError("rejection sampling failed to find admissible parameters")
+
+
+def test_jackson_draws_equal_those_of_the_poch_int_gate():
+    # The sampler's conditioning gate sums vwp_jackson_term, the verifier's
+    # own transcription of the 8phi7 terms; it admits the same draws.
+    for seed in range(500):
+        assert sample_params("jackson8phi7", seed) == _poch_int_jackson_draw(seed), seed
+
+
 def test_report_tolerance_recorded_and_consistent():
     r = run_case("jackson8phi7", dict(a=0.5, b=0.3, c=0.7, d=0.6, n=3, q=0.4), tol=1e-10)
     assert r.params["tol"] == 1e-10
@@ -844,8 +879,9 @@ def test_multilateral_finite_window_over_budget_is_an_error_report():
 
 
 def test_multilateral_finite_shared_memo_is_bit_identical():
-    # The window sum (per-sum W parameters and pair-ratio tables, one shared W
-    # memo) against mlat_finite_summand point by point, with no memo at all.
+    # The window sum (one memo shared by every summand: W parameters,
+    # pair-ratio tables and W values) against mlat_finite_summand point by
+    # point, each point with a fresh memo of its own.
     draws = [sample_params("multilateralfinite", seed) for seed in range(16)]
     draws += [dict(_MLAT_FINITE_RANK2, delta=delta) for delta in (0, 1)]
     for p in draws:
@@ -860,11 +896,11 @@ def test_multilateral_finite_shared_memo_is_bit_identical():
 
 
 def test_multilateral_finite_tabulates_once_per_sum(monkeypatch):
-    # _principal_w runs once for the window (the exterior check's summands
-    # call it again), and pair_poch_ratio at most once per coordinate, order
-    # and pair: the exterior points' orders lie outside every coordinate's
-    # window, so no call repeats.
-    calls, inside = {"pairs": [], "principal": 0}, []
+    # Over the window sum and the exterior check together: mlat_finite_summand
+    # runs once per window point plus once per exterior point, _principal_w
+    # once per evaluation, and pair_poch_ratio at most once per coordinate,
+    # order and pair (the summands share one memo).
+    calls = {"pairs": [], "principal": 0, "summand": 0}
     pair_poch_ratio, principal_w = identities.pair_poch_ratio, identities._principal_w
     summand = identities.mlat_finite_summand
 
@@ -873,24 +909,22 @@ def test_multilateral_finite_tabulates_once_per_sum(monkeypatch):
         return pair_poch_ratio(*args)
 
     def counted_principal(*args):
-        calls["principal"] += not inside
+        calls["principal"] += 1
         return principal_w(*args)
 
-    def exterior(*args):
-        inside.append(1)
-        try:
-            return summand(*args)
-        finally:
-            inside.pop()
+    def counted_summand(*args):
+        calls["summand"] += 1
+        return summand(*args)
 
     monkeypatch.setattr(identities, "pair_poch_ratio", counted_pairs)
     monkeypatch.setattr(identities, "_principal_w", counted_principal)
-    monkeypatch.setattr(identities, "mlat_finite_summand", exterior)
+    monkeypatch.setattr(identities, "mlat_finite_summand", counted_summand)
     for p in [dict(_MLAT_FINITE_RANK2, delta=0), sample_params("multilateralfinite", 3)]:
-        calls["pairs"].clear()
-        calls["principal"] = 0
+        calls.update(pairs=[], principal=0, summand=0)
         assert run_case("multilateralfinite", p).status == "pass"
         assert calls["principal"] == 1
+        upper, lower = identities.mlat_finite_window(p["lam"], p["n"], p["delta"])
+        assert calls["summand"] == len(list(lattice_window(upper, lower))) + 5
         assert len(calls["pairs"]) == len(set(calls["pairs"])) > 0
 
 
