@@ -13,9 +13,10 @@ rhs, and its rel_residual in BASE.json and now.  Then one line per case
 gives its number of changed runs and of status changes, the largest relative
 change of lhs and of rhs, and the worst rel_residual in BASE.json and now.
 The exit code is 1 if anything differs and 0 if nothing does.
-An --out or --csv path that cannot be written, and a --compare file that
-cannot be read or is not such a report, are one `config error:` line on
-stderr and exit code 2, before any sample runs.
+A --seed, --samples or --parallelism that `qident run` refuses, an --out or
+--csv path that cannot be written, and a --compare file that cannot be read
+or is not such a report, are one `config error:` line on stderr and exit
+code 2, before any sample runs.
 Without it the exit code is that of `qident run` (1 if any run fails or
 errors).  The package is imported from the `src/` of this script's tree, not
 from an installed copy.
@@ -157,16 +158,16 @@ def main(argv=None):
                     help="compare the JSON report with this earlier one")
     args = ap.parse_args(argv)
     try:
+        configs = [cli._validate_config({"case_id": cid, "seed": args.seed,
+                                         "samples": args.samples})
+                   for cid in CASES]
         for option, path in (("--out", args.out), ("--csv", args.csv)):
             cli.check_writable(option, path)
         base = None if args.compare is None else read_report(args.compare)
+        rset = cli.run(configs, parallelism=args.parallelism)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-
-    configs = [cli.CaseConfig(case_id=cid, seed=args.seed, samples=args.samples)
-               for cid in CASES]
-    rset = cli.run(configs, parallelism=args.parallelism)
     text = cli.report_json(rset)
     cli.write_text(args.out, text + "\n")
     cli.write_csv(rset, args.csv)

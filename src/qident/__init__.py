@@ -15,14 +15,13 @@ from .errors import (
     QidentError,
 )
 from .identities import CASES, IdentityReport, run_case, sample_params
-from .policy import DEFAULT_POLICY, QPower, TruncationPolicy
+from .policy import QPower
 from .series import SeriesSpec, SeriesValue, eval_phi, eval_psi
 from .wfunc import WParams, poch_partition, w_multi, w_skew_single
 
 __all__ = [
     "CASES",
     "ConfigError",
-    "DEFAULT_POLICY",
     "DivisionByVanishingFactor",
     "DomainError",
     "EmptyWindow",
@@ -34,7 +33,6 @@ __all__ = [
     "QidentError",
     "SeriesSpec",
     "SeriesValue",
-    "TruncationPolicy",
     "WParams",
     "eval_phi",
     "eval_psi",

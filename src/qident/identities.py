@@ -38,8 +38,9 @@ from .partitions import (
     subpartitions,
     weight,
 )
-from .policy import DEFAULT_POLICY, QPower, TruncationPolicy, scalar_value
+from .policy import QPower, scalar_value
 from .qcore import (
+    MAX_FACTORS,
     PAIR_DENOMINATOR_VANISHES,
     PAIR_RECIPROCAL_VANISHES,
     THETA_MEMO,
@@ -54,7 +55,7 @@ from .qcore import (
     tail_radius,
     theta,
 )
-from .series import SeriesSpec, eval_psi, eval_phi
+from .series import SERIES_TOL, WINDOW_STEP, SeriesSpec, eval_psi, eval_phi
 from .wfunc import (
     A_KEY,
     B_KEY,
@@ -75,6 +76,9 @@ BOTH_ZERO_EPS = 1e-12
 
 #: Pole-proximity threshold for rejection sampling.
 POLE_REJECT = 1e-8
+
+#: Draws a rejection sampler makes before it gives up with DomainError.
+SAMPLE_TRIES = 5000
 
 #: Hard cap on lattice points for multilateral sums.
 MAX_LATTICE_TERMS = 200_000
@@ -183,26 +187,28 @@ def jackson_delta_product(b, sig, rho, gam, n, q):
 STRUCT_ZERO_TOL = 1e-10
 
 
-def _poch_inf_split(a, q, policy):
+def _poch_inf_split(a, q):
     """(zeros, value): (a;q)_inf with exact-zero factors counted apart from
     the regular part, memoized as theta is plus a "split" tag.  A zero has
     |a q^k| near 1 > tail_radius(q), so it lies before the Euler tail."""
     memo = THETA_MEMO.get({})
-    key = ("split", a, q, type(a), type(q), policy.product_tol, policy.max_factors)
+    key = ("split", a, q, type(a), type(q))
     v = memo.get(key)
     if v is None:
-        v = memo[key] = _poch_inf_split_product(a, q, policy)
+        v = memo[key] = _poch_inf_split_product(a, q)
     return v
 
 
-def _poch_inf_split_product(a, q, policy):
+def _poch_inf_split_product(a, q):
+    if abs(q) >= 1:
+        raise DomainError("poch_inf requires |q| < 1")
     rho = tail_radius(q)
     zeros = 0
     r = 1.0 + 0j
     x = a
-    for _ in range(policy.max_factors):
+    for _ in range(MAX_FACTORS):
         if abs(x) <= rho:
-            return zeros, r * poch_inf_tail(x, q, policy)
+            return zeros, r * poch_inf_tail(x, q)
         f = 1 - x
         if abs(f) < STRUCT_ZERO_TOL:
             zeros += 1
@@ -212,7 +218,7 @@ def _poch_inf_split_product(a, q, policy):
     raise NoConvergence("factored infinite product: max_factors reached")
 
 
-def flipped_summand_structured(u, z, sig, rho, gam, n, q, policy=DEFAULT_POLICY):
+def flipped_summand_structured(u, z, sig, rho, gam, n, q):
     """Infinite-product form of the b = q^{2z} summand, as a function of the
     reflected index u (the direct summand corresponds to u = z + k), returned
     as (net_zero_count, regular_value); all powers of q use the principal
@@ -239,11 +245,11 @@ def flipped_summand_structured(u, z, sig, rho, gam, n, q, policy=DEFAULT_POLICY)
     zeros = 0
     val = q ** (-z * z) * q ** (u * u)
     for a in num_args:
-        zc, v = _poch_inf_split(a, q, policy)
+        zc, v = _poch_inf_split(a, q)
         zeros += zc
         val = val * v
     for a in den_args:
-        zc, v = _poch_inf_split(a, q, policy)
+        zc, v = _poch_inf_split(a, q)
         zeros -= zc
         val = val / v
     return zeros, val
@@ -502,13 +508,13 @@ def mlat_finite_window(lam, n, delta):
     return upper, lower
 
 
-def _mlat_product_side(n, delta, q, s, a, x, policy):
+def _mlat_product_side(n, delta, q, s, a, x):
     """Infinite-product side of the multilateral bilateral summation,
     using (c)_{inf^n} = prod_{i=1..n} (c q^{1-i}; q)_inf."""
     big = q ** (delta + 2 * n - 1)
 
     def pn(c):
-        return poch_multi_inf([c * q ** (1 - i) for i in range(1, n + 1)], q, policy)
+        return poch_multi_inf([c * q ** (1 - i) for i in range(1, n + 1)], q)
 
     prod = pn(s / x) * pn(a * s * x) / (pn(s) * pn(a * s))
     prod = prod * pn(big) * pn(big / a) / (pn(big * x) * pn(big / (a * x)))
@@ -626,7 +632,7 @@ def _dominant_runs(n, m, covered):
             yield head, head[-1] if head else covered, low, (low,)
 
 
-def _mlat_3psi3_sum(n, delta, q, s, a, x, policy):
+def _mlat_3psi3_sum(n, delta, q, s, a, x):
     """Lattice sum of mlat_3psi3_summand over Z^n by expanding hypercube shells
     [-m, m]^n with a tail test.
 
@@ -664,7 +670,7 @@ def _mlat_3psi3_sum(n, delta, q, s, a, x, policy):
     total = 0.0 + 0j
     nterms = 0
     covered = -1
-    m = max(policy.window_step, 4)
+    m = WINDOW_STEP
     below = 0
     while True:
         tables = [f.grow(m) for f in factors]  # g_i(k) at index m - k
@@ -705,14 +711,14 @@ def _mlat_3psi3_sum(n, delta, q, s, a, x, policy):
                     new += v
         nterms += count
         total += new
-        if abs(new) <= policy.series_tol * max(abs(total), 1e-300):
+        if abs(new) <= SERIES_TOL * max(abs(total), 1e-300):
             below += 1
             if below >= 2:
                 return total, nterms, (-m, m)
         else:
             below = 0
         covered = m
-        m += policy.window_step
+        m += WINDOW_STEP
         if m > 200:
             raise NoConvergence("multilateral sum: window cap reached")
 
@@ -721,7 +727,7 @@ def _mlat_3psi3_sum(n, delta, q, s, a, x, policy):
 # Verifiers.
 # ---------------------------------------------------------------------------
 
-def verify_jackson_8phi7(a, b, c, d, n, q, tol, policy):
+def verify_jackson_8phi7(a, b, c, d, n, q, tol):
     e = q ** (1 + n) * a * a / (b * c * d)
     sa = csqrt(a)
     spec = SeriesSpec(
@@ -729,12 +735,12 @@ def verify_jackson_8phi7(a, b, c, d, n, q, tol, policy):
         denominator=[sa, -sa, a * q / b, a * q / c, a * q / d, a * q / e,
                      a * q ** (n + 1)],
         argument=q, q=q)
-    sv = eval_phi(spec, policy)
+    sv = eval_phi(spec)
     rhs = jackson_delta_product(a, b, c, d, n, q)
     return judge((sv.value, rhs), tol, sv.terms_used, e=e)
 
 
-def _bailey_10phi9_left(a, b, c, d, e, f, n, q, policy):
+def _bailey_10phi9_left(a, b, c, d, e, f, n, q):
     """The left side of Bailey's 10phi9 transformation, in the arithmetic its
     arguments carry, as (value, SeriesValue of its series)."""
     lam = q * a * a / (b * c * d)
@@ -745,11 +751,11 @@ def _bailey_10phi9_left(a, b, c, d, e, f, n, q, policy):
         denominator=[sa, -sa, a * q / b, a * q / c, a * q / d, a * q / e,
                      a * q / f, e * f * q ** (-n) / lam, a * q ** (n + 1)],
         argument=q, q=q)
-    sv = eval_phi(left, policy)
+    sv = eval_phi(left)
     return sv.value, sv
 
 
-def _bailey_10phi9_right(a, b, c, d, e, f, n, q, policy):
+def _bailey_10phi9_right(a, b, c, d, e, f, n, q):
     """The right side of Bailey's 10phi9 transformation, the prefactor times
     its series, in the arithmetic its arguments carry, as
     (value, SeriesValue of its series)."""
@@ -763,7 +769,7 @@ def _bailey_10phi9_right(a, b, c, d, e, f, n, q, policy):
         argument=q, q=q)
     pref = poch_multi([a * q, a * q / (e * f), lam * q / e, lam * q / f], q, n) \
         / poch_multi([a * q / e, a * q / f, lam * q, lam * q / (e * f)], q, n)
-    sv = eval_phi(right, policy)
+    sv = eval_phi(right)
     return pref * sv.value, sv
 
 
@@ -815,7 +821,7 @@ def mp_context(dps):
     return ctx
 
 
-def verify_bailey_10phi9(a, b, c, d, e, f, n, q, tol, policy):
+def verify_bailey_10phi9(a, b, c, d, e, f, n, q, tol):
     """Bailey's 10phi9 transformation.  With double arguments each side is
     evaluated in double first and kept when the rounding bound of its own
     series is at most DOUBLE_GATE * tol; a side that fails its gate, or
@@ -829,7 +835,7 @@ def verify_bailey_10phi9(a, b, c, d, e, f, n, q, tol, policy):
         kept = False
         if not digits:
             try:
-                value, sv = side(a, b, c, d, e, f, n, q, policy)
+                value, sv = side(a, b, c, d, e, f, n, q)
                 kept = phi_rounding_bound(sv.terms_used, 10, 9, sv.condition) \
                     <= DOUBLE_GATE * tol
             except (QidentError, ArithmeticError):
@@ -837,13 +843,13 @@ def verify_bailey_10phi9(a, b, c, d, e, f, n, q, tol, policy):
         if not kept:
             high = mp_context(max([40] + digits))
             va, vb, vc, vd, ve, vf, vq = (high.mpmathify(complex(v)) for v in args)
-            value, sv = side(va, vb, vc, vd, ve, vf, n, vq, policy)
+            value, sv = side(va, vb, vc, vd, ve, vf, n, vq)
         values.append(value)
         terms += sv.terms_used
     return judge(values, tol, terms)
 
 
-def verify_bailey_6psi6(a, b, c, d, e, q, tol, policy):
+def verify_bailey_6psi6(a, b, c, d, e, q, tol):
     av, bv, cv, dv, ev = (scalar_value(v, q) for v in (a, b, c, d, e))
     x = q * av * av / (bv * cv * dv * ev)
     if abs(x) > 0.5:
@@ -853,42 +859,40 @@ def verify_bailey_6psi6(a, b, c, d, e, q, tol, policy):
         numerator=[q * sa, -q * sa, b, c, d, e],
         denominator=[sa, -sa, av * q / bv, av * q / cv, av * q / dv, av * q / ev],
         argument=x, q=q)
-    sv = eval_psi(spec, policy)
+    sv = eval_psi(spec)
     aq = av * q
     rhs = poch_multi_inf(
         [aq, aq / (bv * cv), aq / (bv * dv), aq / (bv * ev), aq / (cv * dv),
-         aq / (cv * ev), aq / (dv * ev), q, q / av], q, policy) \
+         aq / (cv * ev), aq / (dv * ev), q, q / av], q) \
         / poch_multi_inf(
-            [aq / bv, aq / cv, aq / dv, aq / ev, q / bv, q / cv, q / dv, q / ev, x],
-            q, policy)
+            [aq / bv, aq / cv, aq / dv, aq / ev, q / bv, q / cv, q / dv, q / ev, x], q)
     return judge((sv.value, rhs), tol, sv.terms_used,
                  message=f"terminated={sv.terminated} window={sv.window}")
 
 
-def verify_ramanujan_1psi1(a, b, x, q, tol, policy):
+def verify_ramanujan_1psi1(a, b, x, q, tol):
     av, bv = scalar_value(a, q), scalar_value(b, q)
     if not (abs(bv / av) < abs(x) < 1):
         raise DomainError("1psi1 requires |b/a| < |x| < 1")
     spec = SeriesSpec(numerator=[a], denominator=[b], argument=x, q=q)
-    sv = eval_psi(spec, policy)
-    rhs = poch_multi_inf([q, bv / av, av * x, q / (av * x)], q, policy) \
-        / poch_multi_inf([bv, q / av, x, bv / (av * x)], q, policy)
+    sv = eval_psi(spec)
+    rhs = poch_multi_inf([q, bv / av, av * x, q / (av * x)], q) \
+        / poch_multi_inf([bv, q / av, x, bv / (av * x)], q)
     return judge((sv.value, rhs), tol, sv.terms_used,
                  message=f"terminated={sv.terminated} window={sv.window}")
 
 
-def verify_c1_macdonald(x, tol, policy):
+def verify_c1_macdonald(x, tol):
     if abs(1 - x * x) < POLE_REJECT:
         raise DomainError("x^2 = 1 is a pole of the C1 identity")
     rhs = 1 / (1 - x * x) + 1 / (1 - x ** (-2))
     return judge((1.0 + 0j, rhs), tol)
 
 
-def verify_flipped_summand(sigma, rho, gamma, q, n, z, k, tol, policy):
+def verify_flipped_summand(sigma, rho, gamma, q, n, z, k, tol):
     b = q ** (2 * z)
     lhs = vwp_jackson_term(k, b, sigma, rho, gamma, n, q)
-    zeros, rhs = flipped_summand_structured(z + k, z, sigma, rho, gamma, n, q,
-                                            policy)
+    zeros, rhs = flipped_summand_structured(z + k, z, sigma, rho, gamma, n, q)
     # A pole of the product form is one of the term too, and the term is
     # evaluated first; the count is still never dropped silently.
     if zeros < 0:
@@ -899,17 +903,17 @@ def verify_flipped_summand(sigma, rho, gamma, q, n, z, k, tol, policy):
     return judge((lhs, rhs), tol)
 
 
-def verify_bilateral_finite(sigma, rho, gamma, q, n, delta, tol, policy):
+def verify_bilateral_finite(sigma, rho, gamma, q, n, delta, tol):
     b = q**delta
     uni = sum(vwp_jackson_term(k, b, sigma, rho, gamma, n, q) for k in range(n + 1))
-    sv = eval_psi(bilateral_finite_spec(sigma, rho, gamma, n, delta, q), policy)
+    sv = eval_psi(bilateral_finite_spec(sigma, rho, gamma, n, delta, q))
     bil = mlat_norm(1, delta, q) * sv.value
     prod = jackson_delta_product(b, sigma, rho, gamma, n, q)
     return judge((bil, prod, uni), tol, sv.terms_used,
                  message=f"unilateral={complex(uni):.12g} window={sv.window}")
 
 
-def verify_3psi3(sigma, rho, gamma, q, delta, tol, policy):
+def verify_3psi3(sigma, rho, gamma, q, delta, tol):
     srg = sigma * rho * gamma
     x = q ** (delta + 1) / srg
     if abs(x) >= 0.9:
@@ -919,40 +923,40 @@ def verify_3psi3(sigma, rho, gamma, q, delta, tol, policy):
         denominator=[q ** (1 + delta) / sigma, q ** (1 + delta) / rho,
                      q ** (1 + delta) / gamma],
         argument=x, q=q)
-    sv = eval_psi(spec, policy)
+    sv = eval_psi(spec)
     lhs = mlat_norm(1, delta, q) * sv.value
     qd = q ** (1 + delta)
     rhs = poch_multi_inf([qd, qd / (sigma * rho), qd / (sigma * gamma),
-                          qd / (rho * gamma)], q, policy) \
-        / poch_multi_inf([qd / sigma, qd / rho, qd / gamma, qd / srg], q, policy)
+                          qd / (rho * gamma)], q) \
+        / poch_multi_inf([qd / sigma, qd / rho, qd / gamma, qd / srg], q)
     return judge((lhs, rhs), tol, sv.terms_used, message=f"window={sv.window}",
                  delta=delta)
 
 
-def verify_multiple_jackson(lam, n, z, q, p, t, a, b, s, tol, policy):
+def verify_multiple_jackson(lam, n, z, q, p, t, a, b, s, tol):
     lhs = multiple_jackson_lhs(z, lam, n, q, p, t, a, b)
     rhs = multiple_jackson_rhs(z, lam, n, q, p, t, a, b, s)
     return judge((lhs, rhs), tol, len(subpartitions(lam)))
 
 
-def verify_simplified_jackson(lam, n, x, q, p, t, a, b, s, tol, policy):
+def verify_simplified_jackson(lam, n, x, q, p, t, a, b, s, tol):
     lhs = simplified_jackson_lhs(x, lam, q, p, t, a, b, s)
     rhs = simplified_jackson_rhs(x, lam, n, q, p, t, a, b, s)
     return judge((lhs, rhs), tol, len(subpartitions(lam)))
 
 
-def verify_duality(lam, nu, n, a, aprime, b, q, t, tol, policy):
+def verify_duality(lam, nu, n, a, aprime, b, q, t, tol):
     lhs = duality_side(lam, nu, n, q, t, a, aprime, b)
     rhs = duality_side(nu, lam, n, q, t, aprime, a, b)
     return judge((lhs, rhs), tol)
 
 
-def verify_flip(lam, xs, q, p, t, a, b, tol, policy):
+def verify_flip(lam, xs, q, p, t, a, b, tol):
     lhs, rhs = flip_sides(xs, lam, q, p, t, a, b)
     return judge((lhs, rhs), tol)
 
 
-def verify_weyl_degree(mu, N, n, s, delta, q, tol, policy):
+def verify_weyl_degree(mu, N, n, s, delta, q, tol):
     muv = tuple(part(mu, i) for i in range(1, n + 1))
     lhs = w_degree(muv, N, n, s, delta, q)
     wp, xv = _principal_w(n, delta, q, s, [N + n - 1 - i for i in range(n)])
@@ -960,7 +964,7 @@ def verify_weyl_degree(mu, N, n, s, delta, q, tol, policy):
     return judge((lhs, rhs), tol)
 
 
-def verify_multilateral_finite(lam, n, x, s, a, q, delta, tol, policy):
+def verify_multilateral_finite(lam, n, x, s, a, q, delta, tol):
     """The finite multilateral identity: partition Pochhammers on the left,
     mlat_norm times the sum of mlat_finite_summand over mlat_finite_window on
     the right (refused beyond MAX_LATTICE_TERMS points).  Every point of the
@@ -993,20 +997,20 @@ def verify_multilateral_finite(lam, n, x, s, a, q, delta, tol, policy):
                  message=f"window upper={upper} lower={lower}")
 
 
-def verify_multilateral_3psi3(n, delta, x, s, a, q, tol, policy):
+def verify_multilateral_3psi3(n, delta, x, s, a, q, tol):
     gate = 0.9 if n == 1 else 0.9 * abs(q) ** (n - 1)
     if abs(s) >= gate:
         raise DomainError("multilateral 3psi3 requires |s| < 0.9 |q|^{n-1}")
-    lhs = _mlat_product_side(n, delta, q, s, a, x, policy)
-    rhs, nterms, window = _mlat_3psi3_sum(n, delta, q, s, a, x, policy)
+    lhs = _mlat_product_side(n, delta, q, s, a, x)
+    rhs, nterms, window = _mlat_3psi3_sum(n, delta, q, s, a, x)
     return judge((lhs, rhs), tol, nterms, message=f"window={window}")
 
 
-def verify_summand_invariance(sigma, rho, gamma, q, n, delta, k, sign, tol, policy):
+def verify_summand_invariance(sigma, rho, gamma, q, n, delta, k, sign, tol):
     z = delta / 2.0
     u = z + k
-    left = flipped_summand_structured(u, z, sigma, rho, gamma, n, q, policy)
-    right = flipped_summand_structured(sign * u, z, sigma, rho, gamma, n, q, policy)
+    left = flipped_summand_structured(u, z, sigma, rho, gamma, n, q)
+    right = flipped_summand_structured(sign * u, z, sigma, rho, gamma, n, q)
     return judge((left, right), tol,
                  message=f"structural zero multiplicity {left[0]} vs {right[0]}")
 
@@ -1023,16 +1027,16 @@ def _cscalar(rng, lo=0.1, hi=0.9):
     return _mod(rng, lo, hi) * cmath.exp(1j * rng.uniform(0.0, 2 * math.pi))
 
 
-def _away(bases, q, kmax=12, tol=POLE_REJECT):
+def _away(bases, q, kmax=12):
     for u in bases:
         for k in range(kmax + 1):
-            if abs(1 - u * q**k) < tol:
+            if abs(1 - u * q**k) < POLE_REJECT:
                 return False
     return True
 
 
-def _retry(draw, ok, tries=5000):
-    for _ in range(tries):
+def _retry(draw, ok):
+    for _ in range(SAMPLE_TRIES):
         cand = draw()
         if ok(cand):
             return cand
@@ -1361,7 +1365,7 @@ class CaseDef:
     schema: Dict[str, str]
     default_tol: float
     sampler: Callable
-    verifier: Callable  # called with the schema's parameters, tol and policy
+    verifier: Callable  # called with the schema's parameters and tol
 
 
 CASES: Dict[str, CaseDef] = {}
@@ -1542,8 +1546,7 @@ def _verifier_args(case_id, schema, params):
     return kwargs
 
 
-def run_case(case_id: str, params: dict, tol: Optional[float] = None,
-             policy: TruncationPolicy = DEFAULT_POLICY) -> IdentityReport:
+def run_case(case_id: str, params: dict, tol: Optional[float] = None) -> IdentityReport:
     """Run one registry case on explicit parameters, capturing library errors
     and arithmetic errors (overflow, division by zero) into an error-status
     report.  Parameters missing from the case's schema, or not in it, are a
@@ -1573,7 +1576,7 @@ def run_case(case_id: str, params: dict, tol: Optional[float] = None,
     token = THETA_MEMO.set({})
     try:
         kwargs = _verifier_args(case_id, case.schema, params)
-        rep = case.verifier(**kwargs, tol=use_tol, policy=policy)
+        rep = case.verifier(**kwargs, tol=use_tol)
     except (QidentError, ArithmeticError) as exc:
         return error_report(case_id, params, use_tol, exc)
     finally:

@@ -1,17 +1,18 @@
 """Scalar q-arithmetic: integer-order and infinite Pochhammer symbols, theta
 functions, elliptic Pochhammer symbols, and paired Pochhammer quotients.
 
-All functions are deterministic functions of their arguments and policy, and
-duck-typed over the scalar backend: they accept either Python complex numbers
-or mpmath complex values (for high-precision runs) and return results in the
-same arithmetic.  Complex powers use the principal branch throughout.
+All functions are deterministic functions of their arguments, truncated by
+the module constants PRODUCT_TOL and MAX_FACTORS, and duck-typed over the
+scalar backend: they accept either Python complex numbers or mpmath complex
+values (for high-precision runs) and return results in the same arithmetic.
+Complex powers use the principal branch throughout.
 
 The one state is THETA_MEMO: while ``identities.run_case`` evaluates,
 theta(x;p) at p != 0, identities' split infinite products ("split" keys) and
 Euler's tail coefficients ("euler" keys) are computed once per argument and
-policy and read back.  A memo value is the kernel's value bit for bit, so the
-memo changes no result, and both sides of an identity may share it: they
-call the same kernel either way.  It is a context variable, so threads do
+read back.  A memo value is the kernel's value bit for bit, so the memo
+changes no result, and both sides of an identity may share it: they call
+the same kernel either way.  It is a context variable, so threads do
 not share it, and run_case drops it on return, so no value outlives one
 evaluation.  Outside run_case, get({}) yields a throwaway: all compute afresh.
 
@@ -29,10 +30,17 @@ import cmath
 from contextvars import ContextVar
 
 from .errors import DivisionByVanishingFactor, DomainError, NoConvergence
-from .policy import DEFAULT_POLICY, TruncationPolicy
 
 #: Absolute threshold below which a product factor counts as vanishing.
 VANISH_TOL = 1e-14
+
+#: Euler's series for an infinite product's tail (poch_inf) is cut at the
+#: first |c_n| rho^n below PRODUCT_TOL.
+PRODUCT_TOL = 1e-17
+
+#: Cap on an infinite product's factors and on its Euler series' terms;
+#: reaching it raises NoConvergence.
+MAX_FACTORS = 10_000
 
 #: Messages of pair_poch_ratio's vanishing-factor errors.
 PAIR_DENOMINATOR_VANISHES = "pair_poch_ratio: denominator vanishes"
@@ -86,46 +94,46 @@ def tail_radius(q) -> float:
     return min(0.25, (1 - float(abs(q))) * 0.34657359027997264)
 
 
-def _euler_coefficients(q, policy):
+def _euler_coefficients(q):
     """Euler's c_n (see poch_inf), highest first, in q's arithmetic."""
     rho, coeffs, c = tail_radius(q), [], 1
-    for n in range(policy.max_factors):
-        if abs(c) * rho**n < policy.product_tol:
+    for n in range(MAX_FACTORS):
+        if abs(c) * rho**n < PRODUCT_TOL:
             return coeffs[::-1]
         coeffs.append(c)
         c = -c * q**n / (1 - q ** (n + 1))
     raise NoConvergence("poch_inf: max_factors reached before tail threshold")
 
 
-def poch_inf_tail(y, q, policy: TruncationPolicy = DEFAULT_POLICY):
+def poch_inf_tail(y, q):
     """(y;q)_inf for |y| <= tail_radius(q): Horner on memoized Euler c_n."""
-    key = ("euler", q, type(q), policy.product_tol, policy.max_factors)
+    key = ("euler", q, type(q))
     memo = THETA_MEMO.get({})
     coeffs = memo.get(key)
     if coeffs is None:
-        coeffs = memo[key] = _euler_coefficients(q, policy)
+        coeffs = memo[key] = _euler_coefficients(q)
     s = 0
     for c in coeffs:
         s = s * y + c
     return s
 
 
-def poch_inf(a, q, policy: TruncationPolicy = DEFAULT_POLICY):
-    """Infinite q-Pochhammer symbol (a;q)_inf, truncated per policy.
+def poch_inf(a, q):
+    """Infinite q-Pochhammer symbol (a;q)_inf.
 
     Factors 1 - a q^k are multiplied out (an exact zero returns 0) while
     |a q^k| > rho(q) = min(1/4, (1 - |q|) ln 2 / 2); the tail at y = a q^K is
     Euler's sum_n c_n y^n, c_0 = 1, c_{n+1} = -c_n q^n / (1 - q^{n+1})
-    (Gasper-Rahman 1.3), cut at the first |c_n| rho^n < product_tol.  Its
+    (Gasper-Rahman 1.3), cut at the first |c_n| rho^n < PRODUCT_TOL.  Its
     condition bound (-rho;|q|)_inf / (rho;|q|)_inf stays near 2 (<= 2.02)."""
     if abs(q) >= 1:
         raise DomainError("poch_inf requires |q| < 1")
     rho = tail_radius(q)
     r = 1.0 + 0j
     x = a
-    for _ in range(policy.max_factors):
+    for _ in range(MAX_FACTORS):
         if abs(x) <= rho:
-            return r * poch_inf_tail(x, q, policy)
+            return r * poch_inf_tail(x, q)
         r = r * (1 - x)
         if r == 0:
             return r
@@ -133,20 +141,20 @@ def poch_inf(a, q, policy: TruncationPolicy = DEFAULT_POLICY):
     raise NoConvergence("poch_inf: max_factors reached before tail threshold")
 
 
-def poch_multi_inf(avals, q, policy: TruncationPolicy = DEFAULT_POLICY):
+def poch_multi_inf(avals, q):
     """Product of poch_inf over a list of parameters."""
     r = 1.0 + 0j
     for a in avals:
-        r = r * poch_inf(a, q, policy)
+        r = r * poch_inf(a, q)
     return r
 
 
-def theta(x, p, policy: TruncationPolicy = DEFAULT_POLICY):
+def theta(x, p):
     """Normalized theta function theta(x;p) = (x;p)_inf (p/x;p)_inf.
 
     At p != 0 under a THETA_MEMO dict the value is memoized, keyed by x and p
     with their types (a double and an mpmath argument of equal value compute
-    differently) and by the policy's product_tol and max_factors."""
+    differently)."""
     if x == 0:
         raise DomainError("theta requires x != 0")
     if p == 0:
@@ -154,14 +162,14 @@ def theta(x, p, policy: TruncationPolicy = DEFAULT_POLICY):
     if abs(p) >= 1:
         raise DomainError("theta requires |p| < 1")
     memo = THETA_MEMO.get({})
-    key = (x, p, type(x), type(p), policy.product_tol, policy.max_factors)
+    key = (x, p, type(x), type(p))
     v = memo.get(key)
     if v is None:
-        v = memo[key] = poch_inf(x, p, policy) * poch_inf(p / x, p, policy)
+        v = memo[key] = poch_inf(x, p) * poch_inf(p / x, p)
     return v
 
 
-def epoch(a, q, p, n: int, policy: TruncationPolicy = DEFAULT_POLICY):
+def epoch(a, q, p, n: int):
     """Elliptic q-Pochhammer symbol (a;q,p)_n = prod_{k=0..n-1} theta(a q^k;p)
     for n >= 0; a negative n raises DomainError.  At p = 0 this agrees with
     poch_int.
@@ -170,7 +178,7 @@ def epoch(a, q, p, n: int, policy: TruncationPolicy = DEFAULT_POLICY):
         raise DomainError(f"(a;q,p)_n requires n >= 0, got n = {n}")
     r = 1.0 + 0j
     for k in range(n):
-        r = r * theta(a * q**k, p, policy)
+        r = r * theta(a * q**k, p)
     return r
 
 

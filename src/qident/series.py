@@ -23,11 +23,11 @@ eval_phi also reports the condition number of the sum it returns
 (SeriesValue.condition), so a caller can bound the effect of rounding on the
 value and choose its working precision from that measurement.
 
-Bilateral sums run over symmetric windows [-M, M] grown by
-policy.window_step until two consecutive expansions contribute relative mass
-below policy.series_tol; both term sequences are produced by consecutive-term
-ratio recurrences, which keeps intermediate values moderate even when the
-individual Pochhammers overflow.
+Bilateral sums run over symmetric windows [-M, M] grown by WINDOW_STEP until
+two consecutive expansions contribute relative mass below SERIES_TOL; both
+term sequences are produced by consecutive-term ratio recurrences, which
+keeps intermediate values moderate even when the individual Pochhammers
+overflow.  MAX_TERMS caps the terms of either evaluator (NoConvergence).
 """
 
 from __future__ import annotations
@@ -38,13 +38,22 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from .errors import DivisionByVanishingFactor, DomainError, NoConvergence
-from .policy import DEFAULT_POLICY, TruncationPolicy, qpow_exponent, scalar_value
+from .policy import qpow_exponent, scalar_value
 from .qcore import VANISH_TOL
 
 # Once a bilateral tail term drops below this magnitude the remaining tail can
 # never contribute at double precision; stopping there also keeps the factor
 # products q**k away from float overflow at very negative k.
 NEGLIGIBLE = 1e-280
+
+#: Relative tail threshold of a bilateral sum.
+SERIES_TOL = 1e-13
+
+#: Cap on the terms of a sum; exceeding it raises NoConvergence.
+MAX_TERMS = 1_000
+
+#: Growth increment of a bilateral summation window.
+WINDOW_STEP = 4
 
 
 @dataclass(frozen=True)
@@ -91,7 +100,7 @@ def _product(entries, qk, start=1.0 + 0j):
     return start
 
 
-def eval_phi(spec: SeriesSpec, policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesValue:
+def eval_phi(spec: SeriesSpec) -> SeriesValue:
     """Evaluate a balanced terminating unilateral basic hypergeometric series.
 
     The spec must have r = s + 1 and a numerator tag q^{-n}, n >= 0; the sum
@@ -108,7 +117,7 @@ def eval_phi(spec: SeriesSpec, policy: TruncationPolicy = DEFAULT_POLICY) -> Ser
     if not cuts:
         raise DomainError("eval_phi requires a numerator tag q^{-n} with n >= 0")
     cut = min(cuts)
-    if cut > policy.max_terms:
+    if cut > MAX_TERMS:
         raise NoConvergence("eval_phi: max_terms reached")
 
     total = 1.0 + 0j  # the k = 0 term
@@ -128,16 +137,13 @@ def eval_phi(spec: SeriesSpec, policy: TruncationPolicy = DEFAULT_POLICY) -> Ser
     return SeriesValue(total, cut + 1, True, condition=_condition(mass, total))
 
 
-def eval_psi(
-    spec: SeriesSpec,
-    policy: TruncationPolicy = DEFAULT_POLICY,
-) -> SeriesValue:
+def eval_psi(spec: SeriesSpec) -> SeriesValue:
     """Evaluate a balanced bilateral basic hypergeometric series: r = s, or
     DomainError.
 
     Structural cuts from QPower tags are honored on both sides.  Symmetric
-    windows grow by policy.window_step until two consecutive expansions are
-    below tolerance.
+    windows grow by WINDOW_STEP until two consecutive expansions add less
+    than SERIES_TOL relative; past MAX_TERMS terms it raises NoConvergence.
     """
     q = spec.q
     x = scalar_value(spec.argument, q)
@@ -160,7 +166,7 @@ def eval_psi(
     up_done = dn_done = up_struct = dn_struct = False
     log_inv_q = None  # log10(1/|q|), computed at the first lower term
     below = 0
-    m = policy.window_step
+    m = WINDOW_STEP
     while True:
         new = 0.0 + 0j
         hi = m if hi_cut is None else min(m, hi_cut)
@@ -208,9 +214,9 @@ def eval_psi(
         dn_end = dn_struct or (lo_cut is not None and k_dn <= lo_cut)
         if (up_done or up_end) and (dn_done or dn_end):
             return SeriesValue(total, nterms, up_end and dn_end, (k_dn, k_up))
-        below = below + 1 if abs(new) <= policy.series_tol * max(abs(total), 1e-300) else 0
+        below = below + 1 if abs(new) <= SERIES_TOL * max(abs(total), 1e-300) else 0
         if below >= 2:
             return SeriesValue(total, nterms, False, (k_dn, k_up))
-        if nterms > policy.max_terms:
+        if nterms > MAX_TERMS:
             raise NoConvergence("eval_psi: max_terms reached before tail threshold")
-        m += policy.window_step
+        m += WINDOW_STEP

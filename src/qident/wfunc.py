@@ -66,7 +66,6 @@ from typing import NamedTuple, Tuple
 
 from .errors import DivisionByVanishingFactor, PoleCancellationError
 from .partitions import interlacing_vectors, is_horizontal_strip, normalize, part
-from .policy import DEFAULT_POLICY
 from .qcore import epoch, theta
 
 #: Residual denominator theta values below this modulus count as poles.
@@ -163,7 +162,7 @@ def theta_quotient(num, den, q, p):
     return theta_product(rest, den_rest, p)
 
 
-def theta_product(num_args, den_args, p, policy=DEFAULT_POLICY):
+def theta_product(num_args, den_args, p):
     """prod theta(x;p) over num_args divided by the same over den_args, in
     order and without cancellation: the numeric end of every ledger.
 
@@ -171,9 +170,9 @@ def theta_product(num_args, den_args, p, policy=DEFAULT_POLICY):
     zero."""
     r = 1.0 + 0j
     for x in num_args:
-        r = r * theta(x, p, policy)
+        r = r * theta(x, p)
     for y in den_args:
-        ty = theta(y, p, policy)
+        ty = theta(y, p)
         if abs(ty) < POLE_TOL:
             raise PoleCancellationError("uncancelled denominator theta vanishes")
         r = r / ty

@@ -2,7 +2,6 @@
 independence, report formats, precision backend, and exit codes."""
 
 import csv
-import functools
 import importlib.util
 import json
 import os
@@ -347,7 +346,7 @@ def test_main_sampler_failure_is_an_error_report(tmp_path, capsys, monkeypatch):
     # with a budget of 500 draws the sampler finds no admissible draw at this
     # seed (its first is draw 643); the batch must still finish and report the
     # sample as an error
-    monkeypatch.setattr(identities, "_retry", functools.partial(identities._retry, tries=500))
+    monkeypatch.setattr(identities, "SAMPLE_TRIES", 500)
     out_p = tmp_path / "rep.json"
     rc = main(["run", "--case", "3psi3delta0", "--seed", "56", "--out", str(out_p)])
     assert rc == 1
@@ -488,9 +487,9 @@ def test_precision_high_reaches_bailey_10phi9_series(monkeypatch):
     seen = []
     original = identities.eval_phi
 
-    def spy(spec, policy):
+    def spy(spec):
         seen.append(spec.q.context.dps if hasattr(spec.q, "context") else "double")
-        return original(spec, policy)
+        return original(spec)
 
     monkeypatch.setattr(identities, "eval_phi", spy)
     run([CaseConfig(case_id="bailey10phi9", seed=0, samples=1)], precision="high")
@@ -684,6 +683,25 @@ def test_full_suite_bad_paths_exit_2_before_the_batch(tmp_path, capsys, monkeypa
         assert err.startswith(f"config error: --compare {bad}: {reason}")
         assert err.count("\n") == 1
     assert ran == []
+
+
+def test_full_suite_bad_counts_exit_2_before_the_batch(tmp_path, capsys, monkeypatch):
+    # --parallelism 0 ended in a ConfigError traceback, and --samples 0 ran
+    # nothing and exited 0; each is now one config error line, as in
+    # `qident run`, before any sample is drawn or any report written.
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("run_full_suite",
+                                                  root / "scripts" / "run_full_suite.py")
+    suite = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(suite)
+    drawn = []
+    monkeypatch.setattr(suite.cli, "sample_params", lambda *a: drawn.append(a))
+    ok = ["--out", str(tmp_path / "r.json"), "--csv", str(tmp_path / "r.csv")]
+    for option, message in (("--parallelism", "parallelism must be a positive integer"),
+                            ("--samples", "samples must be a positive integer")):
+        assert suite.main([*ok, option, "0"]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+    assert drawn == [] and list(tmp_path.iterdir()) == []
 
 
 def _result_line(tail_ms, samples_per_s, failed=0, correct=True):

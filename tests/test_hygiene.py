@@ -4,8 +4,9 @@ no function or class of the package is there only for the tests, and no
 module of the package or of the scripts opens a file by path in a "w"
 mode, no code of the package but identities.judge and
 identities.error_report builds a report or sets its verdict, no module
-of the package uses mpmath's process-global precision, and no function of
-the package takes a parameter that it never reads."""
+of the package uses mpmath's process-global precision, no function of
+the package takes a parameter that it never reads, and no default of a
+function of the package is one that every call keeps."""
 
 import ast
 from pathlib import Path
@@ -33,7 +34,7 @@ VERDICT_FIELDS = {"status", "abs_residual", "rel_residual"}
 PRECISION_SCOPES = {"workdps", "workprec", "extradps", "extraprec"}
 
 #: The parameters every verifier takes because run_case passes them to all.
-VERIFIER_PARAMETERS = {"tol", "policy"}
+VERIFIER_PARAMETERS = {"tol"}
 
 #: Statements that define a function or a class.
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -346,8 +347,8 @@ def test_no_global_mpmath_precision(path):
 def unread_parameters(text):
     """(line, function, parameter) of each parameter of a function (or
     lambda) in the module source text that its body never reads as a name,
-    nested functions included.  The tol and policy of a verify_* function are
-    skipped: run_case passes every verifier both (VERIFIER_PARAMETERS)."""
+    nested functions included.  The tol of a verify_* function is skipped:
+    run_case passes it to every verifier (VERIFIER_PARAMETERS)."""
     found = []
     for node in ast.walk(ast.parse(text)):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
@@ -372,7 +373,7 @@ def test_unread_parameter_scan_finds_and_skips():
             "    def inner(z):\n"
             "        return x\n"
             "    return inner\n"
-            "def verify_case(v, tol, policy, rng):\n"
+            "def verify_case(v, tol, rng):\n"
             "    return v\n"
             "def retry(tol, policy):\n"
             "    pass\n"
@@ -390,3 +391,89 @@ def test_unread_parameter_scan_finds_and_skips():
 @pytest.mark.parametrize("path", SRC, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unread_parameters(path):
     assert unread_parameters(path.read_text(encoding="utf-8")) == []
+
+
+def defaulted_parameters(tree):
+    """(function, parameter, position) of each parameter with a default of a
+    function in the parsed module, nested functions and methods included;
+    position is the index of the argument a call passes it at (a method's
+    self or cls not counted), or None for a keyword-only parameter."""
+    methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+               for f in c.body if isinstance(f, ast.FunctionDef)}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        positional = [*a.posonlyargs, *a.args]
+        first = len(positional) - len(a.defaults)
+        skip = 1 if id(node) in methods else 0
+        found += [(node.name, p.arg, i - skip)
+                  for i, p in enumerate(positional[first:], first)]
+        found += [(node.name, p.arg, None)
+                  for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    return found
+
+
+def passes(call, parameter, position):
+    """Whether the call passes the parameter: by keyword, through a **
+    argument, or by position, where a * argument may reach every position."""
+    if any(k.arg in (parameter, None) for k in call.keywords):
+        return True
+    return position is not None and (
+        len(call.args) > position
+        or any(isinstance(arg, ast.Starred) for arg in call.args))
+
+
+def one_value_knobs(texts, callers):
+    """(function, parameter) of each parameter with a default of a function
+    in the module source texts that no call in the caller source texts
+    passes (a call names the function, or an attribute of that name): the
+    default is then the one value in use, a constant, not an option.  A
+    function that no call names is skipped (the unread-definition scan
+    covers it), and so is main's argv."""
+    calls = {}
+    for text in callers:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+    found = set()
+    for text in texts:
+        for function, parameter, position in defaulted_parameters(ast.parse(text)):
+            named = calls.get(function, [])
+            if named and (function, parameter) != ("main", "argv") \
+                    and not any(passes(c, parameter, position) for c in named):
+                found.add((function, parameter))
+    return sorted(found)
+
+
+def test_one_value_knob_scan_finds_and_skips():
+    text = ("def f(a, b=1, *, c=2, d=3):\n"
+            "    def inner(e=4):\n"
+            "        pass\n"
+            "    inner()\n"
+            "def g(x, y=0):\n"
+            "    pass\n"
+            "def h(y=0):\n"
+            "    pass\n"
+            "def lonely(z=0):\n"
+            "    pass\n"
+            "def main(argv=None):\n"
+            "    pass\n"
+            "class Box:\n"
+            "    def put(self, item, key=None, tag=''):\n"
+            "        pass\n")
+    callers = ("f(1, 2, c=3)\n"
+               "f(1)\n"
+               "mod.g(*args)\n"
+               "h(**opts)\n"
+               "main()\n"
+               "box.put(1, 'k')\n")
+    assert one_value_knobs([text], [text, callers]) == [
+        ("f", "d"), ("inner", "e"), ("put", "tag")]
+
+
+def test_no_one_value_knobs():
+    assert one_value_knobs([p.read_text(encoding="utf-8") for p in SRC],
+                           [p.read_text(encoding="utf-8") for p in READERS]) == []

@@ -34,8 +34,9 @@ from qident.identities import (
     vwp_jackson_term,
 )
 from qident.partitions import lattice_window
-from qident.policy import DEFAULT_POLICY, QPower, scalar_value
-from qident.qcore import poch_int
+from qident.policy import QPower, scalar_value
+from qident.qcore import PRODUCT_TOL, poch_int
+from qident.series import SERIES_TOL, WINDOW_STEP
 from qident.wfunc import WParams, zw_multi
 
 from conftest import rel
@@ -142,12 +143,12 @@ def _bailey10_side(side, p, dps=None):
     mpmath precision (not the context the verifier escalates in)."""
     args = [p[k] for k in "abcdef"]
     if dps is None:
-        value, sv = side(*args, p["n"], p["q"], DEFAULT_POLICY)
+        value, sv = side(*args, p["n"], p["q"])
         bound = identities.phi_rounding_bound(sv.terms_used, 10, 9, sv.condition)
         return complex(value), bound <= identities.DOUBLE_GATE * 1e-9
     with mpmath.workdps(dps):
         value, _ = side(*(mpmath.mpmathify(complex(v)) for v in args), p["n"],
-                        mpmath.mpmathify(complex(p["q"])), DEFAULT_POLICY)
+                        mpmath.mpmathify(complex(p["q"])))
         return complex(value), None
 
 
@@ -202,9 +203,9 @@ def test_bailey10_draws_pass_a_thousand_times_below_tol(monkeypatch):
     seen = []
     original = identities.eval_phi
 
-    def spy(spec, policy):
+    def spy(spec):
         seen.append(isinstance(spec.q, float))
-        return original(spec, policy)
+        return original(spec)
 
     monkeypatch.setattr(identities, "eval_phi", spy)
     doubles = escalated = 0
@@ -975,13 +976,13 @@ def test_multilateral_3psi3_convergence_gate():
     assert r.message == "DomainError: multilateral 3psi3 requires |s| < 0.9 |q|^{n-1}"
 
 
-def _mlat_sweep(n, delta, q, s, a, x, policy=DEFAULT_POLICY):
+def _mlat_sweep(n, delta, q, s, a, x):
     """Brute-force lattice sum: every point of each hypercube shell in
     product order, each dominant summand rebuilt by mlat_3psi3_summand (the
     others are 0), with the shell tail test, the lattice budget and the window
     cap of _mlat_3psi3_sum."""
     total, nterms, covered, below = 0.0 + 0j, 0, -1, 0
-    m = max(policy.window_step, 4)
+    m = WINDOW_STEP
     while True:
         new = 0.0 + 0j
         for mu in itertools.product(range(-m, m + 1), repeat=n):
@@ -993,14 +994,14 @@ def _mlat_sweep(n, delta, q, s, a, x, policy=DEFAULT_POLICY):
             if nterms > identities.MAX_LATTICE_TERMS:
                 raise identities.NoConvergence("multilateral sum: lattice budget exhausted")
         total += new
-        if abs(new) <= policy.series_tol * max(abs(total), 1e-300):
+        if abs(new) <= SERIES_TOL * max(abs(total), 1e-300):
             below += 1
             if below >= 2:
                 return total, nterms, (-m, m)
         else:
             below = 0
         covered = m
-        m += policy.window_step
+        m += WINDOW_STEP
         if m > 200:
             raise identities.NoConvergence("multilateral sum: window cap reached")
 
@@ -1016,7 +1017,7 @@ def _sum_outcome(fn, *args):
 @pytest.mark.parametrize("delta", [0, 1])
 def test_multilateral_3psi3_sum_against_brute_force(n, s, delta):
     q, a, x = 0.3, 0.7 - 0.2j, 1.37 + 0.2j
-    total, nterms, window = _mlat_3psi3_sum(n, delta, q, s, a, x, DEFAULT_POLICY)
+    total, nterms, window = _mlat_3psi3_sum(n, delta, q, s, a, x)
     m = window[1]
     assert window == (-m, m) and nterms == (2 * m + 1) ** n
     brute, ref_terms, ref_window = _mlat_sweep(n, delta, q, s, a, x)
@@ -1055,7 +1056,7 @@ def test_dominant_shells_and_ranks_follow_the_sweep():
             covered = m
 
 
-def _mlat_pointwise(n, delta, q, s, a, x, policy=DEFAULT_POLICY):
+def _mlat_pointwise(n, delta, q, s, a, x):
     """_mlat_3psi3_sum's shells summed point by point, for draws that converge:
     each dominant point's summand is (1.0+0j) g_1(mu_1) ... g_n(mu_n) from the
     same tables, skipped when 0, times the Delta^2 factors over i < j (j
@@ -1068,7 +1069,7 @@ def _mlat_pointwise(n, delta, q, s, a, x, policy=DEFAULT_POLICY):
               identities._DeltaSquare(q, delta + 2 * n - i - j))
              for j in range(2, n + 1) for i in range(1, j)]
     total, nterms, covered, below = 0.0 + 0j, 0, -1, 0
-    m = max(policy.window_step, 4)
+    m = WINDOW_STEP
     while True:
         g = [f.grow(m) for f in factors]  # g_i(k) at index m - k
         deltas = [(i, j, dsq.grow(2 * m), ssq.grow(2 * m)) for i, j, dsq, ssq in cross]
@@ -1084,11 +1085,11 @@ def _mlat_pointwise(n, delta, q, s, a, x, policy=DEFAULT_POLICY):
             new += v
         nterms += (2 * m + 1) ** n - ((2 * covered + 1) ** n if covered >= 0 else 0)
         total += new
-        below = below + 1 if abs(new) <= policy.series_tol * max(abs(total), 1e-300) else 0
+        below = below + 1 if abs(new) <= SERIES_TOL * max(abs(total), 1e-300) else 0
         if below >= 2:
             return total, nterms, (-m, m)
         covered = m
-        m += policy.window_step
+        m += WINDOW_STEP
 
 
 @pytest.mark.parametrize("n, s, q", [(1, 0.45 + 0.1j, 0.3), (2, 0.1 - 0.05j, 0.3),
@@ -1097,7 +1098,7 @@ def _mlat_pointwise(n, delta, q, s, a, x, policy=DEFAULT_POLICY):
 @pytest.mark.parametrize("delta", [0, 1])
 def test_multilateral_3psi3_runs_are_bit_identical_to_the_pointwise_walk(n, s, q, delta):
     a, x = 0.7 - 0.2j, 1.37 + 0.2j
-    total, nterms, window = _mlat_3psi3_sum(n, delta, q, s, a, x, DEFAULT_POLICY)
+    total, nterms, window = _mlat_3psi3_sum(n, delta, q, s, a, x)
     assert window[1] > 8  # shells with covered >= 0 were summed
     ref_total, ref_terms, ref_window = _mlat_pointwise(n, delta, q, s, a, x)
     assert (repr(total), nterms, window) == (repr(ref_total), ref_terms, ref_window)
@@ -1130,7 +1131,6 @@ def test_multilateral_3psi3_sum_vanishing_factor_as_sweep(draw, monkeypatch):
     # shell's budget; a budget that ends in an earlier shell is exhausted.
     # At the real budget the error is the one a product-order sweep meets.
     args, budgets, error, before = _VANISHING[draw]
-    args = args + (DEFAULT_POLICY,)
     for budget in budgets:
         monkeypatch.setattr(identities, "MAX_LATTICE_TERMS", budget)
         got = _sum_outcome(_mlat_3psi3_sum, *args)
@@ -1151,7 +1151,7 @@ def test_multilateral_3psi3_vanishing_factor_is_an_error_report():
 def test_multilateral_3psi3_budget_exhausted_as_sweep(monkeypatch):
     # A rank-3 draw that exhausts the real budget (at m = 32), and smaller
     # budgets that end in the first and second shells.
-    args = (3, 1, 0.3, 0.03, 0.6 - 0.2j, 1.37 + 0.2j, DEFAULT_POLICY)
+    args = (3, 1, 0.3, 0.03, 0.6 - 0.2j, 1.37 + 0.2j)
     assert _sum_outcome(_mlat_3psi3_sum, *args) == _BUDGET
     for budget in (100, 729, 730, 4000):
         monkeypatch.setattr(identities, "MAX_LATTICE_TERMS", budget)
@@ -1207,13 +1207,13 @@ def test_summand_invariance_split_products_once_per_evaluation(monkeypatch):
     calls = []
     original = identities._poch_inf_split_product
 
-    def counting(a, q, policy):
+    def counting(a, q):
         calls.append(a)
-        return original(a, q, policy)
+        return original(a, q)
 
     monkeypatch.setattr(identities, "_poch_inf_split_product", counting)
     params = dict(_INVARIANCE, n=4, delta=0, k=2, sign=1)
-    fresh = verify_summand_invariance(**params, tol=1e-9, policy=DEFAULT_POLICY)
+    fresh = verify_summand_invariance(**params, tol=1e-9)
     assert len(calls) == 56
     calls.clear()
     memo = run_case("summandinvariance", params)
@@ -1222,11 +1222,11 @@ def test_summand_invariance_split_products_once_per_evaluation(monkeypatch):
         fresh, case_id="summandinvariance", params=dict(params, tol=1e-9)))
 
 
-def _split_multiplied_out(a, q, policy):
+def _split_multiplied_out(a, q):
     """(zeros, value) of the split product with every factor multiplied out
-    to |a q^k| < product_tol, the reference for the summed Euler tail."""
+    to |a q^k| < PRODUCT_TOL, the reference for the summed Euler tail."""
     zeros, r, x = 0, 1.0 + 0j, a
-    while abs(x) >= policy.product_tol:
+    while abs(x) >= PRODUCT_TOL:
         f = 1 - x
         if abs(f) < identities.STRUCT_ZERO_TOL:
             zeros += 1
@@ -1242,9 +1242,9 @@ def test_split_product_zero_counts_unchanged_by_the_euler_tail(monkeypatch):
     original = identities._poch_inf_split_product
     counted = []
 
-    def checked(a, q, policy):
-        zeros, value = original(a, q, policy)
-        old_zeros, old_value = _split_multiplied_out(a, q, policy)
+    def checked(a, q):
+        zeros, value = original(a, q)
+        old_zeros, old_value = _split_multiplied_out(a, q)
         assert zeros == old_zeros and rel(value, old_value) < 1e-13
         counted.append(zeros)
         return zeros, value
@@ -1254,6 +1254,21 @@ def test_split_product_zero_counts_unchanged_by_the_euler_tail(monkeypatch):
         assert run_case("summandinvariance",
                         sample_params("summandinvariance", seed)).status == "pass"
     assert len(counted) > 1000 and sum(counted) > 100
+
+
+def test_split_product_refuses_q_outside_the_unit_disk():
+    # The split product refused |q| >= 1 only when its factor budget ran
+    # out, as NoConvergence; it is the DomainError poch_inf gives.
+    # flippedsummand evaluates its terminating term first, which at q = -1
+    # divides by zero.
+    domain = "DomainError: poch_inf requires |q| < 1"
+    for case_id, q, message in (
+            ("flippedsummand", 1.5, domain), ("flippedsummand", -1.2, domain),
+            ("flippedsummand", -1, "ZeroDivisionError: complex division by zero"),
+            ("summandinvariance", 1.5, domain), ("summandinvariance", -1, domain),
+            ("summandinvariance", -1.2, domain)):
+        rep = run_case(case_id, {**sample_params(case_id, 0), "q": q})
+        assert (rep.status, rep.message) == ("error", message), (case_id, q)
 
 
 def test_summand_invariance_overflow_is_an_error_report():
@@ -1280,14 +1295,11 @@ def test_run_case_names_every_report():
     # run_case is the one place that gives a report its identity: case_id is
     # the registry key, and params are the checked arguments, tol and a
     # verifier's report-only extras (jackson8phi7's derived e, the delta a
-    # 3psi3 case id fixes).  No verifier repeats the tol of its registration
-    # or the policy run_case passes.
+    # 3psi3 case id fixes).  No verifier repeats the tol of its registration.
     extras = {"jackson8phi7": {"e"}, "3psi3delta0": {"delta"}, "3psi3delta1": {"delta"}}
     for case_id, case in CASES.items():
         signature = inspect.signature(case.verifier)
-        for name in ("tol", "policy"):
-            assert signature.parameters[name].default is inspect.Parameter.empty, \
-                (case_id, name)
+        assert signature.parameters["tol"].default is inspect.Parameter.empty, case_id
         for seed in range(5):
             rep = run_case(case_id, sample_params(case_id, seed))
             assert rep.case_id == case_id

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 import qident.qcore as qcore
 from qident.errors import DivisionByVanishingFactor, DomainError, NoConvergence
-from qident.policy import TruncationPolicy
 from qident.qcore import (
+    PRODUCT_TOL,
     THETA_MEMO,
     epoch,
     pair_poch_ratio,
@@ -115,22 +115,21 @@ def test_poch_inf_domain_error():
         poch_inf(0.5, 1.1)
 
 
-def test_poch_inf_max_factors_stability():
-    base = TruncationPolicy()
-    doubled = TruncationPolicy(max_factors=2 * base.max_factors)
+def test_poch_inf_max_factors_stability(monkeypatch):
     rng = random.Random(5)
-    for _ in range(20):
-        a = complex(rng.uniform(-0.9, 0.9), rng.uniform(-0.9, 0.9))
-        q = rng.uniform(0.1, 0.6)
-        assert abs(poch_inf(a, q, base) - poch_inf(a, q, doubled)) \
-            < base.product_tol * 10
+    draws = [(complex(rng.uniform(-0.9, 0.9), rng.uniform(-0.9, 0.9)),
+              rng.uniform(0.1, 0.6)) for _ in range(20)]
+    base = [poch_inf(a, q) for a, q in draws]
+    monkeypatch.setattr(qcore, "MAX_FACTORS", 2 * qcore.MAX_FACTORS)
+    for (a, q), v in zip(draws, base):
+        assert abs(v - poch_inf(a, q)) < PRODUCT_TOL * 10
 
 
-def _multiplied_out(a, q, policy=TruncationPolicy()):
-    """(a;q)_inf with every factor multiplied out to |a q^k| < product_tol,
+def _multiplied_out(a, q):
+    """(a;q)_inf with every factor multiplied out to |a q^k| < PRODUCT_TOL,
     the reference for the summed Euler tail."""
     r, x = 1.0 + 0j, a
-    while abs(x) >= policy.product_tol:
+    while abs(x) >= PRODUCT_TOL:
         r, x = r * (1 - x), x * q
         if r == 0:
             break
@@ -171,11 +170,12 @@ def test_tail_radius_shrinks_with_one_minus_abs_q():
         assert 1.7 < mpmath.qp(-rho, q) / mpmath.qp(rho, q) < 2.05
 
 
-def test_poch_inf_nan_argument_is_no_convergence():
+def test_poch_inf_nan_argument_is_no_convergence(monkeypatch):
+    monkeypatch.setattr(qcore, "MAX_FACTORS", 50)
     for a, q in ((float("nan"), 0.5), (complex(0.1, float("nan")), 0.5),
                  (0.3, complex(float("nan"), 0.1))):
         with pytest.raises(NoConvergence):
-            poch_inf(a, q, TruncationPolicy(max_factors=50))
+            poch_inf(a, q)
 
 
 def test_poch_inf_stays_in_mpmath_arithmetic():
@@ -262,13 +262,13 @@ def test_theta_memo_returns_the_kernel_value_once_per_key(monkeypatch):
     calls, builds = [], []
     build = qcore._euler_coefficients
 
-    def counting(a, q, policy):
+    def counting(a, q):
         calls.append(a)
-        return poch_inf(a, q, policy)
+        return poch_inf(a, q)
 
-    def counting_build(q, policy):
-        builds.append((q, type(q), policy.product_tol))
-        return build(q, policy)
+    def counting_build(q):
+        builds.append((q, type(q)))
+        return build(q)
 
     monkeypatch.setattr(qcore, "poch_inf", counting)
     monkeypatch.setattr(qcore, "_euler_coefficients", counting_build)
@@ -280,30 +280,29 @@ def test_theta_memo_returns_the_kernel_value_once_per_key(monkeypatch):
     try:
         assert repr(theta(x, p)) == repr(fresh) and len(calls) == 4
         assert repr(theta(x, p)) == repr(fresh) and len(calls) == 4
-        # Another policy, or an mpmath argument of equal value, is another key.
-        theta(x, p, TruncationPolicy(product_tol=1e-12))
+        # An mpmath argument of equal value is another key.
         theta(mpmath.mpc(x), p)
-        assert len(calls) == 8
+        assert len(calls) == 6
         # p = 0 never reaches the memo.
         assert theta(x, 0.0) == 1 - x
-        mf = TruncationPolicy().max_factors
         assert {k for k in THETA_MEMO.get() if k[0] != "euler"} == {
-            (x, p, complex, float, 1e-17, mf), (x, p, complex, float, 1e-12, mf),
-            (mpmath.mpc(x), p, mpmath.mpc, float, 1e-17, mf)}
-        # Euler's coefficients are built once per (q, type, product_tol): the
-        # mpmath x shares the double p's.  Outside the memo every product
-        # builds its own.
-        assert builds == [(p, float, 1e-17), (p, float, 1e-12)]
+            (x, p, complex, float), (mpmath.mpc(x), p, mpmath.mpc, float)}
+        # Euler's coefficients are built once per (q, type): the mpmath x
+        # shares the double p's.  Outside the memo every product builds its
+        # own.
+        assert builds == [(p, float)]
         poch_inf(x, mpmath.mpf(p))
         poch_inf(x / 2, mpmath.mpf(p))
-        assert builds[2:] == [(p, mpmath.mpf, 1e-17)]
-        assert len(THETA_MEMO.get()) == 6
+        assert builds[1:] == [(p, mpmath.mpf)]
+        assert set(THETA_MEMO.get()) >= {("euler", p, float),
+                                         ("euler", p, mpmath.mpf)}
+        assert len(THETA_MEMO.get()) == 4
     finally:
         THETA_MEMO.reset(token)
     assert THETA_MEMO.get() is None
     del builds[:]
     theta(x, p)
-    assert len(calls) == 10 and len(builds) == 2
+    assert len(calls) == 8 and len(builds) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,11 @@ import random
 import mpmath
 import pytest
 
+import qident.series as series
 from qident.errors import DomainError
-from qident.policy import DEFAULT_POLICY, QPower, TruncationPolicy
+from qident.policy import QPower
 from qident.qcore import csqrt, poch_inf, poch_int, poch_multi_inf
-from qident.series import SeriesSpec, eval_phi, eval_psi
+from qident.series import SERIES_TOL, SeriesSpec, eval_phi, eval_psi
 
 from conftest import rel
 
@@ -180,22 +181,23 @@ def test_psi_structural_two_sided_window():
     assert sv.terms_used == 5
 
 
-def test_psi_window_stability():
-    # a tighter series_tol converges on a wider window, and the value it adds
-    # is < 10 * series_tol relative
+def test_psi_window_stability(monkeypatch):
+    # a tighter SERIES_TOL converges on a wider window, and the value it adds
+    # is < 10 * SERIES_TOL relative
     a, b, x, q = 0.9, 0.2, 0.5, 0.3
     spec = SeriesSpec(numerator=[a], denominator=[b], argument=x, q=q)
     sv = eval_psi(spec)
-    wide = eval_psi(spec, TruncationPolicy(series_tol=1e-3 * DEFAULT_POLICY.series_tol))
+    monkeypatch.setattr(series, "SERIES_TOL", 1e-3 * SERIES_TOL)
+    wide = eval_psi(spec)
     assert wide.window[0] < sv.window[0] and wide.window[1] > sv.window[1]
-    assert rel(sv.value, wide.value) < 10 * DEFAULT_POLICY.series_tol
+    assert rel(sv.value, wide.value) < 10 * SERIES_TOL
 
 
-def test_psi_6psi6_within_term_budget():
+def test_psi_6psi6_within_term_budget(monkeypatch):
     # very-well-poised 6psi6 draws with |q a^2/(bcde)| <= 0.5 converge within
-    # max_terms = 400
+    # MAX_TERMS = 400
     rng = random.Random(29)
-    policy = TruncationPolicy(max_terms=400)
+    monkeypatch.setattr(series, "MAX_TERMS", 400)
     for _ in range(10):
         q = rng.uniform(0.1, 0.5)
         a = rng.uniform(0.5, 0.9)
@@ -208,6 +210,6 @@ def test_psi_6psi6_within_term_budget():
             numerator=[q * sa, -q * sa, b, c, d, e],
             denominator=[sa, -sa, a * q / b, a * q / c, a * q / d, a * q / e],
             argument=x, q=q)
-        sv = eval_psi(spec, policy)
+        sv = eval_psi(spec)
         assert sv.terms_used <= 400
 
