@@ -6,9 +6,10 @@ Runs PARENT/bench/run.py and CHANGE/bench/run.py in turn, the parent first in
 odd pairs and the change first in even ones; both runs of pair k use seed
 FIRST_SEED + k - 1 and the same --seconds.  It then prints, for each
 end-to-end metric of CHANGE/BENCHMARK.json (or --benchmark), each side's
-median and quartiles, the relative move of the median, and in how many pairs
-the change was better in the metric's direction; then each side's `failed`
-counts and whether every run was `correct`.
+median and quartiles, the relative move of the median, in how many pairs
+the change was better in the metric's direction, and a verdict against the
+metric's bound (see verdict); then each side's `failed` counts and whether
+every run was `correct`.
 
 Standard library only.  The script writes nothing; each bench/run.py writes
 its own bench/out/ in its tree.
@@ -42,6 +43,35 @@ def _quartiles(values):
     return q1, q3
 
 
+def _beats(c, p, better):
+    """Whether value c is better than value p in the metric's direction."""
+    return c < p if better == "lower" else c > p
+
+
+def verdict(pv, cv, better, bound):
+    """The verdict on one metric's paired values (pv[k] and cv[k] of pair k),
+    by the first rule that holds:
+      regression   the change's median is worse than the parent's by more
+                   than bound * |parent median|;
+      unresolved   the parent's quartile distance exceeds bound * |parent
+                   median|, and not every change run beats every parent run;
+      gain         the change wins at least 9/10 of the pairs (ties count
+                   for neither), and |median difference| exceeds the parent's
+                   quartile distance;
+      within bound otherwise."""
+    pm, cm = statistics.median(pv), statistics.median(cv)
+    p1, p3 = _quartiles(pv)
+    if _beats(pm, cm, better) and abs(cm - pm) > bound * abs(pm):
+        return "regression"
+    spread = p3 - p1 > bound * abs(pm)
+    if spread and not all(_beats(c, p, better) for c in cv for p in pv):
+        return "unresolved"
+    wins = sum(_beats(c, p, better) for p, c in zip(pv, cv))
+    if 10 * wins >= 9 * len(pv) and abs(cm - pm) > p3 - p1:
+        return "gain"
+    return "within bound"
+
+
 def summarize(parent_lines, change_lines, end_to_end):
     """Summary lines of paired result lines (pair k is parent_lines[k] and
     change_lines[k]), for the end-to-end metric entries of BENCHMARK.json."""
@@ -55,7 +85,7 @@ def summarize(parent_lines, change_lines, end_to_end):
         name, better = metric["name"], metric["better"]
         pv = [r["metrics"][name]["value"] for r in parent]
         cv = [r["metrics"][name]["value"] for r in change]
-        wins = sum((c < p) if better == "lower" else (c > p) for p, c in zip(pv, cv))
+        wins = sum(_beats(c, p, better) for p, c in zip(pv, cv))
         pm, cm = statistics.median(pv), statistics.median(cv)
         (p1, p3), (c1, c3) = _quartiles(pv), _quartiles(cv)
         move = (cm - pm) / abs(pm) if pm else float("nan")
@@ -64,6 +94,8 @@ def summarize(parent_lines, change_lines, end_to_end):
                    f" won {wins}/{len(pv)}; |median difference| {abs(cm - pm):.4g}"
                    f" vs parent quartile distance {p3 - p1:.4g}")
         out.append("  pairs: " + ", ".join(f"{p:.4g}->{c:.4g}" for p, c in zip(pv, cv)))
+        out.append(f"  verdict: {verdict(pv, cv, better, metric['bound'])}"
+                   f" (bound {metric['bound']:.0%})")
     for side, runs in (("parent", parent), ("change", change)):
         out.append(f"{side}: failed {[r['failed'] for r in runs]} of "
                    f"{[r['attempted'] for r in runs]}, correct "

@@ -132,9 +132,27 @@ def case_summaries(doc, base):
     return out
 
 
+def _number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def is_run(run):
+    """Whether run is a report run entry that --compare can read: an object
+    with a string case_id, an integer sample_index, a status, lhs and rhs
+    each [re, im] or null, and a numeric or null rel_residual."""
+    keys = ("case_id", "sample_index", "status", "lhs", "rhs", "rel_residual")
+    return (isinstance(run, dict) and all(k in run for k in keys)
+            and isinstance(run["case_id"], str) and isinstance(run["sample_index"], int)
+            and all(v is None or (isinstance(v, list) and len(v) == 2
+                                  and all(map(_number, v)))
+                    for v in (run["lhs"], run["rhs"]))
+            and (run["rel_residual"] is None or _number(run["rel_residual"])))
+
+
 def read_report(path):
     """The report document in the JSON file path, for --compare; ConfigError
-    when the file cannot be read, is not JSON or is not a report."""
+    when the file cannot be read, is not JSON or is not a report: an object
+    with a meta object, a summary and a list of runs (is_run)."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -142,7 +160,9 @@ def read_report(path):
         raise ConfigError(f"--compare {path}: cannot read: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"--compare {path}: malformed JSON: {exc}") from None
-    if not (isinstance(doc, dict) and {"meta", "summary", "runs"} <= doc.keys()):
+    if not (isinstance(doc, dict) and {"meta", "summary", "runs"} <= doc.keys()
+            and isinstance(doc["meta"], dict) and isinstance(doc["runs"], list)
+            and all(map(is_run, doc["runs"]))):
         raise ConfigError(f"--compare {path}: not a report of this script")
     return doc
 

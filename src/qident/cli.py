@@ -201,7 +201,8 @@ def _validate_config(entry: dict) -> CaseConfig:
 
 def load_configs(path: str) -> List[CaseConfig]:
     """Read and validate a JSON config file (raises ConfigError on any
-    malformed entry before any evaluation starts)."""
+    malformed entry, or on a list without entries, before any evaluation
+    starts)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -213,6 +214,8 @@ def load_configs(path: str) -> List[CaseConfig]:
         doc = doc["cases"]
     if not isinstance(doc, list):
         raise ConfigError("config must be a list of case configs or {'cases': [...]}")
+    if not doc:
+        raise ConfigError("config lists no cases")
     return [_validate_config(entry) for entry in doc]
 
 

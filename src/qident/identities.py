@@ -528,55 +528,37 @@ class _CoordinateFactor:
         g(m+1) = g(m) c prod (1 - anum q^m) / (1 - aden q^m)          (m >= 0),
         g(m-1) = g(m) / c prod (1 - aden q^{m-1}) / (1 - anum q^{m-1})  (m <= 0).
 
-    The factors and their vanishing tests are those of qcore.pair_poch_ratio.
-    A vanishing factor to divide by stops the table in its direction: from
-    there outward pair_poch_ratio raises for every m, so a summand that reads
-    such an entry raises (see failure), and the entries are 0 placeholders."""
+    The factors and their vanishing tests are those of qcore.pair_poch_ratio,
+    and so are the errors: growth that meets a vanishing factor to divide by
+    raises pair_poch_ratio's DivisionByVanishingFactor there, upper side first
+    (a summand with this coordinate from there outward would raise it)."""
 
     def __init__(self, c, pairs, q):
         self.c, self.pairs, self.q = c, pairs, q
         self.up, self.down = [1.0 + 0j], []  # g(0), g(1), ... and g(-1), g(-2), ...
-        self.bad_up = self.bad_down = None  # least m > 0 / greatest m < 0 that raise
 
     def grow(self, m):
         """Tabulate g on [-m, m] and return the table: g(k) at index m - k."""
         q, c, up, down = self.q, self.c, self.up, self.down
         while len(up) <= m:
-            k = len(up) - 1
-            g = 0.0
-            if self.bad_up is None:
-                qk = q**k
-                g = up[-1] * c
-                for anum, aden in self.pairs:
-                    fd = 1 - aden * qk
-                    if abs(fd) < VANISH_TOL:
-                        self.bad_up, g = k + 1, 0.0
-                        break
-                    g = g * (1 - anum * qk) / fd
+            qk = q ** (len(up) - 1)
+            g = up[-1] * c
+            for anum, aden in self.pairs:
+                fd = 1 - aden * qk
+                if abs(fd) < VANISH_TOL:
+                    raise DivisionByVanishingFactor(PAIR_DENOMINATOR_VANISHES)
+                g = g * (1 - anum * qk) / fd
             up.append(g)
         while len(down) < m:
-            k = -len(down) - 1
-            g = 0.0
-            if self.bad_down is None:
-                qk = q**k
-                g = (down[-1] if down else up[0]) / c
-                for anum, aden in self.pairs:
-                    fn = 1 - anum * qk
-                    if abs(fn) < VANISH_TOL:
-                        self.bad_down, g = k, 0.0
-                        break
-                    g = g * (1 - aden * qk) / fn
+            qk = q ** (-len(down) - 1)
+            g = (down[-1] if down else up[0]) / c
+            for anum, aden in self.pairs:
+                fn = 1 - anum * qk
+                if abs(fn) < VANISH_TOL:
+                    raise DivisionByVanishingFactor(PAIR_RECIPROCAL_VANISHES)
+                g = g * (1 - aden * qk) / fn
             down.append(g)
         return up[m::-1] + down[:m]
-
-    def failure(self, v):
-        """pair_poch_ratio's error message for a summand with this coordinate
-        at v, or None when it evaluates."""
-        if self.bad_up is not None and v >= self.bad_up:
-            return PAIR_DENOMINATOR_VANISHES
-        if self.bad_down is not None and v <= self.bad_down:
-            return PAIR_RECIPROCAL_VANISHES
-        return None
 
 
 class _DeltaSquare:
@@ -651,10 +633,10 @@ def _mlat_3psi3_sum(n, delta, q, s, a, x):
     the shell's point order, so the sum is bit for bit that of a walk that
     multiplies each point's tabulated factors in turn.
 
-    terms_used counts every point of the window, (2m + 1)^n.  A shell whose
-    tables reach a vanishing factor (read by a dominant point such as (v,
-    ..., v)) raises the first coordinate's pair_poch_ratio error, denominator
-    before reciprocal, before its budget."""
+    terms_used counts every point of the window, (2m + 1)^n.  Each shell grows
+    the coordinate tables, in coordinate order, before its budget check, and a
+    table raises pair_poch_ratio's error where it meets a vanishing factor:
+    a dominant point such as (v, ..., v) of that shell would read it."""
     factors = [_CoordinateFactor(s * q ** (1 - n + 2 * (i - 1)),
                                  _mlat_pairs(i, n, delta, q, s, a, x), q)
                for i in range(1, n + 1)]
@@ -678,10 +660,6 @@ def _mlat_3psi3_sum(n, delta, q, s, a, x):
         grown = {e0: sq.grow(M) for e0, sq in squares.items()}  # d at index M - d
         deltas = [(i, j, grown[e_dif], grown[e_dif][::-1], grown[e_sum])
                   for i, j, e_dif, e_sum in cross]
-        for f in factors:
-            msg = f.failure(m) or f.failure(-m)
-            if msg is not None:
-                raise DivisionByVanishingFactor(msg)
         count = (2 * m + 1) ** n - ((2 * covered + 1) ** n if covered >= 0 else 0)
         if nterms + count > MAX_LATTICE_TERMS:
             raise NoConvergence("multilateral sum: lattice budget exhausted")

@@ -152,6 +152,18 @@ def test_main_bad_partition_exits_2(tmp_path, capsys):
         assert "config error:" in capsys.readouterr().err
 
 
+def test_main_empty_config_exits_2(tmp_path, capsys, monkeypatch):
+    # It printed pass=0 fail=0 error=0 and exited 0, as if it had passed.
+    ran = []
+    monkeypatch.setattr("qident.cli.run", lambda *a, **k: ran.append(a))
+    path = tmp_path / "empty.json"
+    for text in ("[]", '{"cases": []}'):
+        path.write_text(text)
+        assert main(["run", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == "config error: config lists no cases\n"
+    assert ran == []
+
+
 def test_main_rejects_nonfinite_tol_in_both_paths(tmp_path, capsys):
     assert main(["run", "--case", "c1macdonald", "--tol", "inf"]) == 2
     assert "config error:" in capsys.readouterr().err
@@ -242,6 +254,11 @@ def test_load_configs_forms(tmp_path):
     p.write_text(json.dumps({"nothing": []}))
     with pytest.raises(ConfigError):
         load_configs(str(p))
+    # A list without entries ran nothing and passed.
+    for empty in ([], {"cases": []}):
+        p.write_text(json.dumps(empty))
+        with pytest.raises(ConfigError, match="^config lists no cases$"):
+            load_configs(str(p))
 
 
 def test_example_config_runs_and_passes():
@@ -675,7 +692,18 @@ def test_full_suite_bad_paths_exit_2_before_the_batch(tmp_path, capsys, monkeypa
     assert suite.main([*ok, "--compare", str(missing)]) == 2
     assert capsys.readouterr().err.startswith(
         f"config error: --compare {missing}: cannot read: ")
-    for text, reason in (("{", "malformed JSON: "), ("[]", "not a report of this script")):
+    run = {"case_id": "c1macdonald", "sample_index": 0, "status": "pass",
+           "lhs": [1.0, 0.0], "rhs": [1.0, 0.0], "rel_residual": 0.0}
+    # A malformed run entry crashed with a TypeError after the whole batch.
+    malformed = [{"meta": {}, "summary": {}, "runs": runs}
+                 for runs in ([1], {}, [{k: v for k, v in run.items() if k != "lhs"}],
+                              [{**run, "case_id": ["c1macdonald"]}],
+                              [{**run, "sample_index": "0"}], [{**run, "rhs": [1.0]}],
+                              [{**run, "lhs": "1"}], [{**run, "rel_residual": "0"}])]
+    malformed.append({"meta": 1, "summary": {}, "runs": [run]})
+    for text, reason in (("{", "malformed JSON: "), ("[]", "not a report of this script"),
+                         *((json.dumps(doc), "not a report of this script")
+                           for doc in malformed)):
         bad = tmp_path / "bad.json"
         bad.write_text(text)
         assert suite.main([*ok, "--compare", str(bad)]) == 2
@@ -720,17 +748,38 @@ def test_bench_pairs_summary_counts_wins_in_each_metric_direction():
     parent = [_result_line(t, s) for t, s in [(6.0, 900), (6.4, 950), (6.2, 1000)]]
     change = [_result_line(5.0, 950), _result_line(6.5, 940, failed=2),
               _result_line(4.8, 1100, correct=False)]
-    end_to_end = [{"name": "op_tail_ms", "better": "lower"},
-                  {"name": "samples_per_s", "better": "higher"}]
+    end_to_end = [{"name": "op_tail_ms", "better": "lower", "bound": 0.25},
+                  {"name": "samples_per_s", "better": "higher", "bound": 0.25}]
     lines = bench_pairs.summarize(parent, change, end_to_end)
     assert lines[0].startswith("3 pairs;")
     assert lines[1].startswith("op_tail_ms (lower is better): parent 6.2 ")
     assert "-> change 5 " in lines[1] and "-19.4%" in lines[1] and "won 2/3" in lines[1]
     assert lines[2] == "  pairs: 6->5, 6.4->6.5, 6.2->4.8"
-    assert lines[3].startswith("samples_per_s (higher is better): parent 950 ")
-    assert "won 2/3" in lines[3]
-    assert lines[5:] == ["parent: failed [0, 0, 0] of [100, 100, 100], correct True",
+    # 2 of 3 wins is no gain
+    assert lines[3] == "  verdict: within bound (bound 25%)"
+    assert lines[4].startswith("samples_per_s (higher is better): parent 950 ")
+    assert "won 2/3" in lines[4]
+    assert lines[6] == "  verdict: within bound (bound 25%)"
+    assert lines[7:] == ["parent: failed [0, 0, 0] of [100, 100, 100], correct True",
                          "change: failed [0, 2, 0] of [100, 100, 100], correct False"]
+    # At a 1% bound the parent's quartile distances (0.4 ms, 100/s) exceed
+    # the bound, and the runs overlap.
+    tight = [{**metric, "bound": 0.01} for metric in end_to_end]
+    lines = bench_pairs.summarize(parent, change, tight)
+    assert lines[3] == lines[6] == "  verdict: unresolved (bound 1%)"
+    # Every pair won by more than the parent's spread is a gain; a median
+    # 40% worse is a regression, in either direction.
+    parent = [_result_line(t, s) for t, s in [(6.0, 1000), (6.1, 1010), (6.2, 1020)]]
+    change = [_result_line(t, s) for t, s in [(5.0, 600), (5.1, 610), (5.2, 620)]]
+    lines = bench_pairs.summarize(parent, change, end_to_end)
+    assert lines[3] == "  verdict: gain (bound 25%)"
+    assert lines[6] == "  verdict: regression (bound 25%)"
+    lines = bench_pairs.summarize(change, parent, end_to_end)
+    assert lines[3] == "  verdict: within bound (bound 25%)"  # 5.1 -> 6.1 is +19.6%
+    assert lines[6] == "  verdict: gain (bound 25%)"
+    slower = [_result_line(t, 1000) for t in (8.0, 8.1, 8.2)]
+    assert bench_pairs.summarize(parent, slower, end_to_end)[3] == \
+        "  verdict: regression (bound 25%)"
     with pytest.raises(ValueError):
         bench_pairs.summarize(parent, change[:2], end_to_end)
 

@@ -1105,9 +1105,10 @@ def test_multilateral_3psi3_runs_are_bit_identical_to_the_pointwise_walk(n, s, q
 
 
 # Draws whose pair ratios meet a vanishing factor, with budgets that end in
-# an earlier shell or in the shell that meets it.  q = 1/2; a s = q^{-k} makes
-# coordinate i's pair_poch_ratio denominator vanish from mu_i = k + i on, and
-# x = q^k its reciprocal from mu_i = k + 1 - i down.
+# an earlier shell or in the shell that meets it, at ranks 1 to 3 and in both
+# directions.  q = 1/2; a s = q^{-k} makes coordinate i's pair_poch_ratio
+# denominator vanish from mu_i = k + i on, and x = q^k its reciprocal from
+# mu_i = k + i - 1 down.
 _A = 0.7 - 0.2j
 _DEN = "DivisionByVanishingFactor: pair_poch_ratio: denominator vanishes"
 _RECIP = "DivisionByVanishingFactor: pair_poch_ratio: reciprocal vanishes"
@@ -1122,6 +1123,15 @@ _VANISHING = {
                    _RECIP, 0),
     # shell m = 4
     "rank3": ((3, 1, 0.5, 8 / _A, _A, 0.75 + 0.25j), range(600, 740, 8), _DEN, 0),
+    # shell m = 4
+    "rank3-reciprocal": ((3, 1, 0.5, 0.02 + 0.01j, _A, 4.0), (0, 1, 728, 729, 10**5),
+                         _RECIP, 0),
+    # shell m = 8, after the 9 points of shell 4
+    "rank1-denominator": ((1, 1, 0.5, 128 / _A, _A, 0.75 + 0.25j), range(1, 30, 2),
+                          _DEN, 9),
+    # shell m = 4
+    "rank1-reciprocal": ((1, 1, 0.5, 0.1 + 0.05j, _A, 2.0), (0, 1, 8, 9, 10**5),
+                         _RECIP, 0),
 }
 
 
