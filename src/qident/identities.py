@@ -510,14 +510,21 @@ def mlat_finite_window(lam, n, delta):
 
 def _mlat_product_side(n, delta, q, s, a, x):
     """Infinite-product side of the multilateral bilateral summation,
-    using (c)_{inf^n} = prod_{i=1..n} (c q^{1-i}; q)_inf."""
+    using (c)_{inf^n} = prod_{i=1..n} (c q^{1-i}; q)_inf.  A denominator
+    that is exactly 0 raises DivisionByVanishingFactor where it is met."""
     big = q ** (delta + 2 * n - 1)
 
     def pn(c):
         return poch_multi_inf([c * q ** (1 - i) for i in range(1, n + 1)], q)
 
-    prod = pn(s / x) * pn(a * s * x) / (pn(s) * pn(a * s))
-    prod = prod * pn(big) * pn(big / a) / (pn(big * x) * pn(big / (a * x)))
+    def den(c, d):
+        r = pn(c) * pn(d)
+        if r == 0:
+            raise DivisionByVanishingFactor("multilateral product side: denominator vanishes")
+        return r
+
+    prod = pn(s / x) * pn(a * s * x) / den(s, a * s)
+    prod = prod * pn(big) * pn(big / a) / den(big * x, big / (a * x))
     return prod / mlat_norm(n, delta, q)
 
 

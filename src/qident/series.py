@@ -6,12 +6,17 @@ the general series (Gasper-Rahman (1.2.22), (5.1.1)) is identically 1 and is
 not evaluated.  A spec of another shape raises DomainError.
 
 Parameter entries in a :class:`SeriesSpec` may be plain scalars or
-:class:`~qident.policy.QPower` tags.  Tags drive *structural* termination:
+:class:`~qident.policy.QPower` tags.  Tags are the only *structural* cuts:
 
   * a numerator parameter q^{-n} (tag <= 0) kills every term with index > n;
   * a denominator parameter q^{m} with m >= 1 kills (in a bilateral series)
     every term with index <= -m, because the negative-order Pochhammer in the
     denominator diverges there.
+
+An untagged parameter is never matched to a power of q by its value.  A
+factor of it that vanishes only multiplies: its term is 0 (or about 1e-17
+of its neighbour), and the sum runs on to its tail rule.  A vanishing factor
+that a term divides by raises DivisionByVanishingFactor where it is met.
 
 eval_phi sums terminating series only: its spec must carry a numerator tag
 q^{-n}, n >= 0, and it sums the n + 1 terms k = 0..n.  It follows the
@@ -141,9 +146,10 @@ def eval_psi(spec: SeriesSpec) -> SeriesValue:
     """Evaluate a balanced bilateral basic hypergeometric series: r = s, or
     DomainError.
 
-    Structural cuts from QPower tags are honored on both sides.  Symmetric
-    windows grow by WINDOW_STEP until two consecutive expansions add less
-    than SERIES_TOL relative; past MAX_TERMS terms it raises NoConvergence.
+    A side ends at its tag's cut (terminated: both sides did) or at a term
+    below NEGLIGIBLE, never at an untagged factor's value; the sum ends once
+    two windows, grown by WINDOW_STEP, add less than SERIES_TOL relative.
+    Past MAX_TERMS terms it raises NoConvergence.
     """
     q = spec.q
     x = scalar_value(spec.argument, q)
@@ -157,13 +163,13 @@ def eval_psi(spec: SeriesSpec) -> SeriesValue:
 
     # Both sides run by ratio recurrences from the k = 0 term: t_up is the
     # term at k_up >= 0, t_dn the term at k_dn <= 0.  A side is done once a
-    # term falls below NEGLIGIBLE or a factor cuts it off; a cut-off is
-    # structural (up_struct, dn_struct).
+    # term falls below NEGLIGIBLE or it reaches its tag's cut (hi_cut,
+    # lo_cut); no factor's value ends a side.
     total = 1.0 + 0j  # k = 0 term
     nterms = 1
     t_up = t_dn = 1.0 + 0j
     k_up = k_dn = 0
-    up_done = dn_done = up_struct = dn_struct = False
+    up_done = dn_done = False
     log_inv_q = None  # log10(1/|q|), computed at the first lower term
     below = 0
     m = WINDOW_STEP
@@ -173,9 +179,6 @@ def eval_psi(spec: SeriesSpec) -> SeriesValue:
         while not up_done and k_up < hi:
             qk = q**k_up
             fn, fd = _product(nums, qk), _product(dens, qk)
-            if abs(fn) < VANISH_TOL:  # a numerator q^{-n} ends the upper side
-                up_done = up_struct = True
-                break
             if abs(fd) < VANISH_TOL:
                 raise DivisionByVanishingFactor("bilateral series: denominator vanishes")
             t_up, k_up = t_up * x * fn / fd, k_up + 1
@@ -201,17 +204,14 @@ def eval_psi(spec: SeriesSpec) -> SeriesValue:
             else:
                 qk = q**k
                 fn, fd = _product(nums, qk), _product(dens, qk)
-                if abs(fd) < VANISH_TOL:  # a denominator q^m ends the lower side
-                    dn_done = dn_struct = True
-                    break
             if abs(fn) < VANISH_TOL:
                 raise DivisionByVanishingFactor("bilateral series: numerator pole")
             t_dn, k_dn = t_dn * fd / (x * fn), k
             dn_done = abs(t_dn) < NEGLIGIBLE  # tail below any representable contribution
             new, nterms = new + t_dn, nterms + 1
         total = total + new
-        up_end = up_struct or (hi_cut is not None and k_up >= hi_cut)
-        dn_end = dn_struct or (lo_cut is not None and k_dn <= lo_cut)
+        up_end = hi_cut is not None and k_up >= hi_cut
+        dn_end = lo_cut is not None and k_dn <= lo_cut
         if (up_done or up_end) and (dn_done or dn_end):
             return SeriesValue(total, nterms, up_end and dn_end, (k_dn, k_up))
         below = below + 1 if abs(new) <= SERIES_TOL * max(abs(total), 1e-300) else 0

@@ -51,12 +51,9 @@ or a PoleCancellationError, never a silent 0/0 read as 1.
 
 Zero tails: the branching sum of zw_multi takes, for each interlacing nu, the
 tail W_nu(x_2..x_n) first (memoized when a memo is given) and builds the skew
-factor's ledger only when that tail is nonzero.  The terms added, and their order, are those of the
-skew-factor-first loop, and an error of a tail is raised only when its skew
-factor is nonzero, as before.  The one difference: a skew factor whose tail is
+factor's ledger only when that tail is nonzero.  A skew factor whose tail is
 exactly 0 is never evaluated, so a pole (or another arithmetic error, or a
-non-finite value) in that skew factor alone does not reach the sum and
-raises nothing.
+non-finite value) in that skew factor alone raises nothing.
 """
 
 from __future__ import annotations
@@ -291,14 +288,10 @@ def zw_multi(xvars, lam, params: WParams, memo=None):
     sum, exact 0 (at n = 1 every lam is dominant).
 
     W_lam(y, zs) = sum over interlacing nu of W_{lam/nu}(y t^{-l}) W_nu(zs)
-    with shifted (a, b).  Each nu takes its tail W_nu(zs) first and is skipped
-    when the tail is exactly 0; only then is the skew factor W_{lam/nu}
-    evaluated, and skipped when it is exactly 0.  So the sum has the
-    skew-factor-first loop's terms in its order, bit for bit.  A tail that
-    raises PoleCancellationError or an ArithmeticError is deferred: it is
-    evaluated again, and so raises, only when its skew factor is nonzero.  A
-    skew factor under a zero tail is not evaluated at all, so a pole in it
-    alone raises nothing (see "Zero tails" in the module docstring).
+    with shifted (a, b).  Each nu takes its tail W_nu(zs) first, which
+    raises where its error is met, and is skipped when the tail is exactly
+    0; only then is the skew factor W_{lam/nu} evaluated, and skipped when
+    it is exactly 0 (see "Zero tails" in the module docstring).
 
     A memo dict (keyed by variables and index) may be shared across calls
     with the same params, e.g. across the subpartitions of one identity
@@ -324,17 +317,12 @@ def zw_multi(xvars, lam, params: WParams, memo=None):
         total = 0.0 + 0j
         for nu in interlacing_vectors(lam):
             # Tail first: it is memoized, and a zero tail spares the ledger.
-            try:
-                w2 = zw_multi(zs, nu, params, memo)
-            except (PoleCancellationError, ArithmeticError):
-                w2 = None  # deferred: raised again below only if w1 != 0
+            w2 = zw_multi(zs, nu, params, memo)
             if w2 == 0:
                 continue
             w1 = zw_skew_single(x1, lam, nu, shifted)
             if w1 == 0:
                 continue
-            if w2 is None:
-                w2 = zw_multi(zs, nu, params, memo)
             total += w1 * w2
     if memo is not None:
         memo[key] = total

@@ -5,8 +5,9 @@ module of the package or of the scripts opens a file by path in a "w"
 mode, no code of the package but identities.judge and
 identities.error_report builds a report or sets its verdict, no module
 of the package uses mpmath's process-global precision, no function of
-the package takes a parameter that it never reads, and no default of a
-function of the package is one that every call keeps."""
+the package takes a parameter that it never reads, no default of a
+function of the package is one that every call keeps, and no comparison
+of the package against VANISH_TOL does anything but guard a raise."""
 
 import ast
 from pathlib import Path
@@ -477,3 +478,45 @@ def test_one_value_knob_scan_finds_and_skips():
 def test_no_one_value_knobs():
     assert one_value_knobs([p.read_text(encoding="utf-8") for p in SRC],
                            [p.read_text(encoding="utf-8") for p in READERS]) == []
+
+
+def vanishing_stops(text):
+    """Line of each comparison against VANISH_TOL (as a name or an attribute)
+    in the module source text that is not the whole test of an if statement
+    whose body is one raise and which has no else.  A factor that vanishes by
+    value may only be a divisor that raises where it is met: a sum is cut by
+    a QPower tag or a monomial key, never by matching a value to a power of
+    q, and a zero numerator factor only multiplies its term."""
+    nodes = list(ast.walk(ast.parse(text)))
+    guards = {id(node.test) for node in nodes if isinstance(node, ast.If)
+              and not node.orelse and len(node.body) == 1
+              and isinstance(node.body[0], ast.Raise)}
+    return sorted(node.lineno for node in nodes
+                  if isinstance(node, ast.Compare) and id(node) not in guards
+                  and any(getattr(c, "id", getattr(c, "attr", None)) == "VANISH_TOL"
+                          for c in [node.left, *node.comparators]))
+
+
+def test_vanishing_stop_scan_finds_and_skips():
+    text = ("if abs(fd) < VANISH_TOL:\n"
+            "    raise DivisionByVanishingFactor('pole')\n"
+            "if abs(fn) < VANISH_TOL:  # a zero ends the side\n"
+            "    done = True\n"
+            "    break\n"
+            "if VANISH_TOL > abs(fd):\n"
+            "    raise DivisionByVanishingFactor\n"
+            "else:\n"
+            "    fd = 1\n"
+            "small = abs(fn) < qcore.VANISH_TOL\n"
+            "if abs(fn) < qcore.VANISH_TOL:\n"
+            "    raise ZeroDivisionError\n"
+            "if abs(fn) < VANISH_TOL and fd:\n"
+            "    raise DivisionByVanishingFactor\n"
+            "if abs(fn) < POLE_TOL:\n"
+            "    done = True\n")
+    assert vanishing_stops(text) == [3, 6, 10, 13]
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_vanishing_stops(path):
+    assert vanishing_stops(path.read_text(encoding="utf-8")) == []

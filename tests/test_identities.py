@@ -830,6 +830,62 @@ def test_multilateral_finite_at_s_a_power_of_q_never_fails():
     assert time.perf_counter() - start < 3.0
 
 
+#: Outcome counts of the power-of-q sweep, per case (see the test below).
+_POWER_OF_Q_SWEEP = {
+    "jackson8phi7": {"pass": 544, "fail": 3, "DivisionByVanishingFactor": 53},
+    "bailey10phi9": {"pass": 868, "fail": 2, "DivisionByVanishingFactor": 30},
+    "bailey6psi6": {"pass": 391, "fail": 26, "DivisionByVanishingFactor": 6,
+                    "DomainError": 327},
+    "ramanujan1psi1": {"pass": 148, "DivisionByVanishingFactor": 10, "DomainError": 290,
+                       "NoConvergence": 2},
+    "flippedsummand": {"pass": 582, "NonFiniteSide": 9, "OverflowError": 9},
+    "bilateralfinite": {"pass": 306, "fail": 3, "DivisionByVanishingFactor": 51,
+                        "ZeroDivisionError": 90},
+    "3psi3delta0": {"pass": 270, "DomainError": 180},
+    "3psi3delta1": {"pass": 270, "DivisionByVanishingFactor": 82, "DomainError": 98},
+    "multijackson": {"pass": 573, "fail": 4, "DomainError": 57,
+                     "PoleCancellationError": 55, "ZeroDivisionError": 61},
+    "simplifiedjackson": {"pass": 685, "fail": 11, "DomainError": 57,
+                          "PoleCancellationError": 47, "ZeroDivisionError": 100},
+    "duality": {"pass": 475, "PoleCancellationError": 105, "ZeroDivisionError": 20},
+    "flip": {"pass": 550, "fail": 2, "DomainError": 42, "PoleCancellationError": 6},
+    "weyldegree": {"pass": 103, "PoleCancellationError": 18, "ZeroDivisionError": 29},
+    "multilateralfinite": {"pass": 312, "DivisionByVanishingFactor": 51,
+                           "PoleCancellationError": 53, "ZeroDivisionError": 34},
+    "multilateral3psi3": {"pass": 281, "DivisionByVanishingFactor": 60,
+                          "DomainError": 109},
+    "summandinvariance": {"pass": 450},
+}
+
+
+def test_power_of_q_sweep_outcomes():
+    """Every case but c1macdonald, at seeds 0-29, with each scalar or tagged
+    parameter other than q set to the untagged value q^k, k = -2..2: 9,000
+    runs in double mode.  An error counts by its type.
+
+    The counts are pinned, fails and untyped errors included (ROADMAP item
+    13): they move only with a CHANGES.md entry that says which runs moved
+    and why."""
+    got = {}
+    for case_id, case in CASES.items():
+        if case_id == "c1macdonald":
+            continue
+        statuses = collections.Counter()
+        for seed in range(30):
+            p = sample_params(case_id, seed)
+            q = p["q"]
+            for name, kind in case.schema.items():
+                if kind not in ("scalar", "tagged") or name == "q":
+                    continue
+                for k in range(-2, 3):
+                    r = run_case(case_id, {**p, name: q**k})
+                    statuses[r.message.split(":")[0] if r.status == "error"
+                             else r.status] += 1
+        got[case_id] = dict(statuses)
+    assert got == _POWER_OF_Q_SWEEP
+    assert sum(sum(c.values()) for c in got.values()) == 9000
+
+
 # ---------------------------------------------------------------------------
 # multilateral finite identity
 # ---------------------------------------------------------------------------
@@ -1156,6 +1212,16 @@ def test_multilateral_3psi3_vanishing_factor_is_an_error_report():
     rep = run_case("multilateral3psi3", params)
     assert rep.status == "error"
     assert rep.message == _RECIP
+
+
+def test_multilateral_3psi3_product_side_vanishing_denominator_is_typed():
+    # a s = 8 = q^{-3}: the product side's (a s; q)_inf is exactly 0, and the
+    # division by it raises where it is met, not as a bare ZeroDivisionError.
+    params = dict(n=1, delta=0, q=0.5, s=0.8, a=10.0, x=0.75 + 0.25j)
+    rep = run_case("multilateral3psi3", params)
+    assert rep.status == "error"
+    assert rep.message == ("DivisionByVanishingFactor: "
+                           "multilateral product side: denominator vanishes")
 
 
 def test_multilateral_3psi3_budget_exhausted_as_sweep(monkeypatch):

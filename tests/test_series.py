@@ -8,6 +8,7 @@ import pytest
 
 import qident.series as series
 from qident.errors import DomainError
+from qident.identities import run_case, sample_params
 from qident.policy import QPower
 from qident.qcore import csqrt, poch_inf, poch_int, poch_multi_inf
 from qident.series import SERIES_TOL, SeriesSpec, eval_phi, eval_psi
@@ -179,6 +180,36 @@ def test_psi_structural_two_sided_window():
     assert sv.terminated is True
     assert sv.window == (-2, 2)
     assert sv.terms_used == 5
+
+
+@pytest.mark.parametrize("case_id, seed, name, k", [
+    ("3psi3delta1", 0, "rho", 1),
+    ("bailey6psi6", 12, "a", 2),
+])
+def test_psi_untagged_vanishing_denominator_does_not_hide_a_pole(case_id, seed, name, k):
+    # The parameter is set to the plain value q^k.  On the lower side a
+    # denominator factor vanishes at k = -1, and a numerator factor at the
+    # same index (3psi3delta1) or the next (bailey6psi6, where the term at -1
+    # is about 1e-16 of its neighbour, not 0).  The denominator zero is not a
+    # cut, so the side reaches the numerator pole, which raises.
+    p = sample_params(case_id, seed)
+    r = run_case(case_id, {**p, name: p["q"] ** k})
+    assert r.status == "error"
+    assert r.message == "DivisionByVanishingFactor: bilateral series: numerator pole"
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_psi_untagged_power_of_q_is_not_a_cut(seed):
+    # a = q^-2 untagged: the numerator factor (1 - a q^2) is 0 or about
+    # 1e-17, not a cut, so the upper side sums past k = 2 to its NEGLIGIBLE
+    # or two-window end, and the value stays that of the tagged run.
+    p = sample_params("ramanujan1psi1", seed)
+    untagged = run_case("ramanujan1psi1", {**p, "a": p["q"] ** -2})
+    tagged = run_case("ramanujan1psi1", {**p, "a": QPower(-2)})
+    assert untagged.status == tagged.status == "pass"
+    assert tagged.message.endswith(", 2)")
+    assert not untagged.message.endswith(", 2)")
+    assert rel(untagged.lhs, tagged.lhs) <= 3e-16
 
 
 def test_psi_window_stability(monkeypatch):

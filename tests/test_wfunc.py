@@ -386,28 +386,30 @@ def _scripted_branching(monkeypatch, tails, skews):
     return out, evaluated
 
 
-def test_zw_multi_defers_tail_errors_and_skips_zero_tails(monkeypatch):
+def test_zw_multi_raises_tail_errors_and_skips_zero_tails(monkeypatch):
     for error in (PoleCancellationError("tail pole"), ZeroDivisionError("tail")):
         tails = {(0,): error, (1,): 0.0 + 0j, (2,): 3.0 + 0j}
-        # A raising tail under a zero skew factor is skipped, as before; the
-        # skew factor under the zero tail is never evaluated.
-        out, evaluated = _scripted_branching(
-            monkeypatch, tails, {(0,): 0.0 + 0j, (2,): 2.0 + 0j})
-        assert out == repr(6.0 + 0j)
-        assert evaluated == [(0,), (2,)]
-        # Under a nonzero skew factor the tail's error is raised.
-        out, evaluated = _scripted_branching(
-            monkeypatch, tails, {(0,): 5.0 + 0j, (2,): 2.0 + 0j})
-        assert out == f"{type(error).__name__}: {error}"
-        assert evaluated == [(0,)]
-    # A pole in a skew factor alone no longer reaches the sum when its tail
-    # is exactly 0 (the one difference from the skew-factor-first loop).
+        # A raising tail raises where it is met, before its skew factor is
+        # evaluated, whether that skew factor is zero or not.
+        for skew0 in (0.0 + 0j, 5.0 + 0j):
+            out, evaluated = _scripted_branching(
+                monkeypatch, tails, {(0,): skew0, (2,): 2.0 + 0j})
+            assert out == f"{type(error).__name__}: {error}"
+            assert evaluated == []
+    # A skew factor under a zero tail is never evaluated, so a pole in it
+    # alone does not reach the sum.
     pole = PoleCancellationError("skew pole")
     out, evaluated = _scripted_branching(
         monkeypatch, {(0,): 0.0 + 0j, (1,): 1.0 + 0j, (2,): 0.0 + 0j},
         {(0,): pole, (1,): 4.0 + 0j, (2,): pole})
     assert out == repr(4.0 + 0j)
     assert evaluated == [(1,)]
+    # The skew factor under the zero tail (1,) is not evaluated either.
+    out, evaluated = _scripted_branching(
+        monkeypatch, {(0,): 2.0 + 0j, (1,): 0.0 + 0j, (2,): 3.0 + 0j},
+        {(0,): 0.0 + 0j, (2,): 2.0 + 0j})
+    assert out == repr(6.0 + 0j)
+    assert evaluated == [(0,), (2,)]
 
 
 def test_zw_multi_skips_skew_factors_of_zero_tails(monkeypatch):
