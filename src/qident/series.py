@@ -28,11 +28,14 @@ eval_phi also reports the condition number of the sum it returns
 (SeriesValue.condition), so a caller can bound the effect of rounding on the
 value and choose its working precision from that measurement.
 
-Bilateral sums run over symmetric windows [-M, M] grown by WINDOW_STEP until
-two consecutive expansions contribute relative mass below SERIES_TOL; both
-term sequences are produced by consecutive-term ratio recurrences, which
-keeps intermediate values moderate even when the individual Pochhammers
-overflow.  MAX_TERMS caps the terms of either evaluator (NoConvergence).
+Each side of a bilateral sum grows by WINDOW_STEP terms at a time and ends
+on its own: at its tag's cut, at an exactly-zero term, or once the bound
+|t| rho / (1 - rho) on its dropped tail is at most TAIL_TOL relative to the
+sum, where t is its last term and rho < 1 bounds every later term ratio
+(Gasper-Rahman Sec. 5.1).  Both term sequences are produced by
+consecutive-term ratio recurrences, which keeps intermediate values moderate
+even when the individual Pochhammers overflow.  MAX_TERMS caps the terms of
+either evaluator (NoConvergence).
 """
 
 from __future__ import annotations
@@ -46,12 +49,10 @@ from .errors import DivisionByVanishingFactor, DomainError, NoConvergence
 from .policy import qpow_exponent, scalar_value
 from .qcore import VANISH_TOL
 
-# Once a bilateral tail term drops below this magnitude the remaining tail can
-# never contribute at double precision; stopping there also keeps the factor
-# products q**k away from float overflow at very negative k.
-NEGLIGIBLE = 1e-280
+#: Relative bound on the dropped tail of each side of a bilateral sum.
+TAIL_TOL = 1e-15
 
-#: Relative tail threshold of a bilateral sum.
+#: Relative shell threshold of the multilateral 3psi3 lattice sum.
 SERIES_TOL = 1e-13
 
 #: Cap on the terms of a sum; exceeding it raises NoConvergence.
@@ -142,14 +143,50 @@ def eval_phi(spec: SeriesSpec) -> SeriesValue:
     return SeriesValue(total, cut + 1, True, condition=_condition(mass, total))
 
 
+def _ratio_bound(c, grow, shrink):
+    """c * prod(grow) / prod(shrink), a bound on the later term ratios of a
+    bilateral side; inf unless every shrink factor is positive."""
+    rho = c
+    for g in grow:
+        rho *= g
+    for d in shrink:
+        if d <= 0:
+            return math.inf
+        rho /= d
+    return rho
+
+
+def _side_ends(t, k, tol, limit, ratio):
+    """Whether a bilateral side whose last term t has index k ends: at an
+    exactly-zero term, or once its dropped tail, at most |t| rho / (1 - rho)
+    for rho = ratio(k) < 1, is at most tol.  rho is never below limit, the
+    side's limit ratio, so ratio is not called while limit's own bound
+    exceeds tol (an infinite limit never calls it).  A non-finite t raises
+    NoConvergence."""
+    at = float(abs(t))
+    if at == 0:
+        return True
+    if not at < math.inf:
+        raise NoConvergence(f"eval_psi: non-finite term at k = {k}")
+    if at * limit > tol * (1 - limit):
+        return False
+    rho = ratio(k)
+    return at * rho <= tol * (1 - rho)
+
+
 def eval_psi(spec: SeriesSpec) -> SeriesValue:
     """Evaluate a balanced bilateral basic hypergeometric series: r = s, or
     DomainError.
 
-    A side ends at its tag's cut (terminated: both sides did) or at a term
-    below NEGLIGIBLE, never at an untagged factor's value; the sum ends once
-    two windows, grown by WINDOW_STEP, add less than SERIES_TOL relative.
-    Past MAX_TERMS terms it raises NoConvergence.
+    Each side ends on its own, checked every WINDOW_STEP terms: at its tag's
+    cut (terminated: both sides did), at an exactly-zero term, or once its
+    dropped tail is bounded by TAIL_TOL relative to the sum, never at an
+    untagged factor's value.  From index k on, the upper side's term ratios
+    are at most rho_k = |x| prod (1 + |a_i||q|^k) / (1 - |b_i||q|^k), and the
+    lower side's, from the term at k on down, at most rho_j = (1/|x|)
+    prod (|b_i| + |q|^j) / (|a_i| - |q|^j) with j = 1 - k.  A side with a
+    tag cut runs to it without the bound.  A non-finite term, or more than
+    MAX_TERMS terms, raises NoConvergence.
     """
     q = spec.q
     x = scalar_value(spec.argument, q)
@@ -160,63 +197,83 @@ def eval_psi(spec: SeriesSpec) -> SeriesValue:
 
     hi_cut = min((-tag for _, tag in nums if tag is not None and tag <= 0), default=None)
     lo_cut = max((1 - tag for _, tag in dens if tag is not None and tag >= 1), default=None)
+    nv, dv = [v for v, _ in nums], [v for v, _ in dens]
+
+    # The tail bounds are floats computed from the moduli of the operands.
+    # A side's limit ratio is that of its terms as |k| grows: |x| above and
+    # prod |b_i| / (|x| prod |a_i|) below; a side with a tag cut gets inf.
+    aq, ax = float(abs(q)), float(abs(x))
+    an, ad = [float(abs(v)) for v in nv], [float(abs(v)) for v in dv]
+    lim_up = ax if hi_cut is None else math.inf
+    scale = ax * math.prod(an)
+    lim_dn = math.prod(ad) / scale if lo_cut is None and scale else math.inf
+
+    def up_ratio(k):
+        e = aq**k
+        return _ratio_bound(ax, [1 + a * e for a in an], [1 - b * e for b in ad])
+
+    def dn_ratio(k):
+        e = aq ** (1 - k)
+        return _ratio_bound(1 / ax, [b + e for b in ad], [a - e for a in an])
+
+    # Below index -deep an r-factor product of the terms 1 - v q^k could
+    # overflow a float (r (-k) log10(1/|q|) > 300 decades): there each factor
+    # is written as q^k (q^{-k} - v), and since the series is balanced the
+    # q^{rk} scale factors of numerator and denominator cancel exactly,
+    # leaving only the bounded mantissas.
+    deep = 300 / (len(nv) * math.log10(1 / aq)) if nv and 0 < aq < 1 else math.inf
 
     # Both sides run by ratio recurrences from the k = 0 term: t_up is the
-    # term at k_up >= 0, t_dn the term at k_dn <= 0.  A side is done once a
-    # term falls below NEGLIGIBLE or it reaches its tag's cut (hi_cut,
-    # lo_cut); no factor's value ends a side.
+    # term at k_up >= 0, t_dn the term at k_dn <= 0.
     total = 1.0 + 0j  # k = 0 term
     nterms = 1
     t_up = t_dn = 1.0 + 0j
     k_up = k_dn = 0
-    up_done = dn_done = False
-    log_inv_q = None  # log10(1/|q|), computed at the first lower term
-    below = 0
-    m = WINDOW_STEP
-    while True:
+    up_done, dn_done = hi_cut == 0, lo_cut == 0
+    while not (up_done and dn_done):
         new = 0.0 + 0j
-        hi = m if hi_cut is None else min(m, hi_cut)
-        while not up_done and k_up < hi:
-            qk = q**k_up
-            fn, fd = _product(nums, qk), _product(dens, qk)
-            if abs(fd) < VANISH_TOL:
-                raise DivisionByVanishingFactor("bilateral series: denominator vanishes")
-            t_up, k_up = t_up * x * fn / fd, k_up + 1
-            up_done = abs(t_up) < NEGLIGIBLE  # tail below any representable contribution
-            new, nterms = new + t_up, nterms + 1
-        lo = -m if lo_cut is None else max(-m, lo_cut)
-        while not dn_done and k_dn > lo:
-            k = k_dn - 1
-            if log_inv_q is None:
-                log_inv_q = math.log10(1.0 / abs(q))
-            if (-k) * log_inv_q > 100:
-                # Deep in the lower tail |q^k| overflows a float.  Write each
-                # factor as (1 - v q^k) = q^k (q^{-k} - v); the series is
-                # balanced, so the q^{rk} scale factors of numerator and
-                # denominator cancel exactly, leaving only the bounded
-                # mantissas.
-                qmk = q ** (-k)  # tiny, may underflow to exactly 0
+        if not up_done:
+            hi = k_up + WINDOW_STEP if hi_cut is None else min(k_up + WINDOW_STEP, hi_cut)
+            while k_up < hi:
+                qk = q**k_up
                 fn = fd = 1.0 + 0j
-                for v, _ in nums:
-                    fn = fn * (qmk - v)
-                for v, _ in dens:
-                    fd = fd * (qmk - v)
-            else:
-                qk = q**k
-                fn, fd = _product(nums, qk), _product(dens, qk)
-            if abs(fn) < VANISH_TOL:
-                raise DivisionByVanishingFactor("bilateral series: numerator pole")
-            t_dn, k_dn = t_dn * fd / (x * fn), k
-            dn_done = abs(t_dn) < NEGLIGIBLE  # tail below any representable contribution
-            new, nterms = new + t_dn, nterms + 1
+                for v in nv:
+                    fn = fn * (1 - v * qk)
+                for v in dv:
+                    fd = fd * (1 - v * qk)
+                if abs(fd) < VANISH_TOL:
+                    raise DivisionByVanishingFactor("bilateral series: denominator vanishes")
+                t_up, k_up = t_up * x * fn / fd, k_up + 1
+                new, nterms = new + t_up, nterms + 1
+                if t_up == 0:
+                    break
+        if not dn_done:
+            lo = k_dn - WINDOW_STEP if lo_cut is None else max(k_dn - WINDOW_STEP, lo_cut)
+            while k_dn > lo:
+                k = k_dn - 1
+                fn = fd = 1.0 + 0j
+                if -k > deep:
+                    qmk = q ** (-k)  # tiny, may underflow to exactly 0
+                    for v in nv:
+                        fn = fn * (qmk - v)
+                    for v in dv:
+                        fd = fd * (qmk - v)
+                else:
+                    qk = q**k
+                    for v in nv:
+                        fn = fn * (1 - v * qk)
+                    for v in dv:
+                        fd = fd * (1 - v * qk)
+                if abs(fn) < VANISH_TOL:
+                    raise DivisionByVanishingFactor("bilateral series: numerator pole")
+                t_dn, k_dn = t_dn * fd / (x * fn), k
+                new, nterms = new + t_dn, nterms + 1
+                if t_dn == 0:
+                    break
         total = total + new
-        up_end = hi_cut is not None and k_up >= hi_cut
-        dn_end = lo_cut is not None and k_dn <= lo_cut
-        if (up_done or up_end) and (dn_done or dn_end):
-            return SeriesValue(total, nterms, up_end and dn_end, (k_dn, k_up))
-        below = below + 1 if abs(new) <= SERIES_TOL * max(abs(total), 1e-300) else 0
-        if below >= 2:
-            return SeriesValue(total, nterms, False, (k_dn, k_up))
-        if nterms > MAX_TERMS:
+        tol = TAIL_TOL * float(abs(total))
+        up_done = up_done or k_up == hi_cut or _side_ends(t_up, k_up, tol, lim_up, up_ratio)
+        dn_done = dn_done or k_dn == lo_cut or _side_ends(t_dn, k_dn, tol, lim_dn, dn_ratio)
+        if not (up_done and dn_done) and nterms > MAX_TERMS:
             raise NoConvergence("eval_psi: max_terms reached before tail threshold")
-        m += WINDOW_STEP
+    return SeriesValue(total, nterms, k_up == hi_cut and k_dn == lo_cut, (k_dn, k_up))

@@ -1,6 +1,7 @@
 """Source hygiene: no module of the package or of the tests imports a name
 that it never uses, no module of the package keeps a process-lifetime cache,
-no function or class of the package is there only for the tests, and no
+no function, class or UPPER_CASE module-level constant of the package is
+there only for the tests (or for nothing), and no
 module of the package or of the scripts opens a file by path in a "w"
 mode, no code of the package but identities.judge and
 identities.error_report builds a report or sets its verdict, no module
@@ -179,6 +180,47 @@ def test_no_test_only_definitions():
                          for path in READERS))
     unread = [f"{path.name}:{name}" for path in SRC
               for name in top_level_definitions(path.read_text(encoding="utf-8"))
+              if name not in read]
+    assert unread == []
+
+
+def top_level_constants(text):
+    """Names of the UPPER_CASE module-level constants of a module source text:
+    each name an assignment at the top level binds that has no lower-case
+    letter (so not __all__)."""
+    names = []
+    for stmt in ast.parse(text).body:
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else \
+            [stmt.target] if isinstance(stmt, ast.AnnAssign) else []
+        names += [node.id for target in targets for node in ast.walk(target)
+                  if isinstance(node, ast.Name) and node.id.isupper()]
+    return names
+
+
+def test_unread_constant_scan_finds_and_skips():
+    text = ("import mod\n"
+            "__all__ = ['LISTED']\n"
+            "LISTED = 1\n"
+            "STALE = 1e-280\n"
+            "TOL: float = 1e-15\n"
+            "LO, HI = 0, 1\n"
+            "lower = 2\n"
+            "def f(x):\n"
+            "    LOCAL = 3\n"
+            "    return x * TOL + HI + mod.READ\n"
+            "READ = 4\n"
+            "NAMED = 'x'\n"
+            "TIMED = ['NAMED']\n")
+    read = names_read(text)
+    assert [name for name in top_level_constants(text) if name not in read] \
+        == ["STALE", "LO", "TIMED"]
+
+
+def test_no_unread_constants():
+    read = set().union(*(names_read(path.read_text(encoding="utf-8"))
+                         for path in READERS))
+    unread = [f"{path.name}:{name}" for path in SRC
+              for name in top_level_constants(path.read_text(encoding="utf-8"))
               if name not in read]
     assert unread == []
 

@@ -6,12 +6,13 @@ import random
 import mpmath
 import pytest
 
+import qident.identities as identities
 import qident.series as series
-from qident.errors import DomainError
+from qident.errors import DomainError, NoConvergence
 from qident.identities import run_case, sample_params
 from qident.policy import QPower
 from qident.qcore import csqrt, poch_inf, poch_int, poch_multi_inf
-from qident.series import SERIES_TOL, SeriesSpec, eval_phi, eval_psi
+from qident.series import TAIL_TOL, SeriesSpec, eval_phi, eval_psi
 
 from conftest import rel
 
@@ -159,15 +160,37 @@ def test_psi_ramanujan_closed_form():
 
 def test_psi_deep_lower_tail_matches_closed_form():
     # Small q and a lower-side term ratio b / (a x) = 0.9 near 1: the lower
-    # window runs past k = -77, where (-k) log10(1/q) > 100 and the factors
-    # take their deep-tail form q^{-k} - v.
+    # window runs past k = -231, where r (-k) log10(1/q) > 300 (r = 1) and
+    # the factors take their deep-tail form q^{-k} - v.
     a, b, x, q = 0.9, 0.729, 0.9, 0.05
     spec = SeriesSpec(numerator=[a], denominator=[b], argument=x, q=q)
     sv = eval_psi(spec)
-    assert -sv.window[0] * math.log10(1 / q) > 100
+    assert -sv.window[0] * math.log10(1 / q) > 300
     closed = poch_multi_inf([q, b / a, a * x, q / (a * x)], q) \
         / poch_multi_inf([b, q / a, x, b / (a * x)], q)
     assert rel(sv.value, closed) < 1e-10
+
+
+@pytest.mark.parametrize("q, e", [(0.01, 0.4 + 0.01j), (0.005, 0.4 + 0.01j),
+                                  (0.01, 0.38), (0.01, 0.5)])
+def test_psi_6psi6_deep_lower_tail_does_not_overflow(q, e):
+    # r = 6 factors of size |q^k| overflow a float from about 308/6 decades
+    # of |q^k| on; the lower side reaches k = -24 (q = 0.005) to -52, 2.0 to
+    # 2.3 decades each, so its products must take the deep-tail form there.
+    r = run_case("bailey6psi6", dict(a=0.9, b=0.35 + 0.01j, c=0.35 - 0.02j,
+                                     d=0.35 + 0.03j, e=e, q=q))
+    assert r.status == "pass" and r.rel_residual < 1e-14, r.message
+    k_dn = int(r.message.split("window=(")[1].split(",")[0])
+    assert 6 * -k_dn * math.log10(1 / q) > 300
+
+
+def test_psi_non_finite_term_raises():
+    # |x| = 1e200: the upper side's second term overflows to inf, and the
+    # sum ends at the check after its first WINDOW_STEP terms instead of
+    # running on to MAX_TERMS.
+    spec = SeriesSpec(numerator=[0.7], denominator=[0.3], argument=1e200, q=0.5)
+    with pytest.raises(NoConvergence, match="non-finite term at k = 4"):
+        eval_psi(spec)
 
 
 def test_psi_structural_two_sided_window():
@@ -201,8 +224,8 @@ def test_psi_untagged_vanishing_denominator_does_not_hide_a_pole(case_id, seed, 
 @pytest.mark.parametrize("seed", range(3))
 def test_psi_untagged_power_of_q_is_not_a_cut(seed):
     # a = q^-2 untagged: the numerator factor (1 - a q^2) is 0 or about
-    # 1e-17, not a cut, so the upper side sums past k = 2 to its NEGLIGIBLE
-    # or two-window end, and the value stays that of the tagged run.
+    # 1e-17, not a cut, so the upper side sums past k = 2 to an exactly-zero
+    # term or to its tail bound, and the value stays that of the tagged run.
     p = sample_params("ramanujan1psi1", seed)
     untagged = run_case("ramanujan1psi1", {**p, "a": p["q"] ** -2})
     tagged = run_case("ramanujan1psi1", {**p, "a": QPower(-2)})
@@ -213,15 +236,87 @@ def test_psi_untagged_power_of_q_is_not_a_cut(seed):
 
 
 def test_psi_window_stability(monkeypatch):
-    # a tighter SERIES_TOL converges on a wider window, and the value it adds
-    # is < 10 * SERIES_TOL relative
+    # a 1e-3x tighter TAIL_TOL converges on a wider window on both sides, and
+    # the value it adds is within the bounds the two sides had stopped at,
+    # each at most TAIL_TOL relative
     a, b, x, q = 0.9, 0.2, 0.5, 0.3
     spec = SeriesSpec(numerator=[a], denominator=[b], argument=x, q=q)
     sv = eval_psi(spec)
-    monkeypatch.setattr(series, "SERIES_TOL", 1e-3 * SERIES_TOL)
+    monkeypatch.setattr(series, "TAIL_TOL", 1e-3 * TAIL_TOL)
     wide = eval_psi(spec)
     assert wide.window[0] < sv.window[0] and wide.window[1] > sv.window[1]
-    assert rel(sv.value, wide.value) < 10 * SERIES_TOL
+    assert abs(wide.value - sv.value) <= 2 * TAIL_TOL * abs(sv.value)
+
+
+def _psi_side_tail(spec, k_stop, up):
+    """|sum of the terms of one side of a bilateral spec beyond index k_stop|,
+    by a 30-digit mpmath long sum of the term ratios, run on until a term is
+    below 1e-17 of |t_{k_stop}| (every later ratio is below the stop's
+    rho < 1, so the rest is below 1e-17 of the stop's bound)."""
+    with mpmath.workdps(30):
+        q, x = mpmath.mpmathify(spec.q), mpmath.mpmathify(spec.argument)
+        nums = [mpmath.mpmathify(v) for v in spec.numerator]
+        dens = [mpmath.mpmathify(v) for v in spec.denominator]
+        # qk is q^k on the upper side and q^(k-1) on the lower side
+        t, k, qk = mpmath.mpf(1), 0, mpmath.mpf(1)
+
+        def ratio():  # t_{k+1} / t_k at the qk given
+            r = x
+            for v in nums:
+                r *= 1 - v * qk
+            for v in dens:
+                r /= 1 - v * qk
+            return r
+
+        def step():
+            nonlocal t, k, qk
+            if up:
+                t, k, qk = t * ratio(), k + 1, qk * q
+            else:
+                qk = qk / q
+                t, k = t / ratio(), k - 1
+
+        while k != k_stop:
+            step()
+        t_stop, tail = abs(t), 0
+        while abs(t) >= 1e-17 * t_stop:
+            step()
+            tail += t
+        return abs(tail)
+
+
+@pytest.mark.parametrize("case_id", ["ramanujan1psi1", "bailey6psi6", "3psi3delta0",
+                                     "3psi3delta1"])
+def test_psi_side_tails_within_their_stop_bounds(case_id, monkeypatch):
+    # 50 draws per case: each side of the bilateral sum ends at its tail
+    # bound |t| rho / (1 - rho) <= TAIL_TOL |total|, and the tail it drops,
+    # summed at 30 digits far beyond the window, never exceeds that bound
+    # (1e-9 relative slack for the rounding of the double |t|).
+    specs, stops = [], {}
+    psi, side_ends = series.eval_psi, series._side_ends
+
+    def record_spec(spec):
+        specs.append(spec)
+        return psi(spec)
+
+    def record_stop(t, k, tol, limit, ratio):
+        ended = side_ends(t, k, tol, limit, ratio)
+        if ended:
+            rho = ratio(k)
+            stops[ratio.__name__] = (k, float(abs(t)) * rho / (1 - rho), tol)
+        return ended
+
+    monkeypatch.setattr(identities, "eval_psi", record_spec)
+    monkeypatch.setattr(series, "_side_ends", record_stop)
+    for seed in range(50):
+        specs.clear()
+        stops.clear()
+        assert run_case(case_id, sample_params(case_id, seed)).status == "pass"
+        assert len(specs) == 1 and sorted(stops) == ["dn_ratio", "up_ratio"]
+        for name, (k, bound, tol) in stops.items():
+            tail = _psi_side_tail(specs[0], k, name == "up_ratio")
+            assert 0 < bound <= tol
+            assert tail <= bound * (1 + 1e-9), (seed, name, k, tail, bound)
 
 
 def test_psi_6psi6_within_term_budget(monkeypatch):
