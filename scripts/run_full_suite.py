@@ -3,7 +3,10 @@
 
 Usage:
   python3 scripts/run_full_suite.py [--seed S] [--samples K]
-      [--parallelism N] [--out FILE] [--csv FILE] [--compare BASE.json]
+      [--out FILE] [--csv FILE] [--compare BASE.json]
+
+The cases run one after another, each over K samples from seed S, as one
+serial `cli.run` batch.
 
 With --compare, the new JSON report is compared with BASE.json (an earlier
 report of this script), meta.timestamp aside: every run entry
@@ -12,14 +15,13 @@ its status in BASE.json and now, the relative change of its lhs and of its
 rhs, and its rel_residual in BASE.json and now.  Then one line per case
 gives its number of changed runs and of status changes, the largest relative
 change of lhs and of rhs, and the worst rel_residual in BASE.json and now.
-The exit code is 1 if anything differs and 0 if nothing does.
-A --seed, --samples or --parallelism that `qident run` refuses, an --out or
---csv path that cannot be written, and a --compare file that cannot be read
-or is not such a report, are one `config error:` line on stderr and exit
-code 2, before any sample runs.
-Without it the exit code is that of `qident run` (1 if any run fails or
-errors).  The package is imported from the `src/` of this script's tree, not
-from an installed copy.
+The exit code is 1 if anything differs and 0 if nothing does.  Without
+--compare the exit code is that of `qident run` (1 if any run fails or
+errors).  A --seed or --samples that `qident run` refuses, an --out or --csv
+path that cannot be written, and a --compare file that cannot be read or is
+not such a report, are one `config error:` line on stderr and exit code 2,
+before any sample runs.  The package is imported from the `src/` of this
+script's tree, not from an installed copy.
 """
 
 import argparse
@@ -171,7 +173,6 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--samples", type=int, default=5)
-    ap.add_argument("--parallelism", type=int, default=1)
     ap.add_argument("--out", default="full_suite_report.json")
     ap.add_argument("--csv", default="full_suite_report.csv")
     ap.add_argument("--compare", metavar="BASE.json",
@@ -184,7 +185,7 @@ def main(argv=None):
         for option, path in (("--out", args.out), ("--csv", args.csv)):
             cli.check_writable(option, path)
         base = None if args.compare is None else read_report(args.compare)
-        rset = cli.run(configs, parallelism=args.parallelism)
+        rset = cli.run(configs)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -2,29 +2,32 @@
 
 Invocation:
   qident list
-  qident run --config FILE [--parallelism N] [--out FILE] [--csv FILE]
+  qident run --config FILE [--out FILE] [--csv FILE]
   qident run --case ID --seed S --samples K --tol T [--param name=value]...
 
 Environment: QIDENT_PRECISION=double|high selects the scalar backend.
 Exit codes: 0 all pass, 1 any fail or error, 2 configuration/usage error.
 
-Config files are JSON: either a list of case configs or {"cases": [...]};
-each case config is {"case_id": str, "seed": int, "samples": int,
-"tol": float, "params": {...}}.  A parameter's schema kind (`qident list`
-names the parameters) is an integer kind -- int, order (>= 0), rank (>= 1),
-delta (0 or 1) or sign (+1 or -1) -- or scalar, tagged (a scalar or an exact
-q-power tag), partition (at most rank parts) or vector (rank scalar entries);
-a value outside its kind's domain ends as an error run.  Complex values are
-written as [re, im] pairs, partitions as lists [3,1] or bracketed strings
-"[3,1]", exact q-power tags as {"qpow": m}.  `run --case` builds a config
-entry from its options, each --param value written as JSON, and validates it
-as a file entry is validated.  Reports are emitted as JSON (source of truth)
-and optionally flattened to CSV; NaN and infinities never appear in reports
-(they are null: error runs carry null sides).  A scalar parameter must be
-finite.  Report files are overwritten in place, with no truncate to zero
-first (write_text): on ext4 that truncate makes close start writeback, which
-cost more than writing a small report.  The write is not atomic, and
-open(path, "w") was not either.
+Config files are JSON: either a list of case configs or {"cases": [...]}
+with no other key; each case config is {"case_id": str, "seed": int,
+"samples": int, "tol": float, "params": {...}}.  A parameter's schema kind
+(`qident list` names the parameters) is an integer kind -- int, order
+(>= 0), rank (>= 1), delta (0 or 1) or sign (+1 or -1) -- or scalar, tagged
+(a scalar or an exact q-power tag), partition (at most rank parts) or vector
+(rank scalar entries); a value outside its kind's domain ends as an error
+run.  Complex values are written as [re, im] pairs, partitions as lists
+[3,1] or bracketed strings "[3,1]", exact q-power tags as {"qpow": m}.
+`run --case` builds a config entry from its options, each --param value
+written as JSON, and validates it as a file entry is validated.
+
+A batch runs its samples one after another, in config order, so for fixed
+seeds its report is the same up to the timestamp.  Reports are emitted as
+JSON (source of truth) and optionally flattened to CSV; NaN and infinities
+never appear in reports (they are null: error runs carry null sides).  A
+scalar parameter must be finite.  Report files are overwritten in place,
+with no truncate to zero first (write_text): on ext4 that truncate makes
+close start writeback, which cost more than writing a small report.  The
+write is not atomic, and open(path, "w") was not either.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ import os
 import stat
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -113,8 +115,6 @@ def _decode_scalar(raw):
         raise ConfigError(f"expected scalar, got {raw!r}")
     if isinstance(raw, (int, float)):
         return _float(raw)
-    if isinstance(raw, complex):
-        return raw
     if isinstance(raw, dict) and set(raw) == {"qpow"}:
         if not isinstance(raw["qpow"], int):
             raise ConfigError("qpow tag must hold an integer")
@@ -126,10 +126,11 @@ def _decode_scalar(raw):
 
 
 def _encode_value(v):
+    """The JSON form of a report value: an int (a bool too), a float or a
+    complex, each non-finite one None; a QPower tag; a tuple of these; or an
+    mpmath number, written as its complex()."""
     if isinstance(v, QPower):
         return {"qpow": v.exponent}
-    if isinstance(v, bool):
-        return v
     if isinstance(v, int):
         return v
     if isinstance(v, float):
@@ -138,14 +139,7 @@ def _encode_value(v):
         return [v.real, v.imag] if cmath.isfinite(v) else None
     if isinstance(v, (list, tuple)):
         return [_encode_value(x) for x in v]
-    if isinstance(v, dict):
-        return {k: _encode_value(x) for k, x in v.items()}
-    if isinstance(v, str):
-        return v
-    try:  # mpmath scalars
-        return _encode_value(complex(v))
-    except (TypeError, ValueError):
-        return repr(v)
+    return _encode_value(complex(v))
 
 
 def _report_to_dict(rep: IdentityReport, sample_index: int, seed: int):
@@ -201,8 +195,8 @@ def _validate_config(entry: dict) -> CaseConfig:
 
 def load_configs(path: str) -> List[CaseConfig]:
     """Read and validate a JSON config file (raises ConfigError on any
-    malformed entry, or on a list without entries, before any evaluation
-    starts)."""
+    malformed entry, on a key beside "cases", or on a list without entries,
+    before any evaluation starts)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -211,6 +205,9 @@ def load_configs(path: str) -> List[CaseConfig]:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON in config file: {exc}")
     if isinstance(doc, dict) and "cases" in doc:
+        unknown = set(doc) - {"cases"}
+        if unknown:
+            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         doc = doc["cases"]
     if not isinstance(doc, list):
         raise ConfigError("config must be a list of case configs or {'cases': [...]}")
@@ -256,8 +253,6 @@ def _promote_params(params: dict, schema: dict):
 
     out = dict(params)
     for name, kind in schema.items():
-        if name not in out:
-            continue
         if kind in ("scalar", "tagged"):
             out[name] = up(out[name])
         elif kind == "vector":
@@ -271,46 +266,33 @@ def _promote_params(params: dict, schema: dict):
 
 def run(configs: List[CaseConfig], parallelism: int = 1,
         precision: Optional[str] = None) -> ReportSet:
-    """Execute every config; deterministic output for fixed seeds, independent
-    of parallelism (aggregation sorts by config order and sample index)."""
-    if parallelism < 1:
-        raise ConfigError("parallelism must be a positive integer")
+    """Execute every config in order, each sample in turn; the report is
+    deterministic for fixed seeds.  parallelism must be 1, else ConfigError:
+    the parameter stays only because bench/run.py passes it by keyword and
+    bench/tracing.py's cli.run wrapper by position, and the change to bench/
+    that drops both deletes it (ROADMAP, "Names that bench/ binds")."""
+    if parallelism != 1:
+        raise ConfigError("parallelism must be 1: batches run serially")
     mode = precision if precision is not None else _precision_mode()
-
-    tasks = []
-    for ci, cfg in enumerate(configs):
-        for si in range(cfg.samples):
-            tasks.append((ci, si, cfg))
-
-    def one(task):
-        ci, si, cfg = task
-        seed = cfg.seed + si
-        try:
-            params = sample_params(cfg.case_id, seed)
-        except ConfigError:  # unknown case id: a usage error, not a sample's
-            raise
-        except QidentError as exc:  # e.g. the sampler found no admissible draw
-            return ci, si, seed, error_report(cfg.case_id, dict(cfg.params), cfg.tol,
-                                              exc)
-        params.update(cfg.params)
-        if mode == "high":
-            params = _promote_params(params, CASES[cfg.case_id].schema)
-        return ci, si, seed, run_case(cfg.case_id, params, cfg.tol)
-
-    if parallelism == 1 or len(tasks) <= 1:
-        results = [one(t) for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            results = list(pool.map(one, tasks))
-    results.sort(key=lambda r: (r[0], r[1]))
-
-    runs = []
+    runs, run_dicts = [], []
     counts = {"pass": 0, "fail": 0, "error": 0}
-    run_dicts = []
-    for ci, si, seed, rep in results:
-        runs.append(rep)
-        counts[rep.status] += 1
-        run_dicts.append(_report_to_dict(rep, si, seed))
+    for cfg in configs:
+        for si in range(cfg.samples):
+            seed = cfg.seed + si
+            try:
+                params = sample_params(cfg.case_id, seed)
+            except ConfigError:  # unknown case id: a usage error, not a sample's
+                raise
+            except QidentError as exc:  # e.g. the sampler found no admissible draw
+                rep = error_report(cfg.case_id, dict(cfg.params), cfg.tol, exc)
+            else:
+                params.update(cfg.params)
+                if mode == "high":
+                    params = _promote_params(params, CASES[cfg.case_id].schema)
+                rep = run_case(cfg.case_id, params, cfg.tol)
+            runs.append(rep)
+            counts[rep.status] += 1
+            run_dicts.append(_report_to_dict(rep, si, seed))
     meta = {
         "tool": "qident",
         "version": __version__,
@@ -409,7 +391,6 @@ def _build_parser():
     rp.add_argument("--tol", type=float, default=None)
     rp.add_argument("--param", action="append", default=[],
                     help="explicit parameter name=value (JSON value syntax)")
-    rp.add_argument("--parallelism", type=int, default=1)
     rp.add_argument("--out", help="write JSON report to this file")
     rp.add_argument("--csv", help="write CSV report to this file")
     return ap
@@ -440,7 +421,7 @@ def main(argv=None) -> int:
             raise ConfigError("run requires --config or --case")
         for option, path in (("--out", args.out), ("--csv", args.csv)):
             check_writable(option, path)
-        rset = run(configs, parallelism=args.parallelism)
+        rset = run(configs)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

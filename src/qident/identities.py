@@ -791,18 +791,16 @@ _CONTEXTS = {}
 
 def mp_context(dps):
     """The mpmath context of dps digits, made on the first call for dps so
-    that importing qident does not import mpmath.  Its precision is set
-    before it is shared and never changed after, so cli.run's worker threads
-    may all compute in it.  A value made in it (ctx.mpmathify) carries it:
-    every operation on that value runs at dps digits, and the process-global
-    mpmath.mp is left alone."""
+    that importing qident does not import mpmath.  Its precision is set when
+    it is made and never changed after.  A value made in it (ctx.mpmathify)
+    carries it: every operation on that value runs at dps digits, and the
+    process-global mpmath.mp is left alone."""
     ctx = _CONTEXTS.get(dps)
     if ctx is None:
         import mpmath
 
-        ctx = mpmath.MPContext()
+        ctx = _CONTEXTS[dps] = mpmath.MPContext()
         ctx.dps = dps
-        ctx = _CONTEXTS.setdefault(dps, ctx)  # one context per dps, also in a race
     return ctx
 
 

@@ -12,9 +12,9 @@ theta(x;p) at p != 0, identities' split infinite products ("split" keys) and
 Euler's tail coefficients ("euler" keys) are computed once per argument and
 read back.  A memo value is the kernel's value bit for bit, so the memo
 changes no result, and both sides of an identity may share it: they call
-the same kernel either way.  It is a context variable, so threads do
-not share it, and run_case drops it on return, so no value outlives one
-evaluation.  Outside run_case, get({}) yields a throwaway: all compute afresh.
+the same kernel either way.  It is a context variable that run_case sets
+on entry and drops on return, so no value outlives one evaluation.  Outside
+run_case, get({}) yields a throwaway: all compute afresh.
 
 Conventions:
   (a;q)_k        finite product prod_{i=1..k} (1 - a q^{i-1}); for k < 0 it is

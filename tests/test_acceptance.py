@@ -205,8 +205,8 @@ def test_multilateral_3psi3():
 def test_full_suite_determinism():
     configs = [cli.CaseConfig(case_id=cid, seed=11, samples=2)
                for cid in CASES]
-    r1 = cli.run(configs, parallelism=4)
-    r2 = cli.run(configs, parallelism=1)
+    r1 = cli.run(configs)
+    r2 = cli.run(configs)
     d1, d2 = json.loads(cli.report_json(r1)), json.loads(cli.report_json(r2))
     d1["meta"].pop("timestamp"), d2["meta"].pop("timestamp")
     ok = d1 == d2 and r1.summary["fail"] == 0 and r1.summary["error"] == 0

@@ -1,5 +1,6 @@
-"""CLI and batch-runner tests: config parsing, determinism, parallelism
-independence, report formats, precision backend, and exit codes."""
+"""CLI and batch-runner tests: config parsing, determinism, independence
+of how configs are batched, report formats, precision backend, and exit
+codes."""
 
 import csv
 import importlib.util
@@ -22,7 +23,6 @@ from qident.cli import (
     list_cases,
     load_configs,
     main,
-    report_json,
     run,
     write_csv,
     write_text,
@@ -30,12 +30,6 @@ from qident.cli import (
 from qident.errors import ConfigError
 from qident.identities import run_case, sample_params
 from qident.policy import QPower
-
-
-def _strip_timing(text):
-    doc = json.loads(text)
-    doc["meta"].pop("timestamp", None)
-    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +79,8 @@ def test_run_parallelism_invariance():
                for cid in ("jackson8phi7", "c1macdonald", "ramanujan1psi1",
                            "bilateralfinite", "flippedsummand")]
     # Elliptic W draws (p = 0.1, nonempty partition at these seeds): each
-    # worker thread's run_case has its own theta memo.
+    # run_case has its own theta memo, so no config reads a theta that an
+    # earlier one left.
     configs += [CaseConfig(case_id=cid, seed=seed, samples=2)
                 for cid, seed in (("multijackson", 56), ("simplifiedjackson", 56),
                                   ("flip", 52))]
@@ -93,14 +88,26 @@ def test_run_parallelism_invariance():
         for seed in (c.seed, c.seed + 1):
             assert sample_params(c.case_id, seed)["p"] != 0
             assert sample_params(c.case_id, seed)["lam"]
-    r1 = run(configs, parallelism=1)
-    r8 = run(configs, parallelism=8)
-    assert _strip_timing(report_json(r1)) == _strip_timing(report_json(r8))
+    # One batch of all eight configs, and one batch per config, give the
+    # same run entries.
+    whole = run(configs)
+    apart = [entry for c in configs for entry in run([c]).run_dicts]
+    assert len(whole.run_dicts) == 16
+    assert whole.run_dicts == apart
 
 
-def test_run_invalid_parallelism():
-    with pytest.raises(ConfigError):
-        run([], parallelism=0)
+def test_run_invalid_parallelism(monkeypatch):
+    # Batches run serially: any parallelism but 1, by keyword or by position,
+    # is a config error before any sample is drawn.
+    drawn = []
+    monkeypatch.setattr("qident.cli.sample_params", lambda *a: drawn.append(a))
+    configs = [CaseConfig(case_id="c1macdonald")]
+    for parallelism in (0, 2):
+        with pytest.raises(ConfigError, match="^parallelism must be 1"):
+            run(configs, parallelism=parallelism)
+        with pytest.raises(ConfigError, match="^parallelism must be 1"):
+            run(configs, parallelism)
+    assert drawn == []
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +261,11 @@ def test_load_configs_forms(tmp_path):
     p.write_text(json.dumps({"nothing": []}))
     with pytest.raises(ConfigError):
         load_configs(str(p))
+    # A misspelt key beside "cases" was ignored, and the batch ran.
+    p.write_text(json.dumps({"cases": [{"case_id": "c1macdonald", "samples": 1}],
+                             "paralelism": 4}))
+    with pytest.raises(ConfigError, match=r"^unknown config fields: \['paralelism'\]$"):
+        load_configs(str(p))
     # A list without entries ran nothing and passed.
     for empty in ([], {"cases": []}):
         p.write_text(json.dumps(empty))
@@ -261,11 +273,41 @@ def test_load_configs_forms(tmp_path):
             load_configs(str(p))
 
 
+@pytest.mark.parametrize("doc, message", [
+    pytest.param([1], "config entry must be an object, got 1", id="entry-not-object"),
+    pytest.param({"cases": [{"case_id": "c1macdonald"}], "paralelism": 4},
+                 "unknown config fields: ['paralelism']", id="top-level-key"),
+    pytest.param([{"case_id": "c1macdonald", "params": [["x", 0.5]]}],
+                 "params must be an object", id="params-not-object"),
+    pytest.param([{"case_id": "weyldegree", "params": {"mu": 3}}],
+                 "expected partition, got 3", id="partition-number"),
+    pytest.param([{"case_id": "multijackson", "params": {"z": 0.5}}],
+                 "expected vector (list), got 0.5", id="vector-number"),
+    pytest.param([{"case_id": "c1macdonald", "params": {"x": True}}],
+                 "expected scalar, got True", id="scalar-boolean"),
+    pytest.param([{"case_id": "bailey6psi6", "params": {"b": {"qpow": 1.5}}}],
+                 "qpow tag must hold an integer", id="qpow-float"),
+    pytest.param([{"case_id": "c1macdonald", "params": {"x": "x"}}],
+                 "cannot interpret scalar value 'x'", id="scalar-string"),
+    pytest.param([{"case_id": "c1macdonald", "params": {"x": [1, 2, 3]}}],
+                 "cannot interpret scalar value [1, 2, 3]", id="scalar-triple"),
+])
+def test_main_malformed_config_exits_2(doc, message, tmp_path, capsys, monkeypatch):
+    # Each malformed config file is one config error line, before any run.
+    ran = []
+    monkeypatch.setattr("qident.cli.run", lambda *a, **k: ran.append(a))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert ran == []
+
+
 def test_example_config_runs_and_passes():
     # The example config of the README: a schema change that breaks it
     # fails here, not only in the documentation.
     path = Path(__file__).resolve().parent.parent / "scripts" / "example_config.json"
-    rset = run(load_configs(str(path)), parallelism=1)
+    rset = run(load_configs(str(path)))
     assert len(rset.runs) == 28
     assert rset.summary == {"pass": 28, "fail": 0, "error": 0}
 
@@ -346,6 +388,15 @@ def test_main_usage_errors(capsys):
     assert main(["run", "--config", "/nonexistent.json"]) == 2
     assert main(["run", "--config", "x.json", "--case", "c1macdonald"]) == 2
     capsys.readouterr()
+    # No subcommand: the usage line on stderr.
+    assert main([]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: qident ")
+    # Batches run serially; --parallelism is not an option.
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--case", "c1macdonald", "--parallelism", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --parallelism 2" in capsys.readouterr().err
 
 
 def test_main_failing_tolerance_exits_1(tmp_path, capsys):
@@ -521,10 +572,8 @@ def test_precision_high_reaches_bailey_10phi9_series(monkeypatch):
 
 def test_double_mode_escalation_leaves_global_mpmath_precision_alone(monkeypatch):
     # Double arguments escalate in a 40-digit context of their own, never by
-    # setting the process-global mpmath.mp.dps, which cli.run's worker
-    # threads would share.  The batch makes that context afresh, with more
-    # workers than a small host has cores and a short switch interval, and
-    # must match the serial batch.
+    # setting the process-global mpmath.mp.dps.  The batch makes that context
+    # afresh and leaves mpmath.mp.dps as it found it.
     import mpmath
 
     from qident import identities
@@ -538,63 +587,77 @@ def test_double_mode_escalation_leaves_global_mpmath_precision_alone(monkeypatch
     assert rep.status == "pass" and rep.lhs != 0
     configs = [CaseConfig(case_id="bailey10phi9", seed=0, samples=60)]
     monkeypatch.setattr(identities, "_CONTEXTS", {})
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        parallel = run(configs, parallelism=4, precision="double")
-    finally:
-        sys.setswitchinterval(interval)
+    rset = run(configs, precision="double")
     assert mpmath.mp.dps == dps
-    serial = run(configs, parallelism=1, precision="double")
-    assert _strip_timing(report_json(parallel)) == _strip_timing(report_json(serial))
+    assert identities._CONTEXTS[40].dps == 40
+    assert rset.summary["error"] == 0
 
 
 def test_high_mode_overlapping_tasks_keep_50_digits(monkeypatch):
-    # High-mode parameters carry a 50-digit mpmath context of their own.  Two
-    # high-mode tasks are made to overlap on the thread pool; the one that
-    # started first returns first, and the other waits up to 0.2 s for it.
-    # Each task's parameters hold 50 digits before and after its run, and
-    # mpmath's process-global precision is never changed: with a
-    # workdps(50) per task, the first task's exit restored the caller's
-    # precision while the second still computed.
-    import threading
-
+    # High-mode parameters carry a 50-digit mpmath context of their own, and
+    # mpmath's process-global precision is never changed: with a workdps(50)
+    # per task, the exit of one task's scope restored the caller's precision
+    # while another task still computed.  In a high-mode batch each task's
+    # parameters hold 50 digits before and after its run.
     import mpmath
 
     from qident import cli
 
+    def refuse(*args, **kwargs):
+        raise AssertionError("high mode changed the global mpmath precision")
+
     dps = mpmath.mp.dps
-    started, seen = [], []
-    lock = threading.Lock()
-    barrier = threading.Barrier(2, timeout=10)
-    first_done = threading.Event()
-    promote, run_one = cli._promote_params, cli.run_case
+    seen = []
+    run_one = cli.run_case
 
-    def promote_in_order(params, schema):
-        with lock:
-            started.append(threading.get_ident())
-        return promote(params, schema)
-
-    def overlapping(case_id, params, tol):
-        barrier.wait()
-        first = threading.get_ident() == started[0]
-        if not first:
-            first_done.wait(0.2)
+    def watched(case_id, params, tol):
         seen.append((params["x"].context.dps, mpmath.mp.dps))
         rep = run_one(case_id, params, tol)
         seen.append((params["x"].context.dps, mpmath.mp.dps))
-        if first:
-            first_done.set()
         return rep
 
-    monkeypatch.setattr(cli, "_promote_params", promote_in_order)
-    monkeypatch.setattr(cli, "run_case", overlapping)
+    monkeypatch.setattr(mpmath, "workdps", refuse)
+    monkeypatch.setattr(cli, "run_case", watched)
     rset = run([CaseConfig(case_id="c1macdonald", seed=0, samples=2)],
-               parallelism=2, precision="high")
-    assert len(started) == 2 and rset.summary["pass"] == 2
-    assert first_done.is_set()
+               precision="high")
+    assert rset.summary["pass"] == 2
     assert seen == [(50, dps)] * 4
     assert mpmath.mp.dps == dps
+
+
+@pytest.mark.parametrize("precision", ["double", "high"])
+def test_main_qpow_tag_is_written_back(precision, monkeypatch, capsys):
+    # A {"qpow": m} parameter stays a tag in both modes (high mode promotes
+    # only numbers) and is written back into the report as it was given.
+    monkeypatch.setenv("QIDENT_PRECISION", precision)
+    assert main(["run", "--case", "bailey6psi6", "--param", 'b={"qpow": -2}']) == 0
+    (run_d,) = json.loads(capsys.readouterr().out)["runs"]
+    assert run_d["params"]["b"] == {"qpow": -2}
+
+
+def test_high_mode_promotes_vectors_and_tagged_parameters(monkeypatch):
+    # Every entry of a vector, and a tagged parameter that is a number, reach
+    # run_case as 50-digit mpmath values; a QPower tag stays a tag.
+    from qident import cli
+
+    seen = {}
+    run_one = cli.run_case
+
+    def capture(case_id, params, tol):
+        seen[case_id] = params
+        return run_one(case_id, params, tol)
+
+    monkeypatch.setattr(cli, "run_case", capture)
+    configs = [CaseConfig(case_id="multijackson"), CaseConfig(case_id="flip"),
+               CaseConfig(case_id="ramanujan1psi1", params={"b": QPower(2)})]
+    rset = run(configs, precision="high")
+    assert rset.summary == {"pass": 3, "fail": 0, "error": 0}
+    for case_id, name in (("multijackson", "z"), ("flip", "xs")):
+        vector = seen[case_id][name]
+        assert isinstance(vector, tuple) and len(vector) > 1
+        assert all(v.context.dps == 50 for v in vector)
+    assert seen["ramanujan1psi1"]["a"].context.dps == 50
+    assert seen["ramanujan1psi1"]["b"] == QPower(2)
 
 
 def test_precision_invalid_value(monkeypatch, capsys):
@@ -610,7 +673,7 @@ def test_full_suite_compare(tmp_path):
 
     def suite(name, *extra):
         cmd = [sys.executable, str(root / "scripts" / "run_full_suite.py"),
-               "--samples", "1", "--parallelism", "1",
+               "--samples", "1",
                "--out", str(tmp_path / f"{name}.json"),
                "--csv", str(tmp_path / f"{name}.csv"), *extra]
         return subprocess.run(cmd, env=env, capture_output=True, text=True)
@@ -714,9 +777,9 @@ def test_full_suite_bad_paths_exit_2_before_the_batch(tmp_path, capsys, monkeypa
 
 
 def test_full_suite_bad_counts_exit_2_before_the_batch(tmp_path, capsys, monkeypatch):
-    # --parallelism 0 ended in a ConfigError traceback, and --samples 0 ran
-    # nothing and exited 0; each is now one config error line, as in
-    # `qident run`, before any sample is drawn or any report written.
+    # --samples 0 ran nothing and exited 0; it is now one config error line,
+    # as in `qident run`, before any sample is drawn or any report written.
+    # --parallelism is gone: batches run serially.
     root = Path(__file__).resolve().parent.parent
     spec = importlib.util.spec_from_file_location("run_full_suite",
                                                   root / "scripts" / "run_full_suite.py")
@@ -725,10 +788,12 @@ def test_full_suite_bad_counts_exit_2_before_the_batch(tmp_path, capsys, monkeyp
     drawn = []
     monkeypatch.setattr(suite.cli, "sample_params", lambda *a: drawn.append(a))
     ok = ["--out", str(tmp_path / "r.json"), "--csv", str(tmp_path / "r.csv")]
-    for option, message in (("--parallelism", "parallelism must be a positive integer"),
-                            ("--samples", "samples must be a positive integer")):
-        assert suite.main([*ok, option, "0"]) == 2
-        assert capsys.readouterr().err == f"config error: {message}\n"
+    assert suite.main([*ok, "--samples", "0"]) == 2
+    assert capsys.readouterr().err == "config error: samples must be a positive integer\n"
+    with pytest.raises(SystemExit) as exc:
+        suite.main([*ok, "--parallelism", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --parallelism" in capsys.readouterr().err
     assert drawn == [] and list(tmp_path.iterdir()) == []
 
 

@@ -1,14 +1,16 @@
 """Source hygiene: no module of the package or of the tests imports a name
 that it never uses, no module of the package keeps a process-lifetime cache,
 no function, class or UPPER_CASE module-level constant of the package is
-there only for the tests (or for nothing), and no
+there only for the tests (or for nothing), no
 module of the package or of the scripts opens a file by path in a "w"
 mode, no code of the package but identities.judge and
 identities.error_report builds a report or sets its verdict, no module
 of the package uses mpmath's process-global precision, no function of
 the package takes a parameter that it never reads, no default of a
-function of the package is one that every call keeps, and no comparison
-of the package against VANISH_TOL does anything but guard a raise."""
+function of the package is one that every call keeps, no comparison of
+the package against VANISH_TOL does anything but guard a raise, and no
+module of the package imports threading, concurrent.futures or
+multiprocessing."""
 
 import ast
 from pathlib import Path
@@ -31,6 +33,9 @@ PROCESS_CACHES = {"lru_cache", "cache", "cached_property"}
 REPORT_BUILDERS = {"judge", "error_report"}
 #: The report fields that hold the verdict.
 VERDICT_FIELDS = {"status", "abs_residual", "rel_residual"}
+
+#: The standard modules that start threads or processes.
+CONCURRENCY_MODULES = {"threading", "concurrent", "multiprocessing"}
 
 #: mpmath's precision scopes: each sets a context's precision for a block.
 PRECISION_SCOPES = {"workdps", "workprec", "extradps", "extraprec"}
@@ -91,7 +96,7 @@ def process_caches(text):
     source text: imported from functools, or read as an attribute of
     functools (under any alias).  Such a cache outlives one evaluation: a
     repeated benchmark round would time cache hits instead of the
-    computation, and cli.run's worker threads would share its state.
+    computation, and one evaluation's state would reach the next.
     Per-evaluation state belongs in a context variable that run_case sets and
     resets (qcore.THETA_MEMO)."""
     nodes = list(ast.walk(ast.parse(text)))
@@ -343,7 +348,7 @@ def global_precision_uses(text):
     scope of PRECISION_SCOPES, as a name or an attribute of anything; and an
     assignment of any form to mp.dps or mp.prec.  A high-precision value
     carries a context of its own (identities.mp_context), so no code sets a
-    precision that cli.run's worker threads would share."""
+    precision that outlives the value it was set for."""
     nodes = list(ast.walk(ast.parse(text)))
     modules = {a.asname or a.name for node in nodes if isinstance(node, ast.Import)
                for a in node.names if a.name == "mpmath"}
@@ -562,3 +567,42 @@ def test_vanishing_stop_scan_finds_and_skips():
 @pytest.mark.parametrize("path", SRC, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_vanishing_stops(path):
     assert vanishing_stops(path.read_text(encoding="utf-8")) == []
+
+
+def concurrency_imports(text):
+    """(line, module) of each import in the module source text of a module in
+    CONCURRENCY_MODULES or of one of their submodules.  A batch runs its
+    samples one after another: under CPython's interpreter lock a thread pool
+    gained nothing, and a process pool comes back only with a benchmark
+    workload that shows its gain (ROADMAP item 5)."""
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names
+                  if name.split(".")[0] in CONCURRENCY_MODULES]
+    return sorted(found)
+
+
+def test_concurrency_import_scan_finds_and_skips():
+    text = ("import threading\n"
+            "from concurrent.futures import ThreadPoolExecutor\n"
+            "import os, multiprocessing.pool as mp\n"
+            "import concurrency\n"
+            "from . import threads\n"
+            "from .concurrent import x\n"
+            "def f():\n"
+            "    import concurrent.futures\n"
+            "import contextvars\n")
+    assert concurrency_imports(text) == [(1, "threading"), (2, "concurrent.futures"),
+                                         (3, "multiprocessing.pool"),
+                                         (8, "concurrent.futures")]
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_concurrency_imports(path):
+    assert concurrency_imports(path.read_text(encoding="utf-8")) == []
