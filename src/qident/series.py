@@ -29,10 +29,13 @@ eval_phi also reports the condition number of the sum it returns
 value and choose its working precision from that measurement.
 
 Each side of a bilateral sum grows by WINDOW_STEP terms at a time and ends
-on its own: at its tag's cut, at an exactly-zero term, or once the bound
-|t| rho / (1 - rho) on its dropped tail is at most TAIL_TOL relative to the
-sum, where t is its last term and rho < 1 bounds every later term ratio
-(Gasper-Rahman Sec. 5.1).  Both term sequences are produced by
+on its own: at its tag's cut, at an exactly-zero term, or by a closed tail.
+A side's term ratio tends to a limit r, |r| < 1 on a convergent side
+(Gasper-Rahman Sec. 5.1), so its terms beyond the last one, t, are summed
+as the geometric series t r / (1 - r).  rho < 1 bounds every later term
+ratio, and the side ends once the error of that closed tail, at most
+|t| (rho / (1 - rho) - |r| / (1 - |r|)), is at most TAIL_TOL relative to the
+sum with both closed tails.  Both term sequences are produced by
 consecutive-term ratio recurrences, which keeps intermediate values moderate
 even when the individual Pochhammers overflow.  MAX_TERMS caps the terms of
 either evaluator (NoConvergence).
@@ -143,35 +146,41 @@ def eval_phi(spec: SeriesSpec) -> SeriesValue:
     return SeriesValue(total, cut + 1, True, condition=_condition(mass, total))
 
 
-def _ratio_bound(c, grow, shrink):
-    """c * prod(grow) / prod(shrink), a bound on the later term ratios of a
-    bilateral side; inf unless every shrink factor is positive."""
-    rho = c
-    for g in grow:
-        rho *= g
-    for d in shrink:
-        if d <= 0:
+def _ratio_excess(c, grow, shrink):
+    """rho - lim for rho = c prod(g + d) / prod(s - d) and
+    lim = c prod(g) / prod(s), over the pairs (g, d) of grow and (s, d) of
+    shrink, all >= 0: rho bounds the later term ratios of a bilateral side
+    and lim is the modulus of its limit ratio.  The excess is accumulated
+    from the increments d alone, so it carries no cancellation however close
+    rho is to lim.  inf unless every s - d is positive."""
+    lim, excess = c, 0.0
+    for g, d in grow:
+        lim, excess = lim * g, excess * (g + d) + lim * d
+    for s, d in shrink:
+        if s - d <= 0:
             return math.inf
-        rho /= d
-    return rho
+        lim, excess = lim / s, (excess + lim * d / s) / (s - d)
+    return excess
 
 
-def _side_ends(t, k, tol, limit, ratio):
+def _side_ends(t, k, tol, limit, excess):
     """Whether a bilateral side whose last term t has index k ends: at an
-    exactly-zero term, or once its dropped tail, at most |t| rho / (1 - rho)
-    for rho = ratio(k) < 1, is at most tol.  rho is never below limit, the
-    side's limit ratio, so ratio is not called while limit's own bound
-    exceeds tol (an infinite limit never calls it).  A non-finite t raises
+    exactly-zero term, or, for a side whose limit ratio r has modulus
+    limit < 1, once the error of its closed tail t r / (1 - r) is at most
+    tol.  With rho = limit + excess(k) < 1, every later term ratio R has
+    |R - r| <= rho - |r|, which bounds that error by
+    |t| (rho / (1 - rho) - |r| / (1 - |r|)).  A non-finite t raises
     NoConvergence."""
     at = float(abs(t))
     if at == 0:
         return True
     if not at < math.inf:
         raise NoConvergence(f"eval_psi: non-finite term at k = {k}")
-    if at * limit > tol * (1 - limit):
+    if not limit < 1:
         return False
-    rho = ratio(k)
-    return at * rho <= tol * (1 - rho)
+    ex = excess(k)
+    rho = limit + ex
+    return rho < 1 and at * ex <= tol * (1 - rho) * (1 - limit)
 
 
 def eval_psi(spec: SeriesSpec) -> SeriesValue:
@@ -179,14 +188,20 @@ def eval_psi(spec: SeriesSpec) -> SeriesValue:
     DomainError.
 
     Each side ends on its own, checked every WINDOW_STEP terms: at its tag's
-    cut (terminated: both sides did), at an exactly-zero term, or once its
-    dropped tail is bounded by TAIL_TOL relative to the sum, never at an
-    untagged factor's value.  From index k on, the upper side's term ratios
-    are at most rho_k = |x| prod (1 + |a_i||q|^k) / (1 - |b_i||q|^k), and the
-    lower side's, from the term at k on down, at most rho_j = (1/|x|)
-    prod (|b_i| + |q|^j) / (|a_i| - |q|^j) with j = 1 - k.  A side with a
-    tag cut runs to it without the bound.  A non-finite term, or more than
-    MAX_TERMS terms, raises NoConvergence.
+    cut (terminated: both sides did), at an exactly-zero term, or with a
+    closed tail, never at an untagged factor's value.  A side with no tag
+    cut whose limit ratio r, x above and prod b_i / (x prod a_i) below, has
+    |r| < 1 adds the closed tail t r / (1 - r) after its last term t, and
+    ends once that tail is within TAIL_TOL of its dropped terms, relative to
+    the sum with both sides' closed tails.  From index k on, the upper
+    side's term ratios are at most
+    rho_k = |x| prod (1 + |a_i||q|^k) / (1 - |b_i||q|^k), and the lower
+    side's, from the term at k on down, at most rho_j = (1/|x|)
+    prod (|b_i| + |q|^j) / (|a_i| - |q|^j) with j = 1 - k; each later ratio
+    is then within rho - |r| of r, so the closed tail is within
+    |t| (rho / (1 - rho) - |r| / (1 - |r|)) of the dropped terms.  A side
+    with a tag cut runs to it without the bound.  A non-finite term, or more
+    than MAX_TERMS terms, raises NoConvergence.
     """
     q = spec.q
     x = scalar_value(spec.argument, q)
@@ -200,21 +215,27 @@ def eval_psi(spec: SeriesSpec) -> SeriesValue:
     nv, dv = [v for v, _ in nums], [v for v, _ in dens]
 
     # The tail bounds are floats computed from the moduli of the operands.
-    # A side's limit ratio is that of its terms as |k| grows: |x| above and
-    # prod |b_i| / (|x| prod |a_i|) below; a side with a tag cut gets inf.
+    # A side's limit ratio r is that of its terms as |k| grows: x above and
+    # prod b_i / (x prod a_i) below; its modulus is the side's limit, and a
+    # side with a tag cut gets inf.  The closed tail t r / (1 - r) is taken
+    # in the operands' arithmetic, with r = 0 on a side whose limit is not
+    # below 1: such a side ends only at its cut or at an exactly-zero term,
+    # and adds nothing.
     aq, ax = float(abs(q)), float(abs(x))
     an, ad = [float(abs(v)) for v in nv], [float(abs(v)) for v in dv]
     lim_up = ax if hi_cut is None else math.inf
     scale = ax * math.prod(an)
     lim_dn = math.prod(ad) / scale if lo_cut is None and scale else math.inf
+    r_up = x if lim_up < 1 else 0
+    r_dn = math.prod(dv) / (x * math.prod(nv)) if lim_dn < 1 else 0
 
-    def up_ratio(k):
+    def up_excess(k):
         e = aq**k
-        return _ratio_bound(ax, [1 + a * e for a in an], [1 - b * e for b in ad])
+        return _ratio_excess(ax, [(1, a * e) for a in an], [(1, b * e) for b in ad])
 
-    def dn_ratio(k):
+    def dn_excess(k):
         e = aq ** (1 - k)
-        return _ratio_bound(1 / ax, [b + e for b in ad], [a - e for a in an])
+        return _ratio_excess(1 / ax, [(b, e) for b in ad], [(a, e) for a in an])
 
     # Below index -deep an r-factor product of the terms 1 - v q^k could
     # overflow a float (r (-k) log10(1/|q|) > 300 decades): there each factor
@@ -224,10 +245,14 @@ def eval_psi(spec: SeriesSpec) -> SeriesValue:
     deep = 300 / (len(nv) * math.log10(1 / aq)) if nv and 0 < aq < 1 else math.inf
 
     # Both sides run by ratio recurrences from the k = 0 term: t_up is the
-    # term at k_up >= 0, t_dn the term at k_dn <= 0.
+    # term at k_up >= 0, t_dn the term at k_dn <= 0, and tail_up and tail_dn
+    # are the closed tails after them.  TAIL_TOL is relative to the sum with
+    # both closed tails: a tail can be far larger than that sum, when its
+    # ratio is near -1 and it cancels most of the window's terms.
     total = 1.0 + 0j  # k = 0 term
     nterms = 1
     t_up = t_dn = 1.0 + 0j
+    tail_up = tail_dn = 0.0 + 0j
     k_up = k_dn = 0
     up_done, dn_done = hi_cut == 0, lo_cut == 0
     while not (up_done and dn_done):
@@ -247,6 +272,7 @@ def eval_psi(spec: SeriesSpec) -> SeriesValue:
                 new, nterms = new + t_up, nterms + 1
                 if t_up == 0:
                     break
+            tail_up = t_up * r_up / (1 - r_up)
         if not dn_done:
             lo = k_dn - WINDOW_STEP if lo_cut is None else max(k_dn - WINDOW_STEP, lo_cut)
             while k_dn > lo:
@@ -270,10 +296,12 @@ def eval_psi(spec: SeriesSpec) -> SeriesValue:
                 new, nterms = new + t_dn, nterms + 1
                 if t_dn == 0:
                     break
+            tail_dn = t_dn * r_dn / (1 - r_dn)
         total = total + new
-        tol = TAIL_TOL * float(abs(total))
-        up_done = up_done or k_up == hi_cut or _side_ends(t_up, k_up, tol, lim_up, up_ratio)
-        dn_done = dn_done or k_dn == lo_cut or _side_ends(t_dn, k_dn, tol, lim_dn, dn_ratio)
+        tol = TAIL_TOL * float(abs(total + tail_up + tail_dn))
+        up_done = up_done or k_up == hi_cut or _side_ends(t_up, k_up, tol, lim_up, up_excess)
+        dn_done = dn_done or k_dn == lo_cut or _side_ends(t_dn, k_dn, tol, lim_dn, dn_excess)
         if not (up_done and dn_done) and nterms > MAX_TERMS:
             raise NoConvergence("eval_psi: max_terms reached before tail threshold")
-    return SeriesValue(total, nterms, k_up == hi_cut and k_dn == lo_cut, (k_dn, k_up))
+    terminated = k_up == hi_cut and k_dn == lo_cut
+    return SeriesValue(total + tail_up + tail_dn, nterms, terminated, (k_dn, k_up))

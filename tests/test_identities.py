@@ -836,8 +836,7 @@ _POWER_OF_Q_SWEEP = {
     "bailey10phi9": {"pass": 868, "fail": 2, "DivisionByVanishingFactor": 30},
     "bailey6psi6": {"pass": 391, "fail": 26, "DivisionByVanishingFactor": 6,
                     "DomainError": 327},
-    "ramanujan1psi1": {"pass": 148, "DivisionByVanishingFactor": 10, "DomainError": 290,
-                       "NoConvergence": 2},
+    "ramanujan1psi1": {"pass": 150, "DivisionByVanishingFactor": 10, "DomainError": 290},
     "flippedsummand": {"pass": 582, "NonFiniteSide": 9, "OverflowError": 9},
     "bilateralfinite": {"pass": 306, "fail": 3, "DivisionByVanishingFactor": 51,
                         "ZeroDivisionError": 90},

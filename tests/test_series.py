@@ -160,28 +160,63 @@ def test_psi_ramanujan_closed_form():
 
 def test_psi_deep_lower_tail_matches_closed_form():
     # Small q and a lower-side term ratio b / (a x) = 0.9 near 1: the lower
-    # window runs past k = -231, where r (-k) log10(1/q) > 300 (r = 1) and
-    # the factors take their deep-tail form q^{-k} - v.
+    # side's terms shrink by only 0.9 a step, but its ratio bound nears that
+    # limit ratio by a factor q = 0.05 a step, so the closed tail
+    # t r / (1 - r) ends it at k = -12 (a tail bound alone ran it past
+    # k = -231, into the deep-tail form of the factors).
     a, b, x, q = 0.9, 0.729, 0.9, 0.05
     spec = SeriesSpec(numerator=[a], denominator=[b], argument=x, q=q)
     sv = eval_psi(spec)
-    assert -sv.window[0] * math.log10(1 / q) > 300
+    assert sv.window[0] == -12
     closed = poch_multi_inf([q, b / a, a * x, q / (a * x)], q) \
         / poch_multi_inf([b, q / a, x, b / (a * x)], q)
     assert rel(sv.value, closed) < 1e-10
 
 
-@pytest.mark.parametrize("q, e", [(0.01, 0.4 + 0.01j), (0.005, 0.4 + 0.01j),
-                                  (0.01, 0.38), (0.01, 0.5)])
-def test_psi_6psi6_deep_lower_tail_does_not_overflow(q, e):
+@pytest.mark.parametrize("a, x, q", [(0.9, 0.9, 0.3), (0.8 + 0.3j, 0.7 - 0.2j, 0.4)])
+def test_psi_lower_limit_ratio_near_one_closes_its_tail(a, x, q):
+    # b / (a x) = 0.9999: a tail bound needs about 4e5 lower terms (past
+    # MAX_TERMS, NoConvergence); the closed tail needs fewer than 200 terms in
+    # all, as the lower ratio bound nears 0.9999 by a factor q a step.
+    b = 0.9999 * a * x
+    sv = eval_psi(SeriesSpec(numerator=[a], denominator=[b], argument=x, q=q))
+    assert sv.terms_used <= 200
+    closed = poch_multi_inf([q, b / a, a * x, q / (a * x)], q) \
+        / poch_multi_inf([b, q / a, x, b / (a * x)], q)
+    assert rel(sv.value, closed) < 1e-10
+
+
+def _bailey_6psi6_product(a, b, c, d, e, q):
+    """The product side of Bailey's 6psi6 sum at 30 digits."""
+    ctx = identities.mp_context(30)
+    a, b, c, d, e, q = map(ctx.mpmathify, (a, b, c, d, e, q))
+    aq = a * q
+    num = [aq, aq / (b * c), aq / (b * d), aq / (b * e), aq / (c * d), aq / (c * e),
+           aq / (d * e), q, q / a]
+    den = [aq / b, aq / c, aq / d, aq / e, q / b, q / c, q / d, q / e, q * a * a / (b * c * d * e)]
+    return ctx.fprod(ctx.qp(v, q) for v in num) / ctx.fprod(ctx.qp(v, q) for v in den)
+
+
+@pytest.mark.parametrize("q, a, e, be", [(0.005, 0.8 + 0.1j, 4e-53, 0.8),
+                                         (0.01, 0.8 + 0.1j, 3e-56, 0.8),
+                                         (0.02, 0.7 - 0.2j, 1e-55, 0.8),
+                                         (0.05, 0.8 + 0.1j, 1e-53, 0.5)])
+def test_psi_6psi6_deep_lower_tail_does_not_overflow(q, a, e, be):
     # r = 6 factors of size |q^k| overflow a float from about 308/6 decades
-    # of |q^k| on; the lower side reaches k = -24 (q = 0.005) to -52, 2.0 to
-    # 2.3 decades each, so its products must take the deep-tail form there.
-    r = run_case("bailey6psi6", dict(a=0.9, b=0.35 + 0.01j, c=0.35 - 0.02j,
-                                     d=0.35 + 0.03j, e=e, q=q))
-    assert r.status == "pass" and r.rel_residual < 1e-14, r.message
-    k_dn = int(r.message.split("window=(")[1].split(",")[0])
-    assert 6 * -k_dn * math.log10(1 / q) > 300
+    # of |q^k| on.  The numerator parameter e is below |q|^j there, so the
+    # lower side's ratio bound stays infinite and the closed tail cannot end
+    # it before it reaches k = -28 (q = 0.005) to -48, 2.3 to 1.3 decades
+    # each: its products must take the deep-tail form there.  b = be / e
+    # keeps x = q a^2 / (bcde) small; b and q/e are then so large that the
+    # product side overflows a float, so it is taken at 30 digits.
+    c, d, b = 0.6, 0.7, be / e
+    sa = csqrt(a)
+    spec = SeriesSpec(numerator=[q * sa, -q * sa, b, c, d, e],
+                      denominator=[sa, -sa, a * q / b, a * q / c, a * q / d, a * q / e],
+                      argument=q * a * a / (b * c * d * e), q=q)
+    sv = eval_psi(spec)
+    assert rel(sv.value, complex(_bailey_6psi6_product(a, b, c, d, e, q))) < 1e-14
+    assert 6 * -sv.window[0] * math.log10(1 / q) > 300
 
 
 def test_psi_non_finite_term_raises():
@@ -225,7 +260,7 @@ def test_psi_untagged_vanishing_denominator_does_not_hide_a_pole(case_id, seed, 
 def test_psi_untagged_power_of_q_is_not_a_cut(seed):
     # a = q^-2 untagged: the numerator factor (1 - a q^2) is 0 or about
     # 1e-17, not a cut, so the upper side sums past k = 2 to an exactly-zero
-    # term or to its tail bound, and the value stays that of the tagged run.
+    # term or to its closed tail, and the value stays that of the tagged run.
     p = sample_params("ramanujan1psi1", seed)
     untagged = run_case("ramanujan1psi1", {**p, "a": p["q"] ** -2})
     tagged = run_case("ramanujan1psi1", {**p, "a": QPower(-2)})
@@ -248,50 +283,55 @@ def test_psi_window_stability(monkeypatch):
     assert abs(wide.value - sv.value) <= 2 * TAIL_TOL * abs(sv.value)
 
 
-def _psi_side_tail(spec, k_stop, up):
-    """|sum of the terms of one side of a bilateral spec beyond index k_stop|,
-    by a 30-digit mpmath long sum of the term ratios, run on until a term is
-    below 1e-17 of |t_{k_stop}| (every later ratio is below the stop's
-    rho < 1, so the rest is below 1e-17 of the stop's bound)."""
-    with mpmath.workdps(30):
-        q, x = mpmath.mpmathify(spec.q), mpmath.mpmathify(spec.argument)
-        nums = [mpmath.mpmathify(v) for v in spec.numerator]
-        dens = [mpmath.mpmathify(v) for v in spec.denominator]
-        # qk is q^k on the upper side and q^(k-1) on the lower side
-        t, k, qk = mpmath.mpf(1), 0, mpmath.mpf(1)
+def _psi_side_sums(spec, k_stop, up, until):
+    """(t, terms, tail) on one side of a bilateral spec whose values carry a
+    30-digit mpmath context: the term t at index k_stop, the sum of the side's
+    terms from index +-1 to k_stop, and the sum of those beyond k_stop, by a
+    long sum of the term ratios run on until a term is at most until.  Every
+    later ratio is below the stop's rho < 1, so the tail left out is at most
+    until rho / (1 - rho)."""
+    q, x = spec.q, spec.argument
+    # qk is q^k on the upper side and q^(k-1) on the lower side
+    t, k, qk = 1, 0, 1
 
-        def ratio():  # t_{k+1} / t_k at the qk given
-            r = x
-            for v in nums:
-                r *= 1 - v * qk
-            for v in dens:
-                r /= 1 - v * qk
-            return r
+    def ratio():  # t_{k+1} / t_k at the qk given
+        r = x
+        for v in spec.numerator:
+            r *= 1 - v * qk
+        for v in spec.denominator:
+            r /= 1 - v * qk
+        return r
 
-        def step():
-            nonlocal t, k, qk
-            if up:
-                t, k, qk = t * ratio(), k + 1, qk * q
-            else:
-                qk = qk / q
-                t, k = t / ratio(), k - 1
+    def step():
+        nonlocal t, k, qk
+        if up:
+            t, k, qk = t * ratio(), k + 1, qk * q
+        else:
+            qk = qk / q
+            t, k = t / ratio(), k - 1
 
-        while k != k_stop:
-            step()
-        t_stop, tail = abs(t), 0
-        while abs(t) >= 1e-17 * t_stop:
-            step()
-            tail += t
-        return abs(tail)
+    terms = 0
+    while k != k_stop:
+        step()
+        terms += t
+    t_stop, tail = t, 0
+    while abs(t) > until:
+        step()
+        tail += t
+    return t_stop, terms, tail
 
 
 @pytest.mark.parametrize("case_id", ["ramanujan1psi1", "bailey6psi6", "3psi3delta0",
                                      "3psi3delta1"])
 def test_psi_side_tails_within_their_stop_bounds(case_id, monkeypatch):
-    # 50 draws per case: each side of the bilateral sum ends at its tail
-    # bound |t| rho / (1 - rho) <= TAIL_TOL |total|, and the tail it drops,
-    # summed at 30 digits far beyond the window, never exceeds that bound
-    # (1e-9 relative slack for the rounding of the double |t|).
+    # 50 draws per case, summed at 30 digits: each side of the bilateral sum
+    # ends with its closed tail t r / (1 - r), r its limit ratio, once the
+    # bound |t| (rho / (1 - rho) - |r| / (1 - |r|)) on that tail's error is
+    # at most TAIL_TOL relative to the sum.  The error, against the side's
+    # tail summed far beyond the window, never exceeds that bound (1e-9
+    # relative slack for the float bound), and eval_psi's value is the window
+    # sum plus exactly these closed tails.
+    ctx = identities.mp_context(30)
     specs, stops = [], {}
     psi, side_ends = series.eval_psi, series._side_ends
 
@@ -299,24 +339,41 @@ def test_psi_side_tails_within_their_stop_bounds(case_id, monkeypatch):
         specs.append(spec)
         return psi(spec)
 
-    def record_stop(t, k, tol, limit, ratio):
-        ended = side_ends(t, k, tol, limit, ratio)
+    def record_stop(t, k, tol, limit, excess):
+        ended = side_ends(t, k, tol, limit, excess)
         if ended:
-            rho = ratio(k)
-            stops[ratio.__name__] = (k, float(abs(t)) * rho / (1 - rho), tol)
+            ex = excess(k)
+            rho = limit + ex
+            stops[excess.__name__] = (k, rho, float(abs(t)) * ex / ((1 - rho) * (1 - limit)),
+                                      tol)
         return ended
 
     monkeypatch.setattr(identities, "eval_psi", record_spec)
     monkeypatch.setattr(series, "_side_ends", record_stop)
     for seed in range(50):
         specs.clear()
-        stops.clear()
         assert run_case(case_id, sample_params(case_id, seed)).status == "pass"
-        assert len(specs) == 1 and sorted(stops) == ["dn_ratio", "up_ratio"]
-        for name, (k, bound, tol) in stops.items():
-            tail = _psi_side_tail(specs[0], k, name == "up_ratio")
+        assert len(specs) == 1
+        a, b = (map(ctx.mpmathify, v) for v in (specs[0].numerator, specs[0].denominator))
+        spec = SeriesSpec(list(a), list(b), ctx.mpmathify(specs[0].argument),
+                          ctx.mpmathify(specs[0].q))
+        limits = {"up_excess": spec.argument,
+                  "dn_excess": ctx.fprod(spec.denominator)
+                  / (spec.argument * ctx.fprod(spec.numerator))}
+        stops.clear()
+        value = eval_psi(spec).value
+        assert sorted(stops) == ["dn_excess", "up_excess"]
+        exact = 1
+        for name, (k, rho, bound, tol) in stops.items():
             assert 0 < bound <= tol
-            assert tail <= bound * (1 + 1e-9), (seed, name, k, tail, bound)
+            t, terms, tail = _psi_side_sums(spec, k, name == "up_excess",
+                                            1e-12 * bound * (1 - rho))
+            r = limits[name]
+            err = abs(tail - t * r / (1 - r))
+            assert err <= bound * (1 + 1e-9), (seed, name, k, err, bound)
+            value -= terms + t * r / (1 - r)
+            exact += terms + tail
+        assert abs(value - 1) <= 1e-25 * abs(exact), (seed, value)
 
 
 def test_psi_6psi6_within_term_budget(monkeypatch):
@@ -339,3 +396,21 @@ def test_psi_6psi6_within_term_budget(monkeypatch):
         sv = eval_psi(spec)
         assert sv.terms_used <= 400
 
+
+def test_psi_bilateral_cases_within_term_budget(monkeypatch):
+    # Seeds 0-59 of the four bilateral cases sum 8,356 eval_psi terms with
+    # the closed tails, and 22,168 when each side runs on until a bound on
+    # its dropped tail is below TAIL_TOL.
+    terms = []
+
+    def count(spec):
+        sv = series.eval_psi(spec)
+        terms.append(sv.terms_used)
+        return sv
+
+    monkeypatch.setattr(identities, "eval_psi", count)
+    for case_id in ("bailey6psi6", "ramanujan1psi1", "3psi3delta0", "3psi3delta1"):
+        for seed in range(60):
+            assert run_case(case_id, sample_params(case_id, seed)).status == "pass"
+    assert len(terms) == 240
+    assert sum(terms) <= 10_000
