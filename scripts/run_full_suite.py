@@ -15,7 +15,11 @@ its status in BASE.json and now, the relative change of its lhs and of its
 rhs, and its rel_residual in BASE.json and now.  Then one line per case
 gives its number of changed runs and of status changes, the largest relative
 change of lhs and of rhs, and the worst rel_residual in BASE.json and now.
-The exit code is 1 if anything differs and 0 if nothing does.  Without
+The new JSON text is also compared with BASE.json's text, each with its
+meta.timestamp value masked: when the parsed reports agree but the texts do
+not, that is one difference, "report text" (a change of layout or number
+formatting that parsing cannot see).  The exit code is 1 if anything
+differs and 0 if nothing does.  Without
 --compare the exit code is that of `qident run` (1 if any run fails or
 errors).  A --seed or --samples that `qident run` refuses, an --out or --csv
 path that cannot be written, and a --compare file that cannot be read or is
@@ -26,6 +30,7 @@ script's tree, not from an installed copy.
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -134,6 +139,15 @@ def case_summaries(doc, base):
     return out
 
 
+_TIMESTAMP = re.compile(r'"timestamp": "(?:[^"\\]|\\.)*"')
+
+
+def masked(text):
+    """A report's JSON text with the value of its first "timestamp" key,
+    meta's, replaced by the empty string."""
+    return _TIMESTAMP.sub('"timestamp": ""', text, count=1)
+
+
 def _number(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
@@ -152,12 +166,14 @@ def is_run(run):
 
 
 def read_report(path):
-    """The report document in the JSON file path, for --compare; ConfigError
-    when the file cannot be read, is not JSON or is not a report: an object
-    with a meta object, a summary and a list of runs (is_run)."""
+    """The report document in the JSON file path and the file's text, for
+    --compare; ConfigError when the file cannot be read, is not JSON or is
+    not a report: an object with a meta object, a summary and a list of runs
+    (is_run)."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        with open(path, encoding="utf-8", newline="") as fh:
+            text = fh.read()
+        doc = json.loads(text)
     except OSError as exc:
         raise ConfigError(f"--compare {path}: cannot read: {exc}") from None
     except json.JSONDecodeError as exc:
@@ -166,7 +182,7 @@ def read_report(path):
             and isinstance(doc["meta"], dict) and isinstance(doc["runs"], list)
             and all(map(is_run, doc["runs"]))):
         raise ConfigError(f"--compare {path}: not a report of this script")
-    return doc
+    return doc, text
 
 
 def main(argv=None):
@@ -184,7 +200,7 @@ def main(argv=None):
                    for cid in CASES]
         for option, path in (("--out", args.out), ("--csv", args.csv)):
             cli.check_writable(option, path)
-        base = None if args.compare is None else read_report(args.compare)
+        compare = None if args.compare is None else read_report(args.compare)
         rset = cli.run(configs)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -195,10 +211,13 @@ def main(argv=None):
     s = rset.summary
     print(f"wrote {args.out} and {args.csv}: "
           f"pass={s['pass']} fail={s['fail']} error={s['error']}")
-    if base is None:
+    if compare is None:
         return cli.exit_code(rset)
+    base, base_text = compare
     doc = json.loads(text)
     diffs = report_differences(doc, base)
+    if not diffs and masked(text + "\n") != masked(base_text):
+        diffs.append("report text")
     for label in diffs:
         print(f"differs: {label}")
     for line in case_summaries(doc, base):

@@ -284,13 +284,18 @@ def eval_psi(spec: SeriesSpec) -> SeriesValue:
                         fn = fn * (qmk - v)
                     for v in dv:
                         fd = fd * (qmk - v)
+                    scale = abs(qmk) ** len(nv)
                 else:
                     qk = q**k
                     for v in nv:
                         fn = fn * (1 - v * qk)
                     for v in dv:
                         fd = fd * (1 - v * qk)
-                if abs(fn) < VANISH_TOL:
+                    scale = 1
+                # |fn| is scale times |prod (1 - v q^k)|, a pole when that
+                # is below VANISH_TOL; a scale that underflows to 0 leaves
+                # only the test for an exactly-zero fn.
+                if fn == 0 or abs(fn) < VANISH_TOL * scale:
                     raise DivisionByVanishingFactor("bilateral series: numerator pole")
                 t_dn, k_dn = t_dn * fd / (x * fn), k
                 new, nterms = new + t_dn, nterms + 1

@@ -4,7 +4,9 @@ codes."""
 
 import csv
 import importlib.util
+import io
 import json
+import math
 import os
 import stat
 import subprocess
@@ -520,6 +522,91 @@ def test_writers_accept_a_file_that_cannot_be_truncated():
     write_csv(run([CaseConfig(case_id="c1macdonald")]), os.devnull)
 
 
+def _writer_report_sets():
+    """Report sets for the writer tests: every case at seeds 0-9, two
+    high-precision batches, an error run (null sides), a {"qpow": -2} tag
+    given as --param, an empty batch, and a hand-built run whose message
+    holds a quote, a backslash, a control character, non-ASCII text, a
+    comma and a newline."""
+    sets = [run([CaseConfig(case_id=cid, seed=0, samples=10)
+                 for cid in identities.CASES])]
+    sets += [run([CaseConfig(case_id=cid, seed=2, samples=2)], precision="high")
+             for cid in ("jackson8phi7", "ramanujan1psi1")]
+    errors = run([CaseConfig(case_id="bilateralfinite", params={"sigma": 1e-300}),
+                  CaseConfig(case_id="ramanujan1psi1", params={"q": math.inf})])
+    assert errors.summary["error"] == 2
+    assert all(rd["lhs"] is None and rd["rhs"] is None for rd in errors.run_dicts)
+    sets.append(errors)
+    tagged = dict([_parse_param_option('b={"qpow": -2}')])
+    sets.append(run([_validate_config({"case_id": "bailey6psi6", "params": tagged})]))
+    assert sets[-1].run_dicts[0]["params"]["b"] == {"qpow": -2}
+    sets.append(run([]))
+    odd = run([CaseConfig(case_id="c1macdonald", samples=2)])
+    odd.run_dicts[0]["message"] = 'a "quoted", back\\slash\x01\t \u03c8\u00e9 \U0001d53c'
+    odd.run_dicts[1]["message"] = "comma, \"quote\"\nnew line\r\n"
+    sets.append(odd)
+    return sets
+
+
+def _stdlib_report_json(rset):
+    """The JSON report as the stdlib's indent path writes it."""
+    return json.dumps({"meta": rset.meta, "summary": rset.summary,
+                       "runs": rset.run_dicts}, indent=2, allow_nan=False)
+
+
+def test_report_json_is_the_stdlib_indent_layout():
+    from qident.cli import report_json
+
+    for rset in _writer_report_sets():
+        assert report_json(rset) == _stdlib_report_json(rset)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_report_json_refuses_a_non_finite_float_as_the_stdlib(value):
+    from qident.cli import report_json
+
+    rset = run([CaseConfig(case_id="c1macdonald")])
+    rset.run_dicts[0]["lhs"] = [1.0, value]
+    with pytest.raises(ValueError, match="Out of range float values"):
+        _stdlib_report_json(rset)
+    with pytest.raises(ValueError, match="Out of range float values"):
+        report_json(rset)
+
+
+def _dict_writer_csv(rset):
+    """The CSV report as csv.DictWriter wrote it, one dict per row."""
+    buf = io.StringIO(newline="")
+    w = csv.DictWriter(buf, fieldnames=["case_id", "sample_index", "seed", "status",
+                                        "lhs_re", "lhs_im", "rhs_re", "rhs_im",
+                                        "abs_residual", "rel_residual", "terms_used",
+                                        "message", "params"])
+    w.writeheader()
+    for rd in rset.run_dicts:
+        lhs = rd["lhs"] or [None, None]
+        rhs = rd["rhs"] or [None, None]
+        w.writerow({
+            "case_id": rd["case_id"],
+            "sample_index": rd["sample_index"],
+            "seed": rd["seed"],
+            "status": rd["status"],
+            "lhs_re": lhs[0], "lhs_im": lhs[1],
+            "rhs_re": rhs[0], "rhs_im": rhs[1],
+            "abs_residual": rd["abs_residual"],
+            "rel_residual": rd["rel_residual"],
+            "terms_used": rd["terms_used"],
+            "message": rd["message"],
+            "params": json.dumps(rd["params"], allow_nan=False),
+        })
+    return buf.getvalue()
+
+
+def test_write_csv_is_the_dict_writer_layout(tmp_path):
+    path = tmp_path / "report.csv"
+    for rset in _writer_report_sets():
+        write_csv(rset, str(path))
+        assert path.read_bytes() == _dict_writer_csv(rset).encode("utf-8")
+
+
 def test_precision_high_backend(tmp_path, monkeypatch):
     monkeypatch.setenv("QIDENT_PRECISION", "high")
     out_p = tmp_path / "rep.json"
@@ -685,7 +772,21 @@ def test_full_suite_compare(tmp_path):
     assert "0 differences" in same.stdout
     assert same.stdout.count(" 0 of 1 runs changed, 0 status changes, largest "
                              "relative change lhs 0 rhs 0, worst rel_residual") == 17
+    # The texts are compared too, meta.timestamp masked: another timestamp
+    # is no difference, and the same report in another layout is one.
     doc = json.loads(base.read_text())
+    stamped = tmp_path / "stamped.json"
+    stamped.write_text(base.read_text().replace(doc["meta"]["timestamp"],
+                                                "1970-01-01T00:00:00Z"))
+    restamped = suite("restamped", "--compare", str(stamped))
+    assert restamped.returncode == 0, restamped.stdout + restamped.stderr
+    assert "0 differences" in restamped.stdout
+    relaid = tmp_path / "relaid.json"
+    relaid.write_text(json.dumps(doc, indent=1) + "\n")
+    layout = suite("layout", "--compare", str(relaid))
+    assert layout.returncode == 1
+    assert "differs: report text\n" in layout.stdout
+    assert f"1 differences from {relaid}" in layout.stdout
     doc["meta"]["timestamp"] = "1970-01-01T00:00:00Z"  # ignored
     entry = doc["runs"][3]
     entry["message"] += " (doctored)"

@@ -219,6 +219,30 @@ def test_psi_6psi6_deep_lower_tail_does_not_overflow(q, a, e, be):
     assert 6 * -sv.window[0] * math.log10(1 / q) > 300
 
 
+def test_psi_deep_lower_tail_pole_test_is_scaled():
+    # a = 1e-302 and b = 8.1e-303 keep the lower side's ratio bound infinite
+    # until |q|^j is below them, so it runs to k = -244, past the deep index
+    # 300 / log10(20) = 230.  There the numerator product is taken as
+    # q^{-k} - a, q^{-k}'s scale included; the pole test compared that
+    # scaled product with VANISH_TOL and raised a numerator pole, although
+    # 1 - a q^k is near 1.  The product side is taken at 30 digits, factor
+    # by factor: mpmath's qp does not converge at q/a = 5e300.
+    a, b, x, q = 1e-302, 8.1e-303, 0.9, 0.05
+    sv = eval_psi(SeriesSpec(numerator=[a], denominator=[b], argument=x, q=q))
+    assert -sv.window[0] * math.log10(1 / q) > 300
+    ctx = identities.mp_context(30)
+    a, b, x, q = map(ctx.mpmathify, (a, b, x, q))
+
+    def qp(z):  # (z; q)_oo, to the first factor within 1e-40 of 1
+        return ctx.fprod(1 - z * q**k for k in range(
+            1 + max(0, int(ctx.log10(abs(z) * 1e40) / -ctx.log10(q)))))
+
+    closed = ctx.fprod(map(qp, (q, b / a, a * x, q / (a * x)))) \
+        / ctx.fprod(map(qp, (b, q / a, x, b / (a * x))))
+    assert abs(closed - 9.5332804297e11) < 1e2
+    assert rel(sv.value, complex(closed)) < 1e-13
+
+
 def test_psi_non_finite_term_raises():
     # |x| = 1e200: the upper side's second term overflows to inf, and the
     # sum ends at the check after its first WINDOW_STEP terms instead of
