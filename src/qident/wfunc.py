@@ -43,8 +43,9 @@ zw_multi shifts the keys with a t^{2l}, b t^l and x t^{-l}.  Two arguments
 of equal key are the same monomial, so they cancel; theta(y; p) vanishes at
 the key-0 argument y = 1, and key-0 arguments cancel only among themselves,
 so a net key-0 numerator gives exact 0 and a net key-0 denominator raises
-PoleCancellationError, before any theta product.  Only the survivors get
-values, for theta_product.  Two arguments of distinct keys are never
+PoleCancellationError, before any argument is expanded.  The rest cancel
+by per-key counts (theta_quotient).  Only the survivors get values, for
+theta_product, in ledger order.  Two arguments of distinct keys are never
 cancelled: where the values coincide (q a root of unity, or a caller that
 did not key a specialization), they give a numerical zero of the expression
 or a PoleCancellationError, never a silent 0/0 read as 1.
@@ -61,7 +62,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Tuple
 
-from .errors import DivisionByVanishingFactor, PoleCancellationError
+from .errors import DivisionByVanishingFactor, DomainError, PoleCancellationError
 from .partitions import interlacing_vectors, is_horizontal_strip, normalize, part
 from .qcore import epoch, theta
 
@@ -122,10 +123,13 @@ def theta_quotient(num, den, q, p):
     key + k, k in range(lo, hi), or (lo None) for the single argument base
     of key key.  Key-0 arguments (value 1, theta 0) cancel only among
     themselves, so their net count decides first: more in the denominator
-    raises PoleCancellationError, more in the numerator gives exact 0.
-    Otherwise each numerator argument, in order, cancels the lowest-index
-    unused denominator argument of its key, and only the survivors get
-    values, for theta_product, in ledger order."""
+    raises PoleCancellationError, more in the numerator gives exact 0; no
+    run is expanded before that.  Otherwise the denominator arguments are
+    counted per key, and each numerator argument, in order, cancels while
+    its key's count is positive.  The denominator arguments cancelled are
+    the first used[key] of each key, so the survivors and their order are
+    those of cancelling the lowest-index unused argument each time.  Only
+    the survivors get values, for theta_product, in ledger order."""
     order = 0
     for runs, step in ((num, 1), (den, -1)):
         for _, key, lo, hi in runs:
@@ -135,27 +139,31 @@ def theta_quotient(num, den, q, p):
         raise PoleCancellationError("uncancelled denominator theta vanishes")
     if order > 0:
         return 0.0 + 0j
-    free = {}  # key -> the unused denominator arguments (index, base, k)
-    j = 0
+    dargs = []  # the denominator arguments (key, base, k), in ledger order
+    count = {}  # key -> its number of denominator arguments
     for base, key, lo, hi in den:
         for k in (None,) if lo is None else range(lo, hi):
-            arg = (j, base, k)
-            j += 1
             kk = key if k is None else key + k
-            if kk in free:
-                free[kk].append(arg)
-            else:
-                free[kk] = [arg]
+            dargs.append((kk, base, k))
+            count[kk] = count.get(kk, 0) + 1
+    used = {}  # key -> its number of cancelled denominator arguments
     rest = []
     for base, key, lo, hi in num:
         for k in (None,) if lo is None else range(lo, hi):
-            js = free.get(key if k is None else key + k)
-            if js:
-                del js[0]  # the lowest-index one of this key
+            kk = key if k is None else key + k
+            c = count.get(kk)
+            if c:
+                count[kk] = c - 1
+                used[kk] = used.get(kk, 0) + 1
             else:
                 rest.append(base if k is None else base * q**k)
-    den_rest = [base if k is None else base * q**k
-                for _, base, k in sorted(arg for args in free.values() for arg in args)]
+    den_rest = []
+    for kk, base, k in dargs:
+        u = used.get(kk)
+        if u:  # one of the first used[kk] arguments of its key: cancelled
+            used[kk] = u - 1
+        else:
+            den_rest.append(base if k is None else base * q**k)
     return theta_product(rest, den_rest, p)
 
 
@@ -163,9 +171,24 @@ def theta_product(num_args, den_args, p):
     """prod theta(x;p) over num_args divided by the same over den_args, in
     order and without cancellation: the numeric end of every ledger.
 
-    Raises PoleCancellationError when a denominator theta is numerically
-    zero."""
+    At p = 0 it multiplies by 1 - x and divides by 1 - y inline, as
+    qcore.theta computes theta(x; 0), with theta's DomainError at an
+    argument 0.  Raises PoleCancellationError when a denominator theta is
+    numerically zero (modulus below POLE_TOL)."""
     r = 1.0 + 0j
+    if p == 0:
+        for x in num_args:
+            if x == 0:
+                raise DomainError("theta requires x != 0")
+            r = r * (1 - x)
+        for y in den_args:
+            if y == 0:
+                raise DomainError("theta requires x != 0")
+            ty = 1 - y
+            if abs(ty) < POLE_TOL:
+                raise PoleCancellationError("uncancelled denominator theta vanishes")
+            r = r / ty
+        return r
     for x in num_args:
         r = r * theta(x, p)
     for y in den_args:
@@ -199,6 +222,8 @@ def zw_skew_single(x, lam, mu, params: WParams):
     tk, ak, bk = params.keys
     x, xk = x if isinstance(x, Keyed) else (x, X_KEY)
     n = len(lam)
+    # lam_i = L[i] and mu_i = M[i] for i = 1..n, lam_{n+1} = L[n + 1] = 0.
+    L, M = (0, *lam, 0), (0, *mu) + (0,) * (n - len(mu))
     # The ledger is recorded once, as runs (base, base key, lo, hi) in num
     # or den (see theta_quotient).
     num, den = [], []
@@ -213,12 +238,12 @@ def zw_skew_single(x, lam, mu, params: WParams):
 
     # H factor; a row of order m = 0 adds no argument.
     for j in range(2, n + 1):
-        m = part(mu, j - 1) - part(lam, j)
+        m = M[j - 1] - L[j]
         if m == 0:
             continue
         for i in range(1, j):
-            li, lj = part(lam, i), part(lam, j)
-            mi, mj1 = part(mu, i), part(mu, j - 1)
+            li, lj = L[i], L[j]
+            mi, mj1 = M[i], M[j - 1]
             add_poch(False, q ** (mi - mj1) * t ** (j - i), mi - mj1 + (j - i) * tk, m)
             add_poch(True, q ** (mi - mj1 + 1) * t ** (j - i - 1),
                      mi - mj1 + 1 + (j - i - 1) * tk, m)
@@ -230,19 +255,19 @@ def zw_skew_single(x, lam, mu, params: WParams):
                      li - mj1 + 1 + (j - i - 1) * tk, m)
             add_poch(True, q ** (li - mj1) * t ** (j - i), li - mj1 + (j - i) * tk, m)
     for j in range(2, n + 1):
-        m = part(mu, j - 1) - part(lam, j)
+        m = M[j - 1] - L[j]
         if m == 0:
             continue
         for i in range(1, j - 1):
-            mi, lj = part(mu, i), part(lam, j)
+            mi, lj = M[i], L[j]
             add_poch(False, q ** (mi + lj + 1) * t ** (1 - j - i) * b,
                      mi + lj + 1 + (1 - j - i) * tk + bk, m)
             add_poch(True, q ** (mi + lj) * t ** (2 - j - i) * b,
                      mi + lj + (2 - j - i) * tk + bk, m)
     # (x^-1, a x)_lam / (x^-1, a x)_mu as strip-difference products.
     for i in range(1, n + 1):
-        mi = part(mu, i)
-        m = part(lam, i) - mi
+        mi = M[i]
+        m = L[i] - mi
         if m == 0:
             continue
         add_poch(False, t ** (1 - i) / x * q**mi, (1 - i) * tk - xk + mi, m)
@@ -250,7 +275,7 @@ def zw_skew_single(x, lam, mu, params: WParams):
     # (q b x / t, q b / (a x t))_mu / (q b x, q b / (a x))_lam.
     kx, kax = 1 + bk + xk, 1 + bk - ak - xk
     for i in range(1, n + 1):
-        mi, li = part(mu, i), part(lam, i)
+        mi, li = M[i], L[i]
         if mi == 0 and li == 0:
             continue
         add_poch(False, q * b * x * t ** (-i), kx - i * tk, mi)
@@ -263,7 +288,7 @@ def zw_skew_single(x, lam, mu, params: WParams):
     # Final block.
     tpow = 1.0 + 0j
     for i in range(1, n + 1):
-        mi, li1 = part(mu, i), part(lam, i + 1)
+        mi, li1 = M[i], L[i + 1]
         if mi == 0 and li1 == 0:
             continue
         base_n = b * t ** (1 - 2 * i)

@@ -499,6 +499,33 @@ def test_theta_quotient_matches_scan(pool, num, den, q, p):
         _outcome(_theta_quotient_scan, num, den, q, p)
 
 
+#: The cases whose evaluation settles W ledgers.
+_W_LEDGER_CASES = ("multijackson", "simplifiedjackson", "duality", "flip", "weyldegree",
+                   "multilateralfinite")
+
+
+def test_theta_quotient_matches_scan_on_recorded_ledgers(monkeypatch):
+    # Every ledger that the W-using cases settle at seeds 0-19, from their
+    # p = 0 and p = 0.1 draws alike, settles to the scan's value or error.
+    ledgers = []
+    original = wfunc.theta_quotient
+
+    def recorded(num, den, q, p):
+        ledgers.append((list(num), list(den), q, p))
+        return original(num, den, q, p)
+
+    monkeypatch.setattr(wfunc, "theta_quotient", recorded)
+    for case in _W_LEDGER_CASES:
+        for seed in range(20):
+            run_case(case, sample_params(case, seed))
+    monkeypatch.undo()
+    assert len(ledgers) == 2231
+    assert collections.Counter(p for *_, p in ledgers) == {0.0: 2037, 0.1: 194}
+    for num, den, q, p in ledgers:
+        assert _outcome(theta_quotient, num, den, q, p) == \
+            _outcome(_theta_quotient_scan, num, den, q, p), (num, den, q, p)
+
+
 def test_theta_quotient_edge_cases_match_scan():
     q, inf, nan = 0.3, math.inf, complex(math.nan, 1.0)
     one = (1.0, 0, None, None)  # the key-0 argument
@@ -539,6 +566,63 @@ def test_theta_quotient_cancellation_and_pole():
                        [(1.0, 9, None, None)], q, 0.0)
     # A value-1 numerator of nonzero key is a numerical zero, not a key's.
     assert theta_quotient([(1.0, 4, None, None)], [(0.5, 9, None, None)], q, 0.0) == 0
+
+
+# ---------------------------------------------------------------------------
+# theta_product: the numeric end of every ledger
+# ---------------------------------------------------------------------------
+
+def _theta_loop(num_args, den_args, p):
+    """theta_product's definition: theta() of each argument, in order."""
+    r = 1.0 + 0j
+    for x in num_args:
+        r = r * theta(x, p)
+    for y in den_args:
+        ty = theta(y, p)
+        if abs(ty) < POLE_TOL:
+            raise PoleCancellationError("uncancelled denominator theta vanishes")
+        r = r / ty
+    return r
+
+
+def _product_outcome(fn, num_args, den_args, p):
+    try:
+        return repr(fn(num_args, den_args, p))
+    except QidentError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@settings(max_examples=100, deadline=None)
+@given(num=st.lists(_bases, max_size=8), den=st.lists(_bases, max_size=8),
+       p=st.sampled_from([0.0, 0j, 0.1, 0.05 + 0.02j]))
+def test_theta_product_matches_the_theta_loop(num, den, p):
+    # p = 0 multiplies 1 - x inline; p != 0 calls theta.  Both give the
+    # loop's value, bit for bit.
+    assert _product_outcome(theta_product, num, den, p) == \
+        _product_outcome(_theta_loop, num, den, p)
+
+
+def test_theta_product_zero_arguments_and_poles():
+    near_one = 1 + POLE_TOL / 2  # |1 - y| below POLE_TOL
+    cases = [
+        ([0.5, 0.0], [0.3]),  # an argument 0 on either side: theta's DomainError
+        ([0.5], [0.3, 0j]),
+        ([0.5], [near_one]),  # a vanishing denominator theta: a pole
+        ([0.5], [1 + 2 * POLE_TOL]),  # just above POLE_TOL: a value
+        ([0.0], [near_one]),  # the numerator's error comes first ...
+        ([0.5], [near_one, 0.0]),  # ... and the denominators' in their order
+        ([0.5], [0.0, near_one]),
+    ]
+    for num, den in cases:
+        for p in (0.0, 0.1):
+            assert _product_outcome(theta_product, num, den, p) == \
+                _product_outcome(_theta_loop, num, den, p), (num, den, p)
+    with pytest.raises(DomainError, match="theta requires x != 0"):
+        theta_product([0.5], [0j], 0.0)
+    with pytest.raises(PoleCancellationError):
+        theta_product([0.5], [near_one], 0.0)
+    with pytest.raises(DomainError, match=r"\|p\| < 1"):  # the p != 0 path
+        theta_product([0.5], [], 1.5)
 
 
 # ---------------------------------------------------------------------------
