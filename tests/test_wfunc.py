@@ -468,9 +468,9 @@ def _theta_quotient_scan(num, den, q, p):
     return r
 
 
-def _outcome(fn, num, den, q, p):
+def _outcome(fn, *args):
     try:
-        return repr(fn(num, den, q, p))
+        return repr(fn(*args))
     except QidentError as exc:
         return f"{type(exc).__name__}: {exc}"
 
@@ -585,21 +585,14 @@ def _theta_loop(num_args, den_args, p):
     return r
 
 
-def _product_outcome(fn, num_args, den_args, p):
-    try:
-        return repr(fn(num_args, den_args, p))
-    except QidentError as exc:
-        return f"{type(exc).__name__}: {exc}"
-
-
 @settings(max_examples=100, deadline=None)
 @given(num=st.lists(_bases, max_size=8), den=st.lists(_bases, max_size=8),
        p=st.sampled_from([0.0, 0j, 0.1, 0.05 + 0.02j]))
 def test_theta_product_matches_the_theta_loop(num, den, p):
     # p = 0 multiplies 1 - x inline; p != 0 calls theta.  Both give the
     # loop's value, bit for bit.
-    assert _product_outcome(theta_product, num, den, p) == \
-        _product_outcome(_theta_loop, num, den, p)
+    assert _outcome(theta_product, num, den, p) == \
+        _outcome(_theta_loop, num, den, p)
 
 
 def test_theta_product_zero_arguments_and_poles():
@@ -608,15 +601,15 @@ def test_theta_product_zero_arguments_and_poles():
         ([0.5, 0.0], [0.3]),  # an argument 0 on either side: theta's DomainError
         ([0.5], [0.3, 0j]),
         ([0.5], [near_one]),  # a vanishing denominator theta: a pole
-        ([0.5], [1 + 2 * POLE_TOL]),  # just above POLE_TOL: a value
+        ([0.5], [1 + 2 * POLE_TOL]),  # just above POLE_TOL at p = 0: a value
         ([0.0], [near_one]),  # the numerator's error comes first ...
         ([0.5], [near_one, 0.0]),  # ... and the denominators' in their order
         ([0.5], [0.0, near_one]),
     ]
     for num, den in cases:
         for p in (0.0, 0.1):
-            assert _product_outcome(theta_product, num, den, p) == \
-                _product_outcome(_theta_loop, num, den, p), (num, den, p)
+            assert _outcome(theta_product, num, den, p) == \
+                _outcome(_theta_loop, num, den, p), (num, den, p)
     with pytest.raises(DomainError, match="theta requires x != 0"):
         theta_product([0.5], [0j], 0.0)
     with pytest.raises(PoleCancellationError):
