@@ -5,9 +5,8 @@ Usage:
   python3 scripts/accuracy.py [--out FILE] [--compare BASE.json]
 
 For every case it prints (or writes to --out) one JSON row:
-  high_floor  the worst relative residual at QIDENT_PRECISION=high over seeds
-              0-19, taken in working precision, before judge rounds the sides
-              with complex() (the script wraps identities.judge from outside);
+  high_floor  the worst rel_residual of the reports at QIDENT_PRECISION=high
+              over seeds 0-19 (judge takes it in working precision);
   fails       in double mode over seeds 0-999, the seeds whose run fails;
   errors      the seeds of that sweep whose run is an error report;
   band        the count of runs of that sweep with tol/10 < rel_residual <= tol.
@@ -15,7 +14,9 @@ For every case it prints (or writes to --out) one JSON row:
 With --compare, the table is then compared with BASE.json (an earlier table of
 this script): it prints each case whose high_floor moved by more than 10x and
 each seed that crossed tol (pass <-> fail) or became or stopped being an
-error, and exits 1 if it printed anything, 0 otherwise.  Standard library and
+error, and exits 1 if it printed anything, 0 otherwise.  A --compare file that
+cannot be read, is not JSON or is not such a table is one `config error:` line
+on stderr and exit code 2, before any case runs.  Standard library and
 mpmath only; the package is imported from the `src/` of this script's tree.
 """
 
@@ -28,7 +29,8 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 if sys.path[0] != SRC:
     sys.path.insert(0, SRC)
 
-from qident import cli, identities  # noqa: E402
+from qident import cli  # noqa: E402
+from qident.errors import ConfigError  # noqa: E402
 from qident.identities import CASES  # noqa: E402
 
 HIGH_SEEDS = 20
@@ -37,33 +39,12 @@ DOUBLE_SEEDS = 1000
 FLOOR_MOVE = 10.0
 
 
-def working_residual(sides):
-    """The worst pairwise relative residual of judge's sides, in their own
-    arithmetic (a side may be a (zero count, value) pair)."""
-    values = [side[1] if isinstance(side, tuple) else side for side in sides]
-    worst = 0.0
-    for i, u in enumerate(values):
-        for v in values[:i]:
-            worst = max(worst, float(abs(v - u) / max(abs(v), abs(u), 1e-300)))
-    return worst
-
-
 def high_floor(case_id):
-    """The worst working-precision residual of case_id at high precision over
-    seeds 0 .. HIGH_SEEDS - 1 (0.0 when no run reaches judge)."""
-    judge, worst = identities.judge, [0.0]
-
-    def spy(sides, *args, **kwargs):
-        worst[0] = max(worst[0], working_residual(sides))
-        return judge(sides, *args, **kwargs)
-
-    identities.judge = spy
-    try:
-        cli.run([cli.CaseConfig(case_id=case_id, seed=0, samples=HIGH_SEEDS)],
-                precision="high")
-    finally:
-        identities.judge = judge
-    return worst[0]
+    """The worst rel_residual of case_id's reports at high precision over
+    seeds 0 .. HIGH_SEEDS - 1 (0.0 when every run is an error)."""
+    rset = cli.run([cli.CaseConfig(case_id=case_id, seed=0, samples=HIGH_SEEDS)],
+                   precision="high")
+    return max((r.rel_residual for r in rset.runs if r.status != "error"), default=0.0)
 
 
 def table():
@@ -111,16 +92,38 @@ def differences(rows, base_rows):
     return out
 
 
+def read_base(path):
+    """The table in the JSON file path, for --compare; ConfigError when the
+    file cannot be read, is not JSON or is not a list of rows that
+    differences() can read (a string case_id, a numeric high_floor, and fails
+    and errors lists of integer seeds)."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            rows = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"--compare {path}: cannot read a JSON table: {exc}") from None
+    if not (isinstance(rows, list) and all(
+            isinstance(row, dict) and isinstance(row.get("case_id"), str)
+            and type(row.get("high_floor")) in (int, float)
+            and all(isinstance(row.get(kind), list)
+                    and all(type(seed) is int for seed in row[kind])
+                    for kind in ("fails", "errors"))
+            for row in rows)):
+        raise ConfigError(f"--compare {path}: not a table of this script")
+    return rows
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", help="write the table to this file (default: stdout)")
     ap.add_argument("--compare", metavar="BASE.json",
                     help="compare the table with this earlier one")
     args = ap.parse_args(argv)
-    base = None
-    if args.compare is not None:
-        with open(args.compare, encoding="utf-8") as fh:
-            base = json.load(fh)
+    try:
+        base = None if args.compare is None else read_base(args.compare)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     text = dumps(table())
     if args.out is None:
         sys.stdout.write(text)

@@ -249,24 +249,18 @@ def _precision_mode() -> str:
     return mode
 
 
-def _promote_params(params: dict, schema: dict):
-    """Promote the scalar-valued parameters to HIGH_DPS-digit mpmath values.
-    Each carries mp_context(HIGH_DPS), so the evaluation runs at HIGH_DPS
-    digits without touching mpmath's process-global precision."""
+def _promote_params(params: dict):
+    """params with each float or complex value, alone or in a tuple, made an
+    mpmath complex of mp_context(HIGH_DPS), whose arithmetic runs at HIGH_DPS
+    digits; integers, partitions and QPower tags stay as they are."""
     ctx = mp_context(HIGH_DPS)
 
     def up(v):
-        if isinstance(v, QPower):
-            return v
-        return ctx.mpmathify(complex(v))
+        if isinstance(v, tuple):
+            return tuple(map(up, v))
+        return ctx.mpmathify(complex(v)) if isinstance(v, (float, complex)) else v
 
-    out = dict(params)
-    for name, kind in schema.items():
-        if kind in ("scalar", "tagged"):
-            out[name] = up(out[name])
-        elif kind == "vector":
-            out[name] = tuple(up(v) for v in out[name])
-    return out
+    return {name: up(v) for name, v in params.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +291,7 @@ def run(configs: List[CaseConfig], parallelism: int = 1,
             else:
                 params.update(cfg.params)
                 if mode == "high":
-                    params = _promote_params(params, CASES[cfg.case_id].schema)
+                    params = _promote_params(params)
                 rep = run_case(cfg.case_id, params, cfg.tol)
             runs.append(rep)
             counts[rep.status] += 1

@@ -107,30 +107,32 @@ def judge(sides, tol, terms_used=1, message="", **extras):
     """The verdict on two or more sides against tol: the only code that
     computes residuals or sets a pass/fail status.  A side is a number, or a
     (zero count, value) pair (a number has count 0); unequal counts fail.
-    Values are rounded with complex(), and a non-finite one is a
-    NonFiniteSide error.  lhs and rhs are the first two sides, abs_residual
-    their difference, rel_residual the worst pairwise relative residual; when
-    every side lies below BOTH_ZERO_EPS the worst pairwise absolute residual
-    decides.  params holds only the report-only extras: run_case names it."""
-    values, counts = [], set()
+    lhs and rhs are the complex() of the first two sides, and a non-finite
+    complex() is a NonFiniteSide error.  abs_residual (their difference) and
+    rel_residual (the worst pairwise relative one) are taken in the sides'
+    own arithmetic, then rounded to floats; when every side lies below
+    BOTH_ZERO_EPS the worst pairwise absolute residual decides.  params holds
+    only the report-only extras: run_case names it."""
+    values, rounded, counts = [], [], set()
     for side in sides:
         count, v = side if isinstance(side, tuple) else (0, side)
-        v = complex(v)
-        if not cmath.isfinite(v):
-            raise NonFiniteSide(f"side {len(values) + 1} of {len(sides)} is {v}")
+        rounded.append(complex(v))
+        if not cmath.isfinite(rounded[-1]):
+            raise NonFiniteSide(f"side {len(rounded)} of {len(sides)} is {rounded[-1]}")
         values.append(v)
         counts.add(count)
     absr, relr = [], 0.0
     for i, u in enumerate(values):
         for v in values[:i]:
             absr.append(abs(v - u))
-            relr = max(relr, absr[-1] / max(abs(v), abs(u), 1e-300))
-    ok = (max(absr) if max(map(abs, values)) < BOTH_ZERO_EPS else relr) <= tol
+            relr = max(relr, float(absr[-1] / max(abs(v), abs(u), 1e-300)))
+    ok = (float(max(absr)) if max(map(abs, rounded)) < BOTH_ZERO_EPS else relr) <= tol
     if len(counts) > 1:
         ok, message = False, message + " (mismatch)"
-    return IdentityReport(case_id="", params=extras, lhs=values[0], rhs=values[1],
-                          abs_residual=absr[0], rel_residual=relr, terms_used=terms_used,
-                          status="pass" if ok else "fail", message=message)
+    return IdentityReport(case_id="", params=extras, lhs=rounded[0], rhs=rounded[1],
+                          abs_residual=float(absr[0]), rel_residual=relr,
+                          terms_used=terms_used, status="pass" if ok else "fail",
+                          message=message)
 
 
 def _case_tol(case_id, tol):

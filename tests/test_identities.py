@@ -13,6 +13,8 @@ import time
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qident.identities as identities
 import qident.qcore as qcore
@@ -21,6 +23,7 @@ from qident.errors import (ConfigError, DomainError, NonFiniteSide,
 from qident.identities import (
     CASES,
     _mlat_3psi3_sum,
+    mp_context,
     bilateral_finite_spec,
     flipped_summand_structured,
     mlat_3psi3_summand,
@@ -715,6 +718,78 @@ def test_judge_takes_the_worst_pair_of_three_sides():
     assert (rep.lhs, rep.status) == (2, "pass")
     rep = identities.judge(((1, 2.0), (0, 2.0)), 1e-9, message="m")
     assert (rep.rel_residual, rep.status, rep.message) == (0.0, "fail", "m (mismatch)")
+
+
+def _complex_rule(sides):
+    """abs_residual and rel_residual as judge took them before it measured
+    in the sides' own arithmetic: each side rounded with complex() first."""
+    values = [complex(s[1] if isinstance(s, tuple) else s) for s in sides]
+    absr, relr = [], 0.0
+    for i, u in enumerate(values):
+        for v in values[:i]:
+            absr.append(abs(v - u))
+            relr = max(relr, absr[-1] / max(abs(v), abs(u), 1e-300))
+    return absr[0], relr
+
+
+_PART = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e-13, 1.0, 1e300]),
+                  st.floats(min_value=-1e300, max_value=1e300))
+_DOUBLE_SIDE = st.one_of(_PART, st.builds(complex, _PART, _PART))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_DOUBLE_SIDE, min_size=2, max_size=3))
+def test_judge_residuals_of_double_sides_are_the_complex_rule(sides):
+    # On float and complex sides, taking the residuals in the sides' own
+    # arithmetic changes no bit of them.
+    rep = identities.judge(sides, 1e-9)
+    assert (repr(rep.abs_residual), repr(rep.rel_residual)) == \
+        tuple(map(repr, _complex_rule(sides)))
+
+
+def test_judge_measures_mpmath_sides_at_their_precision():
+    ctx = mp_context(50)
+    a = ctx.mpc("0.3", "-0.7")
+    b = a * (1 + ctx.mpf("1e-45"))
+    assert _complex_rule((a, b)) == (0.0, 0.0)
+    rep = identities.judge((a, b), 1e-40)
+    assert rel(rep.rel_residual, 1e-45) < 1e-6
+    assert rel(rep.abs_residual, 1e-45 * abs(complex(a))) < 1e-6
+    assert (rep.lhs, rep.rhs, rep.status) == (complex(a), complex(b), "pass")
+    assert type(rep.abs_residual) is float and type(rep.rel_residual) is float
+    assert identities.judge((a, b), 1e-46).status == "fail"
+    # A (count, value) pair of mpmath values: the same residual, and equal
+    # values with unequal counts still fail.
+    rep = identities.judge(((1, a), (1, b)), 1e-40)
+    assert rel(rep.rel_residual, 1e-45) < 1e-6 and rep.status == "pass"
+    rep = identities.judge(((1, a), (0, a)), 1e-40)
+    assert (rep.rel_residual, rep.status, rep.message) == (0.0, "fail", " (mismatch)")
+
+
+def test_judge_measures_a_mixed_pair_at_the_mpmath_sides_precision():
+    # A double side against a 40-digit side: the difference is the double's
+    # own rounding error, in either order; complex() of both sides is equal.
+    ctx = mp_context(40)
+    third = ctx.mpf(1) / 3
+    error = float(abs(third - 1 / 3) / third)
+    assert _complex_rule((1 / 3, third)) == (0.0, 0.0) and 1e-17 < error < 1e-16
+    for sides in ((1 / 3, third), (third, 1 / 3)):
+        rep = identities.judge(sides, 1e-15)
+        assert rep.rel_residual == error and rep.status == "pass"
+        assert rep.lhs == rep.rhs == 1 / 3
+    assert identities.judge((1 / 3, third), 1e-17).status == "fail"
+
+
+def test_judge_keeps_both_zero_and_non_finite_rules_on_mpmath_sides():
+    ctx = mp_context(50)
+    tiny = ctx.mpf(identities.BOTH_ZERO_EPS) / 10
+    rep = identities.judge((tiny, ctx.mpf(0)), 1e-9)
+    assert rep.rel_residual == 1.0 and rep.status == "pass"
+    assert identities.judge((tiny, 0.0, ctx.mpf(1)), 1e-9).status == "fail"
+    # complex() of the side decides what is finite: 1e400 is finite to mpmath.
+    for bad in (ctx.mpf("1e400"), ctx.mpc(1, "-1e400"), ctx.mpf("nan")):
+        with pytest.raises(NonFiniteSide, match="side 2 of 2 is "):
+            identities.judge((ctx.mpf(1), bad), 1e-9)
 
 
 def test_bilateral_finite_nan_side_is_an_error_report():
