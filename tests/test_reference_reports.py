@@ -9,11 +9,20 @@ value, status or byte fails tier-1.  On a mismatch it prints the per-run and
 per-case lines of `run_full_suite.py --compare`, and the CPython and mpmath
 versions: values can differ across libm builds.
 
-A change that moves report values on purpose regenerates both files with
+The real-parameter references (the *_real.json files) hold the same draws,
+seeds 0 to samples - 1 of every case, with each complex parameter, alone or
+in a vector, replaced by its real part and passed as an explicit parameter,
+one run per draw.  Real operands make the double kernels mix float and
+complex arithmetic, and the reports then print signed zeros (-0.0) that the
+complex draws never reach: a kernel change that turns a float into a
+complex, or the reverse, can flip such a sign, and these files catch it.
+
+A change that moves report values on purpose regenerates every file with
 
     python3 tests/test_reference_reports.py
 
-and lists the moved runs in CHANGES.md.
+and lists the moved runs in CHANGES.md.  A change that means to keep every
+value (a speed-up) regenerates nothing.
 """
 
 import importlib.util
@@ -32,24 +41,49 @@ _spec = importlib.util.spec_from_file_location("run_full_suite",
 suite = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(suite)  # puts this tree's src/ first on sys.path
 
-#: (file name, precision, samples per case); every case starts at seed 0.
-REPORTS = (("full_suite_double_seed0_samples5.json", "double", 5),
-           ("full_suite_high_seed0_samples3.json", "high", 3))
+from qident.identities import sample_params  # noqa: E402
+
+#: (file name, precision, samples per case, real parameters); every case
+#: starts at seed 0.
+REPORTS = (("full_suite_double_seed0_samples5.json", "double", 5, False),
+           ("full_suite_high_seed0_samples3.json", "high", 3, False),
+           ("full_suite_double_seed0_samples5_real.json", "double", 5, True),
+           ("full_suite_high_seed0_samples3_real.json", "high", 3, True))
 
 
-def report_text(precision, samples):
-    """The masked JSON report text (with its final newline) of every
-    registry case at seed 0, as run_full_suite.py writes it."""
-    configs = [suite.cli._validate_config({"case_id": cid, "seed": 0, "samples": samples})
-               for cid in suite.CASES]
-    rset = suite.cli.run(configs, precision=precision)
+def real_part(v):
+    """v with each complex value, alone or in a tuple, replaced by its real
+    part; other values as they are."""
+    if isinstance(v, tuple):
+        return tuple(map(real_part, v))
+    return v.real if isinstance(v, complex) else v
+
+
+def configs(samples, real):
+    """The configs of every registry case at seeds 0 .. samples - 1: one
+    sampled batch per case, or with real, one run per draw whose parameters
+    are the draw's real parts."""
+    validate = suite.cli._validate_config
+    if not real:
+        return [validate({"case_id": cid, "seed": 0, "samples": samples})
+                for cid in suite.CASES]
+    return [validate({"case_id": cid, "seed": seed, "samples": 1,
+                      "params": {k: real_part(v)
+                                 for k, v in sample_params(cid, seed).items()}})
+            for cid in suite.CASES for seed in range(samples)]
+
+
+def report_text(precision, samples, real=False):
+    """The masked JSON report text (with its final newline) of configs(samples,
+    real), as run_full_suite.py writes it."""
+    rset = suite.cli.run(configs(samples, real), precision=precision)
     return suite.masked(suite.cli.report_json(rset) + "\n")
 
 
-@pytest.mark.parametrize("name, precision, samples", REPORTS)
-def test_reports_match_the_committed_reference(name, precision, samples):
+@pytest.mark.parametrize("name, precision, samples, real", REPORTS)
+def test_reports_match_the_committed_reference(name, precision, samples, real):
     base_text = (REFERENCE / name).read_text(encoding="utf-8")
-    text = report_text(precision, samples)
+    text = report_text(precision, samples, real)
     if text == base_text:
         return
     doc, base = json.loads(text), json.loads(base_text)
@@ -63,6 +97,6 @@ def test_reports_match_the_committed_reference(name, precision, samples):
 
 
 if __name__ == "__main__":
-    for name, precision, samples in REPORTS:
-        suite.cli.write_text(str(REFERENCE / name), report_text(precision, samples))
+    for name, precision, samples, real in REPORTS:
+        suite.cli.write_text(str(REFERENCE / name), report_text(precision, samples, real))
         print(f"wrote tests/reference/{name}")
