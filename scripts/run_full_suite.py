@@ -6,7 +6,8 @@ Usage:
       [--out FILE] [--csv FILE] [--compare BASE.json]
 
 The cases run one after another, each over K samples from seed S, as one
-serial `cli.run` batch.
+serial `cli.run` batch.  The `wrote ...` line ends with the batch's wall
+time (the `cli.run` call, without the report writers), in seconds.
 
 With --compare, the new JSON report is compared with BASE.json (an earlier
 report of this script), meta.timestamp aside: every run entry
@@ -32,6 +33,7 @@ import argparse
 import json
 import re
 import sys
+import time
 from pathlib import Path
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -167,8 +169,8 @@ def is_run(run):
 
 def read_report(path):
     """The report document in the JSON file path and the file's text, for
-    --compare; ConfigError when the file cannot be read, is not JSON or is
-    not a report: an object with a meta object, a summary and a list of runs
+    --compare; ConfigError when the file cannot be read, is not UTF-8 JSON
+    or is not a report: an object with a meta object, a summary and a list of runs
     (is_run)."""
     try:
         with open(path, encoding="utf-8", newline="") as fh:
@@ -176,7 +178,7 @@ def read_report(path):
         doc = json.loads(text)
     except OSError as exc:
         raise ConfigError(f"--compare {path}: cannot read: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"--compare {path}: malformed JSON: {exc}") from None
     if not (isinstance(doc, dict) and {"meta", "summary", "runs"} <= doc.keys()
             and isinstance(doc["meta"], dict) and isinstance(doc["runs"], list)
@@ -201,7 +203,9 @@ def main(argv=None):
         for option, path in (("--out", args.out), ("--csv", args.csv)):
             cli.check_writable(option, path)
         compare = None if args.compare is None else read_report(args.compare)
+        start = time.perf_counter()
         rset = cli.run(configs)
+        wall = time.perf_counter() - start
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -210,7 +214,7 @@ def main(argv=None):
     cli.write_csv(rset, args.csv)
     s = rset.summary
     print(f"wrote {args.out} and {args.csv}: "
-          f"pass={s['pass']} fail={s['fail']} error={s['error']}")
+          f"pass={s['pass']} fail={s['fail']} error={s['error']} in {wall:.3f} s")
     if compare is None:
         return cli.exit_code(rset)
     base, base_text = compare

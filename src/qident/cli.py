@@ -203,15 +203,15 @@ def _validate_config(entry: dict) -> CaseConfig:
 
 
 def load_configs(path: str) -> List[CaseConfig]:
-    """Read and validate a JSON config file (raises ConfigError on any
-    malformed entry, on a key beside "cases", or on a list without entries,
-    before any evaluation starts)."""
+    """Read and validate a JSON config file (raises ConfigError on a file
+    that is not UTF-8 JSON, on any malformed entry, on a key beside "cases",
+    or on a list without entries, before any evaluation starts)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"malformed JSON in config file: {exc}")
     if isinstance(doc, dict) and "cases" in doc:
         unknown = set(doc) - {"cases"}

@@ -54,6 +54,7 @@ from .qcore import (
     poch_multi_inf,
     tail_radius,
     theta,
+    unit,
 )
 from .series import SERIES_TOL, WINDOW_STEP, SeriesSpec, eval_psi, eval_phi
 from .wfunc import (
@@ -165,8 +166,8 @@ def vwp_jackson_term(k, b, sig, rho, gam, n, q):
     """k-th term of the terminating very-well-poised sum with head factor
     (1 - b q^{2k})/(1 - b) combined safely into (1 - b q^{2k}) (bq)_{k-1}."""
     if k == 0:
-        return 1.0 + 0j
-    head = (1 - b * q ** (2 * k)) * poch_int(b * q, q, k - 1)
+        return unit(q, 1.0 + 0j)
+    head = (unit(q) - b * q ** (2 * k)) * poch_int(b * q, q, k - 1)
     top = b * b * q ** (1 + n) / (sig * rho * gam)
     num = poch_multi([q**-n, sig, rho, gam, top], q, k)
     den = poch_multi(
@@ -206,12 +207,12 @@ def _poch_inf_split_product(a, q):
         raise DomainError("poch_inf requires |q| < 1")
     rho = tail_radius(q)
     zeros = 0
-    r = 1.0 + 0j
+    one, r = unit(q), unit(q, 1.0 + 0j)
     x = a
     for _ in range(MAX_FACTORS):
         if abs(x) <= rho:
             return zeros, r * poch_inf_tail(x, q)
-        f = 1 - x
+        f = one - x
         if abs(f) < STRUCT_ZERO_TOL:
             zeros += 1
         else:
@@ -280,7 +281,7 @@ def _vwp_delta(vec, n, c, B, q, p, t):
     prod (c t^{j-i+1}; q,p)_{dm} (B t^{1-i-j}; q,p)_{sm}
          / ((c t^{j-i}; q,p)_{dm} (B t^{-i-j}; q,p)_{sm}),
     with dm = vec_i - vec_j and sm = vec_i + vec_j."""
-    r = 1.0 + 0j
+    r = unit(q, 1.0 + 0j)
     for j in range(2, n + 1):
         for i in range(1, j):
             dm = part(vec, i) - part(vec, j)
@@ -543,29 +544,29 @@ class _CoordinateFactor:
     (a summand with this coordinate from there outward would raise it)."""
 
     def __init__(self, c, pairs, q):
-        self.c, self.pairs, self.q = c, pairs, q
-        self.up, self.down = [1.0 + 0j], []  # g(0), g(1), ... and g(-1), g(-2), ...
+        self.c, self.pairs, self.q, self.one = c, pairs, q, unit(q)
+        self.up, self.down = [unit(q, 1.0 + 0j)], []  # g(0), g(1), ... and g(-1), g(-2), ...
 
     def grow(self, m):
         """Tabulate g on [-m, m] and return the table: g(k) at index m - k."""
-        q, c, up, down = self.q, self.c, self.up, self.down
+        q, c, one, up, down = self.q, self.c, self.one, self.up, self.down
         while len(up) <= m:
             qk = q ** (len(up) - 1)
             g = up[-1] * c
             for anum, aden in self.pairs:
-                fd = 1 - aden * qk
+                fd = one - aden * qk
                 if abs(fd) < VANISH_TOL:
                     raise DivisionByVanishingFactor(PAIR_DENOMINATOR_VANISHES)
-                g = g * (1 - anum * qk) / fd
+                g = g * (one - anum * qk) / fd
             up.append(g)
         while len(down) < m:
             qk = q ** (-len(down) - 1)
             g = (down[-1] if down else up[0]) / c
             for anum, aden in self.pairs:
-                fn = 1 - anum * qk
+                fn = one - anum * qk
                 if abs(fn) < VANISH_TOL:
                     raise DivisionByVanishingFactor(PAIR_RECIPROCAL_VANISHES)
-                g = g * (1 - aden * qk) / fn
+                g = g * (one - aden * qk) / fn
             down.append(g)
         return up[m::-1] + down[:m]
 
@@ -575,13 +576,13 @@ class _DeltaSquare:
     grows: one Delta^2 factor of the multilateral summands."""
 
     def __init__(self, q, e0):
-        self.q, self.e0 = q, e0
+        self.q, self.e0, self.one = q, e0, unit(q)
         self.up, self.down = [], []  # d = 0, 1, ... and d = -1, -2, ...
 
     def _value(self, d):
-        q, e0 = self.q, self.e0
+        q, e0, one = self.q, self.e0, self.one
         try:
-            r = (1 - q ** (e0 + d)) / (1 - q**e0)
+            r = (one - q ** (e0 + d)) / (one - q**e0)
         except OverflowError:
             return math.inf
         return r * r

@@ -7,6 +7,14 @@ scalar backend: they accept either Python complex numbers or mpmath complex
 values (for high-precision runs) and return results in the same arithmetic.
 Complex powers use the principal branch throughout.
 
+The unit rule: a kernel starts its products and sums from, and subtracts its
+factors from, unit(x) of its operands (unit and unit(x, 1.0 + 0j)), never
+from a Python constant.  For Python numbers that is the very constant, so
+double arithmetic keeps its float and complex types and its signs of zero;
+for mpmath values it is the mpc 1 of their own context, which mpmath uses
+as is, where it converts a Python constant into its arithmetic at every
+factor.  1 converts exactly, so the rule changes no value in either mode.
+
 The one state is THETA_MEMO: while ``identities.run_case`` evaluates,
 theta(x;p) at p != 0, identities' split infinite products ("split" keys) and
 Euler's tail coefficients ("euler" keys) are computed once per argument and
@@ -51,6 +59,26 @@ PAIR_RECIPROCAL_VANISHES = "pair_poch_ratio: reciprocal vanishes"
 THETA_MEMO: ContextVar = ContextVar("theta_memo", default=None)
 
 
+#: The mpc 1 of each mpmath context that unit has met, made once per context.
+_UNITS = {}
+
+
+def unit(x, literal=1):
+    """An exact 1 in x's arithmetic, for a kernel to start products and sums
+    from and to subtract factors from (the unit rule above).  For a Python
+    number x it is literal, the constant the kernel writes there: 1 in
+    1 - v, 1.0 + 0j as a product start.  For an mpmath x it is the mpc 1 of
+    x's own context, made on the first call for that context; the operands
+    of one evaluation share one context."""
+    if isinstance(x, (int, float, complex)):
+        return literal
+    ctx = x.context
+    one = _UNITS.get(ctx)
+    if one is None:
+        one = _UNITS[ctx] = ctx.mpc(1)
+    return one
+
+
 def csqrt(x):
     """Principal square root, dispatching on the scalar backend: an mpmath
     value's root is taken in its own context, at that context's precision."""
@@ -65,25 +93,24 @@ def poch_int(a, q, k: int):
     For k < 0 the value is 1 / prod_{i=1..-k} (1 - a q^{k+i-1}); a vanishing
     factor there raises DivisionByVanishingFactor.
     """
+    one, r = unit(q), unit(q, 1.0 + 0j)
     if k >= 0:
-        r = 1.0 + 0j
         for i in range(k):
-            r = r * (1 - a * q**i)
+            r = r * (one - a * q**i)
         return r
-    r = 1.0 + 0j
     for i in range(-k):
-        f = 1 - a * q ** (k + i)
+        f = one - a * q ** (k + i)
         if abs(f) < VANISH_TOL:
             raise DivisionByVanishingFactor(
                 f"(a;q)_{k}: factor 1 - a*q^{k + i} vanishes"
             )
         r = r * f
-    return 1.0 / r
+    return unit(q, 1.0) / r
 
 
 def poch_multi(avals, q, k: int):
     """Product of poch_int over a list of parameters."""
-    r = 1.0 + 0j
+    r = unit(q, 1.0 + 0j)
     for a in avals:
         r = r * poch_int(a, q, k)
     return r
@@ -96,12 +123,13 @@ def tail_radius(q) -> float:
 
 def _euler_coefficients(q):
     """Euler's c_n (see poch_inf), highest first, in q's arithmetic."""
-    rho, coeffs, c = tail_radius(q), [], 1
+    one = unit(q)
+    rho, coeffs, c = tail_radius(q), [], one
     for n in range(MAX_FACTORS):
         if abs(c) * rho**n < PRODUCT_TOL:
             return coeffs[::-1]
         coeffs.append(c)
-        c = -c * q**n / (1 - q ** (n + 1))
+        c = -c * q**n / (one - q ** (n + 1))
     raise NoConvergence("poch_inf: max_factors reached before tail threshold")
 
 
@@ -129,13 +157,13 @@ def poch_inf(a, q):
     if abs(q) >= 1:
         raise DomainError("poch_inf requires |q| < 1")
     rho = tail_radius(q)
-    r = 1.0 + 0j
+    one, r = unit(q), unit(q, 1.0 + 0j)
     x = a
     for _ in range(MAX_FACTORS):
         if abs(x) <= rho:
             return r * poch_inf_tail(x, q)
-        r = r * (1 - x)
-        if r == 0:
+        r = r * (one - x)
+        if not r:
             return r
         x = x * q
     raise NoConvergence("poch_inf: max_factors reached before tail threshold")
@@ -143,7 +171,7 @@ def poch_inf(a, q):
 
 def poch_multi_inf(avals, q):
     """Product of poch_inf over a list of parameters."""
-    r = 1.0 + 0j
+    r = unit(q, 1.0 + 0j)
     for a in avals:
         r = r * poch_inf(a, q)
     return r
@@ -155,10 +183,10 @@ def theta(x, p):
     At p != 0 under a THETA_MEMO dict the value is memoized, keyed by x and p
     with their types (a double and an mpmath argument of equal value compute
     differently)."""
-    if x == 0:
+    if not x:
         raise DomainError("theta requires x != 0")
-    if p == 0:
-        return 1 - x
+    if not p:
+        return unit(x) - x
     if abs(p) >= 1:
         raise DomainError("theta requires |p| < 1")
     memo = THETA_MEMO.get({})
@@ -176,7 +204,7 @@ def epoch(a, q, p, n: int):
     """
     if n < 0:
         raise DomainError(f"(a;q,p)_n requires n >= 0, got n = {n}")
-    r = 1.0 + 0j
+    r = unit(q, 1.0 + 0j)
     for k in range(n):
         r = r * theta(a * q**k, p)
     return r
@@ -194,21 +222,19 @@ def pair_poch_ratio(anum, aden, q, m: int):
     A vanishing numerator factor makes the quotient exactly 0 (for m > 0);
     a vanishing reciprocal factor raises DivisionByVanishingFactor.
     """
-    if m == 0:
-        return 1.0 + 0j
-    r = 1.0 + 0j
+    one, r = unit(q), unit(q, 1.0 + 0j)
     if m > 0:
         for k in range(m):
             qk = q**k
-            fd = 1 - aden * qk
+            fd = one - aden * qk
             if abs(fd) < VANISH_TOL:
                 raise DivisionByVanishingFactor(PAIR_DENOMINATOR_VANISHES)
-            r = r * (1 - anum * qk) / fd
+            r = r * (one - anum * qk) / fd
         return r
     for k in range(m, 0):
         qk = q**k
-        fn = 1 - anum * qk
+        fn = one - anum * qk
         if abs(fn) < VANISH_TOL:
             raise DivisionByVanishingFactor(PAIR_RECIPROCAL_VANISHES)
-        r = r * (1 - aden * qk) / fn
+        r = r * (one - aden * qk) / fn
     return r

@@ -50,7 +50,7 @@ from typing import Optional, Sequence, Tuple
 
 from .errors import DivisionByVanishingFactor, DomainError, NoConvergence
 from .policy import qpow_exponent, scalar_value
-from .qcore import VANISH_TOL
+from .qcore import VANISH_TOL, unit
 
 #: Relative bound on the dropped tail of each side of a bilateral sum.
 TAIL_TOL = 1e-15
@@ -101,11 +101,11 @@ def _resolved(entries, q):
     return [(scalar_value(v, q), qpow_exponent(v)) for v in entries]
 
 
-def _product(entries, qk, start=1.0 + 0j):
-    """start times the factors (1 - v q^k) of the resolved entries, multiplied
-    in entry order."""
+def _product(entries, qk, one, start):
+    """start times the factors (one - v q^k) of the resolved entries,
+    multiplied in entry order; one is the unit of their arithmetic."""
     for v, _ in entries:
-        start = start * (1 - v * qk)
+        start = start * (one - v * qk)
     return start
 
 
@@ -129,14 +129,14 @@ def eval_phi(spec: SeriesSpec) -> SeriesValue:
     if cut > MAX_TERMS:
         raise NoConvergence("eval_phi: max_terms reached")
 
-    total = 1.0 + 0j  # the k = 0 term
+    one, start = unit(q), unit(q, 1.0 + 0j)
+    total = term = start  # the k = 0 term
     mass = 1.0  # sum of |t_k|
-    term = 1.0 + 0j
     qk = q**0
     for k in range(cut):
-        num_f = _product(nums, qk)
+        num_f = _product(nums, qk, one, start)
         qk_next = q ** (k + 1)
-        den_f = _product(dens, qk, 1 - qk_next)  # implicit (q;q)_k ratio factor
+        den_f = _product(dens, qk, one, one - qk_next)  # implicit (q;q)_k ratio factor
         if abs(den_f) < VANISH_TOL:
             raise DivisionByVanishingFactor("eval_phi: denominator factor vanishes")
         term = term * x * num_f / den_f
@@ -226,8 +226,10 @@ def eval_psi(spec: SeriesSpec) -> SeriesValue:
     lim_up = ax if hi_cut is None else math.inf
     scale = ax * math.prod(an)
     lim_dn = math.prod(ad) / scale if lo_cut is None and scale else math.inf
-    r_up = x if lim_up < 1 else 0
-    r_dn = math.prod(dv) / (x * math.prod(nv)) if lim_dn < 1 else 0
+    one, start = unit(q), unit(q, 1.0 + 0j)
+    zero = start - start
+    r_up = x if lim_up < 1 else zero
+    r_dn = math.prod(dv) / (x * math.prod(nv)) if lim_dn < 1 else zero
 
     def up_excess(k):
         e = aq**k
@@ -249,35 +251,34 @@ def eval_psi(spec: SeriesSpec) -> SeriesValue:
     # are the closed tails after them.  TAIL_TOL is relative to the sum with
     # both closed tails: a tail can be far larger than that sum, when its
     # ratio is near -1 and it cancels most of the window's terms.
-    total = 1.0 + 0j  # k = 0 term
+    total = t_up = t_dn = start  # k = 0 term
     nterms = 1
-    t_up = t_dn = 1.0 + 0j
-    tail_up = tail_dn = 0.0 + 0j
+    tail_up = tail_dn = zero
     k_up = k_dn = 0
     up_done, dn_done = hi_cut == 0, lo_cut == 0
     while not (up_done and dn_done):
-        new = 0.0 + 0j
+        new = zero
         if not up_done:
             hi = k_up + WINDOW_STEP if hi_cut is None else min(k_up + WINDOW_STEP, hi_cut)
             while k_up < hi:
                 qk = q**k_up
-                fn = fd = 1.0 + 0j
+                fn = fd = start
                 for v in nv:
-                    fn = fn * (1 - v * qk)
+                    fn = fn * (one - v * qk)
                 for v in dv:
-                    fd = fd * (1 - v * qk)
+                    fd = fd * (one - v * qk)
                 if abs(fd) < VANISH_TOL:
                     raise DivisionByVanishingFactor("bilateral series: denominator vanishes")
                 t_up, k_up = t_up * x * fn / fd, k_up + 1
                 new, nterms = new + t_up, nterms + 1
-                if t_up == 0:
+                if not t_up:
                     break
-            tail_up = t_up * r_up / (1 - r_up)
+            tail_up = t_up * r_up / (one - r_up)
         if not dn_done:
             lo = k_dn - WINDOW_STEP if lo_cut is None else max(k_dn - WINDOW_STEP, lo_cut)
             while k_dn > lo:
                 k = k_dn - 1
-                fn = fd = 1.0 + 0j
+                fn = fd = start
                 if -k > deep:
                     qmk = q ** (-k)  # tiny, may underflow to exactly 0
                     for v in nv:
@@ -288,20 +289,20 @@ def eval_psi(spec: SeriesSpec) -> SeriesValue:
                 else:
                     qk = q**k
                     for v in nv:
-                        fn = fn * (1 - v * qk)
+                        fn = fn * (one - v * qk)
                     for v in dv:
-                        fd = fd * (1 - v * qk)
+                        fd = fd * (one - v * qk)
                     scale = 1
                 # |fn| is scale times |prod (1 - v q^k)|, a pole when that
                 # is below VANISH_TOL; a scale that underflows to 0 leaves
                 # only the test for an exactly-zero fn.
-                if fn == 0 or abs(fn) < VANISH_TOL * scale:
+                if not fn or abs(fn) < VANISH_TOL * scale:
                     raise DivisionByVanishingFactor("bilateral series: numerator pole")
                 t_dn, k_dn = t_dn * fd / (x * fn), k
                 new, nterms = new + t_dn, nterms + 1
-                if t_dn == 0:
+                if not t_dn:
                     break
-            tail_dn = t_dn * r_dn / (1 - r_dn)
+            tail_dn = t_dn * r_dn / (one - r_dn)
         total = total + new
         tol = TAIL_TOL * float(abs(total + tail_up + tail_dn))
         up_done = up_done or k_up == hi_cut or _side_ends(t_up, k_up, tol, lim_up, up_excess)

@@ -64,7 +64,7 @@ from typing import NamedTuple, Tuple
 
 from .errors import DivisionByVanishingFactor, DomainError, PoleCancellationError
 from .partitions import interlacing_vectors, is_horizontal_strip, normalize, part
-from .qcore import epoch, theta
+from .qcore import epoch, theta, unit
 
 #: Residual denominator theta values below this modulus count as poles.
 POLE_TOL = 1e-10
@@ -101,7 +101,7 @@ def poch_partition(a, q, p, t, lam):
     lam is a vector of non-negative integers, a partition at every caller; a
     negative entry raises DomainError (qcore.epoch).
     """
-    r = 1.0 + 0j
+    r = unit(q, 1.0 + 0j)
     for i in range(1, len(lam) + 1):
         r = r * epoch(a * t ** (1 - i), q, p, part(lam, i))
     return r
@@ -109,7 +109,7 @@ def poch_partition(a, q, p, t, lam):
 
 def poch_partition_multi(avals, q, p, t, lam):
     """Product of poch_partition over a list of parameters."""
-    r = 1.0 + 0j
+    r = unit(q, 1.0 + 0j)
     for a in avals:
         r = r * poch_partition(a, q, p, t, lam)
     return r
@@ -175,16 +175,17 @@ def theta_product(num_args, den_args, p):
     qcore.theta computes theta(x; 0), with theta's DomainError at an
     argument 0.  Raises PoleCancellationError when a denominator theta is
     numerically zero (modulus below POLE_TOL)."""
-    r = 1.0 + 0j
-    if p == 0:
+    r = unit(p, 1.0 + 0j)
+    if not p:
+        one = unit(p)
         for x in num_args:
-            if x == 0:
+            if not x:
                 raise DomainError("theta requires x != 0")
-            r = r * (1 - x)
+            r = r * (one - x)
         for y in den_args:
-            if y == 0:
+            if not y:
                 raise DomainError("theta requires x != 0")
-            ty = 1 - y
+            ty = one - y
             if abs(ty) < POLE_TOL:
                 raise PoleCancellationError("uncancelled denominator theta vanishes")
             r = r / ty

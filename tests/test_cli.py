@@ -305,6 +305,20 @@ def test_main_malformed_config_exits_2(doc, message, tmp_path, capsys, monkeypat
     assert ran == []
 
 
+def test_main_config_not_utf8_exits_2(tmp_path, capsys, monkeypatch):
+    # A config file of bytes that are not UTF-8 escaped load_configs as a
+    # UnicodeDecodeError traceback; it is one config error line and exit 2.
+    ran = []
+    monkeypatch.setattr("qident.cli.run", lambda *a, **k: ran.append(a))
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe")
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: malformed JSON in config file: ")
+    assert err.count("\n") == 1
+    assert ran == []
+
+
 def test_example_config_runs_and_passes():
     # The example config of the README: a schema change that breaks it
     # fails here, not only in the documentation.
@@ -874,6 +888,27 @@ def test_full_suite_bad_paths_exit_2_before_the_batch(tmp_path, capsys, monkeypa
         err = capsys.readouterr().err
         assert err.startswith(f"config error: --compare {bad}: {reason}")
         assert err.count("\n") == 1
+    assert ran == []
+
+
+def test_full_suite_compare_not_utf8_exits_2(tmp_path, capsys, monkeypatch):
+    # A --compare file of bytes that are not UTF-8 escaped read_report as a
+    # UnicodeDecodeError traceback; it is one config error line and exit 2,
+    # before the batch.
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("run_full_suite",
+                                                  root / "scripts" / "run_full_suite.py")
+    suite = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(suite)
+    ran = []
+    monkeypatch.setattr(suite.cli, "run", lambda *a, **k: ran.append(a))
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe")
+    assert suite.main(["--out", str(tmp_path / "r.json"), "--csv", str(tmp_path / "r.csv"),
+                       "--compare", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: --compare {bad}: malformed JSON: ")
+    assert err.count("\n") == 1
     assert ran == []
 
 

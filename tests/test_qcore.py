@@ -11,9 +11,12 @@ from hypothesis import strategies as st
 
 import qident.qcore as qcore
 from qident.errors import DivisionByVanishingFactor, DomainError, NoConvergence
+from qident.identities import mp_context, sample_params
+from qident.policy import QPower
 from qident.qcore import (
     PRODUCT_TOL,
     THETA_MEMO,
+    csqrt,
     epoch,
     pair_poch_ratio,
     poch_inf,
@@ -21,7 +24,9 @@ from qident.qcore import (
     poch_multi,
     tail_radius,
     theta,
+    unit,
 )
+from qident.series import WINDOW_STEP, SeriesSpec, eval_phi, eval_psi
 
 from conftest import rel
 
@@ -347,3 +352,84 @@ def test_pair_poch_ratio_matches_direct_quotient():
         except DivisionByVanishingFactor:
             continue
         assert rel(pair_poch_ratio(anum, aden, q, m), direct) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the unit rule
+# ---------------------------------------------------------------------------
+
+def test_unit_is_the_literal_or_the_mpc_one_of_its_context():
+    for x in (2, 0.5, -0.0, 0.5 - 0.5j):
+        assert unit(x) == 1 and type(unit(x)) is int
+        assert unit(x, 1.0 + 0j) == 1 and type(unit(x, 1.0 + 0j)) is complex
+    for ctx in (mp_context(40), mp_context(50), mpmath.mp):
+        one = unit(ctx.mpc(0.5, 0.25))
+        assert type(one) is ctx.mpc and one == 1 and one.imag == 0
+        # Made once per context, whatever the literal or the operand's type.
+        assert unit(ctx.mpf(3), 1.0 + 0j) is one
+    assert unit(mp_context(40).mpc(1)) is not unit(mp_context(50).mpc(1))
+
+
+def _python_conversions(monkeypatch, ctx):
+    """The list to which each Python number that ctx converts into its own
+    arithmetic (ctx.convert, which mpmath calls for a Python operand) is
+    appended from now on."""
+    seen = []
+    convert = type(ctx).convert
+
+    def counting(x, *args, **kwargs):
+        if isinstance(x, (int, float, complex)):
+            seen.append(x)
+        return convert(ctx, x, *args, **kwargs)
+
+    monkeypatch.setattr(ctx, "convert", counting, raising=False)
+    return seen
+
+
+def test_kernels_convert_no_python_constant_per_factor(monkeypatch):
+    # A Python constant in a kernel loop (1 - v q^k, a 1.0 + 0j product
+    # start) is converted into the operands' mpmath context at every factor;
+    # unit() of the operands converts nothing.  So the count of conversions
+    # is the same at every length: here it is 0.
+    ctx = mp_context(40)
+    p = sample_params("bailey10phi9", 0)
+    a, b, c, d, e, f, q = (ctx.mpmathify(complex(p[k])) for k in "abcdefq")
+
+    def spec(n):  # the left series of Bailey's 10phi9 transformation
+        lam = q * a * a / (b * c * d)
+        sa = csqrt(a)
+        return SeriesSpec(
+            numerator=[a, q * sa, -q * sa, b, c, d, e, f,
+                       lam * a * q ** (n + 1) / (e * f), QPower(-n)],
+            denominator=[sa, -sa, a * q / b, a * q / c, a * q / d, a * q / e,
+                         a * q / f, e * f * q ** (-n) / lam, a * q ** (n + 1)],
+            argument=q, q=q)
+
+    specs = {n: spec(n) for n in (1, 4)}
+    seen = _python_conversions(monkeypatch, ctx)
+    counts = {}
+    for n, sp in specs.items():
+        seen.clear()
+        assert isinstance(eval_phi(sp).value, ctx.mpc)
+        counts["eval_phi", n] = len(seen)
+    for k in (1, 4):
+        seen.clear()
+        assert isinstance(poch_multi([a, b, c, d], q, k), ctx.mpc)
+        counts["poch_multi", k] = len(seen)
+    assert counts["eval_phi", 1] == counts["eval_phi", 4]
+    assert counts["poch_multi", 1] == counts["poch_multi", 4]
+
+
+def test_bilateral_sum_converts_at_most_once_per_window(monkeypatch):
+    # A 50-digit 1psi1 of many windows: a constant converted per term would
+    # outnumber the windows many times over.
+    ctx = mp_context(50)
+    p = sample_params("ramanujan1psi1", 0)
+    a, b, x, q = (ctx.mpmathify(complex(p[k])) for k in ("a", "b", "x", "q"))
+    spec = SeriesSpec(numerator=[a], denominator=[b], argument=x, q=q)
+    seen = _python_conversions(monkeypatch, ctx)
+    sv = eval_psi(spec)
+    lo, hi = sv.window
+    windows = max(-lo, hi) // WINDOW_STEP
+    assert windows >= 5 and sv.terms_used > 10 * WINDOW_STEP
+    assert len(seen) <= windows
