@@ -372,7 +372,9 @@ def duality_side(lam, nu, n, q, t, a, aprime, b):
     kk = APRIME_KEY + (n - 1) * T_KEY - B_KEY  # the key of k
     xv = [Keyed(q ** part(nu, i) * t ** (n - i) / k, part(nu, i) + (n - i) * T_KEY - kk)
           for i in range(1, n + 1)]
-    wp = WParams(q, 0.0, t, k * k * a, k * b, (T_KEY, 2 * kk + A_KEY, kk + B_KEY))
+    # p = 0 in q's arithmetic: the W ledgers' thetas at p = 0 subtract from
+    # unit(p) (qcore's unit rule).
+    wp = WParams(q, 0 * q, t, k * k * a, k * b, (T_KEY, 2 * kk + A_KEY, kk + B_KEY))
     r = w_multi(xv, lam, (), wp, memo={})
     r = r * poch_partition_multi([q * b * t ** (n - 1), q * b / a], q, 0.0, t, lam) \
         / poch_partition_multi([k, k * a * t ** (n - 1)], q, 0.0, t, lam)
@@ -401,13 +403,13 @@ def mlat_norm(n, delta, q):
     ratio (one-sided sum)/(full lattice sum), fixed by the rank-1 reduction
     and verified against the finite one-sided identity.  At n = 1 it is the
     normalization of the bilateral sums (bilateralfinite, 3psi3delta*)."""
-    r = 1.0 + 0j
+    one, r = unit(q), unit(q, 1.0 + 0j)
     if delta == 0:
         for i in range(1, n):
-            r = r / (1 + q ** (n - i))
+            r = r / (one + q ** (n - i))
     else:
         for i in range(1, n + 1):
-            r = r / (1 - q ** (1 + 2 * n - 2 * i))
+            r = r / (one - q ** (1 + 2 * n - 2 * i))
     return r
 
 
@@ -422,16 +424,17 @@ def _mlat_pairs(i, n, delta, q, s, a, x):
 
 
 def _principal_w(n, delta, q, s, exps):
-    """W parameters p = 0, t = q, a = s q^delta, b = q^{delta+n-1} and the
-    variables x_i = q^{exps_i} of the multilateral and degree identities,
-    with monomial keys in (s, q) (wfunc's "Keyed ledgers"), at any s.
+    """W parameters p = 0 (in q's arithmetic, as in duality_side), t = q,
+    a = s q^delta, b = q^{delta+n-1} and the variables x_i = q^{exps_i} of
+    the multilateral and degree identities, with monomial keys in (s, q)
+    (wfunc's "Keyed ledgers"), at any s.
 
     Refused with DomainError when |q| lies within 2 POLE_REJECT of 1: there
     a power q^k with k != 0 can be 1, and keys in q would be wrong."""
     if abs(abs(q) - 1) <= 2 * POLE_REJECT:
         raise DomainError(f"principal W point needs |q| clear of 1, got q = {q!r}")
     a, b = s * q**delta, q ** (delta + n - 1)
-    return (WParams(q, 0.0, q, a, b, (1, S_KEY + delta, delta + n - 1)),
+    return (WParams(q, 0 * q, q, a, b, (1, S_KEY + delta, delta + n - 1)),
             [Keyed(q**e, e) for e in exps])
 
 
@@ -451,13 +454,14 @@ def mlat_finite_summand(mu, lam, n, delta, q, s, a, x, memo=None):
     if shared is None:
         wp, xl = _principal_w(n, delta, q, s, [part(lam, i) + n - i for i in range(1, n + 1)])
         pairs = [_mlat_pairs(i, n, delta, q, s, a, x) for i in range(1, n + 1)]
-        cross = [(i - 1, j - 1, j - i, 1 - q ** (j - i), delta + 2 * n - i - j,
-                  1 - q ** (delta + 2 * n - i - j))
+        one = unit(q)
+        cross = [(i - 1, j - 1, j - i, one - q ** (j - i), delta + 2 * n - i - j,
+                  one - q ** (delta + 2 * n - i - j))
                  for j in range(2, n + 1) for i in range(1, j)]
-        shared = memo["mlat"] = (wp, xl, pairs, [{} for _ in pairs], cross)
-    wp, xl, pairs, ratios, cross = shared
+        shared = memo["mlat"] = (wp, xl, pairs, [{} for _ in pairs], cross, one,
+                                 unit(q, 1.0 + 0j))
+    wp, xl, pairs, ratios, cross, one, r = shared
     term = q ** (weight(mu) + 2 * nstat(mu))
-    r = 1.0 + 0j
     for pr, table, k in zip(pairs, ratios, mu):
         row = table.get(k)
         if row is None:
@@ -465,12 +469,12 @@ def mlat_finite_summand(mu, lam, n, delta, q, s, a, x, memo=None):
         for f in row:
             r = r * f
     term = term * r
-    if term == 0:
+    if not term:
         return term
     for i, j, e, de, f, df in cross:
-        term = term * (1 - q ** (e + mu[i] - mu[j])) / de
-        term = term * (1 - q ** (f + mu[i] + mu[j])) / df
-    if term == 0:
+        term = term * (one - q ** (e + mu[i] - mu[j])) / de
+        term = term * (one - q ** (f + mu[i] + mu[j])) / df
+    if not term:
         return term
     return term * zw_multi(xl, mu, wp, memo=memo)
 
@@ -485,20 +489,20 @@ def mlat_3psi3_summand(mu, n, delta, q, s, a, x):
         return 0.0 + 0j
     w = weight(mu)
     term = (s * q ** (1 - n)) ** w * q ** (2 * nstat(mu))
-    r = 1.0 + 0j
+    one, r = unit(q), unit(q, 1.0 + 0j)
     for i in range(1, n + 1):
         for anum, aden in _mlat_pairs(i, n, delta, q, s, a, x):
             r = r * pair_poch_ratio(anum, aden, q, part(mu, i))
     term = term * r
-    if term == 0:
+    if not term:
         return term
     for j in range(2, n + 1):
         for i in range(1, j):
             dm = part(mu, i) - part(mu, j)
             sm = part(mu, i) + part(mu, j)
-            term = term * ((1 - q ** (j - i + dm)) / (1 - q ** (j - i))) ** 2
-            term = term * ((1 - q ** (delta + 2 * n - i - j + sm))
-                           / (1 - q ** (delta + 2 * n - i - j))) ** 2
+            term = term * ((one - q ** (j - i + dm)) / (one - q ** (j - i))) ** 2
+            term = term * ((one - q ** (delta + 2 * n - i - j + sm))
+                           / (one - q ** (delta + 2 * n - i - j))) ** 2
     return term
 
 
@@ -522,7 +526,7 @@ def _mlat_product_side(n, delta, q, s, a, x):
 
     def den(c, d):
         r = pn(c) * pn(d)
-        if r == 0:
+        if not r:
             raise DivisionByVanishingFactor("multilateral product side: denominator vanishes")
         return r
 
@@ -634,7 +638,7 @@ def _mlat_3psi3_sum(n, delta, q, s, a, x):
     and grown with the window (_CoordinateFactor, _DeltaSquare).  Each shell
     enumerates only its new dominant points (the other summands vanish), as
     runs of points that differ in one coordinate (_dominant_runs), and one
-    walk serves every rank.  A run carries the product (1.0+0j) g_1 ... g_{p-1}
+    walk serves every rank.  A run carries the product 1 g_1 ... g_{p-1}
     of the coordinates before its varying one p.  A point's product is that
     times its g_p, times the g of the fixed coordinates after p; it is
     skipped when 0, and otherwise multiplied by the Delta^2 factors of the
@@ -659,6 +663,7 @@ def _mlat_3psi3_sum(n, delta, q, s, a, x):
                     squares[e0] = _DeltaSquare(q, e0)
             cross.append((i - 1, j - 1, j - i, delta + 2 * n - i - j))
 
+    start = unit(q, 1.0 + 0j)
     total = 0.0 + 0j
     nterms = 0
     covered = -1
@@ -677,7 +682,7 @@ def _mlat_3psi3_sum(n, delta, q, s, a, x):
         for head, hi, lo, tail in _dominant_runs(n, m, covered):
             p = len(head)  # the varying coordinate
             mu = head + (None,) + tail
-            v0 = 1.0 + 0j
+            v0 = start
             for g, k in zip(tables, head):
                 v0 = v0 * g[m - k]
             run = [v0 * g for g in tables[p][m - hi:m - lo + 1]]

@@ -8,12 +8,15 @@ values (for high-precision runs) and return results in the same arithmetic.
 Complex powers use the principal branch throughout.
 
 The unit rule: a kernel starts its products and sums from, and subtracts its
-factors from, unit(x) of its operands (unit and unit(x, 1.0 + 0j)), never
-from a Python constant.  For Python numbers that is the very constant, so
-double arithmetic keeps its float and complex types and its signs of zero;
-for mpmath values it is the mpc 1 of their own context, which mpmath uses
-as is, where it converts a Python constant into its arithmetic at every
+factors from, the 1 that unit(x) gives for one of its operands x, never a
+Python constant of its own.  For Python numbers unit gives the very constant
+the kernel would write (1 in 1 - v, 1.0 + 0j as a product start), so double
+arithmetic keeps its float and complex types and its signs of zero.  For
+mpmath values it gives the mpc 1 of their own context, which mpmath uses as
+it is, where it would convert a Python constant into its arithmetic at every
 factor.  1 converts exactly, so the rule changes no value in either mode.
+For the same reason a kernel tests a value for an exact zero by its truth
+value (not r), not by comparing it with a Python 0.
 
 The one state is THETA_MEMO: while ``identities.run_case`` evaluates,
 theta(x;p) at p != 0, identities' split infinite products ("split" keys) and
@@ -64,12 +67,12 @@ _UNITS = {}
 
 
 def unit(x, literal=1):
-    """An exact 1 in x's arithmetic, for a kernel to start products and sums
-    from and to subtract factors from (the unit rule above).  For a Python
-    number x it is literal, the constant the kernel writes there: 1 in
-    1 - v, 1.0 + 0j as a product start.  For an mpmath x it is the mpc 1 of
-    x's own context, made on the first call for that context; the operands
-    of one evaluation share one context."""
+    """An exact 1 in x's arithmetic (the unit rule above): for a Python
+    number x, literal, the constant the kernel writes there (1 in 1 - v,
+    1.0 + 0j as a product start, 1.0 in 1.0 / r); for an mpmath x, the mpc 1
+    of x's own context, made on the first call for that context.  The
+    operands of one evaluation share one context, so the 1 of any of them
+    serves the kernel."""
     if isinstance(x, (int, float, complex)):
         return literal
     ctx = x.context

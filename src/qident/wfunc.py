@@ -287,7 +287,7 @@ def zw_skew_single(x, lam, mu, params: WParams):
         add_poch(True, q * b / (a * x) * t ** (1 - i) * q**mi,
                  kax + (1 - i) * tk + mi, li - mi)
     # Final block.
-    tpow = 1.0 + 0j
+    tpow = unit(q, 1.0 + 0j)
     for i in range(1, n + 1):
         mi, li1 = M[i], L[i + 1]
         if mi == 0 and li1 == 0:
@@ -344,10 +344,10 @@ def zw_multi(xvars, lam, params: WParams, memo=None):
         for nu in interlacing_vectors(lam):
             # Tail first: it is memoized, and a zero tail spares the ledger.
             w2 = zw_multi(zs, nu, params, memo)
-            if w2 == 0:
+            if not w2:
                 continue
             w1 = zw_skew_single(x1, lam, nu, shifted)
-            if w1 == 0:
+            if not w1:
                 continue
             total += w1 * w2
     if memo is not None:
@@ -450,12 +450,13 @@ def w_degree(mu, N: int, n: int, s, delta: int, q):
         return 0.0 + 0j
     if zero_den > zero_num:
         raise DivisionByVanishingFactor("degree formula: uncancelled zero denominator")
-    coeff = {"1": 1.0 + 0j, "s": s, "1/s": 1.0 / s}
-    r = 1.0 + 0j
+    one, start = unit(q), unit(q, 1.0 + 0j)
+    coeff = {"1": start, "s": s, "1/s": unit(q, 1.0) / s}
+    r = start
     for c, e in num:
         if (c, e) != ("1", 0):
-            r = r * (1 - coeff[c] * q**e)
+            r = r * (one - coeff[c] * q**e)
     for c, e in den:
         if (c, e) != ("1", 0):
-            r = r / (1 - coeff[c] * q**e)
+            r = r / (one - coeff[c] * q**e)
     return r
