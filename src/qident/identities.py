@@ -54,7 +54,7 @@ from .qcore import (
     poch_multi_inf,
     tail_radius,
     theta,
-    unit,
+    units,
 )
 from .series import SERIES_TOL, WINDOW_STEP, SeriesSpec, eval_psi, eval_phi
 from .wfunc import (
@@ -166,8 +166,8 @@ def vwp_jackson_term(k, b, sig, rho, gam, n, q):
     """k-th term of the terminating very-well-poised sum with head factor
     (1 - b q^{2k})/(1 - b) combined safely into (1 - b q^{2k}) (bq)_{k-1}."""
     if k == 0:
-        return unit(q, 1.0 + 0j)
-    head = (unit(q) - b * q ** (2 * k)) * poch_int(b * q, q, k - 1)
+        return units(q)[1]
+    head = (units(q)[0] - b * q ** (2 * k)) * poch_int(b * q, q, k - 1)
     top = b * b * q ** (1 + n) / (sig * rho * gam)
     num = poch_multi([q**-n, sig, rho, gam, top], q, k)
     den = poch_multi(
@@ -207,7 +207,7 @@ def _poch_inf_split_product(a, q):
         raise DomainError("poch_inf requires |q| < 1")
     rho = tail_radius(q)
     zeros = 0
-    one, r = unit(q), unit(q, 1.0 + 0j)
+    one, r = units(q)
     x = a
     for _ in range(MAX_FACTORS):
         if abs(x) <= rho:
@@ -281,7 +281,7 @@ def _vwp_delta(vec, n, c, B, q, p, t):
     prod (c t^{j-i+1}; q,p)_{dm} (B t^{1-i-j}; q,p)_{sm}
          / ((c t^{j-i}; q,p)_{dm} (B t^{-i-j}; q,p)_{sm}),
     with dm = vec_i - vec_j and sm = vec_i + vec_j."""
-    r = unit(q, 1.0 + 0j)
+    r = units(q)[1]
     for j in range(2, n + 1):
         for i in range(1, j):
             dm = part(vec, i) - part(vec, j)
@@ -373,7 +373,7 @@ def duality_side(lam, nu, n, q, t, a, aprime, b):
     xv = [Keyed(q ** part(nu, i) * t ** (n - i) / k, part(nu, i) + (n - i) * T_KEY - kk)
           for i in range(1, n + 1)]
     # p = 0 in q's arithmetic: the W ledgers' thetas at p = 0 subtract from
-    # unit(p) (qcore's unit rule).
+    # the 1 of units(p) (qcore's unit rule).
     wp = WParams(q, 0 * q, t, k * k * a, k * b, (T_KEY, 2 * kk + A_KEY, kk + B_KEY))
     r = w_multi(xv, lam, (), wp, memo={})
     r = r * poch_partition_multi([q * b * t ** (n - 1), q * b / a], q, 0.0, t, lam) \
@@ -403,7 +403,7 @@ def mlat_norm(n, delta, q):
     ratio (one-sided sum)/(full lattice sum), fixed by the rank-1 reduction
     and verified against the finite one-sided identity.  At n = 1 it is the
     normalization of the bilateral sums (bilateralfinite, 3psi3delta*)."""
-    one, r = unit(q), unit(q, 1.0 + 0j)
+    one, r = units(q)
     if delta == 0:
         for i in range(1, n):
             r = r / (one + q ** (n - i))
@@ -454,12 +454,11 @@ def mlat_finite_summand(mu, lam, n, delta, q, s, a, x, memo=None):
     if shared is None:
         wp, xl = _principal_w(n, delta, q, s, [part(lam, i) + n - i for i in range(1, n + 1)])
         pairs = [_mlat_pairs(i, n, delta, q, s, a, x) for i in range(1, n + 1)]
-        one = unit(q)
+        one, start = units(q)
         cross = [(i - 1, j - 1, j - i, one - q ** (j - i), delta + 2 * n - i - j,
                   one - q ** (delta + 2 * n - i - j))
                  for j in range(2, n + 1) for i in range(1, j)]
-        shared = memo["mlat"] = (wp, xl, pairs, [{} for _ in pairs], cross, one,
-                                 unit(q, 1.0 + 0j))
+        shared = memo["mlat"] = (wp, xl, pairs, [{} for _ in pairs], cross, one, start)
     wp, xl, pairs, ratios, cross, one, r = shared
     term = q ** (weight(mu) + 2 * nstat(mu))
     for pr, table, k in zip(pairs, ratios, mu):
@@ -489,7 +488,7 @@ def mlat_3psi3_summand(mu, n, delta, q, s, a, x):
         return 0.0 + 0j
     w = weight(mu)
     term = (s * q ** (1 - n)) ** w * q ** (2 * nstat(mu))
-    one, r = unit(q), unit(q, 1.0 + 0j)
+    one, r = units(q)
     for i in range(1, n + 1):
         for anum, aden in _mlat_pairs(i, n, delta, q, s, a, x):
             r = r * pair_poch_ratio(anum, aden, q, part(mu, i))
@@ -548,8 +547,9 @@ class _CoordinateFactor:
     (a summand with this coordinate from there outward would raise it)."""
 
     def __init__(self, c, pairs, q):
-        self.c, self.pairs, self.q, self.one = c, pairs, q, unit(q)
-        self.up, self.down = [unit(q, 1.0 + 0j)], []  # g(0), g(1), ... and g(-1), g(-2), ...
+        self.c, self.pairs, self.q = c, pairs, q
+        self.one, start = units(q)
+        self.up, self.down = [start], []  # g(0), g(1), ... and g(-1), g(-2), ...
 
     def grow(self, m):
         """Tabulate g on [-m, m] and return the table: g(k) at index m - k."""
@@ -580,7 +580,7 @@ class _DeltaSquare:
     grows: one Delta^2 factor of the multilateral summands."""
 
     def __init__(self, q, e0):
-        self.q, self.e0, self.one = q, e0, unit(q)
+        self.q, self.e0, self.one = q, e0, units(q)[0]
         self.up, self.down = [], []  # d = 0, 1, ... and d = -1, -2, ...
 
     def _value(self, d):
@@ -663,7 +663,7 @@ def _mlat_3psi3_sum(n, delta, q, s, a, x):
                     squares[e0] = _DeltaSquare(q, e0)
             cross.append((i - 1, j - 1, j - i, delta + 2 * n - i - j))
 
-    start = unit(q, 1.0 + 0j)
+    start = units(q)[1]
     total = 0.0 + 0j
     nterms = 0
     covered = -1

@@ -7,18 +7,19 @@ scalar backend: they accept either Python complex numbers or mpmath complex
 values (for high-precision runs) and return results in the same arithmetic.
 Complex powers use the principal branch throughout.
 
-The unit rule: a kernel starts its products and sums from, and subtracts its
-factors from, the 1 that unit(x) gives for one of its operands x, never a
-Python constant of its own.  For Python numbers unit gives the very constant
-the kernel would write (1 in 1 - v, 1.0 + 0j as a product start), so double
-arithmetic keeps its float and complex types and its signs of zero.  For
-mpmath values it gives the mpc 1 of their own context, which mpmath uses as
-it is, where it would convert a Python constant into its arithmetic at every
-factor.  1 converts exactly, so the rule changes no value in either mode.
-For the same reason a kernel tests a value for an exact zero by its truth
-value (not r), not by comparing it with a Python 0.
+The unit rule: a kernel subtracts its factors from, and starts its products
+and sums from, the exact 1s that units(x) gives for one of its operands x,
+never from Python constants of its own.  For Python numbers they are the
+very constants the kernels wrote (1 in 1 - v, 1.0 + 0j as a product start),
+so double arithmetic keeps its float and complex types and its signs of
+zero.  For mpmath values both are the mpc 1 of their own context, which
+mpmath uses as it is, where it would convert a Python constant into its
+arithmetic at every factor.  1 converts exactly, so the rule changes no
+value in either mode.  For the same reason a kernel tests a value for an
+exact zero by its truth value (not r), not by comparing it with a Python 0.
 
-The one state is THETA_MEMO: while ``identities.run_case`` evaluates,
+Besides the constant 1s that units keeps per number type, the one state is
+THETA_MEMO: while ``identities.run_case`` evaluates,
 theta(x;p) at p != 0, identities' split infinite products ("split" keys) and
 Euler's tail coefficients ("euler" keys) are computed once per argument and
 read back.  A memo value is the kernel's value bit for bit, so the memo
@@ -62,24 +63,33 @@ PAIR_RECIPROCAL_VANISHES = "pair_poch_ratio: reciprocal vanishes"
 THETA_MEMO: ContextVar = ContextVar("theta_memo", default=None)
 
 
-#: The mpc 1 of each mpmath context that unit has met, made once per context.
-_UNITS = {}
+#: units of a Python number: the 1 to subtract factors from and the 1 to
+#: start products and sums from.
+_PYTHON_UNITS = (1, 1.0 + 0j)
+
+#: units by operand type: the Python number types, and each type met since
+#: (mpmath makes its mpf and mpc types per context).
+_UNITS = {int: _PYTHON_UNITS, float: _PYTHON_UNITS, complex: _PYTHON_UNITS}
 
 
-def unit(x, literal=1):
-    """An exact 1 in x's arithmetic (the unit rule above): for a Python
-    number x, literal, the constant the kernel writes there (1 in 1 - v,
-    1.0 + 0j as a product start, 1.0 in 1.0 / r); for an mpmath x, the mpc 1
-    of x's own context, made on the first call for that context.  The
-    operands of one evaluation share one context, so the 1 of any of them
-    serves the kernel."""
-    if isinstance(x, (int, float, complex)):
-        return literal
-    ctx = x.context
-    one = _UNITS.get(ctx)
-    if one is None:
-        one = _UNITS[ctx] = ctx.mpc(1)
-    return one
+def units(x):
+    """(one, start), the exact 1s of x's arithmetic (the unit rule above):
+    one to subtract factors from (and to divide in one / r), start to start
+    products and sums from.  For a Python number x they are the Python
+    constants 1 and 1.0 + 0j; for an mpmath x both are the mpc 1 of x's own
+    context, made on the first call for x's type.  The operands of one
+    evaluation share one context, so the units of any of them serve the
+    kernel."""
+    pair = _UNITS.get(type(x))
+    if pair is None:
+        ctx = getattr(x, "context", None)  # an mpmath value's context
+        if ctx is None:
+            pair = _PYTHON_UNITS
+        else:
+            one = ctx.mpc(1)
+            pair = (one, one)
+        _UNITS[type(x)] = pair
+    return pair
 
 
 def csqrt(x):
@@ -96,7 +106,7 @@ def poch_int(a, q, k: int):
     For k < 0 the value is 1 / prod_{i=1..-k} (1 - a q^{k+i-1}); a vanishing
     factor there raises DivisionByVanishingFactor.
     """
-    one, r = unit(q), unit(q, 1.0 + 0j)
+    one, r = units(q)
     if k >= 0:
         for i in range(k):
             r = r * (one - a * q**i)
@@ -108,12 +118,12 @@ def poch_int(a, q, k: int):
                 f"(a;q)_{k}: factor 1 - a*q^{k + i} vanishes"
             )
         r = r * f
-    return unit(q, 1.0) / r
+    return one / r
 
 
 def poch_multi(avals, q, k: int):
     """Product of poch_int over a list of parameters."""
-    r = unit(q, 1.0 + 0j)
+    r = units(q)[1]
     for a in avals:
         r = r * poch_int(a, q, k)
     return r
@@ -126,7 +136,7 @@ def tail_radius(q) -> float:
 
 def _euler_coefficients(q):
     """Euler's c_n (see poch_inf), highest first, in q's arithmetic."""
-    one = unit(q)
+    one = units(q)[0]
     rho, coeffs, c = tail_radius(q), [], one
     for n in range(MAX_FACTORS):
         if abs(c) * rho**n < PRODUCT_TOL:
@@ -160,7 +170,7 @@ def poch_inf(a, q):
     if abs(q) >= 1:
         raise DomainError("poch_inf requires |q| < 1")
     rho = tail_radius(q)
-    one, r = unit(q), unit(q, 1.0 + 0j)
+    one, r = units(q)
     x = a
     for _ in range(MAX_FACTORS):
         if abs(x) <= rho:
@@ -174,7 +184,7 @@ def poch_inf(a, q):
 
 def poch_multi_inf(avals, q):
     """Product of poch_inf over a list of parameters."""
-    r = unit(q, 1.0 + 0j)
+    r = units(q)[1]
     for a in avals:
         r = r * poch_inf(a, q)
     return r
@@ -189,7 +199,7 @@ def theta(x, p):
     if not x:
         raise DomainError("theta requires x != 0")
     if not p:
-        return unit(x) - x
+        return units(x)[0] - x
     if abs(p) >= 1:
         raise DomainError("theta requires |p| < 1")
     memo = THETA_MEMO.get({})
@@ -207,7 +217,7 @@ def epoch(a, q, p, n: int):
     """
     if n < 0:
         raise DomainError(f"(a;q,p)_n requires n >= 0, got n = {n}")
-    r = unit(q, 1.0 + 0j)
+    r = units(q)[1]
     for k in range(n):
         r = r * theta(a * q**k, p)
     return r
@@ -225,7 +235,7 @@ def pair_poch_ratio(anum, aden, q, m: int):
     A vanishing numerator factor makes the quotient exactly 0 (for m > 0);
     a vanishing reciprocal factor raises DivisionByVanishingFactor.
     """
-    one, r = unit(q), unit(q, 1.0 + 0j)
+    one, r = units(q)
     if m > 0:
         for k in range(m):
             qk = q**k

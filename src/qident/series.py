@@ -50,7 +50,7 @@ from typing import Optional, Sequence, Tuple
 
 from .errors import DivisionByVanishingFactor, DomainError, NoConvergence
 from .policy import qpow_exponent, scalar_value
-from .qcore import VANISH_TOL, unit
+from .qcore import VANISH_TOL, units
 
 #: Relative bound on the dropped tail of each side of a bilateral sum.
 TAIL_TOL = 1e-15
@@ -129,7 +129,7 @@ def eval_phi(spec: SeriesSpec) -> SeriesValue:
     if cut > MAX_TERMS:
         raise NoConvergence("eval_phi: max_terms reached")
 
-    one, start = unit(q), unit(q, 1.0 + 0j)
+    one, start = units(q)
     total = term = start  # the k = 0 term
     mass = 1.0  # sum of |t_k|
     qk = q**0
@@ -226,7 +226,7 @@ def eval_psi(spec: SeriesSpec) -> SeriesValue:
     lim_up = ax if hi_cut is None else math.inf
     scale = ax * math.prod(an)
     lim_dn = math.prod(ad) / scale if lo_cut is None and scale else math.inf
-    one, start = unit(q), unit(q, 1.0 + 0j)
+    one, start = units(q)
     zero = start - start
     r_up = x if lim_up < 1 else zero
     r_dn = math.prod(dv) / (x * math.prod(nv)) if lim_dn < 1 else zero

@@ -64,7 +64,7 @@ from typing import NamedTuple, Tuple
 
 from .errors import DivisionByVanishingFactor, DomainError, PoleCancellationError
 from .partitions import interlacing_vectors, is_horizontal_strip, normalize, part
-from .qcore import epoch, theta, unit
+from .qcore import epoch, theta, units
 
 #: Residual denominator theta values below this modulus count as poles.
 POLE_TOL = 1e-10
@@ -101,7 +101,7 @@ def poch_partition(a, q, p, t, lam):
     lam is a vector of non-negative integers, a partition at every caller; a
     negative entry raises DomainError (qcore.epoch).
     """
-    r = unit(q, 1.0 + 0j)
+    r = units(q)[1]
     for i in range(1, len(lam) + 1):
         r = r * epoch(a * t ** (1 - i), q, p, part(lam, i))
     return r
@@ -109,7 +109,7 @@ def poch_partition(a, q, p, t, lam):
 
 def poch_partition_multi(avals, q, p, t, lam):
     """Product of poch_partition over a list of parameters."""
-    r = unit(q, 1.0 + 0j)
+    r = units(q)[1]
     for a in avals:
         r = r * poch_partition(a, q, p, t, lam)
     return r
@@ -175,9 +175,8 @@ def theta_product(num_args, den_args, p):
     qcore.theta computes theta(x; 0), with theta's DomainError at an
     argument 0.  Raises PoleCancellationError when a denominator theta is
     numerically zero (modulus below POLE_TOL)."""
-    r = unit(p, 1.0 + 0j)
+    one, r = units(p)
     if not p:
-        one = unit(p)
         for x in num_args:
             if not x:
                 raise DomainError("theta requires x != 0")
@@ -287,7 +286,7 @@ def zw_skew_single(x, lam, mu, params: WParams):
         add_poch(True, q * b / (a * x) * t ** (1 - i) * q**mi,
                  kax + (1 - i) * tk + mi, li - mi)
     # Final block.
-    tpow = unit(q, 1.0 + 0j)
+    tpow = units(q)[1]
     for i in range(1, n + 1):
         mi, li1 = M[i], L[i + 1]
         if mi == 0 and li1 == 0:
@@ -450,8 +449,8 @@ def w_degree(mu, N: int, n: int, s, delta: int, q):
         return 0.0 + 0j
     if zero_den > zero_num:
         raise DivisionByVanishingFactor("degree formula: uncancelled zero denominator")
-    one, start = unit(q), unit(q, 1.0 + 0j)
-    coeff = {"1": start, "s": s, "1/s": unit(q, 1.0) / s}
+    one, start = units(q)
+    coeff = {"1": start, "s": s, "1/s": one / s}
     r = start
     for c, e in num:
         if (c, e) != ("1", 0):

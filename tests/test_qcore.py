@@ -24,7 +24,7 @@ from qident.qcore import (
     poch_multi,
     tail_radius,
     theta,
-    unit,
+    units,
 )
 from qident.series import WINDOW_STEP, SeriesSpec, eval_phi, eval_psi
 
@@ -358,16 +358,15 @@ def test_pair_poch_ratio_matches_direct_quotient():
 # the unit rule
 # ---------------------------------------------------------------------------
 
-def test_unit_is_the_literal_or_the_mpc_one_of_its_context():
-    for x in (2, 0.5, -0.0, 0.5 - 0.5j):
-        assert unit(x) == 1 and type(unit(x)) is int
-        assert unit(x, 1.0 + 0j) == 1 and type(unit(x, 1.0 + 0j)) is complex
+def test_units_are_the_literals_or_the_mpc_one_of_their_context():
+    for x in (2, True, 0.5, -0.0, 0.5 - 0.5j):
+        one, start = units(x)
+        assert (one, start) == (1, 1) and type(one) is int and type(start) is complex
     for ctx in (mp_context(40), mp_context(50), mpmath.mp):
-        one = unit(ctx.mpc(0.5, 0.25))
-        assert type(one) is ctx.mpc and one == 1 and one.imag == 0
-        # Made once per context, whatever the literal or the operand's type.
-        assert unit(ctx.mpf(3), 1.0 + 0j) is one
-    assert unit(mp_context(40).mpc(1)) is not unit(mp_context(50).mpc(1))
+        for x in (ctx.mpc(0.5, 0.25), ctx.mpf(3)):
+            one, start = units(x)
+            assert type(one) is ctx.mpc and one == 1 and one.imag == 0 and start is one
+            assert units(x)[0] is one  # made once per type
 
 
 def _python_conversions(monkeypatch, ctx):
@@ -389,7 +388,7 @@ def _python_conversions(monkeypatch, ctx):
 def test_kernels_convert_no_python_constant_per_factor(monkeypatch):
     # A Python constant in a kernel loop (1 - v q^k, a 1.0 + 0j product
     # start) is converted into the operands' mpmath context at every factor;
-    # unit() of the operands converts nothing.  So the count of conversions
+    # the units of the operands convert nothing.  So the count of conversions
     # is the same at every length: here it is 0.
     ctx = mp_context(40)
     p = sample_params("bailey10phi9", 0)
