@@ -82,7 +82,7 @@ def units(x):
     kernel."""
     pair = _UNITS.get(type(x))
     if pair is None:
-        ctx = getattr(x, "context", None)  # an mpmath value's context
+        ctx = getattr(x, "context", None)  # None: a Python number type (bool)
         if ctx is None:
             pair = _PYTHON_UNITS
         else:

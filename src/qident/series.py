@@ -103,7 +103,7 @@ def _resolved(entries, q):
 
 def _product(entries, qk, one, start):
     """start times the factors (one - v q^k) of the resolved entries,
-    multiplied in entry order; one is the unit of their arithmetic."""
+    multiplied in entry order; one and start are qcore.units of q."""
     for v, _ in entries:
         start = start * (one - v * qk)
     return start

@@ -80,7 +80,8 @@ def report_text(precision, samples, real=False):
     return suite.masked(suite.cli.report_json(rset) + "\n")
 
 
-@pytest.mark.parametrize("name, precision, samples, real", REPORTS)
+@pytest.mark.parametrize("name, precision, samples, real", REPORTS,
+                         ids=[f"{n}-{p}-{k}" for n, p, k, _ in REPORTS])
 def test_reports_match_the_committed_reference(name, precision, samples, real):
     base_text = (REFERENCE / name).read_text(encoding="utf-8")
     text = report_text(precision, samples, real)
