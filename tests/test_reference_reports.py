@@ -88,9 +88,14 @@ def test_reports_match_the_committed_reference(name, precision, samples, real):
     if text == base_text:
         return
     doc, base = json.loads(text), json.loads(base_text)
-    lines = [f"differs: {label}"
-             for label in suite.report_differences(doc, base) or ["report text"]]
-    lines += suite.case_summaries(doc, base)
+    if real:  # every run is sample 0 of its own draw: name each by its seed
+        labels = [f"{r['case_id']} seed {r['seed']}: {suite.run_difference(r, b)}"
+                  for r, b in zip(doc["runs"], base["runs"]) if r != b]
+        summaries = []
+    else:
+        labels = suite.report_differences(doc, base)
+        summaries = suite.case_summaries(doc, base)
+    lines = [f"differs: {label}" for label in labels or ["report text"]] + summaries
     pytest.fail(f"the report differs from tests/reference/{name} (CPython "
                 f"{platform.python_version()}, mpmath {mpmath.__version__}); a "
                 f"change that moves values on purpose regenerates it with `python3 "
