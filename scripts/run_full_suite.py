@@ -170,8 +170,8 @@ def is_run(run):
 def read_report(path):
     """The report document in the JSON file path and the file's text, for
     --compare; ConfigError when the file cannot be read, is not UTF-8 JSON
-    or is not a report: an object with a meta object, a summary and a list of runs
-    (is_run)."""
+    or is not a report: an object with a meta object, a summary and a list
+    of runs (is_run)."""
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             text = fh.read()
