@@ -8,10 +8,10 @@ from .errors import (
     ConfigError,
     DivisionByVanishingFactor,
     DomainError,
-    EmptyWindow,
     NoConvergence,
     NonFiniteSide,
     NotAPartition,
+    PoleCancellationError,
     QidentError,
 )
 from .identities import CASES, IdentityReport, run_case, sample_params
@@ -24,11 +24,11 @@ __all__ = [
     "ConfigError",
     "DivisionByVanishingFactor",
     "DomainError",
-    "EmptyWindow",
     "IdentityReport",
     "NoConvergence",
     "NonFiniteSide",
     "NotAPartition",
+    "PoleCancellationError",
     "QPower",
     "QidentError",
     "SeriesSpec",

@@ -30,13 +30,11 @@ The JSON report has the layout of json.dumps(doc, indent=2,
 allow_nan=False), written directly (_json_text), and the tests hold it to
 the stdlib's bytes: json.dumps takes its pure-Python encoder whenever it
 indents.  CSV rows are lists through csv.writer, the params column encoded
-by one module-level JSONEncoder.  For a 2-sample 3psi3delta1 request on a
-2-core Xeon, report_json went from 81-91 us to 53-55 us, write_csv from
-63-81 us to 45 us and write_text of its 1.8 kB JSON from 11-16 us to 5 us
-(it writes bytes with os.write).  Report files are overwritten in place,
-with no truncate to zero first (write_text): on ext4 that truncate makes
-close start writeback, which cost more than writing a small report.  The
-write is not atomic, and open(path, "w") was not either.
+by one module-level JSONEncoder.  Report files are written as bytes with
+os.write and overwritten in place, with no truncate to zero first
+(write_text): on ext4 that truncate makes close start writeback, which cost
+more than writing a small report.  The write is not atomic, and open(path,
+"w") was not either.
 """
 
 from __future__ import annotations
@@ -125,7 +123,7 @@ def _decode_scalar(raw):
     if isinstance(raw, (int, float)):
         return _float(raw)
     if isinstance(raw, dict) and set(raw) == {"qpow"}:
-        if not isinstance(raw["qpow"], int):
+        if not isinstance(raw["qpow"], int) or isinstance(raw["qpow"], bool):
             raise ConfigError("qpow tag must hold an integer")
         return QPower(raw["qpow"])
     if isinstance(raw, (list, tuple)) and len(raw) == 2 \

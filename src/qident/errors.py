@@ -27,10 +27,6 @@ class NonFiniteSide(QidentError):
     """A side of an identity evaluated to NaN or an infinity (an overflow)."""
 
 
-class EmptyWindow(QidentError):
-    """A lattice window has some lower bound above the matching upper bound."""
-
-
 class NotAPartition(QidentError):
     """A sequence that must be a partition is not weakly decreasing and
     non-negative."""

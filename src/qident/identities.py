@@ -31,7 +31,6 @@ from .errors import (
 )
 from .partitions import (
     check_partition,
-    lattice_window,
     nstat,
     normalize,
     part,
@@ -40,27 +39,24 @@ from .partitions import (
 )
 from .policy import QPower, scalar_value
 from .qcore import (
-    MAX_FACTORS,
-    PAIR_DENOMINATOR_VANISHES,
-    PAIR_RECIPROCAL_VANISHES,
     THETA_MEMO,
-    VANISH_TOL,
+    PairRatioTable,
     csqrt,
     epoch,
     pair_poch_ratio,
-    poch_inf_tail,
+    poch_inf_split,
     poch_int,
     poch_multi,
     poch_multi_inf,
-    tail_radius,
     theta,
     units,
 )
-from .series import SERIES_TOL, WINDOW_STEP, SeriesSpec, eval_psi, eval_phi
+from .series import WINDOW_STEP, SeriesSpec, eval_psi, eval_phi
 from .wfunc import (
     A_KEY,
+    APRIME_KEY,
     B_KEY,
-    KEY_RADIX,
+    S_KEY,
     T_KEY,
     X_KEY,
     Keyed,
@@ -84,9 +80,8 @@ SAMPLE_TRIES = 5000
 #: Hard cap on lattice points for multilateral sums.
 MAX_LATTICE_TERMS = 200_000
 
-#: Monomial keys of the generators s and aprime, past wfunc's t, a, b and x
-#: (see "Keyed ledgers" in wfunc).
-S_KEY, APRIME_KEY = KEY_RADIX**5, KEY_RADIX**6
+#: Relative shell threshold of the multilateral 3psi3 lattice sum.
+SERIES_TOL = 1e-13
 
 
 @dataclass
@@ -185,42 +180,6 @@ def jackson_delta_product(b, sig, rho, gam, n, q):
     return num / den
 
 
-#: Threshold below which a product factor counts as a structural zero in the
-#: factored evaluation of the flipped summand at the lattice point z = delta/2.
-STRUCT_ZERO_TOL = 1e-10
-
-
-def _poch_inf_split(a, q):
-    """(zeros, value): (a;q)_inf with exact-zero factors counted apart from
-    the regular part, memoized as theta is plus a "split" tag.  A zero has
-    |a q^k| near 1 > tail_radius(q), so it lies before the Euler tail."""
-    memo = THETA_MEMO.get({})
-    key = ("split", a, q, type(a), type(q))
-    v = memo.get(key)
-    if v is None:
-        v = memo[key] = _poch_inf_split_product(a, q)
-    return v
-
-
-def _poch_inf_split_product(a, q):
-    if abs(q) >= 1:
-        raise DomainError("poch_inf requires |q| < 1")
-    rho = tail_radius(q)
-    zeros = 0
-    one, r = units(q)
-    x = a
-    for _ in range(MAX_FACTORS):
-        if abs(x) <= rho:
-            return zeros, r * poch_inf_tail(x, q)
-        f = one - x
-        if abs(f) < STRUCT_ZERO_TOL:
-            zeros += 1
-        else:
-            r = r * f
-        x = x * q
-    raise NoConvergence("factored infinite product: max_factors reached")
-
-
 def flipped_summand_structured(u, z, sig, rho, gam, n, q):
     """Infinite-product form of the b = q^{2z} summand, as a function of the
     reflected index u (the direct summand corresponds to u = z + k), returned
@@ -248,11 +207,11 @@ def flipped_summand_structured(u, z, sig, rho, gam, n, q):
     zeros = 0
     val = q ** (-z * z) * q ** (u * u)
     for a in num_args:
-        zc, v = _poch_inf_split(a, q)
+        zc, v = poch_inf_split(a, q)
         zeros += zc
         val = val * v
     for a in den_args:
-        zc, v = _poch_inf_split(a, q)
+        zc, v = poch_inf_split(a, q)
         zeros -= zc
         val = val / v
     return zeros, val
@@ -331,7 +290,7 @@ def simplified_jackson_rhs(x, lam, n, q, p, t, a, b, s):
 
 def multiple_jackson_lhs(zvars, lam, n, q, p, t, a, b):
     wp = WParams(q, p, t, a * t ** (-2 * n), b * t ** (-n))
-    return w_multi(zvars, lam, (), wp, memo={})
+    return w_multi(zvars, lam, (), wp)
 
 
 def multiple_jackson_rhs(zvars, lam, n, q, p, t, a, b, s):
@@ -375,7 +334,7 @@ def duality_side(lam, nu, n, q, t, a, aprime, b):
     # p = 0 in q's arithmetic: the W ledgers' thetas at p = 0 subtract from
     # the 1 of units(p) (qcore's unit rule).
     wp = WParams(q, 0 * q, t, k * k * a, k * b, (T_KEY, 2 * kk + A_KEY, kk + B_KEY))
-    r = w_multi(xv, lam, (), wp, memo={})
+    r = w_multi(xv, lam, (), wp)
     r = r * poch_partition_multi([q * b * t ** (n - 1), q * b / a], q, 0.0, t, lam) \
         / poch_partition_multi([k, k * a * t ** (n - 1)], q, 0.0, t, lam)
     return r / _vwp_delta(lam, n, 1, q * aprime * t ** (2 * n - 1), q, 0.0, t)
@@ -388,9 +347,9 @@ def flip_sides(xvars, lam, q, p, t, a, b):
     ns = nstat(lam)
     inv = WParams(1 / q, p, 1 / t, 1 / a, 1 / b)
     lhs = a**w * b ** (-w) * q ** (-w) * t ** (-ns + (n - 1) * w) \
-        * w_multi([1 / x for x in xvars], lam, (), inv, memo={})
+        * w_multi([1 / x for x in xvars], lam, (), inv)
     rhs = a ** (-w) * b**w * q**w * t ** (ns - (n - 1) * w) \
-        * w_multi(xvars, lam, (), WParams(q, p, t, a, b), memo={})
+        * w_multi(xvars, lam, (), WParams(q, p, t, a, b))
     return lhs, rhs
 
 
@@ -534,47 +493,6 @@ def _mlat_product_side(n, delta, q, s, a, x):
     return prod / mlat_norm(n, delta, q)
 
 
-class _CoordinateFactor:
-    """The per-coordinate factor of the multilateral 3psi3 summand,
-        g(m) = c^m prod_pairs (anum;q)_m / (aden;q)_m,
-    tabulated outward from g(0) = 1 by its term ratio (Gasper-Rahman, sec. 1.2):
-        g(m+1) = g(m) c prod (1 - anum q^m) / (1 - aden q^m)          (m >= 0),
-        g(m-1) = g(m) / c prod (1 - aden q^{m-1}) / (1 - anum q^{m-1})  (m <= 0).
-
-    The factors and their vanishing tests are those of qcore.pair_poch_ratio,
-    and so are the errors: growth that meets a vanishing factor to divide by
-    raises pair_poch_ratio's DivisionByVanishingFactor there, upper side first
-    (a summand with this coordinate from there outward would raise it)."""
-
-    def __init__(self, c, pairs, q):
-        self.c, self.pairs, self.q = c, pairs, q
-        self.one, start = units(q)
-        self.up, self.down = [start], []  # g(0), g(1), ... and g(-1), g(-2), ...
-
-    def grow(self, m):
-        """Tabulate g on [-m, m] and return the table: g(k) at index m - k."""
-        q, c, one, up, down = self.q, self.c, self.one, self.up, self.down
-        while len(up) <= m:
-            qk = q ** (len(up) - 1)
-            g = up[-1] * c
-            for anum, aden in self.pairs:
-                fd = one - aden * qk
-                if abs(fd) < VANISH_TOL:
-                    raise DivisionByVanishingFactor(PAIR_DENOMINATOR_VANISHES)
-                g = g * (one - anum * qk) / fd
-            up.append(g)
-        while len(down) < m:
-            qk = q ** (-len(down) - 1)
-            g = (down[-1] if down else up[0]) / c
-            for anum, aden in self.pairs:
-                fn = one - anum * qk
-                if abs(fn) < VANISH_TOL:
-                    raise DivisionByVanishingFactor(PAIR_RECIPROCAL_VANISHES)
-                g = g * (one - aden * qk) / fn
-            down.append(g)
-        return up[m::-1] + down[:m]
-
-
 class _DeltaSquare:
     """((1 - q^{e0+d}) / (1 - q^{e0}))^2 for d in [-M, M], cached as the window
     grows: one Delta^2 factor of the multilateral summands."""
@@ -635,7 +553,7 @@ def _mlat_3psi3_sum(n, delta, q, s, a, x):
     A dominant mu's summand is prod_i g_i(mu_i) times the Delta^2 factor over
     i < j; g_i(m) is (s q^{1-n} q^{2(i-1)})^m times the three pair ratios at
     shift q^{1-i}.  Each g_i and each Delta^2 factor is tabulated once per call
-    and grown with the window (_CoordinateFactor, _DeltaSquare).  Each shell
+    and grown with the window (qcore.PairRatioTable, _DeltaSquare).  Each shell
     enumerates only its new dominant points (the other summands vanish), as
     runs of points that differ in one coordinate (_dominant_runs), and one
     walk serves every rank.  A run carries the product 1 g_1 ... g_{p-1}
@@ -651,8 +569,8 @@ def _mlat_3psi3_sum(n, delta, q, s, a, x):
     the coordinate tables, in coordinate order, before its budget check, and a
     table raises pair_poch_ratio's error where it meets a vanishing factor:
     a dominant point such as (v, ..., v) of that shell would read it."""
-    factors = [_CoordinateFactor(s * q ** (1 - n + 2 * (i - 1)),
-                                 _mlat_pairs(i, n, delta, q, s, a, x), q)
+    factors = [PairRatioTable(s * q ** (1 - n + 2 * (i - 1)),
+                              _mlat_pairs(i, n, delta, q, s, a, x), q)
                for i in range(1, n + 1)]
     squares = {}  # one _DeltaSquare per exponent e0
     cross = []
@@ -959,11 +877,12 @@ def verify_multilateral_finite(lam, n, x, s, a, q, delta, tol):
     """The finite multilateral identity: partition Pochhammers on the left,
     mlat_norm times the sum of mlat_finite_summand over mlat_finite_window on
     the right (refused beyond MAX_LATTICE_TERMS points).  Every point of the
-    window, in lattice_window's order, and then five dominant exterior points
-    are evaluated by mlat_finite_summand under one memo; an exterior summand
-    that does not vanish is a NoConvergence error."""
+    window, in odometer order (the last coordinate fastest), and then five
+    dominant exterior points are evaluated by mlat_finite_summand under one
+    memo; an exterior summand that does not vanish is a NoConvergence error."""
     upper, lower = mlat_finite_window(lam, n, delta)
-    points = math.prod(max(hi - lo + 1, 0) for lo, hi in zip(lower, upper))
+    ranges = [range(lo, hi + 1) for lo, hi in zip(lower, upper)]
+    points = math.prod(map(len, ranges))
     if points > MAX_LATTICE_TERMS:
         raise NoConvergence(f"multilateral finite window: {points} points "
                             f"exceed the lattice budget {MAX_LATTICE_TERMS}")
@@ -974,7 +893,7 @@ def verify_multilateral_finite(lam, n, x, s, a, q, delta, tol):
         / poch_partition_multi([big * x, big / (a * x)], q, 0.0, q, lam)
     memo = {}
     total = sum((mlat_finite_summand(mu, lam, n, delta, q, s, a, x, memo)
-                 for mu in lattice_window(upper, lower)), 0.0 + 0j)
+                 for mu in itertools.product(*ranges)), 0.0 + 0j)
     rhs = mlat_norm(n, delta, q) * total
     # Out-of-window vanishing check at five dominant exterior lattice points.
     exterior = [tuple(part(lam, 1) + 1 + j for _ in range(n)) for j in range(3)]

@@ -1,4 +1,4 @@
-"""Partition combinatorics and integer-vector lattice windows.
+"""Partition combinatorics and the interlacing integer vectors of W's branching.
 
 Partitions are plain tuples of non-negative integers, stored without trailing
 zeros; every operation treats missing parts as 0, so equality of normalized
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import EmptyWindow, NotAPartition
+from .errors import NotAPartition
 
 
 def normalize(lam) -> tuple:
@@ -81,21 +81,6 @@ def subpartitions(lam):
         if all(mu[i] >= mu[i + 1] for i in range(len(mu) - 1)):
             out.add(normalize(mu))
     return sorted(out, key=_enumeration_key)
-
-
-def lattice_window(upper, lower):
-    """Iterate all integer vectors mu with lower_i <= mu_i <= upper_i.
-
-    Odometer order: the last coordinate varies fastest.  Raises EmptyWindow
-    when some lower bound exceeds its upper bound.
-    """
-    upper, lower = tuple(upper), tuple(lower)
-    if len(upper) != len(lower):
-        raise EmptyWindow("bound vectors differ in length")
-    for lo, hi in zip(lower, upper):
-        if lo > hi:
-            raise EmptyWindow(f"lower bound {lo} exceeds upper bound {hi}")
-    return itertools.product(*(range(lo, hi + 1) for lo, hi in zip(lower, upper)))
 
 
 def interlacing_vectors(lam):

@@ -1,5 +1,6 @@
-"""Scalar q-arithmetic: integer-order and infinite Pochhammer symbols, theta
-functions, elliptic Pochhammer symbols, and paired Pochhammer quotients.
+"""Scalar q-arithmetic: integer-order and infinite Pochhammer symbols (also
+split: poch_inf_split), theta functions, elliptic Pochhammer symbols, and
+paired Pochhammer quotients (also tabulated: PairRatioTable).
 
 All functions are deterministic functions of their arguments, truncated by
 the module constants PRODUCT_TOL and MAX_FACTORS, and duck-typed over the
@@ -20,7 +21,7 @@ exact zero by its truth value (not r), not by comparing it with a Python 0.
 
 Besides the constant 1s that units keeps per number type, the one state is
 THETA_MEMO: while ``identities.run_case`` evaluates,
-theta(x;p) at p != 0, identities' split infinite products ("split" keys) and
+theta(x;p) at p != 0, the split infinite products ("split" keys) and
 Euler's tail coefficients ("euler" keys) are computed once per argument and
 read back.  A memo value is the kernel's value bit for bit, so the memo
 changes no result, and both sides of an identity may share it: they call
@@ -53,6 +54,10 @@ PRODUCT_TOL = 1e-17
 #: Cap on an infinite product's factors and on its Euler series' terms;
 #: reaching it raises NoConvergence.
 MAX_FACTORS = 10_000
+
+#: Below this modulus a factor 1 - a q^k of poch_inf_split counts as a
+#: structural zero.
+STRUCT_ZERO_TOL = 1e-10
 
 #: Messages of pair_poch_ratio's vanishing-factor errors.
 PAIR_DENOMINATOR_VANISHES = "pair_poch_ratio: denominator vanishes"
@@ -182,6 +187,38 @@ def poch_inf(a, q):
     raise NoConvergence("poch_inf: max_factors reached before tail threshold")
 
 
+def poch_inf_split(a, q):
+    """(zeros, value): (a;q)_inf with its structural-zero factors (|1 - a q^k|
+    < STRUCT_ZERO_TOL) counted apart from the product of the rest, memoized
+    as theta is plus a "split" tag.  A zero has |a q^k| near 1 >
+    tail_radius(q), so it lies before the Euler tail."""
+    memo = THETA_MEMO.get({})
+    key = ("split", a, q, type(a), type(q))
+    v = memo.get(key)
+    if v is None:
+        v = memo[key] = _poch_inf_split_product(a, q)
+    return v
+
+
+def _poch_inf_split_product(a, q):
+    if abs(q) >= 1:
+        raise DomainError("poch_inf requires |q| < 1")
+    rho = tail_radius(q)
+    zeros = 0
+    one, r = units(q)
+    x = a
+    for _ in range(MAX_FACTORS):
+        if abs(x) <= rho:
+            return zeros, r * poch_inf_tail(x, q)
+        f = one - x
+        if abs(f) < STRUCT_ZERO_TOL:
+            zeros += 1
+        else:
+            r = r * f
+        x = x * q
+    raise NoConvergence("factored infinite product: max_factors reached")
+
+
 def poch_multi_inf(avals, q):
     """Product of poch_inf over a list of parameters."""
     r = units(q)[1]
@@ -251,3 +288,43 @@ def pair_poch_ratio(anum, aden, q, m: int):
             raise DivisionByVanishingFactor(PAIR_RECIPROCAL_VANISHES)
         r = r * (one - aden * qk) / fn
     return r
+
+
+class PairRatioTable:
+    """g(m) = c^m prod_pairs (anum;q)_m / (aden;q)_m, tabulated outward from
+    g(0) = 1 by its term ratio (Gasper-Rahman, sec. 1.2):
+        g(m+1) = g(m) c prod (1 - anum q^m) / (1 - aden q^m)          (m >= 0),
+        g(m-1) = g(m) / c prod (1 - aden q^{m-1}) / (1 - anum q^{m-1})  (m <= 0).
+
+    The factors and their vanishing tests are those of pair_poch_ratio, and
+    so are the errors: growth that meets a vanishing factor to divide by
+    raises pair_poch_ratio's DivisionByVanishingFactor there, upper side first
+    (a g(m) from there outward would raise it)."""
+
+    def __init__(self, c, pairs, q):
+        self.c, self.pairs, self.q = c, pairs, q
+        self.one, start = units(q)
+        self.up, self.down = [start], []  # g(0), g(1), ... and g(-1), g(-2), ...
+
+    def grow(self, m):
+        """Tabulate g on [-m, m] and return the table: g(k) at index m - k."""
+        q, c, one, up, down = self.q, self.c, self.one, self.up, self.down
+        while len(up) <= m:
+            qk = q ** (len(up) - 1)
+            g = up[-1] * c
+            for anum, aden in self.pairs:
+                fd = one - aden * qk
+                if abs(fd) < VANISH_TOL:
+                    raise DivisionByVanishingFactor(PAIR_DENOMINATOR_VANISHES)
+                g = g * (one - anum * qk) / fd
+            up.append(g)
+        while len(down) < m:
+            qk = q ** (-len(down) - 1)
+            g = (down[-1] if down else up[0]) / c
+            for anum, aden in self.pairs:
+                fn = one - anum * qk
+                if abs(fn) < VANISH_TOL:
+                    raise DivisionByVanishingFactor(PAIR_RECIPROCAL_VANISHES)
+                g = g * (one - aden * qk) / fn
+            down.append(g)
+        return up[m::-1] + down[:m]

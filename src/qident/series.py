@@ -55,9 +55,6 @@ from .qcore import VANISH_TOL, units
 #: Relative bound on the dropped tail of each side of a bilateral sum.
 TAIL_TOL = 1e-15
 
-#: Relative shell threshold of the multilateral 3psi3 lattice sum.
-SERIES_TOL = 1e-13
-
 #: Cap on the terms of a sum; exceeding it raises NoConvergence.
 MAX_TERMS = 1_000
 

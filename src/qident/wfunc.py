@@ -51,10 +51,10 @@ did not key a specialization), they give a numerical zero of the expression
 or a PoleCancellationError, never a silent 0/0 read as 1.
 
 Zero tails: the branching sum of zw_multi takes, for each interlacing nu, the
-tail W_nu(x_2..x_n) first (memoized when a memo is given) and builds the skew
-factor's ledger only when that tail is nonzero.  A skew factor whose tail is
-exactly 0 is never evaluated, so a pole (or another arithmetic error, or a
-non-finite value) in that skew factor alone raises nothing.
+tail W_nu(x_2..x_n) first (memoized) and builds the skew factor's ledger
+only when that tail is nonzero.  A skew factor whose tail is exactly 0 is
+never evaluated, so a pole (or another arithmetic error, or a non-finite
+value) in that skew factor alone raises nothing.
 """
 
 from __future__ import annotations
@@ -70,9 +70,10 @@ from .qcore import epoch, theta, units
 POLE_TOL = 1e-10
 
 #: Radix of the monomial keys (see "Keyed ledgers" in the module docstring),
-#: and the generator keys of plain input: t, a, b and the variables.
+#: the generator keys of plain input: t, a, b and the variables, and those of
+#: identities' s and aprime.
 KEY_RADIX = 1 << 32
-T_KEY, A_KEY, B_KEY, X_KEY = (KEY_RADIX**g for g in range(1, 5))
+T_KEY, A_KEY, B_KEY, X_KEY, S_KEY, APRIME_KEY = (KEY_RADIX**g for g in range(1, 7))
 
 
 @dataclass(frozen=True)
@@ -318,17 +319,18 @@ def zw_multi(xvars, lam, params: WParams, memo=None):
     0; only then is the skew factor W_{lam/nu} evaluated, and skipped when
     it is exactly 0 (see "Zero tails" in the module docstring).
 
-    A memo dict (keyed by variables and index) may be shared across calls
-    with the same params, e.g. across the subpartitions of one identity
-    evaluation.
+    Values are memoized by variables and index, in a fresh dict unless a
+    memo is given; a given memo may be shared across calls with the same
+    params, e.g. across the subpartitions of one identity evaluation.
     """
     xvars = tuple(xvars)
     lam = tuple(lam)
     n = len(xvars)
-    if memo is not None:
-        key = (xvars, lam)
-        if key in memo:
-            return memo[key]
+    if memo is None:
+        memo = {}
+    key = (xvars, lam)
+    if key in memo:
+        return memo[key]
     if n == 1:
         total = zw_skew_single(xvars[0], lam, (), params)
     else:
@@ -349,8 +351,7 @@ def zw_multi(xvars, lam, params: WParams, memo=None):
             if not w1:
                 continue
             total += w1 * w2
-    if memo is not None:
-        memo[key] = total
+    memo[key] = total
     return total
 
 

@@ -289,6 +289,8 @@ def test_load_configs_forms(tmp_path):
                  "expected scalar, got True", id="scalar-boolean"),
     pytest.param([{"case_id": "bailey6psi6", "params": {"b": {"qpow": 1.5}}}],
                  "qpow tag must hold an integer", id="qpow-float"),
+    pytest.param([{"case_id": "bailey6psi6", "params": {"b": {"qpow": True}}}],
+                 "qpow tag must hold an integer", id="qpow-boolean"),
     pytest.param([{"case_id": "c1macdonald", "params": {"x": "x"}}],
                  "cannot interpret scalar value 'x'", id="scalar-string"),
     pytest.param([{"case_id": "c1macdonald", "params": {"x": [1, 2, 3]}}],

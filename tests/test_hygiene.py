@@ -8,9 +8,10 @@ identities.error_report builds a report or sets its verdict, no module
 of the package uses mpmath's process-global precision, no function of
 the package takes a parameter that it never reads, no default of a
 function of the package is one that every call keeps, no comparison of
-the package against VANISH_TOL does anything but guard a raise, and no
+the package against VANISH_TOL does anything but guard a raise, no
 module of the package imports threading, concurrent.futures or
-multiprocessing."""
+multiprocessing, identities imports none of qcore's loop thresholds and
+tail pieces, and the package exports every error class of errors.py."""
 
 import ast
 from pathlib import Path
@@ -42,6 +43,12 @@ PRECISION_SCOPES = {"workdps", "workprec", "extradps", "extraprec"}
 
 #: The parameters every verifier takes because run_case passes them to all.
 VERIFIER_PARAMETERS = {"tol"}
+
+#: The one UPPER_CASE name of qcore that identities may import: the memo that
+#: run_case sets.
+KERNEL_STATE = {"THETA_MEMO"}
+#: The pieces of qcore's infinite-product loops besides its constants.
+KERNEL_LOOP_PARTS = {"tail_radius", "poch_inf_tail"}
 
 #: Statements that define a function or a class.
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -606,3 +613,54 @@ def test_concurrency_import_scan_finds_and_skips():
 @pytest.mark.parametrize("path", SRC, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_concurrency_imports(path):
     assert concurrency_imports(path.read_text(encoding="utf-8")) == []
+
+
+def kernel_internals(text):
+    """(line, name) of each name that the module source text imports from
+    qcore (as .qcore or qident.qcore) and that is UPPER_CASE but not in
+    KERNEL_STATE, or is in KERNEL_LOOP_PARTS.  A kernel loop's thresholds,
+    caps and messages are read only in qcore, beside the loop: a module that
+    needs such a loop calls qcore for it (poch_inf_split, PairRatioTable)."""
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.ImportFrom) \
+                and (node.level, node.module) in ((1, "qcore"), (0, "qident.qcore")):
+            found += [(a.lineno, a.name) for a in node.names
+                      if a.name in KERNEL_LOOP_PARTS
+                      or a.name.isupper() and a.name not in KERNEL_STATE]
+    return sorted(found)
+
+
+def test_kernel_internal_scan_finds_and_skips():
+    text = ("from .qcore import (\n"
+            "    MAX_FACTORS,\n"
+            "    THETA_MEMO,\n"
+            "    PairRatioTable,\n"
+            "    tail_radius,\n"
+            "    theta,\n"
+            ")\n"
+            "from qident.qcore import VANISH_TOL as tol, poch_inf_tail\n"
+            "from .series import TAIL_TOL\n"
+            "from .wfunc import KEY_RADIX\n"
+            "from ..qcore import PRODUCT_TOL\n"
+            "def f():\n"
+            "    from .qcore import PAIR_DENOMINATOR_VANISHES\n")
+    assert kernel_internals(text) == [(2, "MAX_FACTORS"), (5, "tail_radius"),
+                                      (8, "VANISH_TOL"), (8, "poch_inf_tail"),
+                                      (13, "PAIR_DENOMINATOR_VANISHES")]
+
+
+def test_identities_imports_no_kernel_internals():
+    path = ROOT / "src" / "qident" / "identities.py"
+    assert kernel_internals(path.read_text(encoding="utf-8")) == []
+
+
+def test_every_error_class_is_exported():
+    # A caller catches, by the package's own name, each error that a report
+    # names or an exported function raises.
+    import qident
+    from qident import errors
+
+    classes = {name for name, v in vars(errors).items()
+               if isinstance(v, type) and issubclass(v, errors.QidentError)}
+    assert classes - set(qident.__all__) == set()

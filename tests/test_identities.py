@@ -36,10 +36,10 @@ from qident.identities import (
     verify_summand_invariance,
     vwp_jackson_term,
 )
-from qident.partitions import lattice_window
+from qident.identities import SERIES_TOL
 from qident.policy import QPower, scalar_value
 from qident.qcore import PRODUCT_TOL, poch_int
-from qident.series import SERIES_TOL, WINDOW_STEP
+from qident.series import WINDOW_STEP
 from qident.wfunc import WParams, zw_multi
 
 from conftest import rel
@@ -1021,7 +1021,7 @@ def test_multilateral_finite_shared_memo_is_bit_identical():
         args = (p["n"], p["delta"], p["q"], p["s"], p["a"], p["x"])
         upper, lower = identities.mlat_finite_window(p["lam"], p["n"], p["delta"])
         total = 0.0 + 0j
-        for mu in lattice_window(upper, lower):
+        for mu in itertools.product(*map(range, lower, (hi + 1 for hi in upper))):
             total += mlat_finite_summand(mu, p["lam"], *args)
         assert repr(mlat_norm(p["n"], p["delta"], p["q"]) * total) == repr(rep.rhs)
 
@@ -1055,7 +1055,7 @@ def test_multilateral_finite_tabulates_once_per_sum(monkeypatch):
         assert run_case("multilateralfinite", p).status == "pass"
         assert calls["principal"] == 1
         upper, lower = identities.mlat_finite_window(p["lam"], p["n"], p["delta"])
-        assert calls["summand"] == len(list(lattice_window(upper, lower))) + 5
+        assert calls["summand"] == math.prod(hi - lo + 1 for lo, hi in zip(lower, upper)) + 5
         assert len(calls["pairs"]) == len(set(calls["pairs"])) > 0
 
 
@@ -1191,9 +1191,8 @@ def _mlat_pointwise(n, delta, q, s, a, x):
     each dominant point's summand is (1.0+0j) g_1(mu_1) ... g_n(mu_n) from the
     same tables, skipped when 0, times the Delta^2 factors over i < j (j
     outermost), added in _shell_points order."""
-    factors = [identities._CoordinateFactor(s * q ** (1 - n + 2 * (i - 1)),
-                                            identities._mlat_pairs(i, n, delta, q, s, a, x),
-                                            q)
+    factors = [qcore.PairRatioTable(s * q ** (1 - n + 2 * (i - 1)),
+                                    identities._mlat_pairs(i, n, delta, q, s, a, x), q)
                for i in range(1, n + 1)]
     cross = [(i - 1, j - 1, identities._DeltaSquare(q, j - i),
               identities._DeltaSquare(q, delta + 2 * n - i - j))
@@ -1355,13 +1354,13 @@ def test_summand_invariance_split_products_once_per_evaluation(monkeypatch):
     # Outside run_case (the verifier called directly) every call computes
     # afresh.
     calls = []
-    original = identities._poch_inf_split_product
+    original = qcore._poch_inf_split_product
 
     def counting(a, q):
         calls.append(a)
         return original(a, q)
 
-    monkeypatch.setattr(identities, "_poch_inf_split_product", counting)
+    monkeypatch.setattr(qcore, "_poch_inf_split_product", counting)
     params = dict(_INVARIANCE, n=4, delta=0, k=2, sign=1)
     fresh = verify_summand_invariance(**params, tol=1e-9)
     assert len(calls) == 56
@@ -1378,7 +1377,7 @@ def _split_multiplied_out(a, q):
     zeros, r, x = 0, 1.0 + 0j, a
     while abs(x) >= PRODUCT_TOL:
         f = 1 - x
-        if abs(f) < identities.STRUCT_ZERO_TOL:
+        if abs(f) < qcore.STRUCT_ZERO_TOL:
             zeros += 1
         else:
             r = r * f
@@ -1389,7 +1388,7 @@ def _split_multiplied_out(a, q):
 def test_split_product_zero_counts_unchanged_by_the_euler_tail(monkeypatch):
     # Every split product of summandinvariance seeds 0-59 counts the zeros
     # that the multiplied-out product counts, and its regular value agrees.
-    original = identities._poch_inf_split_product
+    original = qcore._poch_inf_split_product
     counted = []
 
     def checked(a, q):
@@ -1399,7 +1398,7 @@ def test_split_product_zero_counts_unchanged_by_the_euler_tail(monkeypatch):
         counted.append(zeros)
         return zeros, value
 
-    monkeypatch.setattr(identities, "_poch_inf_split_product", checked)
+    monkeypatch.setattr(qcore, "_poch_inf_split_product", checked)
     for seed in range(60):
         assert run_case("summandinvariance",
                         sample_params("summandinvariance", seed)).status == "pass"

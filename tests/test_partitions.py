@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qident.errors import EmptyWindow, NotAPartition
+from qident.errors import NotAPartition
 from qident.partitions import (
     check_partition,
     horizontal_strip_predecessors,
     is_horizontal_strip,
-    lattice_window,
     nstat,
     normalize,
     parse_partition,
@@ -136,27 +135,6 @@ def test_subpartition_count_matches_box_filter_exhaustive():
             if contains(lam, mu)
         }
         assert set(subs) == brute
-
-
-# ---------------------------------------------------------------------------
-# lattice windows
-# ---------------------------------------------------------------------------
-
-def test_lattice_window_examples():
-    assert list(lattice_window((0,), (0,))) == [(0,)]
-    assert list(lattice_window((1, 0), (0, 0))) == [(0, 0), (1, 0)]
-    assert len(list(lattice_window((1, 1), (-1, -1)))) == 9
-
-
-def test_lattice_window_empty():
-    with pytest.raises(EmptyWindow):
-        list(lattice_window((0, 0), (0, 1)))
-
-
-def test_lattice_window_odometer_order():
-    grid = list(lattice_window((1, 1), (0, 0)))
-    # last coordinate varies fastest
-    assert grid == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 # ---------------------------------------------------------------------------
