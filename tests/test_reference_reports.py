@@ -17,7 +17,14 @@ complex arithmetic, and the reports then print signed zeros (-0.0) that the
 complex draws never reach: a kernel change that turns a float into a
 complex, or the reverse, can flip such a sign, and these files catch it.
 
-A change that moves report values on purpose regenerates every file with
+The draw digests (draws_seed0_199.json) pin the samplers beyond the seeds
+the reports reach: one sha256 per case of the newline-joined
+repr(sample_params(case, seed)) for seeds 0 to 199.  A sampler change that
+keeps every draw leaves them matching; one that moves a draw fails here and
+the test names the case.
+
+A change that moves report values or draws on purpose regenerates every file
+with
 
     python3 tests/test_reference_reports.py
 
@@ -25,6 +32,7 @@ and lists the moved runs in CHANGES.md.  A change that means to keep every
 value (a speed-up) regenerates nothing.
 """
 
+import hashlib
 import importlib.util
 import json
 import platform
@@ -49,6 +57,9 @@ REPORTS = (("full_suite_double_seed0_samples5.json", "double", 5, False),
            ("full_suite_high_seed0_samples3.json", "high", 3, False),
            ("full_suite_double_seed0_samples5_real.json", "double", 5, True),
            ("full_suite_high_seed0_samples3_real.json", "high", 3, True))
+
+DRAWS = "draws_seed0_199.json"
+DRAW_SEEDS = range(200)
 
 
 def real_part(v):
@@ -102,7 +113,26 @@ def test_reports_match_the_committed_reference(name, precision, samples, real):
                 f"tests/test_reference_reports.py`:\n" + "\n".join(lines))
 
 
+def draw_digests():
+    """Per registry case, the sha256 of its draws at DRAW_SEEDS: each draw's
+    repr, joined by newlines."""
+    return {cid: hashlib.sha256("\n".join(repr(sample_params(cid, seed))
+                                          for seed in DRAW_SEEDS).encode()).hexdigest()
+            for cid in suite.CASES}
+
+
+def test_draws_match_the_committed_digests():
+    base = json.loads((REFERENCE / DRAWS).read_text(encoding="utf-8"))
+    digests = draw_digests()
+    moved = [cid for cid in {**base, **digests} if base.get(cid) != digests.get(cid)]
+    assert not moved, (f"the draws of {', '.join(moved)} differ from tests/reference/"
+                       f"{DRAWS}; a change that moves draws on purpose regenerates it "
+                       f"with `python3 tests/test_reference_reports.py`")
+
+
 if __name__ == "__main__":
     for name, precision, samples, real in REPORTS:
         suite.cli.write_text(str(REFERENCE / name), report_text(precision, samples, real))
         print(f"wrote tests/reference/{name}")
+    suite.cli.write_text(str(REFERENCE / DRAWS), json.dumps(draw_digests(), indent=1) + "\n")
+    print(f"wrote tests/reference/{DRAWS}")
