@@ -51,7 +51,7 @@ from .qcore import (
     theta,
     units,
 )
-from .series import WINDOW_STEP, SeriesSpec, eval_psi, eval_phi
+from .series import SeriesSpec, eval_psi, eval_phi
 from .wfunc import (
     A_KEY,
     APRIME_KEY,
@@ -82,6 +82,9 @@ MAX_LATTICE_TERMS = 200_000
 
 #: Relative shell threshold of the multilateral 3psi3 lattice sum.
 SERIES_TOL = 1e-13
+
+#: Shell step of the multilateral 3psi3 lattice sum: m in [-m, m]^n grows by it.
+SHELL_STEP = 4
 
 
 @dataclass
@@ -585,7 +588,7 @@ def _mlat_3psi3_sum(n, delta, q, s, a, x):
     total = 0.0 + 0j
     nterms = 0
     covered = -1
-    m = WINDOW_STEP
+    m = SHELL_STEP
     below = 0
     while True:
         tables = [f.grow(m) for f in factors]  # g_i(k) at index m - k
@@ -629,7 +632,7 @@ def _mlat_3psi3_sum(n, delta, q, s, a, x):
         else:
             below = 0
         covered = m
-        m += WINDOW_STEP
+        m += SHELL_STEP
         if m > 200:
             raise NoConvergence("multilateral sum: window cap reached")
 
@@ -945,11 +948,15 @@ def _away(bases, q, kmax=12):
     return True
 
 
-def _retry(draw, ok):
+def _retry(draw):
+    """The first admissible draw of a rejection sampler.  draw() is the one
+    callable: it makes one draw from the sampler's stream and returns the
+    parameter dict when the draw is admissible, None when it is not.
+    DomainError after SAMPLE_TRIES draws."""
     for _ in range(SAMPLE_TRIES):
-        cand = draw()
-        if ok(cand):
-            return cand
+        params = draw()
+        if params is not None:
+            return params
     raise DomainError("rejection sampling failed to find admissible parameters")
 
 
@@ -962,65 +969,53 @@ def _random_partition(rng, max_len, max_part):
 def _sample_jackson(rng):
     q = _mod(rng, 0.1, 0.6)
     n = rng.randint(0, 6)
+    qn = q ** (n + 1)
 
     def draw():
-        return dict(a=_cscalar(rng), b=_cscalar(rng), c=_cscalar(rng),
-                    d=_cscalar(rng), n=n, q=q)
-
-    def ok(p):
-        a, b, c, d = p["a"], p["b"], p["c"], p["d"]
-        e = q ** (1 + n) * a * a / (b * c * d)
-        bases = [a * q / b, a * q / c, a * q / d, a * q / e, a * q ** (n + 1),
+        a, b, c, d = (_cscalar(rng) for _ in range(4))
+        e = qn * a * a / (b * c * d)
+        bases = [a * q / b, a * q / c, a * q / d, a * q / e, a * qn,
                  a * q / (b * c * d), q]
         if not _away(bases, q, kmax=n + 2):
-            return False
+            return None
         # conditioning gate: the terminating sum must not be a near-complete
         # cancellation of much larger terms, or double precision cannot reach
         # the target residual on the draw
         terms = [vwp_jackson_term(k, a, b, c, d, n, q) for k in range(n + 1)]
-        return abs(sum(terms)) >= 1e-4 * max(map(abs, terms))
+        if abs(sum(terms)) >= 1e-4 * max(map(abs, terms)):
+            return dict(a=a, b=b, c=c, d=d, n=n, q=q)
 
-    return _retry(draw, ok)
+    return _retry(draw)
 
 
 def _sample_bailey10(rng):
     q = _mod(rng, 0.1, 0.6)
     n = rng.randint(0, 4)
+    qmn, qn = q ** (-n), q ** (n + 1)
 
     def draw():
-        return dict(a=_cscalar(rng), b=_cscalar(rng), c=_cscalar(rng),
-                    d=_cscalar(rng), e=_cscalar(rng), f=_cscalar(rng), n=n, q=q)
-
-    def ok(p):
-        a, b, c, d, e, f = (p[k] for k in "abcdef")
+        a, b, c, d, e, f = (_cscalar(rng) for _ in range(6))
         lam = q * a * a / (b * c * d)
         bases = [a * q / b, a * q / c, a * q / d, a * q / e, a * q / f,
-                 e * f * q ** (-n) / lam, a * q ** (n + 1), lam * q / e,
-                 lam * q / f, lam * q, lam * q / (e * f), e * f * q ** (-n) / a,
-                 lam * q ** (n + 1), a * q / (e * f)]
-        return _away(bases, q, kmax=n + 2)
+                 e * f * qmn / lam, a * qn, lam * q / e, lam * q / f, lam * q,
+                 lam * q / (e * f), e * f * qmn / a, lam * qn, a * q / (e * f)]
+        if _away(bases, q, kmax=n + 2):
+            return dict(a=a, b=b, c=c, d=d, e=e, f=f, n=n, q=q)
 
-    return _retry(draw, ok)
+    return _retry(draw)
 
 
 def _sample_bailey6(rng):
     q = _mod(rng, 0.1, 0.5)
 
     def draw():
-        return dict(a=_cscalar(rng, 0.5, 0.9), b=_cscalar(rng, 0.5, 0.9),
-                    c=_cscalar(rng, 0.5, 0.9), d=_cscalar(rng, 0.5, 0.9),
-                    e=_cscalar(rng, 0.5, 0.9), q=q)
-
-    def ok(p):
-        a, b, c, d, e = (p[k] for k in "abcde")
+        a, b, c, d, e = (_cscalar(rng, 0.5, 0.9) for _ in range(5))
         x = q * a * a / (b * c * d * e)
-        if abs(x) > 0.5:
-            return False
-        bases = [a * q / b, a * q / c, a * q / d, a * q / e, q / b, q / c,
-                 q / d, q / e, x, q / a]
-        return _away(bases, q)
+        if abs(x) <= 0.5 and _away([a * q / b, a * q / c, a * q / d, a * q / e, q / b,
+                                    q / c, q / d, q / e, x, q / a], q):
+            return dict(a=a, b=b, c=c, d=d, e=e, q=q)
 
-    return _retry(draw, ok)
+    return _retry(draw)
 
 
 def _sample_1psi1(rng):
@@ -1030,15 +1025,11 @@ def _sample_1psi1(rng):
         x = _cscalar(rng, 0.3, 0.9)
         a = _cscalar(rng, 0.4, 0.9)
         b = _cscalar(rng, 0.1, 0.8 * abs(x * a))
-        return dict(a=a, b=b, x=x, q=q)
+        if abs(b / a) < 0.9 * abs(x) < abs(x) < 1 and \
+                _away([b, q / a, x, b / (a * x)], q):
+            return dict(a=a, b=b, x=x, q=q)
 
-    def ok(p):
-        a, b, x = p["a"], p["b"], p["x"]
-        if not (abs(b / a) < 0.9 * abs(x) < abs(x) < 1):
-            return False
-        return _away([b, q / a, x, b / (a * x)], q)
-
-    return _retry(draw, ok)
+    return _retry(draw)
 
 
 def _sample_c1(rng):
@@ -1050,59 +1041,48 @@ def _sample_flipped(rng):
     n = rng.randint(1, 5)
     z = rng.uniform(0.05, 0.45)
     k = rng.randint(0, n)
+    b = q ** (2 * z)
+    qb, qmn, top = q * b, q ** (-n), b * q ** (1 + n)
 
     def draw():
-        p = dict(sigma=_cscalar(rng), rho=_cscalar(rng), gamma=_cscalar(rng),
-                 q=q, n=n, z=z, k=k)
+        sig, rho, gam = (_cscalar(rng) for _ in range(3))
         rng.randint(0, 1)  # discarded: it keeps every later draw of the stream in place
-        return p
+        if _away([qb / sig, qb / rho, qb / gam, sig * rho * gam * qmn / b, top], q,
+                 kmax=n + 2):
+            return dict(sigma=sig, rho=rho, gamma=gam, q=q, n=n, z=z, k=k)
 
-    def ok(p):
-        sig, rho, gam = p["sigma"], p["rho"], p["gamma"]
-        b = q ** (2 * z)
-        bases = [q * b / sig, q * b / rho, q * b / gam,
-                 sig * rho * gam * q ** (-n) / b, b * q ** (1 + n)]
-        return _away(bases, q, kmax=n + 2)
-
-    return _retry(draw, ok)
+    return _retry(draw)
 
 
 def _sample_bilfinite(rng):
     q = _mod(rng, 0.1, 0.6)
     n = rng.randint(0, 5)
     delta = rng.randint(0, 1)
+    b = q**delta
+    qb, qmn = q * b, q ** (-n)
 
     def draw():
-        return dict(sigma=_cscalar(rng), rho=_cscalar(rng), gamma=_cscalar(rng),
-                    q=q, n=n, delta=delta)
+        sig, rho, gam = (_cscalar(rng) for _ in range(3))
+        if _away([qb / sig, qb / rho, qb / gam, sig * rho * gam * qmn / b], q,
+                 kmax=n + 2):
+            return dict(sigma=sig, rho=rho, gamma=gam, q=q, n=n, delta=delta)
 
-    def ok(p):
-        sig, rho, gam = p["sigma"], p["rho"], p["gamma"]
-        b = q**delta
-        bases = [q * b / sig, q * b / rho, q * b / gam,
-                 sig * rho * gam * q ** (-n) / b]
-        return _away(bases, q, kmax=n + 2)
-
-    return _retry(draw, ok)
+    return _retry(draw)
 
 
 def _sample_3psi3(delta):
     def sampler(rng):
         q = _mod(rng, 0.1, 0.5)
+        qd = q ** (1 + delta)
 
         def draw():
-            return dict(sigma=_cscalar(rng, 0.5, 0.9), rho=_cscalar(rng, 0.5, 0.9),
-                        gamma=_cscalar(rng, 0.5, 0.9), q=q)
-
-        def ok(p):
-            sig, rho, gam = p["sigma"], p["rho"], p["gamma"]
+            sig, rho, gam = (_cscalar(rng, 0.5, 0.9) for _ in range(3))
             srg = sig * rho * gam
-            if abs(q ** (delta + 1) / srg) > 0.8:
-                return False
-            qd = q ** (1 + delta)
-            return _away([qd / sig, qd / rho, qd / gam, qd / srg], q)
+            if abs(qd / srg) <= 0.8 and \
+                    _away([qd / sig, qd / rho, qd / gam, qd / srg], q):
+                return dict(sigma=sig, rho=rho, gamma=gam, q=q)
 
-        return _retry(draw, ok)
+        return _retry(draw)
 
     return sampler
 
@@ -1113,22 +1093,20 @@ def _sample_multijackson(rng):
     max_part = 2 if n == 3 else 3
     q = _mod(rng, 0.15, 0.5)
     t = _mod(rng, 0.2, 0.7)
+    tn, qt = t**n, q * t ** (n - 1)
 
     def draw():
-        return dict(lam=_random_partition(rng, n, max_part), n=n,
-                    z=tuple(_cscalar(rng, 0.3, 0.9) for _ in range(n)),
-                    q=q, p=p, t=t, a=_cscalar(rng), b=_cscalar(rng),
-                    s=_cscalar(rng))
-
-    def ok(pp):
-        a, b, s = pp["a"], pp["b"], pp["s"]
-        bases = [q * b / (s * t), q * b * t**n * s / a, q * t ** (n - 1),
-                 a / (s * t ** (n + 1)), b / (s * t**n)]
-        for zi in pp["z"]:
+        lam = _random_partition(rng, n, max_part)
+        z = tuple(_cscalar(rng, 0.3, 0.9) for _ in range(n))
+        a, b, s = (_cscalar(rng) for _ in range(3))
+        bases = [q * b / (s * t), q * b * tn * s / a, qt, a / (s * t ** (n + 1)),
+                 b / (s * tn)]
+        for zi in z:
             bases += [q * b * zi, q * b / (a * zi)]
-        return _away(bases, q, kmax=8)
+        if _away(bases, q, kmax=8):
+            return dict(lam=lam, n=n, z=z, q=q, p=p, t=t, a=a, b=b, s=s)
 
-    return _retry(draw, ok)
+    return _retry(draw)
 
 
 def _sample_simplified(rng):
@@ -1137,40 +1115,33 @@ def _sample_simplified(rng):
     max_part = 2 if n == 3 else 3
     q = _mod(rng, 0.15, 0.5)
     t = _mod(rng, 0.2, 0.7)
+    qt = q * t ** (n - 1)
 
     def draw():
-        return dict(lam=_random_partition(rng, n, max_part), n=n,
-                    x=_cscalar(rng, 0.3, 0.9), q=q, p=p, t=t,
-                    a=_cscalar(rng), b=_cscalar(rng), s=_cscalar(rng))
+        lam = _random_partition(rng, n, max_part)
+        x = _cscalar(rng, 0.3, 0.9)
+        a, b, s = (_cscalar(rng) for _ in range(3))
+        if _away([q * b * x, q * b / (a * x), q * b, q * b / a, qt, a * s], q, kmax=8):
+            return dict(lam=lam, n=n, x=x, q=q, p=p, t=t, a=a, b=b, s=s)
 
-    def ok(pp):
-        a, b, s, x = pp["a"], pp["b"], pp["s"], pp["x"]
-        bases = [q * b * x, q * b / (a * x), q * b, q * b / a,
-                 q * t ** (n - 1), a * s]
-        return _away(bases, q, kmax=8)
-
-    return _retry(draw, ok)
+    return _retry(draw)
 
 
 def _sample_duality(rng):
     n = 2
     q = _mod(rng, 0.15, 0.5)
     t = _mod(rng, 0.2, 0.7)
+    t1, t3 = t ** (n - 1), t ** (2 * n - 3)
 
     def draw():
-        return dict(lam=_random_partition(rng, n, 2), nu=_random_partition(rng, n, 2),
-                    n=n, a=_cscalar(rng), aprime=_cscalar(rng), b=_cscalar(rng),
-                    q=q, t=t)
+        lam, nu = _random_partition(rng, n, 2), _random_partition(rng, n, 2)
+        a, ap, b = (_cscalar(rng) for _ in range(3))
+        k = ap * t1 / b
+        h = a * t1 / b
+        if _away([k, h, k * a * t1, h * ap * t1, q * ap * t3, q * a * t3], q, kmax=8):
+            return dict(lam=lam, nu=nu, n=n, a=a, aprime=ap, b=b, q=q, t=t)
 
-    def ok(pp):
-        a, ap, b = pp["a"], pp["aprime"], pp["b"]
-        k = ap * t ** (n - 1) / b
-        h = a * t ** (n - 1) / b
-        bases = [k, h, k * a * t ** (n - 1), h * ap * t ** (n - 1),
-                 q * ap * t ** (2 * n - 3), q * a * t ** (2 * n - 3)]
-        return _away(bases, q, kmax=8)
-
-    return _retry(draw, ok)
+    return _retry(draw)
 
 
 def _sample_flip(rng):
@@ -1180,18 +1151,13 @@ def _sample_flip(rng):
     p = rng.choice([0.0, 0.1])
 
     def draw():
-        return dict(lam=_random_partition(rng, nvar, 3),
-                    xs=tuple(_cscalar(rng, 0.3, 0.9) for _ in range(nvar)),
-                    q=q, p=p, t=t, a=_cscalar(rng), b=_cscalar(rng))
+        lam = _random_partition(rng, nvar, 3)
+        xs = tuple(_cscalar(rng, 0.3, 0.9) for _ in range(nvar))
+        a, b = _cscalar(rng), _cscalar(rng)
+        if _away([u for xi in xs for u in (q * b * xi, q * b / (a * xi))], q, kmax=8):
+            return dict(lam=lam, xs=xs, q=q, p=p, t=t, a=a, b=b)
 
-    def ok(pp):
-        a, b = pp["a"], pp["b"]
-        bases = []
-        for xi in pp["xs"]:
-            bases += [q * b * xi, q * b / (a * xi)]
-        return _away(bases, q, kmax=8)
-
-    return _retry(draw, ok)
+    return _retry(draw)
 
 
 def _sample_weyldegree(rng):
@@ -1200,35 +1166,29 @@ def _sample_weyldegree(rng):
     q = _mod(rng, 0.15, 0.5)
     delta = rng.randint(0, 1)
     mu = _random_partition(rng, n, N)
+    top, bottom = q ** (delta + N + n - 1), q ** (n - N)
 
     def draw():
-        return dict(mu=mu, N=N, n=n, s=_cscalar(rng), delta=delta, q=q)
+        s = _cscalar(rng)
+        if _away([s * top, bottom / s], q, kmax=2 * N + 2 * n + 2):
+            return dict(mu=mu, N=N, n=n, s=s, delta=delta, q=q)
 
-    def ok(pp):
-        s = pp["s"]
-        bases = [s * q ** (delta + N + n - 1), q ** (n - N) / s]
-        return _away(bases, q, kmax=2 * N + 2 * n + 2)
-
-    return _retry(draw, ok)
+    return _retry(draw)
 
 
 def _sample_mlatfinite(rng):
     n = rng.choice([1, 2, 2])
     q = _mod(rng, 0.15, 0.45)
     delta = rng.randint(0, 1)
+    big = q ** (delta + 2 * n - 1)
 
     def draw():
-        return dict(lam=_random_partition(rng, n, 2), n=n,
-                    x=_cscalar(rng, 0.3, 0.9), s=_cscalar(rng),
-                    a=_cscalar(rng), q=q, delta=delta)
+        lam = _random_partition(rng, n, 2)
+        x, s, a = _cscalar(rng, 0.3, 0.9), _cscalar(rng), _cscalar(rng)
+        if _away([a * s, big * x, big / (a * x), a * s * x, s / x], q, kmax=12):
+            return dict(lam=lam, n=n, x=x, s=s, a=a, q=q, delta=delta)
 
-    def ok(pp):
-        s, a, x = pp["s"], pp["a"], pp["x"]
-        big = q ** (delta + 2 * n - 1)
-        bases = [a * s, big * x, big / (a * x), a * s * x, s / x]
-        return _away(bases, q, kmax=12)
-
-    return _retry(draw, ok)
+    return _retry(draw)
 
 
 def _sample_mlat3psi3(rng):
@@ -1236,19 +1196,14 @@ def _sample_mlat3psi3(rng):
     q = _mod(rng, 0.25, 0.45)
     delta = rng.randint(0, 1)
     smax = 0.8 if n == 1 else 0.5 * q ** (n - 1)
+    big = q ** (delta + 2 * n - 1)
 
     def draw():
-        return dict(n=n, delta=delta, x=_cscalar(rng, 0.3, 0.9),
-                    s=_cscalar(rng, 0.1 * smax, smax),
-                    a=_cscalar(rng), q=q)
+        x, s, a = _cscalar(rng, 0.3, 0.9), _cscalar(rng, 0.1 * smax, smax), _cscalar(rng)
+        if _away([a * s, big * x, big / (a * x)], q, kmax=12):
+            return dict(n=n, delta=delta, x=x, s=s, a=a, q=q)
 
-    def ok(pp):
-        s, a, x = pp["s"], pp["a"], pp["x"]
-        big = q ** (delta + 2 * n - 1)
-        bases = [a * s, big * x, big / (a * x)]
-        return _away(bases, q, kmax=12)
-
-    return _retry(draw, ok)
+    return _retry(draw)
 
 
 def _sample_invariance(rng):
@@ -1396,7 +1351,9 @@ def sample_params(case_id: str, seed: int) -> dict:
 
 
 def _check_int(case_id, name, kind, v):
-    """DomainError unless the integer v lies in the domain of its kind."""
+    """DomainError unless v is an int (not a bool) in the domain of its kind."""
+    if type(v) is not int:
+        raise DomainError(f"{case_id} requires {name} to be an integer, got {v!r}")
     domain = INT_KINDS[kind]
     if isinstance(domain, tuple):
         if v not in domain:
@@ -1408,12 +1365,12 @@ def _check_int(case_id, name, kind, v):
 
 def _check_scalar(case_id, name, v, tagged=False):
     """DomainError unless v is a finite number (mpmath numbers included) or,
-    when tagged, a QPower tag: a string, NaN, an infinity, or a tag where the
-    verifier resolves none, reaches no verifier.  For a number, v - v is
-    exactly 0 when v is finite and NaN otherwise; for a string or a tag it
-    raises TypeError."""
+    when tagged, a QPower tag: a string, a bool, NaN, an infinity, or a tag
+    where the verifier resolves none, reaches no verifier.  For a number,
+    v - v is exactly 0 when v is finite and NaN otherwise; for a string or a
+    tag it raises TypeError."""
     try:
-        if v - v == 0:
+        if v - v == 0 and not isinstance(v, bool):
             return
     except TypeError:
         if tagged and isinstance(v, QPower):

@@ -22,8 +22,12 @@ def normalize(lam) -> tuple:
 
 
 def check_partition(lam) -> tuple:
-    """Normalize lam, raising NotAPartition unless it is weakly decreasing
-    and non-negative."""
+    """Normalize lam, raising NotAPartition unless its parts are ints (not
+    bools) and it is weakly decreasing and non-negative."""
+    lam = tuple(lam)
+    for x in lam:
+        if type(x) is not int:
+            raise NotAPartition(f"{lam} has a part that is not an integer: {x!r}")
     lam = normalize(lam)
     for i in range(len(lam) - 1):
         if lam[i] < lam[i + 1]:

@@ -121,20 +121,19 @@ def theta_quotient(num, den, q, p):
     the denominator runs den, settled by monomial key.
 
     A run (base, key, lo, hi) stands for the arguments base * q**k of key
-    key + k, k in range(lo, hi), or (lo None) for the single argument base
-    of key key.  Key-0 arguments (value 1, theta 0) cancel only among
-    themselves, so their net count decides first: more in the denominator
-    raises PoleCancellationError, more in the numerator gives exact 0; no
-    run is expanded before that.  Otherwise the denominator arguments are
-    counted per key, and each numerator argument, in order, cancels while
-    its key's count is positive.  The denominator arguments cancelled are
-    the first used[key] of each key, so the survivors and their order are
-    those of cancelling the lowest-index unused argument each time.  Only
-    the survivors get values, for theta_product, in ledger order."""
+    key + k, k in range(lo, hi).  Key-0 arguments (value 1, theta 0) cancel
+    only among themselves, so their net count decides first: more in the
+    denominator raises PoleCancellationError, more in the numerator gives
+    exact 0; no run is expanded before that.  Otherwise the denominator
+    arguments are counted per key, and each numerator argument, in order,
+    cancels while its key's count is positive.  The denominator arguments
+    cancelled are the first used[key] of each key, so the survivors and their
+    order are those of cancelling the lowest-index unused argument each time.
+    Only the survivors get values, for theta_product, in ledger order."""
     order = 0
     for runs, step in ((num, 1), (den, -1)):
         for _, key, lo, hi in runs:
-            if (key == 0) if lo is None else (lo <= -key < hi):
+            if lo <= -key < hi:
                 order += step
     if order < 0:
         raise PoleCancellationError("uncancelled denominator theta vanishes")
@@ -143,28 +142,28 @@ def theta_quotient(num, den, q, p):
     dargs = []  # the denominator arguments (key, base, k), in ledger order
     count = {}  # key -> its number of denominator arguments
     for base, key, lo, hi in den:
-        for k in (None,) if lo is None else range(lo, hi):
-            kk = key if k is None else key + k
+        for k in range(lo, hi):
+            kk = key + k
             dargs.append((kk, base, k))
             count[kk] = count.get(kk, 0) + 1
     used = {}  # key -> its number of cancelled denominator arguments
     rest = []
     for base, key, lo, hi in num:
-        for k in (None,) if lo is None else range(lo, hi):
-            kk = key if k is None else key + k
+        for k in range(lo, hi):
+            kk = key + k
             c = count.get(kk)
             if c:
                 count[kk] = c - 1
                 used[kk] = used.get(kk, 0) + 1
             else:
-                rest.append(base if k is None else base * q**k)
+                rest.append(base * q**k)
     den_rest = []
     for kk, base, k in dargs:
         u = used.get(kk)
         if u:  # one of the first used[kk] arguments of its key: cancelled
             used[kk] = u - 1
         else:
-            den_rest.append(base if k is None else base * q**k)
+            den_rest.append(base * q**k)
     return theta_product(rest, den_rest, p)
 
 
@@ -295,9 +294,9 @@ def zw_skew_single(x, lam, mu, params: WParams):
         base_n = b * t ** (1 - 2 * i)
         base_d = b * q * t ** (-2 * i)
         kn = bk + (1 - 2 * i) * tk  # the key of base_n
-        if mi != 0:
-            num.append((base_n * q ** (2 * mi), kn + 2 * mi, None, None))
-            den.append((base_n, kn, None, None))
+        if mi != 0:  # theta(base_n q^{2 mi}) / theta(base_n)
+            num.append((base_n, kn, 2 * mi, 2 * mi + 1))
+            den.append((base_n, kn, 0, 1))
         add_poch(False, base_n, kn, mi + li1)
         add_poch(True, base_d, kn + 1 - tk, mi + li1)
         tpow = tpow * t ** (i * (mi - li1))

@@ -36,10 +36,9 @@ from qident.identities import (
     verify_summand_invariance,
     vwp_jackson_term,
 )
-from qident.identities import SERIES_TOL
+from qident.identities import SERIES_TOL, SHELL_STEP
 from qident.policy import QPower, scalar_value
 from qident.qcore import PRODUCT_TOL, poch_int
-from qident.series import WINDOW_STEP
 from qident.wfunc import WParams, zw_multi
 
 from conftest import rel
@@ -846,6 +845,32 @@ def test_non_partition_parameters_are_error_reports(case_id, change):
     assert r.message.startswith("NotAPartition: ")
 
 
+#: (case, parameter, value of the wrong type, error class of its report)
+_WRONG_TYPES = [
+    ("jackson8phi7", "n", 2.5, "DomainError"),
+    ("multilateral3psi3", "n", 1.0, "DomainError"),
+    ("jackson8phi7", "n", True, "DomainError"),
+    ("bilateralfinite", "delta", True, "DomainError"),
+    ("weyldegree", "N", 1.5, "DomainError"),
+    ("multijackson", "lam", (1.5,), "NotAPartition"),
+    ("weyldegree", "mu", (True,), "NotAPartition"),
+    ("jackson8phi7", "b", True, "DomainError"),
+    ("flip", "xs", (0.5, True), "DomainError"),
+]
+
+
+@pytest.mark.parametrize("case_id, name, value, error", _WRONG_TYPES,
+                         ids=[f"{c}-{n}={v!r}" for c, n, v, _ in _WRONG_TYPES])
+def test_parameters_of_the_wrong_type_are_error_reports(case_id, name, value, error):
+    # An integer kind admits only an int, a partition only int parts, and a
+    # scalar no bool.  Unchecked, n = 2.5 and n = 1.0 escaped run_case as a
+    # TypeError, N = 1.5 was a fail, lam = (1.5,) passed as (1,), and each
+    # bool passed and was reported as true.
+    r = run_case(case_id, {**sample_params(case_id, 0), name: value})
+    assert (r.case_id, r.status) == (case_id, "error")
+    assert r.message.startswith(f"{error}: ")
+
+
 def test_weyl_degree_pole_draw_is_a_pole_cancellation_error():
     # At s = 1 (n = 2, N = 1, delta = 0, mu = (1,), q = 0.3) the recursive W
     # meets a b-pole that cancels only across the branching sum: zw_multi
@@ -1112,7 +1137,7 @@ def _mlat_sweep(n, delta, q, s, a, x):
     others are 0), with the shell tail test, the lattice budget and the window
     cap of _mlat_3psi3_sum."""
     total, nterms, covered, below = 0.0 + 0j, 0, -1, 0
-    m = WINDOW_STEP
+    m = SHELL_STEP
     while True:
         new = 0.0 + 0j
         for mu in itertools.product(range(-m, m + 1), repeat=n):
@@ -1131,7 +1156,7 @@ def _mlat_sweep(n, delta, q, s, a, x):
         else:
             below = 0
         covered = m
-        m += WINDOW_STEP
+        m += SHELL_STEP
         if m > 200:
             raise identities.NoConvergence("multilateral sum: window cap reached")
 
@@ -1198,7 +1223,7 @@ def _mlat_pointwise(n, delta, q, s, a, x):
               identities._DeltaSquare(q, delta + 2 * n - i - j))
              for j in range(2, n + 1) for i in range(1, j)]
     total, nterms, covered, below = 0.0 + 0j, 0, -1, 0
-    m = WINDOW_STEP
+    m = SHELL_STEP
     while True:
         g = [f.grow(m) for f in factors]  # g_i(k) at index m - k
         deltas = [(i, j, dsq.grow(2 * m), ssq.grow(2 * m)) for i, j, dsq, ssq in cross]
@@ -1218,7 +1243,7 @@ def _mlat_pointwise(n, delta, q, s, a, x):
         if below >= 2:
             return total, nterms, (-m, m)
         covered = m
-        m += WINDOW_STEP
+        m += SHELL_STEP
 
 
 @pytest.mark.parametrize("n, s, q", [(1, 0.45 + 0.1j, 0.3), (2, 0.1 - 0.05j, 0.3),

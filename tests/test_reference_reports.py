@@ -134,5 +134,6 @@ if __name__ == "__main__":
     for name, precision, samples, real in REPORTS:
         suite.cli.write_text(str(REFERENCE / name), report_text(precision, samples, real))
         print(f"wrote tests/reference/{name}")
-    suite.cli.write_text(str(REFERENCE / DRAWS), json.dumps(draw_digests(), indent=1) + "\n")
+    suite.cli.write_text(str(REFERENCE / DRAWS),
+                         json.dumps(draw_digests(), indent=1) + "\n")
     print(f"wrote tests/reference/{DRAWS}")

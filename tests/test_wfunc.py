@@ -435,9 +435,7 @@ def test_zw_multi_skips_skew_factors_of_zero_tails(monkeypatch):
 
 def _expand(runs, q):
     """(value, key) of every argument of a ledger's runs, in order."""
-    return [(base, key) if lo is None else (base * q**k, key + k)
-            for base, key, lo, hi in runs
-            for k in ((None,) if lo is None else range(lo, hi))]
+    return [(base * q**k, key + k) for base, key, lo, hi in runs for k in range(lo, hi)]
 
 
 def _theta_quotient_scan(num, den, q, p):
@@ -478,15 +476,14 @@ def _outcome(fn, *args):
 _bases = st.builds(
     lambda lg, phase: 10.0**lg * cmath.exp(1j * phase),
     st.floats(-6, 6), st.floats(0, 2 * math.pi))
-# (pool index, run start or None for a single argument, run length); a
-# pool entry's key is its index shifted by -2, so keys 0 and -k < 0 recur.
-_picks = st.tuples(st.integers(0, 5), st.sampled_from([None, -2, -1, 0, 1]),
+# (pool index, run start, run length); a pool entry's key is its index
+# shifted by -2, so keys 0 and -k < 0 recur.
+_picks = st.tuples(st.integers(0, 5), st.sampled_from([-2, -1, 0, 1]),
                    st.integers(0, 3))
 
 
 def _build(pool, picks):
-    return [(pool[i % len(pool)], i % len(pool) - 2, lo, None if lo is None else lo + m)
-            for i, lo, m in picks]
+    return [(pool[i % len(pool)], i % len(pool) - 2, lo, lo + m) for i, lo, m in picks]
 
 
 @settings(max_examples=100, deadline=None)
@@ -528,23 +525,23 @@ def test_theta_quotient_matches_scan_on_recorded_ledgers(monkeypatch):
 
 def test_theta_quotient_edge_cases_match_scan():
     q, inf, nan = 0.3, math.inf, complex(math.nan, 1.0)
-    one = (1.0, 0, None, None)  # the key-0 argument
+    one = (1.0, 0, 0, 1)  # the key-0 argument
     cases = [
         ([], []),
-        ([(0.4, 5, None, None)], []),
-        ([], [(0.4, 5, None, None)]),
+        ([(0.4, 5, 0, 1)], []),
+        ([], [(0.4, 5, 0, 1)]),
         ([(0.4, 5, 0, 3)], [(0.4, 5, 0, 2)]),  # a run against a shorter one
-        ([(0.4, 5, None, None)] * 3, [(0.4, 5, None, None)] * 2),  # duplicates
-        ([one, (0.4, 5, None, None)], [one]),  # key 0 cancels key 0
+        ([(0.4, 5, 0, 1)] * 3, [(0.4, 5, 0, 1)] * 2),  # duplicates
+        ([one, (0.4, 5, 0, 1)], [one]),  # key 0 cancels key 0
         ([one, one], [one]),  # a net key-0 numerator
-        ([one], [one, (0.4, 5, None, None)] * 2),  # a net key-0 denominator
+        ([one], [one, (0.4, 5, 0, 1)] * 2),  # a net key-0 denominator
         ([(q**-2, -2, 0, 3)], [(q**-1, -1, 1, 2)]),  # a run through key 0
         # equal keys cancel whatever the values, infinite or nan ...
-        ([(inf, 3, None, None), (0.2, 1, None, None)], [(0.2, 1, None, None), (nan, 3, 0, 1)]),
+        ([(inf, 3, 0, 1), (0.2, 1, 0, 1)], [(0.2, 1, 0, 1), (nan, 3, 0, 1)]),
         # ... and distinct keys never do, though the values coincide
-        ([(1.0, 4, None, None), (0.5, 2, None, None)], [(1.0, 7, None, None)]),
-        ([(1.0, 4, None, None)], [(0.5, 7, None, None)]),
-        ([(0.5, 2, None, None)], [(0.5, 3, None, None), (0.5, 2, None, None)]),
+        ([(1.0, 4, 0, 1), (0.5, 2, 0, 1)], [(1.0, 7, 0, 1)]),
+        ([(1.0, 4, 0, 1)], [(0.5, 7, 0, 1)]),
+        ([(0.5, 2, 0, 1)], [(0.5, 3, 0, 1), (0.5, 2, 0, 1)]),
     ]
     for num, den in cases:
         for p in (0.0, 0.1):
@@ -555,17 +552,17 @@ def test_theta_quotient_edge_cases_match_scan():
 def test_theta_quotient_cancellation_and_pole():
     q = 0.3
     # Equal keys cancel; theta(1; 0) = 0 is then harmless ...
-    assert theta_quotient([(0.5, 7, None, None), (1.0, 0, None, None)],
-                          [(1.0, 0, None, None)], q, 0.0) == 0.5
+    assert theta_quotient([(0.5, 7, 0, 1), (1.0, 0, 0, 1)],
+                          [(1.0, 0, 0, 1)], q, 0.0) == 0.5
     # ... but an uncancelled key-0 denominator is a pole, and so is a
     # vanishing denominator theta whose value, not key, meets a numerator's.
     with pytest.raises(PoleCancellationError):
-        theta_quotient([(0.5, 7, None, None)], [(1.0, 0, None, None)], q, 0.0)
+        theta_quotient([(0.5, 7, 0, 1)], [(1.0, 0, 0, 1)], q, 0.0)
     with pytest.raises(PoleCancellationError):
-        theta_quotient([(0.5, 7, None, None), (1.0, 4, None, None)],
-                       [(1.0, 9, None, None)], q, 0.0)
+        theta_quotient([(0.5, 7, 0, 1), (1.0, 4, 0, 1)],
+                       [(1.0, 9, 0, 1)], q, 0.0)
     # A value-1 numerator of nonzero key is a numerical zero, not a key's.
-    assert theta_quotient([(1.0, 4, None, None)], [(0.5, 9, None, None)], q, 0.0) == 0
+    assert theta_quotient([(1.0, 4, 0, 1)], [(0.5, 9, 0, 1)], q, 0.0) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +631,7 @@ def test_keyed_quotient_zero_pole_and_survivors():
     # Equal keys cancel, whatever the float values: the survivors are the
     # numerator's q^-2, q^-1 (key-0 q^0 against the bare denominator 1.0) and
     # the denominator's q^2.
-    assert theta_quotient([(q**-2, -2, 0, 3)], [(1.0, 0, None, None), (q, 1, 1, 2)],
+    assert theta_quotient([(q**-2, -2, 0, 3)], [(1.0, 0, 0, 1), (q, 1, 1, 2)],
                           q, 0.0) == theta_product([q**-2, q**-2 * q], [q * q], 0.0)
 
 
