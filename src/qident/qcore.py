@@ -260,6 +260,20 @@ def epoch(a, q, p, n: int):
     return r
 
 
+def _ratio_steps(g, pairs, q, ks, one, message):
+    """g times (1 - top q^k) / (1 - bot q^k) for each k of ks and then each
+    (top, bot) of pairs, in that order: every paired quotient's factor loop.
+    A divisor below VANISH_TOL in modulus raises DivisionByVanishingFactor."""
+    for k in ks:
+        qk = q**k
+        for top, bot in pairs:
+            fd = one - bot * qk
+            if abs(fd) < VANISH_TOL:
+                raise DivisionByVanishingFactor(message)
+            g = g * (one - top * qk) / fd
+    return g
+
+
 def pair_poch_ratio(anum, aden, q, m: int):
     """Paired-ratio Pochhammer quotient (anum;q)_m / (aden;q)_m.
 
@@ -274,20 +288,10 @@ def pair_poch_ratio(anum, aden, q, m: int):
     """
     one, r = units(q)
     if m > 0:
-        for k in range(m):
-            qk = q**k
-            fd = one - aden * qk
-            if abs(fd) < VANISH_TOL:
-                raise DivisionByVanishingFactor(PAIR_DENOMINATOR_VANISHES)
-            r = r * (one - anum * qk) / fd
-        return r
-    for k in range(m, 0):
-        qk = q**k
-        fn = one - anum * qk
-        if abs(fn) < VANISH_TOL:
-            raise DivisionByVanishingFactor(PAIR_RECIPROCAL_VANISHES)
-        r = r * (one - aden * qk) / fn
-    return r
+        return _ratio_steps(r, ((anum, aden),), q, range(m), one,
+                            PAIR_DENOMINATOR_VANISHES)
+    return _ratio_steps(r, ((aden, anum),), q, range(m, 0), one,
+                        PAIR_RECIPROCAL_VANISHES)
 
 
 class PairRatioTable:
@@ -296,13 +300,14 @@ class PairRatioTable:
         g(m+1) = g(m) c prod (1 - anum q^m) / (1 - aden q^m)          (m >= 0),
         g(m-1) = g(m) / c prod (1 - aden q^{m-1}) / (1 - anum q^{m-1})  (m <= 0).
 
-    The factors and their vanishing tests are those of pair_poch_ratio, and
-    so are the errors: growth that meets a vanishing factor to divide by
-    raises pair_poch_ratio's DivisionByVanishingFactor there, upper side first
-    (a g(m) from there outward would raise it)."""
+    Its steps run pair_poch_ratio's factor loop (lower side: pairs swapped),
+    and so raise its errors: growth that meets a vanishing factor to divide
+    by raises pair_poch_ratio's DivisionByVanishingFactor there, upper side
+    first (a g(m) from there outward would raise it)."""
 
     def __init__(self, c, pairs, q):
         self.c, self.pairs, self.q = c, pairs, q
+        self.swapped = [(aden, anum) for anum, aden in pairs]
         self.one, start = units(q)
         self.up, self.down = [start], []  # g(0), g(1), ... and g(-1), g(-2), ...
 
@@ -310,21 +315,9 @@ class PairRatioTable:
         """Tabulate g on [-m, m] and return the table: g(k) at index m - k."""
         q, c, one, up, down = self.q, self.c, self.one, self.up, self.down
         while len(up) <= m:
-            qk = q ** (len(up) - 1)
-            g = up[-1] * c
-            for anum, aden in self.pairs:
-                fd = one - aden * qk
-                if abs(fd) < VANISH_TOL:
-                    raise DivisionByVanishingFactor(PAIR_DENOMINATOR_VANISHES)
-                g = g * (one - anum * qk) / fd
-            up.append(g)
+            up.append(_ratio_steps(up[-1] * c, self.pairs, q, (len(up) - 1,), one,
+                                   PAIR_DENOMINATOR_VANISHES))
         while len(down) < m:
-            qk = q ** (-len(down) - 1)
-            g = (down[-1] if down else up[0]) / c
-            for anum, aden in self.pairs:
-                fn = one - anum * qk
-                if abs(fn) < VANISH_TOL:
-                    raise DivisionByVanishingFactor(PAIR_RECIPROCAL_VANISHES)
-                g = g * (one - aden * qk) / fn
-            down.append(g)
+            down.append(_ratio_steps((down[-1] if down else up[0]) / c, self.swapped,
+                                     q, (-len(down) - 1,), one, PAIR_RECIPROCAL_VANISHES))
         return up[m::-1] + down[:m]

@@ -63,7 +63,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Tuple
 
 from .errors import DivisionByVanishingFactor, DomainError, PoleCancellationError
-from .partitions import interlacing_vectors, is_horizontal_strip, normalize, part
+from .partitions import check_partition, interlacing_vectors, is_horizontal_strip, part
 from .qcore import epoch, theta, units
 
 #: Residual denominator theta values below this modulus count as poles.
@@ -357,7 +357,7 @@ def zw_multi(xvars, lam, params: WParams, memo=None):
 def zw_multi_reg(xvars, lam, params: WParams, memo=None):
     """zw_multi itself; no code of the package calls it.  The name stays only
     because bench/tracing.py wraps it and tests/test_bench_contract.py pins
-    it; ROADMAP item 8 (the tracer reads counters) deletes it."""
+    it; ROADMAP item 18 (the benchmark change) deletes it."""
     return zw_multi(xvars, lam, params, memo)
 
 
@@ -370,14 +370,15 @@ def _padded(lam, n):
 
 
 def w_skew_single(x, lam, mu, params: WParams):
-    """Single-variable skew W_{lam/mu}(x; q, p, t, a, b) for partitions.
+    """Single-variable skew W_{lam/mu}(x; q, p, t, a, b) for partitions; any
+    other lam or mu raises NotAPartition.
 
     Vanishes structurally (exact 0) unless lam/mu is a horizontal strip.
     Otherwise lam and mu are padded with zeros to lengths n and n - 1,
     n = max(len(lam), len(mu)) + 1, so that the kernel's last H row j = n
     carries the bottom strip row mu_{n-1} - lam_n = mu_{n-1}.
     """
-    lam, mu = normalize(lam), normalize(mu)
+    lam, mu = check_partition(lam), check_partition(mu)
     if not is_horizontal_strip(lam, mu):
         return 0.0 + 0j
     n = max(len(lam), len(mu)) + 1
@@ -385,13 +386,14 @@ def w_skew_single(x, lam, mu, params: WParams):
 
 
 def w_multi(xvars, lam, mu, params: WParams, memo=None):
-    """Multivariable W_lam(x_1..x_n) for a partition lam: lam is padded with
-    zeros to the variable count n and evaluated by zw_multi, which also
-    takes the memo.  W vanishes (exact 0) when lam has more than n parts.
+    """Multivariable W_lam(x_1..x_n) for a partition lam (any other lam or mu
+    raises NotAPartition): lam is padded with zeros to the variable count n
+    and evaluated by zw_multi, which also takes the memo.  W vanishes (exact
+    0) when lam has more than n parts.
 
     mu must be empty: no skew multivariable W is evaluated.
     """
-    lam, mu = normalize(lam), normalize(mu)
+    lam, mu = check_partition(lam), check_partition(mu)
     if mu:
         raise ValueError("w_multi evaluates W_lam only; mu must be empty")
     xvars = tuple(xvars)

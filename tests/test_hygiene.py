@@ -8,7 +8,8 @@ identities.error_report builds a report or sets its verdict, no module
 of the package uses mpmath's process-global precision, no function of
 the package takes a parameter that it never reads, no default of a
 function of the package is one that every call keeps, no comparison of
-the package against VANISH_TOL does anything but guard a raise, no
+the package against VANISH_TOL does anything but guard a raise, only the
+functions of VANISH_TESTERS compare against VANISH_TOL at all, no
 module of the package imports threading, concurrent.futures or
 multiprocessing, identities imports none of qcore's loop thresholds and
 tail pieces, and the package exports every error class of errors.py."""
@@ -49,6 +50,12 @@ VERIFIER_PARAMETERS = {"tol"}
 KERNEL_STATE = {"THETA_MEMO"}
 #: The pieces of qcore's infinite-product loops besides its constants.
 KERNEL_LOOP_PARTS = {"tail_radius", "poch_inf_tail"}
+
+#: The functions of the package that compare a value against VANISH_TOL: one
+#: per factor loop that divides (paired quotients share qcore._ratio_steps),
+#: and the sites that ROADMAP item 13's order count replaces.
+VANISH_TESTERS = {"qcore.poch_int", "qcore._ratio_steps", "series.eval_phi",
+                  "series.eval_psi"}
 
 #: Statements that define a function or a class.
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -534,6 +541,14 @@ def test_no_one_value_knobs():
                            [p.read_text(encoding="utf-8") for p in READERS]) == []
 
 
+def compares_vanish_tol(node):
+    """Whether the node is a comparison with VANISH_TOL (as a name or an
+    attribute) as one of its operands."""
+    return isinstance(node, ast.Compare) and any(
+        getattr(c, "id", getattr(c, "attr", None)) == "VANISH_TOL"
+        for c in [node.left, *node.comparators])
+
+
 def vanishing_stops(text):
     """Line of each comparison against VANISH_TOL (as a name or an attribute)
     in the module source text that is not the whole test of an if statement
@@ -546,9 +561,7 @@ def vanishing_stops(text):
               and not node.orelse and len(node.body) == 1
               and isinstance(node.body[0], ast.Raise)}
     return sorted(node.lineno for node in nodes
-                  if isinstance(node, ast.Compare) and id(node) not in guards
-                  and any(getattr(c, "id", getattr(c, "attr", None)) == "VANISH_TOL"
-                          for c in [node.left, *node.comparators]))
+                  if compares_vanish_tol(node) and id(node) not in guards)
 
 
 def test_vanishing_stop_scan_finds_and_skips():
@@ -574,6 +587,48 @@ def test_vanishing_stop_scan_finds_and_skips():
 @pytest.mark.parametrize("path", SRC, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_vanishing_stops(path):
     assert vanishing_stops(path.read_text(encoding="utf-8")) == []
+
+
+def vanishing_testers(text):
+    """Qualified name (outer.inner, Class.method; "" at module level) of each
+    scope of the module source text that compares against VANISH_TOL (as a
+    name or an attribute) in its own body, not in a nested definition."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, DEFINITIONS):
+            scope = scope + (node.name,)
+        elif compares_vanish_tol(node):
+            found.add(".".join(scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(text), ())
+    return sorted(found)
+
+
+def test_vanishing_tester_scan_finds_and_skips():
+    text = ("small = abs(x) < VANISH_TOL\n"
+            "def f(fd):\n"
+            "    if abs(fd) < VANISH_TOL:\n"
+            "        raise ZeroDivisionError\n"
+            "    def inner(fn):\n"
+            "        return 0 < abs(fn) < qcore.VANISH_TOL\n"
+            "    return inner\n"
+            "class Table:\n"
+            "    def grow(self, fd):\n"
+            "        return fd and VANISH_TOL > abs(fd)\n"
+            "    def shrink(self, fd):\n"
+            "        return abs(fd) < POLE_TOL\n"
+            "def g(VANISH_TOL):\n"
+            "    return VANISH_TOL * 2\n")
+    assert vanishing_testers(text) == ["", "Table.grow", "f", "f.inner"]
+
+
+def test_only_the_listed_functions_compare_against_vanish_tol():
+    found = {f"{path.stem}.{name}" for path in SRC
+             for name in vanishing_testers(path.read_text(encoding="utf-8"))}
+    assert found == VANISH_TESTERS
 
 
 def concurrency_imports(text):

@@ -14,6 +14,7 @@ import qident.wfunc as wfunc
 from qident.errors import (
     DivisionByVanishingFactor,
     DomainError,
+    NotAPartition,
     PoleCancellationError,
     QidentError,
 )
@@ -262,6 +263,18 @@ def test_w_multi_rejects_skew_index():
     wp = WParams(0.3, 0.0, 0.45, 0.8 + 0.1j, 0.6 - 0.2j)
     with pytest.raises(ValueError):
         w_multi((1.2, 0.8), (2, 1), (1,), wp)
+
+
+@pytest.mark.parametrize("lam, mu", [((1.5,), ()), ((True,), ()), ((1, 2), ()),
+                                     ((1, -1), ()), ((1,), (0.5,)), ((1,), (0, 1))])
+def test_w_entry_points_refuse_what_is_not_a_partition(lam, mu):
+    # A part that is not an int is not truncated to one, and a tuple that is
+    # not a partition does not evaluate (to 0, as if off a strip).
+    wp = WParams(0.3, 0.0, 0.4, 0.5, 0.6)
+    with pytest.raises(NotAPartition):
+        w_multi((0.5, 0.7), lam, mu, wp)
+    with pytest.raises(NotAPartition):
+        w_skew_single(0.5, lam, mu, wp)
 
 
 def test_w_multi_shared_memo_is_bit_identical():
