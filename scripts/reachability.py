@@ -4,10 +4,13 @@
 Usage:
   python3 scripts/reachability.py [--seed S] [--samples K] [--high-samples H]
 
-Every registry case runs through `cli.run`, serially, with K samples per case
-(default 200) in double precision and then H samples per case (default 10)
-in high precision, under a line tracer (sys.settrace).  The tracer starts
-before the package is imported, so code that runs at import counts too.
+Every registry case runs through `qident run --config` (`cli.main`, so config
+decoding and the JSON and CSV writers count too), serially, with K samples
+per case (default 200) in double precision and then H samples per case
+(default 10) in high precision, under a line tracer (sys.settrace).  The
+config and the reports go to a temporary directory, and QIDENT_PRECISION is
+set for each mode and restored afterwards.  The tracer starts before the
+package is imported, so code that runs at import counts too.
 
 For each module of the package one row is printed: the number of statements
 inside functions, how many of them never ran, and the first line of each of
@@ -21,7 +24,10 @@ imported from the `src/` of this script's tree, not from an installed copy.
 
 import argparse
 import ast
+import json
+import os
 import sys
+import tempfile
 from pathlib import Path
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -89,18 +95,29 @@ def main(argv=None):
     def trace_calls(frame, event, arg):
         return trace_lines if frame.f_code.co_filename in hits else None
 
+    saved = os.environ.get("QIDENT_PRECISION")
     sys.settrace(trace_calls)
     try:
         from qident import cli
         from qident.identities import CASES
 
-        for precision, samples in (("double", args.samples), ("high", args.high_samples)):
-            if samples > 0:
-                configs = [cli.CaseConfig(case_id=cid, seed=args.seed, samples=samples)
-                           for cid in CASES]
-                cli.run(configs, precision=precision)
+        with tempfile.TemporaryDirectory() as tmp:
+            config, out, csv = (os.path.join(tmp, name)
+                                for name in ("config.json", "report.json", "report.csv"))
+            for precision, samples in (("double", args.samples), ("high", args.high_samples)):
+                if samples > 0:
+                    cli.write_text(config, json.dumps(
+                        [{"case_id": cid, "seed": args.seed, "samples": samples}
+                         for cid in CASES]))
+                    os.environ["QIDENT_PRECISION"] = precision
+                    if cli.main(["run", "--config", config, "--out", out, "--csv", csv]) == 2:
+                        raise SystemExit(f"qident run refused the {precision} config")
     finally:
         sys.settrace(None)
+        if saved is None:
+            os.environ.pop("QIDENT_PRECISION", None)
+        else:
+            os.environ["QIDENT_PRECISION"] = saved
 
     print(f"registry: {args.samples} double and {args.high_samples} high samples "
           f"per case from seed {args.seed}")

@@ -15,8 +15,9 @@ with no other key; each case config is {"case_id": str, "seed": int,
 (>= 0), rank (>= 1), delta (0 or 1) or sign (+1 or -1) -- or scalar, tagged
 (a scalar or an exact q-power tag), partition (at most rank parts) or vector
 (rank scalar entries); a value outside its kind's domain ends as an error
-run.  Complex values are written as [re, im] pairs, partitions as lists
-[3,1] or bracketed strings "[3,1]", exact q-power tags as {"qpow": m}.
+run.  Complex values are written as [re, im] pairs, a partition as a JSON
+list of integers [3,1] or a string holding that JSON text "[3,1]", exact
+q-power tags as {"qpow": m}.
 `run --case` builds a config entry from its options, each --param value
 written as JSON, and validates it as a file entry is validated.
 
@@ -56,7 +57,7 @@ from . import __version__
 from .errors import ConfigError, NotAPartition, QidentError
 from .identities import (CASES, HIGH_DPS, INT_KINDS, IdentityReport, error_report,
                          mp_context, run_case, sample_params)
-from .partitions import parse_partition
+from .partitions import check_partition, parse_partition
 from .policy import QPower
 
 
@@ -91,12 +92,10 @@ def _decode_value(kind, raw):
             raise ConfigError(f"expected integer, got {raw!r}")
         return raw
     if kind == "partition":
-        if isinstance(raw, (list, tuple)):
-            raw = "[" + ",".join(str(x) for x in raw) + "]"
-        if not isinstance(raw, str):
+        if not isinstance(raw, (list, tuple, str)):
             raise ConfigError(f"expected partition, got {raw!r}")
         try:
-            return parse_partition(raw)
+            return parse_partition(raw) if isinstance(raw, str) else check_partition(raw)
         except NotAPartition as exc:
             raise ConfigError(f"bad partition: {exc}") from None
     if kind in ("scalar", "tagged"):

@@ -32,7 +32,6 @@ from .errors import (
 from .partitions import (
     check_partition,
     nstat,
-    normalize,
     part,
     subpartitions,
     weight,
@@ -85,6 +84,9 @@ SERIES_TOL = 1e-13
 
 #: Shell step of the multilateral 3psi3 lattice sum: m in [-m, m]^n grows by it.
 SHELL_STEP = 4
+
+#: Window cap of the multilateral 3psi3 lattice sum: its last shell has m <= SHELL_CAP.
+SHELL_CAP = 200
 
 
 @dataclass
@@ -633,7 +635,7 @@ def _mlat_3psi3_sum(n, delta, q, s, a, x):
             below = 0
         covered = m
         m += SHELL_STEP
-        if m > 200:
+        if m > SHELL_CAP:
             raise NoConvergence("multilateral sum: window cap reached")
 
 
@@ -962,8 +964,7 @@ def _retry(draw):
 
 def _random_partition(rng, max_len, max_part):
     length = rng.randint(0, max_len)
-    parts = sorted((rng.randint(1, max_part) for _ in range(length)), reverse=True)
-    return normalize(parts)
+    return tuple(sorted((rng.randint(1, max_part) for _ in range(length)), reverse=True))
 
 
 def _sample_jackson(rng):

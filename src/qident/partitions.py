@@ -3,19 +3,21 @@
 Partitions are plain tuples of non-negative integers, stored without trailing
 zeros; every operation treats missing parts as 0, so equality of normalized
 tuples is padding-insensitive.  Integer vectors (possibly negative, possibly
-non-monotone entries) are plain tuples of fixed length.
+non-monotone entries) are plain tuples of fixed length.  check_partition is
+the one check of a partition, made where one enters.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 
 from .errors import NotAPartition
 
 
 def normalize(lam) -> tuple:
     """Return lam as a tuple with trailing zeros removed."""
-    lam = tuple(int(x) for x in lam)
+    lam = tuple(lam)
     while lam and lam[-1] == 0:
         lam = lam[:-1]
     return lam
@@ -54,7 +56,6 @@ def nstat(lam) -> int:
 
 def is_horizontal_strip(lam, mu) -> bool:
     """True iff lam_1 >= mu_1 >= lam_2 >= mu_2 >= ... (interlacing)."""
-    lam, mu = normalize(lam), normalize(mu)
     n = max(len(lam), len(mu)) + 1
     for i in range(1, n + 1):
         if not (part(lam, i) >= part(mu, i) >= part(lam, i + 1)):
@@ -77,14 +78,12 @@ def horizontal_strip_predecessors(lam):
 
 def subpartitions(lam):
     """All partitions mu contained in lam, each exactly once, ordered by
-    (length, lexicographic)."""
-    lam = check_partition(lam)
-    ranges = [range(0, part(lam, i) + 1) for i in range(1, len(lam) + 1)]
-    out = set()
-    for mu in itertools.product(*ranges):
-        if all(mu[i] >= mu[i + 1] for i in range(len(mu) - 1)):
-            out.add(normalize(mu))
-    return sorted(out, key=_enumeration_key)
+    (length, lexicographic).  Precondition, not checked: lam is a partition
+    (run_case checks it for the identities that call this)."""
+    ranges = [range(0, x + 1) for x in lam]
+    return sorted((normalize(mu) for mu in itertools.product(*ranges)
+                   if all(mu[i] >= mu[i + 1] for i in range(len(mu) - 1))),
+                  key=_enumeration_key)
 
 
 def interlacing_vectors(lam):
@@ -96,20 +95,16 @@ def interlacing_vectors(lam):
     """
     lam = tuple(lam)
     ranges = [range(lam[i + 1], lam[i] + 1) for i in range(len(lam) - 1)]
-    return [tuple(v) for v in itertools.product(*ranges)]
+    return list(itertools.product(*ranges))
 
 
 def parse_partition(text: str) -> tuple:
-    """Partition from its bracketed text form, e.g. "[3,1]" ("[]" is the
-    empty partition); raises NotAPartition on malformed input."""
-    text = text.strip()
-    if not (text.startswith("[") and text.endswith("]")):
-        raise NotAPartition(f"malformed partition text: {text!r}")
-    body = text[1:-1].strip()
-    if not body:
-        return ()
+    """Partition from its JSON text, a list of integers, e.g. "[3,1]" ("[]"
+    is the empty partition); raises NotAPartition on malformed input."""
     try:
-        parts = tuple(int(x) for x in body.split(","))
-    except ValueError as exc:
-        raise NotAPartition(f"malformed partition text: {text!r}") from exc
+        parts = json.loads(text)
+    except (ValueError, RecursionError):  # not JSON, or nested too deep
+        parts = None
+    if not isinstance(parts, list):
+        raise NotAPartition(f"malformed partition text: {text!r}")
     return check_partition(parts)

@@ -150,11 +150,13 @@ def test_main_boolean_config_values_exit_2(tmp_path, capsys):
 
 def test_main_bad_partition_exits_2(tmp_path, capsys):
     # A partition that is not weakly decreasing, or has a part that is not an
-    # integer, is a configuration error on both input paths.
-    for text in ("[1,2]", "[1.5]"):
-        assert main(["run", "--case", "weyldegree", "--param", f"mu={text}"]) == 2
+    # integer, is a configuration error on both input paths.  So is a list of
+    # strings, and a string that is not the JSON text of a list of integers
+    # (a digit separator, a sign, a leading zero, a non-ASCII digit).
+    for raw in ("[1,2]", [1, 2], "[1.5]", [1.5], ["3", "1"], ["3,1"], "[3_0]", "[+3]",
+                "[03]", "[\u0663]"):
+        assert main(["run", "--case", "weyldegree", "--param", f"mu={json.dumps(raw)}"]) == 2
         assert "config error:" in capsys.readouterr().err
-    for raw in ("[1,2]", [1, 2], "[1.5]", [1.5]):
         path = tmp_path / "partition.json"
         path.write_text(json.dumps([{"case_id": "weyldegree", "params": {"mu": raw}}]))
         assert main(["run", "--config", str(path)]) == 2
@@ -996,6 +998,10 @@ def test_reachability_script_prints_a_row_per_module():
     done = subprocess.run(cmd, env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stdout + done.stderr
     rows = {line.split()[0]: line.split()[1:3] for line in done.stdout.splitlines()[2:]}
-    for module in ("qcore", "series", "wfunc", "identities", "partitions"):
+    for module in ("qcore", "series", "wfunc", "identities", "partitions", "cli"):
         statements, unreached = map(int, rows[module])
         assert 0 <= unreached < statements
+    # The registry runs through `qident run --config`, so config loading,
+    # main and the JSON and CSV writers run: most of cli is reached.
+    statements, unreached = map(int, rows["cli"])
+    assert unreached < statements / 2

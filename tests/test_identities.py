@@ -36,7 +36,7 @@ from qident.identities import (
     verify_summand_invariance,
     vwp_jackson_term,
 )
-from qident.identities import SERIES_TOL, SHELL_STEP
+from qident.identities import SERIES_TOL, SHELL_CAP, SHELL_STEP
 from qident.policy import QPower, scalar_value
 from qident.qcore import PRODUCT_TOL, poch_int
 from qident.wfunc import WParams, zw_multi
@@ -239,6 +239,17 @@ def test_bailey6_structural_termination_tag():
     r = run_case("bailey6psi6", dict(a=0.81, b=QPower(-2), c=0.8, d=0.7, e=0.6, q=0.2))
     assert r.status == "pass"
     assert "window=" in r.message and r.message.rstrip().endswith("2)")
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 6: the cancelled lhs (about -1.1e-15) "
+                   "and the rhs (about 1.4e-42) pass through the BOTH_ZERO_EPS floor")
+def test_bailey6_cancelled_lhs_draw_is_not_a_pass():
+    # Both sides are below BOTH_ZERO_EPS, so judge passes the draw at a
+    # relative residual of 1.0.  Item 6's scale from sum |t| makes it a fail
+    # or a typed error, and then this test XPASSes and its mark must go.
+    r = run_case("bailey6psi6", dict(a=0.5 + 0.1j, b=4e11, c=4.4e11, d=3.6e11,
+                                     e=1e-44, q=1e-10))
+    assert r.status in ("fail", "error")
 
 
 def test_bailey6_rhs_symmetric_in_bcde():
@@ -1157,7 +1168,7 @@ def _mlat_sweep(n, delta, q, s, a, x):
             below = 0
         covered = m
         m += SHELL_STEP
-        if m > 200:
+        if m > SHELL_CAP:
             raise identities.NoConvergence("multilateral sum: window cap reached")
 
 

@@ -156,5 +156,10 @@ def test_partition_text_roundtrip_property(lam):
 
 
 def test_parse_partition_rejects_non_monotone():
-    with pytest.raises(NotAPartition):
-        parse_partition("[1,2]")
+    # Besides a non-monotone list, text that is not the JSON text of a list
+    # of integers: strings, a digit separator, a sign, a leading zero, a
+    # non-ASCII digit, a number, an object, nesting too deep for json.
+    for text in ("[1,2]", '["3", "1"]', '["3,1"]', "[3_0]", "[+3]", "[03]", "[\u0663]",
+                 "3", '{"a": 1}', "[" * 5000 + "]" * 5000):
+        with pytest.raises(NotAPartition):
+            parse_partition(text)
