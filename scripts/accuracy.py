@@ -15,9 +15,10 @@ With --compare, the table is then compared with BASE.json (an earlier table of
 this script): it prints each case whose high_floor moved by more than 10x and
 each seed that crossed tol (pass <-> fail) or became or stopped being an
 error, and exits 1 if it printed anything, 0 otherwise.  A --compare file that
-cannot be read, is not JSON or is not such a table is one `config error:` line
-on stderr and exit code 2, before any case runs.  Standard library and
-mpmath only; the package is imported from the `src/` of this script's tree.
+cannot be read, is not JSON (or is nested too deep to decode) or is not such
+a table is one `config error:` line on stderr and exit code 2, before any case
+runs.  Standard library and mpmath only; the package is imported from the
+`src/` of this script's tree.
 """
 
 import argparse
@@ -100,7 +101,7 @@ def read_base(path):
     try:
         with open(path, encoding="utf-8") as fh:
             rows = json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ConfigError(f"--compare {path}: cannot read a JSON table: {exc}") from None
     if not (isinstance(rows, list) and all(
             isinstance(row, dict) and isinstance(row.get("case_id"), str)

@@ -23,10 +23,11 @@ formatting that parsing cannot see).  The exit code is 1 if anything
 differs and 0 if nothing does.  Without
 --compare the exit code is that of `qident run` (1 if any run fails or
 errors).  A --seed or --samples that `qident run` refuses, an --out or --csv
-path that cannot be written, and a --compare file that cannot be read or is
-not such a report, are one `config error:` line on stderr and exit code 2,
-before any sample runs.  The package is imported from the `src/` of this
-script's tree, not from an installed copy.
+path that cannot be written, and a --compare file that cannot be read, is
+not JSON (or is nested too deep to decode) or is not such a report, are one
+`config error:` line on stderr and exit code 2, before any sample runs.  The
+package is imported from the `src/` of this script's tree, not from an
+installed copy.
 """
 
 import argparse
@@ -178,7 +179,7 @@ def read_report(path):
         doc = json.loads(text)
     except OSError as exc:
         raise ConfigError(f"--compare {path}: cannot read: {exc}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # not UTF-8 JSON, or nested too deep
         raise ConfigError(f"--compare {path}: malformed JSON: {exc}") from None
     if not (isinstance(doc, dict) and {"meta", "summary", "runs"} <= doc.keys()
             and isinstance(doc["meta"], dict) and isinstance(doc["runs"], list)

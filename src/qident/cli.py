@@ -19,7 +19,9 @@ run.  Complex values are written as [re, im] pairs, a partition as a JSON
 list of integers [3,1] or a string holding that JSON text "[3,1]", exact
 q-power tags as {"qpow": m}.
 `run --case` builds a config entry from its options, each --param value
-written as JSON, and validates it as a file entry is validated.
+written as JSON, and validates it as a file entry is validated; `run
+--config` takes none of them.  Text that json cannot decode, nesting too
+deep included, is a configuration error wherever it is read.
 
 A batch runs its samples one after another, in config order, so for fixed
 seeds its report is the same up to the timestamp.  Reports are emitted as
@@ -57,7 +59,7 @@ from . import __version__
 from .errors import ConfigError, NotAPartition, QidentError
 from .identities import (CASES, HIGH_DPS, INT_KINDS, IdentityReport, error_report,
                          mp_context, run_case, sample_params)
-from .partitions import check_partition, parse_partition
+from .partitions import check_partition
 from .policy import QPower
 
 
@@ -92,10 +94,15 @@ def _decode_value(kind, raw):
             raise ConfigError(f"expected integer, got {raw!r}")
         return raw
     if kind == "partition":
-        if not isinstance(raw, (list, tuple, str)):
-            raise ConfigError(f"expected partition, got {raw!r}")
+        try:  # a string holds the JSON text of a list of integers
+            parts = json.loads(raw) if isinstance(raw, str) else raw
+        except (ValueError, RecursionError):  # not JSON, or nested too deep
+            parts = None
+        if not isinstance(parts, (list, tuple)):
+            raise ConfigError(f"bad partition: malformed partition text: {raw!r}"
+                              if isinstance(raw, str) else f"expected partition, got {raw!r}")
         try:
-            return parse_partition(raw) if isinstance(raw, str) else check_partition(raw)
+            return check_partition(parts)
         except NotAPartition as exc:
             raise ConfigError(f"bad partition: {exc}") from None
     if kind in ("scalar", "tagged"):
@@ -208,7 +215,7 @@ def load_configs(path: str) -> List[CaseConfig]:
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}")
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # not UTF-8 JSON, or nested too deep
         raise ConfigError(f"malformed JSON in config file: {exc}")
     if isinstance(doc, dict) and "cases" in doc:
         unknown = set(doc) - {"cases"}
@@ -231,7 +238,7 @@ def _parse_param_option(text: str):
     name, raw = text.split("=", 1)
     try:
         return name, json.loads(raw)
-    except json.JSONDecodeError:
+    except (ValueError, RecursionError):  # not JSON, or nested too deep
         raise ConfigError(f"cannot parse value for {name!r}: {raw!r}")
 
 
@@ -422,9 +429,10 @@ def _build_parser():
     rp = sub.add_parser("run", help="run identity checks")
     rp.add_argument("--config", help="JSON config file")
     rp.add_argument("--case", help="single case id")
-    rp.add_argument("--seed", type=int, default=0)
-    rp.add_argument("--samples", type=int, default=1)
-    rp.add_argument("--tol", type=float, default=None)
+    # Per-case options without a default: args holds only those given.
+    rp.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    rp.add_argument("--samples", type=int, default=argparse.SUPPRESS)
+    rp.add_argument("--tol", type=float, default=argparse.SUPPRESS)
     rp.add_argument("--param", action="append", default=[],
                     help="explicit parameter name=value (JSON value syntax)")
     rp.add_argument("--out", help="write JSON report to this file")
@@ -446,13 +454,14 @@ def main(argv=None) -> int:
     try:
         if args.config and args.case:
             raise ConfigError("--config and --case are mutually exclusive")
+        options = {k: v for k, v in vars(args).items() if k in ("seed", "samples", "tol")}
         if args.config:
+            if options or args.param:
+                raise ConfigError("--config takes no --param, --seed, --samples or --tol")
             configs = load_configs(args.config)
         elif args.case:
             params = dict(_parse_param_option(p) for p in args.param)
-            configs = [_validate_config({"case_id": args.case, "seed": args.seed,
-                                         "samples": args.samples, "tol": args.tol,
-                                         "params": params})]
+            configs = [_validate_config({"case_id": args.case, "params": params, **options})]
         else:
             raise ConfigError("run requires --config or --case")
         for option, path in (("--out", args.out), ("--csv", args.csv)):

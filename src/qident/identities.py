@@ -740,8 +740,9 @@ def verify_bailey_10phi9(a, b, c, d, e, f, n, q, tol):
     evaluated in double first and kept when the rounding bound of its own
     series is at most DOUBLE_GATE * tol; a side that fails its gate, or
     raises, is evaluated again in the 40-digit context, the right series
-    together with its prefactor.  mpmath arguments evaluate both sides in the
-    context of max(40, the digits of the arguments' contexts)."""
+    together with its prefactor.  mpmath arguments evaluate both sides at
+    their own values in the context of max(40, the digits of the arguments'
+    contexts)."""
     args = (a, b, c, d, e, f, q)
     digits = [v.context.dps for v in args if not isinstance(v, (int, float, complex))]
     values, terms = [], 0
@@ -756,7 +757,9 @@ def verify_bailey_10phi9(a, b, c, d, e, f, n, q, tol):
                 pass  # the high-precision evaluation decides
         if not kept:
             high = mp_context(max([40] + digits))
-            va, vb, vc, vd, ve, vf, vq = (high.mpmathify(complex(v)) for v in args)
+            # Each argument at its own value: high has the digits of every
+            # mpmath argument, and more than a double's.
+            va, vb, vc, vd, ve, vf, vq = (high.mpc(v) for v in args)
             value, sv = side(va, vb, vc, vd, ve, vf, n, vq)
         values.append(value)
         terms += sv.terms_used

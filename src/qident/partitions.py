@@ -10,7 +10,6 @@ the one check of a partition, made where one enters.
 from __future__ import annotations
 
 import itertools
-import json
 
 from .errors import NotAPartition
 
@@ -96,15 +95,3 @@ def interlacing_vectors(lam):
     lam = tuple(lam)
     ranges = [range(lam[i + 1], lam[i] + 1) for i in range(len(lam) - 1)]
     return list(itertools.product(*ranges))
-
-
-def parse_partition(text: str) -> tuple:
-    """Partition from its JSON text, a list of integers, e.g. "[3,1]" ("[]"
-    is the empty partition); raises NotAPartition on malformed input."""
-    try:
-        parts = json.loads(text)
-    except (ValueError, RecursionError):  # not JSON, or nested too deep
-        parts = None
-    if not isinstance(parts, list):
-        raise NotAPartition(f"malformed partition text: {text!r}")
-    return check_partition(parts)

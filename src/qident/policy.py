@@ -24,10 +24,3 @@ def scalar_value(v, q):
     if isinstance(v, QPower):
         return q ** v.exponent
     return v
-
-
-def qpow_exponent(v):
-    """Return the exact q-exponent of a parameter, or None if untagged."""
-    if isinstance(v, QPower):
-        return v.exponent
-    return None

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from .errors import DivisionByVanishingFactor, DomainError, NoConvergence
-from .policy import qpow_exponent, scalar_value
+from .policy import QPower, scalar_value
 from .qcore import VANISH_TOL, units
 
 #: Relative bound on the dropped tail of each side of a bilateral sum.
@@ -95,7 +95,9 @@ def _condition(mass, total):
 
 
 def _resolved(entries, q):
-    return [(scalar_value(v, q), qpow_exponent(v)) for v in entries]
+    """(value, exponent of its QPower tag or None) of each entry."""
+    return [(scalar_value(v, q), v.exponent if isinstance(v, QPower) else None)
+            for v in entries]
 
 
 def _product(entries, qk, one, start):

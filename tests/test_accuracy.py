@@ -80,13 +80,14 @@ def test_compare_exits_0_on_the_same_table_and_1_on_a_moved_row(
     (None, "cannot read a JSON table"),
     (b"[{\"case_id\": ", "cannot read a JSON table"),
     (b"\xff\xfe", "cannot read a JSON table"),
+    (b"[" * 100_000 + b"]" * 100_000, "cannot read a JSON table"),
     (json.dumps({"rows": ROWS}).encode(), "not a table of this script"),
     (json.dumps([{**ROWS[0], "high_floor": "1e-48"}]).encode(),
      "not a table of this script"),
     (json.dumps([{**ROWS[0], "fails": [1.5]}]).encode(), "not a table of this script"),
     (json.dumps([{k: v for k, v in ROWS[0].items() if k != "errors"}]).encode(),
      "not a table of this script"),
-], ids=["missing", "truncated", "not-utf8", "object", "string-floor", "float-seed",
+], ids=["missing", "truncated", "not-utf8", "too-deep", "object", "string-floor", "float-seed",
         "no-errors"])
 def test_compare_with_a_bad_base_is_a_config_error_before_any_run(
         tmp_path, capsys, no_run, content, message):

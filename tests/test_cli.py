@@ -323,6 +323,41 @@ def test_main_config_not_utf8_exits_2(tmp_path, capsys, monkeypatch):
     assert ran == []
 
 
+def test_main_over_deep_json_exits_2(tmp_path, capsys, monkeypatch):
+    # JSON nested deeper than the decoder recurses ended `qident run` as a
+    # RecursionError traceback and exit 1, in a config file and in a --param
+    # value (a partition string was already refused); each is one config
+    # error line and exit 2.
+    ran = []
+    monkeypatch.setattr("qident.cli.run", lambda *a, **k: ran.append(a))
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    deep = "[" * 5000 + "]" * 5000
+    for argv, prefix in (
+            (["--config", str(path)], "malformed JSON in config file: "),
+            (["--case", "weyldegree", "--param", f"mu={deep}"], "cannot parse value for 'mu': "),
+            (["--case", "weyldegree", "--param", f"s={deep}"], "cannot parse value for 's': ")):
+        assert main(["run", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {prefix}")
+        assert err.count("\n") == 1
+    assert ran == []
+
+
+def test_main_config_refuses_per_case_options(capsys, monkeypatch):
+    # `run --config` ran the file's entries and dropped each of these
+    # options unread; the file sets them, so each is a config error.
+    ran = []
+    monkeypatch.setattr("qident.cli.run", lambda *a, **k: ran.append(a))
+    path = Path(__file__).resolve().parent.parent / "scripts" / "example_config.json"
+    for option in (["--param", "a=0.5"], ["--seed", "7"], ["--seed", "0"],
+                   ["--samples", "3"], ["--tol", "1e-3"]):
+        assert main(["run", "--config", str(path), *option]) == 2
+        assert capsys.readouterr().err == \
+            "config error: --config takes no --param, --seed, --samples or --tol\n"
+    assert ran == []
+
+
 def test_example_config_runs_and_passes():
     # The example config of the README: a schema change that breaks it
     # fails here, not only in the documentation.
@@ -883,7 +918,10 @@ def test_full_suite_bad_paths_exit_2_before_the_batch(tmp_path, capsys, monkeypa
                               [{**run, "sample_index": "0"}], [{**run, "rhs": [1.0]}],
                               [{**run, "lhs": "1"}], [{**run, "rel_residual": "0"}])]
     malformed.append({"meta": 1, "summary": {}, "runs": [run]})
-    for text, reason in (("{", "malformed JSON: "), ("[]", "not a report of this script"),
+    # JSON nested too deep to decode ended as a RecursionError traceback.
+    for text, reason in (("{", "malformed JSON: "), ("[" * 100_000 + "]" * 100_000,
+                                                     "malformed JSON: "),
+                         ("[]", "not a report of this script"),
                          *((json.dumps(doc), "not a report of this script")
                            for doc in malformed)):
         bad = tmp_path / "bad.json"

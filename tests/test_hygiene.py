@@ -11,8 +11,9 @@ function of the package is one that every call keeps, no comparison of
 the package against VANISH_TOL does anything but guard a raise, only the
 functions of VANISH_TESTERS compare against VANISH_TOL at all, no
 module of the package imports threading, concurrent.futures or
-multiprocessing, identities imports none of qcore's loop thresholds and
-tail pieces, and the package exports every error class of errors.py."""
+multiprocessing, no module of the package but cli imports json,
+identities imports none of qcore's loop thresholds and tail pieces, and
+the package exports every error class of errors.py."""
 
 import ast
 from pathlib import Path
@@ -631,12 +632,9 @@ def test_only_the_listed_functions_compare_against_vanish_tol():
     assert found == VANISH_TESTERS
 
 
-def concurrency_imports(text):
+def module_imports(text, modules):
     """(line, module) of each import in the module source text of a module in
-    CONCURRENCY_MODULES or of one of their submodules.  A batch runs its
-    samples one after another: under CPython's interpreter lock a thread pool
-    gained nothing, and a process pool comes back only with a benchmark
-    workload that shows its gain (ROADMAP item 5)."""
+    modules or of one of their submodules."""
     found = []
     for node in ast.walk(ast.parse(text)):
         if isinstance(node, ast.Import):
@@ -646,7 +644,7 @@ def concurrency_imports(text):
         else:
             continue
         found += [(node.lineno, name) for name in names
-                  if name.split(".")[0] in CONCURRENCY_MODULES]
+                  if name.split(".")[0] in modules]
     return sorted(found)
 
 
@@ -660,14 +658,37 @@ def test_concurrency_import_scan_finds_and_skips():
             "def f():\n"
             "    import concurrent.futures\n"
             "import contextvars\n")
-    assert concurrency_imports(text) == [(1, "threading"), (2, "concurrent.futures"),
-                                         (3, "multiprocessing.pool"),
-                                         (8, "concurrent.futures")]
+    assert module_imports(text, CONCURRENCY_MODULES) == [
+        (1, "threading"), (2, "concurrent.futures"), (3, "multiprocessing.pool"),
+        (8, "concurrent.futures")]
 
 
 @pytest.mark.parametrize("path", SRC, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_concurrency_imports(path):
-    assert concurrency_imports(path.read_text(encoding="utf-8")) == []
+    # A batch runs its samples one after another: under CPython's interpreter
+    # lock a thread pool gained nothing, and a process pool comes back only
+    # with a benchmark workload that shows its gain (ROADMAP item 5).
+    assert module_imports(path.read_text(encoding="utf-8"), CONCURRENCY_MODULES) == []
+
+
+def test_json_import_scan_finds_and_skips():
+    text = ("import json\n"
+            "from json import loads as decode\n"
+            "import jsonschema, os\n"
+            "from . import json\n"
+            "from .json import x\n"
+            "def f():\n"
+            "    import json.decoder\n")
+    assert module_imports(text, {"json"}) == [(1, "json"), (2, "json"), (7, "json.decoder")]
+
+
+@pytest.mark.parametrize("path", [p for p in SRC if p.name != "cli.py"],
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_only_cli_imports_json(path):
+    # Text from outside the program is decoded in cli alone, so one module
+    # decides what a config file, a --param value or a partition string may
+    # hold, and how a document that does not decode is refused.
+    assert module_imports(path.read_text(encoding="utf-8"), {"json"}) == []
 
 
 def kernel_internals(text):

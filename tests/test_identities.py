@@ -197,6 +197,27 @@ def test_bailey10_escalates_only_the_side_that_fails_its_gate(seed, left, right)
         assert repr(rep) == repr(dataclasses.replace(direct, params=rep.params))
 
 
+def test_bailey10_evaluates_mpmath_arguments_at_their_own_values(monkeypatch):
+    # An mpmath argument was cut to a double before its 40+-digit evaluation,
+    # while the report listed its full value: a 60-digit a perturbed by 1e-20
+    # was evaluated as its double rounding.
+    ctx = mp_context(60)
+    p = {k: ctx.mpmathify(v) if k in "abcdefq" else v
+         for k, v in sample_params("bailey10phi9", 0).items()}
+    p["a"] += ctx.mpf("1e-20")
+    seen = []
+    original = identities._bailey_10phi9_left
+
+    def spy(a, *rest):
+        seen.append(a)
+        return original(a, *rest)
+
+    monkeypatch.setattr(identities, "_bailey_10phi9_left", spy)
+    rep = run_case("bailey10phi9", p)
+    assert rep.params["a"] == p["a"]
+    assert seen == [p["a"]] and seen[0].context is ctx
+
+
 def test_bailey10_draws_pass_a_thousand_times_below_tol(monkeypatch):
     # A double series is reported only where its rounding bound is at most
     # DOUBLE_GATE * tol, so no draw may report a larger residual; most draws

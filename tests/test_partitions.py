@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qident.errors import NotAPartition
+from qident.cli import _decode_value
+from qident.errors import ConfigError, NotAPartition
 from qident.partitions import (
     check_partition,
     horizontal_strip_predecessors,
     is_horizontal_strip,
     nstat,
     normalize,
-    parse_partition,
     part,
     subpartitions,
     weight,
@@ -138,28 +138,32 @@ def test_subpartition_count_matches_box_filter_exhaustive():
 
 
 # ---------------------------------------------------------------------------
-# text format
+# text format (decoded where a partition enters: the config decoder)
 # ---------------------------------------------------------------------------
 
+def parse(text):
+    return _decode_value("partition", text)
+
+
 def test_partition_text_roundtrip():
-    assert parse_partition("[3,1]") == (3, 1)
-    assert parse_partition("[]") == ()
-    assert parse_partition(" [ 2 , 2 ] ") == (2, 2)
-    assert parse_partition("[2,1,0]") == (2, 1)
+    assert parse("[3,1]") == (3, 1)
+    assert parse("[]") == ()
+    assert parse(" [ 2 , 2 ] ") == (2, 2)
+    assert parse("[2,1,0]") == (2, 1)
 
 
 @settings(max_examples=50, deadline=None)
 @given(partitions_strategy)
 def test_partition_text_roundtrip_property(lam):
     text = "[" + ",".join(str(x) for x in lam) + "]"
-    assert parse_partition(text) == normalize(lam)
+    assert parse(text) == normalize(lam)
 
 
-def test_parse_partition_rejects_non_monotone():
+def test_partition_text_rejects_non_monotone():
     # Besides a non-monotone list, text that is not the JSON text of a list
     # of integers: strings, a digit separator, a sign, a leading zero, a
     # non-ASCII digit, a number, an object, nesting too deep for json.
     for text in ("[1,2]", '["3", "1"]', '["3,1"]', "[3_0]", "[+3]", "[03]", "[\u0663]",
                  "3", '{"a": 1}', "[" * 5000 + "]" * 5000):
-        with pytest.raises(NotAPartition):
-            parse_partition(text)
+        with pytest.raises(ConfigError, match="^bad partition: "):
+            parse(text)
