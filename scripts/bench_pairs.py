@@ -9,7 +9,7 @@ end-to-end metric of CHANGE/BENCHMARK.json (or --benchmark), each side's
 median and quartiles, the relative move of the median, in how many pairs
 the change was better in the metric's direction, and a verdict against the
 metric's bound (see verdict); then each side's `failed` counts and whether
-every run was `correct`.
+every run was `correct`, and whether a gain counts (see gains_count).
 
 Standard library only.  The script writes nothing; each bench/run.py writes
 its own bench/out/ in its tree.
@@ -72,6 +72,21 @@ def verdict(pv, cv, better, bound):
     return "within bound"
 
 
+def gains_count(parent, change):
+    """The last summary line: a gain counts only when the change fails no
+    larger share of its operations than the parent and every run of both
+    sides is correct."""
+    shares = [sum(r["failed"] for r in runs) / max(1, sum(r["attempted"] for r in runs))
+              for runs in (parent, change)]
+    void = []
+    if shares[1] > shares[0]:
+        void.append(f"the change fails {shares[1]:.2%} of its operations, "
+                    f"the parent {shares[0]:.2%}")
+    if not all(r["correct"] for r in parent + change):
+        void.append("a run is not correct")
+    return "gains count" if not void else "gains do not count: " + "; ".join(void)
+
+
 def summarize(parent_lines, change_lines, end_to_end):
     """Summary lines of paired result lines (pair k is parent_lines[k] and
     change_lines[k]), for the end-to-end metric entries of BENCHMARK.json."""
@@ -100,6 +115,7 @@ def summarize(parent_lines, change_lines, end_to_end):
         out.append(f"{side}: failed {[r['failed'] for r in runs]} of "
                    f"{[r['attempted'] for r in runs]}, correct "
                    f"{all(r['correct'] for r in runs)}")
+    out.append(gains_count(parent, change))
     return out
 
 

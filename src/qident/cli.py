@@ -32,20 +32,18 @@ scalar parameter must be finite.
 The JSON report has the layout of json.dumps(doc, indent=2,
 allow_nan=False), written directly (_json_text), and the tests hold it to
 the stdlib's bytes: json.dumps takes its pure-Python encoder whenever it
-indents.  CSV rows are lists through csv.writer, the params column encoded
-by one module-level JSONEncoder.  Report files are written as bytes with
-os.write and overwritten in place, with no truncate to zero first
-(write_text): on ext4 that truncate makes close start writeback, which cost
-more than writing a small report.  The write is not atomic, and open(path,
-"w") was not either.
+indents.  CSV rows are joined as csv.writer joins them (_csv_field), the
+params column by json's C encoder, built once.  Report files are written as
+bytes with os.write and overwritten in place, with no truncate to zero
+first (write_text): on ext4 that truncate makes close start writeback,
+which cost more than writing a small report.  The write is not atomic, and
+open(path, "w") was not either.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
-import csv
-import io
 import json
 import math
 import os
@@ -56,7 +54,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from . import __version__
-from .errors import ConfigError, NotAPartition, QidentError
+from .errors import ConfigError, NotAPartition, QidentError, excerpt
 from .identities import (CASES, HIGH_DPS, INT_KINDS, IdentityReport, error_report,
                          mp_context, run_case, sample_params)
 from .partitions import check_partition
@@ -91,7 +89,7 @@ class ReportSet:
 def _decode_value(kind, raw):
     if kind in INT_KINDS:
         if isinstance(raw, bool) or not isinstance(raw, int):
-            raise ConfigError(f"expected integer, got {raw!r}")
+            raise ConfigError(f"expected integer, got {excerpt(raw)}")
         return raw
     if kind == "partition":
         try:  # a string holds the JSON text of a list of integers
@@ -99,8 +97,9 @@ def _decode_value(kind, raw):
         except (ValueError, RecursionError):  # not JSON, or nested too deep
             parts = None
         if not isinstance(parts, (list, tuple)):
-            raise ConfigError(f"bad partition: malformed partition text: {raw!r}"
-                              if isinstance(raw, str) else f"expected partition, got {raw!r}")
+            raise ConfigError(f"bad partition: malformed partition text: {excerpt(raw)}"
+                              if isinstance(raw, str) else
+                              f"expected partition, got {excerpt(raw)}")
         try:
             return check_partition(parts)
         except NotAPartition as exc:
@@ -109,7 +108,7 @@ def _decode_value(kind, raw):
         return _decode_scalar(raw)
     if kind == "vector":
         if not isinstance(raw, (list, tuple)):
-            raise ConfigError(f"expected vector (list), got {raw!r}")
+            raise ConfigError(f"expected vector (list), got {excerpt(raw)}")
         return tuple(_decode_scalar(v) for v in raw)
     raise ConfigError(f"unknown schema kind {kind!r}")
 
@@ -125,7 +124,7 @@ def _float(v):
 
 def _decode_scalar(raw):
     if isinstance(raw, bool):
-        raise ConfigError(f"expected scalar, got {raw!r}")
+        raise ConfigError(f"expected scalar, got {excerpt(raw)}")
     if isinstance(raw, (int, float)):
         return _float(raw)
     if isinstance(raw, dict) and set(raw) == {"qpow"}:
@@ -135,21 +134,21 @@ def _decode_scalar(raw):
     if isinstance(raw, (list, tuple)) and len(raw) == 2 \
             and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw):
         return complex(_float(raw[0]), _float(raw[1]))
-    raise ConfigError(f"cannot interpret scalar value {raw!r}")
+    raise ConfigError(f"cannot interpret scalar value {excerpt(raw)}")
 
 
 def _encode_value(v):
-    """The JSON form of a report value: an int (a bool too), a float or a
-    complex, each non-finite one None; a QPower tag; a tuple of these; or an
-    mpmath number, written as its complex()."""
-    if isinstance(v, QPower):
-        return {"qpow": v.exponent}
-    if isinstance(v, int):
-        return v
-    if isinstance(v, float):
-        return v if math.isfinite(v) else None
+    """The JSON form of a report value, most common first: a complex, a float
+    or an int (a bool too), each non-finite one None; a QPower tag; a tuple
+    of these; or an mpmath number, written as its complex()."""
     if isinstance(v, complex):
         return [v.real, v.imag] if cmath.isfinite(v) else None
+    if isinstance(v, float):
+        return v if math.isfinite(v) else None
+    if isinstance(v, int):
+        return v
+    if isinstance(v, QPower):
+        return {"qpow": v.exponent}
     if isinstance(v, (list, tuple)):
         return [_encode_value(x) for x in v]
     return _encode_value(complex(v))
@@ -167,7 +166,7 @@ def _report_to_dict(rep: IdentityReport, sample_index: int, seed: int):
         "rel_residual": _encode_value(rep.rel_residual),
         "terms_used": rep.terms_used,
         "message": rep.message,
-        "params": {k: _encode_value(v) for k, v in sorted(rep.params.items())},
+        "params": {k: _encode_value(rep.params[k]) for k in sorted(rep.params)},
     }
 
 
@@ -177,13 +176,13 @@ def _report_to_dict(rep: IdentityReport, sample_index: int, seed: int):
 
 def _validate_config(entry: dict) -> CaseConfig:
     if not isinstance(entry, dict):
-        raise ConfigError(f"config entry must be an object, got {entry!r}")
+        raise ConfigError(f"config entry must be an object, got {excerpt(entry)}")
     unknown = set(entry) - {"case_id", "params", "tol", "seed", "samples"}
     if unknown:
-        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+        raise ConfigError(f"unknown config fields: {excerpt(sorted(unknown))}")
     case_id = entry.get("case_id")
     if case_id not in CASES:
-        raise ConfigError(f"unknown case id: {case_id!r}")
+        raise ConfigError(f"unknown case id: {excerpt(case_id)}")
     schema = CASES[case_id].schema
     raw_params = entry.get("params", {})
     if not isinstance(raw_params, dict):
@@ -191,7 +190,7 @@ def _validate_config(entry: dict) -> CaseConfig:
     params = {}
     for name, raw in raw_params.items():
         if name not in schema:
-            raise ConfigError(f"{case_id}: unknown parameter {name!r}")
+            raise ConfigError(f"{case_id}: unknown parameter {excerpt(name)}")
         params[name] = _decode_value(schema[name], raw)
     tol, seed, samples = entry.get("tol"), entry.get("seed", 0), entry.get("samples", 1)
     if tol is not None and (isinstance(tol, bool) or not isinstance(tol, (int, float))
@@ -220,7 +219,7 @@ def load_configs(path: str) -> List[CaseConfig]:
     if isinstance(doc, dict) and "cases" in doc:
         unknown = set(doc) - {"cases"}
         if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+            raise ConfigError(f"unknown config fields: {excerpt(sorted(unknown))}")
         doc = doc["cases"]
     if not isinstance(doc, list):
         raise ConfigError("config must be a list of case configs or {'cases': [...]}")
@@ -234,12 +233,12 @@ def _parse_param_option(text: str):
     is checked against the schema with the rest of the entry
     (_validate_config)."""
     if "=" not in text:
-        raise ConfigError(f"--param needs name=value, got {text!r}")
+        raise ConfigError(f"--param needs name=value, got {excerpt(text)}")
     name, raw = text.split("=", 1)
     try:
         return name, json.loads(raw)
     except (ValueError, RecursionError):  # not JSON, or nested too deep
-        raise ConfigError(f"cannot parse value for {name!r}: {raw!r}")
+        raise ConfigError(f"cannot parse value for {excerpt(name)}: {excerpt(raw)}")
 
 
 # ---------------------------------------------------------------------------
@@ -318,17 +317,38 @@ def exit_code(rset: ReportSet) -> int:
 
 
 _encode_str = json.encoder.encode_basestring_ascii
-_encode_params = json.JSONEncoder(allow_nan=False).encode
 
 
 def _json_text(o, pad: str) -> str:
     """o in the layout of json.dumps(o, indent=2, allow_nan=False), its
-    inner lines indented past pad.  The types are tested in the stdlib
-    encoder's order, a float is written by float.__repr__ and a string (a
-    key too: keys are strings) by encode_basestring_ascii; a non-finite
-    float raises ValueError and another type TypeError, as json.dumps."""
+    inner lines indented past pad.  The commonest types come first (no object
+    has two of them but a bool, tested before int), a finite float, an [re,
+    im] pair of them and an int by exact type.  A float is written by
+    float.__repr__ and a string (a key too: keys are strings) by
+    encode_basestring_ascii; a non-finite float raises ValueError and
+    another type TypeError, as json.dumps."""
+    t = type(o)
+    if t is float and o - o == 0.0:
+        return float.__repr__(o)
+    if t is list and len(o) == 2 and type(o[0]) is type(o[1]) is float \
+            and o[0] - o[0] == o[1] - o[1] == 0.0:
+        i = pad + "  "
+        return f"[\n{i}{float.__repr__(o[0])},\n{i}{float.__repr__(o[1])}\n{pad}]"
+    if t is int:
+        return int.__repr__(o)
     if isinstance(o, str):
         return _encode_str(o)
+    inner = pad + "  "
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        items = [_encode_str(k) + ": " + _json_text(v, inner) for k, v in o.items()]
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}}}"
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        items = [_json_text(v, inner) for v in o]
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
     if o is None:
         return "null"
     if o is True:
@@ -341,17 +361,6 @@ def _json_text(o, pad: str) -> str:
         if not math.isfinite(o):
             raise ValueError(f"Out of range float values are not JSON compliant: {o!r}")
         return float.__repr__(o)
-    inner = pad + "  "
-    if isinstance(o, (list, tuple)):
-        if not o:
-            return "[]"
-        items = [_json_text(v, inner) for v in o]
-        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
-    if isinstance(o, dict):
-        if not o:
-            return "{}"
-        items = [_encode_str(k) + ": " + _json_text(v, inner) for k, v in o.items()]
-        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}}}"
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
@@ -362,9 +371,21 @@ def report_json(rset: ReportSet) -> str:
     return _json_text(doc, "")
 
 
-_CSV_FIELDS = ["case_id", "sample_index", "seed", "status", "lhs_re", "lhs_im",
-               "rhs_re", "rhs_im", "abs_residual", "rel_residual",
-               "terms_used", "message", "params"]
+_CSV_HEADER = ("case_id,sample_index,seed,status,lhs_re,lhs_im,rhs_re,rhs_im,"
+               "abs_residual,rel_residual,terms_used,message,params\r\n")
+
+#: json.dumps(o, allow_nan=False)'s C encoder, built once rather than on every
+#: call, and without the circular-reference check, which no report value needs.
+_params_encoder = json.encoder.c_make_encoder(
+    None, json.JSONEncoder().default, _encode_str, None, ": ", ", ", False, False, False)
+
+
+def _csv_field(v) -> str:
+    """v as csv.writer writes a field of a row of several (excel dialect)."""
+    v = "" if v is None else v if isinstance(v, str) else str(v)
+    if '"' in v or "," in v or "\n" in v or "\r" in v:
+        return '"' + v.replace('"', '""') + '"'
+    return v
 
 
 def write_text(path: str, text: str) -> None:
@@ -397,18 +418,17 @@ def check_writable(option: str, path) -> None:
 
 
 def write_csv(rset: ReportSet, path: str) -> None:
-    """Flatten one report per row (JSON remains the source of truth)."""
-    buf = io.StringIO(newline="")
-    w = csv.writer(buf)
-    w.writerow(_CSV_FIELDS)
+    """Flatten one report per row (JSON remains the source of truth), as
+    csv.writer writes the rows."""
+    lines = [_CSV_HEADER]
     for rd in rset.run_dicts:
         lhs = rd["lhs"] or (None, None)
         rhs = rd["rhs"] or (None, None)
-        w.writerow((rd["case_id"], rd["sample_index"], rd["seed"], rd["status"],
-                    lhs[0], lhs[1], rhs[0], rhs[1], rd["abs_residual"],
-                    rd["rel_residual"], rd["terms_used"], rd["message"],
-                    _encode_params(rd["params"])))
-    write_text(path, buf.getvalue())
+        row = (rd["case_id"], rd["sample_index"], rd["seed"], rd["status"],
+               lhs[0], lhs[1], rhs[0], rhs[1], rd["abs_residual"], rd["rel_residual"],
+               rd["terms_used"], rd["message"], "".join(_params_encoder(rd["params"], 0)))
+        lines.append(",".join(map(_csv_field, row)) + "\r\n")
+    write_text(path, "".join(lines))
 
 
 def list_cases():

@@ -5,6 +5,13 @@ catch everything from this package with a single handler.
 """
 
 
+def excerpt(value) -> str:
+    """repr(value), cut to its first 60 characters and "..." when longer: an
+    error message names a raw input without echoing all of it."""
+    text = repr(value)
+    return text if len(text) <= 60 else text[:60] + "..."
+
+
 class QidentError(Exception):
     """Base class for all errors raised by qident."""
 

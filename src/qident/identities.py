@@ -44,7 +44,6 @@ from .qcore import (
     epoch,
     pair_poch_ratio,
     poch_inf_split,
-    poch_int,
     poch_multi,
     poch_multi_inf,
     theta,
@@ -162,18 +161,25 @@ def error_report(case_id, params, tol, exc):
 # Rank-1 building blocks.
 # ---------------------------------------------------------------------------
 
-def vwp_jackson_term(k, b, sig, rho, gam, n, q):
-    """k-th term of the terminating very-well-poised sum with head factor
-    (1 - b q^{2k})/(1 - b) combined safely into (1 - b q^{2k}) (bq)_{k-1}."""
-    if k == 0:
-        return units(q)[1]
-    head = (units(q)[0] - b * q ** (2 * k)) * poch_int(b * q, q, k - 1)
+def vwp_jackson_terms(b, sig, rho, gam, n, q, kmax):
+    """Terms k = 0..kmax of the terminating very-well-poised sum, the head
+    factor (1 - b q^{2k})/(1 - b) combined safely into (1 - b q^{2k})
+    (bq)_{k-1}.  Each poch_int(x, q, k) is the one of k - 1 times its next
+    factor, in poch_int's order, so one running row of the symbols gives
+    every term with poch_int's bits in O(kmax) products."""
+    one, start = units(q)
+    if not kmax:  # the k = 0 term forms no argument, so none can raise
+        return [start]
     top = b * b * q ** (1 + n) / (sig * rho * gam)
-    num = poch_multi([q**-n, sig, rho, gam, top], q, k)
-    den = poch_multi(
-        [q, b * q ** (1 + n), q * b / sig, q * b / rho, q * b / gam,
-         sig * rho * gam * q ** (-n) / b], q, k)
-    return head * num / den * q**k
+    xs = (b * q, q**-n, sig, rho, gam, top, q, b * q ** (1 + n), q * b / sig, q * b / rho,
+          q * b / gam, sig * rho * gam * q ** (-n) / b)
+    row, terms = [start] * len(xs), [start]
+    for k in range(1, kmax + 1):
+        head, p = row[0], q ** (k - 1)  # head: (bq; q)_{k-1}
+        row = [r * (one - x * p) for r, x in zip(row, xs)]
+        terms.append((one - b * q ** (2 * k)) * head * math.prod(row[1:6], start=start)
+                     / math.prod(row[6:], start=start) * q**k)
+    return terms
 
 
 def jackson_delta_product(b, sig, rho, gam, n, q):
@@ -808,7 +814,7 @@ def verify_c1_macdonald(x, tol):
 
 def verify_flipped_summand(sigma, rho, gamma, q, n, z, k, tol):
     b = q ** (2 * z)
-    lhs = vwp_jackson_term(k, b, sigma, rho, gamma, n, q)
+    lhs = vwp_jackson_terms(b, sigma, rho, gamma, n, q, k)[k]
     zeros, rhs = flipped_summand_structured(z + k, z, sigma, rho, gamma, n, q)
     # A pole of the product form is one of the term too, and the term is
     # evaluated first; the count is still never dropped silently.
@@ -822,7 +828,7 @@ def verify_flipped_summand(sigma, rho, gamma, q, n, z, k, tol):
 
 def verify_bilateral_finite(sigma, rho, gamma, q, n, delta, tol):
     b = q**delta
-    uni = sum(vwp_jackson_term(k, b, sigma, rho, gamma, n, q) for k in range(n + 1))
+    uni = sum(vwp_jackson_terms(b, sigma, rho, gamma, n, q, n))
     sv = eval_psi(bilateral_finite_spec(sigma, rho, gamma, n, delta, q))
     bil = mlat_norm(1, delta, q) * sv.value
     prod = jackson_delta_product(b, sigma, rho, gamma, n, q)
@@ -937,18 +943,21 @@ def verify_summand_invariance(sigma, rho, gamma, q, n, delta, k, sign, tol):
 # Samplers.
 # ---------------------------------------------------------------------------
 
+# rng.uniform(a, b) written out as its own a + (b - a) * rng.random(): same draws
 def _mod(rng, lo=0.1, hi=0.9):
-    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+    a = math.log(lo)
+    return math.exp(a + (math.log(hi) - a) * rng.random())
 
 
 def _cscalar(rng, lo=0.1, hi=0.9):
-    return _mod(rng, lo, hi) * cmath.exp(1j * rng.uniform(0.0, 2 * math.pi))
+    return _mod(rng, lo, hi) * cmath.exp(1j * (2 * math.pi * rng.random()))
 
 
 def _away(bases, q, kmax=12):
+    powers = [q**k for k in range(kmax + 1)]
     for u in bases:
-        for k in range(kmax + 1):
-            if abs(1 - u * q**k) < POLE_REJECT:
+        for qk in powers:
+            if abs(1 - u * qk) < POLE_REJECT:
                 return False
     return True
 
@@ -967,7 +976,7 @@ def _retry(draw):
 
 def _random_partition(rng, max_len, max_part):
     length = rng.randint(0, max_len)
-    return tuple(sorted((rng.randint(1, max_part) for _ in range(length)), reverse=True))
+    return tuple(sorted([rng.randint(1, max_part) for _ in range(length)], reverse=True))
 
 
 def _sample_jackson(rng):
@@ -976,7 +985,7 @@ def _sample_jackson(rng):
     qn = q ** (n + 1)
 
     def draw():
-        a, b, c, d = (_cscalar(rng) for _ in range(4))
+        a, b, c, d = _cscalar(rng), _cscalar(rng), _cscalar(rng), _cscalar(rng)
         e = qn * a * a / (b * c * d)
         bases = [a * q / b, a * q / c, a * q / d, a * q / e, a * qn,
                  a * q / (b * c * d), q]
@@ -985,7 +994,7 @@ def _sample_jackson(rng):
         # conditioning gate: the terminating sum must not be a near-complete
         # cancellation of much larger terms, or double precision cannot reach
         # the target residual on the draw
-        terms = [vwp_jackson_term(k, a, b, c, d, n, q) for k in range(n + 1)]
+        terms = vwp_jackson_terms(a, b, c, d, n, q, n)
         if abs(sum(terms)) >= 1e-4 * max(map(abs, terms)):
             return dict(a=a, b=b, c=c, d=d, n=n, q=q)
 
@@ -998,7 +1007,8 @@ def _sample_bailey10(rng):
     qmn, qn = q ** (-n), q ** (n + 1)
 
     def draw():
-        a, b, c, d, e, f = (_cscalar(rng) for _ in range(6))
+        a, b, c, d, e, f = (_cscalar(rng), _cscalar(rng), _cscalar(rng),
+                            _cscalar(rng), _cscalar(rng), _cscalar(rng))
         lam = q * a * a / (b * c * d)
         bases = [a * q / b, a * q / c, a * q / d, a * q / e, a * q / f,
                  e * f * qmn / lam, a * qn, lam * q / e, lam * q / f, lam * q,
@@ -1013,7 +1023,9 @@ def _sample_bailey6(rng):
     q = _mod(rng, 0.1, 0.5)
 
     def draw():
-        a, b, c, d, e = (_cscalar(rng, 0.5, 0.9) for _ in range(5))
+        a, b, c, d, e = (_cscalar(rng, 0.5, 0.9), _cscalar(rng, 0.5, 0.9),
+                         _cscalar(rng, 0.5, 0.9), _cscalar(rng, 0.5, 0.9),
+                         _cscalar(rng, 0.5, 0.9))
         x = q * a * a / (b * c * d * e)
         if abs(x) <= 0.5 and _away([a * q / b, a * q / c, a * q / d, a * q / e, q / b,
                                     q / c, q / d, q / e, x, q / a], q):
@@ -1049,7 +1061,7 @@ def _sample_flipped(rng):
     qb, qmn, top = q * b, q ** (-n), b * q ** (1 + n)
 
     def draw():
-        sig, rho, gam = (_cscalar(rng) for _ in range(3))
+        sig, rho, gam = _cscalar(rng), _cscalar(rng), _cscalar(rng)
         rng.randint(0, 1)  # discarded: it keeps every later draw of the stream in place
         if _away([qb / sig, qb / rho, qb / gam, sig * rho * gam * qmn / b, top], q,
                  kmax=n + 2):
@@ -1066,7 +1078,7 @@ def _sample_bilfinite(rng):
     qb, qmn = q * b, q ** (-n)
 
     def draw():
-        sig, rho, gam = (_cscalar(rng) for _ in range(3))
+        sig, rho, gam = _cscalar(rng), _cscalar(rng), _cscalar(rng)
         if _away([qb / sig, qb / rho, qb / gam, sig * rho * gam * qmn / b], q,
                  kmax=n + 2):
             return dict(sigma=sig, rho=rho, gamma=gam, q=q, n=n, delta=delta)
@@ -1080,7 +1092,8 @@ def _sample_3psi3(delta):
         qd = q ** (1 + delta)
 
         def draw():
-            sig, rho, gam = (_cscalar(rng, 0.5, 0.9) for _ in range(3))
+            sig, rho, gam = (_cscalar(rng, 0.5, 0.9), _cscalar(rng, 0.5, 0.9),
+                             _cscalar(rng, 0.5, 0.9))
             srg = sig * rho * gam
             if abs(qd / srg) <= 0.8 and \
                     _away([qd / sig, qd / rho, qd / gam, qd / srg], q):
@@ -1101,8 +1114,8 @@ def _sample_multijackson(rng):
 
     def draw():
         lam = _random_partition(rng, n, max_part)
-        z = tuple(_cscalar(rng, 0.3, 0.9) for _ in range(n))
-        a, b, s = (_cscalar(rng) for _ in range(3))
+        z = tuple([_cscalar(rng, 0.3, 0.9) for _ in range(n)])
+        a, b, s = _cscalar(rng), _cscalar(rng), _cscalar(rng)
         bases = [q * b / (s * t), q * b * tn * s / a, qt, a / (s * t ** (n + 1)),
                  b / (s * tn)]
         for zi in z:
@@ -1124,7 +1137,7 @@ def _sample_simplified(rng):
     def draw():
         lam = _random_partition(rng, n, max_part)
         x = _cscalar(rng, 0.3, 0.9)
-        a, b, s = (_cscalar(rng) for _ in range(3))
+        a, b, s = _cscalar(rng), _cscalar(rng), _cscalar(rng)
         if _away([q * b * x, q * b / (a * x), q * b, q * b / a, qt, a * s], q, kmax=8):
             return dict(lam=lam, n=n, x=x, q=q, p=p, t=t, a=a, b=b, s=s)
 
@@ -1139,7 +1152,7 @@ def _sample_duality(rng):
 
     def draw():
         lam, nu = _random_partition(rng, n, 2), _random_partition(rng, n, 2)
-        a, ap, b = (_cscalar(rng) for _ in range(3))
+        a, ap, b = _cscalar(rng), _cscalar(rng), _cscalar(rng)
         k = ap * t1 / b
         h = a * t1 / b
         if _away([k, h, k * a * t1, h * ap * t1, q * ap * t3, q * a * t3], q, kmax=8):
@@ -1156,7 +1169,7 @@ def _sample_flip(rng):
 
     def draw():
         lam = _random_partition(rng, nvar, 3)
-        xs = tuple(_cscalar(rng, 0.3, 0.9) for _ in range(nvar))
+        xs = tuple([_cscalar(rng, 0.3, 0.9) for _ in range(nvar)])
         a, b = _cscalar(rng), _cscalar(rng)
         if _away([u for xi in xs for u in (q * b * xi, q * b / (a * xi))], q, kmax=8):
             return dict(lam=lam, xs=xs, q=q, p=p, t=t, a=a, b=b)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import NotAPartition
+from .errors import NotAPartition, excerpt
 
 
 def normalize(lam) -> tuple:
@@ -28,13 +28,14 @@ def check_partition(lam) -> tuple:
     lam = tuple(lam)
     for x in lam:
         if type(x) is not int:
-            raise NotAPartition(f"{lam} has a part that is not an integer: {x!r}")
+            raise NotAPartition(f"{excerpt(lam)} has a part that is not an integer: "
+                                f"{excerpt(x)}")
     lam = normalize(lam)
     for i in range(len(lam) - 1):
         if lam[i] < lam[i + 1]:
-            raise NotAPartition(f"{lam} is not weakly decreasing")
+            raise NotAPartition(f"{excerpt(lam)} is not weakly decreasing")
     if lam and lam[-1] < 0:
-        raise NotAPartition(f"{lam} has negative parts")
+        raise NotAPartition(f"{excerpt(lam)} has negative parts")
     return lam
 
 

@@ -400,6 +400,34 @@ def test_main_case_options_are_validated_as_a_config_entry(tmp_path, capsys):
         assert f"config error: {msg}" in capsys.readouterr().err
 
 
+_LONG = "[" + "1.5, " * 20000 + "1.5]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--case", "weyldegree", "--param", "mu=" + "[" * 5000 + "]" * 5000],
+    ["--case", "weyldegree", "--param", "mu=" + json.dumps([1.5] * 100000)],
+    ["--case", "weyldegree", "--param", "mu=" + json.dumps([[1] * 50000])],
+    ["--case", "weyldegree", "--param", "mu=" + json.dumps(list(range(50000)))],
+    ["--case", "weyldegree", "--param", "mu=" + json.dumps(_LONG[:-1])],
+    ["--case", "weyldegree", "--param", "mu=" + json.dumps({"x": "y" * 50000})],
+    ["--case", "weyldegree", "--param", "n=" + _LONG],
+    ["--case", "weyldegree", "--param", "s=" + _LONG],
+    ["--case", "weyldegree", "--param", "s=" + _LONG[:-1]],
+    ["--case", "flip", "--param", "xs=" + json.dumps("x" * 100000)],
+    ["--case", "flip", "--param", "xs=" + json.dumps([_LONG])],
+    ["--case", "weyldegree", "--param", "z" * 100000 + "=1"],
+    ["--case", "weyldegree", "--param", "z" * 100000],
+    ["--case", "z" * 100000],
+], ids=["deep-partition", "float-parts", "list-part", "increasing", "partition-text",
+        "partition-dict", "integer", "scalar", "unparsed", "vector", "vector-entry",
+        "name", "no-value", "case-id"])
+def test_main_config_error_names_a_long_input_by_an_excerpt(argv, capsys):
+    assert main(["run", *argv]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: ")
+    assert len(lines[0]) <= 200, lines[0][:300]
+
+
 # ---------------------------------------------------------------------------
 # main() end to end
 # ---------------------------------------------------------------------------
@@ -578,9 +606,11 @@ def test_writers_accept_a_file_that_cannot_be_truncated():
 def _writer_report_sets():
     """Report sets for the writer tests: every case at seeds 0-9, two
     high-precision batches, an error run (null sides), a {"qpow": -2} tag
-    given as --param, an empty batch, and a hand-built run whose message
+    given as --param, an empty batch, a hand-built run whose message
     holds a quote, a backslash, a control character, non-ASCII text, a
-    comma and a newline."""
+    comma and a newline, real-parameter runs (sides with -0.0), and run
+    dicts off the fixed run layout: a key added, the keys reordered, and
+    sides that are not float pairs."""
     sets = [run([CaseConfig(case_id=cid, seed=0, samples=10)
                  for cid in identities.CASES])]
     sets += [run([CaseConfig(case_id=cid, seed=2, samples=2)], precision="high")
@@ -598,6 +628,17 @@ def _writer_report_sets():
     odd.run_dicts[0]["message"] = 'a "quoted", back\\slash\x01\t \u03c8\u00e9 \U0001d53c'
     odd.run_dicts[1]["message"] = "comma, \"quote\"\nnew line\r\n"
     sets.append(odd)
+    real = run([CaseConfig(case_id="jackson8phi7",
+                           params=dict(a=0.5, b=0.3, c=0.7, d=0.6, n=3, q=0.4)),
+                CaseConfig(case_id="ramanujan1psi1", params=dict(a=0.5, b=0.2, x=0.6, q=0.4))])
+    assert real.run_dicts[0]["rhs"][1] == 0.0 and str(real.run_dicts[0]["rhs"][1]) == "-0.0"
+    sets.append(real)
+    off = run([CaseConfig(case_id="multijackson", samples=4)])
+    off.run_dicts[0]["extra"] = [1, "two", None, True, {"x": [False]}]
+    off.run_dicts[1] = dict(reversed(off.run_dicts[1].items()))
+    off.run_dicts[2]["lhs"], off.run_dicts[2]["rhs"] = [1, 2.5], [0.5, True]
+    off.run_dicts[3]["lhs"], off.run_dicts[3]["rhs"] = (0.25, -0.0), [0.5, -1.5, 2.0]
+    sets.append(off)
     return sets
 
 
@@ -624,6 +665,20 @@ def test_report_json_refuses_a_non_finite_float_as_the_stdlib(value):
         _stdlib_report_json(rset)
     with pytest.raises(ValueError, match="Out of range float values"):
         report_json(rset)
+
+
+@pytest.mark.parametrize("value", [object(), 1 + 2j, {1.5}, b"bytes"])
+def test_writers_refuse_an_unsupported_params_value_as_the_stdlib(value, tmp_path):
+    from qident.cli import report_json
+
+    rset = run([CaseConfig(case_id="c1macdonald")])
+    rset.run_dicts[0]["params"]["x"] = [0.5, value]
+    # the stdlib's JSON report and params column (_dict_writer_csv), then ours
+    for write in (_stdlib_report_json,
+                  lambda r: json.dumps(r.run_dicts[0]["params"], allow_nan=False),
+                  report_json, lambda r: write_csv(r, str(tmp_path / "r.csv"))):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            write(rset)
 
 
 def _dict_writer_csv(rset):
@@ -1004,7 +1059,9 @@ def test_bench_pairs_summary_counts_wins_in_each_metric_direction():
     assert "won 2/3" in lines[4]
     assert lines[6] == "  verdict: within bound (bound 25%)"
     assert lines[7:] == ["parent: failed [0, 0, 0] of [100, 100, 100], correct True",
-                         "change: failed [0, 2, 0] of [100, 100, 100], correct False"]
+                         "change: failed [0, 2, 0] of [100, 100, 100], correct False",
+                         "gains do not count: the change fails 0.67% of its operations, "
+                         "the parent 0.00%; a run is not correct"]
     # At a 1% bound the parent's quartile distances (0.4 ms, 100/s) exceed
     # the bound, and the runs overlap.
     tight = [{**metric, "bound": 0.01} for metric in end_to_end]
@@ -1017,6 +1074,16 @@ def test_bench_pairs_summary_counts_wins_in_each_metric_direction():
     lines = bench_pairs.summarize(parent, change, end_to_end)
     assert lines[3] == "  verdict: gain (bound 25%)"
     assert lines[6] == "  verdict: regression (bound 25%)"
+    assert lines[-1] == "gains count"
+    # A failed share no larger than the parent's leaves a gain counting; a
+    # larger one, or one run not correct on either side, voids it.
+    fails = [_result_line(6.0, 1000, failed=1)] * 3
+    assert bench_pairs.summarize(fails, change, end_to_end)[-1] == "gains count"
+    assert bench_pairs.summarize(parent, fails, end_to_end)[-1] == \
+        "gains do not count: the change fails 1.00% of its operations, the parent 0.00%"
+    wrong = parent[:2] + [_result_line(6.2, 1020, correct=False)]
+    assert bench_pairs.summarize(wrong, change, end_to_end)[-1] == \
+        "gains do not count: a run is not correct"
     lines = bench_pairs.summarize(change, parent, end_to_end)
     assert lines[3] == "  verdict: within bound (bound 25%)"  # 5.1 -> 6.1 is +19.6%
     assert lines[6] == "  verdict: gain (bound 25%)"

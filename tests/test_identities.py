@@ -34,11 +34,11 @@ from qident.identities import (
     sample_params,
     simplified_jackson_rhs,
     verify_summand_invariance,
-    vwp_jackson_term,
+    vwp_jackson_terms,
 )
 from qident.identities import SERIES_TOL, SHELL_CAP, SHELL_STEP
 from qident.policy import QPower, scalar_value
-from qident.qcore import PRODUCT_TOL, poch_int
+from qident.qcore import PRODUCT_TOL, poch_int, poch_multi, units
 from qident.wfunc import WParams, zw_multi
 
 from conftest import rel
@@ -98,10 +98,47 @@ def _poch_int_jackson_draw(seed):
 
 
 def test_jackson_draws_equal_those_of_the_poch_int_gate():
-    # The sampler's conditioning gate sums vwp_jackson_term, the verifier's
+    # The sampler's conditioning gate sums vwp_jackson_terms, the verifiers'
     # own transcription of the 8phi7 terms; it admits the same draws.
     for seed in range(500):
         assert sample_params("jackson8phi7", seed) == _poch_int_jackson_draw(seed), seed
+
+
+def _poch_int_jackson_term(k, b, sig, rho, gam, n, q):
+    """The k-th 8phi7 term as one product of poch_int symbols, the form
+    vwp_jackson_terms tabulates."""
+    if k == 0:
+        return units(q)[1]
+    head = (units(q)[0] - b * q ** (2 * k)) * poch_int(b * q, q, k - 1)
+    num = poch_multi([q**-n, sig, rho, gam, b * b * q ** (1 + n) / (sig * rho * gam)], q, k)
+    den = poch_multi([q, b * q ** (1 + n), q * b / sig, q * b / rho, q * b / gam,
+                      sig * rho * gam * q ** (-n) / b], q, k)
+    return head * num / den * q**k
+
+
+def test_jackson_terms_are_the_poch_int_terms_bit_for_bit():
+    # Real and complex bases (q = 1 and |q| > 1 too), b a power of q (a
+    # vanishing factor), kmax below, at and above n, n negative, and an
+    # mpmath base: the prefix tables multiply poch_int's factors in its order.
+    rng = random.Random(11)
+    ctx = mp_context(30)
+    for trial in range(3000):
+        n, kmax = rng.randint(-2, 7), rng.randint(0, 8)
+        q = rng.choice([rng.uniform(0.05, 0.95), 1.0, 2.0,
+                        complex(rng.uniform(-0.9, 0.9), rng.uniform(-0.9, 0.9))])
+        b, sig, rho, gam = (complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(4))
+        if trial % 5 == 0:
+            b = q ** -rng.randint(0, 4)
+        if trial % 50 == 0:
+            q, b, sig, rho, gam = map(ctx.mpmathify, (q, b, sig, rho, gam))
+        try:
+            want = [_poch_int_jackson_term(k, b, sig, rho, gam, n, q) for k in range(kmax + 1)]
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                vwp_jackson_terms(b, sig, rho, gam, n, q, kmax)
+            continue
+        got = vwp_jackson_terms(b, sig, rho, gam, n, q, kmax)
+        assert repr(got) == repr(want), (n, kmax, q, b, sig, rho, gam)
 
 
 def test_report_tolerance_recorded_and_consistent():
@@ -337,7 +374,7 @@ def test_flipped_summand_k0_at_weight_point():
         z = delta / 2.0
         sig, rho, gam, q, n = 0.3 + 0.1j, 0.7 - 0.2j, 0.2 + 0.05j, 0.35, 4
         zeros, value = flipped_summand_structured(z, z, sig, rho, gam, n, q)
-        lhs = vwp_jackson_term(0, q ** (2 * z), sig, rho, gam, n, q)
+        lhs = vwp_jackson_terms(q ** (2 * z), sig, rho, gam, n, q, 0)[0]
         assert zeros == 0
         assert abs(lhs - 1) < 1e-14
         assert rel(value, 1.0) < 1e-12
@@ -427,8 +464,7 @@ def test_pipeline_term_level_regrouping():
 
             f = mlat_norm(1, delta, q)
             b = q**delta
-            for k in range(n + 1):
-                uni = vwp_jackson_term(k, b, sig, rho, gam, n, q)
+            for k, uni in enumerate(vwp_jackson_terms(b, sig, rho, gam, n, q, n)):
                 if delta == 0 and k == 0:
                     paired = f * bil(0)
                 else:
@@ -1167,7 +1203,10 @@ def _mlat_sweep(n, delta, q, s, a, x):
     """Brute-force lattice sum: every point of each hypercube shell in
     product order, each dominant summand rebuilt by mlat_3psi3_summand (the
     others are 0), with the shell tail test, the lattice budget and the window
-    cap of _mlat_3psi3_sum."""
+    cap of _mlat_3psi3_sum.  A shell that meets both a vanishing denominator
+    and a vanishing reciprocal raises the one its product order reaches
+    first, which can be the other error than _mlat_3psi3_sum's (its tables
+    grow each coordinate's upper side first)."""
     total, nterms, covered, below = 0.0 + 0j, 0, -1, 0
     m = SHELL_STEP
     while True:
@@ -1333,6 +1372,16 @@ def test_multilateral_3psi3_sum_vanishing_factor_as_sweep(draw, monkeypatch):
         assert got == (_BUDGET if budget < before else error), budget
     monkeypatch.undo()
     assert _sum_outcome(_mlat_3psi3_sum, *args) == _sum_outcome(_mlat_sweep, *args) == error
+
+
+def test_multilateral_3psi3_shell_with_both_vanishing_factors_names_the_denominator():
+    # a s = q^{-3}: the denominator vanishes from mu = 4 up, and the reciprocal
+    # from mu = -4 down, both in shell m = 4.  The sum grows the upper side
+    # first (PairRatioTable) and names the denominator; the product-order
+    # sweep reaches mu = -4 first and names the reciprocal.
+    args = (1, 0, 0.5, 8 / _A, _A, 0.75 + 0.25j)
+    assert _sum_outcome(_mlat_3psi3_sum, *args) == _DEN
+    assert _sum_outcome(_mlat_sweep, *args) == _RECIP
 
 
 def test_multilateral_3psi3_vanishing_factor_is_an_error_report():
