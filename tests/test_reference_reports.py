@@ -23,6 +23,15 @@ repr(sample_params(case, seed)) for seeds 0 to 199.  A sampler change that
 keeps every draw leaves them matching; one that moves a draw fails here and
 the test names the case.
 
+The ledger digests (ledgers_seed0_19.json) pin the W kernel's recording: per
+W-ledger case (test_wfunc._W_LEDGER_CASES) and precision, one sha256 of the
+newline-joined repr((num, den, q, p)) of every ledger that
+wfunc.theta_quotient receives while run_case evaluates seeds 0 to 19 in
+double mode and seeds 0 to 2 in high mode.  A kernel change that records the
+same runs leaves them matching; one that moves a run base, key or bound by
+a bit fails here and the test names the case and the precision, though the
+settled value may still round to the same report.
+
 A change that moves report values or draws on purpose regenerates every file
 with
 
@@ -49,7 +58,9 @@ _spec = importlib.util.spec_from_file_location("run_full_suite",
 suite = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(suite)  # puts this tree's src/ first on sys.path
 
-from qident.identities import sample_params  # noqa: E402
+import qident.wfunc as wfunc  # noqa: E402
+from qident.identities import run_case, sample_params  # noqa: E402
+from test_wfunc import _W_LEDGER_CASES  # noqa: E402
 
 #: (file name, precision, samples per case, real parameters); every case
 #: starts at seed 0.
@@ -60,6 +71,10 @@ REPORTS = (("full_suite_double_seed0_samples5.json", "double", 5, False),
 
 DRAWS = "draws_seed0_199.json"
 DRAW_SEEDS = range(200)
+
+LEDGERS = "ledgers_seed0_19.json"
+#: precision -> the seeds whose ledgers are digested.
+LEDGER_SEEDS = {"double": range(20), "high": range(3)}
 
 
 def real_part(v):
@@ -130,6 +145,43 @@ def test_draws_match_the_committed_digests():
                        f"with `python3 tests/test_reference_reports.py`")
 
 
+def ledger_digests():
+    """Per W-ledger case and precision ("case/precision"), the sha256 of the
+    ledgers that theta_quotient receives at LEDGER_SEEDS: each (num, den, q,
+    p) as repr, joined by newlines."""
+    digests, sink = {}, []
+    original = wfunc.theta_quotient
+
+    def recorded(num, den, q, p):
+        sink.append(repr((num, den, q, p)))
+        return original(num, den, q, p)
+
+    wfunc.theta_quotient = recorded
+    try:
+        for cid in _W_LEDGER_CASES:
+            for precision, seeds in LEDGER_SEEDS.items():
+                del sink[:]
+                for seed in seeds:
+                    params = sample_params(cid, seed)
+                    if precision == "high":
+                        params = suite.cli._promote_params(params)
+                    run_case(cid, params)
+                digests[f"{cid}/{precision}"] = hashlib.sha256(
+                    "\n".join(sink).encode()).hexdigest()
+    finally:
+        wfunc.theta_quotient = original
+    return digests
+
+
+def test_ledgers_match_the_committed_digests():
+    base = json.loads((REFERENCE / LEDGERS).read_text(encoding="utf-8"))
+    digests = ledger_digests()
+    moved = [key for key in {**base, **digests} if base.get(key) != digests.get(key)]
+    assert not moved, (f"the W ledgers of {', '.join(moved)} differ from tests/"
+                       f"reference/{LEDGERS}; a change that moves ledgers on purpose "
+                       f"regenerates it with `python3 tests/test_reference_reports.py`")
+
+
 if __name__ == "__main__":
     for name, precision, samples, real in REPORTS:
         suite.cli.write_text(str(REFERENCE / name), report_text(precision, samples, real))
@@ -137,3 +189,6 @@ if __name__ == "__main__":
     suite.cli.write_text(str(REFERENCE / DRAWS),
                          json.dumps(draw_digests(), indent=1) + "\n")
     print(f"wrote tests/reference/{DRAWS}")
+    suite.cli.write_text(str(REFERENCE / LEDGERS),
+                         json.dumps(ledger_digests(), indent=1) + "\n")
+    print(f"wrote tests/reference/{LEDGERS}")
