@@ -11,6 +11,12 @@ the change was better in the metric's direction, and a verdict against the
 metric's bound (see verdict); then each side's `failed` counts and whether
 every run was `correct`, and whether a gain counts (see gains_count).
 
+With --layers it then makes one traced run per tree (--trace 1, the first
+seed, the same --seconds) and prints each per-layer metric of
+BENCHMARK.json with the parent's value, the change's value and the move
+(see layer_lines).  One traced run is no timing evidence: its self times
+carry the tracer's overhead and the host's noise; its counts are exact.
+
 Standard library only.  The script writes nothing; each bench/run.py writes
 its own bench/out/ in its tree.
 """
@@ -25,11 +31,11 @@ import sys
 from pathlib import Path
 
 
-def bench_line(tree, workload, seed, seconds):
+def bench_line(tree, workload, seed, seconds, trace=False):
     """The result line (the last line of standard output) of one run of
-    tree/bench/run.py."""
+    tree/bench/run.py, traced with trace."""
     cmd = [sys.executable, str(Path(tree) / "bench" / "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds)]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(int(trace))]
     done = subprocess.run(cmd, capture_output=True, text=True)
     if done.returncode != 0 or not done.stdout.strip():
         raise SystemExit(f"{' '.join(cmd)} exited {done.returncode}:\n{done.stderr}")
@@ -119,6 +125,26 @@ def summarize(parent_lines, change_lines, end_to_end):
     return out
 
 
+def layer_lines(parent_line, change_line, per_layer):
+    """One line per per-layer metric entry of BENCHMARK.json: its value in
+    the parent's and the change's traced result line and the relative move
+    of the change's value; a metric missing from a line reads "-"."""
+    parent, change = (json.loads(line)["metrics"] for line in (parent_line, change_line))
+    out = ["per-layer metrics of one traced run per tree: parent -> change, move"]
+    for metric in per_layer:
+        name = metric["name"]
+        pv, cv = (side.get(name, {}).get("value") for side in (parent, change))
+        if pv is None or cv is None:
+            move = "-"
+        elif pv:
+            move = f"{(cv - pv) / abs(pv):+.1%}"
+        else:
+            move = "+0.0%" if cv == pv else "new"
+        pt, ct = ("-" if v is None else f"{v:.6g}" for v in (pv, cv))
+        out.append(f"{name} ({metric['better']} is better): {pt} -> {ct}, {move}")
+    return out
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", help="source tree of the parent")
@@ -128,11 +154,13 @@ def main(argv=None):
     ap.add_argument("--first-seed", type=int, default=1)
     ap.add_argument("--seconds", type=float, default=25.0)
     ap.add_argument("--benchmark", help="BENCHMARK.json (default: the change's)")
+    ap.add_argument("--layers", action="store_true",
+                    help="then one traced run per tree, per-layer metrics side by side")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be >= 1")
-    spec = json.loads(Path(args.benchmark or Path(args.change) / "BENCHMARK.json")
-                      .read_text())["end_to_end"]
+    bench = json.loads(Path(args.benchmark or Path(args.change) / "BENCHMARK.json")
+                       .read_text())
     parent_lines, change_lines = [], []
     for k in range(1, args.pairs + 1):
         seed = args.first_seed + k - 1
@@ -141,7 +169,11 @@ def main(argv=None):
             line = bench_line(tree, args.workload, seed, args.seconds)
             (parent_lines if side == "parent" else change_lines).append(line)
             print(f"pair {k} {side} seed {seed}: {line}", flush=True)
-    print("\n".join(summarize(parent_lines, change_lines, spec)))
+    print("\n".join(summarize(parent_lines, change_lines, bench["end_to_end"])), flush=True)
+    if args.layers:
+        traced = [bench_line(tree, args.workload, args.first_seed, args.seconds, trace=True)
+                  for tree in (args.parent, args.change)]
+        print("\n".join(layer_lines(*traced, bench["per_layer"])))
     return 0
 
 

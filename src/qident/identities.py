@@ -28,6 +28,7 @@ from .errors import (
     NoConvergence,
     NonFiniteSide,
     QidentError,
+    excerpt,
 )
 from .partitions import (
     check_partition,
@@ -1370,7 +1371,7 @@ def sample_params(case_id: str, seed: int) -> dict:
 def _check_int(case_id, name, kind, v):
     """DomainError unless v is an int (not a bool) in the domain of its kind."""
     if type(v) is not int:
-        raise DomainError(f"{case_id} requires {name} to be an integer, got {v!r}")
+        raise DomainError(f"{case_id} requires {name} to be an integer, got {excerpt(v)}")
     domain = INT_KINDS[kind]
     if isinstance(domain, tuple):
         if v not in domain:
@@ -1392,7 +1393,8 @@ def _check_scalar(case_id, name, v, tagged=False):
     except TypeError:
         if tagged and isinstance(v, QPower):
             return
-    raise DomainError(f"{case_id} requires {name} to be a finite number, got {v!r}")
+    raise DomainError(f"{case_id} requires {name} to be a finite number, "
+                      f"got {excerpt(v)}")
 
 
 def _verifier_args(case_id, schema, params):
@@ -1416,7 +1418,8 @@ def _verifier_args(case_id, schema, params):
         elif kind == "partition":
             v = check_partition(v)
             if len(v) > n:
-                raise DomainError(f"{case_id} requires at most n = {n} parts, got {v}")
+                raise DomainError(f"{case_id} requires at most n = {n} parts, "
+                                  f"got {excerpt(v)}")
         elif kind == "vector":
             v = tuple(v)
             if len(v) != n:

@@ -20,14 +20,16 @@ value in either mode.  For the same reason a kernel tests a value for an
 exact zero by its truth value (not r), not by comparing it with a Python 0.
 
 Besides the constant 1s that units keeps per number type, the one state is
-THETA_MEMO: while ``identities.run_case`` evaluates,
-theta(x;p) at p != 0, the split infinite products ("split" keys) and
-Euler's tail coefficients ("euler" keys) are computed once per argument and
-read back.  A memo value is the kernel's value bit for bit, so the memo
-changes no result, and both sides of an identity may share it: they call
-the same kernel either way.  It is a context variable that run_case sets
-on entry and drops on return, so no value outlives one evaluation.  Outside
-run_case, get({}) yields a throwaway: all compute afresh.
+THETA_MEMO: while ``identities.run_case`` evaluates, theta(x;p) at p != 0
+and the split infinite products ("split" keys) are computed once per
+argument and read back, and each modulus q has one tail plan ("plan" keys:
+its tail radius, in q's arithmetic, its units and Euler's coefficients),
+which every infinite product of q reads.  A memo value is the kernel's
+value bit for bit, so the memo changes no result, and both sides of an
+identity may share it: they call the same kernel either way.  It is a
+context variable that run_case sets on entry and drops on return, so no
+value outlives one evaluation.  Outside run_case (get() is None) all
+compute afresh.
 
 Conventions:
   (a;q)_k        finite product prod_{i=1..k} (1 - a q^{i-1}); for k < 0 it is
@@ -151,13 +153,27 @@ def _euler_coefficients(q):
     raise NoConvergence("poch_inf: max_factors reached before tail threshold")
 
 
-def poch_inf_tail(y, q):
-    """(y;q)_inf for |y| <= tail_radius(q): Horner on memoized Euler c_n."""
-    key = ("euler", q, type(q))
-    memo = THETA_MEMO.get({})
-    coeffs = memo.get(key)
+def _plan(q, memo):
+    """q's tail plan [cut, one, start, coeffs], kept in memo (if a dict)
+    per (q, type(q)): tail_radius(q) exactly in q's arithmetic, units(q), and
+    Euler's c_n, None until a product reaches its tail."""
+    key = ("plan", q, type(q))
+    plan = memo.get(key) if memo is not None else None
+    if plan is None:
+        rho, ctx = tail_radius(q), getattr(q, "context", None)
+        cut = rho if ctx is None or ctx.prec < 53 else ctx.mpf(rho)
+        plan = [cut, *units(q), None]
+        if memo is not None:
+            memo[key] = plan
+    return plan
+
+
+def poch_inf_tail(y, q, plan):
+    """(y;q)_inf for |y| <= tail_radius(q): Horner on the Euler c_n of q's
+    plan, built on the first call."""
+    coeffs = plan[3]
     if coeffs is None:
-        coeffs = memo[key] = _euler_coefficients(q)
+        coeffs = plan[3] = _euler_coefficients(q)
     s = 0
     for c in coeffs:
         s = s * y + c
@@ -174,12 +190,12 @@ def poch_inf(a, q):
     condition bound (-rho;|q|)_inf / (rho;|q|)_inf stays near 2 (<= 2.02)."""
     if abs(q) >= 1:
         raise DomainError("poch_inf requires |q| < 1")
-    rho = tail_radius(q)
-    one, r = units(q)
+    plan = _plan(q, THETA_MEMO.get())
+    cut, one, r = plan[0], plan[1], plan[2]
     x = a
     for _ in range(MAX_FACTORS):
-        if abs(x) <= rho:
-            return r * poch_inf_tail(x, q)
+        if abs(x) <= cut:
+            return r * poch_inf_tail(x, q, plan)
         r = r * (one - x)
         if not r:
             return r
@@ -192,7 +208,9 @@ def poch_inf_split(a, q):
     < STRUCT_ZERO_TOL) counted apart from the product of the rest, memoized
     as theta is plus a "split" tag.  A zero has |a q^k| near 1 >
     tail_radius(q), so it lies before the Euler tail."""
-    memo = THETA_MEMO.get({})
+    memo = THETA_MEMO.get()
+    if memo is None:
+        return _poch_inf_split_product(a, q)
     key = ("split", a, q, type(a), type(q))
     v = memo.get(key)
     if v is None:
@@ -203,13 +221,13 @@ def poch_inf_split(a, q):
 def _poch_inf_split_product(a, q):
     if abs(q) >= 1:
         raise DomainError("poch_inf requires |q| < 1")
-    rho = tail_radius(q)
+    plan = _plan(q, THETA_MEMO.get())
+    cut, one, r = plan[0], plan[1], plan[2]
     zeros = 0
-    one, r = units(q)
     x = a
     for _ in range(MAX_FACTORS):
-        if abs(x) <= rho:
-            return zeros, r * poch_inf_tail(x, q)
+        if abs(x) <= cut:
+            return zeros, r * poch_inf_tail(x, q, plan)
         f = one - x
         if abs(f) < STRUCT_ZERO_TOL:
             zeros += 1
@@ -239,7 +257,9 @@ def theta(x, p):
         return units(x)[0] - x
     if abs(p) >= 1:
         raise DomainError("theta requires |p| < 1")
-    memo = THETA_MEMO.get({})
+    memo = THETA_MEMO.get()
+    if memo is None:
+        return poch_inf(x, p) * poch_inf(p / x, p)
     key = (x, p, type(x), type(p))
     v = memo.get(key)
     if v is None:

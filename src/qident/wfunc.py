@@ -50,6 +50,12 @@ cancelled: where the values coincide (q a root of unity, or a caller that
 did not key a specialization), they give a numerical zero of the expression
 or a PoleCancellationError, never a silent 0/0 read as 1.
 
+Recording: zw_skew_single appends each (base;q,p)_m as one run (see
+theta_quotient), (base, key, 0, m) on its own side for m > 0 and (base,
+key, m, 0) on the other for m < 0, picking sides and bounds once per order.
+Each power and quotient is taken once per row, where the defining products
+first take it, so an overflow or a zero division raises where it would.
+
 Zero tails: the branching sum of zw_multi takes, for each interlacing nu, the
 tail W_nu(x_2..x_n) first (memoized) and builds the skew factor's ledger
 only when that tail is nonzero.  A skew factor whose tail is exactly 0 is
@@ -224,81 +230,89 @@ def zw_skew_single(x, lam, mu, params: WParams):
     n = len(lam)
     # lam_i = L[i] and mu_i = M[i] for i = 1..n, lam_{n+1} = L[n + 1] = 0.
     L, M = (0, *lam, 0), (0, *mu) + (0,) * (n - len(mu))
-    # The ledger is recorded once, as runs (base, base key, lo, hi) in num
-    # or den (see theta_quotient).
+    # The ledger is recorded once, as runs in num or den (see "Recording" in
+    # the module docstring); N and D are a block's own and other side.
     num, den = [], []
-
-    def add_poch(on_den, base, key, m):
-        # theta-Pochhammer (base;q,p)_m: m numerator arguments, or -m
-        # arguments base * q**k, k = m..-1, on the other side.
-        if m > 0:
-            (den if on_den else num).append((base, key, 0, m))
-        elif m < 0:
-            (num if on_den else den).append((base, key, m, 0))
-
     # H factor; a row of order m = 0 adds no argument.
     for j in range(2, n + 1):
         m = M[j - 1] - L[j]
         if m == 0:
             continue
+        N, D, lo, hi = (num, den, 0, m) if m > 0 else (den, num, m, 0)
+        lj, mj1 = L[j], M[j - 1]
         for i in range(1, j):
-            li, lj = L[i], L[j]
-            mi, mj1 = M[i], M[j - 1]
-            add_poch(False, q ** (mi - mj1) * t ** (j - i), mi - mj1 + (j - i) * tk, m)
-            add_poch(True, q ** (mi - mj1 + 1) * t ** (j - i - 1),
-                     mi - mj1 + 1 + (j - i - 1) * tk, m)
-            add_poch(False, q ** (li + lj) * t ** (3 - j - i) * b,
-                     li + lj + (3 - j - i) * tk + bk, m)
-            add_poch(True, q ** (li + lj + 1) * t ** (2 - j - i) * b,
-                     li + lj + 1 + (2 - j - i) * tk + bk, m)
-            add_poch(False, q ** (li - mj1 + 1) * t ** (j - i - 1),
-                     li - mj1 + 1 + (j - i - 1) * tk, m)
-            add_poch(True, q ** (li - mj1) * t ** (j - i), li - mj1 + (j - i) * tk, m)
+            li, mi = L[i], M[i]
+            k1, k2 = (j - i) * tk - mj1, (j - i - 1) * tk + 1 - mj1
+            N.append((q ** (mi - mj1) * (t1 := t ** (j - i)), mi + k1, lo, hi))
+            D.append((q ** (mi - mj1 + 1) * (t2 := t ** (j - i - 1)), mi + k2, lo, hi))
+            kb = li + lj + (2 - j - i) * tk + bk
+            N.append((q ** (li + lj) * t ** (3 - j - i) * b, kb + tk, lo, hi))
+            D.append((q ** (li + lj + 1) * t ** (2 - j - i) * b, kb + 1, lo, hi))
+            N.append((q ** (li - mj1 + 1) * t2, li + k2, lo, hi))
+            D.append((q ** (li - mj1) * t1, li + k1, lo, hi))
     for j in range(2, n + 1):
         m = M[j - 1] - L[j]
         if m == 0:
             continue
+        N, D, lo, hi = (num, den, 0, m) if m > 0 else (den, num, m, 0)
+        lj = L[j]
         for i in range(1, j - 1):
-            mi, lj = M[i], L[j]
-            add_poch(False, q ** (mi + lj + 1) * t ** (1 - j - i) * b,
-                     mi + lj + 1 + (1 - j - i) * tk + bk, m)
-            add_poch(True, q ** (mi + lj) * t ** (2 - j - i) * b,
-                     mi + lj + (2 - j - i) * tk + bk, m)
+            kb = M[i] + lj + (2 - j - i) * tk + bk
+            N.append((q ** (M[i] + lj + 1) * t ** (1 - j - i) * b, kb + 1 - tk, lo, hi))
+            D.append((q ** (M[i] + lj) * t ** (2 - j - i) * b, kb, lo, hi))
     # (x^-1, a x)_lam / (x^-1, a x)_mu as strip-difference products.
+    ax = a * x
     for i in range(1, n + 1):
         mi = M[i]
         m = L[i] - mi
         if m == 0:
             continue
-        add_poch(False, t ** (1 - i) / x * q**mi, (1 - i) * tk - xk + mi, m)
-        add_poch(False, a * x * t ** (1 - i) * q**mi, ak + xk + (1 - i) * tk + mi, m)
+        N, lo, hi = (num, 0, m) if m > 0 else (den, m, 0)
+        ki = (1 - i) * tk + mi
+        N.append(((ti := t ** (1 - i)) / x * (qm := q**mi), ki - xk, lo, hi))
+        N.append((ax * ti * qm, ak + xk + ki, lo, hi))
     # (q b x / t, q b / (a x t))_mu / (q b x, q b / (a x))_lam.
+    qb = q * b
+    qbx = qb * x
     kx, kax = 1 + bk + xk, 1 + bk - ak - xk
     for i in range(1, n + 1):
         mi, li = M[i], L[i]
         if mi == 0 and li == 0:
             continue
-        add_poch(False, q * b * x * t ** (-i), kx - i * tk, mi)
-        add_poch(True, q * b * x * t ** (1 - i), kx + (1 - i) * tk, mi)
-        add_poch(True, q * b * x * t ** (1 - i) * q**mi, kx + (1 - i) * tk + mi, li - mi)
-        add_poch(False, q * b / (a * x) * t ** (-i), kax - i * tk, mi)
-        add_poch(True, q * b / (a * x) * t ** (1 - i), kax + (1 - i) * tk, mi)
-        add_poch(True, q * b / (a * x) * t ** (1 - i) * q**mi,
-                 kax + (1 - i) * tk + mi, li - mi)
+        tm, t1 = t ** (-i), t ** (1 - i)
+        qm = q**mi
+        qbax = qb / ax
+        ik = i * tk
+        if mi:
+            N, D, lo, hi = (num, den, 0, mi) if mi > 0 else (den, num, mi, 0)
+            N.append((qbx * tm, kx - ik, lo, hi))
+            D.append((qbx * t1, kx - ik + tk, lo, hi))
+        if li != mi:
+            D3, lo3, hi3 = (den, 0, li - mi) if li > mi else (num, li - mi, 0)
+            D3.append((qbx * t1 * qm, kx - ik + tk + mi, lo3, hi3))
+        if mi:
+            N.append((qbax * tm, kax - ik, lo, hi))
+            D.append((qbax * t1, kax - ik + tk, lo, hi))
+        if li != mi:
+            D3.append((qbax * t1 * qm, kax - ik + tk + mi, lo3, hi3))
     # Final block.
     tpow = units(q)[1]
+    bq = b * q
     for i in range(1, n + 1):
         mi, li1 = M[i], L[i + 1]
         if mi == 0 and li1 == 0:
             continue
         base_n = b * t ** (1 - 2 * i)
-        base_d = b * q * t ** (-2 * i)
+        base_d = bq * t ** (-2 * i)
         kn = bk + (1 - 2 * i) * tk  # the key of base_n
         if mi != 0:  # theta(base_n q^{2 mi}) / theta(base_n)
             num.append((base_n, kn, 2 * mi, 2 * mi + 1))
             den.append((base_n, kn, 0, 1))
-        add_poch(False, base_n, kn, mi + li1)
-        add_poch(True, base_d, kn + 1 - tk, mi + li1)
+        m = mi + li1
+        if m:
+            N, D, lo, hi = (num, den, 0, m) if m > 0 else (den, num, m, 0)
+            N.append((base_n, kn, lo, hi))
+            D.append((base_d, kn + 1 - tk, lo, hi))
         tpow = tpow * t ** (i * (mi - li1))
     return tpow * theta_quotient(num, den, q, p)
 
@@ -333,13 +347,15 @@ def zw_multi(xvars, lam, params: WParams, memo=None):
     if n == 1:
         total = zw_skew_single(xvars[0], lam, (), params)
     else:
-        y, zs = xvars[0], xvars[1:]
-        l = n - 1
-        tk, ak, bk = params.keys
-        y, yk = y if isinstance(y, Keyed) else (y, X_KEY)
-        x1 = Keyed(y * params.t ** (-l), yk - l * tk)
-        shifted = WParams(params.q, params.p, params.t, params.a * params.t ** (2 * l),
-                          params.b * params.t**l, (tk, ak + 2 * l * tk, bk + l * tk))
+        branch = memo.get(("branch", xvars))  # once per variables: x1, shifted
+        if branch is None:
+            l, (tk, ak, bk) = n - 1, params.keys
+            y, yk = xvars[0] if isinstance(xvars[0], Keyed) else (xvars[0], X_KEY)
+            x1 = Keyed(y * params.t ** (-l), yk - l * tk)
+            branch = memo[("branch", xvars)] = x1, WParams(
+                params.q, params.p, params.t, params.a * params.t ** (2 * l),
+                params.b * params.t**l, (tk, ak + 2 * l * tk, bk + l * tk))
+        (x1, shifted), zs = branch, xvars[1:]
         total = 0.0 + 0j
         for nu in interlacing_vectors(lam):
             # Tail first: it is memoized, and a zero tail spares the ledger.

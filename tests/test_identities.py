@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import qident.identities as identities
 import qident.qcore as qcore
 from qident.errors import (ConfigError, DomainError, NonFiniteSide,
-                           PoleCancellationError, QidentError)
+                           PoleCancellationError, QidentError, excerpt)
 from qident.identities import (
     CASES,
     _mlat_3psi3_sum,
@@ -691,6 +691,20 @@ def test_out_of_domain_parameters_are_error_reports(case_id, change, message):
     r = run_case(case_id, {**sample_params(case_id, 0), **change})
     assert (r.case_id, r.status) == (case_id, "error")
     assert r.message.startswith("DomainError: ") and message in r.message
+
+
+def test_long_raw_values_are_named_by_an_excerpt():
+    # A too-long partition, a non-int integer parameter and a non-finite
+    # scalar each name the raw value by errors.excerpt: a 100,000-part mu
+    # was echoed whole, a 300,058-character message.
+    base = sample_params("weyldegree", 0)
+    mu, big_n, q = (1,) * 100000, [7] * 1000, "0.5" * 1000
+    for change, tail in ((dict(mu=mu, n=1), f"at most n = 1 parts, got {excerpt(mu)}"),
+                         (dict(N=big_n), f"N to be an integer, got {excerpt(big_n)}"),
+                         (dict(q=q), f"q to be a finite number, got {excerpt(q)}")):
+        r = run_case("weyldegree", {**base, **change})
+        assert r.status == "error" and len(r.message) < 200, change.keys()
+        assert r.message.endswith(tail)
 
 
 #: Values that no scalar parameter or vector entry admits: NaN, infinities

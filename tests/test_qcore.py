@@ -207,6 +207,98 @@ def test_poch_inf_memo_changes_no_value():
         THETA_MEMO.reset(token)
 
 
+def _units_before_plan(x):
+    """qcore.units as the two-poch_inf kernels used it, reading nothing of
+    the tail plan."""
+    ctx = getattr(x, "context", None)
+    return (1, 1.0 + 0j) if ctx is None else (ctx.mpc(1), ctx.mpc(1))
+
+
+def _poch_inf_before_plan(a, q):
+    """poch_inf before the tail plan: the radius and the units per call, a
+    float radius in every comparison, and Euler's coefficients built afresh
+    for each tail."""
+    if abs(q) >= 1:
+        raise DomainError("poch_inf requires |q| < 1")
+    rho = min(0.25, (1 - float(abs(q))) * 0.34657359027997264)
+    one, r = _units_before_plan(q)
+    x = a
+    for _ in range(qcore.MAX_FACTORS):
+        if abs(x) <= rho:
+            coeffs, c = [], one
+            for n in range(qcore.MAX_FACTORS):
+                if abs(c) * rho**n < PRODUCT_TOL:
+                    break
+                coeffs.append(c)
+                c = -c * q**n / (one - q ** (n + 1))
+            s = 0
+            for c in coeffs[::-1]:
+                s = s * x + c
+            return r * s
+        r = r * (one - x)
+        if not r:
+            return r
+        x = x * q
+    raise NoConvergence("poch_inf: max_factors reached before tail threshold")
+
+
+def _theta_before_plan(x, p):
+    """theta as two poch_inf products, before the tail plan."""
+    if not x:
+        raise DomainError("theta requires x != 0")
+    if not p:
+        return _units_before_plan(x)[0] - x
+    if abs(p) >= 1:
+        raise DomainError("theta requires |p| < 1")
+    return _poch_inf_before_plan(x, p) * _poch_inf_before_plan(p / x, p)
+
+
+def _kernel_outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+
+
+def _plan_arguments():
+    """(x or a, p or q) pairs: seeded complex doubles, their real parts, the
+    same in a 50-digit mpmath context, and the domain edges x = 0, p = 0
+    and |p| >= 1 (the x = 0 error first)."""
+    rng = random.Random(40)
+    pairs = [(cmath.rect(rng.uniform(0.01, 3), rng.uniform(-3, 3)),
+              cmath.rect(rng.uniform(0.0, 0.95), rng.uniform(-3, 3))) for _ in range(40)]
+    pairs += [(x.real, p.real) for x, p in pairs[:20]]
+    ctx = mp_context(50)
+    pairs += [(ctx.mpc(x), ctx.mpc(p)) for x, p in pairs[:10]]
+    pairs += [(ctx.mpf(x), ctx.mpf(p)) for x, p in pairs[40:45]]
+    for x in (0.3 - 0.2j, 0.0, 0j, ctx.mpc(0)):
+        pairs += [(x, p) for p in (0.0, 0.2, 1.0, -1.5j, ctx.mpf(1), ctx.mpf(0))]
+    return pairs
+
+
+def test_theta_and_poch_inf_on_the_tail_plan_match_the_two_product_formula():
+    # The tail plan changes no value, sign of zero or error: theta and
+    # poch_inf equal the formula before it by repr, outside a memo and
+    # inside one (twice: built, then read back), and theta still raises its
+    # x = 0 error before its |p| >= 1 error.
+    pairs = _plan_arguments()
+    expected = [(_kernel_outcome(_theta_before_plan, x, p),
+                 _kernel_outcome(_poch_inf_before_plan, x, p)) for x, p in pairs]
+    assert [e[0] for e in expected].count("DomainError: theta requires x != 0") == 18
+    assert [e[0] for e in expected].count("DomainError: theta requires |p| < 1") == 3
+    got = [(_kernel_outcome(theta, x, p), _kernel_outcome(poch_inf, x, p))
+           for x, p in pairs]
+    assert got == expected
+    token = THETA_MEMO.set({})
+    try:
+        for _ in range(2):
+            got = [(_kernel_outcome(theta, x, p), _kernel_outcome(poch_inf, x, p))
+                   for x, p in pairs]
+            assert got == expected
+    finally:
+        THETA_MEMO.reset(token)
+
+
 # ---------------------------------------------------------------------------
 # poch_multi
 # ---------------------------------------------------------------------------
@@ -289,18 +381,19 @@ def test_theta_memo_returns_the_kernel_value_once_per_key(monkeypatch):
         theta(mpmath.mpc(x), p)
         assert len(calls) == 6
         # p = 0 never reaches the memo.
-        assert theta(x, 0.0) == 1 - x
-        assert {k for k in THETA_MEMO.get() if k[0] != "euler"} == {
+        size = len(THETA_MEMO.get())
+        assert theta(x, 0.0) == 1 - x and len(THETA_MEMO.get()) == size
+        assert {k for k in THETA_MEMO.get() if k[0] != "plan"} == {
             (x, p, complex, float), (mpmath.mpc(x), p, mpmath.mpc, float)}
-        # Euler's coefficients are built once per (q, type): the mpmath x
-        # shares the double p's.  Outside the memo every product builds its
-        # own.
+        # Euler's coefficients are built once per (q, type), in the tail plan
+        # of that modulus: the mpmath x shares the double p's.  Outside the
+        # memo every product builds its own.
         assert builds == [(p, float)]
         poch_inf(x, mpmath.mpf(p))
         poch_inf(x / 2, mpmath.mpf(p))
         assert builds[1:] == [(p, mpmath.mpf)]
-        assert set(THETA_MEMO.get()) >= {("euler", p, float),
-                                         ("euler", p, mpmath.mpf)}
+        assert {k for k in THETA_MEMO.get() if k[0] == "plan"} == {
+            ("plan", p, float), ("plan", p, mpmath.mpf)}
         assert len(THETA_MEMO.get()) == 4
     finally:
         THETA_MEMO.reset(token)
