@@ -140,7 +140,8 @@ def layer_lines(parent_line, change_line, per_layer):
             move = f"{(cv - pv) / abs(pv):+.1%}"
         else:
             move = "+0.0%" if cv == pv else "new"
-        pt, ct = ("-" if v is None else f"{v:.6g}" for v in (pv, cv))
+        pt, ct = ("-" if v is None else str(v) if isinstance(v, int) else f"{v:.6g}"
+                  for v in (pv, cv))
         out.append(f"{name} ({metric['better']} is better): {pt} -> {ct}, {move}")
     return out
 

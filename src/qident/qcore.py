@@ -191,7 +191,7 @@ def poch_inf(a, q):
     if abs(q) >= 1:
         raise DomainError("poch_inf requires |q| < 1")
     plan = _plan(q, THETA_MEMO.get())
-    cut, one, r = plan[0], plan[1], plan[2]
+    cut, one, r, _ = plan
     x = a
     for _ in range(MAX_FACTORS):
         if abs(x) <= cut:
@@ -222,7 +222,7 @@ def _poch_inf_split_product(a, q):
     if abs(q) >= 1:
         raise DomainError("poch_inf requires |q| < 1")
     plan = _plan(q, THETA_MEMO.get())
-    cut, one, r = plan[0], plan[1], plan[2]
+    cut, one, r, _ = plan
     zeros = 0
     x = a
     for _ in range(MAX_FACTORS):

@@ -297,13 +297,12 @@ def zw_skew_single(x, lam, mu, params: WParams):
             D3.append((qbax * t1 * qm, kax - ik + tk + mi, lo3, hi3))
     # Final block.
     tpow = units(q)[1]
-    bq = b * q
     for i in range(1, n + 1):
         mi, li1 = M[i], L[i + 1]
         if mi == 0 and li1 == 0:
             continue
         base_n = b * t ** (1 - 2 * i)
-        base_d = bq * t ** (-2 * i)
+        base_d = b * q * t ** (-2 * i)
         kn = bk + (1 - 2 * i) * tk  # the key of base_n
         if mi != 0:  # theta(base_n q^{2 mi}) / theta(base_n)
             num.append((base_n, kn, 2 * mi, 2 * mi + 1))

@@ -1106,17 +1106,17 @@ def test_bench_pairs_layer_lines_compare_one_traced_run_per_tree():
             name.replace("__", "."): {"value": v, "unit": "count"}
             for name, v in values.items()}})
 
-    parent = traced(qcore__poch_inf__calls=18780, wfunc__zw_multi__self_ms=40.0,
-                    cli__run__wall_ms=0, wfunc__theta_quotient__args=0)
-    change = traced(qcore__poch_inf__calls=18780, wfunc__zw_multi__self_ms=30.5,
-                    cli__run__wall_ms=0, wfunc__theta_quotient__args=12)
+    parent = traced(qcore__poch_inf__calls=1298610, wfunc__zw_multi__self_ms=40.0,
+                    cli__run__wall_ms=0.0, wfunc__theta_quotient__args=0)
+    change = traced(qcore__poch_inf__calls=1298610, wfunc__zw_multi__self_ms=30.5,
+                    cli__run__wall_ms=0.0, wfunc__theta_quotient__args=12)
     per_layer = [{"name": name, "unit": "count", "better": better} for name, better in (
         ("qcore.poch_inf.calls", "lower"), ("wfunc.zw_multi.self_ms", "lower"),
         ("cli.run.wall_ms", "lower"), ("wfunc.theta_quotient.args", "lower"),
         ("trace.samples_per_s", "higher"))]
     assert bench_pairs.layer_lines(parent, change, per_layer) == [
         "per-layer metrics of one traced run per tree: parent -> change, move",
-        "qcore.poch_inf.calls (lower is better): 18780 -> 18780, +0.0%",
+        "qcore.poch_inf.calls (lower is better): 1298610 -> 1298610, +0.0%",
         "wfunc.zw_multi.self_ms (lower is better): 40 -> 30.5, -23.8%",
         "cli.run.wall_ms (lower is better): 0 -> 0, +0.0%",
         "wfunc.theta_quotient.args (lower is better): 0 -> 12, new",
