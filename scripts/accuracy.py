@@ -14,11 +14,11 @@ For every case it prints (or writes to --out) one JSON row:
 With --compare, the table is then compared with BASE.json (an earlier table of
 this script): it prints each case whose high_floor moved by more than 10x and
 each seed that crossed tol (pass <-> fail) or became or stopped being an
-error, and exits 1 if it printed anything, 0 otherwise.  A --compare file that
-cannot be read, is not JSON (or is nested too deep to decode) or is not such
-a table is one `config error:` line on stderr and exit code 2, before any case
-runs.  Standard library and mpmath only; the package is imported from the
-`src/` of this script's tree.
+error, and exits 1 if it printed anything, 0 otherwise.  An --out path that
+cannot be written, or a --compare file that cannot be read, is not JSON (or is
+nested too deep to decode) or is not such a table, is one `config error:` line
+on stderr and exit code 2, before any case runs.  Standard library and mpmath
+only; the package is imported from the `src/` of this script's tree.
 """
 
 import argparse
@@ -121,6 +121,7 @@ def main(argv=None):
                     help="compare the table with this earlier one")
     args = ap.parse_args(argv)
     try:
+        cli.check_writable("--out", args.out)
         base = None if args.compare is None else read_base(args.compare)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

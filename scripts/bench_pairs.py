@@ -13,9 +13,11 @@ every run was `correct`, and whether a gain counts (see gains_count).
 
 With --layers it then makes one traced run per tree (--trace 1, the first
 seed, the same --seconds) and prints each per-layer metric of
-BENCHMARK.json with the parent's value, the change's value and the move
-(see layer_lines).  One traced run is no timing evidence: its self times
-carry the tracer's overhead and the host's noise; its counts are exact.
+BENCHMARK.json whose unit is `count` with the parent's value, the change's
+value and the move (see layer_lines).  Its counts are exact, but one traced
+run is no timing evidence: its self times and rates carry the tracer's
+overhead and the host's noise (untouched layers move by several percent
+between two such runs), so reading one needs several traced runs per tree.
 
 Standard library only.  The script writes nothing; each bench/run.py writes
 its own bench/out/ in its tree.
@@ -126,12 +128,15 @@ def summarize(parent_lines, change_lines, end_to_end):
 
 
 def layer_lines(parent_line, change_line, per_layer):
-    """One line per per-layer metric entry of BENCHMARK.json: its value in
-    the parent's and the change's traced result line and the relative move
-    of the change's value; a metric missing from a line reads "-"."""
+    """One line per per-layer metric entry of BENCHMARK.json whose unit is
+    `count` (see the module docstring): its value in the parent's and the
+    change's traced result line and the relative move of the change's value;
+    a metric missing from a line reads "-"."""
     parent, change = (json.loads(line)["metrics"] for line in (parent_line, change_line))
-    out = ["per-layer metrics of one traced run per tree: parent -> change, move"]
+    out = ["per-layer counts of one traced run per tree: parent -> change, move"]
     for metric in per_layer:
+        if metric["unit"] != "count":
+            continue
         name = metric["name"]
         pv, cv = (side.get(name, {}).get("value") for side in (parent, change))
         if pv is None or cv is None:
@@ -140,8 +145,7 @@ def layer_lines(parent_line, change_line, per_layer):
             move = f"{(cv - pv) / abs(pv):+.1%}"
         else:
             move = "+0.0%" if cv == pv else "new"
-        pt, ct = ("-" if v is None else str(v) if isinstance(v, int) else f"{v:.6g}"
-                  for v in (pv, cv))
+        pt, ct = ("-" if v is None else str(v) for v in (pv, cv))
         out.append(f"{name} ({metric['better']} is better): {pt} -> {ct}, {move}")
     return out
 
@@ -156,7 +160,7 @@ def main(argv=None):
     ap.add_argument("--seconds", type=float, default=25.0)
     ap.add_argument("--benchmark", help="BENCHMARK.json (default: the change's)")
     ap.add_argument("--layers", action="store_true",
-                    help="then one traced run per tree, per-layer metrics side by side")
+                    help="then one traced run per tree, per-layer counts side by side")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be >= 1")

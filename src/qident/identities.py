@@ -1397,6 +1397,15 @@ def _check_scalar(case_id, name, v, tagged=False):
                       f"got {excerpt(v)}")
 
 
+def _vector(case_id, name, v):
+    """v as a tuple; DomainError when v is not a sequence."""
+    try:
+        return tuple(v)
+    except TypeError:
+        raise DomainError(f"{case_id} requires {name} to be a vector, "
+                          f"got {excerpt(v)}") from None
+
+
 def _verifier_args(case_id, schema, params):
     """The schema's parameters, each checked against the domain of its kind.
 
@@ -1407,7 +1416,8 @@ def _verifier_args(case_id, schema, params):
     and a tagged parameter a finite number or a QPower tag."""
     kinds = {kind: name for name, kind in schema.items()}
     n = params[kinds["rank"]] if "rank" in kinds else \
-        len(params[kinds["vector"]]) if "vector" in kinds else None
+        len(_vector(case_id, kinds["vector"], params[kinds["vector"]])) \
+        if "vector" in kinds else None
     if n is not None:
         _check_int(case_id, "n", "rank", n)
     kwargs = {}
@@ -1421,7 +1431,7 @@ def _verifier_args(case_id, schema, params):
                 raise DomainError(f"{case_id} requires at most n = {n} parts, "
                                   f"got {excerpt(v)}")
         elif kind == "vector":
-            v = tuple(v)
+            v = _vector(case_id, name, v)
             if len(v) != n:
                 raise DomainError(f"{case_id} requires n = {n} variables {name}, "
                                   f"got {len(v)}")

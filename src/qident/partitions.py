@@ -23,9 +23,12 @@ def normalize(lam) -> tuple:
 
 
 def check_partition(lam) -> tuple:
-    """Normalize lam, raising NotAPartition unless its parts are ints (not
-    bools) and it is weakly decreasing and non-negative."""
-    lam = tuple(lam)
+    """Normalize lam, raising NotAPartition unless it is a sequence whose
+    parts are ints (not bools) and it is weakly decreasing and non-negative."""
+    try:
+        lam = tuple(lam)
+    except TypeError:
+        raise NotAPartition(f"{excerpt(lam)} is not a sequence of parts") from None
     for x in lam:
         if type(x) is not int:
             raise NotAPartition(f"{excerpt(lam)} has a part that is not an integer: "

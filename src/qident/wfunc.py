@@ -16,9 +16,9 @@ Every evaluation uses only finite products, so the functions remain valid at
 |q| > 1 (needed by the flip identity).
 
 Index preconditions: the kernel does not re-check the indices its callers
-build.  zw_skew_single takes a mu that interlaces lam, zw_multi an index
-with one entry per variable, and w_degree a partition padded to n parts;
-each docstring names the callers that guarantee it.
+build.  zw_skew_single takes a mu interlacing lam (so H orders are >= 0),
+zw_multi an index with one entry per variable, and w_degree a partition
+padded to n parts; each docstring names the callers that guarantee it.
 
 Pole handling: at the t = q specialization individual skew-W values can have
 simple poles in b that cancel only across the branching sum.  The kernel's
@@ -52,7 +52,8 @@ or a PoleCancellationError, never a silent 0/0 read as 1.
 
 Recording: zw_skew_single appends each (base;q,p)_m as one run (see
 theta_quotient), (base, key, 0, m) on its own side for m > 0 and (base,
-key, m, 0) on the other for m < 0, picking sides and bounds once per order.
+key, m, 0) on the other for m < 0, which only the non-H blocks meet (at Z^n
+indices), picking sides and bounds once per order.
 Each power and quotient is taken once per row, where the defining products
 first take it, so an overflow or a zero division raises where it would.
 
@@ -212,14 +213,14 @@ def theta_product(num_args, den_args, p):
 def zw_skew_single(x, lam, mu, params: WParams):
     """Skew W for lam in Z^n and mu in Z^{n-1}, taken literally.
 
-    The defining products are evaluated verbatim with negative-order
-    Pochhammers; the missing part mu_n is padded with 0 and enters only
-    through order-zero factors.
+    The defining products are evaluated verbatim, with negative-order
+    Pochhammers outside the H factor at Z^n indices; the missing part mu_n
+    is padded with 0 and enters only through order-zero factors.
 
     Precondition, not checked: mu interlaces lam, lam_i >= mu_i >= lam_{i+1}
-    for i = 1..n-1 (the skew W is 0 otherwise).  zw_multi passes entries of
-    interlacing_vectors(lam), and w_skew_single tests is_horizontal_strip
-    first.
+    for i = 1..n-1 (the skew W is 0 otherwise), so no H row has a negative
+    order.  zw_multi passes entries of interlacing_vectors(lam), and
+    w_skew_single tests is_horizontal_strip first.
 
     x is a Keyed variable or a plain one (key X_KEY); the ledger is settled
     by key (see "Keyed ledgers" in the module docstring).
@@ -233,33 +234,29 @@ def zw_skew_single(x, lam, mu, params: WParams):
     # The ledger is recorded once, as runs in num or den (see "Recording" in
     # the module docstring); N and D are a block's own and other side.
     num, den = [], []
-    # H factor; a row of order m = 0 adds no argument.
+    # H factor; interlacing makes every order m = mu_{j-1} - lam_j >= 0.
     for j in range(2, n + 1):
-        m = M[j - 1] - L[j]
-        if m == 0:
+        if (m := M[j - 1] - L[j]) == 0:  # a row of order 0 adds no argument
             continue
-        N, D, lo, hi = (num, den, 0, m) if m > 0 else (den, num, m, 0)
         lj, mj1 = L[j], M[j - 1]
         for i in range(1, j):
             li, mi = L[i], M[i]
             k1, k2 = (j - i) * tk - mj1, (j - i - 1) * tk + 1 - mj1
-            N.append((q ** (mi - mj1) * (t1 := t ** (j - i)), mi + k1, lo, hi))
-            D.append((q ** (mi - mj1 + 1) * (t2 := t ** (j - i - 1)), mi + k2, lo, hi))
+            num.append((q ** (mi - mj1) * (t1 := t ** (j - i)), mi + k1, 0, m))
+            den.append((q ** (mi - mj1 + 1) * (t2 := t ** (j - i - 1)), mi + k2, 0, m))
             kb = li + lj + (2 - j - i) * tk + bk
-            N.append((q ** (li + lj) * t ** (3 - j - i) * b, kb + tk, lo, hi))
-            D.append((q ** (li + lj + 1) * t ** (2 - j - i) * b, kb + 1, lo, hi))
-            N.append((q ** (li - mj1 + 1) * t2, li + k2, lo, hi))
-            D.append((q ** (li - mj1) * t1, li + k1, lo, hi))
-    for j in range(2, n + 1):
-        m = M[j - 1] - L[j]
-        if m == 0:
+            num.append((q ** (li + lj) * t ** (3 - j - i) * b, kb + tk, 0, m))
+            den.append((q ** (li + lj + 1) * t ** (2 - j - i) * b, kb + 1, 0, m))
+            num.append((q ** (li - mj1 + 1) * t2, li + k2, 0, m))
+            den.append((q ** (li - mj1) * t1, li + k1, 0, m))
+    for j in range(3, n + 1):  # i < j - 1 needs j >= 3
+        if (m := M[j - 1] - L[j]) == 0:
             continue
-        N, D, lo, hi = (num, den, 0, m) if m > 0 else (den, num, m, 0)
         lj = L[j]
         for i in range(1, j - 1):
             kb = M[i] + lj + (2 - j - i) * tk + bk
-            N.append((q ** (M[i] + lj + 1) * t ** (1 - j - i) * b, kb + 1 - tk, lo, hi))
-            D.append((q ** (M[i] + lj) * t ** (2 - j - i) * b, kb, lo, hi))
+            num.append((q ** (M[i] + lj + 1) * t ** (1 - j - i) * b, kb + 1 - tk, 0, m))
+            den.append((q ** (M[i] + lj) * t ** (2 - j - i) * b, kb, 0, m))
     # (x^-1, a x)_lam / (x^-1, a x)_mu as strip-difference products.
     ax = a * x
     for i in range(1, n + 1):

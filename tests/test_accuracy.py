@@ -100,3 +100,17 @@ def test_compare_with_a_bad_base_is_a_config_error_before_any_run(
     assert captured.err.startswith(f"config error: --compare {base}: {message}")
     assert len(captured.err.splitlines()) == 1
     assert no_run == []
+
+
+def test_an_out_path_that_cannot_be_written_is_a_config_error_before_any_run(
+        tmp_path, monkeypatch, capsys):
+    # It used to run the whole table and then end in a FileNotFoundError.
+    def table():
+        raise AssertionError("table ran")
+
+    monkeypatch.setattr(accuracy, "table", table)
+    out = tmp_path / "no_such_dir" / "t.json"
+    assert accuracy.main(["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: --out {out}: not a writable file\n"

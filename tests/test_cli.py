@@ -1106,21 +1106,27 @@ def test_bench_pairs_layer_lines_compare_one_traced_run_per_tree():
             name.replace("__", "."): {"value": v, "unit": "count"}
             for name, v in values.items()}})
 
-    parent = traced(qcore__poch_inf__calls=1298610, wfunc__zw_multi__self_ms=40.0,
-                    cli__run__wall_ms=0.0, wfunc__theta_quotient__args=0)
-    change = traced(qcore__poch_inf__calls=1298610, wfunc__zw_multi__self_ms=30.5,
-                    cli__run__wall_ms=0.0, wfunc__theta_quotient__args=12)
-    per_layer = [{"name": name, "unit": "count", "better": better} for name, better in (
-        ("qcore.poch_inf.calls", "lower"), ("wfunc.zw_multi.self_ms", "lower"),
-        ("cli.run.wall_ms", "lower"), ("wfunc.theta_quotient.args", "lower"),
-        ("trace.samples_per_s", "higher"))]
+    parent = traced(qcore__poch_inf__calls=1298610, wfunc__zw_multi__calls=40,
+                    wfunc__zw_multi__self_ms=40.0, wfunc__zw_multi_reg__calls=0,
+                    wfunc__theta_quotient__args=0, trace__samples_per_s=2180.0)
+    change = traced(qcore__poch_inf__calls=1298610, wfunc__zw_multi__calls=30,
+                    wfunc__zw_multi__self_ms=30.5, wfunc__zw_multi_reg__calls=0,
+                    wfunc__theta_quotient__args=12, trace__samples_per_s=2229.0)
+    per_layer = [{"name": name, "unit": unit, "better": better} for name, unit, better in (
+        ("qcore.poch_inf.calls", "count", "lower"), ("wfunc.zw_multi.calls", "count", "lower"),
+        ("wfunc.zw_multi.self_ms", "ms", "lower"), ("wfunc.zw_multi_reg.calls", "count", "lower"),
+        ("wfunc.theta_quotient.args", "count", "lower"),
+        ("wfunc.zw_multi_reg.fallbacks", "count", "lower"),
+        ("trace.samples_per_s", "1/s", "higher"))]
+    # Only the counts are printed: one traced run's self times and rates are
+    # no timing evidence.
     assert bench_pairs.layer_lines(parent, change, per_layer) == [
-        "per-layer metrics of one traced run per tree: parent -> change, move",
+        "per-layer counts of one traced run per tree: parent -> change, move",
         "qcore.poch_inf.calls (lower is better): 1298610 -> 1298610, +0.0%",
-        "wfunc.zw_multi.self_ms (lower is better): 40 -> 30.5, -23.8%",
-        "cli.run.wall_ms (lower is better): 0 -> 0, +0.0%",
+        "wfunc.zw_multi.calls (lower is better): 40 -> 30, -25.0%",
+        "wfunc.zw_multi_reg.calls (lower is better): 0 -> 0, +0.0%",
         "wfunc.theta_quotient.args (lower is better): 0 -> 12, new",
-        "trace.samples_per_s (higher is better): - -> -, -"]
+        "wfunc.zw_multi_reg.fallbacks (lower is better): - -> -, -"]
 
 
 def test_reachability_script_prints_a_row_per_module():

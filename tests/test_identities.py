@@ -39,7 +39,7 @@ from qident.identities import (
 from qident.identities import SERIES_TOL, SHELL_CAP, SHELL_STEP
 from qident.policy import QPower, scalar_value
 from qident.qcore import PRODUCT_TOL, poch_int, poch_multi, units
-from qident.wfunc import WParams, zw_multi
+from qident.wfunc import WParams, w_multi, w_skew_single, zw_multi
 
 from conftest import rel
 
@@ -951,6 +951,35 @@ def test_parameters_of_the_wrong_type_are_error_reports(case_id, name, value, er
     r = run_case(case_id, {**sample_params(case_id, 0), name: value})
     assert (r.case_id, r.status) == (case_id, "error")
     assert r.message.startswith(f"{error}: ")
+
+
+def _with(case_id, **change):
+    return lambda: run_case(case_id, {**sample_params(case_id, 0), **change})
+
+
+_WP = WParams(0.3, 0.0, 0.4, 0.5, 0.6)
+#: (id, call, its value that is not a sequence, error class)
+_NOT_SEQUENCES = [
+    ("flip-xs=0.5", _with("flip", xs=0.5), 0.5, "DomainError"),
+    ("flip-lam=5", _with("flip", lam=5), 5, "NotAPartition"),
+    ("weyldegree-mu=None", _with("weyldegree", mu=None), None, "NotAPartition"),
+    ("multijackson-z=0.3", _with("multijackson", z=0.3), 0.3, "DomainError"),
+    ("w_multi-lam=5", lambda: w_multi((0.7, 0.4), 5, (), _WP), 5, "NotAPartition"),
+    ("w_skew_single-lam=None", lambda: w_skew_single(0.7, None, (), _WP), None,
+     "NotAPartition"),
+]
+
+
+@pytest.mark.parametrize("call, value, error", [c[1:] for c in _NOT_SEQUENCES],
+                         ids=[c[0] for c in _NOT_SEQUENCES])
+def test_parameters_that_are_not_sequences_are_refused(call, value, error):
+    # A partition or vector that tuple() cannot take used to escape run_case,
+    # and the W entry points, as a TypeError from len() or tuple().
+    try:
+        message = call().message
+    except QidentError as exc:
+        message = f"{type(exc).__name__}: {exc}"
+    assert message.startswith(f"{error}: ") and excerpt(value) in message, message
 
 
 def test_weyl_degree_pole_draw_is_a_pole_cancellation_error():

@@ -49,6 +49,7 @@ from qident.wfunc import (
 )
 
 from conftest import rel
+from key_oracle import check_ledger_keys
 
 #: The rank-2 multilateralfinite draw whose window (121 lattice points and
 #: five exterior checks) the ledger-count tests count on.
@@ -727,6 +728,32 @@ def test_principal_w_keys_every_s_and_refuses_unit_q():
         with pytest.raises(DomainError, match=r"needs \|q\| clear of 1"):
             _principal_w(2, 1, q, 0.4 + 0.2j, [3, 1])
     _principal_w(2, 1, 1 + 3e-8, 0.4 + 0.2j, [3, 1])
+
+
+def _rank3(case, seed, **changes):
+    return case, seed, {**sample_params(case, seed), **changes}
+
+
+#: One n = 3 draw per W case, so that the second H loop (i < j - 1) is met.
+_RANK3_DRAWS = (
+    _rank3("multijackson", 41), _rank3("simplifiedjackson", 41), _rank3("weyldegree", 20),
+    _rank3("duality", 0, n=3, lam=(2, 1), nu=(1, 1)),
+    _rank3("flip", 0, xs=(*sample_params("flip", 0)["xs"], 0.5 - 0.4j), lam=(2, 1)),
+    _rank3("multilateralfinite", 0, n=3, lam=(1,)))
+
+
+def test_every_ledger_key_names_its_arguments_monomial():
+    # key_oracle decodes every ledger argument's key into its monomial over
+    # the call's solved generators and compares the values, at seeds 0-19 of
+    # the six W cases and at one rank-3 draw of each: 151,948 arguments.
+    draws = [(case, seed, None) for case in _W_LEDGER_CASES for seed in range(20)]
+    draws += _RANK3_DRAWS
+    checked = 0
+    for case, seed, params in draws:
+        report, args = check_ledger_keys(case, seed, params)
+        assert report.status == "pass", (case, seed, report.message)
+        checked += args
+    assert checked == 151948
 
 
 # ---------------------------------------------------------------------------
