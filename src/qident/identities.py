@@ -62,7 +62,6 @@ from .wfunc import (
     WParams,
     poch_partition_multi,
     w_degree,
-    w_multi,
     zw_multi,
 )
 
@@ -293,7 +292,7 @@ def simplified_jackson_rhs(x, lam, n, q, p, t, a, b, s):
                 term = term * theta(b * t ** (2 - 2 * i) * q ** (2 * mi), p) \
                     / theta(b * t ** (2 - 2 * i), p)
         term = term * _vwp_delta(mu, n, q / t, b * t**2, q, p, t)
-        term = term * w_multi(xl, mu, (), wp, memo)
+        term = term * zw_multi(xl, mu, wp, memo)
         term = term * poch_partition_multi([1 / x, a * x], q, p, t, mu) \
             / poch_partition_multi([q * b * x, q * b / (a * x)], q, p, t, mu)
         total += term
@@ -302,7 +301,7 @@ def simplified_jackson_rhs(x, lam, n, q, p, t, a, b, s):
 
 def multiple_jackson_lhs(zvars, lam, n, q, p, t, a, b):
     wp = WParams(q, p, t, a * t ** (-2 * n), b * t ** (-n))
-    return w_multi(zvars, lam, (), wp)
+    return zw_multi(zvars, lam, wp)
 
 
 def multiple_jackson_rhs(zvars, lam, n, q, p, t, a, b, s):
@@ -330,8 +329,8 @@ def multiple_jackson_rhs(zvars, lam, n, q, p, t, a, b, s):
             term = term * (q * t ** (2 * i - 2)) ** mi
         term = term * _vwp_delta(mu, n, q / t, b * t / s, q, p, t) \
             / _vwp_delta(mu, n, 1, q * b / s, q, p, t)
-        term = term * w_multi(xl, mu, (), wp1, memo1)
-        term = term * w_multi(zs, mu, (), wp2, memo2)
+        term = term * zw_multi(xl, mu, wp1, memo1)
+        term = term * zw_multi(zs, mu, wp2, memo2)
         total += term
     return pref * total
 
@@ -346,7 +345,7 @@ def duality_side(lam, nu, n, q, t, a, aprime, b):
     # p = 0 in q's arithmetic: the W ledgers' thetas at p = 0 subtract from
     # the 1 of units(p) (qcore's unit rule).
     wp = WParams(q, 0 * q, t, k * k * a, k * b, (T_KEY, 2 * kk + A_KEY, kk + B_KEY))
-    r = w_multi(xv, lam, (), wp)
+    r = zw_multi(xv, lam, wp)
     r = r * poch_partition_multi([q * b * t ** (n - 1), q * b / a], q, 0.0, t, lam) \
         / poch_partition_multi([k, k * a * t ** (n - 1)], q, 0.0, t, lam)
     return r / _vwp_delta(lam, n, 1, q * aprime * t ** (2 * n - 1), q, 0.0, t)
@@ -359,9 +358,9 @@ def flip_sides(xvars, lam, q, p, t, a, b):
     ns = nstat(lam)
     inv = WParams(1 / q, p, 1 / t, 1 / a, 1 / b)
     lhs = a**w * b ** (-w) * q ** (-w) * t ** (-ns + (n - 1) * w) \
-        * w_multi([1 / x for x in xvars], lam, (), inv)
+        * zw_multi([1 / x for x in xvars], lam, inv)
     rhs = a ** (-w) * b**w * q**w * t ** (ns - (n - 1) * w) \
-        * w_multi(xvars, lam, (), WParams(q, p, t, a, b))
+        * zw_multi(xvars, lam, WParams(q, p, t, a, b))
     return lhs, rhs
 
 
@@ -1410,14 +1409,19 @@ def _verifier_args(case_id, schema, params):
     """The schema's parameters, each checked against the domain of its kind.
 
     The rank n is the "rank" parameter or, in a case without one (flip), the
-    length of the vector; it is checked first, the others in schema order.  A
-    partition is normalized and has at most n parts, a vector becomes a tuple
-    of exactly n entries, a scalar and each vector entry is a finite number,
-    and a tagged parameter a finite number or a QPower tag."""
+    length of the vector, which is converted to a tuple once; n is checked
+    first, the others in schema order.  A partition is normalized and has at
+    most n parts, a vector becomes a tuple of exactly n entries, a scalar and
+    each vector entry is a finite number, and a tagged parameter a finite
+    number or a QPower tag."""
     kinds = {kind: name for name, kind in schema.items()}
-    n = params[kinds["rank"]] if "rank" in kinds else \
-        len(_vector(case_id, kinds["vector"], params[kinds["vector"]])) \
-        if "vector" in kinds else None
+    n = None
+    if "rank" in kinds:
+        n = params[kinds["rank"]]
+    elif "vector" in kinds:  # read once: the rank is the vector's length
+        name = kinds["vector"]
+        params = {**params, name: _vector(case_id, name, params[name])}
+        n = len(params[name])
     if n is not None:
         _check_int(case_id, "n", "rank", n)
     kwargs = {}

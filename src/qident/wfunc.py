@@ -8,8 +8,9 @@ Provides
     collected as one ledger of numerator/denominator theta arguments
     (negative orders enter through negative-order Pochhammers), and the
     multivariable W via its branching recursion (zw_multi),
-  * partition entry points (w_skew_single, w_multi) that pad the partitions
-    with zeros to fixed length and call the same kernel, and
+  * partition entry points (w_skew_single, w_multi), the checked doors for
+    callers outside the package, that test their partitions and call the
+    same kernel (identities calls the kernel itself), and
   * the closed "degree formula" for W at its principal specialization.
 
 Every evaluation uses only finite products, so the functions remain valid at
@@ -17,8 +18,9 @@ Every evaluation uses only finite products, so the functions remain valid at
 
 Index preconditions: the kernel does not re-check the indices its callers
 build.  zw_skew_single takes a mu interlacing lam (so H orders are >= 0),
-zw_multi an index with one entry per variable, and w_degree a partition
-padded to n parts; each docstring names the callers that guarantee it.
+zw_multi an index with at most one entry per variable (a shorter one is
+padded with zeros), and w_degree a partition of at most n parts; each
+docstring names the callers that guarantee it.
 
 Pole handling: at the t = q specialization individual skew-W values can have
 simple poles in b that cancel only across the branching sum.  The kernel's
@@ -69,7 +71,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Tuple
 
-from .errors import DivisionByVanishingFactor, DomainError, PoleCancellationError
+from .errors import DivisionByVanishingFactor, DomainError, PoleCancellationError, excerpt
 from .partitions import check_partition, interlacing_vectors, is_horizontal_strip, part
 from .qcore import epoch, theta, units
 
@@ -278,20 +280,16 @@ def zw_skew_single(x, lam, mu, params: WParams):
             continue
         tm, t1 = t ** (-i), t ** (1 - i)
         qm = q**mi
-        qbax = qb / ax
-        ik = i * tk
         if mi:
             N, D, lo, hi = (num, den, 0, mi) if mi > 0 else (den, num, mi, 0)
-            N.append((qbx * tm, kx - ik, lo, hi))
-            D.append((qbx * t1, kx - ik + tk, lo, hi))
         if li != mi:
             D3, lo3, hi3 = (den, 0, li - mi) if li > mi else (num, li - mi, 0)
-            D3.append((qbx * t1 * qm, kx - ik + tk + mi, lo3, hi3))
-        if mi:
-            N.append((qbax * tm, kax - ik, lo, hi))
-            D.append((qbax * t1, kax - ik + tk, lo, hi))
-        if li != mi:
-            D3.append((qbax * t1 * qm, kax - ik + tk + mi, lo3, hi3))
+        for base, k in ((qbx, kx - i * tk), (qb / ax, kax - i * tk)):
+            if mi:
+                N.append((base * tm, k, lo, hi))
+                D.append((base * t1, k + tk, lo, hi))
+            if li != mi:
+                D3.append((base * t1 * qm, k + tk + mi, lo3, hi3))
     # Final block.
     tpow = units(q)[1]
     for i in range(1, n + 1):
@@ -317,10 +315,11 @@ def zw_multi(xvars, lam, params: WParams, memo=None):
     """W for an index vector lam in Z^n via the branching recursion over
     interlacing integer vectors.
 
-    Precondition, not checked: lam has one entry per variable (len(lam) ==
-    len(xvars)).  A non-dominant lam (lam_i < lam_{i+1} for some i) needs no
-    test: it has no interlacing vector, so the branching sum is the empty
-    sum, exact 0 (at n = 1 every lam is dominant).
+    Precondition, not checked: lam has at most one entry per variable; a
+    shorter lam is padded with zeros to len(xvars), before the memo is read.
+    A non-dominant lam (lam_i < lam_{i+1} for some i) needs no test: it has
+    no interlacing vector, so the branching sum is the empty sum, exact 0 (at
+    n = 1 every lam is dominant).
 
     W_lam(y, zs) = sum over interlacing nu of W_{lam/nu}(y t^{-l}) W_nu(zs)
     with shifted (a, b).  Each nu takes its tail W_nu(zs) first, which
@@ -333,8 +332,8 @@ def zw_multi(xvars, lam, params: WParams, memo=None):
     params, e.g. across the subpartitions of one identity evaluation.
     """
     xvars = tuple(xvars)
-    lam = tuple(lam)
     n = len(xvars)
+    lam = tuple(lam) + (0,) * (n - len(lam))
     if memo is None:
         memo = {}
     key = (xvars, lam)
@@ -374,12 +373,10 @@ def zw_multi_reg(xvars, lam, params: WParams, memo=None):
 
 
 # ---------------------------------------------------------------------------
-# Partition entry points: zero-padded indices, evaluated by the kernel.
+# Partition entry points: the checked doors into the kernel for callers
+# outside the package (the identities, whose arguments run_case has checked,
+# call the kernel itself).
 # ---------------------------------------------------------------------------
-
-def _padded(lam, n):
-    return lam + (0,) * (n - len(lam))
-
 
 def w_skew_single(x, lam, mu, params: WParams):
     """Single-variable skew W_{lam/mu}(x; q, p, t, a, b) for partitions; any
@@ -394,24 +391,32 @@ def w_skew_single(x, lam, mu, params: WParams):
     if not is_horizontal_strip(lam, mu):
         return 0.0 + 0j
     n = max(len(lam), len(mu)) + 1
-    return zw_skew_single(x, _padded(lam, n), _padded(mu, n - 1), params)
+    return zw_skew_single(x, lam + (0,) * (n - len(lam)), mu + (0,) * (n - 1 - len(mu)),
+                          params)
 
 
 def w_multi(xvars, lam, mu, params: WParams, memo=None):
     """Multivariable W_lam(x_1..x_n) for a partition lam (any other lam or mu
-    raises NotAPartition): lam is padded with zeros to the variable count n
-    and evaluated by zw_multi, which also takes the memo.  W vanishes (exact
-    0) when lam has more than n parts.
+    raises NotAPartition) and a non-empty sequence of variables (anything
+    else raises DomainError), evaluated by zw_multi, which pads lam with
+    zeros to the variable count n and also takes the memo.  W vanishes
+    (exact 0) when lam has more than n parts.
 
     mu must be empty: no skew multivariable W is evaluated.
     """
     lam, mu = check_partition(lam), check_partition(mu)
     if mu:
         raise ValueError("w_multi evaluates W_lam only; mu must be empty")
-    xvars = tuple(xvars)
-    if len(lam) > len(xvars):
+    try:
+        xs = tuple(xvars)
+    except TypeError:
+        xs = ()
+    if not xs:
+        raise DomainError(f"w_multi requires a non-empty sequence of variables, "
+                          f"got {excerpt(xvars)}")
+    if len(lam) > len(xs):
         return 0.0 + 0j
-    return zw_multi(xvars, _padded(lam, len(xvars)), params, memo)
+    return zw_multi(xs, lam, params, memo)
 
 
 # ---------------------------------------------------------------------------
@@ -421,55 +426,43 @@ def w_multi(xvars, lam, mu, params: WParams, memo=None):
 def w_degree(mu, N: int, n: int, s, delta: int, q):
     """Closed form for W_mu(x; q, q, s q^delta, q^{delta+n-1}) at x_i = q^{N+n-i}.
 
-    Precondition, not checked: mu is a partition padded with zeros to n
-    parts (run_case checks it), so every Pochhammer order below (a part
-    mu_i, a difference mu_i - mu_j or a sum mu_i + mu_j, i < j) is
-    non-negative.
+    Precondition, not checked: mu is a partition of at most n parts (run_case
+    checks it), so every Pochhammer order below (a part mu_i, a difference
+    mu_i - mu_j or a sum mu_i + mu_j, i < j) is non-negative.
 
-    Every linear factor has the shape 1 - c q^e with c in {1, s, 1/s};
-    factors with c = 1, e = 0 vanish exactly and are counted on each side:
-    an excess numerator zero gives 0, and an excess denominator zero is a
-    genuine pole, which raises DivisionByVanishingFactor.  The vanishing
-    factors are counted, never evaluated, so no division by zero takes
-    place.
+    Every linear factor has the shape 1 - s^c q^e, c in {0, 1, -1}, and a
+    run (c, e0, m) holds those of (s^c q^{e0}; q)_m: the rows of (q^{-N}; q,
+    q)_mu and (s q^{delta+N+n-1}; q, q)_mu over those of (q^{N+delta+2n-1};
+    q, q)_mu and (q^{n-N} / s; q, q)_mu, then each pair's Delta runs.  A c = 0
+    run holds the exact zero 1 - q^0 when e0 <= 0 < e0 + m (the interval test
+    theta_quotient applies to key 0).  The zeros are counted on each side: an
+    excess numerator zero gives 0, and an excess denominator zero is a
+    genuine pole, which raises DivisionByVanishingFactor.  They are counted,
+    never evaluated, so no division by zero takes place.
     """
     num, den = [], []
-
-    def add(factors, c, e0, m):
-        # (c q^{e0}; q)_m, m >= 0.
-        factors.extend((c, e0 + k) for k in range(m))
-
-    def add_ppoch(factors, c, e0, vec):
-        # (c q^{e0}; q, q)_vec = prod_i (c q^{e0+1-i}; q)_{vec_i}.
-        for i in range(1, n + 1):
-            add(factors, c, e0 + 1 - i, part(vec, i))
-
-    add_ppoch(num, "1", -N, mu)
-    add_ppoch(num, "s", delta + N + n - 1, mu)
-    add_ppoch(den, "1", N + delta + 2 * n - 1, mu)
-    add_ppoch(den, "1/s", n - N, mu)
+    for runs, c, e0 in ((num, 0, 1 - N), (num, 1, delta + N + n),
+                        (den, 0, N + delta + 2 * n), (den, -1, n - N + 1)):
+        runs += [(c, e0 - i, part(mu, i)) for i in range(1, n + 1)]
     for j in range(2, n + 1):
         for i in range(1, j):
-            dm = part(mu, i) - part(mu, j)
-            sm = part(mu, i) + part(mu, j)
-            add(num, "1", j - i + 1, dm)
-            add(num, "1", delta + 2 * n - i - j + 1, sm)
-            add(den, "1", j - i, dm)
-            add(den, "1", delta + 2 * n - i - j, sm)
-
-    zero_num = num.count(("1", 0))
-    zero_den = den.count(("1", 0))
+            dm, sm = part(mu, i) - part(mu, j), part(mu, i) + part(mu, j)
+            num += (0, j - i + 1, dm), (0, delta + 2 * n - i - j + 1, sm)
+            den += (0, j - i, dm), (0, delta + 2 * n - i - j, sm)
+    zero_num, zero_den = (sum(not c and e0 <= 0 < e0 + m for c, e0, m in runs)
+                          for runs in (num, den))
     if zero_num > zero_den:
         return 0.0 + 0j
     if zero_den > zero_num:
         raise DivisionByVanishingFactor("degree formula: uncancelled zero denominator")
-    one, start = units(q)
-    coeff = {"1": start, "s": s, "1/s": one / s}
-    r = start
-    for c, e in num:
-        if (c, e) != ("1", 0):
-            r = r * (one - coeff[c] * q**e)
-    for c, e in den:
-        if (c, e) != ("1", 0):
-            r = r / (one - coeff[c] * q**e)
+    one, r = units(q)
+    coeff = (r, s, one / s)  # s^c, indexed by c
+    for c, e0, m in num:
+        for e in range(e0, e0 + m):
+            if c or e:
+                r = r * (one - coeff[c] * q**e)
+    for c, e0, m in den:
+        for e in range(e0, e0 + m):
+            if c or e:
+                r = r / (one - coeff[c] * q**e)
     return r

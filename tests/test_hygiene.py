@@ -12,8 +12,9 @@ the package against VANISH_TOL does anything but guard a raise, only the
 functions of VANISH_TESTERS compare against VANISH_TOL at all, no
 module of the package imports threading, concurrent.futures or
 multiprocessing, no module of the package but cli imports json,
-identities imports none of qcore's loop thresholds and tail pieces, and
-the package exports every error class of errors.py."""
+identities imports none of qcore's loop thresholds and tail pieces, no
+module of the package calls the checked W entry points, and the package
+exports every error class of errors.py."""
 
 import ast
 from pathlib import Path
@@ -57,6 +58,9 @@ KERNEL_LOOP_PARTS = {"tail_radius", "poch_inf_tail"}
 #: and the sites that ROADMAP item 13's order count replaces.
 VANISH_TESTERS = {"qcore.poch_int", "qcore._ratio_steps", "series.eval_phi",
                   "series.eval_psi"}
+
+#: The checked doors into the W kernel, for callers outside the package.
+W_ENTRIES = {"w_multi", "w_skew_single"}
 
 #: Statements that define a function or a class.
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -689,6 +693,39 @@ def test_only_cli_imports_json(path):
     # decides what a config file, a --param value or a partition string may
     # hold, and how a document that does not decode is refused.
     assert module_imports(path.read_text(encoding="utf-8"), {"json"}) == []
+
+
+def calls(text, names):
+    """(line, name) of each call in the module source text of a function named
+    in names, by its bare name or as an attribute (wfunc.w_multi)."""
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name in names:
+                found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_call_scan_finds_and_skips():
+    text = ("from .wfunc import w_multi, zw_multi\n"
+            "w_multi(xs, lam, (), wp)\n"
+            "zw_multi(xs, lam, wp)\n"
+            "wfunc.w_skew_single(x, lam, mu, wp)\n"
+            "entry = w_multi\n"
+            "def f():\n"
+            "    return [w_skew_single(x, (), (), wp), w_multi_count(1)]\n")
+    assert calls(text, W_ENTRIES) == [(2, "w_multi"), (4, "w_skew_single"),
+                                      (7, "w_skew_single")]
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_module_of_the_package_calls_the_checked_w_entries(path):
+    # w_multi and w_skew_single check partitions and variables for callers
+    # outside the package (bench/, the tests, the public API); the identities
+    # hold arguments that run_case checked and call the kernel itself.
+    assert calls(path.read_text(encoding="utf-8"), W_ENTRIES) == []
 
 
 def kernel_internals(text):

@@ -982,6 +982,14 @@ def test_parameters_that_are_not_sequences_are_refused(call, value, error):
     assert message.startswith(f"{error}: ") and excerpt(value) in message, message
 
 
+def test_a_vector_given_as_an_iterator_gives_the_report_of_its_tuple():
+    # flip reads its rank from its vector: an iterator was read twice, once
+    # for the rank and once, empty, as the vector ("n = 2 variables xs, got 0").
+    params = sample_params("flip", 0)
+    got = run_case("flip", {**params, "xs": iter(params["xs"])})
+    assert repr(got) == repr(run_case("flip", {**params, "xs": tuple(params["xs"])}))
+
+
 def test_weyl_degree_pole_draw_is_a_pole_cancellation_error():
     # At s = 1 (n = 2, N = 1, delta = 0, mu = (1,), q = 0.3) the recursive W
     # meets a b-pole that cancels only across the branching sum: zw_multi

@@ -5,6 +5,7 @@ import collections
 import itertools
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from qident.errors import (
 from qident.identities import (
     _principal_w,
     mlat_finite_window,
+    mp_context,
     run_case,
     sample_params,
 )
@@ -30,7 +32,7 @@ from qident.partitions import (
     normalize,
     part,
 )
-from qident.qcore import poch_int, theta
+from qident.qcore import poch_int, theta, units
 from qident.wfunc import (
     POLE_TOL,
     S_KEY,
@@ -278,6 +280,14 @@ def test_w_entry_points_refuse_what_is_not_a_partition(lam, mu):
         w_skew_single(0.5, lam, mu, wp)
 
 
+@pytest.mark.parametrize("xvars", [0.7, ()], ids=["float", "empty"])
+def test_w_multi_refuses_what_is_not_a_sequence_of_variables(xvars):
+    wp = WParams(0.3, 0.0, 0.4, 0.5, 0.6)
+    with pytest.raises(DomainError, match=r"w_multi requires a non-empty sequence of "
+                                          rf"variables, got {re.escape(repr(xvars))}$"):
+        w_multi(xvars, (1,), (), wp)
+
+
 def test_w_multi_shared_memo_is_bit_identical():
     rng = random.Random(43)
     for p in (0.0, 0.1):
@@ -360,13 +370,16 @@ def _branching_draws():
 def test_zw_multi_matches_w1_first_order():
     zeros = 0
     for xvars, indices, wp in _branching_draws():
-        memo, memo_ref = {}, {}
+        memo, memo_ref, memo_short = {}, {}, {}
         for mu in indices:
             got = _w_outcome(zw_multi, xvars, mu, wp, memo)
             assert got == _w_outcome(_zw_multi_w1_first, xvars, mu, wp, memo_ref), \
                 (xvars, mu, wp)
+            # An index without its trailing zeros is padded: the same bits.
+            assert got == _w_outcome(zw_multi, xvars, normalize(mu), wp, memo_short)
             if len(xvars) < 3:
                 assert got == _w_outcome(zw_multi, xvars, mu, wp)  # no memo
+                assert got == _w_outcome(zw_multi, xvars, normalize(mu), wp)
             zeros += got == repr(0j)
     assert zeros  # the principal points have vanishing W
 
@@ -794,3 +807,73 @@ def test_w_degree_matches_recursion_sweep():
                     if abs(lhs) < 1e-12 and abs(rhs) < 1e-12:
                         continue
                     assert rel(lhs, rhs) < 1e-9, (n, N, delta, mu)
+
+
+def _w_degree_tagged(mu, N, n, s, delta, q):
+    """w_degree as it was written before its runs: one ("1" | "s" | "1/s", e)
+    tuple per factor 1 - c q^e, zeros counted with list.count.  The bit-level
+    oracle of test_w_degree_is_the_tagged_ledger_bit_for_bit."""
+    num, den = [], []
+
+    def add(factors, c, e0, m):
+        factors.extend((c, e0 + k) for k in range(m))
+
+    def add_ppoch(factors, c, e0, vec):
+        for i in range(1, n + 1):
+            add(factors, c, e0 + 1 - i, part(vec, i))
+
+    add_ppoch(num, "1", -N, mu)
+    add_ppoch(num, "s", delta + N + n - 1, mu)
+    add_ppoch(den, "1", N + delta + 2 * n - 1, mu)
+    add_ppoch(den, "1/s", n - N, mu)
+    for j in range(2, n + 1):
+        for i in range(1, j):
+            dm = part(mu, i) - part(mu, j)
+            sm = part(mu, i) + part(mu, j)
+            add(num, "1", j - i + 1, dm)
+            add(num, "1", delta + 2 * n - i - j + 1, sm)
+            add(den, "1", j - i, dm)
+            add(den, "1", delta + 2 * n - i - j, sm)
+
+    zero_num = num.count(("1", 0))
+    zero_den = den.count(("1", 0))
+    if zero_num > zero_den:
+        return 0.0 + 0j
+    if zero_den > zero_num:
+        raise DivisionByVanishingFactor("degree formula: uncancelled zero denominator")
+    one, start = units(q)
+    coeff = {"1": start, "s": s, "1/s": one / s}
+    r = start
+    for c, e in num:
+        if (c, e) != ("1", 0):
+            r = r * (one - coeff[c] * q**e)
+    for c, e in den:
+        if (c, e) != ("1", 0):
+            r = r / (one - coeff[c] * q**e)
+    return r
+
+
+def test_w_degree_is_the_tagged_ledger_bit_for_bit():
+    # Every value, exception type and message of w_degree equals the tagged
+    # ledger's over n <= 3, parts <= 3, N in 1..3, delta in -3..1, q in {0.2,
+    # 0.4} and a real, a complex and a 50-digit s, with s = 0 (one / s), s
+    # q = 1 (a numerator factor 0) and q / s = 1 (a denominator factor 0).
+    # The factor order is part of the bits: interleaving the 1 and s rows
+    # moves values in their last digits.
+    ctx = mp_context(50)
+    outcomes = collections.Counter()
+    for n, N, delta, q in itertools.product((1, 2, 3), (1, 2, 3), range(-3, 2), (0.2, 0.4)):
+        q50 = ctx.mpf(q)
+        for mu in box_partitions(n, 3):
+            muv = tuple(part(mu, i) for i in range(1, n + 1))
+            for s, qs in ((0.3, q), (0.3 + 0.1j, q), (ctx.mpc("0.3", "0.1"), q50),
+                          (0.0, q), (1 / q, q), (q, q)):
+                got = _w_outcome(w_degree, muv, N, n, s, delta, qs)
+                assert got == _w_outcome(_w_degree_tagged, muv, N, n, s, delta, qs), \
+                    (muv, N, n, s, delta, q)
+                outcomes[got.split(":")[0] if ":" in got
+                         else "zero" if got == repr(0j) else "value"] += 1
+    assert set(outcomes) == {"value", "zero", "DivisionByVanishingFactor",
+                             "ZeroDivisionError"}, outcomes
+    # ROADMAP item 22's draw: the Delta factor 1 - q^0 is counted on both sides.
+    assert w_degree((2, 1, 1), 2, 3, 0.3 + 0.1j, -3, 0.4) != 0
