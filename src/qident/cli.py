@@ -321,12 +321,13 @@ _encode_str = json.encoder.encode_basestring_ascii
 
 def _json_text(o, pad: str) -> str:
     """o in the layout of json.dumps(o, indent=2, allow_nan=False), its
-    inner lines indented past pad.  The commonest types come first (no object
-    has two of them but a bool, tested before int), a finite float, an [re,
-    im] pair of them and an int by exact type.  A float is written by
-    float.__repr__ and a string (a key too: keys are strings) by
-    encode_basestring_ascii; a non-finite float raises ValueError and
-    another type TypeError, as json.dumps."""
+    inner lines indented past pad.  The commonest types come first: a finite
+    float, an [re, im] pair of them and an int by exact type, a string, a
+    dict, a list or tuple.  A float is written by float.__repr__ and a string
+    (a key too: keys are strings) by encode_basestring_ascii.  Anything else
+    (None, a bool, an int or float subclass, a non-finite float, another
+    type) goes to json.dumps(o, indent=2, allow_nan=False), which writes it
+    or refuses it with its ValueError or TypeError."""
     t = type(o)
     if t is float and o - o == 0.0:
         return float.__repr__(o)
@@ -349,19 +350,7 @@ def _json_text(o, pad: str) -> str:
             return "[]"
         items = [_json_text(v, inner) for v in o]
         return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        if not math.isfinite(o):
-            raise ValueError(f"Out of range float values are not JSON compliant: {o!r}")
-        return float.__repr__(o)
-    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+    return json.dumps(o, indent=2, allow_nan=False)
 
 
 def report_json(rset: ReportSet) -> str:

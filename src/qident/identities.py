@@ -1422,7 +1422,7 @@ def _verifier_args(case_id, schema, params):
         name = kinds["vector"]
         params = {**params, name: _vector(case_id, name, params[name])}
         n = len(params[name])
-    if n is not None:
+    if "rank" in kinds or "vector" in kinds:
         _check_int(case_id, "n", "rank", n)
     kwargs = {}
     for name, kind in schema.items():

@@ -46,11 +46,12 @@ of equal key are the same monomial, so they cancel; theta(y; p) vanishes at
 the key-0 argument y = 1, and key-0 arguments cancel only among themselves,
 so a net key-0 numerator gives exact 0 and a net key-0 denominator raises
 PoleCancellationError, before any argument is expanded.  The rest cancel
-by per-key counts (theta_quotient).  Only the survivors get values, for
-theta_product, in ledger order.  Two arguments of distinct keys are never
-cancelled: where the values coincide (q a root of unity, or a caller that
-did not key a specialization), they give a numerical zero of the expression
-or a PoleCancellationError, never a silent 0/0 read as 1.
+by per-key counts, and only the survivors get values and thetas, in ledger
+order: one function, theta_quotient, settles and evaluates every ledger.
+Two arguments of distinct keys are never cancelled: where the values
+coincide (q a root of unity, or a caller that did not key a
+specialization), they give a numerical zero of the expression or a
+PoleCancellationError, never a silent 0/0 read as 1.
 
 Recording: zw_skew_single appends each (base;q,p)_m as one run (see
 theta_quotient), (base, key, 0, m) on its own side for m > 0 and (base,
@@ -138,7 +139,14 @@ def theta_quotient(num, den, q, p):
     cancels while its key's count is positive.  The denominator arguments
     cancelled are the first used[key] of each key, so the survivors and their
     order are those of cancelling the lowest-index unused argument each time.
-    Only the survivors get values, for theta_product, in ledger order."""
+
+    Only the survivors get values, all of them in ledger order before any
+    theta is taken, so an error in a value (an overflow in q**k) comes
+    before an error in a theta.  The result is then the product of theta(x;
+    p) over the numerator survivors divided by the same over the denominator
+    survivors, in order: at p = 0 by 1 - x inline, as qcore.theta computes
+    theta(x; 0), with theta's DomainError at an argument 0.  A denominator
+    theta of modulus below POLE_TOL raises PoleCancellationError."""
     order = 0
     for runs, step in ((num, 1), (den, -1)):
         for _, key, lo, hi in runs:
@@ -173,35 +181,13 @@ def theta_quotient(num, den, q, p):
             used[kk] = u - 1
         else:
             den_rest.append(base * q**k)
-    return theta_product(rest, den_rest, p)
-
-
-def theta_product(num_args, den_args, p):
-    """prod theta(x;p) over num_args divided by the same over den_args, in
-    order and without cancellation: the numeric end of every ledger.
-
-    At p = 0 it multiplies by 1 - x and divides by 1 - y inline, as
-    qcore.theta computes theta(x; 0), with theta's DomainError at an
-    argument 0.  Raises PoleCancellationError when a denominator theta is
-    numerically zero (modulus below POLE_TOL)."""
+    # theta(x; 0) = 1 - x inline; an argument 0 goes to theta for its DomainError.
+    inline = not p
     one, r = units(p)
-    if not p:
-        for x in num_args:
-            if not x:
-                raise DomainError("theta requires x != 0")
-            r = r * (one - x)
-        for y in den_args:
-            if not y:
-                raise DomainError("theta requires x != 0")
-            ty = one - y
-            if abs(ty) < POLE_TOL:
-                raise PoleCancellationError("uncancelled denominator theta vanishes")
-            r = r / ty
-        return r
-    for x in num_args:
-        r = r * theta(x, p)
-    for y in den_args:
-        ty = theta(y, p)
+    for x in rest:
+        r = r * (one - x if inline and x else theta(x, p))
+    for y in den_rest:
+        ty = one - y if inline and y else theta(y, p)
         if abs(ty) < POLE_TOL:
             raise PoleCancellationError("uncancelled denominator theta vanishes")
         r = r / ty

@@ -661,10 +661,11 @@ def test_report_json_refuses_a_non_finite_float_as_the_stdlib(value):
 
     rset = run([CaseConfig(case_id="c1macdonald")])
     rset.run_dicts[0]["lhs"] = [1.0, value]
-    with pytest.raises(ValueError, match="Out of range float values"):
+    with pytest.raises(ValueError, match="Out of range float values") as want:
         _stdlib_report_json(rset)
-    with pytest.raises(ValueError, match="Out of range float values"):
+    with pytest.raises(ValueError) as got:
         report_json(rset)
+    assert str(got.value) == str(want.value)  # the value's repr included
 
 
 @pytest.mark.parametrize("value", [object(), 1 + 2j, {1.5}, b"bytes"])

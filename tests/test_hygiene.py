@@ -9,9 +9,10 @@ of the package uses mpmath's process-global precision, no function of
 the package takes a parameter that it never reads, no default of a
 function of the package is one that every call keeps, no comparison of
 the package against VANISH_TOL does anything but guard a raise, only the
-functions of VANISH_TESTERS compare against VANISH_TOL at all, no
-module of the package imports threading, concurrent.futures or
-multiprocessing, no module of the package but cli imports json,
+functions that THRESHOLD_READERS lists for a value threshold compare
+against it at all, no module of the package imports threading,
+concurrent.futures or multiprocessing, no module of the package but cli
+imports json,
 identities imports none of qcore's loop thresholds and tail pieces, no
 module of the package calls the checked W entry points, and the package
 exports every error class of errors.py."""
@@ -53,11 +54,19 @@ KERNEL_STATE = {"THETA_MEMO"}
 #: The pieces of qcore's infinite-product loops besides its constants.
 KERNEL_LOOP_PARTS = {"tail_radius", "poch_inf_tail"}
 
-#: The functions of the package that compare a value against VANISH_TOL: one
-#: per factor loop that divides (paired quotients share qcore._ratio_steps),
-#: and the sites that ROADMAP item 13's order count replaces.
-VANISH_TESTERS = {"qcore.poch_int", "qcore._ratio_steps", "series.eval_phi",
-                  "series.eval_psi"}
+#: Each value threshold of the package, and the functions that compare a
+#: value against it.  VANISH_TOL: one per factor loop that divides (paired
+#: quotients share qcore._ratio_steps).  POLE_TOL: the W ledger's pole test.
+#: STRUCT_ZERO_TOL: the flipped summand's zero count.  BOTH_ZERO_EPS: the
+#: verdict on two vanishing sides.  These are the sites that ROADMAP items 13
+#: (order counts) and 6 (condition-tracked verdicts) replace.
+THRESHOLD_READERS = {
+    "VANISH_TOL": {"qcore.poch_int", "qcore._ratio_steps", "series.eval_phi",
+                   "series.eval_psi"},
+    "POLE_TOL": {"wfunc.theta_quotient"},
+    "STRUCT_ZERO_TOL": {"qcore._poch_inf_split_product"},
+    "BOTH_ZERO_EPS": {"identities.judge"},
+}
 
 #: The checked doors into the W kernel, for callers outside the package.
 W_ENTRIES = {"w_multi", "w_skew_single"}
@@ -546,11 +555,11 @@ def test_no_one_value_knobs():
                            [p.read_text(encoding="utf-8") for p in READERS]) == []
 
 
-def compares_vanish_tol(node):
-    """Whether the node is a comparison with VANISH_TOL (as a name or an
+def compares_against(node, threshold):
+    """Whether the node is a comparison with threshold (as a name or an
     attribute) as one of its operands."""
     return isinstance(node, ast.Compare) and any(
-        getattr(c, "id", getattr(c, "attr", None)) == "VANISH_TOL"
+        getattr(c, "id", getattr(c, "attr", None)) == threshold
         for c in [node.left, *node.comparators])
 
 
@@ -566,7 +575,7 @@ def vanishing_stops(text):
               and not node.orelse and len(node.body) == 1
               and isinstance(node.body[0], ast.Raise)}
     return sorted(node.lineno for node in nodes
-                  if compares_vanish_tol(node) and id(node) not in guards)
+                  if compares_against(node, "VANISH_TOL") and id(node) not in guards)
 
 
 def test_vanishing_stop_scan_finds_and_skips():
@@ -594,16 +603,16 @@ def test_no_vanishing_stops(path):
     assert vanishing_stops(path.read_text(encoding="utf-8")) == []
 
 
-def vanishing_testers(text):
+def threshold_readers(text, threshold):
     """Qualified name (outer.inner, Class.method; "" at module level) of each
-    scope of the module source text that compares against VANISH_TOL (as a
+    scope of the module source text that compares against threshold (as a
     name or an attribute) in its own body, not in a nested definition."""
     found = set()
 
     def visit(node, scope):
         if isinstance(node, DEFINITIONS):
             scope = scope + (node.name,)
-        elif compares_vanish_tol(node):
+        elif compares_against(node, threshold):
             found.add(".".join(scope))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
@@ -627,13 +636,19 @@ def test_vanishing_tester_scan_finds_and_skips():
             "        return abs(fd) < POLE_TOL\n"
             "def g(VANISH_TOL):\n"
             "    return VANISH_TOL * 2\n")
-    assert vanishing_testers(text) == ["", "Table.grow", "f", "f.inner"]
+    assert threshold_readers(text, "VANISH_TOL") == ["", "Table.grow", "f", "f.inner"]
+    assert threshold_readers(text, "POLE_TOL") == ["Table.shrink"]
+    assert threshold_readers(text, "STRUCT_ZERO_TOL") == []
 
 
-def test_only_the_listed_functions_compare_against_vanish_tol():
-    found = {f"{path.stem}.{name}" for path in SRC
-             for name in vanishing_testers(path.read_text(encoding="utf-8"))}
-    assert found == VANISH_TESTERS
+def test_only_the_listed_functions_compare_against_each_threshold():
+    # A second reader of a threshold is a second place that decides by value
+    # what items 13 and 6 decide by order or by condition.
+    texts = {path.stem: path.read_text(encoding="utf-8") for path in SRC}
+    found = {threshold: {f"{stem}.{name}" for stem, text in texts.items()
+                         for name in threshold_readers(text, threshold)}
+             for threshold in THRESHOLD_READERS}
+    assert found == THRESHOLD_READERS
 
 
 def module_imports(text, modules):

@@ -681,6 +681,13 @@ def test_run_case_unknown_parameters_is_a_config_error():
     ("summandinvariance", dict(sign=2), "requires sign = 1 or -1, got sign = 2"),
     ("multijackson", dict(n=0), "multijackson requires n >= 1, got n = 0"),
     ("multilateralfinite", dict(n=0), "multilateralfinite requires n >= 1, got n = 0"),
+    # n = None: the rank is checked before the partitions measured against
+    # it (it used to escape as a bare TypeError from len(v) > n).
+    ("multijackson", dict(n=None), "multijackson requires n to be an integer, got None"),
+    ("weyldegree", dict(n=None), "weyldegree requires n to be an integer, got None"),
+    ("simplifiedjackson", dict(n=None), "requires n to be an integer, got None"),
+    ("duality", dict(n=None), "duality requires n to be an integer, got None"),
+    ("multilateralfinite", dict(n=None), "requires n to be an integer, got None"),
 ])
 def test_out_of_domain_parameters_are_error_reports(case_id, change, message):
     # Each parameter is checked in run_case against the domain of its schema

@@ -42,7 +42,6 @@ from qident.wfunc import (
     WParams,
     poch_partition,
     poch_partition_multi,
-    theta_product,
     theta_quotient,
     w_degree,
     w_multi,
@@ -593,11 +592,12 @@ def test_theta_quotient_cancellation_and_pole():
 
 
 # ---------------------------------------------------------------------------
-# theta_product: the numeric end of every ledger
+# theta_quotient's survivors: the numeric end of every ledger
 # ---------------------------------------------------------------------------
 
 def _theta_loop(num_args, den_args, p):
-    """theta_product's definition: theta() of each argument, in order."""
+    """The survivors' product by its definition: theta() of each argument,
+    in order."""
     r = 1.0 + 0j
     for x in num_args:
         r = r * theta(x, p)
@@ -609,17 +609,24 @@ def _theta_loop(num_args, den_args, p):
     return r
 
 
+def _survivors(num_args, den_args):
+    """One-argument runs (x, key, 0, 1) of distinct nonzero keys, so that
+    every argument survives, with its value x unchanged (x * q**0)."""
+    return ([(x, 2 + i, 0, 1) for i, x in enumerate(num_args)],
+            [(y, 1000 + i, 0, 1) for i, y in enumerate(den_args)])
+
+
 @settings(max_examples=100, deadline=None)
 @given(num=st.lists(_bases, max_size=8), den=st.lists(_bases, max_size=8),
        p=st.sampled_from([0.0, 0j, 0.1, 0.05 + 0.02j]))
-def test_theta_product_matches_the_theta_loop(num, den, p):
+def test_theta_quotient_survivors_match_the_theta_loop(num, den, p):
     # p = 0 multiplies 1 - x inline; p != 0 calls theta.  Both give the
     # loop's value, bit for bit.
-    assert _outcome(theta_product, num, den, p) == \
+    assert _outcome(theta_quotient, *_survivors(num, den), 0.3, p) == \
         _outcome(_theta_loop, num, den, p)
 
 
-def test_theta_product_zero_arguments_and_poles():
+def test_theta_quotient_survivor_zero_arguments_and_poles():
     near_one = 1 + POLE_TOL / 2  # |1 - y| below POLE_TOL
     cases = [
         ([0.5, 0.0], [0.3]),  # an argument 0 on either side: theta's DomainError
@@ -632,14 +639,26 @@ def test_theta_product_zero_arguments_and_poles():
     ]
     for num, den in cases:
         for p in (0.0, 0.1):
-            assert _outcome(theta_product, num, den, p) == \
+            assert _outcome(theta_quotient, *_survivors(num, den), 0.3, p) == \
                 _outcome(_theta_loop, num, den, p), (num, den, p)
     with pytest.raises(DomainError, match="theta requires x != 0"):
-        theta_product([0.5], [0j], 0.0)
+        theta_quotient(*_survivors([0.5], [0j]), 0.3, 0.0)
     with pytest.raises(PoleCancellationError):
-        theta_product([0.5], [near_one], 0.0)
+        theta_quotient(*_survivors([0.5], [near_one]), 0.3, 0.0)
     with pytest.raises(DomainError, match=r"\|p\| < 1"):  # the p != 0 path
-        theta_product([0.5], [], 1.5)
+        theta_quotient(*_survivors([0.5], []), 0.3, 1.5)
+
+
+def test_theta_quotient_takes_every_value_before_any_theta():
+    # At q = 1e-200 a run at k = -3 overflows in q**k.  Every survivor gets
+    # its value first, in ledger order, so that OverflowError comes before
+    # the DomainError of a numerator argument 0 and before the pole of a
+    # denominator argument met earlier in the ledger.
+    q = 1e-200
+    for num, den in (([(0.0, 7, 0, 1)], [(1.0, 9, -3, -2)]),
+                     ([(0.5, 7, 0, 1)], [(1 + 1e-12, 9, 0, 1), (1.0, 11, -3, -2)])):
+        with pytest.raises(OverflowError):
+            theta_quotient(num, den, q, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -659,7 +678,8 @@ def test_keyed_quotient_zero_pole_and_survivors():
     # numerator's q^-2, q^-1 (key-0 q^0 against the bare denominator 1.0) and
     # the denominator's q^2.
     assert theta_quotient([(q**-2, -2, 0, 3)], [(1.0, 0, 0, 1), (q, 1, 1, 2)],
-                          q, 0.0) == theta_product([q**-2, q**-2 * q], [q * q], 0.0)
+                          q, 0.0) == theta_quotient(*_survivors([q**-2, q**-2 * q], [q * q]),
+                                                    q, 0.0)
 
 
 def test_keyed_skew_factors_match_the_p0_transcription(monkeypatch):
@@ -708,23 +728,35 @@ def test_keyed_skew_factors_match_the_p0_transcription(monkeypatch):
         assert rel(got, _w_skew_oracle_p0(x, lam, mu, q, t, a, b)) < 1e-12, (lam, mu)
 
 
+def _survivor_count(num, den):
+    """None for a ledger that its net key-0 count settles, else the number
+    of its arguments that no argument of equal key cancels."""
+    nk, dk = (collections.Counter(key + k for _, key, lo, hi in runs for k in range(lo, hi))
+              for runs in (num, den))
+    if nk[0] != dk[0]:
+        return None
+    return sum((nk - dk).values()) + sum((dk - nk).values())
+
+
 def test_rank2_window_evaluates_fewer_numeric_ledgers(monkeypatch):
     # Before keys, each of the rank-2 window's 135 skew ledgers was
     # multiplied out (8,550 arguments).  Keyed, theta_quotient settles all
-    # 135: 97 by their key-0 count, and theta_product multiplies the 374
-    # surviving arguments of the other 38.
-    calls = []
-    for name in ("theta_quotient", "theta_product"):
-        def counted(num, den, *args, original=getattr(wfunc, name), name=name):
-            calls.append((name, len(num) + len(den)))
-            return original(num, den, *args)
+    # 135: 97 by their key-0 count, and it multiplies the 374 surviving
+    # arguments of the other 38.
+    ledgers = []
+    original = wfunc.theta_quotient
 
-        monkeypatch.setattr(wfunc, name, counted)
+    def recorded(num, den, q, p):
+        ledgers.append((list(num), list(den)))
+        return original(num, den, q, p)
+
+    monkeypatch.setattr(wfunc, "theta_quotient", recorded)
     r = run_case("multilateralfinite", _MLAT_FINITE_RANK2)
     assert r.status == "pass" and r.terms_used == 121
-    assert sum(name == "theta_quotient" for name, _ in calls) == 135
-    products = [k for name, k in calls if name == "theta_product"]
-    assert (len(products), sum(products)) == (38, 374)
+    assert len(ledgers) == 135
+    survivors = [c for c in (_survivor_count(num, den) for num, den in ledgers)
+                 if c is not None]
+    assert (len(ledgers) - len(survivors), len(survivors), sum(survivors)) == (97, 38, 374)
 
 
 def test_principal_w_keys_every_s_and_refuses_unit_q():
