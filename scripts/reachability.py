@@ -10,7 +10,8 @@ per case (default 200) in double precision and then H samples per case
 (default 10) in high precision, under a line tracer (sys.settrace).  The
 config and the reports go to a temporary directory, and QIDENT_PRECISION is
 set for each mode and restored afterwards.  The tracer starts before the
-package is imported, so code that runs at import counts too.
+package is imported, so code that runs at import counts too.  A negative
+count, or 0 in both modes, is a usage error (exit 2) before any tracing.
 
 For each module of the package one row is printed: the number of statements
 inside functions, how many of them never ran, and the first line of each of
@@ -80,6 +81,10 @@ def main(argv=None):
     ap.add_argument("--samples", type=int, default=200)
     ap.add_argument("--high-samples", type=int, default=10)
     args = ap.parse_args(argv)
+    if min(args.samples, args.high_samples) < 0:
+        ap.error("--samples and --high-samples must be >= 0")
+    if not (args.samples or args.high_samples):
+        ap.error("--samples and --high-samples are both 0: nothing would run")
 
     if sys.path[0] != str(SRC):
         sys.path.insert(0, str(SRC))
@@ -105,7 +110,7 @@ def main(argv=None):
             config, out, csv = (os.path.join(tmp, name)
                                 for name in ("config.json", "report.json", "report.csv"))
             for precision, samples in (("double", args.samples), ("high", args.high_samples)):
-                if samples > 0:
+                if samples:
                     cli.write_text(config, json.dumps(
                         [{"case_id": cid, "seed": args.seed, "samples": samples}
                          for cid in CASES]))

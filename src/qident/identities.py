@@ -880,10 +880,9 @@ def verify_flip(lam, xs, q, p, t, a, b, tol):
 
 
 def verify_weyl_degree(mu, N, n, s, delta, q, tol):
-    muv = tuple(part(mu, i) for i in range(1, n + 1))
-    lhs = w_degree(muv, N, n, s, delta, q)
+    lhs = w_degree(mu, N, n, s, delta, q)
     wp, xv = _principal_w(n, delta, q, s, [N + n - 1 - i for i in range(n)])
-    rhs = zw_multi(xv, muv, wp)
+    rhs = zw_multi(xv, mu, wp)
     return judge((lhs, rhs), tol)
 
 
@@ -1410,10 +1409,10 @@ def _verifier_args(case_id, schema, params):
 
     The rank n is the "rank" parameter or, in a case without one (flip), the
     length of the vector, which is converted to a tuple once; n is checked
-    first, the others in schema order.  A partition is normalized and has at
-    most n parts, a vector becomes a tuple of exactly n entries, a scalar and
-    each vector entry is a finite number, and a tagged parameter a finite
-    number or a QPower tag."""
+    once, first, the others in schema order.  A partition is normalized and
+    has at most n parts, a vector becomes a tuple of exactly n entries, a
+    scalar and each vector entry is a finite number, and a tagged parameter a
+    finite number or a QPower tag."""
     kinds = {kind: name for name, kind in schema.items()}
     n = None
     if "rank" in kinds:
@@ -1441,7 +1440,7 @@ def _verifier_args(case_id, schema, params):
                                   f"got {len(v)}")
             for entry in v:
                 _check_scalar(case_id, name, entry)
-        elif kind in INT_KINDS:
+        elif kind in INT_KINDS and kind != "rank":  # the rank is checked above, as n
             _check_int(case_id, name, kind, v)
         kwargs[name] = v
     return kwargs

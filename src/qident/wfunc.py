@@ -45,13 +45,14 @@ zw_multi shifts the keys with a t^{2l}, b t^l and x t^{-l}.  Two arguments
 of equal key are the same monomial, so they cancel; theta(y; p) vanishes at
 the key-0 argument y = 1, and key-0 arguments cancel only among themselves,
 so a net key-0 numerator gives exact 0 and a net key-0 denominator raises
-PoleCancellationError, before any argument is expanded.  The rest cancel
-by per-key counts, and only the survivors get values and thetas, in ledger
-order: one function, theta_quotient, settles and evaluates every ledger.
-Two arguments of distinct keys are never cancelled: where the values
-coincide (q a root of unity, or a caller that did not key a
-specialization), they give a numerical zero of the expression or a
-PoleCancellationError, never a silent 0/0 read as 1.
+PoleCancellationError, before any argument is expanded.  In the rest each
+numerator argument cancels the lowest-index uncancelled denominator argument
+of its key (by a map from keys to positions), and only the survivors get
+values and thetas, in ledger order: one function, theta_quotient, settles
+and evaluates every ledger.  Two arguments of distinct keys are never
+cancelled: where the values coincide (q a root of unity, or a caller that
+did not key a specialization), they give a numerical zero of the expression
+or a PoleCancellationError, never a silent 0/0 read as 1.
 
 Recording: zw_skew_single appends each (base;q,p)_m as one run (see
 theta_quotient), (base, key, 0, m) on its own side for m > 0 and (base,
@@ -134,11 +135,11 @@ def theta_quotient(num, den, q, p):
     key + k, k in range(lo, hi).  Key-0 arguments (value 1, theta 0) cancel
     only among themselves, so their net count decides first: more in the
     denominator raises PoleCancellationError, more in the numerator gives
-    exact 0; no run is expanded before that.  Otherwise the denominator
-    arguments are counted per key, and each numerator argument, in order,
-    cancels while its key's count is positive.  The denominator arguments
-    cancelled are the first used[key] of each key, so the survivors and their
-    order are those of cancelling the lowest-index unused argument each time.
+    exact 0; no run is expanded before that.  Otherwise each numerator
+    argument, in ledger order, cancels the lowest-index uncancelled
+    denominator argument of its key: a map sends each key to the positions
+    of those arguments, a numerator argument pops its key's lowest position
+    and blanks that entry, and the entries left are the denominator survivors.
 
     Only the survivors get values, all of them in ledger order before any
     theta is taken, so an error in a value (an overflow in q**k) comes
@@ -156,31 +157,20 @@ def theta_quotient(num, den, q, p):
         raise PoleCancellationError("uncancelled denominator theta vanishes")
     if order > 0:
         return 0.0 + 0j
-    dargs = []  # the denominator arguments (key, base, k), in ledger order
-    count = {}  # key -> its number of denominator arguments
+    dargs = []  # the denominator arguments (base, k), in ledger order; None: cancelled
+    where = {}  # key -> the positions in dargs of its uncancelled arguments
     for base, key, lo, hi in den:
         for k in range(lo, hi):
-            kk = key + k
-            dargs.append((kk, base, k))
-            count[kk] = count.get(kk, 0) + 1
-    used = {}  # key -> its number of cancelled denominator arguments
+            where.setdefault(key + k, []).append(len(dargs))
+            dargs.append((base, k))
     rest = []
     for base, key, lo, hi in num:
         for k in range(lo, hi):
-            kk = key + k
-            c = count.get(kk)
-            if c:
-                count[kk] = c - 1
-                used[kk] = used.get(kk, 0) + 1
+            if at := where.get(key + k):  # cancel its key's lowest position
+                dargs[at.pop(0)] = None
             else:
                 rest.append(base * q**k)
-    den_rest = []
-    for kk, base, k in dargs:
-        u = used.get(kk)
-        if u:  # one of the first used[kk] arguments of its key: cancelled
-            used[kk] = u - 1
-        else:
-            den_rest.append(base * q**k)
+    den_rest = [base * q**k for base, k in filter(None, dargs)]
     # theta(x; 0) = 1 - x inline; an argument 0 goes to theta for its DomainError.
     inline = not p
     one, r = units(p)
@@ -202,8 +192,8 @@ def zw_skew_single(x, lam, mu, params: WParams):
     """Skew W for lam in Z^n and mu in Z^{n-1}, taken literally.
 
     The defining products are evaluated verbatim, with negative-order
-    Pochhammers outside the H factor at Z^n indices; the missing part mu_n
-    is padded with 0 and enters only through order-zero factors.
+    Pochhammers outside the H factor at Z^n indices; mu is padded with
+    zeros to n entries, and mu_n = 0 enters only through order-zero factors.
 
     Precondition, not checked: mu interlaces lam, lam_i >= mu_i >= lam_{i+1}
     for i = 1..n-1 (the skew W is 0 otherwise), so no H row has a negative
@@ -369,16 +359,15 @@ def w_skew_single(x, lam, mu, params: WParams):
     other lam or mu raises NotAPartition.
 
     Vanishes structurally (exact 0) unless lam/mu is a horizontal strip.
-    Otherwise lam and mu are padded with zeros to lengths n and n - 1,
-    n = max(len(lam), len(mu)) + 1, so that the kernel's last H row j = n
-    carries the bottom strip row mu_{n-1} - lam_n = mu_{n-1}.
+    Otherwise lam is padded with zeros to n = max(len(lam), len(mu)) + 1
+    entries, and the kernel pads mu, so that its last H row j = n carries
+    the bottom strip row mu_{n-1} - lam_n = mu_{n-1}.
     """
     lam, mu = check_partition(lam), check_partition(mu)
     if not is_horizontal_strip(lam, mu):
         return 0.0 + 0j
     n = max(len(lam), len(mu)) + 1
-    return zw_skew_single(x, lam + (0,) * (n - len(lam)), mu + (0,) * (n - 1 - len(mu)),
-                          params)
+    return zw_skew_single(x, lam + (0,) * (n - len(lam)), mu, params)
 
 
 def w_multi(xvars, lam, mu, params: WParams, memo=None):

@@ -1146,3 +1146,18 @@ def test_reachability_script_prints_a_row_per_module():
     # main and the JSON and CSV writers run: most of cli is reached.
     statements, unreached = map(int, rows["cli"])
     assert unreached < statements / 2
+
+
+@pytest.mark.parametrize("counts, message", [
+    (("--samples", "0", "--high-samples", "0"), "both 0: nothing would run"),
+    (("--samples", "-1", "--high-samples", "1"), "must be >= 0"),
+])
+def test_reachability_script_refuses_a_run_of_no_samples(counts, message):
+    # A run with no samples would report nearly every statement unreached; a
+    # negative count used to be read as 0.  Both are usage errors, before any
+    # tracing starts.
+    root = Path(__file__).resolve().parent.parent
+    cmd = [sys.executable, str(root / "scripts" / "reachability.py"), *counts]
+    done = subprocess.run(cmd, capture_output=True, text=True)
+    assert done.returncode == 2, done.stdout + done.stderr
+    assert done.stdout == "" and message in done.stderr

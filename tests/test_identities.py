@@ -700,6 +700,23 @@ def test_out_of_domain_parameters_are_error_reports(case_id, change, message):
     assert r.message.startswith("DomainError: ") and message in r.message
 
 
+def test_the_rank_is_checked_once(monkeypatch):
+    # The rank is checked first, as n; the schema loop skips its "rank"
+    # kind instead of checking it a second time.
+    calls = []
+    original = identities._check_int
+
+    def recorded(case_id, name, kind, v):
+        calls.append((name, kind))
+        return original(case_id, name, kind, v)
+
+    monkeypatch.setattr(identities, "_check_int", recorded)
+    r = run_case("multijackson", sample_params("multijackson", 0))
+    assert r.status == "pass"
+    assert calls[0] == ("n", "rank")
+    assert [c for c in calls if c[1] == "rank"] == [("n", "rank")]
+
+
 def test_long_raw_values_are_named_by_an_excerpt():
     # A too-long partition, a non-int integer parameter and a non-finite
     # scalar each name the raw value by errors.excerpt: a 100,000-part mu

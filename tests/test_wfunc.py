@@ -568,6 +568,9 @@ def test_theta_quotient_edge_cases_match_scan():
         ([(1.0, 4, 0, 1), (0.5, 2, 0, 1)], [(1.0, 7, 0, 1)]),
         ([(1.0, 4, 0, 1)], [(0.5, 7, 0, 1)]),
         ([(0.5, 2, 0, 1)], [(0.5, 3, 0, 1), (0.5, 2, 0, 1)]),
+        # equal keys, bases a bit apart: the lowest-index argument is
+        # cancelled, so the value is 1 / theta(0.4 (1 + 2**-52)), not 1 / theta(0.4)
+        ([(0.4, 5, 0, 1)], [(0.4, 5, 0, 1), (0.4 * (1 + 2**-52), 5, 0, 1)]),
     ]
     for num, den in cases:
         for p in (0.0, 0.1):
