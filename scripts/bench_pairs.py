@@ -44,7 +44,7 @@ def bench_line(tree, workload, seed, seconds, trace=False):
     return done.stdout.strip().splitlines()[-1]
 
 
-def _quartiles(values):
+def quartiles(values):
     if len(values) < 2:
         return values[0], values[0]
     q1, _, q3 = statistics.quantiles(values, n=4)
@@ -68,7 +68,7 @@ def verdict(pv, cv, better, bound):
                    quartile distance;
       within bound otherwise."""
     pm, cm = statistics.median(pv), statistics.median(cv)
-    p1, p3 = _quartiles(pv)
+    p1, p3 = quartiles(pv)
     if _beats(pm, cm, better) and abs(cm - pm) > bound * abs(pm):
         return "regression"
     spread = p3 - p1 > bound * abs(pm)
@@ -110,7 +110,7 @@ def summarize(parent_lines, change_lines, end_to_end):
         cv = [r["metrics"][name]["value"] for r in change]
         wins = sum(_beats(c, p, better) for p, c in zip(pv, cv))
         pm, cm = statistics.median(pv), statistics.median(cv)
-        (p1, p3), (c1, c3) = _quartiles(pv), _quartiles(cv)
+        (p1, p3), (c1, c3) = quartiles(pv), quartiles(cv)
         move = (cm - pm) / abs(pm) if pm else float("nan")
         out.append(f"{name} ({better} is better): parent {pm:.4g} [{p1:.4g}, {p3:.4g}]"
                    f" -> change {cm:.4g} [{c1:.4g}, {c3:.4g}], {move:+.1%};"

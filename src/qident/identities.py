@@ -1337,7 +1337,7 @@ _register(
 _register(
     "weyldegree",
     "Closed degree formula vs recursive W evaluation at the principal point",
-    dict(mu="partition", N="int", n="rank", s="scalar", delta="int", q="scalar"),
+    dict(mu="partition", N="int", n="rank", s="scalar", delta="order", q="scalar"),
     1e-9, _sample_weyldegree, verify_weyl_degree)
 _register(
     "multilateralfinite",

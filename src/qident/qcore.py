@@ -19,8 +19,22 @@ arithmetic at every factor.  1 converts exactly, so the rule changes no
 value in either mode.  For the same reason a kernel tests a value for an
 exact zero by its truth value (not r), not by comparing it with a Python 0.
 
-Besides the constant 1s that units keeps per number type, the one state is
-THETA_MEMO: while ``identities.run_case`` evaluates, theta(x;p) at p != 0
+Beside the units, factor_product(y) gives per number type the kernel that
+multiplies start by the factors (one - v y) of a sequence of v, in order
+(series.eval_phi's per-term products).  For Python numbers it is the
+operator loop start = start * (one - v * y).  For an mpmath context's mpc,
+when y, one, start and every v are of that type, it makes on their raw
+_mpc_ tuples, at the context's (prec, rounding), the very libmpc calls
+(mpc_mul, mpc_sub) that the mpc operators make, and wraps the product once:
+it skips the operators' type dispatch and one wrapper per operation, and
+rounds nothing differently.  At an exactly real, finite y and a finite v it
+forms v y by mpc_mul_mpf, which rounds the same two real products that
+mpc_mul rounds after adding an exact zero; an infinite or NaN component
+(where mpc_mul makes NaN of inf * 0) keeps mpc_mul.  Any other operand takes
+the operator loop.  So the kernel is the loop's value bit for bit.
+
+Besides the constant 1s and the kernels that units and factor_product keep
+per number type, the one state is THETA_MEMO: while ``identities.run_case`` evaluates, theta(x;p) at p != 0
 and the split infinite products ("split" keys) are computed once per
 argument and read back, and each modulus q has one tail plan ("plan" keys:
 its tail radius, in q's arithmetic, its units and Euler's coefficients),
@@ -97,6 +111,71 @@ def units(x):
             pair = (one, one)
         _UNITS[type(x)] = pair
     return pair
+
+
+def _operator_product(start, values, y, one):
+    """start * (one - v y) for each v of values in turn, by the operators of
+    the operands' types."""
+    for v in values:
+        start = start * (one - v * y)
+    return start
+
+
+def _mpc_product(cls):
+    """The factor-product kernel of the mpmath mpc type cls (see
+    factor_product): when y, one, start and every v are of type cls it
+    makes, on their _mpc_ tuples at cls's (prec, rounding), the libmpc calls
+    that the operators make, and wraps the product once; any other operand
+    takes _operator_product.  v y with a finite y whose imaginary part is
+    exactly fzero and a finite v is mpc_mul_mpf, which rounds the two real
+    products that mpc_mul adds an exact zero to."""
+    from mpmath.libmp import fzero, mpc_mul, mpc_mul_mpf, mpc_sub
+
+    _, new, prec_rounding = cls._ctxdata
+
+    def product(start, values, y, one):
+        if type(start) is not cls or type(one) is not cls or type(y) is not cls \
+                or any(type(v) is not cls for v in values):
+            return _operator_product(start, values, y, one)
+        prec, rnd = prec_rounding
+        s, o, w = start._mpc_, one._mpc_, y._mpc_
+        re, im = w
+        # An mpf's bit count (its tuple's last entry) is < 0 only at an
+        # infinity or NaN.
+        if im == fzero and re[3] >= 0:
+            for v in values:
+                t = v._mpc_
+                vy = mpc_mul_mpf(t, re, prec, rnd) if t[0][3] >= 0 and t[1][3] >= 0 \
+                    else mpc_mul(t, w, prec, rnd)
+                s = mpc_mul(s, mpc_sub(o, vy, prec, rnd), prec, rnd)
+        else:
+            for v in values:
+                s = mpc_mul(s, mpc_sub(o, mpc_mul(v._mpc_, w, prec, rnd), prec, rnd),
+                            prec, rnd)
+        r = new(cls)
+        r._mpc_ = s
+        return r
+
+    return product
+
+
+#: factor-product kernels by operand type, each made on the first call for
+#: its type.
+_PRODUCTS = {}
+
+
+def factor_product(y):
+    """The factor-product kernel of y's type, a function
+    product(start, values, y, one) = start * prod_v (one - v y), multiplied
+    in the order of values, bit for bit the operator loop
+    start = start * (one - v * y).  For Python numbers (and mpmath's mpf) it
+    is that loop; for an mpmath context's mpc it is made on the first call
+    for its type and runs on mpmath's raw tuples (_mpc_product)."""
+    kernel = _PRODUCTS.get(type(y))
+    if kernel is None:
+        kernel = _mpc_product(type(y)) if hasattr(y, "_mpc_") else _operator_product
+        _PRODUCTS[type(y)] = kernel
+    return kernel
 
 
 def csqrt(x):

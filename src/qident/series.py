@@ -50,7 +50,7 @@ from typing import Optional, Sequence, Tuple
 
 from .errors import DivisionByVanishingFactor, DomainError, NoConvergence
 from .policy import QPower, scalar_value
-from .qcore import VANISH_TOL, units
+from .qcore import VANISH_TOL, factor_product, units
 
 #: Relative bound on the dropped tail of each side of a bilateral sum.
 TAIL_TOL = 1e-15
@@ -100,14 +100,6 @@ def _resolved(entries, q):
             for v in entries]
 
 
-def _product(entries, qk, one, start):
-    """start times the factors (one - v q^k) of the resolved entries,
-    multiplied in entry order; one and start are qcore.units of q."""
-    for v, _ in entries:
-        start = start * (one - v * qk)
-    return start
-
-
 def eval_phi(spec: SeriesSpec) -> SeriesValue:
     """Evaluate a balanced terminating unilateral basic hypergeometric series.
 
@@ -129,13 +121,15 @@ def eval_phi(spec: SeriesSpec) -> SeriesValue:
         raise NoConvergence("eval_phi: max_terms reached")
 
     one, start = units(q)
+    product = factor_product(q)
+    nv, dv = [v for v, _ in nums], [v for v, _ in dens]
     total = term = start  # the k = 0 term
     mass = 1.0  # sum of |t_k|
     qk = q**0
     for k in range(cut):
-        num_f = _product(nums, qk, one, start)
+        num_f = product(start, nv, qk, one)
         qk_next = q ** (k + 1)
-        den_f = _product(dens, qk, one, one - qk_next)  # implicit (q;q)_k ratio factor
+        den_f = product(one - qk_next, dv, qk, one)  # implicit (q;q)_k ratio factor
         if abs(den_f) < VANISH_TOL:
             raise DivisionByVanishingFactor("eval_phi: denominator factor vanishes")
         term = term * x * num_f / den_f

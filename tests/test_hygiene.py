@@ -18,6 +18,9 @@ module of the package calls the checked W entry points, and the package
 exports every error class of errors.py."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -792,3 +795,16 @@ def test_every_error_class_is_exported():
     classes = {name for name, v in vars(errors).items()
                if isinstance(v, type) and issubclass(v, errors.QidentError)}
     assert classes - set(qident.__all__) == set()
+
+
+def test_importing_the_package_loads_no_mpmath():
+    # identities.mp_context and qcore's mpc kernels import mpmath when a
+    # high-precision value first needs them; a double-mode process never pays
+    # its import.
+    code = ("import sys, qident, qident.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'mpmath'))")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

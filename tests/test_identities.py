@@ -688,6 +688,8 @@ def test_run_case_unknown_parameters_is_a_config_error():
     ("simplifiedjackson", dict(n=None), "requires n to be an integer, got None"),
     ("duality", dict(n=None), "duality requires n to be an integer, got None"),
     ("multilateralfinite", dict(n=None), "requires n to be an integer, got None"),
+    # delta < 0: the sides of the degree formula differ there (see below).
+    ("weyldegree", dict(delta=-1), "requires delta >= 0, got delta = -1"),
 ])
 def test_out_of_domain_parameters_are_error_reports(case_id, change, message):
     # Each parameter is checked in run_case against the domain of its schema
@@ -698,6 +700,16 @@ def test_out_of_domain_parameters_are_error_reports(case_id, change, message):
     r = run_case(case_id, {**sample_params(case_id, 0), **change})
     assert (r.case_id, r.status) == (case_id, "error")
     assert r.message.startswith("DomainError: ") and message in r.message
+
+
+@pytest.mark.parametrize("mu", [(2,), (3, 1)])
+def test_weyldegree_below_delta_zero_is_an_error_report(mu):
+    # At delta < 0 both sides cancel the exact zeros 1 - q^0 of the Delta rows,
+    # each by its own convention, and the two differ: these draws failed at
+    # rel 1.41 and 1.34.  An exact grid found delta >= 0 exact everywhere.
+    r = run_case("weyldegree", dict(mu=mu, N=1, n=2, s=0.31 + 0.07j, delta=-1, q=0.37))
+    assert r.status == "error"
+    assert r.message == "DomainError: weyldegree requires delta >= 0, got delta = -1"
 
 
 def test_the_rank_is_checked_once(monkeypatch):

@@ -18,6 +18,7 @@ from qident.qcore import (
     THETA_MEMO,
     csqrt,
     epoch,
+    factor_product,
     pair_poch_ratio,
     poch_inf,
     poch_int,
@@ -525,3 +526,111 @@ def test_bilateral_sum_converts_at_most_once_per_window(monkeypatch):
     windows = max(-lo, hi) // WINDOW_STEP
     assert windows >= 5 and sv.terms_used > 10 * WINDOW_STEP
     assert len(seen) <= windows
+
+
+# ---------------------------------------------------------------------------
+# factor_product
+# ---------------------------------------------------------------------------
+
+def _operator_loop(start, values, y, one):
+    """The reference: the factor loop on the operands' own operators."""
+    for v in values:
+        start = start * (one - v * y)
+    return start
+
+
+def _same(a, b):
+    return type(a) is type(b) and repr(a) == repr(b)
+
+
+_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                    st.floats(-1e6, 1e6, allow_subnormal=False))
+_PYTHON = st.one_of(st.integers(-5, 5), _FLOATS, st.builds(complex, _FLOATS, _FLOATS))
+#: Components of an mpc: a drawn float over 3, so that the 40- and 50-digit
+#: products round (zero included).
+_PARTS = st.tuples(_FLOATS, _FLOATS)
+
+
+@given(st.lists(_PYTHON, max_size=6), _PYTHON, _PYTHON, _PYTHON)
+@example([], 0.5 + 0j, 1.0 + 0j, 1)
+@example([-0.0, 0.5j], -0.0, 1.0 + 0j, 1)
+def test_factor_product_of_python_numbers_is_the_operator_loop(values, y, start, one):
+    assert _same(factor_product(y)(start, values, y, one),
+                 _operator_loop(start, values, y, one))
+
+
+def _mpc(ctx, parts):
+    re, im = parts
+    return ctx.mpc(ctx.mpf(re) / 3, ctx.mpf(im) / 3)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from([40, 50]), st.lists(_PARTS, max_size=6), _PARTS,
+       st.booleans(), st.booleans(), _PARTS)
+@example(40, [], (0.5, 0.0), True, True, (1.0, 0.0))
+@example(50, [(0.0, 0.0), (1.5, 0.0), (0.0, -2.0)], (0.0, 0.0), True, False,
+         (0.0, 1.0))
+def test_factor_product_of_mpc_values_is_the_operator_loop(dps, parts, y_parts, real,
+                                                           unit, start_parts):
+    # The tuple path: every operand of one context, y exactly real (the
+    # mpc_mul_mpf step) or complex, with the units or other values as one
+    # and start.
+    ctx = mp_context(dps)
+    values = [_mpc(ctx, p) for p in parts]
+    y = _mpc(ctx, (y_parts[0], 0.0) if real else y_parts)
+    one, start = units(y) if unit else (_mpc(ctx, start_parts[::-1]),
+                                        _mpc(ctx, start_parts))
+    assert _same(factor_product(y)(start, values, y, one),
+                 _operator_loop(start, values, y, one))
+
+
+@given(st.lists(_PARTS, min_size=1, max_size=4), _PARTS, st.booleans(),
+       st.integers(0, 4), st.sampled_from(["context", "mpf", "start", "one"]))
+def test_factor_product_of_mixed_operands_is_the_operator_loop(parts, y_parts, real,
+                                                               at, foreign):
+    # An entry of another context or an mpf, or a start or one of another
+    # context, takes the operator loop: the result is that loop's.
+    ctx, other = mp_context(40), mp_context(50)
+    values = [_mpc(ctx, p) for p in parts]
+    y = _mpc(ctx, (y_parts[0], 0.0) if real else y_parts)
+    one, start = units(y)
+    at = min(at, len(values) - 1)
+    if foreign == "context":
+        values[at] = _mpc(other, parts[at])
+    elif foreign == "mpf":
+        values[at] = ctx.mpf(parts[at][0]) / 3
+    elif foreign == "start":
+        start = _mpc(other, parts[at])
+    else:
+        one = units(other.mpc(1))[0]
+    assert _same(factor_product(y)(start, values, y, one),
+                 _operator_loop(start, values, y, one))
+
+
+_SPECIAL = st.sampled_from([0.0, 1.5, -2.0, float("inf"), float("-inf"), float("nan")])
+
+
+@given(st.lists(st.tuples(_SPECIAL, _SPECIAL), max_size=4), _SPECIAL, _SPECIAL)
+@example([(float("inf"), 0.0)], 0.5, 0.0)
+@example([(0.5, float("nan"))], 0.5, 0.0)
+@example([(0.5, 0.25)], float("inf"), 0.0)
+def test_factor_product_of_non_finite_mpc_values_is_the_operator_loop(parts, y_re, y_im):
+    # An infinite or NaN component, of an entry or of a real y: v y by
+    # mpc_mul_mpf would drop the NaN that mpc_mul makes of inf * 0.
+    ctx = mp_context(40)
+    values = [ctx.mpc(*p) for p in parts]
+    y = ctx.mpc(y_re, y_im)
+    one, start = units(y)
+    assert _same(factor_product(y)(start, values, y, one),
+                 _operator_loop(start, values, y, one))
+
+
+def test_factor_product_is_made_once_per_type():
+    # One kernel for the Python numbers and mpf, one of its own per mpc type.
+    ctx40, ctx50 = mp_context(40), mp_context(50)
+    python = factor_product(0.5)
+    assert factor_product(2) is factor_product(0.5j) is python
+    assert factor_product(ctx40.mpf(2)) is python
+    mpc40 = factor_product(ctx40.mpc(0.5))
+    assert mpc40 is not python and factor_product(ctx40.mpc(2j)) is mpc40
+    assert factor_product(ctx50.mpc(0.5)) not in (python, mpc40)
