@@ -215,17 +215,7 @@ def flipped_summand_structured(u, z, sig, rho, gam, n, q):
                 sig * q ** (-z - u), rho * q ** (-z - u),
                 gam * q ** (-z + u), q ** (3 * z + 1 + n + u) / srg,
                 gam * q ** (-z - u), q ** (3 * z + 1 + n - u) / srg]
-    zeros = 0
-    val = q ** (-z * z) * q ** (u * u)
-    for a in num_args:
-        zc, v = poch_inf_split(a, q)
-        zeros += zc
-        val = val * v
-    for a in den_args:
-        zc, v = poch_inf_split(a, q)
-        zeros -= zc
-        val = val / v
-    return zeros, val
+    return poch_inf_split(q ** (-z * z) * q ** (u * u), num_args, den_args, q)
 
 
 def bilateral_finite_spec(sig, rho, gam, n, delta, q):
@@ -948,8 +938,13 @@ def _mod(rng, lo=0.1, hi=0.9):
     return math.exp(a + (math.log(hi) - a) * rng.random())
 
 
+def _polar(m, turn):
+    """The complex number of modulus m at angle 2 pi turn."""
+    return m * cmath.exp(1j * (2 * math.pi * turn))
+
+
 def _cscalar(rng, lo=0.1, hi=0.9):
-    return _mod(rng, lo, hi) * cmath.exp(1j * (2 * math.pi * rng.random()))
+    return _polar(_mod(rng, lo, hi), rng.random())
 
 
 def _away(bases, q, kmax=12):
@@ -1090,9 +1085,19 @@ def _sample_3psi3(delta):
         q = _mod(rng, 0.1, 0.5)
         qd = q ** (1 + delta)
 
+        # The moduli and turns of three _cscalar(rng, 0.5, 0.9) draws, in
+        # its order and with _mod's floats, its logs taken once.  A draw
+        # whose moduli put |qd / srg| clearly past the 0.8 gate (the margin
+        # covers the complex rounding) is rejected before any complex
+        # arithmetic: the stream and every draw stay the same.
+        lo = math.log(0.5)
+        span, past_gate = math.log(0.9) - lo, 0.8 * (1 + 1e-9)
+
         def draw():
-            sig, rho, gam = (_cscalar(rng, 0.5, 0.9), _cscalar(rng, 0.5, 0.9),
-                             _cscalar(rng, 0.5, 0.9))
+            polar = [(math.exp(lo + span * rng.random()), rng.random()) for _ in range(3)]
+            if qd / (polar[0][0] * polar[1][0] * polar[2][0]) > past_gate:
+                return None
+            sig, rho, gam = (_polar(m, turn) for m, turn in polar)
             srg = sig * rho * gam
             if abs(qd / srg) <= 0.8 and \
                     _away([qd / sig, qd / rho, qd / gam, qd / srg], q):

@@ -38,12 +38,16 @@ per number type, the one state is THETA_MEMO: while ``identities.run_case`` eval
 and the split infinite products ("split" keys) are computed once per
 argument and read back, and each modulus q has one tail plan ("plan" keys:
 its tail radius, in q's arithmetic, its units and Euler's coefficients),
-which every infinite product of q reads.  A memo value is the kernel's
-value bit for bit, so the memo changes no result, and both sides of an
-identity may share it: they call the same kernel either way.  It is a
-context variable that run_case sets on entry and drops on return, so no
-value outlives one evaluation.  Outside run_case (get() is None) all
-compute afresh.
+which every infinite product of q reads.  Every infinite product runs one
+private loop on the plan it is handed, and the plan is read (with the
+|q| < 1 check) once per call: once for poch_inf's one product, once for
+each list of poch_multi_inf and poch_inf_split, and once for the two
+products of a theta miss.  A memo value is the kernel's value bit for bit,
+so the memo changes no result, and both sides of an identity may share it:
+they call the same kernel either way.  It is a context variable that
+run_case sets on entry and drops on return, so no value outlives one
+evaluation.  Outside run_case (get() is None) all compute afresh, each call
+on a plan of its own.
 
 Conventions:
   (a;q)_k        finite product prod_{i=1..k} (1 - a q^{i-1}); for k < 0 it is
@@ -259,17 +263,16 @@ def poch_inf_tail(y, q, plan):
     return s
 
 
-def poch_inf(a, q):
-    """Infinite q-Pochhammer symbol (a;q)_inf.
-
-    Factors 1 - a q^k are multiplied out (an exact zero returns 0) while
-    |a q^k| > rho(q) = min(1/4, (1 - |q|) ln 2 / 2); the tail at y = a q^K is
-    Euler's sum_n c_n y^n, c_0 = 1, c_{n+1} = -c_n q^n / (1 - q^{n+1})
-    (Gasper-Rahman 1.3), cut at the first |c_n| rho^n < PRODUCT_TOL.  Its
-    condition bound (-rho;|q|)_inf / (rho;|q|)_inf stays near 2 (<= 2.02)."""
+def _read_plan(q):
+    """q's tail plan for the products of q (see _plan), read from the
+    current memo; DomainError unless |q| < 1."""
     if abs(q) >= 1:
         raise DomainError("poch_inf requires |q| < 1")
-    plan = _plan(q, THETA_MEMO.get())
+    return _plan(q, THETA_MEMO.get())
+
+
+def _inf_product(a, q, plan):
+    """(a;q)_inf on q's tail plan (see poch_inf)."""
     cut, one, r, _ = plan
     x = a
     for _ in range(MAX_FACTORS):
@@ -282,25 +285,22 @@ def poch_inf(a, q):
     raise NoConvergence("poch_inf: max_factors reached before tail threshold")
 
 
-def poch_inf_split(a, q):
-    """(zeros, value): (a;q)_inf with its structural-zero factors (|1 - a q^k|
-    < STRUCT_ZERO_TOL) counted apart from the product of the rest, memoized
-    as theta is plus a "split" tag.  A zero has |a q^k| near 1 >
-    tail_radius(q), so it lies before the Euler tail."""
-    memo = THETA_MEMO.get()
-    if memo is None:
-        return _poch_inf_split_product(a, q)
-    key = ("split", a, q, type(a), type(q))
-    v = memo.get(key)
-    if v is None:
-        v = memo[key] = _poch_inf_split_product(a, q)
-    return v
+def poch_inf(a, q):
+    """Infinite q-Pochhammer symbol (a;q)_inf.
+
+    Factors 1 - a q^k are multiplied out (an exact zero returns 0) while
+    |a q^k| > rho(q) = min(1/4, (1 - |q|) ln 2 / 2); the tail at y = a q^K is
+    Euler's sum_n c_n y^n, c_0 = 1, c_{n+1} = -c_n q^n / (1 - q^{n+1})
+    (Gasper-Rahman 1.3), cut at the first |c_n| rho^n < PRODUCT_TOL.  Its
+    condition bound (-rho;|q|)_inf / (rho;|q|)_inf stays near 2 (<= 2.02)."""
+    return _inf_product(a, q, _read_plan(q))
 
 
-def _poch_inf_split_product(a, q):
-    if abs(q) >= 1:
-        raise DomainError("poch_inf requires |q| < 1")
-    plan = _plan(q, THETA_MEMO.get())
+def _inf_split_product(a, q, plan):
+    """(zeros, value) of (a;q)_inf on q's tail plan, its structural-zero
+    factors (|1 - a q^k| < STRUCT_ZERO_TOL) counted apart from the product
+    of the rest.  A zero has |a q^k| near 1 > tail_radius(q), so it lies
+    before the Euler tail."""
     cut, one, r, _ = plan
     zeros = 0
     x = a
@@ -316,16 +316,53 @@ def _poch_inf_split_product(a, q):
     raise NoConvergence("factored infinite product: max_factors reached")
 
 
+def _split_value(a, q, plan, memo):
+    """_inf_split_product(a, q, plan), kept in memo (if a dict) as theta
+    is, plus a "split" tag."""
+    if memo is None:
+        return _inf_split_product(a, q, plan)
+    key = ("split", a, q, type(a), type(q))
+    v = memo.get(key)
+    if v is None:
+        v = memo[key] = _inf_split_product(a, q, plan)
+    return v
+
+
+def poch_inf_split(val, num, den, q):
+    """(net zeros, value): val times (a;q)_inf for each a of num, then
+    divided by (a;q)_inf for each a of den, in list order, where each
+    product's structural-zero factors (|1 - a q^k| < STRUCT_ZERO_TOL) are
+    counted apart (num's added, den's subtracted) and the rest multiplied
+    out.  The lists share one plan read; under a THETA_MEMO dict each
+    argument's (zeros, value) is memoized (_split_value)."""
+    plan = _read_plan(q)
+    memo = THETA_MEMO.get()
+    zeros = 0
+    for a in num:
+        zc, v = _split_value(a, q, plan, memo)
+        zeros += zc
+        val = val * v
+    for a in den:
+        zc, v = _split_value(a, q, plan, memo)
+        zeros -= zc
+        val = val / v
+    return zeros, val
+
+
 def poch_multi_inf(avals, q):
-    """Product of poch_inf over a list of parameters."""
+    """Product of poch_inf over a list of parameters, on one plan read (an
+    empty list is 1 at any q)."""
     r = units(q)[1]
-    for a in avals:
-        r = r * poch_inf(a, q)
+    if avals:
+        plan = _read_plan(q)
+        for a in avals:
+            r = r * _inf_product(a, q, plan)
     return r
 
 
 def theta(x, p):
-    """Normalized theta function theta(x;p) = (x;p)_inf (p/x;p)_inf.
+    """Normalized theta function theta(x;p) = (x;p)_inf (p/x;p)_inf, both
+    products on one plan read.
 
     At p != 0 under a THETA_MEMO dict the value is memoized, keyed by x and p
     with their types (a double and an mpmath argument of equal value compute
@@ -338,11 +375,13 @@ def theta(x, p):
         raise DomainError("theta requires |p| < 1")
     memo = THETA_MEMO.get()
     if memo is None:
-        return poch_inf(x, p) * poch_inf(p / x, p)
+        plan = _plan(p, None)
+        return _inf_product(x, p, plan) * _inf_product(p / x, p, plan)
     key = (x, p, type(x), type(p))
     v = memo.get(key)
     if v is None:
-        v = memo[key] = poch_inf(x, p) * poch_inf(p / x, p)
+        plan = _plan(p, memo)
+        v = memo[key] = _inf_product(x, p, plan) * _inf_product(p / x, p, plan)
     return v
 
 

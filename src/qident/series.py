@@ -139,23 +139,6 @@ def eval_phi(spec: SeriesSpec) -> SeriesValue:
     return SeriesValue(total, cut + 1, True, condition=_condition(mass, total))
 
 
-def _ratio_excess(c, grow, shrink):
-    """rho - lim for rho = c prod(g + d) / prod(s - d) and
-    lim = c prod(g) / prod(s), over the pairs (g, d) of grow and (s, d) of
-    shrink, all >= 0: rho bounds the later term ratios of a bilateral side
-    and lim is the modulus of its limit ratio.  The excess is accumulated
-    from the increments d alone, so it carries no cancellation however close
-    rho is to lim.  inf unless every s - d is positive."""
-    lim, excess = c, 0.0
-    for g, d in grow:
-        lim, excess = lim * g, excess * (g + d) + lim * d
-    for s, d in shrink:
-        if s - d <= 0:
-            return math.inf
-        lim, excess = lim / s, (excess + lim * d / s) / (s - d)
-    return excess
-
-
 def _side_ends(t, k, tol, limit, excess):
     """Whether a bilateral side whose last term t has index k ends: at an
     exactly-zero term, or, for a side whose limit ratio r has modulus
@@ -192,7 +175,12 @@ def eval_psi(spec: SeriesSpec) -> SeriesValue:
     side's, from the term at k on down, at most rho_j = (1/|x|)
     prod (|b_i| + |q|^j) / (|a_i| - |q|^j) with j = 1 - k; each later ratio
     is then within rho - |r| of r, so the closed tail is within
-    |t| (rho / (1 - rho) - |r| / (1 - |r|)) of the dropped terms.  A side
+    |t| (rho / (1 - rho) - |r| / (1 - |r|)) of the dropped terms.  The
+    excess rho - |r| is accumulated in floats, factor by factor, from the
+    increments |a_i||q|^k and |b_i||q|^k (above) or |q|^j (below) alone,
+    never as a difference of rho and |r|, so it carries no cancellation
+    however close rho is to |r|; it is inf unless every divisor
+    1 - |b_i||q|^k (above) or |a_i| - |q|^j (below) is positive.  A side
     with a tag cut runs to it without the bound.  A non-finite term, or more
     than MAX_TERMS terms, raises NoConvergence.
     """
@@ -224,13 +212,30 @@ def eval_psi(spec: SeriesSpec) -> SeriesValue:
     r_up = x if lim_up < 1 else zero
     r_dn = math.prod(dv) / (x * math.prod(nv)) if lim_dn < 1 else zero
 
+    # rho_k - |r| of each side at index k (see the docstring).
     def up_excess(k):
-        e = aq**k
-        return _ratio_excess(ax, [(1, a * e) for a in an], [(1, b * e) for b in ad])
+        e, excess = aq**k, 0.0
+        for a in an:
+            d = a * e
+            excess = excess * (1 + d) + ax * d
+        for b in ad:
+            d = b * e
+            if 1 - d <= 0:
+                return math.inf
+            excess = (excess + ax * d) / (1 - d)
+        return excess
 
     def dn_excess(k):
-        e = aq ** (1 - k)
-        return _ratio_excess(1 / ax, [(b, e) for b in ad], [(a, e) for a in an])
+        e, lim, excess = aq ** (1 - k), 1 / ax, 0.0
+        for b in ad:
+            excess = excess * (b + e) + lim * e
+            lim = lim * b
+        for a in an:
+            if a - e <= 0:
+                return math.inf
+            excess = (excess + lim * e / a) / (a - e)
+            lim = lim / a
+        return excess
 
     # Below index -deep an r-factor product of the terms 1 - v q^k could
     # overflow a float (r (-k) log10(1/|q|) > 300 decades): there each factor

@@ -67,7 +67,7 @@ THRESHOLD_READERS = {
     "VANISH_TOL": {"qcore.poch_int", "qcore._ratio_steps", "series.eval_phi",
                    "series.eval_psi"},
     "POLE_TOL": {"wfunc.theta_quotient"},
-    "STRUCT_ZERO_TOL": {"qcore._poch_inf_split_product"},
+    "STRUCT_ZERO_TOL": {"qcore._inf_split_product"},
     "BOTH_ZERO_EPS": {"identities.judge"},
 }
 

@@ -604,30 +604,71 @@ class _NoThetaMemo:
         pass
 
 
+class _RecordingMemo(dict):
+    """A theta memo that records the key of each value stored in it and of
+    each value read back from it."""
+
+    def __init__(self):
+        super().__init__()
+        self.stored, self.read = [], []
+
+    def __setitem__(self, key, value):
+        self.stored.append(key)
+        super().__setitem__(key, value)
+
+    def get(self, key, default=None):
+        if key in self:
+            self.read.append(key)
+        return super().get(key, default)
+
+
+class _RecordedThetaMemo:
+    """Stands in for qcore.THETA_MEMO in identities: each memo that run_case
+    sets is a _RecordingMemo, kept in memos in call order."""
+
+    def __init__(self):
+        self.memos = []
+
+    def set(self, value):
+        assert value == {}
+        self.memos.append(_RecordingMemo())
+        return qcore.THETA_MEMO.set(self.memos[-1])
+
+    def reset(self, token):
+        qcore.THETA_MEMO.reset(token)
+
+
+def _theta_keys(memo):
+    return [key for key in memo if key[0] not in ("plan", "split")]
+
+
 def test_run_case_theta_memo_is_per_call_and_changes_no_value(monkeypatch):
-    calls = []
-    original = qcore.poch_inf
-
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(qcore, "poch_inf", counting)
+    # Observed at the memo itself: each theta key and each plan key is stored
+    # once, and thetas are read back; a stored theta is the kernel's fresh
+    # value; there is one plan per (p, type) and none other; p = 0 stores no
+    # theta; and each run_case call starts a new memo that it drops on return.
+    recorded = _RecordedThetaMemo()
+    monkeypatch.setattr(identities, "THETA_MEMO", recorded)
     params = sample_params("multijackson", 5)
     assert params["p"] != 0 and params["lam"] == (3, 3)
-    counts = []
     for _ in range(2):
-        del calls[:]
         run_case("multijackson", params)
-        counts.append(len(calls))
+        assert qcore.THETA_MEMO.get() is None
+    first, second = recorded.memos
     # The second call recomputes every theta: no memo outlives a run_case.
-    assert counts[0] == counts[1] > 0
-    assert qcore.THETA_MEMO.get() is None
-    with monkeypatch.context() as m:
-        m.setattr(identities, "THETA_MEMO", _NoThetaMemo())
-        del calls[:]
-        run_case("multijackson", params)
-        assert len(calls) > counts[0]
+    assert first.stored == second.stored and first.read == second.read
+    assert len(first.stored) == len(set(first.stored)) == len(first)
+    thetas = _theta_keys(first)
+    assert thetas and all(key[1] for key in thetas)
+    assert [key for key in first.read if key in thetas]
+    assert {key for key in first if key[0] == "plan"} == {
+        ("plan", p, tp) for _, p, _, tp in thetas}
+    for key in thetas:
+        assert repr(first[key]) == repr(qcore.theta(key[0], key[1]))
+    # A p = 0 draw evaluates its thetas (1 - x) and memoizes none.
+    seed = next(s for s in range(100) if sample_params("multijackson", s)["p"] == 0)
+    assert run_case("multijackson", sample_params("multijackson", seed)).status == "pass"
+    assert _theta_keys(recorded.memos[-1]) == []
     monkeypatch.undo()
     for case_id in ("multijackson", "simplifiedjackson", "duality", "flip",
                     "weyldegree"):
@@ -1542,24 +1583,27 @@ def test_summand_invariance_seeded_examples():
 
 
 def test_summand_invariance_split_products_once_per_evaluation(monkeypatch):
-    # Under run_case's memo each split product is computed once and read back
-    # as the same value; the sign = 1 evaluation repeats all 28 of them.
-    # Outside run_case (the verifier called directly) every call computes
+    # Observed at the memo itself: under run_case's memo each split product
+    # is stored once and read back as the same value (the sign = 1
+    # evaluation repeats all of them), each stored value is the kernel's
+    # fresh one, and the products share one plan.  Outside run_case (the
+    # verifier called directly) there is no memo: every product computes
     # afresh.
-    calls = []
-    original = qcore._poch_inf_split_product
-
-    def counting(a, q):
-        calls.append(a)
-        return original(a, q)
-
-    monkeypatch.setattr(qcore, "_poch_inf_split_product", counting)
+    recorded = _RecordedThetaMemo()
+    monkeypatch.setattr(identities, "THETA_MEMO", recorded)
     params = dict(_INVARIANCE, n=4, delta=0, k=2, sign=1)
     fresh = verify_summand_invariance(**params, tol=1e-9)
-    assert len(calls) == 56
-    calls.clear()
+    assert recorded.memos == [] and qcore.THETA_MEMO.get() is None
     memo = run_case("summandinvariance", params)
-    assert len(calls) == len(set(calls)) <= 28
+    (stored,) = recorded.memos
+    splits = [key for key in stored.stored if key[0] == "split"]
+    assert 0 < len(splits) == len(set(splits)) <= 28
+    assert {key for key in stored.read if key[0] == "split"} == set(splits)
+    q = params["q"]
+    assert [key for key in stored.stored if key[0] != "split"] == [("plan", q, type(q))]
+    plan = qcore._plan(q, None)
+    for key in splits:
+        assert repr(stored[key]) == repr(qcore._inf_split_product(key[1], q, plan))
     assert repr(memo) == repr(dataclasses.replace(
         fresh, case_id="summandinvariance", params=dict(params, tol=1e-9)))
 
@@ -1581,17 +1625,17 @@ def _split_multiplied_out(a, q):
 def test_split_product_zero_counts_unchanged_by_the_euler_tail(monkeypatch):
     # Every split product of summandinvariance seeds 0-59 counts the zeros
     # that the multiplied-out product counts, and its regular value agrees.
-    original = qcore._poch_inf_split_product
+    original = qcore._inf_split_product
     counted = []
 
-    def checked(a, q):
-        zeros, value = original(a, q)
+    def checked(a, q, plan):
+        zeros, value = original(a, q, plan)
         old_zeros, old_value = _split_multiplied_out(a, q)
         assert zeros == old_zeros and rel(value, old_value) < 1e-13
         counted.append(zeros)
         return zeros, value
 
-    monkeypatch.setattr(qcore, "_poch_inf_split_product", checked)
+    monkeypatch.setattr(qcore, "_inf_split_product", checked)
     for seed in range(60):
         assert run_case("summandinvariance",
                         sample_params("summandinvariance", seed)).status == "pass"

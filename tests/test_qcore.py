@@ -23,6 +23,7 @@ from qident.qcore import (
     poch_inf,
     poch_int,
     poch_multi,
+    poch_multi_inf,
     tail_radius,
     theta,
     units,
@@ -254,6 +255,15 @@ def _theta_before_plan(x, p):
     return _poch_inf_before_plan(x, p) * _poch_inf_before_plan(p / x, p)
 
 
+def _poch_multi_inf_before_plan(avals, q):
+    """poch_multi_inf before the tail plan: a product of per-argument
+    _poch_inf_before_plan values from the product start."""
+    r = _units_before_plan(q)[1]
+    for a in avals:
+        r = r * _poch_inf_before_plan(a, q)
+    return r
+
+
 def _kernel_outcome(fn, *args):
     try:
         return repr(fn(*args))
@@ -277,25 +287,52 @@ def _plan_arguments():
     return pairs
 
 
+def _multi_plan_arguments(pairs):
+    """(avals, q) lists over the pairs: for each q (with its type) every x
+    paired with it, in order, then the same list reversed and the empty
+    list; and lists holding an exact-zero factor 1 - a q^k."""
+    groups = {}
+    for x, p in pairs:
+        groups.setdefault((p, type(p)), []).append(x)
+    lists = []
+    for (p, _), xs in groups.items():
+        lists += [(xs, p), (xs[::-1], p), ([], p)]
+    ctx = mp_context(50)
+    lists += [([0.3 - 0.1j, 4.0, 0.2j], 0.5), ([2 + 0j, 0.7], 0.5 + 0j),
+              ([ctx.mpc(0.3), ctx.mpf(16)], ctx.mpf(0.25)),
+              ([ctx.mpc(8), ctx.mpc(0.1, 0.2)], ctx.mpc(0.5))]
+    return lists
+
+
 def test_theta_and_poch_inf_on_the_tail_plan_match_the_two_product_formula():
-    # The tail plan changes no value, sign of zero or error: theta and
-    # poch_inf equal the formula before it by repr, outside a memo and
-    # inside one (twice: built, then read back), and theta still raises its
-    # x = 0 error before its |p| >= 1 error.
+    # The tail plan changes no value, sign of zero or error: theta, poch_inf
+    # and poch_multi_inf equal the formula before it by repr, outside a memo
+    # and inside one (twice: built, then read back), and theta still raises
+    # its x = 0 error before its |p| >= 1 error.  poch_multi_inf of an empty
+    # list is the product start at any q, |q| >= 1 included.
     pairs = _plan_arguments()
+    lists = _multi_plan_arguments(pairs)
     expected = [(_kernel_outcome(_theta_before_plan, x, p),
                  _kernel_outcome(_poch_inf_before_plan, x, p)) for x, p in pairs]
+    expected_multi = [_kernel_outcome(_poch_multi_inf_before_plan, avals, q)
+                      for avals, q in lists]
     assert [e[0] for e in expected].count("DomainError: theta requires x != 0") == 18
     assert [e[0] for e in expected].count("DomainError: theta requires |p| < 1") == 3
-    got = [(_kernel_outcome(theta, x, p), _kernel_outcome(poch_inf, x, p))
-           for x, p in pairs]
-    assert got == expected
+    assert expected_multi.count("DomainError: poch_inf requires |q| < 1") == 6
+    assert sum(not avals and abs(q) >= 1 for avals, q in lists) == 3
+    assert not any(_poch_multi_inf_before_plan(avals, q) for avals, q in lists[-4:])
+    assert sum(hasattr(q, "context") for _, q in lists) > 40
+
+    def outcomes():
+        return ([(_kernel_outcome(theta, x, p), _kernel_outcome(poch_inf, x, p))
+                 for x, p in pairs],
+                [_kernel_outcome(poch_multi_inf, avals, q) for avals, q in lists])
+
+    assert outcomes() == (expected, expected_multi)
     token = THETA_MEMO.set({})
     try:
         for _ in range(2):
-            got = [(_kernel_outcome(theta, x, p), _kernel_outcome(poch_inf, x, p))
-                   for x, p in pairs]
-            assert got == expected
+            assert outcomes() == (expected, expected_multi)
     finally:
         THETA_MEMO.reset(token)
 
@@ -357,18 +394,20 @@ def test_theta_inversion_property(re, im, p):
 
 
 def test_theta_memo_returns_the_kernel_value_once_per_key(monkeypatch):
+    # calls holds the argument of each infinite product run, theta's two
+    # and poch_inf's one.
     calls, builds = [], []
-    build = qcore._euler_coefficients
+    build, product = qcore._euler_coefficients, qcore._inf_product
 
-    def counting(a, q):
+    def counting(a, q, plan):
         calls.append(a)
-        return poch_inf(a, q)
+        return product(a, q, plan)
 
     def counting_build(q):
         builds.append((q, type(q)))
         return build(q)
 
-    monkeypatch.setattr(qcore, "poch_inf", counting)
+    monkeypatch.setattr(qcore, "_inf_product", counting)
     monkeypatch.setattr(qcore, "_euler_coefficients", counting_build)
     x, p = 0.4 + 0.3j, 0.1
     fresh = theta(x, p)
@@ -388,11 +427,11 @@ def test_theta_memo_returns_the_kernel_value_once_per_key(monkeypatch):
             (x, p, complex, float), (mpmath.mpc(x), p, mpmath.mpc, float)}
         # Euler's coefficients are built once per (q, type), in the tail plan
         # of that modulus: the mpmath x shares the double p's.  Outside the
-        # memo every product builds its own.
+        # memo every theta builds its own, one for both of its products.
         assert builds == [(p, float)]
         poch_inf(x, mpmath.mpf(p))
         poch_inf(x / 2, mpmath.mpf(p))
-        assert builds[1:] == [(p, mpmath.mpf)]
+        assert builds[1:] == [(p, mpmath.mpf)] and len(calls) == 8
         assert {k for k in THETA_MEMO.get() if k[0] == "plan"} == {
             ("plan", p, float), ("plan", p, mpmath.mpf)}
         assert len(THETA_MEMO.get()) == 4
@@ -401,7 +440,7 @@ def test_theta_memo_returns_the_kernel_value_once_per_key(monkeypatch):
     assert THETA_MEMO.get() is None
     del builds[:]
     theta(x, p)
-    assert len(calls) == 8 and len(builds) == 2
+    assert len(calls) == 10 and len(builds) == 1
 
 
 # ---------------------------------------------------------------------------

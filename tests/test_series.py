@@ -1,5 +1,6 @@
 """Series evaluator tests: unilateral and bilateral."""
 
+import cmath
 import math
 import random
 
@@ -8,7 +9,7 @@ import pytest
 
 import qident.identities as identities
 import qident.series as series
-from qident.errors import DomainError, NoConvergence
+from qident.errors import DivisionByVanishingFactor, DomainError, NoConvergence
 from qident.identities import run_case, sample_params
 from qident.policy import QPower
 from qident.qcore import csqrt, poch_inf, poch_int, poch_multi_inf
@@ -398,6 +399,64 @@ def test_psi_side_tails_within_their_stop_bounds(case_id, monkeypatch):
             value -= terms + t * r / (1 - r)
             exact += terms + tail
         assert abs(value - 1) <= 1e-25 * abs(exact), (seed, value)
+
+
+def _ratio_excess(c, grow, shrink):
+    """The reference for eval_psi's side-end bounds: rho - lim for
+    rho = c prod(g + d) / prod(s - d) and lim = c prod(g) / prod(s), over
+    the pairs (g, d) of grow and (s, d) of shrink, accumulated from the
+    increments d alone; inf unless every s - d is positive."""
+    lim, excess = c, 0.0
+    for g, d in grow:
+        lim, excess = lim * g, excess * (g + d) + lim * d
+    for s, d in shrink:
+        if s - d <= 0:
+            return math.inf
+        lim, excess = lim / s, (excess + lim * d / s) / (s - d)
+    return excess
+
+
+def test_psi_side_end_bounds_match_the_ratio_excess_formula(monkeypatch):
+    # Seeded 1- to 4-term balanced specs, some with a denominator modulus
+    # above 1 or a numerator modulus below |q|: each side's bound, taken
+    # from eval_psi at indices beyond any window, equals the reference
+    # formula by repr, inf included.
+    rng = random.Random(47)
+    side_ends, seen = series._side_ends, {}
+
+    def capture(t, k, tol, limit, excess):
+        seen[excess.__name__] = excess
+        return side_ends(t, k, tol, limit, excess)
+
+    monkeypatch.setattr(series, "_side_ends", capture)
+    compared, infinite = 0, [0, 0]
+    for _ in range(60):
+        r = rng.randint(1, 4)
+        q = cmath.rect(rng.uniform(0.05, 0.95), rng.uniform(-3, 3))
+        nv = [cmath.rect(rng.choice([rng.uniform(1e-4, 0.3), rng.uniform(0.3, 2)]),
+                         rng.uniform(-3, 3)) for _ in range(r)]
+        dv = [cmath.rect(rng.choice([rng.uniform(0.1, 0.9), rng.uniform(1, 4)]),
+                         rng.uniform(-3, 3)) for _ in range(r)]
+        x = cmath.rect(rng.uniform(0.05, 3), rng.uniform(-3, 3))
+        seen.clear()
+        try:
+            eval_psi(SeriesSpec(nv, dv, x, q))
+        except (NoConvergence, DivisionByVanishingFactor, OverflowError):
+            pass
+        assert sorted(seen) == ["dn_excess", "up_excess"]
+        aq, ax = abs(q), abs(x)
+        an, ad = [abs(v) for v in nv], [abs(v) for v in dv]
+        for k in range(-40, 41):
+            e = aq**k
+            up = _ratio_excess(ax, [(1, a * e) for a in an], [(1, b * e) for b in ad])
+            e = aq ** (1 - k)
+            dn = _ratio_excess(1 / ax, [(b, e) for b in ad], [(a, e) for a in an])
+            assert repr(seen["up_excess"](k)) == repr(up), (k, nv, dv, x, q)
+            assert repr(seen["dn_excess"](k)) == repr(dn), (k, nv, dv, x, q)
+            compared += 1
+            infinite[0] += up == math.inf
+            infinite[1] += dn == math.inf
+    assert compared == 60 * 81 and 1000 < min(infinite) <= max(infinite) < compared - 1000
 
 
 def test_psi_6psi6_within_term_budget(monkeypatch):
