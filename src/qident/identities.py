@@ -1086,15 +1086,13 @@ def _sample_3psi3(delta):
         qd = q ** (1 + delta)
 
         # The moduli and turns of three _cscalar(rng, 0.5, 0.9) draws, in
-        # its order and with _mod's floats, its logs taken once.  A draw
-        # whose moduli put |qd / srg| clearly past the 0.8 gate (the margin
-        # covers the complex rounding) is rejected before any complex
-        # arithmetic: the stream and every draw stay the same.
-        lo = math.log(0.5)
-        span, past_gate = math.log(0.9) - lo, 0.8 * (1 + 1e-9)
+        # its order.  A draw whose moduli put |qd / srg| clearly past the 0.8
+        # gate (the margin covers the complex rounding) is rejected before
+        # any complex arithmetic: the stream and every draw stay the same.
+        past_gate = 0.8 * (1 + 1e-9)
 
         def draw():
-            polar = [(math.exp(lo + span * rng.random()), rng.random()) for _ in range(3)]
+            polar = [(_mod(rng, 0.5, 0.9), rng.random()) for _ in range(3)]
             if qd / (polar[0][0] * polar[1][0] * polar[2][0]) > past_gate:
                 return None
             sig, rho, gam = (_polar(m, turn) for m, turn in polar)

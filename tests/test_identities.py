@@ -647,16 +647,35 @@ def test_run_case_theta_memo_is_per_call_and_changes_no_value(monkeypatch):
     # once, and thetas are read back; a stored theta is the kernel's fresh
     # value; there is one plan per (p, type) and none other; p = 0 stores no
     # theta; and each run_case call starts a new memo that it drops on return.
+    # Each stored theta runs its two products once, and without a memo the
+    # products run more often.
     recorded = _RecordedThetaMemo()
     monkeypatch.setattr(identities, "THETA_MEMO", recorded)
+    calls = []
+    original = qcore._inf_product
+
+    def counting(a, q, plan):
+        calls.append(a)
+        return original(a, q, plan)
+
+    monkeypatch.setattr(qcore, "_inf_product", counting)
     params = sample_params("multijackson", 5)
     assert params["p"] != 0 and params["lam"] == (3, 3)
+    counts = []
     for _ in range(2):
+        del calls[:]
         run_case("multijackson", params)
+        counts.append(len(calls))
         assert qcore.THETA_MEMO.get() is None
     first, second = recorded.memos
     # The second call recomputes every theta: no memo outlives a run_case.
     assert first.stored == second.stored and first.read == second.read
+    assert counts[0] == counts[1] == 2 * len(_theta_keys(first))
+    with monkeypatch.context() as m:
+        m.setattr(identities, "THETA_MEMO", _NoThetaMemo())
+        del calls[:]
+        run_case("multijackson", params)
+        assert len(calls) > counts[0]
     assert len(first.stored) == len(set(first.stored)) == len(first)
     thetas = _theta_keys(first)
     assert thetas and all(key[1] for key in thetas)
@@ -1586,18 +1605,29 @@ def test_summand_invariance_split_products_once_per_evaluation(monkeypatch):
     # Observed at the memo itself: under run_case's memo each split product
     # is stored once and read back as the same value (the sign = 1
     # evaluation repeats all of them), each stored value is the kernel's
-    # fresh one, and the products share one plan.  Outside run_case (the
-    # verifier called directly) there is no memo: every product computes
-    # afresh.
+    # fresh one, computed once, and the products share one plan.  Outside
+    # run_case (the verifier called directly) there is no memo: every product
+    # of both evaluations computes afresh.
     recorded = _RecordedThetaMemo()
     monkeypatch.setattr(identities, "THETA_MEMO", recorded)
+    calls = []
+    original = qcore._inf_split_product
+
+    def counting(a, q, plan):
+        calls.append(a)
+        return original(a, q, plan)
+
+    monkeypatch.setattr(qcore, "_inf_split_product", counting)
     params = dict(_INVARIANCE, n=4, delta=0, k=2, sign=1)
     fresh = verify_summand_invariance(**params, tol=1e-9)
     assert recorded.memos == [] and qcore.THETA_MEMO.get() is None
+    assert len(calls) == 56
+    calls.clear()
     memo = run_case("summandinvariance", params)
     (stored,) = recorded.memos
     splits = [key for key in stored.stored if key[0] == "split"]
     assert 0 < len(splits) == len(set(splits)) <= 28
+    assert len(calls) == len(set(calls)) == len(splits)
     assert {key for key in stored.read if key[0] == "split"} == set(splits)
     q = params["q"]
     assert [key for key in stored.stored if key[0] != "split"] == [("plan", q, type(q))]
